@@ -20,7 +20,6 @@ from .errors import (
     DegenerateForm,
     FFLabError,
     FullyDegenerate,
-    NonComplementary,
     NotCongruent,
     NotIsotropicPair,
     NotMaximalIsotropic,
@@ -44,7 +43,6 @@ __all__ = [
     "DegenerateForm",
     "FFLabError",
     "FullyDegenerate",
-    "NonComplementary",
     "NotCongruent",
     "NotIsotropicPair",
     "NotMaximalIsotropic",

@@ -12,9 +12,8 @@ The central objects:
                            log_{|E|} Lambda(E) for slice-constrained sets
 
 plus the operations that tie them together: the energy-to-incidence
-reduction, the double-counting incidence bound, greedy decomposition along
-affine (or totally isotropic) subspaces, vertical/horizontal plane covers in
-F_p^3, and the closed-form / recursive exponent calculus.
+reduction, the double-counting incidence bound, vertical/horizontal plane
+covers in F_p^3, and the closed-form / recursive exponent calculus.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .qforms import (
     QuadraticSpace,
     Subspace,
     enumerate_max_isotropic,
-    enumerate_subspaces,
     galilean,
 )
 from .surfaces import Surface
@@ -58,8 +56,6 @@ __all__ = [
     "SliceEnergyBound",
     "EnergyIncidence",
     "IncidenceAudit",
-    "GreedyPiece",
-    "GreedyDecomposition",
     "VHPlaneCover",
     "RecursedExponent",
     "EnergySample",
@@ -71,7 +67,6 @@ __all__ = [
     "incidence_count",
     "incidence_bound_audit",
     "all_affine_hyperplanes",
-    "greedy_decompose",
     "vh_plane_cover",
     "minimum_vh_cover_size",
     "energy_exponent_closed",
@@ -534,108 +529,6 @@ def energy_to_incidence(A: PointSet, B: PointSet, S: Surface) -> EnergyIncidence
 
 
 # ---------------------------------------------------------------------------
-# greedy decomposition along affine subspaces
-
-
-class GreedyPiece(NamedTuple):
-    points: PointSet
-    subspace: Subspace  # the affine c-dim subspace the piece sits inside
-
-
-class GreedyDecomposition(NamedTuple):
-    pieces: tuple
-    remainder: PointSet
-    threshold: float  # |E|^rho
-
-
-def _coset_reps(V: Subspace, X: np.ndarray) -> np.ndarray:
-    """Canonical coset representative of each row of X modulo V, matching the
-    reduction performed by the Subspace constructor."""
-    p = V.field.p
-    T = X % p
-    for row, c in enumerate(V.pivots):
-        T = (T - T[:, c : c + 1] * V.basis[row]) % p
-    return T
-
-
-def greedy_decompose(
-    E: PointSet,
-    c: int,
-    rho: float,
-    isotropic_only: bool = False,
-    Q: Optional[QuadraticSpace] = None,
-) -> GreedyDecomposition:
-    """Split E into concentrated pieces and a spread remainder.
-
-    Repeatedly removes a maximizing c-dimensional affine subspace until no
-    subspace holds more than |E|^rho of what is left.  Each removed piece has
-    more than |E|^rho points, so there are fewer than |E|^{1-rho} pieces, and
-    the remainder meets every candidate subspace in at most |E|^rho points.
-
-    With isotropic_only the candidate subspaces are the maximal totally
-    isotropic subspaces of Q (c must equal the Witt index); otherwise all
-    c-dimensional subspaces are candidates.  Ties go to the earliest
-    candidate in enumeration order, then the smallest coset representative.
-    """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie strictly between 0 and 1")
-    m = E.dim
-    if not 0 < c < m:
-        raise ValueError("subspace dimension must satisfy 0 < c < ambient dim")
-    field = E.field
-    if isotropic_only:
-        if Q is None:
-            raise ValueError("isotropic_only requires the quadratic space Q")
-        if Q.m != m:
-            raise ValueError("Q must live on the ambient of E")
-        candidates = sorted(enumerate_max_isotropic(Q), key=lambda V: V.basis.tobytes())
-        if candidates and candidates[0].dim != c:
-            raise ValueError(
-                f"c={c} but maximal isotropic subspaces have dimension {candidates[0].dim}"
-            )
-    else:
-        candidates = list(enumerate_subspaces(field, m, c))
-
-    threshold = float(len(E)) ** rho
-    X = E.matrix()
-    # coset key of every point of E under every candidate, computed once
-    point_keys = []
-    for V in candidates:
-        reps = _coset_reps(V, X)
-        point_keys.append([tuple(int(v) for v in row) for row in reps])
-
-    remaining = {v.coords: v for v in E}
-    order = {v.coords: i for i, v in enumerate(E)}
-    pieces = []
-    while remaining:
-        best = None  # (count, candidate index, coset key)
-        for vi, keys in enumerate(point_keys):
-            groups: Counter = Counter()
-            for coords in remaining:
-                groups[keys[order[coords]]] += 1
-            for key, count in groups.items():
-                if best is None or count > best[0] or (
-                    count == best[0] and (vi, key) < (best[1], best[2])
-                ):
-                    best = (count, vi, key)
-        if best is None or best[0] <= threshold:
-            break
-        count, vi, key = best
-        V = candidates[vi]
-        taken = [
-            v for coords, v in remaining.items() if point_keys[vi][order[coords]] == key
-        ]
-        for v in taken:
-            del remaining[v.coords]
-        piece_space = Subspace(field, V.basis, translate=key)
-        pieces.append(GreedyPiece(PointSet.of(field, m, taken), piece_space))
-
-    assert len(pieces) <= float(len(E)) ** (1.0 - rho) + 1e-9
-    remainder = PointSet.of(field, m, remaining.values())
-    return GreedyDecomposition(tuple(pieces), remainder, threshold)
-
-
-# ---------------------------------------------------------------------------
 # vertical/horizontal plane covers in F_p^3
 
 # A VH plane is {x2 = a t + b} (type 1: swept by lines with x1 free) or
@@ -710,8 +603,10 @@ def vh_plane_cover(E: PointSet, budget: int) -> VHPlaneCover:
 def minimum_vh_cover_size(E: PointSet) -> int:
     """Exact minimum number of VH planes covering E, by exhaustive search.
 
-    Only the planes meeting E matter.  Guarded to tiny instances; the greedy
-    cover is the tool for anything larger.
+    Test oracle for the greedy vh_plane_cover, which must stay within a
+    logarithmic factor of this optimum.  Only the planes meeting E matter.
+    Guarded to tiny instances; the greedy cover is the tool for anything
+    larger.
     """
     if E.dim != 3:
         raise ValueError("minimum_vh_cover_size expects points in F_p^3")
@@ -888,6 +783,16 @@ def recursion_curve(inner: InnerCurve, samples: int = 65) -> EnergyExponent:
 
 # ---------------------------------------------------------------------------
 # empirical exponent sampling
+
+
+def _coset_reps(V: Subspace, X: np.ndarray) -> np.ndarray:
+    """Canonical coset representative of each row of X modulo V, matching the
+    reduction performed by the Subspace constructor."""
+    p = V.field.p
+    T = X % p
+    for row, c in enumerate(V.pivots):
+        T = (T - T[:, c : c + 1] * V.basis[row]) % p
+    return T
 
 
 def max_isotropic_slice(E: PointSet, Q: QuadraticSpace) -> int:

@@ -34,10 +34,6 @@ class FullyDegenerate(FFLabError):
     """The restricted bilinear form vanishes identically on the subspace."""
 
 
-class NonComplementary(FFLabError):
-    """Two subspaces were expected to span the ambient space directly but do not."""
-
-
 class NotCongruent(FFLabError):
     """The supplied change of basis does not carry one form to the other."""
 

@@ -14,14 +14,11 @@ to misremember.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .core import FFunction, PrimeField, char_vector, coordinate_array
-from .errors import NonComplementary
-from .qforms import Subspace, det_mod, inv_mod
+from .core import FFunction, char_vector, coordinate_array
 
 # ---------------------------------------------------------------------------
 # transforms
@@ -73,7 +70,8 @@ def convolve(f: FFunction, g: FFunction) -> FFunction:
 
 
 def naive_convolve(f: FFunction, g: FFunction) -> FFunction:
-    """The defining double sum; O(p^{2d}) memory, test oracle only."""
+    """The defining double sum; O(p^{2d}) memory.  Test oracle for the
+    Fourier-side convolve."""
     p = f.field.p
     X = coordinate_array(p, f.dim)
     powers = p ** np.arange(f.dim, dtype=np.int64)
@@ -82,96 +80,7 @@ def naive_convolve(f: FFunction, g: FFunction) -> FFunction:
 
 
 # ---------------------------------------------------------------------------
-# mixed norms over complementary decompositions
-
-
-@dataclass(frozen=True)
-class MixedNormSpec:
-    """Iterated-norm recipe: inner exponent over W, outer over V (and over
-    the last coordinate too when include_t is set)."""
-
-    V: Subspace
-    W: Subspace
-    outer_exp: float
-    inner_exp: float
-    include_t: bool = True
-
-    def __post_init__(self):
-        if self.outer_exp < 1 or self.inner_exp < 1:
-            raise ValueError("exponents must be >= 1")
-
-
-def _iterated_norm(mat: np.ndarray, q: float, p_exp: float, norm_in: float, norm_out: float) -> float:
-    """(sum_outer (sum_inner |.|^p / norm_in)^{q/p} / norm_out)^{1/q} with
-    max() at infinite exponents."""
-    mags = np.abs(mat)
-    if math.isinf(p_exp):
-        inner = mags.max(axis=1)
-    else:
-        inner = (np.sum(mags**p_exp, axis=1) / norm_in) ** (1.0 / p_exp)
-    if math.isinf(q):
-        return float(inner.max())
-    return float((np.sum(inner**q) / norm_out) ** (1.0 / q))
-
-
-def mixed_norm(F: FFunction, spec: MixedNormSpec, measure: str = "counting") -> float:
-    """The iterated norm with inner sum over W-cosets.
-
-    Every spatial point must split uniquely as w + v with w in W, v in V;
-    when include_t is set the final coordinate of F's domain rides along
-    with the outer sum.  measure 'normalized' divides the inner sum by |W|
-    and the outer sum by the number of outer fibers.
-    """
-    if measure not in ("counting", "normalized"):
-        raise ValueError(f"unknown measure {measure!r}")
-    p = F.field.p
-    spatial = F.dim - 1 if spec.include_t else F.dim
-    kV, kW = spec.V.dim, spec.W.dim
-    if kV + kW != spatial:
-        raise NonComplementary(
-            f"dim V + dim W = {kV + kW}, expected {spatial}"
-        )
-    B = np.concatenate([spec.V.basis, spec.W.basis])
-    if det_mod(B, p) == 0:
-        raise NonComplementary("V and W overlap")
-    Binv = inv_mod(B, p)
-
-    X = coordinate_array(p, F.dim)
-    spatial_pts = X[:, :spatial]
-    C = spatial_pts @ Binv % p  # row x: coefficients (c_V, c_W) with x = c B
-    powers_V = p ** np.arange(kV, dtype=np.int64)
-    powers_W = p ** np.arange(kW, dtype=np.int64)
-    inner_idx = C[:, kV:] @ powers_W
-    outer_idx = C[:, :kV] @ powers_V
-    if spec.include_t:
-        outer_idx = outer_idx + X[:, -1] * p**kV
-    n_outer = p ** (kV + (1 if spec.include_t else 0))
-    n_inner = p**kW
-    mat = np.zeros((n_outer, n_inner), dtype=np.complex128)
-    mat[outer_idx, inner_idx] = F.data
-    norm_in = n_inner if measure == "normalized" else 1.0
-    norm_out = n_outer if measure == "normalized" else 1.0
-    return _iterated_norm(mat, spec.outer_exp, spec.inner_exp, norm_in, norm_out)
-
-
-# ---------------------------------------------------------------------------
 # exponent arithmetic
-
-
-@dataclass(frozen=True)
-class ExponentBound:
-    """A bound of the form: extension norm at (q_exp -> p_exp) is at most
-    an absolute constant times |F|^log_constant."""
-
-    q_exp: float
-    p_exp: float
-    log_constant: float
-
-    def __post_init__(self):
-        if self.p_exp < 1 or self.q_exp < 1:
-            raise ValueError("exponents must be >= 1")
-        if self.log_constant < 0:
-            raise ValueError("log constant must be >= 0")
 
 
 def stein_tomas_transfer(alpha: float, theta: float, d_tilde: float) -> float:
@@ -226,37 +135,3 @@ def power_iteration_norm(
             return math.sqrt(lam)
         lam_prev = lam
     return math.sqrt(lam_prev)
-
-
-def ratio_ascent_lower_bound(
-    ratio: Callable[[np.ndarray], float],
-    candidates: list[np.ndarray],
-    rng: np.random.Generator,
-    steps: int = 60,
-    step_size: float = 0.25,
-) -> tuple[float, np.ndarray]:
-    """Best-effort LOWER bound for a norm ratio by evaluating structured
-    candidates and then hill-climbing with random perturbations from the
-    best one.  Never claims optimality."""
-    best_val = -math.inf
-    best_vec: Optional[np.ndarray] = None
-    for c in candidates:
-        v = ratio(c)
-        if v > best_val:
-            best_val, best_vec = v, c.astype(np.complex128)
-    assert best_vec is not None, "need at least one candidate"
-    cur = best_vec
-    cur_val = best_val
-    size = step_size
-    for _ in range(steps):
-        trial = cur + size * (
-            rng.standard_normal(cur.shape) + 1j * rng.standard_normal(cur.shape)
-        )
-        v = ratio(trial)
-        if v > cur_val:
-            cur, cur_val = trial, v
-        else:
-            size *= 0.8
-    if cur_val > best_val:
-        best_val, best_vec = cur_val, cur
-    return best_val, best_vec

@@ -20,6 +20,7 @@ import base64
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,16 +32,21 @@ CSV_COLUMNS = ["scenario", "prime", "dim", "trials", "seed", "status",
                "metric", "runtime_ms"]
 
 
+def _json_float(x: float):
+    """x itself, or its repr ('nan', 'inf', '-inf'), which JSON can hold."""
+    return x if math.isfinite(x) else repr(x)
+
+
 def witness_values(**kw) -> dict:
     """Scalar witness: plain JSON-safe values keyed by name."""
     vals = {}
     for k, v in kw.items():
         if isinstance(v, (np.integer,)):
             v = int(v)
-        elif isinstance(v, (np.floating,)):
-            v = float(v)
+        elif isinstance(v, (float, np.floating)):
+            v = _json_float(float(v))
         elif isinstance(v, complex):
-            v = [v.real, v.imag]
+            v = [_json_float(v.real), _json_float(v.imag)]
         vals[k] = v
     return {"kind": "values", "values": vals}
 
@@ -81,7 +87,8 @@ class ScenarioReport:
     metric_name is "max_deviation" for exact-identity and exponent
     arithmetic scenarios and "measured_constant" for constant-tracked
     ones.  A fail must carry a witness; runtime_ms is carried for the
-    CSV only and never serialized into JSON.
+    CSV only and never serialized into JSON.  A non-finite metric, which
+    always fails, is written to JSON as null; its witness keeps the value.
     """
 
     scenario: str
@@ -117,7 +124,7 @@ class ScenarioReport:
             "seed": self.seed,
             "status": self.status,
             "metric_name": self.metric_name,
-            "metric": self.metric,
+            "metric": self.metric if math.isfinite(self.metric) else None,
             "tolerance": self.tolerance,
             "baseline_constant": self.baseline_constant,
             "baseline_slack": self.baseline_slack,
@@ -133,7 +140,7 @@ class ScenarioReport:
 def reports_to_json(reports) -> str:
     doc = {"schema": SCHEMA,
            "reports": [r.to_json_dict() for r in reports]}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def reports_to_csv(reports) -> str:

@@ -54,6 +54,7 @@ __all__ = [
     "DualConsistency",
     "KakeyaExponents",
     "RegularSetAudit",
+    "line_totals",
     "kakeya_maximal",
     "maximizing_base_map",
     "direction_norm",
@@ -73,7 +74,6 @@ __all__ = [
     "mixed_norm",
     "surface_mixed_norm",
     "mixed_extension_ratio",
-    "mixed_restriction_ratio",
     "kakeya_regular_set_bound",
     "random_slice_isotropic_function",
 ]
@@ -137,23 +137,16 @@ class AffineLine:
         return FFunction.indicator(self.field, self.ambient_dim, self.point_array())
 
 
-def _line_base_indices(p: int, n: int, eta: np.ndarray) -> list:
-    """For t = 0..p-1, the permutation sending the index of b to that of
-    b + eta t.  Row t, entry enc(b), equals enc(b + eta t)."""
-    base = coordinate_array(p, n)
-    powers = p ** np.arange(n, dtype=np.int64)
-    return [((base + t * eta) % p) @ powers for t in range(p)]
-
-
 # ---------------------------------------------------------------------------
 # the maximal operator
 
 
-def kakeya_maximal(F: FFunction) -> np.ndarray:
-    """F*(eta) = max over bases b of the |F|-mass on the line (b, eta).
+def line_totals(F: FFunction) -> np.ndarray:
+    """(p^{m-1}, p^{m-1}) array of the |F|-mass on every non-horizontal line.
 
-    Returns one value per direction of F_p^{m-1}, in index order.  The
-    maximum is exact: every one of the p^{m-1} bases is tried.
+    Entry [i, j] sums |F| over the line with direction i and base j (both
+    in index order).  Every base of every direction is summed, so maxima
+    taken from this array are exact.
     """
     m = F.dim
     if m < 2:
@@ -162,13 +155,22 @@ def kakeya_maximal(F: FFunction) -> np.ndarray:
     n = m - 1
     grid_size(p, 2 * n)  # p^{m-1} directions x p^{m-1} bases
     mags = np.abs(F.data).reshape(p**n, p, order="F")
-    out = np.empty(p**n, dtype=np.float64)
-    for di, eta in enumerate(coordinate_array(p, n)):
-        totals = np.zeros(p**n, dtype=np.float64)
-        for t, idx in enumerate(_line_base_indices(p, n, eta)):
-            totals += mags[idx, t]
-        out[di] = totals.max()
-    return out
+    coords = coordinate_array(p, n)
+    powers = p ** np.arange(n, dtype=np.int64)
+    totals = np.zeros((p**n, p**n), dtype=np.float64)
+    # one t at a time, so each entry adds its p terms in order of t
+    for t in range(p):
+        idx = ((coords[None, :, :] + t * coords[:, None, :]) % p) @ powers
+        totals += mags[idx, t]
+    return totals
+
+
+def kakeya_maximal(F: FFunction) -> np.ndarray:
+    """F*(eta) = max over bases b of the |F|-mass on the line (b, eta).
+
+    Returns one value per direction of F_p^{m-1}, in index order.
+    """
+    return line_totals(F).max(axis=1)
 
 
 def maximizing_base_map(F: FFunction) -> np.ndarray:
@@ -176,19 +178,7 @@ def maximizing_base_map(F: FFunction) -> np.ndarray:
 
     Ties resolve to the smallest base index, so the map is deterministic.
     """
-    m = F.dim
-    p = F.field.p
-    n = m - 1
-    grid_size(p, 2 * n)
-    mags = np.abs(F.data).reshape(p**n, p, order="F")
-    coords = coordinate_array(p, n)
-    rows = np.empty((p**n, n), dtype=np.int64)
-    for di, eta in enumerate(coords):
-        totals = np.zeros(p**n, dtype=np.float64)
-        for t, idx in enumerate(_line_base_indices(p, n, eta)):
-            totals += mags[idx, t]
-        rows[di] = coords[int(np.argmax(totals))]
-    return rows
+    return coordinate_array(F.field.p, F.dim - 1)[line_totals(F).argmax(axis=1)]
 
 
 def direction_norm(values: np.ndarray, q: float) -> float:
@@ -218,7 +208,11 @@ def maximal_ratio(F: FFunction, q_out: Optional[float] = None,
 
 
 def line_sum(F: FFunction, base, direction, absolute: bool = False) -> complex:
-    """Sum of F (or |F|) over the line with the given base and direction."""
+    """Sum of F (or |F|) over the line with the given base and direction.
+
+    Test oracle for line_totals, kakeya_maximal and maximizing_base_map:
+    it walks one line's points directly instead of gathering all lines.
+    """
     line = AffineLine.of(F.field, base, direction)
     p = F.field.p
     powers = p ** np.arange(F.dim, dtype=np.int64)
@@ -540,8 +534,9 @@ def embed_collapse_profile(h: FFunction, b) -> FFunction:
     """The (x1, t) line profile p^{-n} sum_theta h(theta) 1_{l(b(-theta),-theta)}.
 
     Equals dual_kakeya_apply of the direction-reversed weights against the
-    base map b, which the tests verify; kept separate so the embedding has
-    an independently assembled target.
+    base map b, which the tests verify.  Oracle for the collapse identity
+    that restriction_to_kakeya_embed certifies: it is assembled from lines
+    directly, so that check has an independent target.
     """
     field, n = h.field, h.dim
     p = field.p
@@ -608,6 +603,20 @@ def kakeya_bound_from_restriction(
 # coset reparameterization and mixed norms
 
 
+def _split_coefficients(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """Coordinates of every point of F_p^n in the basis rows of A, then B.
+
+    Row i of the result, for the point with index i, holds (a, b) with
+    x = a A + b B.  Raises NotIsotropicPair when A and B together do not
+    form a basis.
+    """
+    stacked = np.vstack([A, B])
+    n = stacked.shape[1]
+    if rank_mod(stacked, p) != n:
+        raise NotIsotropicPair("subspaces are not complementary")
+    return (coordinate_array(p, n) @ inv_mod(stacked.T % p, p).T) % p
+
+
 def _isotropic_pair_split(S: Surface, W: Subspace, V: Subspace):
     """Validate (W, V) and return the phase-splitting data.
 
@@ -629,20 +638,13 @@ def _isotropic_pair_split(S: Surface, W: Subspace, V: Subspace):
             raise NotIsotropicPair("subspaces must pass through the origin")
         if not is_totally_isotropic(S.Q, U):
             raise NotIsotropicPair("subspace is not totally isotropic for the form")
-    stacked = np.vstack([W.basis, V.basis])
-    if rank_mod(stacked, p) != n2:
-        raise NotIsotropicPair("subspaces are not complementary")
 
     # x = x1 + x2 with x1 dot-orthogonal to V and x2 dot-orthogonal to W,
-    # so the Fourier phase splits as xi1.x1 + xi2.x2
+    # so the Fourier phase splits as xi1.x1 + xi2.x2.  The two
+    # orthocomplements span the space exactly when W and V are complementary.
     X1 = nullspace_mod(V.basis, p)
     X2 = nullspace_mod(W.basis, p)
-    M = np.vstack([X1, X2]).T % p
-    if rank_mod(M, p) != n2:
-        raise NotIsotropicPair("dot-orthocomplements fail to split the space")
-    Minv = inv_mod(M, p)
-    base = coordinate_array(p, n2)
-    coeff = (base @ Minv.T) % p
+    coeff = _split_coefficients(X1, X2, p)
     x1 = coeff[:, : X1.shape[0]] @ X1 % p
     x2 = coeff[:, X1.shape[0]:] @ X2 % p
     return W.point_array(), V.point_array(), x1, x2
@@ -681,32 +683,21 @@ def coset_extension(f: SurfaceFunction, W: Subspace, V: Subspace) -> FFunction:
     return out
 
 
-def _coset_split_indices(field: PrimeField, W: Subspace, V: Subspace):
-    """Index of the W part and V part of every base point under x = w + v."""
-    p = field.p
-    n2 = W.basis.shape[1]
-    stacked = np.vstack([W.basis, V.basis])
-    if rank_mod(stacked, p) != n2:
-        raise NotIsotropicPair("subspaces are not complementary")
-    M = stacked.T % p
-    Minv = inv_mod(M, p)
-    base = coordinate_array(p, n2)
-    coeff = (base @ Minv.T) % p
-    w_pow = p ** np.arange(W.dim, dtype=np.int64)
-    v_pow = p ** np.arange(V.dim, dtype=np.int64)
-    return coeff[:, : W.dim] @ w_pow, coeff[:, W.dim :] @ v_pow
+def _v_coset_index(W: Subspace, V: Subspace, p: int) -> np.ndarray:
+    """Index in V of the V part of every base point under x = w + v."""
+    coeff = _split_coefficients(W.basis, V.basis, p)
+    return coeff[:, W.dim :] @ (p ** np.arange(V.dim, dtype=np.int64))
 
 
 def mixed_norm(F: FFunction, W: Subspace, V: Subspace,
                outer_q: float, inner_p: float) -> float:
     """Counting-measure mixed norm of a function on base x last coordinate:
     inner L^{inner_p} over W cosets, outer L^{outer_q} over (V, t)."""
-    field = F.field
-    p = field.p
+    p = F.field.p
     n2 = F.dim - 1
     if W.basis.shape[1] != n2:
         raise ValueError("subspaces must live on the base of F's domain")
-    w_idx, v_idx = _coset_split_indices(field, W, V)
+    v_idx = _v_coset_index(W, V, p)
     mags = np.abs(F.data).reshape(p**n2, p, order="F") ** inner_p
     inner_sums = np.zeros((p**V.dim, p), dtype=np.float64)
     np.add.at(inner_sums, v_idx, mags)
@@ -718,7 +709,7 @@ def surface_mixed_norm(f: SurfaceFunction, W: Subspace, V: Subspace,
                        outer_q: float, inner_p: float) -> float:
     """Normalized mixed norm on the surface: both layers average."""
     p = f.surface.field.p
-    w_idx, v_idx = _coset_split_indices(f.surface.field, W, V)
+    v_idx = _v_coset_index(W, V, p)
     mags = np.abs(f.values) ** inner_p
     inner_sums = np.zeros(p**V.dim, dtype=np.float64)
     np.add.at(inner_sums, v_idx, mags)
@@ -736,18 +727,6 @@ def mixed_extension_ratio(f: SurfaceFunction, W: Subspace, V: Subspace) -> float
     if denom == 0.0:
         raise ValueError("mixed ratio of the zero function")
     return mixed_norm(extension(f), W, V, q, 2.0) / denom
-
-
-def mixed_restriction_ratio(F: FFunction, S: Surface,
-                            W: Subspace, V: Subspace) -> float:
-    """The dual-side tracked constant: restricted transform in the mixed
-    surface norm at (2d+2)/(d+3) against the physical mixed norm."""
-    d = S.ambient_dim
-    q = (2 * d + 2) / (d + 3)
-    denom = mixed_norm(F, W, V, q, 2.0)
-    if denom == 0.0:
-        raise ValueError("mixed ratio of the zero function")
-    return surface_mixed_norm(restriction(F, S), W, V, q, 2.0) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -306,12 +306,6 @@ class Tube:
         return self.field.p**2
 
 
-def line_kernel(field: PrimeField, m: int) -> FFunction:
-    """The direction-m kernel: indicator of {x2 + m t = 0} in F_p^3
-    (independent of x1)."""
-    return Tube(field, m % field.p, 0, 0).indicator()
-
-
 # ---------------------------------------------------------------------------
 # pseudo-conformal slice transport (d = 3)
 

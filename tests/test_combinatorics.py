@@ -28,7 +28,6 @@ from fflab.combinatorics import (
     energy_slice_bound,
     energy_to_incidence,
     full_surface_point_set,
-    greedy_decompose,
     incidence_bound_audit,
     incidence_count,
     isotropic_slice_alpha,
@@ -478,82 +477,6 @@ def test_energy_to_incidence_degenerate_inputs():
     assert red2.energy == 1
     assert red2.lines.canonical_keys() == [("full",)]
     assert red2.incidences == 1
-
-
-# ---------------------------------------------------------------------------
-# greedy decomposition
-
-
-def brute_line_peak(E: PointSet) -> int:
-    """Max |E ∩ (affine line)| by scanning every line direction and coset."""
-    best = 0
-    for V in enumerate_subspaces(E.field, E.dim, 1):
-        groups = {}
-        for v in E:
-            rep = _line_rep(V, v.coords, E.field.p)
-            groups[rep] = groups.get(rep, 0) + 1
-        best = max(best, max(groups.values()))
-    return best
-
-
-def _line_rep(V: Subspace, coords, p):
-    x = np.array(coords, dtype=np.int64) % p
-    for row, c in zip(V.basis, V.pivots):
-        x = (x - x[c] * row) % p
-    return tuple(int(v) for v in x)
-
-
-def test_greedy_decompose_postconditions_random():
-    rng = np.random.default_rng(307)
-    for _ in range(30):
-        pts = {tuple(rng.integers(0, 5, 3)) for _ in range(rng.integers(4, 20))}
-        E = PointSet.of(F5, 3, pts)
-        rho = float(rng.uniform(0.3, 0.8))
-        dec = greedy_decompose(E, c=1, rho=rho)
-        seen = set()
-        for piece in dec.pieces:
-            assert len(piece.points) > dec.threshold
-            assert piece.subspace.dim == 1
-            for v in piece.points:
-                assert piece.subspace.contains(v.coords)
-                assert v.coords not in seen
-                seen.add(v.coords)
-        for v in dec.remainder:
-            assert v.coords not in seen
-            seen.add(v.coords)
-        assert seen == set(pts)
-        assert len(dec.pieces) <= len(E) ** (1 - rho) + 1e-9
-        # no affine line meets the remainder above the threshold
-        if len(dec.remainder):
-            assert brute_line_peak(dec.remainder) <= dec.threshold
-
-
-def test_greedy_decompose_trivial_cases():
-    line = PointSet.of(F5, 2, [(x, 2 * x % 5) for x in range(4)])
-    dec = greedy_decompose(line, c=1, rho=0.5)
-    assert len(dec.pieces) == 1 and len(dec.remainder) == 0
-    spread = PointSet.of(F5, 2, [(0, 0), (1, 2), (2, 1), (3, 3), (4, 0)])
-    dec2 = greedy_decompose(spread, c=1, rho=0.95)
-    assert len(dec2.pieces) == 0 and len(dec2.remainder) == 5
-    with pytest.raises(ValueError):
-        greedy_decompose(line, c=1, rho=1.0)
-    with pytest.raises(ValueError):
-        greedy_decompose(line, c=2, rho=0.5)
-
-
-def test_greedy_decompose_isotropic_only():
-    Q = hyperbolic_pairing_form(F5, 1)
-    E = PointSet.of(F5, 2, [(x, 0) for x in range(5)] + [(1, 1), (2, 3)])
-    dec = greedy_decompose(E, c=1, rho=0.5, isotropic_only=True, Q=Q)
-    assert len(dec.pieces) == 1
-    piece = dec.pieces[0]
-    assert len(piece.points) == 5
-    assert is_totally_isotropic(Q, piece.subspace.linear_part())
-    assert len(dec.remainder) == 2
-    with pytest.raises(ValueError):
-        greedy_decompose(E, c=1, rho=0.5, isotropic_only=True)
-    with pytest.raises(ValueError):
-        greedy_decompose(E, c=1, rho=0.5, isotropic_only=True, Q=dot_form(F5, 3))
 
 
 # ---------------------------------------------------------------------------

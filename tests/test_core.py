@@ -1,5 +1,7 @@
-"""Substrate checks: field tables, character sums, point encoding, norms."""
+"""Substrate checks: field tables, character sums, point encoding, norms,
+and the package's exported names."""
 
+import importlib
 import math
 
 import numpy as np
@@ -167,3 +169,12 @@ def test_inner_normalized_scaling():
     one = FFunction.constant(F, 2, 1.0)
     assert inner(one, one, "counting") == pytest.approx(9.0)
     assert inner(one, one, "normalized") == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "module", ["fflab", "fflab.combinatorics", "fflab.kakeya", "fflab.harness"]
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

@@ -1,7 +1,4 @@
-"""Transform normalization, mixed norms, exponent arithmetic, operator
-norm estimation."""
-
-import math
+"""Transform normalization, exponent arithmetic, operator norm estimation."""
 
 import numpy as np
 import pytest
@@ -9,21 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fflab.core import FFunction, PrimeField, lp_norm
-from fflab.errors import NonComplementary
 from fflab.fourier import (
-    ExponentBound,
-    MixedNormSpec,
     convolve,
     fourier_transform,
     inverse_transform,
-    mixed_norm,
     naive_convolve,
     naive_fourier_transform,
     power_iteration_norm,
-    ratio_ascent_lower_bound,
     stein_tomas_transfer,
 )
-from fflab.qforms import Subspace, random_subspace
 
 
 def test_transform_of_delta_is_one():
@@ -110,83 +101,7 @@ def test_convolution_fourier_path_matches_naive():
 
 
 # ---------------------------------------------------------------------------
-# mixed norms
-
-
-def _standard_split(p, kV, kW):
-    F = PrimeField(p)
-    m = kV + kW
-    eye = np.eye(m, dtype=np.int64)
-    return Subspace(F, eye[:kV]), Subspace(F, eye[kV:])
-
-
-def test_mixed_norm_single_point():
-    F = PrimeField(3)
-    V, W = _standard_split(3, 1, 1)
-    f = FFunction.delta(F, 3, (1, 2, 0))
-    for q, pe in [(1, 1), (2, 3), (4, 2), (math.inf, 2)]:
-        spec = MixedNormSpec(V, W, q, pe, include_t=True)
-        assert mixed_norm(f, spec, "counting") == pytest.approx(1.0)
-
-
-def test_mixed_norm_constant_function():
-    p = 3
-    F = PrimeField(p)
-    V, W = _standard_split(p, 1, 2)
-    one = FFunction.constant(F, 4, 1.0)
-    q, pe = 3.0, 2.0
-    spec = MixedNormSpec(V, W, q, pe, include_t=True)
-    want = (p * p) ** (1 / q) * (p * p) ** (1 / pe)  # (|V| p)^{1/q} |W|^{1/p}
-    assert mixed_norm(one, spec, "counting") == pytest.approx(want)
-    assert mixed_norm(one, spec, "normalized") == pytest.approx(1.0)
-
-
-def test_mixed_norm_collapses_to_lp():
-    F = PrimeField(5)
-    rng = np.random.default_rng(3)
-    V, W = _standard_split(5, 1, 1)
-    for _ in range(50):
-        f = FFunction.random(F, 3, rng)
-        spec = MixedNormSpec(V, W, 2, 2, include_t=True)
-        assert mixed_norm(f, spec, "counting") == pytest.approx(
-            lp_norm(f, 2, "counting"), rel=1e-9
-        )
-
-
-def test_mixed_norm_oblique_decomposition():
-    # a non-axis split must agree with a brute-force regrouping
-    p = 3
-    F = PrimeField(p)
-    V = Subspace(F, [[1, 1]])
-    W = Subspace(F, [[1, 2]])
-    rng = np.random.default_rng(8)
-    f = FFunction.random(F, 3, rng)
-    spec = MixedNormSpec(V, W, 4, 2, include_t=True)
-    got = mixed_norm(f, spec, "counting")
-    # brute force: group |f(w + v, t)| by (v, t)
-    total = 0.0
-    for cv in range(p):
-        v = (cv * np.array([1, 1])) % p
-        for t in range(p):
-            inner = 0.0
-            for cw in range(p):
-                w = (cw * np.array([1, 2])) % p
-                x = tuple((v + w) % p) + (t,)
-                inner += abs(f[x]) ** 2
-            total += inner ** (4 / 2)
-    assert got == pytest.approx(total ** (1 / 4), rel=1e-9)
-
-
-def test_mixed_norm_rejects_overlapping_split():
-    F = PrimeField(3)
-    V = Subspace(F, [[1, 0]])
-    W = Subspace(F, [[2, 0]])  # same line
-    f = FFunction.constant(F, 3, 1.0)
-    with pytest.raises(NonComplementary):
-        mixed_norm(f, MixedNormSpec(V, W, 2, 2), "counting")
-    with pytest.raises(NonComplementary):
-        bad = MixedNormSpec(V, Subspace(F, np.zeros((0, 2), dtype=np.int64)), 2, 2)
-        mixed_norm(f, bad, "counting")
+# exponent arithmetic
 
 
 @given(
@@ -197,10 +112,6 @@ def test_subadditivity_of_small_powers(parts, r):
     # (sum a_i)^r <= sum a_i^r for 0 < r < 1
     total = sum(parts)
     assert total**r <= sum(a**r for a in parts) + 1e-7
-
-
-# ---------------------------------------------------------------------------
-# exponent arithmetic
 
 
 def test_stein_tomas_transfer_values():
@@ -217,14 +128,6 @@ def test_stein_tomas_transfer_values():
         stein_tomas_transfer(0.5, 0.5, -1.0)
 
 
-def test_exponent_bound_validation():
-    ExponentBound(2.0, 4.0, 0.25)
-    with pytest.raises(ValueError):
-        ExponentBound(0.5, 4.0, 0.25)
-    with pytest.raises(ValueError):
-        ExponentBound(2.0, 4.0, -0.25)
-
-
 # ---------------------------------------------------------------------------
 # operator norm estimation
 
@@ -236,19 +139,3 @@ def test_power_iteration_matches_svd():
     sigma = power_iteration_norm(gram, 8, rng, tol=1e-10)
     top = np.linalg.svd(T, compute_uv=False)[0]
     assert sigma == pytest.approx(top, rel=1e-6)
-
-
-def test_ratio_ascent_reports_lower_bound():
-    rng = np.random.default_rng(23)
-    T = rng.standard_normal((10, 10))
-    top = np.linalg.svd(T, compute_uv=False)[0]
-
-    def ratio(v):
-        nv = np.linalg.norm(v)
-        return 0.0 if nv == 0 else float(np.linalg.norm(T @ v) / nv)
-
-    candidates = [np.eye(10)[i] for i in range(10)]
-    best, witness = ratio_ascent_lower_bound(ratio, candidates, rng)
-    assert best <= top + 1e-9
-    assert best >= max(ratio(c) for c in candidates) - 1e-12
-    assert ratio(witness) == pytest.approx(best)

@@ -12,6 +12,7 @@ from fflab.harness import (
     BaselineMismatch,
     BaselineMissing,
     BaselineStore,
+    Scenario,
     ScenarioReport,
     decode_witness_array,
     exponent_table,
@@ -255,6 +256,44 @@ def test_hash_mismatch_aborts_before_running(tmp_path, monkeypatch):
         run_scenario("EN-2", prime=3)
     with pytest.raises(BaselineMismatch):
         sweep(["EN-2"], [3], [3])
+
+
+def _non_finite_runner(ctx):
+    return float("nan") if ctx.dim == 3 else float("-inf"), None
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("kind", ["constant_tracked", "exact_identity"])
+def test_non_finite_metric_fails(kind, tmp_path, monkeypatch):
+    import fflab.harness.baselines as bl
+    tracked = kind == "constant_tracked"
+    monkeypatch.setitem(REGISTRY, "NAN-1", Scenario(
+        "NAN-1", kind, "stub runner whose metric is not a finite number",
+        _non_finite_runner, (3,), (2, 3), 1,
+        direction="upper" if tracked else None,
+        provenance=(3, 3, 1, 0) if tracked else None))
+    path = tmp_path / "baselines.json"
+    entry = bl.BaselineEntry(constant=1.0, prime=3, dim=3, trials=1, seed=0,
+                             oracle_hash=oracle_hash(_non_finite_runner))
+    BaselineStore({"NAN-1": entry}, path=path).save()
+    monkeypatch.setattr(bl, "_DEFAULT_PATH", path)
+    # dim 3 is the provenance point and returns NaN; dim 2 returns -inf
+    for dim, text in ((3, "nan"), (2, "-inf")):
+        r = run_scenario("NAN-1", prime=3, dim=dim, trials=1, seed=0)
+        assert r.status == "fail"
+        assert text in r.witness["values"].values()
+        assert _strict_json(reports_to_json([r]))["reports"][0]["metric"] is None
+    out = tmp_path / "reports"
+    code = cli_main(["sweep", "--ids", "NAN-1", "--primes", "3", "--dims", "2,3",
+                     "--out", str(out)])
+    assert code == 1
+    doc = _strict_json((out / "report.json").read_text())
+    assert [rec["status"] for rec in doc["reports"]] == ["fail", "fail"]
 
 
 def test_regenerate_matches_shipped_store(tmp_path):

@@ -5,6 +5,7 @@ construction all get checked against exhaustive searches at small p.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -244,6 +245,45 @@ def test_enumerate_max_isotropic_split_four_dim():
     assert found == oracle
     # split 4-dim form has 2(p+1) maximal isotropic planes
     assert len(found) == 2 * (3 + 1)
+
+
+NONSQUARE = {3: 2, 5: 2, 7: 3}
+
+
+def max_isotropic_count(p: int, m: int, w: int) -> int:
+    """Closed-form number of maximal totally isotropic subspaces of a
+    nondegenerate form on F_p^m with Witt index w >= 1 (Taylor, The
+    Geometry of the Classical Groups, 1992)."""
+    if m == 2 * w + 1:
+        exps = range(1, w + 1)
+    elif m == 2 * w:
+        exps = range(0, w)
+    else:
+        assert m == 2 * w + 2
+        exps = range(2, w + 2)
+    return math.prod(p**i + 1 for i in exps)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize(
+    "p,m", [(p, m) for p in (3, 5, 7) for m in (2, 3, 4, 5) if (p, m) != (7, 5)]
+)
+def test_enumerate_max_isotropic_matches_closed_count(p, m, twisted):
+    last = NONSQUARE[p] if twisted else 1
+    Q = diagonal_form(PrimeField(p), [1] * (m - 1) + [last])
+    # Witt index from the discriminant: odd m is always (m-1)/2; even m is
+    # split exactly when (-1)^{m/2} det is a square
+    if m % 2:
+        w = (m - 1) // 2
+    else:
+        disc = (-1) ** (m // 2) * last % p
+        w = m // 2 if pow(disc, (p - 1) // 2, p) == 1 else m // 2 - 1
+    assert Q.witt_index == w
+    found = enumerate_max_isotropic(Q)
+    if w == 0:
+        assert found == set()
+    else:
+        assert len(found) == max_isotropic_count(p, m, w)
 
 
 def test_complementary_isotropic_plane():

@@ -27,7 +27,6 @@ from fflab.surfaces import (
     extension,
     gauss_sum,
     hyperbolic_paraboloid,
-    line_kernel,
     paraboloid,
     plane_embed,
     plane_embed_ft,
@@ -275,7 +274,7 @@ def test_tube_geometry():
         assert len(hits) == 5
         for other in hits[1:]:
             assert np.array_equal(hits[0], other)
-    assert line_kernel(F, 1).data.sum() == pytest.approx(25)
+    assert Tube(F, 1, 0, 0).indicator().data.sum() == pytest.approx(25)
 
 
 # ---------------------------------------------------------------------------
