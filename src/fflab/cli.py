@@ -4,9 +4,10 @@ Subcommands: list the registry, run one scenario, sweep many and write
 report files, regenerate tracked baselines, print the exponent table.
 
 Exit codes: 0 when everything passed (or only reported a constant),
-1 when at least one scenario failed, 2 on configuration errors such as
-an unknown scenario id, parameters outside a scenario's validity set,
-a size-budget overflow, or a baseline integrity problem.
+1 when at least one scenario failed (a runner that raises is a failed
+scenario), 2 on configuration errors found before any runner starts,
+such as an unknown scenario id, parameters outside a scenario's
+validity set, a size-budget overflow, or a baseline integrity problem.
 """
 
 import argparse

@@ -6,23 +6,26 @@ point only enters through the exponent curves at the end of the file.
 
 The central objects:
 
-  * PointSet            -- a deduplicated, canonically ordered set of points
+  * PointSet            -- a set of points stored as the sorted, duplicate-
+                           free int64 array of their flat indices in core's
+                           encoding; index order is the canonical order
   * HyperplaneFamily    -- a multiset of affine hyperplanes {y : w.y = c}
   * EnergyExponent      -- a sampled curve alpha -> Psi(alpha) bounding
                            log_{|E|} Lambda(E) for slice-constrained sets
 
 plus the operations that tie them together: the energy-to-incidence
 reduction, the double-counting incidence bound, vertical/horizontal plane
-covers in F_p^3, and the closed-form / recursive exponent calculus.
+covers in F_p^3, and the closed-form / recursive exponent calculus.  All
+of them work on PointSet.index or PointSet.matrix(); FFVectors appear only
+when a caller iterates a PointSet.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -31,7 +34,10 @@ from .core import (
     FFunction,
     PrimeField,
     coordinate_array,
+    decode_point,
+    encode_point,
     grid_size,
+    point_rows,
 )
 from .errors import (
     FFLabError,
@@ -87,126 +93,135 @@ __all__ = [
 # point sets
 
 
-@dataclass(frozen=True)
 class PointSet:
-    """A finite set of points of F_p^dim, deduplicated and sorted.
+    """A finite set of points of F_p^dim.
 
-    The canonical ordering (lexicographic on coordinate tuples) makes
-    every downstream tie-break deterministic.
+    Stored as `index`, the sorted, duplicate-free int64 array of the
+    points' flat indices in core's encoding (encode_point), so index order
+    is the canonical order and every downstream tie-break follows it.
+    matrix() decodes the (n, dim) coordinate rows once and caches them.
+    Iteration yields FFVectors; the library itself works on the arrays.
     """
 
-    field: PrimeField
-    dim: int
-    points: tuple[FFVector, ...]
+    __slots__ = ("field", "dim", "index", "_matrix")
 
-    def __post_init__(self):
-        prev = None
-        for v in self.points:
-            if not isinstance(v, FFVector) or v.field != self.field:
-                raise ValueError("points must be FFVectors over the same field")
-            if v.dim != self.dim:
-                raise ValueError("all points must share the ambient dimension")
-            if prev is not None and not (prev < v.coords):
-                raise ValueError("points must be strictly sorted (use PointSet.of)")
-            prev = v.coords
+    def __init__(self, field: PrimeField, dim: int, index):
+        index = np.array(index, dtype=np.int64)
+        if index.ndim != 1:
+            raise ValueError("index must be a 1-d array of flat indices")
+        if index.size and (index[0] < 0 or index[-1] >= grid_size(field.p, dim)
+                           or (index[1:] <= index[:-1]).any()):
+            raise ValueError(
+                "index must be strictly increasing flat indices of F_p^dim "
+                "(use PointSet.of)")
+        index.flags.writeable = False
+        self.field = field
+        self.dim = dim
+        self.index = index
+        self._matrix = None
 
     @classmethod
     def of(cls, field: PrimeField, dim: int, pts: Iterable) -> "PointSet":
-        seen = {}
-        for pt in pts:
-            v = pt if isinstance(pt, FFVector) else FFVector(tuple(int(c) for c in pt), field)
-            seen[v.coords] = v
-        return cls(field, dim, tuple(seen[k] for k in sorted(seen)))
+        """Deduplicated set of the given points: an (n, dim) array, or any
+        iterable of coordinate sequences or FFVectors, reduced mod p."""
+        rows = point_rows(pts.matrix() if isinstance(pts, PointSet) else pts, dim)
+        return cls(field, dim, np.unique(encode_point(rows, field.p)))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.index)
 
-    def __iter__(self):
-        return iter(self.points)
+    def __iter__(self) -> Iterator[FFVector]:
+        for coords in self.matrix().tolist():
+            yield FFVector(tuple(coords), self.field)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PointSet) and other.field == self.field
+                and other.dim == self.dim
+                and np.array_equal(other.index, self.index))
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.dim, self.index.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"PointSet(p={self.field.p}, dim={self.dim}, size={len(self)})"
+
+    def members(self, index) -> np.ndarray:
+        """Which of the given flat indices belong to the set (same shape)."""
+        index = np.asarray(index, dtype=np.int64)
+        if not len(self.index):
+            return np.zeros(index.shape, dtype=bool)
+        pos = np.searchsorted(self.index, index).clip(max=len(self.index) - 1)
+        return self.index[pos] == index
 
     def __contains__(self, pt) -> bool:
-        coords = pt.coords if isinstance(pt, FFVector) else tuple(
-            int(c) % self.field.p for c in pt
-        )
-        lo, hi = 0, len(self.points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.points[mid].coords < coords:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.points) and self.points[lo].coords == coords
+        coords = pt.coords if isinstance(pt, FFVector) else tuple(pt)
+        if len(coords) != self.dim:
+            return False
+        return bool(self.members(encode_point(coords, self.field.p)))
 
     def matrix(self) -> np.ndarray:
-        """(n, dim) int64 array of the points in canonical order."""
-        if not self.points:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return np.array([v.coords for v in self.points], dtype=np.int64)
+        """(n, dim) int64 array of the points in index order (read-only)."""
+        if self._matrix is None:
+            m = decode_point(self.index, self.field.p, self.dim)
+            m.flags.writeable = False
+            self._matrix = m
+        return self._matrix
 
     def translate(self, t) -> "PointSet":
-        tv = t if isinstance(t, FFVector) else FFVector(tuple(int(c) for c in t), self.field)
-        return PointSet.of(self.field, self.dim, (v + tv for v in self.points))
+        return PointSet.of(self.field, self.dim,
+                           self.matrix() + point_rows([t], self.dim))
 
 
 def surface_point_set(S: Surface, pts: Iterable) -> PointSet:
     """PointSet of surface points; rejects anything off the surface."""
-    out = []
-    for pt in pts:
-        coords = pt.coords if isinstance(pt, FFVector) else tuple(
-            int(c) % S.field.p for c in pt
-        )
-        if not S.contains(coords):
-            raise NotOnSurface(f"{coords} is not on {S!r}")
-        out.append(coords)
-    return PointSet.of(S.field, S.ambient_dim, out)
+    E = PointSet.of(S.field, S.ambient_dim, pts)
+    S.require_on_surface(E.matrix())
+    return E
 
 
 def full_surface_point_set(S: Surface) -> PointSet:
-    return PointSet.of(S.field, S.ambient_dim, S.points)
+    return PointSet(S.field, S.ambient_dim, np.sort(S.flat_indices))
 
 
 def base_projection(E: PointSet) -> PointSet:
     """Drop the last coordinate of every point (surface -> base)."""
-    return PointSet.of(E.field, E.dim - 1, (v.coords[:-1] for v in E.points))
+    return PointSet(E.field, E.dim - 1,
+                    np.unique(E.index % E.field.p ** (E.dim - 1)))
 
 
 def random_surface_subset(S: Surface, size: int, rng: np.random.Generator) -> PointSet:
     if size > S.size:
         raise ValueError(f"surface has only {S.size} points")
     rows = rng.choice(S.size, size=size, replace=False)
-    return PointSet.of(S.field, S.ambient_dim, (tuple(S.point_array()[r]) for r in rows))
+    return PointSet(S.field, S.ambient_dim, np.sort(S.flat_indices[rows]))
 
 
 # ---------------------------------------------------------------------------
 # additive energy
-
-_BINCOUNT_CUTOFF = 1 << 22
 
 
 def additive_energy(A: PointSet, B: Optional[PointSet] = None,
                     method: str = "quadruple_loop") -> int:
     """Number of quadruples a + b = c + d with a, c in A and b, d in B.
 
-    B defaults to A.  The quadruple_loop method counts exactly by grouping
-    the |A||B| pairwise sums; the fourier method evaluates
-    p^{-d} sum_xi |1A^(xi)|^2 |1B^(xi)|^2 and rounds, which must agree.
+    B defaults to A.  The quadruple_loop method counts exactly: it groups
+    the |A||B| pairwise sums by flat index and adds the squared group
+    sizes.  The fourier method evaluates p^{-d} sum_xi |1A^(xi)|^2
+    |1B^(xi)|^2 and rounds, which must agree.
     """
     if B is None:
         B = A
     if A.field != B.field or A.dim != B.dim:
         raise ValueError("A and B must share their ambient space")
-    p, d = A.field.p, A.dim
     if method == "quadruple_loop":
-        return _energy_by_sums(A, B)
+        return _colliding_pairs(_pair_sums(A.matrix(), B.matrix(), A.field.p))
     if method == "fourier":
-        n = grid_size(p, d)
-        fa = FFunction.zeros(A.field, d)
-        fa.data[[v.index for v in A]] = 1.0
-        fb = FFunction.zeros(B.field, d)
-        fb.data[[v.index for v in B]] = 1.0
-        ta = np.abs(fourier_transform(fa).data) ** 2
-        tb = np.abs(fourier_transform(fb).data) ** 2
-        raw = float(np.dot(ta, tb)) / n
+        def spectrum(E: PointSet) -> np.ndarray:
+            f = FFunction.zeros(E.field, E.dim)
+            f.data[E.index] = 1.0
+            return np.abs(fourier_transform(f).data) ** 2
+
+        raw = float(np.dot(spectrum(A), spectrum(B))) / grid_size(A.field.p, A.dim)
         count = int(round(raw))
         if abs(raw - count) > 1e-6 * max(1.0, raw):
             raise FFLabError(f"fourier energy {raw} is not close to an integer")
@@ -214,27 +229,15 @@ def additive_energy(A: PointSet, B: Optional[PointSet] = None,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _energy_by_sums(A: PointSet, B: PointSet) -> int:
-    p, d = A.field.p, A.dim
-    if len(A) == 0 or len(B) == 0:
-        return 0
-    size = p ** d
-    A_mat, B_mat = A.matrix(), B.matrix()
-    powers = p ** np.arange(d, dtype=np.int64)
-    if size <= _BINCOUNT_CUTOFF:
-        counts = np.zeros(size, dtype=np.int64)
-        chunk = max(1, _BINCOUNT_CUTOFF // max(1, len(B) * d))
-        for i in range(0, len(A), chunk):
-            sums = (A_mat[i : i + chunk, None, :] + B_mat[None, :, :]) % p
-            idx = sums.reshape(-1, d) @ powers
-            counts += np.bincount(idx, minlength=size)
-        return int(np.dot(counts, counts))
-    # fall back to a dictionary when the ambient grid is too large to bincount
-    sums: Counter = Counter()
-    for a in A:
-        for b in B:
-            sums[(a + b).coords] += 1
-    return sum(r * r for r in sums.values())
+def _pair_sums(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """(|X|, |Y|) flat indices of the sums x + y of the rows of X and Y."""
+    return encode_point(X[:, None, :] + Y[None, :, :], p)
+
+
+def _colliding_pairs(keys: np.ndarray) -> int:
+    """Number of ordered pairs of entries of keys that are equal."""
+    _, counts = np.unique(keys, return_counts=True)
+    return int(np.dot(counts, counts))
 
 
 def off_diagonal_energy(E: PointSet) -> int:
@@ -242,21 +245,20 @@ def off_diagonal_energy(E: PointSet) -> int:
     first two coordinates.
 
     This is the part of the energy of a 3-dimensional set not explained by
-    vertical/horizontal slices; ambient dimension must be 3.
+    vertical/horizontal slices; ambient dimension must be 3.  Counted by
+    inclusion-exclusion inside each class of equal sums: all (b, d) pairs,
+    minus those with b0 = d0, minus those with b1 = d1, plus those with
+    both.
     """
     if E.dim != 3:
         raise ValueError("off_diagonal_energy expects points in F_p^3")
-    by_sum = defaultdict(list)
-    for x in E:
-        for y in E:
-            by_sum[(x + y).coords].append((x.coords, y.coords))
-    total = 0
-    for pairs in by_sum.values():
-        for _a, b in pairs:
-            for _c, dd in pairs:
-                if b[0] != dd[0] and b[1] != dd[1]:
-                    total += 1
-    return total
+    p = E.field.p
+    X = E.matrix()
+    sums = _pair_sums(X, X, p) * (p * p)  # [a, b]; room for a key below p^2
+    b0, b1 = X[None, :, 0], X[None, :, 1]
+    return (_colliding_pairs(sums) - _colliding_pairs(sums + b0)
+            - _colliding_pairs(sums + p * b1)
+            + _colliding_pairs(sums + b0 + p * b1))
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +281,16 @@ def vh_profile(E: PointSet) -> VHProfile:
     if E.dim != 3:
         raise ValueError("vh_profile expects points in F_p^3")
     p = E.field.p
-    vertical = {j: 0 for j in range(p)}
-    horizontal = {k: 0 for k in range(p)}
-    for v in E:
-        x1, x2, t = v.coords
-        if (x1 * x2 - t) % p:
-            raise NotOnSurface(f"{v.coords} is not on the bilinear graph surface")
-        vertical[x1] += 1
-        horizontal[x2] += 1
-    peak = max(itertools.chain(vertical.values(), horizontal.values()), default=0)
-    return VHProfile(peak, vertical, horizontal)
+    X = E.matrix()
+    off = (X[:, 0] * X[:, 1] - X[:, 2]) % p != 0
+    if off.any():
+        raise NotOnSurface(
+            f"{tuple(X[off][0].tolist())} is not on the bilinear graph surface")
+    vertical = np.bincount(X[:, 0], minlength=p)
+    horizontal = np.bincount(X[:, 1], minlength=p)
+    peak = int(max(vertical.max(), horizontal.max()))
+    return VHProfile(peak, dict(enumerate(vertical.tolist())),
+                     dict(enumerate(horizontal.tolist())))
 
 
 class SliceEnergyBound(NamedTuple):
@@ -347,33 +349,25 @@ class HyperplaneFamily:
         """One hyperplane per surface point x: {y : x o y = x o x} where o is
         the bilinear pairing of the base form.  Stored in dot-product form
         (A x, Q(x)); the origin contributes the full-space member."""
-        p = S.field.p
-        A = S.Q.A
-        items = []
-        for pt in pts:
-            coords = pt.coords if isinstance(pt, FFVector) else tuple(int(c) % p for c in pt)
-            if not S.contains(coords):
-                raise NotOnSurface(f"{coords} is not on {S!r}")
-            base = np.array(coords[:-1], dtype=np.int64)
-            w = tuple(int(v) for v in (A @ base) % p)
-            items.append((w, coords[-1]))
-        return cls(S.field, S.base_dim, items)
+        X = S.require_on_surface(pts)
+        normals = X[:, :-1] @ S.Q.A.T % S.field.p
+        return cls(S.field, S.base_dim, zip(normals.tolist(), X[:, -1].tolist()))
 
     def __len__(self) -> int:
         return len(self.items)
 
     def membership_rows(self, P: PointSet) -> np.ndarray:
-        """Boolean (len(self), |P|) matrix: item i contains point j."""
-        p = self.field.p
-        X = P.matrix()
-        out = np.zeros((len(self.items), len(P)), dtype=bool)
-        for i, (w, c) in enumerate(self.items):
-            wv = np.array(w, dtype=np.int64)
-            if not wv.any():
-                out[i, :] = True
-            else:
-                out[i, :] = (X @ wv - c) % p == 0
-        return out
+        """Boolean (len(self), |P|) matrix: item i contains point j.
+
+        The full-space member (zero normal, zero offset) contains every
+        point.  Raises ValueError when P lives in another space.
+        """
+        if P.field != self.field or P.dim != self.ambient:
+            raise ValueError("points and hyperplanes must share their ambient space")
+        normals = point_rows([w for w, _ in self.items], self.ambient)
+        offsets = np.array([c for _, c in self.items], dtype=np.int64)
+        rows = normals @ P.matrix().T
+        return np.remainder(rows, self.field.p, out=rows) == offsets[:, None]
 
     def canonical_keys(self) -> list:
         """Hashable key per item identifying the hyperplane as a point set."""
@@ -428,9 +422,9 @@ def incidence_bound_audit(P: PointSet, L: HyperplaneFamily) -> IncidenceAudit:
     The bound sqrt(C1) sqrt(|P|) |L| + C2 |P| is constant-free, so holds
     should always come back True; a False is a bug worth a report.
     """
-    if len(L) == 0 or len(P) == 0:
-        return IncidenceAudit(0, 0, 0, 0.0, True)
     rows = L.membership_rows(P)
+    if rows.size == 0:
+        return IncidenceAudit(0, 0, 0, 0.0, True)
     count = int(rows.sum())
     dist = L.distinct()
     keys = list(dist)
@@ -455,8 +449,6 @@ def incidence_count(P: PointSet, L: HyperplaneFamily, audit: bool = True) -> int
     With audit=True (the default) the double-counting bound is verified on
     the way out; violations raise rather than returning a wrong certificate.
     """
-    if P.field != L.field or P.dim != L.ambient:
-        raise ValueError("points and hyperplanes must share their ambient space")
     if audit:
         result = incidence_bound_audit(P, L)
         if not result.holds:
@@ -483,13 +475,13 @@ class EnergyIncidence(NamedTuple):
 def energy_to_incidence(A: PointSet, B: PointSet, S: Surface) -> EnergyIncidence:
     """Reduce the energy of A, B on S to a point/hyperplane incidence count.
 
-    Picks the b in B maximizing #{(a, d) : a - d + b on S}, shears the surface
+    Picks the b in B maximizing #{(a, d) : a - d + b on S} (the first in
+    index order on ties), shears the surface
     so that b moves to the origin, attaches to every sheared b' the hyperplane
     {y : b' o y = b' o b'} (the origin contributing the full space), and counts
     incidences of the sheared A-bases against that multiset.  The chain gives
     Lambda(A, B) <= |L| * I exactly; the audit below allows a factor 2.
     """
-    p = S.field.p
     A_surf = surface_point_set(S, A)
     B_surf = surface_point_set(S, B)
     energy = additive_energy(A_surf, B_surf)
@@ -501,24 +493,14 @@ def energy_to_incidence(A: PointSet, B: PointSet, S: Surface) -> EnergyIncidence
         )
 
     A_mat, B_mat = A_surf.matrix(), B_surf.matrix()
-    base_dim = S.base_dim
-    best_b, best_count = None, -1
-    for b in B_surf:
-        shifted = (A_mat[:, None, :] - B_mat[None, :, :] + np.array(b.coords)) % p
-        flat = shifted.reshape(-1, S.ambient_dim)
-        q = S.Q.q_batch(flat[:, :base_dim])
-        count = int((q == flat[:, base_dim]).sum())
-        if count > best_count:
-            best_b, best_count = b, count
+    diffs = (A_mat[:, None, :] - B_mat[None, :, :]).reshape(-1, S.ambient_dim)
+    counts = [int(S.contains_rows(diffs + b).sum()) for b in B_mat]
+    best_b = B_mat[int(np.argmax(counts))]
 
-    t = S.lift(tuple(-c % p for c in best_b.coords[:base_dim]))
-    a_prime = PointSet.of(
-        S.field, S.ambient_dim, galilean(S, t, (v.coords for v in A_surf))
-    )
-    b_prime = PointSet.of(
-        S.field, S.ambient_dim, galilean(S, t, (v.coords for v in B_surf))
-    )
-    lines = HyperplaneFamily.from_surface_points(S, b_prime)
+    t = S.lift(-best_b[:-1])
+    a_prime = PointSet.of(S.field, S.ambient_dim, galilean(S, t, A_mat))
+    b_prime = PointSet.of(S.field, S.ambient_dim, galilean(S, t, B_mat))
+    lines = HyperplaneFamily.from_surface_points(S, b_prime.matrix())
     points = base_projection(a_prime)
     incidences = incidence_count(points, lines)
     if energy > 2 * len(lines) * incidences:
@@ -583,15 +565,9 @@ def vh_plane_cover(E: PointSet, budget: int) -> VHPlaneCover:
         chosen.append(best_plane)
         alive &= ~masks[best_plane]
 
-    pts = list(E.points)
-    covered = PointSet.of(E.field, 3, (pts[i] for i in np.flatnonzero(~alive)))
-    residual = PointSet.of(E.field, 3, (pts[i] for i in np.flatnonzero(alive)))
-    residual_max = 0
-    if len(residual):
-        R = residual.matrix()
-        residual_max = max(
-            int(_vh_plane_mask(R, plane, p).sum()) for plane in planes
-        )
+    covered = PointSet(E.field, 3, E.index[~alive])
+    residual = PointSet(E.field, 3, E.index[alive])
+    residual_max = max(int((masks[plane] & alive).sum()) for plane in planes)
     cap = math.ceil(len(E) / budget)
     if residual_max > cap:
         raise FFLabError(
@@ -809,8 +785,8 @@ def max_isotropic_slice(E: PointSet, Q: QuadraticSpace) -> int:
     X = E.matrix()
     best = 0
     for V in sorted(subspaces, key=lambda V: V.basis.tobytes()):
-        reps = _coset_reps(V, X)
-        _, counts = np.unique(reps, axis=0, return_counts=True)
+        reps = encode_point(_coset_reps(V, X), Q.field.p)
+        _, counts = np.unique(reps, return_counts=True)
         best = max(best, int(counts.max()))
     return best
 
@@ -857,10 +833,9 @@ def _exponent_curve_for(S: Surface):
     raise ValueError(f"no exponent curve for dimension {d}")
 
 
-def _lifted_coset(S: Surface, V: Subspace, t: np.ndarray) -> set:
-    """Surface lift of the coset V + t, as a set of coordinate tuples."""
-    pts = (V.point_array() + t) % S.field.p
-    return {S.lift(tuple(int(c) for c in row)) for row in pts}
+def _lifted_coset(S: Surface, V: Subspace, t: np.ndarray) -> np.ndarray:
+    """Flat indices of the surface lift of the coset V + t."""
+    return S.flat_indices[encode_point(V.point_array() + t, S.field.p)]
 
 
 def sample_energy_exponents(
@@ -882,8 +857,8 @@ def sample_energy_exponents(
     curve = _exponent_curve_for(S)
     samples: list = []
 
-    def record(label: str, pts: Iterable) -> None:
-        E = surface_point_set(S, pts)
+    def record(label: str, index: np.ndarray) -> None:
+        E = PointSet(S.field, S.ambient_dim, np.unique(index))
         n = len(E)
         if n < 2:
             return
@@ -911,13 +886,16 @@ def sample_energy_exponents(
             t1 = rng.integers(0, p, size=S.base_dim)
             if not V.contains((t1 - t0) % p):
                 break
-        record("two_isotropic_cosets", coset0 | _lifted_coset(S, V, t1))
-        half = sorted(coset0)[: max(2, len(coset0) // 2)]
+        record("two_isotropic_cosets",
+               np.concatenate([coset0, _lifted_coset(S, V, t1)]))
+        # the lexicographically first half of the coset's points
+        rows = decode_point(coset0, p, S.ambient_dim)
+        half = coset0[np.lexsort(rows.T[::-1])][: max(2, len(coset0) // 2)]
         extra = random_surface_subset(S, min(4, S.size), rng)
-        record("half_coset_plus_random", set(half) | {v.coords for v in extra})
+        record("half_coset_plus_random", np.concatenate([half, extra.index]))
 
     lo, hi = 8, min(S.size, 24)
     for i in range(trials):
         size = int(rng.integers(lo, hi + 1)) if hi > lo else hi
-        record(f"random_{i}", random_surface_subset(S, size, rng))
+        record(f"random_{i}", random_surface_subset(S, size, rng).index)
     return samples

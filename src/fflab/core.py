@@ -7,7 +7,8 @@ counts) is built on the three conventions fixed here:
 * field elements are plain ints in [0, p);
 * a point of F_p^d is encoded as the little-endian base-p integer
   index = sum(coords[k] * p**k), so index 0 is the origin and the
-  first coordinate varies fastest;
+  first coordinate varies fastest (encode_point, for one point or for
+  an array of rows);
 * a function on F_p^d is a flat complex128 array of length p^d in
   that index order.  Reshaping with Fortran order gives a d-axis
   grid whose axis k is coordinate k.
@@ -125,19 +126,26 @@ def char_vector(field: PrimeField) -> np.ndarray:
 # points
 
 
-def encode_point(coords: Sequence[int], p: int) -> int:
-    idx = 0
-    for k in range(len(coords) - 1, -1, -1):
-        idx = idx * p + (coords[k] % p)
-    return idx
+def encode_point(coords, p: int):
+    """Flat index of a point, reduced mod p first.
+
+    A sequence (or 1-d array) gives one int.  An array whose last axis
+    holds the coordinates, such as an (n, d) row matrix, gives the int64
+    array of the flat indices of its rows.  This is the one encoding of
+    points as integers; every module computes indices through it.
+    """
+    if isinstance(coords, np.ndarray) and coords.ndim > 1:
+        d = coords.shape[-1]
+        return (coords % p) @ (p ** np.arange(d, dtype=np.int64))
+    return sum((c % p) * p**k for k, c in enumerate(coords))
 
 
-def decode_point(index: int, p: int, d: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(d):
-        out.append(index % p)
-        index //= p
-    return tuple(out)
+def decode_point(index, p: int, d: int):
+    """Inverse of encode_point: the coordinate tuple of one index, or the
+    (n, d) int64 coordinate rows of a 1-d index array."""
+    if isinstance(index, np.ndarray):
+        return (index[:, None] // p ** np.arange(d, dtype=np.int64)) % p
+    return tuple((index // p**k) % p for k in range(d))
 
 
 def grid_size(p: int, d: int, budget: int = POINT_BUDGET) -> int:
@@ -197,19 +205,26 @@ def enumerate_points(field: PrimeField, d: int) -> Iterator[FFVector]:
         yield FFVector(decode_point(idx, field.p, d), field)
 
 
+def point_rows(points, dim: int) -> np.ndarray:
+    """(n, dim) int64 array of points given as an array or as an iterable
+    of coordinate sequences or FFVectors.  Order and repeats are kept; the
+    entries are not reduced mod p."""
+    if not isinstance(points, np.ndarray):
+        points = [pt.coords if isinstance(pt, FFVector) else pt for pt in points]
+    rows = (np.array(points, dtype=np.int64) if len(points)
+            else np.zeros((0, dim), dtype=np.int64))
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise ValueError(f"points must have {dim} coordinates")
+    return rows
+
+
 def coordinate_array(p: int, d: int) -> np.ndarray:
     """(p^d, d) int array; row i is decode_point(i, p, d).
 
     The workhorse for vectorized surface/energy code: column k is
     coordinate k of every grid point at once.
     """
-    n = grid_size(p, d)
-    idx = np.arange(n)
-    cols = []
-    for _ in range(d):
-        cols.append(idx % p)
-        idx = idx // p
-    return np.stack(cols, axis=1)
+    return decode_point(np.arange(grid_size(p, d), dtype=np.int64), p, d)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +267,7 @@ class FFunction:
         cls, field: PrimeField, dim: int, points: Iterable[Sequence[int]]
     ) -> "FFunction":
         f = cls.zeros(field, dim)
-        for pt in points:
-            f.data[encode_point(pt, field.p)] = 1.0
+        f.data[encode_point(point_rows(points, dim), field.p)] = 1.0
         return f
 
     @classmethod

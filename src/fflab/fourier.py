@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FFunction, char_vector, coordinate_array
+from .core import FFunction, char_vector, coordinate_array, encode_point
 
 # ---------------------------------------------------------------------------
 # transforms
@@ -74,8 +74,7 @@ def naive_convolve(f: FFunction, g: FFunction) -> FFunction:
     Fourier-side convolve."""
     p = f.field.p
     X = coordinate_array(p, f.dim)
-    powers = p ** np.arange(f.dim, dtype=np.int64)
-    diff_idx = ((X[:, None, :] - X[None, :, :]) % p) @ powers  # [x, y] -> x - y
+    diff_idx = encode_point(X[:, None, :] - X[None, :, :], p)  # [x, y] -> x - y
     return FFunction(f.field, f.dim, g.data[diff_idx] @ f.data)
 
 

@@ -27,8 +27,10 @@ import hashlib
 import itertools
 import math
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -1649,7 +1651,9 @@ def run_scenario(scenario_id: str, prime: Optional[int] = None,
     """Execute one scenario at one parameter point.
 
     Results are deterministic in (scenario_id, prime, dim, trials, seed):
-    randomness flows through the per-trial fan-out hash only.
+    randomness flows through the per-trial fan-out hash only.  Bad
+    parameters and baseline problems raise before the runner starts; a
+    runner that raises gives a failing report naming the exception.
     """
     if scenario_id not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
@@ -1673,9 +1677,20 @@ def run_scenario(scenario_id: str, prime: Optional[int] = None,
         store = BaselineStore.load()
         entry = store.entry(scenario_id)
         store.verify(scenario_id, sc.runner)
+    error = None
+    try:
         metric, wit = sc.runner(ctx)
-        runtime_ms = (time.perf_counter() - start) * 1e3
-        if not math.isfinite(metric):
+    except Exception as exc:  # a runner fault fails this run, not the sweep
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        metric, wit, error = math.nan, None, witness_values(
+            error=type(exc).__name__, message=str(exc),
+            raised_in=f"{where.name} ({Path(where.filename).name}:{where.lineno})")
+    runtime_ms = (time.perf_counter() - start) * 1e3
+
+    if sc.kind == "constant_tracked":
+        if error is not None:
+            status, witness = "fail", error
+        elif not math.isfinite(metric):
             status, witness = "fail", witness_values(
                 measured=metric, stored=entry.constant)
         elif (prime, dim, trials, seed) == entry.provenance():
@@ -1700,12 +1715,10 @@ def run_scenario(scenario_id: str, prime: Optional[int] = None,
             baseline_constant=entry.constant, baseline_slack=store.slack,
             witness=witness, runtime_ms=runtime_ms)
 
-    metric, wit = sc.runner(ctx)
-    runtime_ms = (time.perf_counter() - start) * 1e3
     status = "pass" if math.isfinite(metric) and metric <= sc.tolerance else "fail"
     witness = None
     if status == "fail":
-        witness = wit or witness_values(max_deviation=float(metric))
+        witness = error or wit or witness_values(max_deviation=float(metric))
     return ScenarioReport(
         scenario=scenario_id, kind=sc.kind, prime=prime, dim=dim,
         trials=trials, seed=seed, status=status,

@@ -32,9 +32,11 @@ from .core import (
     PrimeField,
     char_vector,
     coordinate_array,
+    encode_point,
     grid_size,
     inner,
     lp_norm,
+    point_rows,
 )
 from .errors import FFLabError, NotIsotropicPair
 from .qforms import (
@@ -120,10 +122,9 @@ class AffineLine:
 
     def point_array(self) -> np.ndarray:
         """(p, m) array of the line's points, ordered by the last coordinate."""
-        p = self.field.p
-        ts = np.arange(p, dtype=np.int64)
-        head = (np.array(self.base, dtype=np.int64) + np.outer(ts, self.direction)) % p
-        return np.hstack([head, ts[:, None]])
+        return _line_points(np.array([self.base], dtype=np.int64),
+                            np.array([self.direction], dtype=np.int64),
+                            self.field.p)[0]
 
     def __contains__(self, x) -> bool:
         x = tuple(int(c) % self.field.p for c in x)
@@ -135,6 +136,17 @@ class AffineLine:
 
     def indicator(self) -> FFunction:
         return FFunction.indicator(self.field, self.ambient_dim, self.point_array())
+
+
+def _line_points(bases: np.ndarray, directions: np.ndarray, p: int) -> np.ndarray:
+    """(k, p, m) array: [i, t] is the point (b_i + t eta_i, t), reduced.
+
+    bases and directions are (k, m-1) int arrays, one line per row.
+    """
+    ts = np.arange(p, dtype=np.int64)
+    head = (bases[:, None, :] + ts[None, :, None] * directions[:, None, :]) % p
+    return np.concatenate(
+        [head, np.broadcast_to(ts[None, :, None], head.shape[:2] + (1,))], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +168,10 @@ def line_totals(F: FFunction) -> np.ndarray:
     grid_size(p, 2 * n)  # p^{m-1} directions x p^{m-1} bases
     mags = np.abs(F.data).reshape(p**n, p, order="F")
     coords = coordinate_array(p, n)
-    powers = p ** np.arange(n, dtype=np.int64)
     totals = np.zeros((p**n, p**n), dtype=np.float64)
     # one t at a time, so each entry adds its p terms in order of t
     for t in range(p):
-        idx = ((coords[None, :, :] + t * coords[:, None, :]) % p) @ powers
+        idx = encode_point(coords[None, :, :] + t * coords[:, None, :], p)
         totals += mags[idx, t]
     return totals
 
@@ -214,10 +225,7 @@ def line_sum(F: FFunction, base, direction, absolute: bool = False) -> complex:
     it walks one line's points directly instead of gathering all lines.
     """
     line = AffineLine.of(F.field, base, direction)
-    p = F.field.p
-    powers = p ** np.arange(F.dim, dtype=np.int64)
-    idx = line.point_array() @ powers
-    vals = F.data[idx]
+    vals = F.data[encode_point(line.point_array(), F.field.p)]
     if absolute:
         return float(np.abs(vals).sum())
     return complex(vals.sum())
@@ -263,14 +271,10 @@ def dual_kakeya_apply(h, x0, field: PrimeField, m: int) -> FFunction:
     hv = _as_direction_values(h, field, n)
     bases = _as_base_map(x0, field, n)
     out = FFunction.zeros(field, m)
-    powers = p ** np.arange(m, dtype=np.int64)
-    ts = np.arange(p, dtype=np.int64)
-    for di, eta in enumerate(coordinate_array(p, n)):
-        if hv[di] == 0:
-            continue
-        head = (bases[di] + np.outer(ts, eta)) % p
-        idx = np.hstack([head, ts[:, None]]) @ powers
-        out.data[idx] += hv[di]
+    lines = encode_point(_line_points(bases, coordinate_array(p, n), p), p)
+    for di, idx in enumerate(lines):
+        if hv[di] != 0:
+            out.data[idx] += hv[di]
     out.data /= p**n
     return out
 
@@ -330,22 +334,20 @@ class KakeyaInstance:
     witness: Optional[dict] = None
 
     def __post_init__(self):
-        field = self.points.field
-        p = field.p
+        p = self.points.field.p
         n = self.points.dim - 1
         if n < 1:
             raise ValueError("Kakeya instances need ambient dimension >= 2")
         if self.witness is None:
             return
-        seen = set()
-        for eta, b in self.witness.items():
-            line = AffineLine.of(field, b, eta)
-            for row in line.point_array():
-                if tuple(int(c) for c in row) not in self.points:
-                    raise ValueError(
-                        f"witness line for direction {tuple(eta)} leaves the set"
-                    )
-            seen.add(line.direction)
+        directions = point_rows(list(self.witness), n) % p
+        bases = point_rows(list(self.witness.values()), n)
+        inside = self.points.members(
+            encode_point(_line_points(bases, directions, p), p)).all(axis=1)
+        if not inside.all():
+            eta = list(self.witness)[int(np.argmin(inside))]
+            raise ValueError(f"witness line for direction {tuple(eta)} leaves the set")
+        seen = np.unique(encode_point(directions, p))
         if len(seen) != p**n:
             raise ValueError(
                 f"witness covers {len(seen)} of {p ** n} directions"
@@ -375,9 +377,7 @@ def kakeya_set_audit(K: KakeyaInstance, full_directions: bool = False) -> Kakeya
     p = field.p
     m = E.dim
     ind = np.zeros(p**m, dtype=bool)
-    powers = p ** np.arange(m, dtype=np.int64)
-    if len(E):
-        ind[E.matrix() @ powers] = True
+    ind[E.index] = True
 
     missing = []
     if K.witness is not None:
@@ -398,8 +398,7 @@ def kakeya_set_audit(K: KakeyaInstance, full_directions: bool = False) -> Kakeya
                 continue  # one representative per projective direction
             ok = ind.copy()
             for t in range(1, p):
-                shifted = ((grid + t * direction) % p) @ powers
-                ok &= ind[shifted]
+                ok &= ind[encode_point(grid + t * direction, p)]
                 if not ok.any():
                     break
             if not ok.any():
@@ -419,15 +418,12 @@ def standard_kakeya_set(field: PrimeField, m: int) -> KakeyaInstance:
     if m < 2:
         raise ValueError("Kakeya sets need ambient dimension >= 2")
     p = field.p
-    pts = set()
-    witness = {}
-    for eta in coordinate_array(p, m - 1):
-        b = tuple(int(c * c) % p for c in eta)
-        key = tuple(int(c) for c in eta)
-        witness[key] = b
-        for row in AffineLine.of(field, b, key).point_array():
-            pts.add(tuple(int(c) for c in row))
-    return KakeyaInstance(PointSet.of(field, m, pts), witness)
+    directions = coordinate_array(p, m - 1)
+    bases = directions * directions % p
+    index = np.unique(encode_point(_line_points(bases, directions, p), p))
+    witness = {tuple(eta): tuple(b)
+               for eta, b in zip(directions.tolist(), bases.tolist())}
+    return KakeyaInstance(PointSet(field, m, index), witness)
 
 
 def dvir_envelope(m: int) -> float:
@@ -479,9 +475,8 @@ def restriction_to_kakeya_embed(
     base = coordinate_array(p, 2 * n)
     xi = base[:, :n]
     theta = base[:, n:]
-    powers = p ** np.arange(n, dtype=np.int64)
-    theta_idx = theta @ powers
-    neg_theta_idx = ((-theta) % p) @ powers
+    theta_idx = encode_point(theta, p)
+    neg_theta_idx = encode_point(-theta, p)
     chars = char_vector(field)
     phase_idx = (-np.einsum("ij,ij->i", xi, b_arr[neg_theta_idx])) % p
     values = np.sqrt(hv[theta_idx]) * chars[phase_idx]
@@ -514,17 +509,16 @@ def embed_closed_form(h: FFunction, b) -> FFunction:
     out = FFunction.zeros(field, d)
     chars = char_vector(field)
     x2_grid = coordinate_array(p, n)
-    powers = p ** np.arange(n, dtype=np.int64)
+    x2_offsets = encode_point(x2_grid, p) * p**n
     for ti, theta in enumerate(coordinate_array(p, n)):
         w = math.sqrt(hv[ti])
         if w == 0.0:
             continue
-        bb = b_arr[int(((-theta) % p) @ powers)]
+        bb = b_arr[encode_point(-theta, p)]
         ring = chars[(x2_grid @ theta) % p] * w
         for t in range(p):
-            x1 = (bb - t * theta) % p
-            start = int(x1 @ powers)
-            block = start + (x2_grid @ powers) * p**n + t * p ** (2 * n)
+            start = encode_point(bb - t * theta, p)
+            block = start + x2_offsets + t * p ** (2 * n)
             out.data[block] += ring
     out.data /= p**n
     return out
@@ -543,15 +537,11 @@ def embed_collapse_profile(h: FFunction, b) -> FFunction:
     hv = h.data.real.astype(np.float64)
     b_arr = _as_base_map(b, field, n)
     out = FFunction.zeros(field, n + 1)
-    powers = p ** np.arange(n + 1, dtype=np.int64)
-    ts = np.arange(p, dtype=np.int64)
-    for ti, theta in enumerate(coordinate_array(p, n)):
-        if hv[ti] == 0.0:
-            continue
-        bb = b_arr[int(((-theta) % p) @ (p ** np.arange(n, dtype=np.int64)))]
-        head = (bb - np.outer(ts, theta)) % p
-        idx = np.hstack([head, ts[:, None]]) @ powers
-        out.data[idx] += hv[ti]
+    thetas = coordinate_array(p, n)
+    lines = encode_point(_line_points(b_arr[encode_point(-thetas, p)], -thetas, p), p)
+    for ti, idx in enumerate(lines):
+        if hv[ti] != 0.0:
+            out.data[idx] += hv[ti]
     out.data /= p**n
     return out
 
@@ -663,11 +653,9 @@ def coset_extension(f: SurfaceFunction, W: Subspace, V: Subspace) -> FFunction:
     p = S.field.p
     xi1, xi2, x1, x2 = _isotropic_pair_split(S, W, V)
     n2 = S.base_dim
-    powers = p ** np.arange(n2, dtype=np.int64)
     chars = char_vector(S.field)
 
-    pair_idx = ((xi1[:, None, :] + xi2[None, :, :]) % p).reshape(-1, n2) @ powers
-    fvals = f.values[pair_idx].reshape(len(xi1), len(xi2))
+    fvals = f.values[encode_point(xi1[:, None, :] + xi2[None, :, :], p)]
     B = xi1 @ S.Q.A @ xi2.T % p
 
     P1 = chars[(xi1 @ x1.T) % p]   # (|W|, p^{2n})
@@ -686,7 +674,7 @@ def coset_extension(f: SurfaceFunction, W: Subspace, V: Subspace) -> FFunction:
 def _v_coset_index(W: Subspace, V: Subspace, p: int) -> np.ndarray:
     """Index in V of the V part of every base point under x = w + v."""
     coeff = _split_coefficients(W.basis, V.basis, p)
-    return coeff[:, W.dim :] @ (p ** np.arange(V.dim, dtype=np.int64))
+    return encode_point(coeff[:, W.dim :], p)
 
 
 def mixed_norm(F: FFunction, W: Subspace, V: Subspace,

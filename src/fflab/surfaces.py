@@ -25,6 +25,7 @@ from .core import (
     encode_point,
     grid_size,
     lp_norm,
+    point_rows,
 )
 from .errors import NotCongruent, NotOnSurface
 from .fourier import fourier_transform, inverse_transform
@@ -59,8 +60,7 @@ class Surface:
         heights = Q.q_batch(base)
         self._point_array = np.concatenate([base, heights[:, None]], axis=1)
         # flat index of each lifted point inside F_p^d, in base-index order
-        powers = p ** np.arange(self.ambient_dim, dtype=np.int64)
-        self.flat_indices = self._point_array @ powers
+        self.flat_indices = encode_point(self._point_array, p)
 
     def point_array(self) -> np.ndarray:
         return self._point_array
@@ -74,10 +74,21 @@ class Surface:
         xi = tuple(int(c) % p for c in xi)
         return xi + (self.Q.q(np.array(xi, dtype=np.int64)),)
 
+    def contains_rows(self, X: np.ndarray) -> np.ndarray:
+        """Which rows of the (n, d) int array X are points of the surface."""
+        return self.Q.q_batch(X[:, :-1]) == X[:, -1] % self.field.p
+
     def contains(self, x) -> bool:
-        p = self.field.p
-        x = tuple(int(c) % p for c in x)
-        return self.lift(x[:-1]) == x
+        return bool(self.contains_rows(point_rows([x], self.ambient_dim))[0])
+
+    def require_on_surface(self, pts) -> np.ndarray:
+        """(n, d) int64 rows of the given points, reduced mod p, in their
+        order; raises NotOnSurface naming the first one off the surface."""
+        X = point_rows(pts, self.ambient_dim) % self.field.p
+        off = ~self.contains_rows(X)
+        if off.any():
+            raise NotOnSurface(f"{tuple(X[off][0].tolist())} is not on {self!r}")
+        return X
 
     def indicator(self) -> FFunction:
         f = FFunction.zeros(self.field, self.ambient_dim)
@@ -127,11 +138,9 @@ class SurfaceFunction:
         cls, surface: Surface, pts: Iterable[Sequence[int]]
     ) -> "SurfaceFunction":
         """Indicator of a subset E of the surface, given by full d-tuples."""
+        X = surface.require_on_surface(pts)
         vals = np.zeros(surface.size, dtype=np.complex128)
-        for x in pts:
-            if not surface.contains(x):
-                raise NotOnSurface(f"{tuple(x)} not on the surface")
-            vals[encode_point(tuple(x)[:-1], surface.field.p)] = 1.0
+        vals[encode_point(X[:, :-1], surface.field.p)] = 1.0
         return cls(surface, vals)
 
     @classmethod
@@ -356,8 +365,7 @@ def plane_embed(f: FFunction, a: int, b: int) -> FFunction:
     p = f.field.p
     X = coordinate_array(p, 3)
     mask = (X[:, 1] - a * X[:, 2] - b) % p == 0
-    powers = p ** np.arange(2, dtype=np.int64)
-    planar_idx = X[:, [0, 2]] @ powers
+    planar_idx = encode_point(X[:, [0, 2]], p)
     data = np.where(mask, f.data[planar_idx], 0.0)
     return FFunction(f.field, 3, data)
 
@@ -371,8 +379,7 @@ def plane_embed_ft(f: FFunction, a: int, b: int) -> FFunction:
     p = f.field.p
     fh = fourier_transform(f)
     X = coordinate_array(p, 3)
-    powers = p ** np.arange(2, dtype=np.int64)
-    src = np.stack([X[:, 0], (X[:, 2] + a * X[:, 1]) % p], axis=1) @ powers
+    src = encode_point(np.stack([X[:, 0], X[:, 2] + a * X[:, 1]], axis=1), p)
     phases = char_vector(f.field)[(-X[:, 1] * b) % p]
     predicted = FFunction(f.field, 3, fh.data[src] * phases)
     direct = fourier_transform(plane_embed(f, a, b))
@@ -405,8 +412,7 @@ def equivalence_transfer(
     elif not np.array_equal(target.Q.A, B):
         raise NotCongruent("M^T A M does not equal the target base form")
     base = coordinate_array(p, S.base_dim)
-    powers = p ** np.arange(S.base_dim, dtype=np.int64)
-    src = (base @ M.T % p) @ powers  # row xi -> index of M xi
+    src = encode_point(base @ M.T, p)  # row xi -> index of M xi
     return SurfaceFunction(target, f.values[src].copy())
 
 

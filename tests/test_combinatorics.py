@@ -41,7 +41,7 @@ from fflab.combinatorics import (
     vh_plane_cover,
     vh_profile,
 )
-from fflab.core import FFVector, PrimeField
+from fflab.core import FFVector, PrimeField, decode_point, encode_point
 from fflab.errors import (
     FFLabError,
     NotOnSurface,
@@ -107,22 +107,55 @@ def all_subsets(pts, max_size=None):
 def test_pointset_dedups_sorts_and_searches():
     E = PointSet.of(F3, 2, [(2, 1), (0, 0), (2, 1), (1, 2), (0, 0)])
     assert len(E) == 3
-    assert [v.coords for v in E] == [(0, 0), (1, 2), (2, 1)]
+    # index order: flat indices 0, 2 + 1*3 = 5, 1 + 2*3 = 7
+    assert E.index.tolist() == [0, 5, 7]
+    assert [v.coords for v in E] == [(0, 0), (2, 1), (1, 2)]
     assert (1, 2) in E and (2, 1) in E
+    assert FFVector((2, 1), F3) in E
     assert (1, 1) not in E
     assert (4, 5) in E  # reduced mod 3 to (1, 2)
-    assert E.matrix().tolist() == [[0, 0], [1, 2], [2, 1]]
+    # a point of another length is never a member, whatever its flat index
+    assert (0,) not in E and (1, 2, 0) not in E
+    assert E.matrix().tolist() == [[0, 0], [2, 1], [1, 2]]
 
 
 def test_pointset_constructor_rejects_disorder():
-    a = FFVector((1, 0), F3)
-    b = FFVector((0, 1), F3)
+    PointSet(F3, 2, [1, 3])  # sorted, distinct, inside F_3^2
     with pytest.raises(ValueError):
-        PointSet(F3, 2, (a, b))  # not sorted
+        PointSet(F3, 2, [3, 1])  # not sorted
     with pytest.raises(ValueError):
-        PointSet(F3, 2, (b, b))  # duplicate
+        PointSet(F3, 2, [3, 3])  # duplicate
     with pytest.raises(ValueError):
-        PointSet(F3, 3, (b,))  # wrong dimension
+        PointSet(F3, 2, [1, 9])  # out of range: F_3^2 has indices 0..8
+    with pytest.raises(ValueError):
+        PointSet(F3, 2, [-1, 3])
+    with pytest.raises(ValueError):
+        PointSet.of(F3, 2, [(0, 1, 2)])  # wrong dimension
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.integers(1, 3),
+    st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), max_size=12),
+    st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+)
+def test_pointset_matches_set_of_tuples(p, d, raw, probe):
+    F = PrimeField(p)
+    pts = [tuple(c[:d]) for c in raw]
+    oracle = {tuple(c % p for c in pt) for pt in pts}
+    E = PointSet.of(F, d, pts)
+    assert len(E) == len(oracle)
+    assert {v.coords for v in E} == oracle
+    assert E.index.tolist() == sorted(encode_point(pt, p) for pt in oracle)
+    assert np.array_equal(decode_point(E.index, p, d), E.matrix())
+    assert PointSet(F, d, encode_point(E.matrix(), p)) == E
+    for pt in pts + [tuple(probe[:d])]:
+        assert (pt in E) == (tuple(c % p for c in pt) in oracle)
+    assert tuple(probe[: d + 1]) not in E and tuple(probe[: d - 1]) not in E
+    t = tuple(probe[:d])
+    shifted = {tuple((a + b) % p for a, b in zip(pt, t)) for pt in oracle}
+    assert {v.coords for v in E.translate(t)} == shifted
 
 
 def test_pointset_translate_is_a_bijection():
@@ -282,12 +315,14 @@ def test_energy_routes_agree_property(p, pts):
 
 
 def test_off_diagonal_energy_matches_literal_loop():
-    S = hyperbolic_paraboloid(F5, 3)
-    pts = sorted(S.points)
     rng = np.random.default_rng(59)
-    for _ in range(8):
-        E = surface_point_set(S, [pts[i] for i in rng.choice(len(pts), 5, replace=False)])
-        assert off_diagonal_energy(E) == off_diagonal_loop(E)
+    for F in (F5, F7):
+        S = hyperbolic_paraboloid(F, 3)
+        pts = sorted(S.points)
+        for _ in range(8):
+            k = int(rng.integers(1, 9))
+            E = surface_point_set(S, [pts[i] for i in rng.choice(len(pts), k, replace=False)])
+            assert off_diagonal_energy(E) == off_diagonal_loop(E)
     with pytest.raises(ValueError):
         off_diagonal_energy(PointSet.of(F3, 2, [(0, 0)]))
 
@@ -397,6 +432,17 @@ def test_incidence_audit_frozen_example_and_duplicates():
     audit3 = incidence_bound_audit(P, single)
     assert audit3.c1 == 0 and audit3.c2 == 2
     assert audit3.holds
+
+
+def test_incidence_audit_rejects_points_from_another_space():
+    L = all_affine_hyperplanes(F3, 2)
+    for P in (PointSet.of(F5, 2, [(0, 0), (1, 1), (2, 2)]),
+              PointSet.of(F3, 3, [(0, 0, 0)]),
+              PointSet.of(F5, 2, [])):
+        with pytest.raises(ValueError):
+            incidence_bound_audit(P, L)
+        with pytest.raises(ValueError):
+            incidence_count(P, L, audit=False)
 
 
 def test_incidence_bound_holds_on_random_instances():

@@ -3,6 +3,7 @@ and the package's exported names."""
 
 import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +89,10 @@ def test_encode_decode_roundtrip_exhaustive(p, d):
     for idx in range(p**d):
         coords = decode_point(idx, p, d)
         assert encode_point(coords, p) == idx
+    # the array forms: all rows at once, in the same index order
+    rows = decode_point(np.arange(p**d), p, d)
+    assert rows.tolist() == [list(decode_point(i, p, d)) for i in range(p**d)]
+    assert encode_point(rows, p).tolist() == list(range(p**d))
 
 
 @given(st.integers(0, 4), st.lists(st.integers(-20, 20), min_size=1, max_size=5))
@@ -95,6 +100,11 @@ def test_encode_decode_roundtrip_random(which, coords):
     p = PRIMES[which]
     reduced = tuple(c % p for c in coords)
     assert decode_point(encode_point(coords, p), p, len(coords)) == reduced
+    # the array form reduces and encodes each row the same way
+    rows = np.array([coords, reduced])
+    idx = encode_point(rows, p)
+    assert idx.tolist() == [encode_point(coords, p)] * 2
+    assert decode_point(idx, p, len(coords)).tolist() == [list(reduced)] * 2
 
 
 def test_enumerate_points_order():
@@ -169,6 +179,18 @@ def test_inner_normalized_scaling():
     one = FFunction.constant(F, 2, 1.0)
     assert inner(one, one, "counting") == pytest.approx(9.0)
     assert inner(one, one, "normalized") == pytest.approx(1.0)
+
+
+def test_flat_index_encoding_lives_only_in_core():
+    """Every flat index is computed by core.encode_point; a hand-made
+    base-p weight vector elsewhere would be a second encoding."""
+    src = Path(importlib.import_module("fflab").__file__).parent
+    offenders = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "core.py" and "** np.arange(" in path.read_text()
+    ]
+    assert offenders == []
 
 
 @pytest.mark.parametrize(

@@ -258,7 +258,9 @@ def test_hash_mismatch_aborts_before_running(tmp_path, monkeypatch):
         sweep(["EN-2"], [3], [3])
 
 
-def _non_finite_runner(ctx):
+def _faulty_runner(ctx):
+    if ctx.dim == 4:
+        raise ValueError("stub runner fault")
     return float("nan") if ctx.dim == 3 else float("-inf"), None
 
 
@@ -274,12 +276,12 @@ def test_non_finite_metric_fails(kind, tmp_path, monkeypatch):
     tracked = kind == "constant_tracked"
     monkeypatch.setitem(REGISTRY, "NAN-1", Scenario(
         "NAN-1", kind, "stub runner whose metric is not a finite number",
-        _non_finite_runner, (3,), (2, 3), 1,
+        _faulty_runner, (3,), (2, 3, 4), 1,
         direction="upper" if tracked else None,
         provenance=(3, 3, 1, 0) if tracked else None))
     path = tmp_path / "baselines.json"
     entry = bl.BaselineEntry(constant=1.0, prime=3, dim=3, trials=1, seed=0,
-                             oracle_hash=oracle_hash(_non_finite_runner))
+                             oracle_hash=oracle_hash(_faulty_runner))
     BaselineStore({"NAN-1": entry}, path=path).save()
     monkeypatch.setattr(bl, "_DEFAULT_PATH", path)
     # dim 3 is the provenance point and returns NaN; dim 2 returns -inf
@@ -288,12 +290,20 @@ def test_non_finite_metric_fails(kind, tmp_path, monkeypatch):
         assert r.status == "fail"
         assert text in r.witness["values"].values()
         assert _strict_json(reports_to_json([r]))["reports"][0]["metric"] is None
+    # dim 4 raises: a failing report naming the exception, not an abort
+    r = run_scenario("NAN-1", prime=3, dim=4, trials=1, seed=0)
+    assert r.status == "fail"
+    assert r.witness["values"]["error"] == "ValueError"
+    assert r.witness["values"]["message"] == "stub runner fault"
+    assert "_faulty_runner" in r.witness["values"]["raised_in"]
     out = tmp_path / "reports"
-    code = cli_main(["sweep", "--ids", "NAN-1", "--primes", "3", "--dims", "2,3",
-                     "--out", str(out)])
+    code = cli_main(["sweep", "--ids", "NAN-1,FT-1", "--primes", "3",
+                     "--dims", "2,3,4", "--out", str(out)])
     assert code == 1
     doc = _strict_json((out / "report.json").read_text())
-    assert [rec["status"] for rec in doc["reports"]] == ["fail", "fail"]
+    # the sweep went on past the raising run to FT-1 at p = 3, d = 3
+    assert [(rec["scenario"], rec["status"]) for rec in doc["reports"]] == [
+        ("NAN-1", "fail")] * 3 + [("FT-1", "pass")]
 
 
 def test_regenerate_matches_shipped_store(tmp_path):
