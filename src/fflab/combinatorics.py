@@ -382,17 +382,6 @@ class HyperplaneFamily:
                 keys.append((tuple(x * s % p for x in w), c * s % p))
         return keys
 
-    def distinct(self) -> dict:
-        """Map canonical key -> (representative item, multiplicity)."""
-        out: dict = {}
-        for item, key in zip(self.items, self.canonical_keys()):
-            if key in out:
-                rep, mult = out[key]
-                out[key] = (rep, mult + 1)
-            else:
-                out[key] = (item, 1)
-        return out
-
 
 def all_affine_hyperplanes(field: PrimeField, m: int) -> HyperplaneFamily:
     """Every affine hyperplane of F_p^m, once: (p^m - 1)/(p - 1) directions
@@ -426,17 +415,16 @@ def incidence_bound_audit(P: PointSet, L: HyperplaneFamily) -> IncidenceAudit:
     if rows.size == 0:
         return IncidenceAudit(0, 0, 0, 0.0, True)
     count = int(rows.sum())
-    dist = L.distinct()
-    keys = list(dist)
-    c2 = max(mult for _rep, mult in dist.values())
-    # pairwise intersections within P over distinct hyperplanes
+    # one canonical key per item: C2 is the largest key count, and C1 reads
+    # the pairwise overlaps of the first membership row of each key
+    ids: dict = {}
+    key_id = [ids.setdefault(k, len(ids)) for k in L.canonical_keys()]
+    _, first, mult = np.unique(key_id, return_index=True, return_counts=True)
+    c2 = int(mult.max())
     c1 = 0
-    if len(keys) > 1:
-        key_rows = {}
-        for key, row in zip(L.canonical_keys(), rows):
-            key_rows.setdefault(key, row)
-        M = np.array([key_rows[k] for k in keys], dtype=np.int64)
-        gram = M @ M.T
+    if len(first) > 1:
+        M = rows[first].astype(np.float64)
+        gram = M @ M.T  # exact: entries are at most |P| <= p^m < 2^53
         np.fill_diagonal(gram, -1)
         c1 = int(gram.max())
     bound = math.sqrt(c1) * math.sqrt(len(P)) * len(L) + c2 * len(P)
@@ -784,7 +772,7 @@ def max_isotropic_slice(E: PointSet, Q: QuadraticSpace) -> int:
         return 1
     X = E.matrix()
     best = 0
-    for V in sorted(subspaces, key=lambda V: V.basis.tobytes()):
+    for V in subspaces:
         reps = encode_point(_coset_reps(V, X), Q.field.p)
         _, counts = np.unique(reps, return_counts=True)
         best = max(best, int(counts.max()))
@@ -874,7 +862,7 @@ def sample_energy_exponents(
         samples.append(EnergySample(label, n, alpha, exponent, bound))
 
     p = S.field.p
-    subspaces = sorted(enumerate_max_isotropic(S.Q), key=lambda V: V.basis.tobytes())
+    subspaces = enumerate_max_isotropic(S.Q)
     if subspaces:
         V = subspaces[0]
         t0 = rng.integers(0, p, size=S.base_dim)

@@ -64,8 +64,8 @@ from ..qforms import (
     complement_indicator_character_sum,
     det_mod,
     dual_pairing_basis,
+    echelon_bases,
     enumerate_max_isotropic,
-    enumerate_subspaces,
     orthogonal_complement,
     random_invertible,
     random_subspace,
@@ -102,7 +102,6 @@ from ..combinatorics import (
     random_surface_subset,
     recursion_curve,
     sample_energy_exponents,
-    surface_point_set,
     vh_plane_cover,
 )
 from .. import kakeya as kk
@@ -894,37 +893,15 @@ def _run_pl3(ctx: RunContext):
 # QF: quadratic form classification
 
 
-_QF1_CACHE: dict = {}
-
-
-def _qf1_structures(field: PrimeField, m: int):
-    key = (field.p, m)
-    if key not in _QF1_CACHE:
-        p = field.p
-        X = coordinate_array(p, m)
-        nz = X[np.any(X != 0, axis=1)]
-        first = np.argmax(nz != 0, axis=1)
-        lead = nz[np.arange(len(nz)), first]
-        proj = nz[lead == 1]
-        pairs = None
-        if m >= 4:
-            bases = [W.basis for W in enumerate_subspaces(field, m, 2)]
-            pairs = np.stack(bases)
-        _QF1_CACHE[key] = (proj, pairs)
-    return _QF1_CACHE[key]
-
-
-def _brute_witt(field: PrimeField, A: np.ndarray) -> int:
+def _brute_witt(A: np.ndarray, p: int, proj: np.ndarray, planes) -> int:
     """Largest dimension of a totally isotropic subspace, by direct
-    search over projective vectors and echelon plane bases (enough for
-    ambient dimension at most 4)."""
-    m = A.shape[0]
-    p = field.p
-    proj, pairs = _qf1_structures(field, m)
+    search over the projective vectors proj and the echelon plane bases
+    planes (None below ambient dimension 4; enough for ambient dimension
+    at most 4)."""
     qv = np.einsum("ni,ij,nj->n", proj, A, proj) % p
     w = 1 if bool((qv == 0).any()) else 0
-    if w and pairs is not None:
-        u, v = pairs[:, 0, :], pairs[:, 1, :]
+    if w and planes is not None:
+        u, v = planes[:, 0, :], planes[:, 1, :]
         qu = np.einsum("ni,ij,nj->n", u, A, u) % p
         qv2 = np.einsum("ni,ij,nj->n", v, A, v) % p
         buv = np.einsum("ni,ij,nj->n", u, A, v) % p
@@ -939,12 +916,14 @@ def _run_qf1(ctx: RunContext):
     # nondegenerate forms.
     p, m = ctx.prime, ctx.dim
     field = ctx.field
+    proj = echelon_bases(p, m, 1)[:, 0]
+    planes = echelon_bases(p, m, 2) if m >= 4 else None
     mismatches = 0
     first_bad = None
     for diag in itertools.product(range(1, p), repeat=m):
         A = np.diag(np.array(diag, dtype=np.int64))
         got = QuadraticSpace(field, A).witt_index
-        want = _brute_witt(field, A)
+        want = _brute_witt(A, p, proj, planes)
         if got != want:
             mismatches += 1
             if first_bad is None:
@@ -957,7 +936,7 @@ def _run_qf1(ctx: RunContext):
             if det_mod(A, p) != 0:
                 break
         got = QuadraticSpace(field, A).witt_index
-        want = _brute_witt(field, A)
+        want = _brute_witt(A, p, proj, planes)
         if got != want:
             mismatches += 1
             if first_bad is None:
@@ -980,7 +959,7 @@ def _run_qf2(ctx: RunContext):
         M = random_invertible(field, m, rng)
         A = (M.T @ Q0.A @ M) % p
         Q = QuadraticSpace(field, A)
-        iso = sorted(enumerate_max_isotropic(Q), key=lambda W: W.basis.tobytes())
+        iso = enumerate_max_isotropic(Q)
         W = iso[int(rng.integers(0, len(iso)))]
         V = complementary_isotropic(Q, W)
         pair = dual_pairing_basis(Q, W, V)
@@ -1168,8 +1147,7 @@ def _run_kk4(ctx: RunContext):
 
 
 def _iso_pair(S: Surface):
-    iso = sorted(enumerate_max_isotropic(S.Q), key=lambda W: W.basis.tobytes())
-    W = iso[0]
+    W = enumerate_max_isotropic(S.Q)[0]
     return W, complementary_isotropic(S.Q, W)
 
 

@@ -41,6 +41,7 @@ from .core import (
 from .errors import FFLabError, NotIsotropicPair
 from .qforms import (
     Subspace,
+    enumerate_max_isotropic,
     inv_mod,
     is_totally_isotropic,
     nullspace_mod,
@@ -795,12 +796,10 @@ def random_slice_isotropic_function(
     of distinct maximal totally isotropic affine cosets (later pieces drop
     points already used, keeping the pieces disjoint).
     """
-    from .qforms import enumerate_max_isotropic
-
     field = S.field
     p = field.p
     d = S.ambient_dim
-    subspaces = sorted(enumerate_max_isotropic(S.Q), key=lambda U: U.basis.tobytes())
+    subspaces = enumerate_max_isotropic(S.Q)
     if not subspaces:
         raise ValueError("the base form has no isotropic subspaces to structure by")
     decomposition = {}

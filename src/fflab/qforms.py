@@ -15,7 +15,7 @@ the translate so its pivot coordinates vanish.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .errors import (
     FFLabError,
     FullyDegenerate,
     NotMaximalIsotropic,
-    NotOnSurface,
     SizeOverflow,
 )
 
@@ -361,34 +360,37 @@ def zero_space(field: PrimeField, m: int) -> Subspace:
     return Subspace(field, np.zeros((0, m), dtype=np.int64))
 
 
-def enumerate_subspaces(field: PrimeField, m: int, k: int) -> Iterator[Subspace]:
-    """All k-dimensional linear subspaces of F_p^m, one canonical
-    representative each, by echelon pivot pattern."""
-    p = field.p
-    if k == 0:
-        yield zero_space(field, m)
-        return
+def echelon_bases(p: int, m: int, k: int) -> np.ndarray:
+    """(N, k, m) int64 array of every k x m reduced row echelon basis over
+    F_p, one block per pivot pattern (patterns in lexicographic order).
+    Each row of the result spans a distinct k-dimensional subspace of
+    F_p^m; k = 0 gives one empty basis and k > m none.  Raises
+    SizeOverflow before allocating a block that would take the running
+    candidate count past the point budget."""
     if k > m:
-        return
-    count_guard = 0
+        return np.zeros((0, k, m), dtype=np.int64)
+    blocks = []
+    count = 0
     for pivots in itertools.combinations(range(m), k):
         # free entries sit at (row i, col c) with c not a pivot, c > pivots[i]
-        free_pos = [
-            (i, c)
-            for i in range(k)
-            for c in range(pivots[i] + 1, m)
-            if c not in pivots
-        ]
-        count_guard += p ** len(free_pos)
-        if count_guard > POINT_BUDGET:
-            raise SizeOverflow(count_guard, POINT_BUDGET, what="subspace enumeration")
-        for vals in itertools.product(range(p), repeat=len(free_pos)):
-            B = np.zeros((k, m), dtype=np.int64)
-            for i, c in enumerate(pivots):
-                B[i, c] = 1
-            for (i, c), v in zip(free_pos, vals):
-                B[i, c] = v
-            yield Subspace(field, B)
+        free = [(i, c) for i in range(k) for c in range(pivots[i] + 1, m)
+                if c not in pivots]
+        count += p ** len(free)
+        if count > POINT_BUDGET:
+            raise SizeOverflow(count, POINT_BUDGET, what="subspace enumeration")
+        block = np.zeros((p ** len(free), k, m), dtype=np.int64)
+        block[:, range(k), pivots] = 1
+        rows, cols = np.array(free, dtype=np.int64).reshape(-1, 2).T
+        block[:, rows, cols] = coordinate_array(p, len(free))
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def enumerate_subspaces(field: PrimeField, m: int, k: int) -> Iterator[Subspace]:
+    """All k-dimensional linear subspaces of F_p^m, one canonical
+    representative each, in echelon_bases order."""
+    for B in echelon_bases(field.p, m, k):
+        yield Subspace(field, B)
 
 
 def random_subspace(
@@ -422,18 +424,23 @@ def is_totally_isotropic(Q: QuadraticSpace, W: Subspace) -> bool:
     return not ((B @ Q.A @ B.T) % Q.field.p).any()
 
 
-def enumerate_max_isotropic(Q: QuadraticSpace) -> set[Subspace]:
+def enumerate_max_isotropic(Q: QuadraticSpace) -> tuple[Subspace, ...]:
     """All totally isotropic subspaces of the maximal dimension
-    witt_index(Q).  Index 0 yields the empty set (no nontrivial ones)."""
+    witt_index(Q), in canonical order: lexicographic in the entries of
+    their reduced echelon bases.  Index 0 gives () (no nontrivial ones).
+
+    Every echelon basis of that dimension is tested at once through its
+    Gram matrices B A B^T; only the survivors become Subspace objects."""
     w = witt_index(Q)
     if w == 0:
-        return set()
-    grid_size(Q.field.p, Q.m)
-    return {
-        V
-        for V in enumerate_subspaces(Q.field, Q.m, w)
-        if is_totally_isotropic(Q, V)
-    }
+        return ()
+    p = Q.field.p
+    grid_size(p, Q.m)
+    B = echelon_bases(p, Q.m, w)
+    gram = np.einsum("nim,mk,njk->nij", B, Q.A, B) % p
+    B = B[~gram.reshape(len(B), -1).any(axis=1)]
+    flat = B.reshape(len(B), -1)
+    return tuple(Subspace(Q.field, b) for b in B[np.lexsort(flat.T[::-1])])
 
 
 def complementary_isotropic(Q: QuadraticSpace, W: Subspace) -> Subspace:
@@ -515,26 +522,18 @@ def complement_indicator_character_sum(Q: QuadraticSpace, W: Subspace, x) -> flo
 # shears of quadratic surfaces and subsurface classification
 
 
-def galilean(S, t, E: Iterable[Sequence[int]]) -> set[tuple[int, ...]]:
+def galilean(S, t, E) -> np.ndarray:
     """Shear of surface points by a surface point t: the map sending
     (x, Q(x)) to (x + t, Q(x + t)), applied to every point of E.
 
-    S is a surface object exposing .field, .base_dim, .form (QuadraticSpace
-    on the base) and .lift(base_point).  Bijective on the surface; t = 0
-    gives the identity.
+    S is a Surface; t is one point and E an (n, d) array or an iterable of
+    points of it.  Returns the (n, d) int64 image rows in E's order.
+    Bijective on the surface; t = 0 gives the identity.  Raises
+    NotOnSurface when t or a point of E is off the surface.
     """
-    p = S.field.p
-    t = tuple(int(c) % p for c in t)
-    base_t = np.array(t[:-1], dtype=np.int64)
-    if S.lift(base_t) != t:
-        raise NotOnSurface(f"{t} is not on the surface")
-    out = set()
-    for pt in E:
-        base = np.array(pt[:-1], dtype=np.int64) % p
-        if S.lift(base) != tuple(int(c) % p for c in pt):
-            raise NotOnSurface(f"{tuple(pt)} is not on the surface")
-        out.add(S.lift((base + base_t) % p))
-    return out
+    base_t = S.require_on_surface([t])[0, :-1]
+    base = (S.require_on_surface(E)[:, :-1] + base_t) % S.field.p
+    return np.column_stack([base, S.Q.q_batch(base)])
 
 
 def restriction_gram(Q: QuadraticSpace, V: Subspace) -> QuadraticSpace:

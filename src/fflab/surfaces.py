@@ -11,7 +11,6 @@ mass |S|^{-1}.  Functions on the surface are indexed by the base point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 

@@ -272,8 +272,10 @@ def test_energy_invariant_under_surface_shear():
         A = surface_point_set(S, [pts[i] for i in rng.choice(len(pts), 6, replace=False)])
         B = surface_point_set(S, [pts[i] for i in rng.choice(len(pts), 5, replace=False)])
         t = pts[rng.integers(0, len(pts))]
-        tA = surface_point_set(S, galilean(S, t, (v.coords for v in A)))
-        tB = surface_point_set(S, galilean(S, t, (v.coords for v in B)))
+        tA = surface_point_set(S, galilean(S, t, A.matrix()))
+        tB = surface_point_set(S, galilean(S, t, B.matrix()))
+        t_inv = S.lift(tuple(-c for c in t[:-1]))
+        assert surface_point_set(S, galilean(S, t_inv, tA.matrix())) == A
         assert additive_energy(tA) == additive_energy(A)
         assert additive_energy(tA, tB) == additive_energy(A, B)
 

@@ -6,6 +6,7 @@ construction all get checked against exhaustive searches at small p.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fflab.errors import (
     FFLabError,
     FullyDegenerate,
     NotMaximalIsotropic,
+    SizeOverflow,
 )
 from fflab.qforms import (
     QuadraticSpace,
@@ -27,6 +29,7 @@ from fflab.qforms import (
     diagonal_form,
     diagonalize,
     dual_pairing_basis,
+    echelon_bases,
     enumerate_max_isotropic,
     enumerate_subspaces,
     full_space,
@@ -105,6 +108,37 @@ def test_subspace_count_gaussian_binomial():
     subs = list(enumerate_subspaces(F, 4, 2))
     assert len(subs) == 130
     assert len(set(subs)) == 130  # canonical representatives are distinct
+
+
+def gaussian_binomial(p: int, m: int, k: int) -> int:
+    """Number of k-dimensional subspaces of F_p^m."""
+    num = math.prod(p ** (m - i) - 1 for i in range(k))
+    den = math.prod(p ** (i + 1) - 1 for i in range(k))
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "p,m,k", [(3, 4, 0), (3, 4, 2), (3, 4, 4), (5, 3, 1), (5, 3, 2), (7, 2, 1), (2, 5, 3)]
+)
+def test_echelon_bases_are_distinct_reduced_and_counted(p, m, k):
+    B = echelon_bases(p, m, k)
+    assert B.shape == (gaussian_binomial(p, m, k), k, m)
+    for b in B:
+        R, pivots = rref_mod(b, p)
+        assert np.array_equal(R, b) and len(pivots) == k
+    assert len({b.tobytes() for b in B}) == len(B)
+
+
+def test_echelon_bases_guard_raises_before_allocating():
+    # the first pivot pattern alone has 13^100 candidates
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOverflow):
+            echelon_bases(13, 20, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_subspace_canonicalization_idempotent():
@@ -225,11 +259,11 @@ def test_enumerate_max_isotropic_hyperbolic_plane():
     Q = hyperbolic_pairing_form(F, 1)
     found = enumerate_max_isotropic(Q)
     axes = {Subspace(F, [[1, 0]]), Subspace(F, [[0, 1]])}
-    assert found == axes
+    assert set(found) == axes
 
 
 def test_enumerate_max_isotropic_anisotropic_form_empty():
-    assert enumerate_max_isotropic(diagonal_form(PrimeField(3), [1, 1])) == set()
+    assert enumerate_max_isotropic(diagonal_form(PrimeField(3), [1, 1])) == ()
 
 
 def test_enumerate_max_isotropic_split_four_dim():
@@ -242,7 +276,7 @@ def test_enumerate_max_isotropic_split_four_dim():
         for V in enumerate_subspaces(F, 4, 2)
         if is_totally_isotropic(Q, V)
     }
-    assert found == oracle
+    assert set(found) == oracle
     # split 4-dim form has 2(p+1) maximal isotropic planes
     assert len(found) == 2 * (3 + 1)
 
@@ -281,9 +315,32 @@ def test_enumerate_max_isotropic_matches_closed_count(p, m, twisted):
     assert Q.witt_index == w
     found = enumerate_max_isotropic(Q)
     if w == 0:
-        assert found == set()
+        assert found == ()
     else:
         assert len(found) == max_isotropic_count(p, m, w)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_enumerate_max_isotropic_is_canonically_ordered(p, m):
+    F = PrimeField(p)
+    rng = np.random.default_rng(100 * p + m)
+    for _ in range(3):
+        while True:
+            A = random_symmetric(F, m, rng)
+            if det_mod(A, p):
+                break
+        Q = QuadraticSpace(F, A)
+        found = enumerate_max_isotropic(Q)
+        assert isinstance(found, tuple)
+        keys = [tuple(V.basis.ravel().tolist()) for V in found]
+        assert all(a < b for a, b in zip(keys, keys[1:]))  # strictly increasing
+        oracle = {
+            V
+            for V in enumerate_subspaces(F, m, Q.witt_index)
+            if is_totally_isotropic(Q, V)
+        } if Q.witt_index else set()
+        assert set(found) == oracle and len(found) == len(oracle)
 
 
 def test_complementary_isotropic_plane():

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from fflab.combinatorics import PointSet
 from fflab.core import FFunction, PrimeField, char_eval, coordinate_array, inner, lp_norm
 from fflab.errors import NotCongruent, NotOnSurface
 from fflab.fourier import (
@@ -429,13 +430,15 @@ def test_galilean_identity_and_inverse():
     S = hyperbolic_paraboloid(F, 3)
     rng = np.random.default_rng(11)
     pts = list(S.points)
-    E = {pts[i] for i in rng.choice(len(pts), size=8, replace=False)}
+    E = PointSet.of(F, 3, [pts[i] for i in rng.choice(len(pts), size=8, replace=False)])
     zero = S.lift((0, 0))
-    assert galilean(S, zero, E) == E
+    assert np.array_equal(galilean(S, zero, E.matrix()), E.matrix())  # E's order
     t = S.lift((2, 3))
     t_inv = S.lift((3, 2))  # -(2,3) mod 5
-    assert galilean(S, t_inv, galilean(S, t, E)) == E
-    assert len(galilean(S, t, set(S.points))) == S.size  # bijective
+    assert PointSet.of(F, 3, galilean(S, t_inv, galilean(S, t, E.matrix()))) == E
+    image = PointSet.of(F, 3, galilean(S, t, S.point_array()))
+    assert len(image) == S.size  # bijective
+    assert image == PointSet.of(F, 3, S.point_array())
 
 
 def test_galilean_rejects_off_surface():
