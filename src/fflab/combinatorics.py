@@ -319,30 +319,35 @@ def energy_slice_bound(E: PointSet) -> SliceEnergyBound:
 # hyperplane families and incidences
 
 
+def _leading(rows: np.ndarray) -> np.ndarray:
+    """Leading nonzero entry of each row; 0 for a zero row."""
+    return rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+
+
 class HyperplaneFamily:
     """A multiset of affine hyperplanes {y in F_p^m : w . y = c}.
 
-    Items are kept with multiplicity.  A zero normal with zero offset is the
-    degenerate full-space member: it is the hyperplane attached to the origin
-    of a surface, where the defining condition is vacuous.
+    Member i has normal normals[i] (a (k, m) int64 array) and offset
+    offsets[i] (a (k,) int64 array), both reduced mod p; members are kept
+    with multiplicity.  A zero normal with zero offset is the degenerate
+    full-space member: it is the hyperplane attached to the origin of a
+    surface, where the defining condition is vacuous.
     """
 
-    __slots__ = ("field", "ambient", "items")
+    __slots__ = ("field", "ambient", "normals", "offsets")
 
-    def __init__(self, field: PrimeField, ambient: int, items: Iterable):
+    def __init__(self, field: PrimeField, ambient: int, normals, offsets):
         p = field.p
-        stored = []
-        for w, c in items:
-            coords = w.coords if isinstance(w, FFVector) else tuple(int(x) % p for x in w)
-            if len(coords) != ambient:
-                raise ValueError("normal has the wrong dimension")
-            c = int(c) % p
-            if not any(coords) and c:
-                raise ValueError("zero normal with nonzero offset is the empty set")
-            stored.append((coords, c))
+        normals = point_rows(normals, ambient) % p
+        offsets = np.asarray(offsets, dtype=np.int64) % p
+        if offsets.shape != (len(normals),):
+            raise ValueError("need exactly one offset per normal")
+        if offsets[~normals.any(axis=1)].any():
+            raise ValueError("zero normal with nonzero offset is the empty set")
         self.field = field
         self.ambient = ambient
-        self.items = tuple(stored)
+        self.normals = normals
+        self.offsets = offsets
 
     @classmethod
     def from_surface_points(cls, S: Surface, pts: Iterable) -> "HyperplaneFamily":
@@ -350,11 +355,10 @@ class HyperplaneFamily:
         the bilinear pairing of the base form.  Stored in dot-product form
         (A x, Q(x)); the origin contributes the full-space member."""
         X = S.require_on_surface(pts)
-        normals = X[:, :-1] @ S.Q.A.T % S.field.p
-        return cls(S.field, S.base_dim, zip(normals.tolist(), X[:, -1].tolist()))
+        return cls(S.field, S.base_dim, X[:, :-1] @ S.Q.A.T, X[:, -1])
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.offsets)
 
     def membership_rows(self, P: PointSet) -> np.ndarray:
         """Boolean (len(self), |P|) matrix: item i contains point j.
@@ -364,37 +368,27 @@ class HyperplaneFamily:
         """
         if P.field != self.field or P.dim != self.ambient:
             raise ValueError("points and hyperplanes must share their ambient space")
-        normals = point_rows([w for w, _ in self.items], self.ambient)
-        offsets = np.array([c for _, c in self.items], dtype=np.int64)
-        rows = normals @ P.matrix().T
-        return np.remainder(rows, self.field.p, out=rows) == offsets[:, None]
+        rows = self.normals @ P.matrix().T
+        return np.remainder(rows, self.field.p, out=rows) == self.offsets[:, None]
 
-    def canonical_keys(self) -> list:
-        """Hashable key per item identifying the hyperplane as a point set."""
-        p = self.field.p
-        keys = []
-        for w, c in self.items:
-            lead = next((x for x in w if x), 0)
-            if lead == 0:
-                keys.append(("full",))
-            else:
-                s = self.field.inverse(lead)
-                keys.append((tuple(x * s % p for x in w), c * s % p))
-        return keys
+    def canonical_keys(self) -> np.ndarray:
+        """(len(self), m + 1) int64 rows identifying each member as a point
+        set: (normal, offset) scaled so the leading nonzero coefficient of
+        the normal is 1.  The full-space member's row is all zeros."""
+        # inv[0] = 0, so the full-space member scales to the zero row
+        scale = self.field.inv[_leading(self.normals)]
+        rows = np.column_stack([self.normals, self.offsets]) * scale[:, None]
+        return rows % self.field.p
 
 
 def all_affine_hyperplanes(field: PrimeField, m: int) -> HyperplaneFamily:
     """Every affine hyperplane of F_p^m, once: (p^m - 1)/(p - 1) directions
-    with leading coefficient 1, times p offsets."""
+    with leading coefficient 1 in index order, each with the p offsets."""
     p = field.p
-    items = []
-    for w in coordinate_array(p, m):
-        lead = next((x for x in w if x), 0)
-        if lead != 1:
-            continue
-        for c in range(p):
-            items.append((tuple(int(v) for v in w), c))
-    return HyperplaneFamily(field, m, items)
+    W = coordinate_array(p, m)
+    W = W[_leading(W) == 1]
+    return HyperplaneFamily(field, m, np.repeat(W, p, axis=0),
+                            np.tile(np.arange(p), len(W)))
 
 
 class IncidenceAudit(NamedTuple):
@@ -417,9 +411,8 @@ def incidence_bound_audit(P: PointSet, L: HyperplaneFamily) -> IncidenceAudit:
     count = int(rows.sum())
     # one canonical key per item: C2 is the largest key count, and C1 reads
     # the pairwise overlaps of the first membership row of each key
-    ids: dict = {}
-    key_id = [ids.setdefault(k, len(ids)) for k in L.canonical_keys()]
-    _, first, mult = np.unique(key_id, return_index=True, return_counts=True)
+    _, first, mult = np.unique(L.canonical_keys(), axis=0,
+                               return_index=True, return_counts=True)
     c2 = int(mult.max())
     c1 = 0
     if len(first) > 1:
@@ -476,7 +469,7 @@ def energy_to_incidence(A: PointSet, B: PointSet, S: Surface) -> EnergyIncidence
     if len(B_surf) == 0 or len(A_surf) == 0:
         empty_pts = PointSet.of(S.field, S.base_dim, [])
         return EnergyIncidence(
-            energy, A_surf, B_surf, HyperplaneFamily(S.field, S.base_dim, []),
+            energy, A_surf, B_surf, HyperplaneFamily(S.field, S.base_dim, [], []),
             empty_pts, 0,
         )
 

@@ -714,13 +714,12 @@ def _run_in2(ctx: RunContext):
         k = int(rng.integers(1, p**m))
         idx = _random_support(rng, p**m, k)
         X = coordinate_array(p, m)[idx]
-        P = PointSet.of(ctx.field, m, [tuple(int(c) for c in row) for row in X])
+        P = PointSet.of(ctx.field, m, X)
         if t % 2:
             L = full
         else:
-            take = _random_support(rng, len(full.items),
-                                   int(rng.integers(1, len(full.items))))
-            L = HyperplaneFamily(ctx.field, m, [full.items[i] for i in take])
+            take = _random_support(rng, len(full), int(rng.integers(1, len(full))))
+            L = HyperplaneFamily(ctx.field, m, full.normals[take], full.offsets[take])
         audit = incidence_bound_audit(P, L)
         dev = _pos(audit.incidences - audit.bound) / max(1.0, audit.bound)
         worst.update(dev, lambda t=t, i=audit.incidences, b=audit.bound:
@@ -893,19 +892,35 @@ def _run_pl3(ctx: RunContext):
 # QF: quadratic form classification
 
 
-def _brute_witt(A: np.ndarray, p: int, proj: np.ndarray, planes) -> int:
+def _witt_monomials(p: int, m: int):
+    """Degree-two monomial rows for _brute_witt, built once per run.
+
+    Returns (lines, planes): x_i x_j for every projective vector x, as an
+    (N, m^2) array, and the (u_i u_j, v_i v_j, u_i v_j) arrays for every
+    echelon plane basis (u, v), or None below ambient dimension 4 (planes
+    are enough for ambient dimension at most 4).  A form's value on a row
+    is the row's dot product with A.ravel().
+    """
+    def outer(a, b):
+        return (a[:, :, None] * b[:, None, :]).reshape(len(a), m * m)
+
+    x = echelon_bases(p, m, 1)[:, 0]
+    if m < 4:
+        return outer(x, x), None
+    planes = echelon_bases(p, m, 2)
+    u, v = planes[:, 0, :], planes[:, 1, :]
+    return outer(x, x), (outer(u, u), outer(v, v), outer(u, v))
+
+
+def _brute_witt(A: np.ndarray, p: int, lines: np.ndarray, planes) -> int:
     """Largest dimension of a totally isotropic subspace, by direct
-    search over the projective vectors proj and the echelon plane bases
-    planes (None below ambient dimension 4; enough for ambient dimension
-    at most 4)."""
-    qv = np.einsum("ni,ij,nj->n", proj, A, proj) % p
-    w = 1 if bool((qv == 0).any()) else 0
+    search over every projective vector and every echelon plane basis,
+    given as the monomial rows of _witt_monomials."""
+    a = np.asarray(A, dtype=np.int64).ravel()
+    w = 1 if bool((lines @ a % p == 0).any()) else 0
     if w and planes is not None:
-        u, v = planes[:, 0, :], planes[:, 1, :]
-        qu = np.einsum("ni,ij,nj->n", u, A, u) % p
-        qv2 = np.einsum("ni,ij,nj->n", v, A, v) % p
-        buv = np.einsum("ni,ij,nj->n", u, A, v) % p
-        if bool(((qu == 0) & (qv2 == 0) & (buv == 0)).any()):
+        uu, vv, uv = planes
+        if bool(((uu @ a % p == 0) & (vv @ a % p == 0) & (uv @ a % p == 0)).any()):
             w = 2
     return w
 
@@ -916,14 +931,13 @@ def _run_qf1(ctx: RunContext):
     # nondegenerate forms.
     p, m = ctx.prime, ctx.dim
     field = ctx.field
-    proj = echelon_bases(p, m, 1)[:, 0]
-    planes = echelon_bases(p, m, 2) if m >= 4 else None
+    lines, planes = _witt_monomials(p, m)
     mismatches = 0
     first_bad = None
     for diag in itertools.product(range(1, p), repeat=m):
         A = np.diag(np.array(diag, dtype=np.int64))
         got = QuadraticSpace(field, A).witt_index
-        want = _brute_witt(A, p, proj, planes)
+        want = _brute_witt(A, p, lines, planes)
         if got != want:
             mismatches += 1
             if first_bad is None:
@@ -936,7 +950,7 @@ def _run_qf1(ctx: RunContext):
             if det_mod(A, p) != 0:
                 break
         got = QuadraticSpace(field, A).witt_index
-        want = _brute_witt(A, p, proj, planes)
+        want = _brute_witt(A, p, lines, planes)
         if got != want:
             mismatches += 1
             if first_bad is None:
@@ -1154,8 +1168,10 @@ def _iso_pair(S: Surface):
 def _run_mx1(ctx: RunContext):
     # Splitting the frequency sum over a complementary isotropic pair
     # and using the cross-term phase reproduces the extension exactly.
-    # The coset route is a literal double sum costing p^{4n+1}, so the
-    # trial count scales down deterministically at the largest combos.
+    # The coset route is a literal double sum over W x V, evaluated as p
+    # batched (p^n, p^n) matrix products (about 2 p^{3n+1} multiply-adds).
+    # The trial count scales down deterministically at the largest combos,
+    # keyed on p^{4n+1}, the number of (pair, output point) terms.
     p, d = ctx.prime, ctx.dim
     S = paraboloid(ctx.field, d) if p % 4 == 1 else hyperbolic_paraboloid(ctx.field, d)
     W, V = _iso_pair(S)

@@ -611,9 +611,10 @@ def _split_coefficients(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 def _isotropic_pair_split(S: Surface, W: Subspace, V: Subspace):
     """Validate (W, V) and return the phase-splitting data.
 
-    Returns (xi1, xi2, x1_of, x2_of): the point arrays of W and V, and the
-    two components of every ambient base point under the decomposition
-    dual to (V, W) in the standard dot product.
+    Returns (X1, X2, a_idx, b_idx): bases X1 of the dot-orthocomplement
+    of V and X2 of that of W, each with n rows, and for every ambient base
+    point x (by index) the indices in F_p^n of its coefficients (a, b)
+    with x = a X1 + b X2.
     """
     p = S.field.p
     n2 = S.base_dim
@@ -630,15 +631,14 @@ def _isotropic_pair_split(S: Surface, W: Subspace, V: Subspace):
         if not is_totally_isotropic(S.Q, U):
             raise NotIsotropicPair("subspace is not totally isotropic for the form")
 
-    # x = x1 + x2 with x1 dot-orthogonal to V and x2 dot-orthogonal to W,
-    # so the Fourier phase splits as xi1.x1 + xi2.x2.  The two
+    # x = a X1 + b X2 with a X1 dot-orthogonal to V and b X2 dot-orthogonal
+    # to W, so the Fourier phase splits as xi1.(a X1) + xi2.(b X2).  The two
     # orthocomplements span the space exactly when W and V are complementary.
     X1 = nullspace_mod(V.basis, p)
     X2 = nullspace_mod(W.basis, p)
     coeff = _split_coefficients(X1, X2, p)
-    x1 = coeff[:, : X1.shape[0]] @ X1 % p
-    x2 = coeff[:, X1.shape[0]:] @ X2 % p
-    return W.point_array(), V.point_array(), x1, x2
+    k = X1.shape[0]
+    return X1, X2, encode_point(coeff[:, :k], p), encode_point(coeff[:, k:], p)
 
 
 def coset_extension(f: SurfaceFunction, W: Subspace, V: Subspace) -> FFunction:
@@ -646,30 +646,29 @@ def coset_extension(f: SurfaceFunction, W: Subspace, V: Subspace) -> FFunction:
 
     The surface frequency splits as xi = xi1 + xi2 with xi1 in W and
     xi2 in V; total isotropy kills the pure-square phases and leaves
-    e(xi1 . x1 + xi2 . x2 + 2 t B(xi1, xi2)) with B the form's pairing.
-    The double sum is evaluated literally, so agreement with the direct
-    extension is a genuine two-route identity, not a refactoring.
+    e(xi1 . a X1 + xi2 . b X2 + 2 t B(xi1, xi2)) with B the form's pairing
+    and x = a X1 + b X2.  For each t the double sum over (xi1, xi2) is the
+    matrix product P1^T M_t P2 of the character tables P1[i, a], P2[j, b]
+    with M_t = f(xi1 + xi2) e(2 t B); no transform is used, so agreement
+    with the direct extension is a genuine two-route identity, not a
+    refactoring.
     """
     S = f.surface
     p = S.field.p
-    xi1, xi2, x1, x2 = _isotropic_pair_split(S, W, V)
-    n2 = S.base_dim
+    X1, X2, a_idx, b_idx = _isotropic_pair_split(S, W, V)
+    xi1, xi2 = W.point_array(), V.point_array()
     chars = char_vector(S.field)
 
     fvals = f.values[encode_point(xi1[:, None, :] + xi2[None, :, :], p)]
     B = xi1 @ S.Q.A @ xi2.T % p
-
-    P1 = chars[(xi1 @ x1.T) % p]   # (|W|, p^{2n})
-    P2 = chars[(xi2 @ x2.T) % p]   # (|V|, p^{2n})
-    out = FFunction.zeros(S.field, S.ambient_dim)
-    cell = p**n2
-    for t in range(p):
-        Mt = fvals * chars[(2 * t * B) % p]
-        out.data[t * cell : (t + 1) * cell] = np.einsum(
-            "ix,ij,jx->x", P1, Mt, P2, optimize=True
-        )
-    out.data /= p**n2
-    return out
+    coeffs = coordinate_array(p, X1.shape[0])
+    P1 = chars[xi1 @ X1.T @ coeffs.T % p]   # (|W|, p^n)
+    P2 = chars[xi2 @ X2.T @ coeffs.T % p]   # (|V|, p^n)
+    t = np.arange(p)[:, None, None]
+    M = fvals * chars[2 * t * B % p]        # (p, |W|, |V|)
+    R = P1.T @ M @ P2                       # (p, p^n, p^n)
+    out = R[:, a_idx, b_idx] / p ** S.base_dim
+    return FFunction(S.field, S.ambient_dim, out.ravel())
 
 
 def _v_coset_index(W: Subspace, V: Subspace, p: int) -> np.ndarray:

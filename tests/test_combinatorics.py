@@ -398,7 +398,7 @@ def test_all_affine_hyperplanes_census():
     L = all_affine_hyperplanes(F3, 2)
     assert len(L) == 12  # 4 directions x 3 offsets
     keys = L.canonical_keys()
-    assert len(set(keys)) == 12
+    assert len(np.unique(keys, axis=0)) == 12
     # every point of the plane lies on one hyperplane per direction
     P = PointSet.of(F3, 2, itertools.product(range(3), repeat=2))
     rows = L.membership_rows(P)
@@ -411,9 +411,13 @@ def test_all_affine_hyperplanes_census():
 
 def test_hyperplane_family_degenerate_members():
     with pytest.raises(ValueError):
-        HyperplaneFamily(F3, 2, [((0, 0), 1)])
-    L = HyperplaneFamily(F3, 2, [((0, 0), 0), ((1, 2), 1)])
-    assert L.canonical_keys()[0] == ("full",)
+        HyperplaneFamily(F3, 2, [(0, 0)], [1])
+    with pytest.raises(ValueError):
+        HyperplaneFamily(F3, 2, [(0, 0), (1, 2)], [0])
+    with pytest.raises(ValueError):
+        HyperplaneFamily(F3, 2, [(0, 0, 1)], [0])
+    L = HyperplaneFamily(F3, 2, [(0, 0), (1, 2), (2, 1)], [0, 1, 2])
+    assert L.canonical_keys().tolist() == [[0, 0, 0], [1, 2, 1], [1, 2, 1]]
     P = PointSet.of(F3, 2, [(0, 0), (1, 1), (2, 2)])
     rows = L.membership_rows(P)
     assert rows[0].all()  # the full-space member contains everything
@@ -426,11 +430,12 @@ def test_incidence_audit_frozen_example_and_duplicates():
     assert audit == (36, 1, 1, 45.0, True)
     assert incidence_count(P, L) == 36
     # duplicating a line raises C2 but not C1
-    dup = HyperplaneFamily(F3, 2, list(L.items) + [L.items[0]] * 3)
+    take = [*range(len(L)), 0, 0, 0]
+    dup = HyperplaneFamily(F3, 2, L.normals[take], L.offsets[take])
     audit2 = incidence_bound_audit(P, dup)
     assert audit2.c2 == 4 and audit2.c1 == 1
     # a single distinct line has no distinct pair, so C1 = 0
-    single = HyperplaneFamily(F3, 2, [((1, 0), 0), ((2, 0), 0)])  # same line twice
+    single = HyperplaneFamily(F3, 2, [(1, 0), (2, 0)], [0, 0])  # same line twice
     audit3 = incidence_bound_audit(P, single)
     assert audit3.c1 == 0 and audit3.c2 == 2
     assert audit3.holds
@@ -455,12 +460,9 @@ def test_incidence_bound_holds_on_random_instances():
             P = PointSet.of(
                 F, 2, {tuple(rng.integers(0, p, 2)) for _ in range(rng.integers(1, 2 * p))}
             )
-            items = []
-            for _ in range(rng.integers(1, 8)):
-                w = tuple(rng.integers(0, p, 2))
-                c = int(rng.integers(0, p)) if any(w) else 0
-                items.append((w, c))
-            L = HyperplaneFamily(F, 2, items)
+            normals = rng.integers(0, p, (int(rng.integers(1, 8)), 2))
+            offsets = rng.integers(0, p, len(normals)) * normals.any(axis=1)
+            L = HyperplaneFamily(F, 2, normals, offsets)
             audit = incidence_bound_audit(P, L)
             assert audit.holds
             assert incidence_count(P, L) == incidence_count(P, L, audit=False)
@@ -478,7 +480,7 @@ def test_surface_hyperplanes_collapse_along_isotropic_lines():
     rows = fam.membership_rows(grid)
     for i, j in itertools.combinations(range(len(pts)), 2):
         same_set = bool((rows[i] == rows[j]).all())
-        assert same_set == (keys[i] == keys[j])
+        assert same_set == (keys[i] == keys[j]).all()
         xi = np.array(pts[i][:2])
         xj = np.array(pts[j][:2])
         shared_isotropic_line = (
@@ -490,7 +492,7 @@ def test_surface_hyperplanes_collapse_along_isotropic_lines():
         assert same_set == bool(shared_isotropic_line)
     # the origin of the surface contributes the vacuous full-space member
     origin_idx = pts.index((0, 0, 0))
-    assert keys[origin_idx] == ("full",)
+    assert not keys[origin_idx].any()
 
 
 def test_energy_to_incidence_chain():
@@ -523,7 +525,7 @@ def test_energy_to_incidence_degenerate_inputs():
     assert red.energy == 0 and red.incidences == 0 and len(red.lines) == 0
     red2 = energy_to_incidence(lone, lone, S)
     assert red2.energy == 1
-    assert red2.lines.canonical_keys() == [("full",)]
+    assert red2.lines.canonical_keys().tolist() == [[0, 0, 0]]
     assert red2.incidences == 1
 
 

@@ -306,6 +306,37 @@ def test_non_finite_metric_fails(kind, tmp_path, monkeypatch):
         ("NAN-1", "fail")] * 3 + [("FT-1", "pass")]
 
 
+def _wrong_constant_runner(ctx):
+    # against a stored constant of 1.0: more than twice it at p = 3 and
+    # less than half of it at p = 5
+    return (2.5 if ctx.prime == 3 else 0.4), None
+
+
+@pytest.mark.parametrize("direction,bad_prime", [("upper", 3), ("floor", 5)])
+def test_wrong_tracked_constant_fails(direction, bad_prime, tmp_path, monkeypatch):
+    import fflab.harness.baselines as bl
+    monkeypatch.setitem(REGISTRY, "BAD-1", Scenario(
+        "BAD-1", "constant_tracked",
+        "stub runner whose constant breaks its stored bound",
+        _wrong_constant_runner, (3, 5, 7), (3,), 1,
+        direction=direction, provenance=(7, 3, 1, 0)))
+    path = tmp_path / "baselines.json"
+    entry = bl.BaselineEntry(constant=1.0, prime=7, dim=3, trials=1, seed=0,
+                             oracle_hash=oracle_hash(_wrong_constant_runner))
+    BaselineStore({"BAD-1": entry}, path=path).save()
+    monkeypatch.setattr(bl, "_DEFAULT_PATH", path)
+    out = tmp_path / "reports"
+    code = cli_main(["sweep", "--ids", "BAD-1", "--primes", "3,5",
+                     "--dims", "3", "--out", str(out)])
+    assert code == 1
+    doc = _strict_json((out / "report.json").read_text())
+    by_prime = {rec["prime"]: rec for rec in doc["reports"]}
+    bad, good = by_prime.pop(bad_prime), by_prime.popitem()[1]
+    assert bad["status"] == "fail"
+    assert bad["witness"]["values"] == {"measured": bad["metric"], "baseline": 1.0}
+    assert good["status"] == "pass" and good["witness"] is None
+
+
 def test_regenerate_matches_shipped_store(tmp_path):
     fresh = regenerate_baselines(path=tmp_path / "regen.json")
     shipped = BaselineStore.load()

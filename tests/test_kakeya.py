@@ -14,6 +14,7 @@ enumerations in this file, then pinned):
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ from fflab.core import (
     lp_norm,
 )
 from fflab.errors import FFLabError, NotIsotropicPair, SizeOverflow
-from fflab.qforms import Subspace
+from fflab.qforms import Subspace, complementary_isotropic, enumerate_max_isotropic
 from fflab.surfaces import (
     SurfaceFunction,
     extension,
@@ -531,6 +532,53 @@ def test_coset_extension_matches_extension_coordinate_pair(d):
         f = SurfaceFunction.random(S, rng)
         err = np.abs(kk.coset_extension(f, W, V).data - extension(f).data).max()
         assert err < 1e-9
+
+
+def _iso_pair_surface(p, d):
+    F = PrimeField(p)
+    S = paraboloid(F, d) if p % 4 == 1 else hyperbolic_paraboloid(F, d)
+    W = enumerate_max_isotropic(S.Q)[0]
+    return S, W, complementary_isotropic(S.Q, W)
+
+
+def _coset_extension_oracle(f, W, V):
+    """Literal double sum over (xi1, xi2) in W x V, one base point x at a
+    time: p^{-2n} sum f(xi1 + xi2) e(xi1 . x + xi2 . x + 2 t B(xi1, xi2))."""
+    S = f.surface
+    p = S.field.p
+    xi1, xi2 = W.point_array(), V.point_array()
+    fvals = f.values[encode_point(xi1[:, None, :] + xi2[None, :, :], p)]
+    B = xi1 @ S.Q.A @ xi2.T
+    base = coordinate_array(p, S.base_dim)
+    out = np.zeros(p ** S.ambient_dim, dtype=complex)
+    for t in range(p):
+        for ix, x in enumerate(base):
+            phase = (xi1 @ x)[:, None] + (xi2 @ x)[None, :] + 2 * t * B
+            out[t * len(base) + ix] = np.einsum(
+                "ij,ij->", fvals, np.exp(2j * np.pi * (phase % p) / p))
+    return out / p ** S.base_dim
+
+
+@pytest.mark.parametrize("p,d", [(3, 3), (3, 5), (5, 3), (5, 5)])
+def test_coset_extension_matches_literal_double_sum(p, d):
+    S, W, V = _iso_pair_surface(p, d)
+    f = SurfaceFunction.random(S, np.random.default_rng(19))
+    err = np.abs(kk.coset_extension(f, W, V).data - _coset_extension_oracle(f, W, V)).max()
+    assert err < 1e-12
+
+
+def test_coset_extension_allocation_stays_small():
+    # The factored kernel holds (p, p^n, p^n) arrays; contracting the
+    # (|W|, p^{2n}) character tables directly peaked near 230 MiB here.
+    S, W, V = _iso_pair_surface(13, 5)
+    f = SurfaceFunction.random(S, np.random.default_rng(20))
+    tracemalloc.start()
+    try:
+        kk.coset_extension(f, W, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_coset_extension_of_delta_has_flat_modulus():
