@@ -105,7 +105,7 @@ from ..combinatorics import (
     vh_plane_cover,
 )
 from .. import kakeya as kk
-from .baselines import BaselineStore, BaselineMissing, oracle_hash
+from .baselines import BaselineEntry, BaselineStore, BaselineMissing, oracle_hash
 from .reporting import ScenarioReport, witness_array, witness_values
 
 
@@ -564,21 +564,24 @@ def _run_br3(ctx: RunContext):
 
 
 def _brute_energy(pts: list, p: int) -> int:
-    arr = [tuple(int(c) for c in row) for row in pts]
+    """Literal count of a + b = c + d over a set of distinct points: for
+    every (a, b, c) the fourth point d = a + b - c is fixed, so count the
+    triples whose d lies in the set."""
+    arr = [tuple(int(c) % p for c in row) for row in pts]
+    members = set(arr)
     count = 0
     for a in arr:
         for b in arr:
             for c in arr:
-                for d in arr:
-                    if all((ai + bi - ci - di) % p == 0
-                           for ai, bi, ci, di in zip(a, b, c, d)):
-                        count += 1
+                if tuple((ai + bi - ci) % p
+                         for ai, bi, ci in zip(a, b, c)) in members:
+                    count += 1
     return count
 
 
 def _run_en1(ctx: RunContext):
     # The vectorized sum-multiset energy count equals the literal
-    # quadruple loop, as integers.
+    # count of quadruples, as integers.
     p = ctx.prime
     worst = _Worst()
     for t in range(ctx.trials):
@@ -919,8 +922,12 @@ def _brute_witt(A: np.ndarray, p: int, lines: np.ndarray, planes) -> int:
     a = np.asarray(A, dtype=np.int64).ravel()
     w = 1 if bool((lines @ a % p == 0).any()) else 0
     if w and planes is not None:
+        # u.u = 0, then v.v = 0, then u.v = 0, each tested only on the
+        # planes that passed the conditions before it
         uu, vv, uv = planes
-        if bool(((uu @ a % p == 0) & (vv @ a % p == 0) & (uv @ a % p == 0)).any()):
+        rows = np.flatnonzero(uu @ a % p == 0)
+        rows = rows[vv[rows] @ a % p == 0]
+        if bool((uv[rows] @ a % p == 0).any()):
             w = 2
     return w
 
@@ -1171,14 +1178,16 @@ def _run_mx1(ctx: RunContext):
     # The coset route is a literal double sum over W x V, evaluated as p
     # batched (p^n, p^n) matrix products (about 2 p^{3n+1} multiply-adds).
     # The trial count scales down deterministically at the largest combos,
-    # keyed on p^{4n+1}, the number of (pair, output point) terms.
+    # keyed on p^{4n+1}, the number of (pair, output point) terms; the
+    # context carries the lowered count so the report row states it.
     p, d = ctx.prime, ctx.dim
     S = paraboloid(ctx.field, d) if p % 4 == 1 else hyperbolic_paraboloid(ctx.field, d)
     W, V = _iso_pair(S)
     cost = p ** (4 * ((d - 1) // 2) + 1)
-    trials = ctx.trials if cost <= 2e7 else (3 if cost <= 5e8 else 1)
+    if cost > 2e7:
+        ctx.trials = min(ctx.trials, 3 if cost <= 5e8 else 1)
     worst = _Worst()
-    for t in range(trials):
+    for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         f = SurfaceFunction.random(S, rng)
         dev = float(np.abs(kk.coset_extension(f, W, V).data - extension(f).data).max())
@@ -1457,7 +1466,7 @@ def _registry() -> dict:
         Scenario(
             "EN-1", "exact_identity",
             "the vectorized additive-energy count equals the literal "
-            "quadruple loop as integers on random surface subsets",
+            "quadruple count as integers on random surface subsets",
             _run_en1, (3, 5, 7), (3,), 30),
         Scenario(
             "EN-2", "constant_tracked",
@@ -1664,13 +1673,21 @@ def run_scenario(scenario_id: str, prime: Optional[int] = None,
     if trials < 1:
         raise ValueError("trials must be at least 1")
 
-    ctx = RunContext(scenario_id, prime, dim, trials, seed)
-    start = time.perf_counter()
-
+    entry = slack = None
     if sc.kind == "constant_tracked":
         store = BaselineStore.load()
-        entry = store.entry(scenario_id)
+        entry, slack = store.entry(scenario_id), store.slack
         store.verify(scenario_id, sc.runner)
+    return _run_checked(sc, prime, dim, trials, seed, entry, slack)
+
+
+def _run_checked(sc: Scenario, prime: int, dim: int, trials: int, seed: int,
+                 entry: Optional[BaselineEntry],
+                 slack: Optional[float]) -> ScenarioReport:
+    """Run sc at one validated point and judge the result.  A tracked
+    scenario comes with its verified baseline entry and slack."""
+    ctx = RunContext(sc.id, prime, dim, trials, seed)
+    start = time.perf_counter()
     error = None
     try:
         metric, wit = sc.runner(ctx)
@@ -1696,17 +1713,17 @@ def run_scenario(scenario_id: str, prime: Optional[int] = None,
                 status, witness = "report_only", None
         else:
             if sc.direction == "upper":
-                ok = metric <= store.slack * entry.constant + 1e-12
+                ok = metric <= slack * entry.constant + 1e-12
             else:
                 ok = metric >= entry.constant - 1e-12
             status = "pass" if ok else "fail"
             witness = None if ok else (wit or witness_values(
                 measured=metric, baseline=entry.constant))
         return ScenarioReport(
-            scenario=scenario_id, kind=sc.kind, prime=prime, dim=dim,
-            trials=trials, seed=seed, status=status,
+            scenario=sc.id, kind=sc.kind, prime=prime, dim=dim,
+            trials=ctx.trials, seed=seed, status=status,
             metric_name="measured_constant", metric=float(metric),
-            baseline_constant=entry.constant, baseline_slack=store.slack,
+            baseline_constant=entry.constant, baseline_slack=slack,
             witness=witness, runtime_ms=runtime_ms)
 
     status = "pass" if math.isfinite(metric) and metric <= sc.tolerance else "fail"
@@ -1714,8 +1731,8 @@ def run_scenario(scenario_id: str, prime: Optional[int] = None,
     if status == "fail":
         witness = error or wit or witness_values(max_deviation=float(metric))
     return ScenarioReport(
-        scenario=scenario_id, kind=sc.kind, prime=prime, dim=dim,
-        trials=trials, seed=seed, status=status,
+        scenario=sc.id, kind=sc.kind, prime=prime, dim=dim,
+        trials=ctx.trials, seed=seed, status=status,
         metric_name="max_deviation", metric=float(metric),
         tolerance=sc.tolerance, witness=witness, runtime_ms=runtime_ms)
 
@@ -1729,6 +1746,8 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0):
     report with an actionable message rather than an abort.
     """
     ids = list(ids)
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be at least 1")
     store = BaselineStore.load()
     missing: dict = {}
     for sid in ids:
@@ -1758,10 +1777,12 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0):
                 metric_name="measured_constant", metric=0.0,
                 witness=witness_values(error=missing[sid])))
             continue
+        entry = store.entries.get(sid) if sc.kind == "constant_tracked" else None
         for p in ps:
             for d in ds:
-                reports.append(run_scenario(sid, prime=p, dim=d,
-                                            trials=trials, seed=seed))
+                reports.append(_run_checked(
+                    sc, p, d, sc.default_trials if trials is None else trials,
+                    seed, entry, store.slack))
     failed = any(r.status == "fail" for r in reports)
     return reports, failed
 
@@ -1769,8 +1790,6 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0):
 def regenerate_baselines(ids=None, path=None) -> BaselineStore:
     """Recompute tracked constants at their provenance parameters and
     rewrite the store (constants plus runner source hashes)."""
-    from .baselines import BaselineEntry
-
     store = BaselineStore.load(path)
     tracked = [sid for sid, sc in REGISTRY.items()
                if sc.kind == "constant_tracked"]

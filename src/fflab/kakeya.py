@@ -169,11 +169,13 @@ def line_totals(F: FFunction) -> np.ndarray:
     grid_size(p, 2 * n)  # p^{m-1} directions x p^{m-1} bases
     mags = np.abs(F.data).reshape(p**n, p, order="F")
     coords = coordinate_array(p, n)
+    # shift[i, j] is the index of e_i + e_j, so row (t eta) of shift holds
+    # the points of the lines of direction eta at height t
+    shift = encode_point(coords[None, :, :] + coords[:, None, :], p)
     totals = np.zeros((p**n, p**n), dtype=np.float64)
     # one t at a time, so each entry adds its p terms in order of t
     for t in range(p):
-        idx = encode_point(coords[None, :, :] + t * coords[:, None, :], p)
-        totals += mags[idx, t]
+        totals += mags[:, t][shift[encode_point(t * coords, p)]]
     return totals
 
 
@@ -681,13 +683,17 @@ def mixed_norm(F: FFunction, W: Subspace, V: Subspace,
                outer_q: float, inner_p: float) -> float:
     """Counting-measure mixed norm of a function on base x last coordinate:
     inner L^{inner_p} over W cosets, outer L^{outer_q} over (V, t)."""
-    p = F.field.p
-    n2 = F.dim - 1
-    if W.basis.shape[1] != n2:
+    if W.basis.shape[1] != F.dim - 1:
         raise ValueError("subspaces must live on the base of F's domain")
-    v_idx = _v_coset_index(W, V, p)
-    mags = np.abs(F.data).reshape(p**n2, p, order="F") ** inner_p
-    inner_sums = np.zeros((p**V.dim, p), dtype=np.float64)
+    return _mixed_norm(F, _v_coset_index(W, V, F.field.p), V.dim,
+                       outer_q, inner_p)
+
+
+def _mixed_norm(F: FFunction, v_idx: np.ndarray, v_dim: int,
+                outer_q: float, inner_p: float) -> float:
+    p = F.field.p
+    mags = np.abs(F.data).reshape(p ** (F.dim - 1), p, order="F") ** inner_p
+    inner_sums = np.zeros((p**v_dim, p), dtype=np.float64)
     np.add.at(inner_sums, v_idx, mags)
     inner_vals = inner_sums ** (1.0 / inner_p)
     return float((inner_vals**outer_q).sum() ** (1.0 / outer_q))
@@ -696,25 +702,33 @@ def mixed_norm(F: FFunction, W: Subspace, V: Subspace,
 def surface_mixed_norm(f: SurfaceFunction, W: Subspace, V: Subspace,
                        outer_q: float, inner_p: float) -> float:
     """Normalized mixed norm on the surface: both layers average."""
+    return _surface_mixed_norm(f, _v_coset_index(W, V, f.surface.field.p),
+                               W.dim, V.dim, outer_q, inner_p)
+
+
+def _surface_mixed_norm(f: SurfaceFunction, v_idx: np.ndarray, w_dim: int,
+                        v_dim: int, outer_q: float, inner_p: float) -> float:
     p = f.surface.field.p
-    v_idx = _v_coset_index(W, V, p)
     mags = np.abs(f.values) ** inner_p
-    inner_sums = np.zeros(p**V.dim, dtype=np.float64)
+    inner_sums = np.zeros(p**v_dim, dtype=np.float64)
     np.add.at(inner_sums, v_idx, mags)
-    inner_vals = (inner_sums / p**W.dim) ** (1.0 / inner_p)
+    inner_vals = (inner_sums / p**w_dim) ** (1.0 / inner_p)
     return float((np.mean(inner_vals**outer_q)) ** (1.0 / outer_q))
 
 
 def mixed_extension_ratio(f: SurfaceFunction, W: Subspace, V: Subspace) -> float:
     """The tracked constant of the mixed-norm extension inequality:
-    ||ext f||_{L^{(2d+2)/(d-1)}_{V,t} L^2_W} over the matching surface norm."""
+    ||ext f||_{L^{(2d+2)/(d-1)}_{V,t} L^2_W} over the matching surface norm.
+
+    Both norms read one (W, V) split of the base."""
     S = f.surface
     d = S.ambient_dim
     q = (2 * d + 2) / (d - 1)
-    denom = surface_mixed_norm(f, W, V, q, 2.0)
+    v_idx = _v_coset_index(W, V, S.field.p)
+    denom = _surface_mixed_norm(f, v_idx, W.dim, V.dim, q, 2.0)
     if denom == 0.0:
         raise ValueError("mixed ratio of the zero function")
-    return mixed_norm(extension(f), W, V, q, 2.0) / denom
+    return _mixed_norm(extension(f), v_idx, V.dim, q, 2.0) / denom
 
 
 # ---------------------------------------------------------------------------

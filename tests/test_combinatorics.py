@@ -48,6 +48,7 @@ from fflab.errors import (
     OutOfValidityRange,
     SizeOverflow,
 )
+from fflab.harness.scenarios import _brute_energy
 from fflab.qforms import (
     QuadraticSpace,
     Subspace,
@@ -195,6 +196,17 @@ def test_energy_matches_literal_loop_small_random():
             want = quadruple_loop(E)
             assert additive_energy(E) == want
             assert additive_energy(E, method="fourier") == want
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_en1_triple_loop_oracle_matches_quadruple_loop(p):
+    # EN-1's oracle fixes d = a + b - c; it must count what the literal
+    # four-fold loop counts
+    rng = np.random.default_rng(40 + p)
+    F = PrimeField(p)
+    for k in (1, 2, 3, 5, 8, 12):
+        E = PointSet(F, 3, np.sort(rng.choice(p**3, size=k, replace=False)))
+        assert _brute_energy(E.matrix(), p) == quadruple_loop(E)
 
 
 def test_energy_two_sets_matches_literal_loop():

@@ -115,6 +115,8 @@ def test_disallowed_parameters_raise():
         run_scenario("FT-1", prime=3, dim=7)
     with pytest.raises(ValueError):
         run_scenario("FT-1", trials=0)
+    with pytest.raises(ValueError):
+        sweep(["FT-1"], [3], [3], trials=0)
 
 
 def test_pass_reports_drop_witness():
@@ -335,6 +337,41 @@ def test_wrong_tracked_constant_fails(direction, bad_prime, tmp_path, monkeypatc
     assert bad["status"] == "fail"
     assert bad["witness"]["values"] == {"measured": bad["metric"], "baseline": 1.0}
     assert good["status"] == "pass" and good["witness"] is None
+
+
+def _unit_runner(ctx):
+    return 1.0, None
+
+
+def test_sweep_verifies_each_tracked_runner_once(tmp_path, monkeypatch):
+    import fflab.harness.baselines as bl
+    monkeypatch.setitem(REGISTRY, "ONE-1", Scenario(
+        "ONE-1", "constant_tracked", "stub runner that returns its constant",
+        _unit_runner, (3, 5, 7), (3,), 1,
+        direction="upper", provenance=(3, 3, 1, 0)))
+    path = tmp_path / "baselines.json"
+    entry = bl.BaselineEntry(constant=1.0, prime=3, dim=3, trials=1, seed=0,
+                             oracle_hash=oracle_hash(_unit_runner))
+    BaselineStore({"ONE-1": entry}, path=path).save()
+    monkeypatch.setattr(bl, "_DEFAULT_PATH", path)
+    hashed = []
+    monkeypatch.setattr(bl, "oracle_hash",
+                        lambda fn: hashed.append(fn) or oracle_hash(fn))
+    reports, failed = sweep(["ONE-1"], [3, 5, 7], [3], seed=0)
+    assert not failed
+    assert [r.status for r in reports] == ["report_only", "pass", "pass"]
+    assert len(hashed) == 1
+    # a single run still loads and verifies the store itself
+    assert run_scenario("ONE-1", prime=5, dim=3).status == "pass"
+    assert len(hashed) == 2
+
+
+def test_mx1_row_states_the_trials_it_ran():
+    # the p^{4n+1} schedule runs a single trial at (13, 5)
+    r = run_scenario("MX-1", prime=13, dim=5)
+    assert r.status == "pass"
+    assert r.trials == 1
+    assert run_scenario("MX-1", prime=13, dim=3, trials=4).trials == 4
 
 
 def test_regenerate_matches_shipped_store(tmp_path):

@@ -159,6 +159,25 @@ def test_line_totals_match_line_sums(field, m, seed):
             assert totals[di, bi] == pytest.approx(kk.line_sum(F, b, eta, absolute=True))
 
 
+def _per_t_line_totals(F: FFunction) -> np.ndarray:
+    """Oracle for line_totals: one encode of b + t eta per height t, added
+    in order of t."""
+    p, n = F.field.p, F.dim - 1
+    mags = np.abs(F.data).reshape(p**n, p, order="F")
+    coords = coordinate_array(p, n)
+    totals = np.zeros((p**n, p**n), dtype=np.float64)
+    for t in range(p):
+        totals += mags[encode_point(coords[None, :, :] + t * coords[:, None, :], p), t]
+    return totals
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 3), (13, 3), (3, 5)])
+def test_line_totals_bit_identical_to_per_t_gather(p, m):
+    field = PrimeField(p)
+    F = FFunction.random(field, m, np.random.default_rng(100 * p + m))
+    assert np.array_equal(kk.line_totals(F), _per_t_line_totals(F))
+
+
 def test_maximizing_base_map_breaks_ties_on_smallest_base():
     # every line of a constant function carries the same mass
     bases = kk.maximizing_base_map(FFunction.constant(F5, 3, 1.0))
@@ -743,6 +762,25 @@ def test_mixed_extension_ratio_bounded_for_random_functions(p):
     for _ in range(20):
         f = SurfaceFunction.random(S, rng)
         assert kk.mixed_extension_ratio(f, W, V) <= 2.0
+
+
+def test_mixed_extension_ratio_splits_once(monkeypatch):
+    S = hyperbolic_paraboloid(F5, 5)
+    W = enumerate_max_isotropic(S.Q)[0]
+    V = complementary_isotropic(S.Q, W)
+    f = SurfaceFunction.random(S, np.random.default_rng(31))
+    q = (2 * 5 + 2) / (5 - 1)  # the endpoint exponent at d = 5
+    want = kk.mixed_norm(extension(f), W, V, q, 2.0) / kk.surface_mixed_norm(f, W, V, q, 2.0)
+    splits = []
+    split = kk._v_coset_index
+
+    def counted(*args):
+        splits.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(kk, "_v_coset_index", counted)
+    assert kk.mixed_extension_ratio(f, W, V) == want
+    assert len(splits) == 1
 
 
 def test_mixed_ratio_guards():

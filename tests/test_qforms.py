@@ -19,6 +19,7 @@ from fflab.errors import (
     NotMaximalIsotropic,
     SizeOverflow,
 )
+from fflab.harness.scenarios import _brute_witt, _witt_monomials
 from fflab.qforms import (
     QuadraticSpace,
     Subspace,
@@ -491,6 +492,35 @@ def test_classify_subsurface_d5_exhaustive(witt_target, entries):
     assert seen  # at least one valid class appears
     if witt_target == 2:
         assert degenerate == 8  # the maximal isotropic planes of the split form
+
+
+def _witt_by_full_conjunction(A, p, lines, planes) -> int:
+    """QF-1's Witt oracle with all three plane conditions evaluated on
+    every plane."""
+    a = np.asarray(A, dtype=np.int64).ravel()
+    if not (lines @ a % p == 0).any():
+        return 0
+    uu, vv, uv = planes
+    return 2 if ((uu @ a % p == 0) & (vv @ a % p == 0) & (uv @ a % p == 0)).any() else 1
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_staged_witt_oracle_matches_full_conjunction(p):
+    F = PrimeField(p)
+    lines, planes = _witt_monomials(p, 4)
+    forms = [np.diag(np.array(diag, dtype=np.int64))
+             for diag in itertools.product(range(1, p), repeat=4)]
+    rng = np.random.default_rng(p)
+    while len(forms) < (p - 1) ** 4 + 100:
+        A = random_symmetric(F, 4, rng)
+        if det_mod(A, p) != 0:
+            forms.append(A)
+    seen = set()
+    for A in forms:
+        w = _brute_witt(A, p, lines, planes)
+        assert w == _witt_by_full_conjunction(A, p, lines, planes)
+        seen.add(w)
+    assert seen == {1, 2}
 
 
 def test_classify_subsurface_d4():
