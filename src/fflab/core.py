@@ -95,13 +95,19 @@ class PrimeField:
 
 
 class CharacterTable:
-    """The additive character e(k) = exp(2*pi*i*k/p), tabulated once."""
+    """The additive character e(k) = exp(2*pi*i*k/p), tabulated once,
+    with the two p x p transform kernels e(-ab) and e(+ab) built from it.
+    The kernels are shared read-only by every transform at this p."""
 
     def __init__(self, p: int):
         self.p = p
         self.values = np.exp(2j * np.pi * np.arange(p) / p)
         # values[0] is exactly 1.0 by construction; keep it that way.
         self.values[0] = 1.0
+        ab = np.outer(np.arange(p), np.arange(p)) % p
+        self.kernels = {sign: self.values[(sign * ab) % p] for sign in (-1, 1)}
+        for E in self.kernels.values():
+            E.flags.writeable = False
 
     def __call__(self, k: int) -> complex:
         return complex(self.values[k % self.p])
@@ -120,6 +126,11 @@ def char_eval(field: PrimeField, x: int) -> complex:
 def char_vector(field: PrimeField) -> np.ndarray:
     """All p character values as an array; char_vector(F)[k] = e(k)."""
     return _char_table(field.p).values
+
+
+def char_kernel(field: PrimeField, sign: int) -> np.ndarray:
+    """The read-only p x p kernel E[a, b] = e(sign * a * b), sign -1 or +1."""
+    return _char_table(field.p).kernels[sign]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +388,8 @@ def lp_norm(f: FFunction, p_exp: float, measure: str = "counting") -> float:
 
 def inner(f: FFunction, g: FFunction, measure: str = "counting") -> complex:
     """<f, g> = sum f * conj(g), optionally with the normalized measure."""
-    val = complex(np.vdot(g.data, f.data))  # vdot conjugates its first arg
+    # a numpy reduction, not BLAS: its bits do not depend on the thread count
+    val = complex(np.sum(f.data * np.conj(g.data)))
     if measure == "normalized":
         val /= f.field.p**f.dim
     return val

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FFunction, char_vector, coordinate_array, encode_point
+from .core import FFunction, char_kernel, char_vector, coordinate_array, encode_point
 
 # ---------------------------------------------------------------------------
 # transforms
@@ -28,16 +28,20 @@ def _axis_dft(f: FFunction, sign: int) -> np.ndarray:
     """Apply the length-p character matrix along every axis of f.grid.
 
     sign -1 gives the forward kernel e(-ab), +1 the inverse kernel e(ab).
-    Cost is d passes of p-point transforms: d * p^{d+1} multiplies.
+    The flat data is in F order, so coordinate 0 varies fastest.  Each of
+    the d rounds views it as (p^{d-1}, p) rows, multiplies by the kernel,
+    which transforms coordinate 0, and writes the transpose back flat,
+    which makes that coordinate the slowest.  After d rounds every axis is
+    transformed once and the layout is back in F order.  Cost is d flat
+    (p^{d-1}, p) x (p, p) products, d * p^{d+1} multiplies, on the
+    per-p kernel of the character table.
     """
     p = f.field.p
-    vals = char_vector(f.field)
-    ab = np.outer(np.arange(p), np.arange(p)) % p
-    E = vals[(sign * ab) % p]
-    g = f.grid.astype(np.complex128)
-    for axis in range(f.dim):
-        g = np.moveaxis(np.tensordot(E, g, axes=([1], [axis])), 0, axis)
-    return g
+    E = char_kernel(f.field, sign)
+    g = f.data
+    for _ in range(f.dim):
+        g = (g.reshape(-1, p) @ E).T.ravel()
+    return g.reshape((p,) * f.dim, order="F")
 
 
 def fourier_transform(f: FFunction) -> FFunction:
@@ -106,6 +110,12 @@ def exact_r22(S) -> float:
 # operator-norm estimation
 
 
+def _dot(g: np.ndarray, h: np.ndarray) -> float:
+    """Re sum(conj(g) h) as a numpy reduction: unlike BLAS vdot, its bits do
+    not depend on the BLAS thread count."""
+    return float(np.sum(np.conj(g) * h).real)
+
+
 def power_iteration_norm(
     gram_apply: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -121,12 +131,12 @@ def power_iteration_norm(
     Rayleigh quotients agree to relative tol.
     """
     g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    g /= math.sqrt(weight * float(np.vdot(g, g).real))
+    g /= math.sqrt(weight * _dot(g, g))
     lam_prev = 0.0
     for _ in range(max_iter):
         h = gram_apply(g)
-        lam = weight * float(np.vdot(g, h).real)
-        hn = math.sqrt(weight * float(np.vdot(h, h).real))
+        lam = weight * _dot(g, h)
+        hn = math.sqrt(weight * _dot(h, h))
         if hn == 0.0:
             return 0.0
         g = h / hn

@@ -39,6 +39,7 @@ from ..core import (
     FFunction,
     PrimeField,
     coordinate_array,
+    encode_point,
     inner,
     lp_norm,
 )
@@ -1198,10 +1199,17 @@ def _run_mx1(ctx: RunContext):
 def _run_mx2(ctx: RunContext):
     # Mixed-norm extension constant at the endpoint pair
     # ((2d+2)/(d-1) outer, 2 inner): ratio of output to input mixed norms
-    # over indicator inputs, exhaustive at the baseline prime.
+    # over indicator inputs, exhaustive at the baseline prime.  The base
+    # splits once into W + V; every input reads that one split.
     p, d = ctx.prime, ctx.dim
     S = hyperbolic_paraboloid(ctx.field, d)
     W, V = _iso_pair(S)
+    v_idx = kk._v_coset_index(W, V, p)
+
+    def ratio(vals):
+        return kk._mixed_extension_ratio(SurfaceFunction(S, vals), v_idx,
+                                         W.dim, V.dim)
+
     base_total = p ** (d - 1)
     best = 0.0
     wit = None
@@ -1209,23 +1217,21 @@ def _run_mx2(ctx: RunContext):
         for mask in range(1, 2**base_total):
             vals = np.array([(mask >> i) & 1 for i in range(base_total)],
                             dtype=complex)
-            r = kk.mixed_extension_ratio(SurfaceFunction(S, vals), W, V)
+            r = ratio(vals)
             if r > best:
                 best = r
                 wit = witness_values(mask=mask, ratio=r)
         return best, wit
-    structured = []
-    for w in W.point_array():
-        pts = [tuple(int(c) for c in (v + w) % p) for v in V.point_array()]
-        structured.append(pts)
-    for v in V.point_array():
-        pts = [tuple(int(c) for c in (w + v) % p) for w in W.point_array()]
-        structured.append(pts)
-    structured.append([tuple(int(c) for c in row)
-                       for row in coordinate_array(p, d - 1)])
-    for i, pts in enumerate(structured):
-        f = SurfaceFunction.from_surface_points(S, [S.lift(x) for x in pts])
-        r = kk.mixed_extension_ratio(f, W, V)
+    # structured inputs: the cosets W+v and V+w, then the whole base,
+    # each as the base indices of its points
+    Wp, Vp = W.point_array(), V.point_array()
+    structured = [encode_point(Vp + w, p) for w in Wp]
+    structured += [encode_point(Wp + v, p) for v in Vp]
+    structured.append(np.arange(base_total))
+    for i, idx in enumerate(structured):
+        vals = np.zeros(base_total, dtype=complex)
+        vals[idx] = 1.0
+        r = ratio(vals)
         if r > best:
             best = r
             wit = witness_values(structured=i, ratio=r)
@@ -1234,7 +1240,7 @@ def _run_mx2(ctx: RunContext):
         vals = (rng.random(base_total) < rng.uniform(0.2, 0.8)).astype(complex)
         if not vals.any():
             vals[0] = 1.0
-        r = kk.mixed_extension_ratio(SurfaceFunction(S, vals), W, V)
+        r = ratio(vals)
         if r > best:
             best = r
             wit = witness_values(trial=t, ratio=r)

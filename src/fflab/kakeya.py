@@ -721,14 +721,20 @@ def mixed_extension_ratio(f: SurfaceFunction, W: Subspace, V: Subspace) -> float
     ||ext f||_{L^{(2d+2)/(d-1)}_{V,t} L^2_W} over the matching surface norm.
 
     Both norms read one (W, V) split of the base."""
-    S = f.surface
-    d = S.ambient_dim
+    return _mixed_extension_ratio(f, _v_coset_index(W, V, f.surface.field.p),
+                                  W.dim, V.dim)
+
+
+def _mixed_extension_ratio(f: SurfaceFunction, v_idx: np.ndarray, w_dim: int,
+                           v_dim: int) -> float:
+    """mixed_extension_ratio on a split already made by _v_coset_index, so
+    a caller holding one (W, V) pair splits the base once for many f."""
+    d = f.surface.ambient_dim
     q = (2 * d + 2) / (d - 1)
-    v_idx = _v_coset_index(W, V, S.field.p)
-    denom = _surface_mixed_norm(f, v_idx, W.dim, V.dim, q, 2.0)
+    denom = _surface_mixed_norm(f, v_idx, w_dim, v_dim, q, 2.0)
     if denom == 0.0:
         raise ValueError("mixed ratio of the zero function")
-    return _mixed_norm(extension(f), v_idx, V.dim, q, 2.0) / denom
+    return _mixed_norm(extension(f), v_idx, v_dim, q, 2.0) / denom
 
 
 # ---------------------------------------------------------------------------

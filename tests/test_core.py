@@ -193,6 +193,18 @@ def test_flat_index_encoding_lives_only_in_core():
     assert offenders == []
 
 
+def test_no_blas_inner_products_in_the_library():
+    """np.vdot goes through BLAS, whose reduction order, and so its bits,
+    depends on the thread count; report bytes must not."""
+    src = Path(importlib.import_module("fflab").__file__).parent
+    offenders = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if "np.vdot" in path.read_text()
+    ]
+    assert offenders == []
+
+
 def test_isotropic_subspace_order_lives_only_in_qforms():
     """enumerate_max_isotropic returns its subspaces in canonical order; a
     caller re-sorting them by basis bytes would be a second owner."""

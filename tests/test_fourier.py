@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fflab.core import FFunction, PrimeField, lp_norm
+from fflab.core import FFunction, PrimeField, char_kernel, char_vector, lp_norm
 from fflab.fourier import (
     convolve,
     fourier_transform,
@@ -31,7 +31,12 @@ def test_transform_of_constant_is_scaled_delta():
     assert np.allclose(fh.data, expect, atol=1e-9)
 
 
-@pytest.mark.parametrize("p,d", [(3, 2), (5, 3)])
+# d rounds of flat products: a wrong axis order shows only at d >= 2 and
+# a wrong layout cycle only at d >= 3
+@pytest.mark.parametrize(
+    "p,d",
+    [(3, d) for d in range(1, 6)] + [(5, d) for d in range(1, 5)] + [(7, 3), (13, 2)],
+)
 def test_fast_transform_matches_naive(p, d):
     F = PrimeField(p)
     rng = np.random.default_rng(42)
@@ -40,6 +45,24 @@ def test_fast_transform_matches_naive(p, d):
         a = fourier_transform(f)
         b = naive_fourier_transform(f)
         assert np.abs(a.data - b.data).max() < 1e-9 * max(1, np.abs(b.data).max())
+        # the inverse sums against e(+x.xi): the conjugated naive sum of
+        # conj(f), divided by p^d
+        a = inverse_transform(f)
+        b = naive_fourier_transform(f.conj()).conj().data / p**d
+        assert np.abs(a.data - b).max() < 1e-9 * max(1, np.abs(b).max())
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_transform_kernels_are_shared_and_read_only(p):
+    F = PrimeField(p)
+    for sign in (-1, 1):
+        E = char_kernel(F, sign)
+        assert E is char_kernel(PrimeField(p), sign)
+        assert not E.flags.writeable
+        with pytest.raises(ValueError):
+            E[0, 0] = 0.0
+        ab = np.outer(np.arange(p), np.arange(p))
+        assert np.array_equal(E, char_vector(F)[(sign * ab) % p])
 
 
 def test_plancherel_exhaustive_basis_p3_d2():

@@ -1,10 +1,16 @@
 """Registry integrity, determinism, baselines, reports, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fflab
+from fflab import kakeya as kk
 from fflab.cli import main as cli_main
 from fflab.errors import UnknownScenario
 from fflab.harness import (
@@ -372,6 +378,41 @@ def test_mx1_row_states_the_trials_it_ran():
     assert r.status == "pass"
     assert r.trials == 1
     assert run_scenario("MX-1", prime=13, dim=3, trials=4).trials == 4
+
+
+@pytest.mark.parametrize("prime,dim", [(3, 3), (5, 3)])
+def test_mx2_splits_the_base_once_per_run(monkeypatch, prime, dim):
+    # (3, 3) is the exhaustive 511-mask path, (5, 3) the structured one
+    calls = []
+    split = kk._v_coset_index
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(kk, "_v_coset_index", counted)
+    r = run_scenario("MX-2", prime=prime, dim=dim, trials=2)
+    assert r.status == "pass"
+    assert len(calls) == 1
+
+
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # ST-1 at (7, 5) takes inner products over 7^5 = 16,807 terms, where
+    # a BLAS reduction splits its work, and so its rounding, by thread
+    src = str(Path(fflab.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    reports = []
+    for n in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                   PYTHONPATH=path)
+        out = tmp_path / f"threads{n}"
+        subprocess.run(
+            [sys.executable, "-m", "fflab.cli", "sweep", "--ids", "ST-1",
+             "--primes", "7", "--dims", "5", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_regenerate_matches_shipped_store(tmp_path):

@@ -299,6 +299,39 @@ def test_pseudo_conformal_random_real_slices():
         assert pseudo_conformal_check(h0, S) < 1e-9
 
 
+def _pseudo_conformal_loop(h0, S):
+    """Oracle: the per-point loop over t != 0 with Python's abs(complex)."""
+    p = S.field.p
+    conv = bochner_riesz(h0, S, "with_delta")
+    ext = extension(SurfaceFunction(S, h0.data[: p * p].copy()))
+    worst = 0.0
+    X = coordinate_array(p, 3)
+    for x1, x2, t in X[X[:, 2] != 0]:
+        tp = S.field.inverse(t)
+        w1 = (-x2 * tp) % p
+        w2 = (-x1 * tp) % p
+        lhs = abs(conv[(x1, x2, t)])
+        rhs = p * abs(ext[(w1, w2, tp)])
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_pseudo_conformal_gather_equals_per_point_loop(p):
+    F = PrimeField(p)
+    S = hyperbolic_paraboloid(F, 3)
+    rng = np.random.default_rng(p)
+    for kind in ("gaussian", "indicator", "delta"):
+        h0 = FFunction.zeros(F, 3)
+        if kind == "gaussian":
+            h0.data[: p * p] = rng.standard_normal(p * p)
+        elif kind == "indicator":
+            h0.data[: p * p] = rng.random(p * p) < 0.4
+        else:
+            h0.data[int(rng.integers(p * p))] = 1.0
+        assert pseudo_conformal_check(h0, S) == _pseudo_conformal_loop(h0, S)
+
+
 def test_pseudo_conformal_zero_and_validation():
     F = PrimeField(5)
     S = hyperbolic_paraboloid(F, 3)
