@@ -73,6 +73,7 @@ __all__ = [
     "incidence_count",
     "incidence_bound_audit",
     "all_affine_hyperplanes",
+    "vh_plane_masks",
     "vh_plane_cover",
     "minimum_vh_cover_size",
     "energy_exponent_closed",
@@ -498,14 +499,18 @@ def energy_to_incidence(A: PointSet, B: PointSet, S: Surface) -> EnergyIncidence
 # {x1 = a t + b} (type 2: x2 free).  Constant-t planes are excluded.
 
 
-def _vh_plane_mask(X: np.ndarray, plane: tuple, p: int) -> np.ndarray:
-    ptype, a, b = plane
-    coord = X[:, 1] if ptype == 1 else X[:, 0]
-    return (coord - a * X[:, 2] - b) % p == 0
+def vh_plane_masks(X: np.ndarray, p: int) -> np.ndarray:
+    """Membership of the rows of the (n, 3) array X in every VH plane.
 
-
-def _all_vh_planes(p: int) -> list:
-    return [(ptype, a, b) for ptype in (1, 2) for a in range(p) for b in range(p)]
+    Returns a (2p^2, n) bool array whose row (type - 1) p^2 + a p + b is
+    the plane (type, a, b), so rows run in the canonical (type, slope,
+    offset) order.
+    """
+    coord = np.stack([X[:, 1], X[:, 0]])                # (2, n) by type
+    slopes = np.arange(p)[:, None] * X[:, 2]            # (p, n)
+    offset = (coord[:, None, :] - slopes[None]) % p     # (2, p, n)
+    hits = offset[:, :, None, :] == np.arange(p)[:, None]
+    return hits.reshape(2 * p * p, len(X))
 
 
 class VHPlaneCover(NamedTuple):
@@ -528,27 +533,21 @@ def vh_plane_cover(E: PointSet, budget: int) -> VHPlaneCover:
     if budget < 1:
         raise ValueError("budget must be at least 1")
     p = E.field.p
-    planes = _all_vh_planes(p)
-    X = E.matrix()
-    masks = {plane: _vh_plane_mask(X, plane, p) for plane in planes}
+    masks = vh_plane_masks(E.matrix(), p)
     alive = np.ones(len(E), dtype=bool)
     chosen = []
     for _ in range(budget):
-        if not alive.any():
+        gains = (masks & alive).sum(axis=1)
+        k = int(gains.argmax())  # the first maximum: canonical tie order
+        if gains[k] == 0:
             break
-        best_plane, best_gain = None, 0
-        for plane in planes:
-            gain = int((masks[plane] & alive).sum())
-            if gain > best_gain:
-                best_plane, best_gain = plane, gain
-        if best_plane is None:
-            break
-        chosen.append(best_plane)
-        alive &= ~masks[best_plane]
+        ptype, a, b = np.unravel_index(k, (2, p, p))
+        chosen.append((int(ptype) + 1, int(a), int(b)))
+        alive &= ~masks[k]
 
     covered = PointSet(E.field, 3, E.index[~alive])
     residual = PointSet(E.field, 3, E.index[alive])
-    residual_max = max(int((masks[plane] & alive).sum()) for plane in planes)
+    residual_max = int((masks & alive).sum(axis=1).max())
     cap = math.ceil(len(E) / budget)
     if residual_max > cap:
         raise FFLabError(
@@ -569,12 +568,9 @@ def minimum_vh_cover_size(E: PointSet) -> int:
         raise ValueError("minimum_vh_cover_size expects points in F_p^3")
     if len(E) == 0:
         return 0
-    p = E.field.p
-    X = E.matrix()
     relevant = []
     seen = set()
-    for plane in _all_vh_planes(p):
-        mask = _vh_plane_mask(X, plane, p)
+    for mask in vh_plane_masks(E.matrix(), E.field.p):
         key = mask.tobytes()
         if mask.any() and key not in seen:
             seen.add(key)

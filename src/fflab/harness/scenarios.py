@@ -104,6 +104,7 @@ from ..combinatorics import (
     recursion_curve,
     sample_energy_exponents,
     vh_plane_cover,
+    vh_plane_masks,
 )
 from .. import kakeya as kk
 from .baselines import BaselineEntry, BaselineStore, BaselineMissing, oracle_hash
@@ -154,7 +155,9 @@ def _logp(p: int, n: float) -> float:
 
 
 class _Worst:
-    """Track the largest deviation and a lazily built witness for it."""
+    """Track the largest metric (a deviation or a measured constant) and a
+    lazily built witness for it.  It starts at 0.0 and only a strictly
+    larger value replaces it, so the first of equal maxima is kept."""
 
     def __init__(self):
         self.metric = 0.0
@@ -167,6 +170,14 @@ class _Worst:
 
     def result(self):
         return self.metric, self.witness
+
+
+def _indicator_masks(n: int):
+    """Every nonempty subset of range(n) as (mask, row) for mask = 1 ...
+    2^n - 1 in order, where row is the length-n bool array of its bits."""
+    bits = 1 << np.arange(n)
+    for mask in range(1, 2**n):
+        yield mask, (mask & bits) != 0
 
 
 def _direct_sigma(S: Surface) -> FFunction:
@@ -478,8 +489,7 @@ def _run_br2(ctx: RunContext):
     field = ctx.field
     S = hyperbolic_paraboloid(field, 3)
     x1 = np.arange(p)
-    worst = 0.0
-    wit = None
+    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         if t == 0:
@@ -506,10 +516,9 @@ def _run_br2(ctx: RunContext):
         u_exp = _logp(p, max(1, _line_loads(I_pts, p)))
         TF = bochner_riesz(F, S, "kernel_only")
         ratio = lp_norm(TF, 2.0) / (p ** ((1 + u_exp) / 2) * l2)
-        if ratio > worst:
-            worst = ratio
-            wit = witness_values(trial=t, pieces=len(I_pts), u=u_exp, ratio=ratio)
-    return worst, wit
+        worst.update(ratio, lambda t=t, n=len(I_pts), u=u_exp, r=ratio:
+                     witness_values(trial=t, pieces=n, u=u, ratio=r))
+    return worst.result()
 
 
 def _run_br3(ctx: RunContext):
@@ -522,8 +531,7 @@ def _run_br3(ctx: RunContext):
     p = ctx.prime
     field = ctx.field
     S = hyperbolic_paraboloid(field, 3)
-    worst = 0.0
-    wit = None
+    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         n_lines = int(rng.integers(1, p + 1))
@@ -541,23 +549,16 @@ def _run_br3(ctx: RunContext):
         flat = coords[:, 0] + coords[:, 1] * p + coords[:, 2] * p * p
         data[flat] = np.exp(2j * np.pi * rng.random(len(pts)))
         F = FFunction(field, 3, data)
-        loads = []
-        for a in range(p):
-            for b in range(p):
-                loads.append(int(((coords[:, 1] - a * coords[:, 2] - b) % p == 0).sum()))
-                loads.append(int(((coords[:, 0] - a * coords[:, 2] - b) % p == 0).sum()))
-        alpha = _logp(p, max(loads))
+        alpha = _logp(p, int(vh_plane_masks(coords, p).sum(axis=1).max()))
         beta = _logp(p, min(sizes))
         rest = restriction(F, S)
         pair = abs(inner(F, bochner_riesz(F, S, "kernel_only")))
         if _rel(rest.norm(2.0) ** 2, pair) > 1e-9:
             raise FFLabError("restricted norm does not match the kernel pairing")
         ratio = rest.norm(2.0) / (p ** ((1 + alpha - beta) / 4) * lp_norm(F, 2.0))
-        if ratio > worst:
-            worst = ratio
-            wit = witness_values(trial=t, lines=n_lines, alpha=alpha, beta=beta,
-                                 ratio=ratio)
-    return worst, wit
+        worst.update(ratio, lambda t=t, n=n_lines, a=alpha, b=beta, r=ratio:
+                     witness_values(trial=t, lines=n, alpha=a, beta=b, ratio=r))
+    return worst.result()
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +600,6 @@ def _run_en1(ctx: RunContext):
     return worst.result()
 
 
-def _all_subsets_of_surface(S: Surface):
-    pts = sorted(S.points)
-    for mask in range(1, 2 ** len(pts)):
-        yield [pts[i] for i in range(len(pts)) if (mask >> i) & 1]
-
-
 def _run_en2(ctx: RunContext):
     # Slice-controlled energy: Lambda(E) against
     # |E|^{5/2} + sum_j |E_j|^3 + sum_k |E^k|^3 on the bilinear-graph
@@ -612,27 +607,25 @@ def _run_en2(ctx: RunContext):
     # random and structured families elsewhere.
     p = ctx.prime
     S = hyperbolic_paraboloid(ctx.field, 3)
-    best = 0.0
-    wit = None
+    worst = _Worst()
     if p == 3:
-        for pts in _all_subsets_of_surface(S):
-            E = PointSet.of(ctx.field, 3, pts)
+        pts = S.point_array()
+        for _, row in _indicator_masks(len(pts)):
+            E = PointSet.of(ctx.field, 3, pts[row])
             sb = energy_slice_bound(E)
             ratio = sb.energy / sb.bound
-            if ratio > best:
-                best = ratio
-                wit = witness_values(size=len(E), ratio=ratio)
-        return best, wit
+            worst.update(ratio, lambda n=len(E), r=ratio:
+                         witness_values(size=n, ratio=r))
+        return worst.result()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         k = int(rng.integers(2, S.size + 1))
         E = random_surface_subset(S, k, rng)
         sb = energy_slice_bound(E)
         ratio = sb.energy / sb.bound
-        if ratio > best:
-            best = ratio
-            wit = witness_values(trial=t, size=len(E), ratio=ratio)
-    return best, wit
+        worst.update(ratio, lambda t=t, n=len(E), r=ratio:
+                     witness_values(trial=t, size=n, ratio=r))
+    return worst.result()
 
 
 def _run_en3(ctx: RunContext):
@@ -640,25 +633,23 @@ def _run_en3(ctx: RunContext):
     # base coordinates, against |E|^{5/2}.
     p = ctx.prime
     S = hyperbolic_paraboloid(ctx.field, 3)
-    best = 0.0
-    wit = None
+    worst = _Worst()
     if p == 3:
-        for pts in _all_subsets_of_surface(S):
-            E = PointSet.of(ctx.field, 3, pts)
+        pts = S.point_array()
+        for _, row in _indicator_masks(len(pts)):
+            E = PointSet.of(ctx.field, 3, pts[row])
             ratio = off_diagonal_energy(E) / len(E) ** 2.5
-            if ratio > best:
-                best = ratio
-                wit = witness_values(size=len(E), ratio=ratio)
-        return best, wit
+            worst.update(ratio, lambda n=len(E), r=ratio:
+                         witness_values(size=n, ratio=r))
+        return worst.result()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         k = int(rng.integers(2, S.size + 1))
         E = random_surface_subset(S, k, rng)
         ratio = off_diagonal_energy(E) / len(E) ** 2.5
-        if ratio > best:
-            best = ratio
-            wit = witness_values(trial=t, size=len(E), ratio=ratio)
-    return best, wit
+        worst.update(ratio, lambda t=t, n=len(E), r=ratio:
+                     witness_values(trial=t, size=n, ratio=r))
+    return worst.result()
 
 
 def _run_en4(ctx: RunContext):
@@ -762,33 +753,31 @@ def _run_mt2(ctx: RunContext):
     n = (d - 1) // 2
     S = paraboloid(ctx.field, d)
     base_n = p ** (d - 1)
-    worst = 0.0
-    wit = None
+    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         zc = int(rng.integers(1, p + 1))
         zs = sorted(int(z) for z in rng.choice(p, size=zc, replace=False))
-        base = coordinate_array(p, d - 1)
-        pts = []
+        h = FFunction.zeros(ctx.field, d)
         alpha = 0.0
         for z in zs:
             size = int(rng.integers(2, max(3, base_n // 2 + 1)))
             sel = _random_support(rng, base_n, min(size, base_n))
-            rows = [tuple(int(c) for c in base[i]) for i in sel]
-            pts.extend(row + (z,) for row in rows)
-            fz = SurfaceFunction.from_surface_points(S, [S.lift(r) for r in rows])
-            alpha = max(alpha, _logp(p, lp_norm(extension(fz), 4.0)))
-        h = FFunction.indicator(ctx.field, d, pts)
-        gamma = _logp(p, len(pts))
+            # the slice point (base point i, last coordinate z) has flat
+            # index i + z p^(d-1); the slice lifted to S is base indices sel
+            h.data[sel + z * base_n] = 1.0
+            fz = np.zeros(base_n, dtype=complex)
+            fz[sel] = 1.0
+            ext = extension(SurfaceFunction(S, fz))
+            alpha = max(alpha, _logp(p, lp_norm(ext, 4.0)))
+        gamma = _logp(p, np.count_nonzero(h.data))
         s_exp = _logp(p, zc)
         lhs = restriction(h, S).norm(2.0)
         rhs = p ** (3 * gamma / 8 + n / 2 + alpha / 2 + s_exp / 2) + p ** (gamma / 2)
         ratio = lhs / rhs
-        if ratio > worst:
-            worst = ratio
-            wit = witness_values(trial=t, slices=zc, gamma=gamma, alpha=alpha,
-                                 ratio=ratio)
-    return worst, wit
+        worst.update(ratio, lambda t=t, z=zc, g=gamma, a=alpha, r=ratio:
+                     witness_values(trial=t, slices=z, gamma=g, alpha=a, ratio=r))
+    return worst.result()
 
 
 # ---------------------------------------------------------------------------
@@ -822,30 +811,26 @@ def _run_pl2(ctx: RunContext):
     # when gamma > 2.  The greedy cover supplies the entropy witness.
     p = ctx.prime
     S = hyperbolic_paraboloid(ctx.field, 3)
-    X = coordinate_array(p, 3)
-    worst = 0.0
-    wit = None
+    planes = vh_plane_masks(coordinate_array(p, 3), p).reshape(2, p, p, p**3)
+    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         n_planes = int(rng.integers(1, 5))
-        pts = set()
+        support = np.zeros(p**3, dtype=bool)
         for _ in range(n_planes):
             ptype = int(rng.integers(1, 3))
             a = int(rng.integers(0, p))
             b = int(rng.integers(0, p))
-            coord = X[:, 1] if ptype == 1 else X[:, 0]
-            mask = (coord - a * X[:, 2] - b) % p == 0
-            rows = X[mask]
+            rows = np.flatnonzero(planes[ptype - 1, a, b])
             keep = rng.random(len(rows)) < 0.7
             if not keep.any():
                 keep[int(rng.integers(0, len(rows)))] = True
-            pts.update(tuple(int(c) for c in r) for r in rows[keep])
-        pts = sorted(pts)
-        E = PointSet.of(ctx.field, 3, pts)
+            support[rows[keep]] = True
+        E = PointSet(ctx.field, 3, np.flatnonzero(support))
         cover = vh_plane_cover(E, budget=len(E))
         e_exp = _logp(p, max(1, len(cover.planes)))
         gamma = _logp(p, len(E))
-        F = FFunction.indicator(ctx.field, 3, pts)
+        F = FFunction(ctx.field, 3, support.astype(complex))
         q = 1.5 if t % 2 else 2.0
         lhs = restriction(F, S).norm(q)
         if gamma <= 2:
@@ -854,11 +839,9 @@ def _run_pl2(ctx: RunContext):
             main = p ** (2 + (gamma - 2) / q - 1 / q)
         rhs = main + p ** (gamma / 2 + e_exp / 2)
         ratio = lhs / rhs
-        if ratio > worst:
-            worst = ratio
-            wit = witness_values(trial=t, gamma=gamma, entropy=e_exp, q=q,
-                                 ratio=ratio)
-    return worst, wit
+        worst.update(ratio, lambda t=t, g=gamma, e=e_exp, q=q, r=ratio:
+                     witness_values(trial=t, gamma=g, entropy=e, q=q, ratio=r))
+    return worst.result()
 
 
 def _run_pl3(ctx: RunContext):
@@ -1063,17 +1046,12 @@ def _run_kk1(ctx: RunContext):
     p, m = ctx.prime, ctx.dim
     field = ctx.field
     total = p**m
-    best = 0.0
-    wit = None
+    worst = _Worst()
     if (p, m) == (3, 2):
-        for mask in range(1, 2**total):
-            vals = np.array([(mask >> i) & 1 for i in range(total)], dtype=complex)
-            F = FFunction(field, m, vals)
-            r = kk.maximal_ratio(F)
-            if r > best:
-                best = r
-                wit = witness_values(mask=mask, ratio=r)
-        return best, wit
+        for mask, row in _indicator_masks(total):
+            r = kk.maximal_ratio(FFunction(field, m, row.astype(complex)))
+            worst.update(r, lambda mask=mask, r=r: witness_values(mask=mask, ratio=r))
+        return worst.result()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         if t == 0:
@@ -1088,10 +1066,8 @@ def _run_kk1(ctx: RunContext):
                 vals[0] = 1.0
             F = FFunction(field, m, vals)
         r = kk.maximal_ratio(F)
-        if r > best:
-            best = r
-            wit = witness_values(trial=t, ratio=r)
-    return best, wit
+        worst.update(r, lambda t=t, r=r: witness_values(trial=t, ratio=r))
+    return worst.result()
 
 
 def _run_kk2(ctx: RunContext):
@@ -1211,17 +1187,12 @@ def _run_mx2(ctx: RunContext):
                                          W.dim, V.dim)
 
     base_total = p ** (d - 1)
-    best = 0.0
-    wit = None
+    worst = _Worst()
     if (p, d) == (3, 3):
-        for mask in range(1, 2**base_total):
-            vals = np.array([(mask >> i) & 1 for i in range(base_total)],
-                            dtype=complex)
-            r = ratio(vals)
-            if r > best:
-                best = r
-                wit = witness_values(mask=mask, ratio=r)
-        return best, wit
+        for mask, row in _indicator_masks(base_total):
+            r = ratio(row.astype(complex))
+            worst.update(r, lambda mask=mask, r=r: witness_values(mask=mask, ratio=r))
+        return worst.result()
     # structured inputs: the cosets W+v and V+w, then the whole base,
     # each as the base indices of its points
     Wp, Vp = W.point_array(), V.point_array()
@@ -1232,19 +1203,15 @@ def _run_mx2(ctx: RunContext):
         vals = np.zeros(base_total, dtype=complex)
         vals[idx] = 1.0
         r = ratio(vals)
-        if r > best:
-            best = r
-            wit = witness_values(structured=i, ratio=r)
+        worst.update(r, lambda i=i, r=r: witness_values(structured=i, ratio=r))
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         vals = (rng.random(base_total) < rng.uniform(0.2, 0.8)).astype(complex)
         if not vals.any():
             vals[0] = 1.0
         r = ratio(vals)
-        if r > best:
-            best = r
-            wit = witness_values(trial=t, ratio=r)
-    return best, wit
+        worst.update(r, lambda t=t, r=r: witness_values(trial=t, ratio=r))
+    return worst.result()
 
 
 def _run_mx3(ctx: RunContext):
@@ -1253,17 +1220,15 @@ def _run_mx3(ctx: RunContext):
     # gamma/2 + (e+1)/(d+1) + (d-3)/(2d+2); the measured ratio against
     # that exponent is tracked.
     S = hyperbolic_paraboloid(ctx.field, ctx.dim)
-    best = 0.0
-    wit = None
+    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         F, dec = kk.random_slice_isotropic_function(S, 2, rng)
         audit = kk.kakeya_regular_set_bound(F, S, dec)
-        if audit.ratio > best:
-            best = audit.ratio
-            wit = witness_values(trial=t, gamma=audit.gamma, pieces=audit.e_exp,
-                                 ratio=audit.ratio)
-    return best, wit
+        worst.update(audit.ratio, lambda t=t, a=audit:
+                     witness_values(trial=t, gamma=a.gamma, pieces=a.e_exp,
+                                    ratio=a.ratio))
+    return worst.result()
 
 
 # ---------------------------------------------------------------------------
@@ -1319,15 +1284,13 @@ def _run_ex3(ctx: RunContext):
     seed_int = trial_seed(ctx.seed, ctx.scenario_id, 0)
     samples = sample_energy_exponents(S, trials=ctx.trials, seed=seed_int,
                                       slack=0.2)
-    best = 0.0
-    wit = None
+    worst = _Worst()
     for s in samples:
         over = s.size ** (s.exponent - (s.bound - 0.2))
-        if over > best:
-            best = over
-            wit = witness_values(label=s.label, size=s.size, alpha=s.alpha,
-                                 exponent=s.exponent)
-    return best, wit
+        worst.update(over, lambda s=s:
+                     witness_values(label=s.label, size=s.size, alpha=s.alpha,
+                                    exponent=s.exponent))
+    return worst.result()
 
 
 def _run_main1(ctx: RunContext):
@@ -1654,6 +1617,13 @@ REGISTRY = _registry()
 # execution
 
 
+def _scenario(sid: str) -> Scenario:
+    if sid not in REGISTRY:
+        raise UnknownScenario(f"unknown scenario id {sid!r}; registered ids: "
+                              + ", ".join(sorted(REGISTRY)))
+    return REGISTRY[sid]
+
+
 def run_scenario(scenario_id: str, prime: Optional[int] = None,
                  dim: Optional[int] = None, trials: Optional[int] = None,
                  seed: int = 0) -> ScenarioReport:
@@ -1664,11 +1634,7 @@ def run_scenario(scenario_id: str, prime: Optional[int] = None,
     parameters and baseline problems raise before the runner starts; a
     runner that raises gives a failing report naming the exception.
     """
-    if scenario_id not in REGISTRY:
-        known = ", ".join(sorted(REGISTRY))
-        raise UnknownScenario(f"unknown scenario id {scenario_id!r}; "
-                              f"registered ids: {known}")
-    sc = REGISTRY[scenario_id]
+    sc = _scenario(scenario_id)
     prime = sc.primes[0] if prime is None else prime
     dim = sc.dims[0] if dim is None else dim
     trials = sc.default_trials if trials is None else trials
@@ -1757,11 +1723,7 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0):
     store = BaselineStore.load()
     missing: dict = {}
     for sid in ids:
-        if sid not in REGISTRY:
-            known = ", ".join(sorted(REGISTRY))
-            raise UnknownScenario(f"unknown scenario id {sid!r}; "
-                                  f"registered ids: {known}")
-        sc = REGISTRY[sid]
+        sc = _scenario(sid)
         if sc.kind == "constant_tracked":
             try:
                 store.entry(sid)
@@ -1801,9 +1763,7 @@ def regenerate_baselines(ids=None, path=None) -> BaselineStore:
                if sc.kind == "constant_tracked"]
     todo = list(ids) if ids else tracked
     for sid in todo:
-        if sid not in REGISTRY:
-            raise UnknownScenario(f"unknown scenario id {sid!r}")
-        sc = REGISTRY[sid]
+        sc = _scenario(sid)
         if sc.kind != "constant_tracked":
             raise ValueError(f"{sid} is {sc.kind}, not constant_tracked")
         p, d, tr, sd = sc.provenance

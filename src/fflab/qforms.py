@@ -148,10 +148,6 @@ class QuadraticSpace:
         self.rank = rank_mod(A, field.p)
         self._witt: Optional[int] = None
 
-    @property
-    def degenerate_dim(self) -> int:
-        return self.m - self.rank
-
     def bilinear(self, x, y) -> int:
         """x o y = x^T A y mod p."""
         x = np.asarray(x, dtype=np.int64)

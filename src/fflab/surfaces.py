@@ -156,11 +156,6 @@ class SurfaceFunction:
     def as_base_function(self) -> FFunction:
         return FFunction(self.surface.field, self.surface.base_dim, self.values.copy())
 
-    def support_points(self) -> list[tuple[int, ...]]:
-        """The surface points where the function is nonzero."""
-        rows = self.surface.point_array()[np.abs(self.values) > 0]
-        return [tuple(int(v) for v in r) for r in rows]
-
     def norm(self, q: float) -> float:
         """L^q(S, dsigma) with the normalized surface measure."""
         return lp_norm(self.as_base_function(), q, "normalized")

@@ -39,6 +39,7 @@ from fflab.combinatorics import (
     sample_energy_exponents,
     surface_point_set,
     vh_plane_cover,
+    vh_plane_masks,
     vh_profile,
 )
 from fflab.core import FFVector, PrimeField, decode_point, encode_point
@@ -575,6 +576,68 @@ def test_vh_plane_cover_residual_load_bound():
                 v.coords for v in cov.residual
             )
             assert cov.residual_plane_max <= math.ceil(len(E) / budget)
+
+
+def _literal_vh_planes(p):
+    """Oracle: the VH planes in canonical (type, slope, offset) order."""
+    return [(ptype, a, b) for ptype in (1, 2) for a in range(p) for b in range(p)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_vh_plane_masks_match_per_plane_membership_loop(p):
+    rng = np.random.default_rng(p)
+    X = np.concatenate([decode_point(np.arange(p**3), p, 3),
+                        rng.integers(0, p, size=(20, 3))])
+    got = vh_plane_masks(X, p)
+    assert got.shape == (2 * p * p, len(X)) and got.dtype == bool
+    for row, (ptype, a, b) in enumerate(_literal_vh_planes(p)):
+        for i, (x1, x2, t) in enumerate(X.tolist()):
+            coord = x2 if ptype == 1 else x1
+            assert got[row, i] == ((coord - a * t - b) % p == 0)
+
+
+def _dict_loop_greedy_cover(E, budget):
+    """Oracle: the greedy VH cover as a loop over a dict of plane masks,
+    taking the first plane with the strictly largest gain."""
+    p = E.field.p
+    X = E.matrix()
+    planes = _literal_vh_planes(p)
+    masks = {}
+    for ptype, a, b in planes:
+        coord = X[:, 1] if ptype == 1 else X[:, 0]
+        masks[(ptype, a, b)] = (coord - a * X[:, 2] - b) % p == 0
+    alive = np.ones(len(E), dtype=bool)
+    chosen = []
+    for _ in range(budget):
+        if not alive.any():
+            break
+        best_plane, best_gain = None, 0
+        for plane in planes:
+            gain = int((masks[plane] & alive).sum())
+            if gain > best_gain:
+                best_plane, best_gain = plane, gain
+        if best_plane is None:
+            break
+        chosen.append(best_plane)
+        alive &= ~masks[best_plane]
+    residual_max = max(int((masks[plane] & alive).sum()) for plane in planes)
+    return tuple(chosen), E.index[~alive].tolist(), residual_max
+
+
+def test_vh_plane_cover_matches_dict_loop_greedy():
+    rng = np.random.default_rng(2024)
+    for p in (3, 5, 7):
+        F = PrimeField(p)
+        for _ in range(12):
+            k = int(rng.integers(1, min(p**3, 6 * p)))
+            E = PointSet(F, 3, np.sort(rng.choice(p**3, size=k, replace=False)))
+            for budget in (1, 2, int(rng.integers(3, 2 * p * p + 1)), len(E)):
+                cov = vh_plane_cover(E, budget)
+                planes, covered, residual_max = _dict_loop_greedy_cover(E, budget)
+                assert cov.planes == planes
+                assert all(type(c) is int for pl in cov.planes for c in pl)
+                assert cov.covered.index.tolist() == covered
+                assert cov.residual_plane_max == residual_max
 
 
 def test_vh_cover_greedy_within_log_factor_of_optimum():

@@ -426,9 +426,32 @@ def test_regenerate_matches_shipped_store(tmp_path):
         assert e.provenance() == s.provenance(), sid
 
 
+def test_regenerate_unknown_id_names_the_registered_ids(tmp_path):
+    out = tmp_path / "x.json"
+    with pytest.raises(UnknownScenario, match="registered ids: BR-1, BR-2"):
+        regenerate_baselines(["NOPE"], path=out)
+    assert not out.exists()
+
+
 def test_regenerate_rejects_untracked_ids(tmp_path):
     with pytest.raises(ValueError):
         regenerate_baselines(["FT-1"], path=tmp_path / "x.json")
+
+
+def test_benchmark_tracer_finds_every_entry_point():
+    """perfbench/tracer.py wraps named library functions and refuses to
+    start when one is missing, so renaming or deleting a traced function
+    breaks the benchmark; this catches it in the test suite."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install()
+    finally:
+        t.uninstall()
 
 
 # ---------------------------------------------------------------------------
