@@ -233,9 +233,18 @@ def coordinate_array(p: int, d: int) -> np.ndarray:
     """(p^d, d) int array; row i is decode_point(i, p, d).
 
     The workhorse for vectorized surface/energy code: column k is
-    coordinate k of every grid point at once.
+    coordinate k of every grid point at once.  Built once per (p, d) and
+    shared read-only; copy it before writing.
     """
-    return decode_point(np.arange(grid_size(p, d), dtype=np.int64), p, d)
+    grid_size(p, d)
+    return _coordinate_table(p, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _coordinate_table(p: int, d: int) -> np.ndarray:
+    X = decode_point(np.arange(p**d, dtype=np.int64), p, d)
+    X.flags.writeable = False
+    return X
 
 
 # ---------------------------------------------------------------------------

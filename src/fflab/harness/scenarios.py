@@ -157,14 +157,15 @@ def _logp(p: int, n: float) -> float:
 class _Worst:
     """Track the largest metric (a deviation or a measured constant) and a
     lazily built witness for it.  It starts at 0.0 and only a strictly
-    larger value replaces it, so the first of equal maxima is kept."""
+    larger value replaces it, so the first of equal maxima is kept.  A NaN
+    beats every number and is never replaced, so the run fails on it."""
 
     def __init__(self):
         self.metric = 0.0
         self.witness: Optional[dict] = None
 
     def update(self, dev: float, witness) -> None:
-        if dev > self.metric:
+        if dev > self.metric or (math.isnan(dev) and not math.isnan(self.metric)):
             self.metric = dev
             self.witness = witness() if callable(witness) else witness
 
@@ -971,7 +972,7 @@ def _run_qf2(ctx: RunContext):
         gram = (W.basis @ Q.A @ pair.T) % p
         dev = float(np.abs(gram - np.eye(n, dtype=np.int64)).max())
         for row in pair:
-            if not V.contains(tuple(int(c) for c in row)):
+            if not V.contains(row):
                 dev = max(dev, 1.0)
         worst.update(dev, lambda t=t: witness_values(trial=t))
     return worst.result()

@@ -20,6 +20,7 @@ through any complementary pair of totally isotropic subspaces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,15 +169,26 @@ def line_totals(F: FFunction) -> np.ndarray:
     n = m - 1
     grid_size(p, 2 * n)  # p^{m-1} directions x p^{m-1} bases
     mags = np.abs(F.data).reshape(p**n, p, order="F")
-    coords = coordinate_array(p, n)
-    # shift[i, j] is the index of e_i + e_j, so row (t eta) of shift holds
-    # the points of the lines of direction eta at height t
-    shift = encode_point(coords[None, :, :] + coords[:, None, :], p)
+    shift, heights = _line_index(p, n)
     totals = np.zeros((p**n, p**n), dtype=np.float64)
     # one t at a time, so each entry adds its p terms in order of t
     for t in range(p):
-        totals += mags[:, t][shift[encode_point(t * coords, p)]]
+        totals += mags[:, t][shift[heights[t]]]
     return totals
+
+
+@functools.lru_cache(maxsize=None)
+def _line_index(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only line index of line_totals on F_p^n x F_p, built once
+    per (p, n): shift[i, j] is the index of e_i + e_j, and heights[t] the
+    row indices of t eta for every direction eta, so shift[heights[t]]
+    holds the points of every line (eta, .) at height t."""
+    coords = coordinate_array(p, n)
+    shift = encode_point(coords[None, :, :] + coords[:, None, :], p)
+    heights = encode_point(np.arange(p)[:, None, None] * coords, p)
+    for table in (shift, heights):
+        table.flags.writeable = False
+    return shift, heights
 
 
 def kakeya_maximal(F: FFunction) -> np.ndarray:

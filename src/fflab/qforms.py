@@ -34,31 +34,34 @@ from .errors import (
 
 def rref_mod(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p.  Returns (R, pivot_columns) with
-    zero rows dropped."""
-    R = np.array(M, dtype=np.int64) % p
-    if R.ndim != 2:
+    zero rows dropped; R is an int64 (rank, ncols) array.
+
+    The matrices here are at most a few rows wide, so the elimination runs
+    on lists of Python ints, where one entry costs far less to read than
+    an element of a numpy array."""
+    A = np.asarray(M, dtype=np.int64)
+    if A.ndim != 2:
         raise ValueError("need a 2-d matrix")
-    nrows, ncols = R.shape
+    nrows, ncols = A.shape
+    R = (A % p).tolist()
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if R[i, c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if R[i][c]), None)
         if piv is None:
             continue
-        R[[r, piv]] = R[[piv, r]]
-        R[r] = (R[r] * pow(int(R[r, c]), p - 2, p)) % p
+        R[r], R[piv] = R[piv], R[r]
+        inv = pow(R[r][c], p - 2, p)
+        lead = R[r] = [v * inv % p for v in R[r]]
         for i in range(nrows):
-            if i != r and R[i, c]:
-                R[i] = (R[i] - R[i, c] * R[r]) % p
+            f = R[i][c]
+            if i != r and f:
+                R[i] = [(a - f * b) % p for a, b in zip(R[i], lead)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return R[:r], pivots
+    return np.array(R[:r], dtype=np.int64).reshape(r, ncols), pivots
 
 
 def rank_mod(M: np.ndarray, p: int) -> int:
@@ -66,21 +69,24 @@ def rank_mod(M: np.ndarray, p: int) -> int:
 
 
 def det_mod(M: np.ndarray, p: int) -> int:
-    A = np.array(M, dtype=np.int64) % p
-    n = A.shape[0]
+    """Determinant over F_p by elimination on Python ints, as in rref_mod."""
+    A = (np.asarray(M, dtype=np.int64) % p).tolist()
+    n = len(A)
     det = 1
     for c in range(n):
-        piv = next((i for i in range(c, n) if A[i, c]), None)
+        piv = next((i for i in range(c, n) if A[i][c]), None)
         if piv is None:
             return 0
         if piv != c:
-            A[[c, piv]] = A[[piv, c]]
+            A[c], A[piv] = A[piv], A[c]
             det = -det
-        det = (det * int(A[c, c])) % p
-        inv = pow(int(A[c, c]), p - 2, p)
+        lead = A[c]
+        det = (det * lead[c]) % p
+        inv = pow(lead[c], p - 2, p)
         for i in range(c + 1, n):
-            if A[i, c]:
-                A[i] = (A[i] - A[i, c] * inv * A[c]) % p
+            f = A[i][c] * inv
+            if f:
+                A[i] = [(a - f * b) % p for a, b in zip(A[i], lead)]
     return det % p
 
 
@@ -433,7 +439,7 @@ def enumerate_max_isotropic(Q: QuadraticSpace) -> tuple[Subspace, ...]:
     p = Q.field.p
     grid_size(p, Q.m)
     B = echelon_bases(p, Q.m, w)
-    gram = np.einsum("nim,mk,njk->nij", B, Q.A, B) % p
+    gram = (B @ Q.A) @ B.transpose(0, 2, 1) % p  # exact: integer matmul
     B = B[~gram.reshape(len(B), -1).any(axis=1)]
     flat = B.reshape(len(B), -1)
     return tuple(Subspace(Q.field, b) for b in B[np.lexsort(flat.T[::-1])])

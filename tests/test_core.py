@@ -127,6 +127,18 @@ def test_enumerate_points_guard():
         grid_size(13, 9)
 
 
+def test_coordinate_array_is_one_read_only_table_per_size():
+    X = coordinate_array(5, 3)
+    assert coordinate_array(5, 3) is X
+    assert X.tolist() == [list(decode_point(i, 5, 3)) for i in range(125)]
+    with pytest.raises(ValueError):
+        X[0, 0] = 1
+    # the budget is checked on every call, not only when the table is built
+    for _ in range(2):
+        with pytest.raises(SizeOverflow):
+            coordinate_array(13, 9)
+
+
 def test_ffvector_dot_bilinear():
     F = PrimeField(7)
     x = FFVector((1, 2, 3), F)

@@ -12,6 +12,7 @@ import pytest
 import fflab
 from fflab import kakeya as kk
 from fflab.cli import main as cli_main
+from fflab.core import coordinate_array
 from fflab.errors import UnknownScenario
 from fflab.harness import (
     REGISTRY,
@@ -372,6 +373,21 @@ def test_sweep_verifies_each_tracked_runner_once(tmp_path, monkeypatch):
     assert len(hashed) == 2
 
 
+@pytest.mark.parametrize("devs,first_nan", [
+    ([float("nan")] * 3, 0),      # every check NaN: must not pass as 0.0
+    ([0.0, float("nan"), 1.0], 1),  # a later finite value must not replace it
+])
+def test_nan_deviation_fails_the_run_with_its_witness(monkeypatch, devs, first_nan):
+    import fflab.harness.scenarios as scenarios
+    values = iter(devs)
+    monkeypatch.setattr(scenarios, "pseudo_conformal_check",
+                        lambda h0, S: next(values))
+    r = run_scenario("MT-1", prime=3, dim=3, trials=len(devs))
+    assert r.status == "fail"
+    assert np.isnan(r.metric)
+    assert r.witness == witness_values(trial=first_nan)
+
+
 def test_mx1_row_states_the_trials_it_ran():
     # the p^{4n+1} schedule runs a single trial at (13, 5)
     r = run_scenario("MX-1", prime=13, dim=5)
@@ -394,6 +410,24 @@ def test_mx2_splits_the_base_once_per_run(monkeypatch, prime, dim):
     r = run_scenario("MX-2", prime=prime, dim=dim, trials=2)
     assert r.status == "pass"
     assert len(calls) == 1
+
+
+# The (p, d) of every coordinate_array call and the (p, n) of every
+# line_totals call that `fflab sweep --ids all` makes on the default grid
+# (primes 3, 5, 7, 11, 13 and dims 2, 3, 4, 5), recorded by wrapping both.
+SWEEP_COORDINATE_TABLES = {3: range(6), 5: range(6), 7: range(6),
+                           11: range(1, 3), 13: range(5)}
+SWEEP_LINE_INDICES = [(p, n) for p in (3, 5, 7, 11, 13) for n in (1, 2)]
+
+
+def test_cached_grid_tables_of_the_sweep_fit_in_8_mib():
+    # the tables stay in memory for the whole sweep, so they count
+    # against its peak RSS; a wider cache must not grow them unnoticed
+    total = sum(coordinate_array(p, d).nbytes
+                for p, dims in SWEEP_COORDINATE_TABLES.items() for d in dims)
+    total += sum(table.nbytes for p, n in SWEEP_LINE_INDICES
+                 for table in kk._line_index(p, n))
+    assert total < 8 * 2**20
 
 
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):

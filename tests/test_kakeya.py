@@ -171,11 +171,25 @@ def _per_t_line_totals(F: FFunction) -> np.ndarray:
     return totals
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (5, 3), (13, 3), (3, 5)])
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 3), (13, 3), (3, 5), (5, 5)])
 def test_line_totals_bit_identical_to_per_t_gather(p, m):
     field = PrimeField(p)
     F = FFunction.random(field, m, np.random.default_rng(100 * p + m))
     assert np.array_equal(kk.line_totals(F), _per_t_line_totals(F))
+
+
+def test_line_index_is_built_once_and_read_only():
+    F = FFunction.random(F5, 3, np.random.default_rng(7))
+    first = kk.line_totals(F)
+    shift, heights = kk._line_index(5, 2)
+    assert kk._line_index(5, 2)[0] is shift and kk._line_index(5, 2)[1] is heights
+    for table in (shift, heights):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    # the totals themselves are a fresh array on every call
+    again = kk.line_totals(F)
+    assert again is not first and again.flags.writeable
+    assert np.array_equal(again, first)
 
 
 def test_maximizing_base_map_breaks_ties_on_smallest_base():

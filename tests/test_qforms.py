@@ -103,6 +103,68 @@ def test_inv_and_det():
         inv_mod(singular, 5)
 
 
+def _leibniz_det(M, p: int) -> int:
+    """Oracle for det_mod: the permutation expansion, signs by inversions."""
+    m = len(M)
+    total = 0
+    for perm in itertools.permutations(range(m)):
+        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        total += (-1) ** inversions * math.prod(int(M[i][perm[i]]) for i in range(m))
+    return total % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_det_mod_matches_leibniz_expansion(p):
+    rng = np.random.default_rng(p)
+    for m in range(5):
+        mats = [rng.integers(-2 * p, 2 * p, size=(m, m)) for _ in range(12)]
+        if m >= 2:
+            # a zero top-left entry forces a row swap; repeated rows are singular
+            M = rng.integers(0, p, size=(m, m))
+            M[0, 0] = 0
+            mats.append(M)
+            N = rng.integers(0, p, size=(m, m))
+            N[1] = N[0]
+            mats.append(N)
+        for M in mats:
+            assert det_mod(M, p) == _leibniz_det(M.tolist(), p)
+
+
+def _row_space(M, p: int) -> set:
+    """Oracle: every combination of the rows of M, all p^k of them."""
+    k = M.shape[0]
+    combos = list(itertools.product(range(p), repeat=k))
+    coeffs = np.array(combos, dtype=np.int64).reshape(len(combos), k)
+    return {tuple(v) for v in (coeffs @ M % p).tolist()}
+
+
+def _assert_reduced_echelon(R, pivots, p: int) -> None:
+    assert R.dtype == np.int64 and R.shape[0] == len(pivots)
+    assert ((0 <= R) & (R < p)).all()
+    assert pivots == sorted(set(pivots))
+    for r, c in enumerate(pivots):
+        nonzero = np.flatnonzero(R[r])
+        assert nonzero.size and nonzero[0] == c and R[r, c] == 1
+        assert np.flatnonzero(R[:, c]).tolist() == [r]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+@pytest.mark.parametrize("shape", [(0, 3), (2, 3), (4, 2), (2, 4), (3, 3)])
+def test_rref_mod_matches_brute_force_row_space(p, shape):
+    rng = np.random.default_rng(10 * p + shape[0])
+    mats = [np.zeros(shape, dtype=np.int64)]
+    mats += [rng.integers(-p, 2 * p, size=shape) for _ in range(4)]
+    if shape[0] >= 2:
+        low_rank = rng.integers(0, p, size=shape)
+        low_rank[-1] = 3 * low_rank[0] % p  # a dependent row
+        mats.append(low_rank)
+    for M in mats:
+        R, pivots = rref_mod(M, p)
+        _assert_reduced_echelon(R, pivots, p)
+        assert R.shape[1] == shape[1]
+        assert _row_space(R, p) == _row_space(M % p, p)
+
+
 def test_subspace_count_gaussian_binomial():
     # number of 2-dim subspaces of F_3^4 is the Gaussian binomial 130
     F = PrimeField(3)
@@ -342,6 +404,25 @@ def test_enumerate_max_isotropic_is_canonically_ordered(p, m):
             if is_totally_isotropic(Q, V)
         } if Q.witt_index else set()
         assert set(found) == oracle and len(found) == len(oracle)
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 4), (7, 4), (3, 5)])
+def test_isotropic_filter_matches_per_basis_loop(p, m):
+    # the batched Gram filter against one is_totally_isotropic call per
+    # echelon basis, sorted by the entries of the basis
+    F = PrimeField(p)
+    rng = np.random.default_rng(1000 + 10 * p + m)
+    split_and_not = [1, NONSQUARE[p]]
+    forms = [diagonal_form(F, [1] * (m - 1) + [last]) for last in split_and_not]
+    while len(forms) < 3:
+        A = random_symmetric(F, m, rng)
+        if det_mod(A, p):
+            forms.append(QuadraticSpace(F, A))
+    for Q in forms:
+        loop = [V for V in enumerate_subspaces(F, m, Q.witt_index)
+                if is_totally_isotropic(Q, V)]
+        loop.sort(key=lambda V: V.basis.ravel().tolist())
+        assert list(enumerate_max_isotropic(Q)) == loop
 
 
 def test_complementary_isotropic_plane():
