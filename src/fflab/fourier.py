@@ -18,41 +18,62 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FFunction, char_kernel, char_vector, coordinate_array, encode_point
+from .core import (
+    FFunction,
+    PrimeField,
+    char_kernel,
+    char_vector,
+    coordinate_array,
+    encode_point,
+)
 
 # ---------------------------------------------------------------------------
 # transforms
 
 
-def _axis_dft(f: FFunction, sign: int) -> np.ndarray:
-    """Apply the length-p character matrix along every axis of f.grid.
+def _axis_dft(buf: np.ndarray, field: PrimeField, dim: int, sign: int) -> None:
+    """Apply the length-p character matrix along every axis, in place.
 
-    sign -1 gives the forward kernel e(-ab), +1 the inverse kernel e(ab).
-    The flat data is in F order, so coordinate 0 varies fastest.  Each of
-    the d rounds views it as (p^{d-1}, p) rows, multiplies by the kernel,
-    which transforms coordinate 0, and writes the transpose back flat,
-    which makes that coordinate the slowest.  After d rounds every axis is
-    transformed once and the layout is back in F order.  Cost is d flat
-    (p^{d-1}, p) x (p, p) products, d * p^{d+1} multiplies, on the
-    per-p kernel of the character table.
+    buf is the flat complex128 F-order data of a function on F_p^dim, so
+    coordinate 0 varies fastest; it is overwritten with the unnormalised
+    transform.  sign -1 gives the forward kernel e(-ab), +1 the inverse
+    kernel e(ab).  Each of the dim rounds multiplies the (p^{dim-1}, p) row
+    view by the kernel into one scratch array of the same shape, which
+    transforms coordinate 0, and copies its transpose back into buf, which
+    makes that coordinate the slowest.  After dim rounds every axis is
+    transformed once and the layout is back in F order.  Cost is dim flat
+    (p^{dim-1}, p) x (p, p) products, dim * p^{dim+1} multiplies, on the
+    per-p kernel of the character table; memory is buf plus the scratch
+    array (plus the input, for a caller that copies it into buf).
     """
-    p = f.field.p
-    E = char_kernel(f.field, sign)
-    g = f.data
-    for _ in range(f.dim):
-        g = (g.reshape(-1, p) @ E).T.ravel()
-    return g.reshape((p,) * f.dim, order="F")
+    p = field.p
+    E = char_kernel(field, sign)
+    rows, cols = buf.reshape(-1, p), buf.reshape(p, -1)
+    work = np.empty_like(rows)
+    for _ in range(dim):
+        np.matmul(rows, E, out=work)
+        cols[...] = work.T
 
 
 def fourier_transform(f: FFunction) -> FFunction:
     """fhat(xi) = sum_x f(x) e(-x.xi)."""
-    return FFunction.from_grid(f.field, _axis_dft(f, -1))
+    out = f.data.copy()
+    _axis_dft(out, f.field, f.dim, -1)
+    return FFunction(f.field, f.dim, out)
+
+
+def _inverse_in_place(buf: np.ndarray, field: PrimeField, dim: int) -> None:
+    """Overwrite buf, flat F-order data on F_p^dim, with its inverse
+    transform, p^{-dim} included."""
+    _axis_dft(buf, field, dim, +1)
+    buf *= float(field.p) ** (-dim)
 
 
 def inverse_transform(g: FFunction) -> FFunction:
     """f(x) = p^{-d} sum_xi g(xi) e(x.xi); inverts fourier_transform."""
-    scale = float(g.field.p) ** (-g.dim)
-    return FFunction.from_grid(g.field, _axis_dft(g, +1) * scale)
+    out = g.data.copy()
+    _inverse_in_place(out, g.field, g.dim)
+    return FFunction(g.field, g.dim, out)
 
 
 def naive_fourier_transform(f: FFunction) -> FFunction:

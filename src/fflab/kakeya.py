@@ -48,6 +48,7 @@ from .qforms import (
     nullspace_mod,
     rank_mod,
 )
+from .fourier import _axis_dft
 from .surfaces import Surface, SurfaceFunction, extension, restriction
 from .combinatorics import PointSet
 
@@ -661,11 +662,16 @@ def coset_extension(f: SurfaceFunction, W: Subspace, V: Subspace) -> FFunction:
     The surface frequency splits as xi = xi1 + xi2 with xi1 in W and
     xi2 in V; total isotropy kills the pure-square phases and leaves
     e(xi1 . a X1 + xi2 . b X2 + 2 t B(xi1, xi2)) with B the form's pairing
-    and x = a X1 + b X2.  For each t the double sum over (xi1, xi2) is the
-    matrix product P1^T M_t P2 of the character tables P1[i, a], P2[j, b]
-    with M_t = f(xi1 + xi2) e(2 t B); no transform is used, so agreement
-    with the direct extension is a genuine two-route identity, not a
-    refactoring.
+    and x = a X1 + b X2.  Writing xi1 = c1 W and xi2 = c2 V in their basis
+    coefficients, the phase xi1 . a X1 is c1 . (G1 a) with G1 = W X1^T, and
+    likewise c2 . (G2 b) with G2 = V X2^T.  So for each t the double sum
+    over (xi1, xi2) is the unnormalised inverse transform, on F_p^{2n} with
+    c2 as the fast coordinates, of M_t = f(xi1 + xi2) e(2 t B), read at
+    (G2 b, G1 a).  No d-dimensional transform is used: the route differs
+    from the direct extension in the split, the cross-term phase and the
+    G1/G2 change of coordinates, so agreement is a two-route identity, not
+    a refactoring.  Each M_t is transformed in place, so the call holds
+    the output grid and one M_t with its scratch.
     """
     S = f.surface
     p = S.field.p
@@ -675,13 +681,17 @@ def coset_extension(f: SurfaceFunction, W: Subspace, V: Subspace) -> FFunction:
 
     fvals = f.values[encode_point(xi1[:, None, :] + xi2[None, :, :], p)]
     B = xi1 @ S.Q.A @ xi2.T % p
-    coeffs = coordinate_array(p, X1.shape[0])
-    P1 = chars[xi1 @ X1.T @ coeffs.T % p]   # (|W|, p^n)
-    P2 = chars[xi2 @ X2.T @ coeffs.T % p]   # (|V|, p^n)
-    t = np.arange(p)[:, None, None]
-    M = fvals * chars[2 * t * B % p]        # (p, |W|, |V|)
-    R = P1.T @ M @ P2                       # (p, p^n, p^n)
-    out = R[:, a_idx, b_idx] / p ** S.base_dim
+    n = X1.shape[0]
+    coeffs = coordinate_array(p, n)
+    y1 = encode_point(coeffs @ (W.basis @ X1.T % p).T % p, p)
+    y2 = encode_point(coeffs @ (V.basis @ X2.T % p).T % p, p)
+    gather = y2[b_idx] + p**n * y1[a_idx]
+    out = np.empty((p, len(gather)), dtype=np.complex128)
+    for t in range(p):
+        M = fvals * chars[2 * t * B % p]    # (|W|, |V|): c2 varies fastest
+        _axis_dft(M.reshape(-1), S.field, 2 * n, +1)
+        out[t] = M.reshape(-1)[gather]
+    out /= p ** S.base_dim
     return FFunction(S.field, S.ambient_dim, out.ravel())
 
 
@@ -703,11 +713,12 @@ def mixed_norm(F: FFunction, W: Subspace, V: Subspace,
 
 def _mixed_norm(F: FFunction, v_idx: np.ndarray, v_dim: int,
                 outer_q: float, inner_p: float) -> float:
+    # bincount adds each cell's terms in input order from 0.0, row by row
     p = F.field.p
     mags = np.abs(F.data).reshape(p ** (F.dim - 1), p, order="F") ** inner_p
-    inner_sums = np.zeros((p**v_dim, p), dtype=np.float64)
-    np.add.at(inner_sums, v_idx, mags)
-    inner_vals = inner_sums ** (1.0 / inner_p)
+    cells = (v_idx[:, None] * p + np.arange(p)).ravel()
+    inner_sums = np.bincount(cells, weights=mags.ravel(), minlength=p ** (v_dim + 1))
+    inner_vals = inner_sums.reshape(p**v_dim, p) ** (1.0 / inner_p)
     return float((inner_vals**outer_q).sum() ** (1.0 / outer_q))
 
 
@@ -722,8 +733,7 @@ def _surface_mixed_norm(f: SurfaceFunction, v_idx: np.ndarray, w_dim: int,
                         v_dim: int, outer_q: float, inner_p: float) -> float:
     p = f.surface.field.p
     mags = np.abs(f.values) ** inner_p
-    inner_sums = np.zeros(p**v_dim, dtype=np.float64)
-    np.add.at(inner_sums, v_idx, mags)
+    inner_sums = np.bincount(v_idx, weights=mags, minlength=p**v_dim)
     inner_vals = (inner_sums / p**w_dim) ** (1.0 / inner_p)
     return float((np.mean(inner_vals**outer_q)) ** (1.0 / outer_q))
 

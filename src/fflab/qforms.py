@@ -151,8 +151,15 @@ class QuadraticSpace:
         self.field = field
         self.A = A
         self.m = A.shape[0]
-        self.rank = rank_mod(A, field.p)
+        self._rank: Optional[int] = None
         self._witt: Optional[int] = None
+
+    @property
+    def rank(self) -> int:
+        """Rank of A over F_p, computed on first use."""
+        if self._rank is None:
+            self._rank = rank_mod(self.A, self.field.p)
+        return self._rank
 
     def bilinear(self, x, y) -> int:
         """x o y = x^T A y mod p."""
@@ -253,9 +260,12 @@ def witt_index(Q: QuadraticSpace) -> int:
 
     Even dimension 2n: the index is n when det(A) being a square agrees
     with n(p-1)/2 being even, and n-1 otherwise.  Odd dimension m: the
-    index is (m-1)/2 for either equivalence class.
+    index is (m-1)/2 for either equivalence class.  A zero determinant
+    raises DegenerateForm.
     """
-    if Q.rank < Q.m:
+    p = Q.field.p
+    det = det_mod(Q.A, p)
+    if det == 0:
         raise DegenerateForm(
             f"form has rank {Q.rank} < {Q.m}; split off the radical first"
         )
@@ -263,8 +273,7 @@ def witt_index(Q: QuadraticSpace) -> int:
     if m % 2 == 1:
         return (m - 1) // 2
     n = m // 2
-    p = Q.field.p
-    det_is_square = Q.field.legendre(det_mod(Q.A, p)) == 1
+    det_is_square = Q.field.legendre(det) == 1
     parity_even = (n * (p - 1) // 2) % 2 == 0
     return n if det_is_square == parity_even else n - 1
 
@@ -301,6 +310,19 @@ class Subspace:
                 if t[c]:
                     t = (t - t[c] * basis[row]) % field.p
             self.translate = t
+
+    @classmethod
+    def _reduced(cls, field: PrimeField, basis: np.ndarray) -> "Subspace":
+        """A linear subspace from a basis already in reduced row echelon
+        form, such as a row of echelon_bases: it skips the elimination and
+        takes each row's first nonzero column as its pivot."""
+        self = cls.__new__(cls)
+        self.field = field
+        self.ambient = basis.shape[1]
+        self.basis = basis
+        self.pivots = [int(c) for c in (basis != 0).argmax(axis=1)]
+        self.translate = None
+        return self
 
     @property
     def dim(self) -> int:
@@ -392,7 +414,7 @@ def enumerate_subspaces(field: PrimeField, m: int, k: int) -> Iterator[Subspace]
     """All k-dimensional linear subspaces of F_p^m, one canonical
     representative each, in echelon_bases order."""
     for B in echelon_bases(field.p, m, k):
-        yield Subspace(field, B)
+        yield Subspace._reduced(field, B.copy())
 
 
 def random_subspace(
@@ -432,7 +454,8 @@ def enumerate_max_isotropic(Q: QuadraticSpace) -> tuple[Subspace, ...]:
     their reduced echelon bases.  Index 0 gives () (no nontrivial ones).
 
     Every echelon basis of that dimension is tested at once through its
-    Gram matrices B A B^T; only the survivors become Subspace objects."""
+    Gram matrices B A B^T; only the survivors become Subspace objects,
+    which keep their echelon bases as they are."""
     w = witt_index(Q)
     if w == 0:
         return ()
@@ -442,7 +465,7 @@ def enumerate_max_isotropic(Q: QuadraticSpace) -> tuple[Subspace, ...]:
     gram = (B @ Q.A) @ B.transpose(0, 2, 1) % p  # exact: integer matmul
     B = B[~gram.reshape(len(B), -1).any(axis=1)]
     flat = B.reshape(len(B), -1)
-    return tuple(Subspace(Q.field, b) for b in B[np.lexsort(flat.T[::-1])])
+    return tuple(Subspace._reduced(Q.field, b) for b in B[np.lexsort(flat.T[::-1])])
 
 
 def complementary_isotropic(Q: QuadraticSpace, W: Subspace) -> Subspace:

@@ -27,7 +27,7 @@ from .core import (
     point_rows,
 )
 from .errors import NotCongruent, NotOnSurface
-from .fourier import fourier_transform, inverse_transform
+from .fourier import _inverse_in_place, fourier_transform, inverse_transform
 from .qforms import (
     QuadraticSpace,
     diagonalize,
@@ -176,14 +176,16 @@ def extension(f: SurfaceFunction) -> FFunction:
     """(f dsigma)-vee (x) = |S|^{-1} sum_{xi} f(xi) e(x . (xi, Q(xi))).
 
     Computed as p^d/|S| times the inverse transform of f embedded on the
-    surface, which is the same sum.
+    surface, which is the same sum.  The embedding is transformed and
+    scaled in place, so the call holds one grid array and the transform's
+    scratch.
     """
     S = f.surface
     emb = FFunction.zeros(S.field, S.ambient_dim)
     emb.data[S.flat_indices] = f.values
-    out = inverse_transform(emb)
-    out.data *= S.field.p**S.ambient_dim / S.size
-    return out
+    _inverse_in_place(emb.data, S.field, S.ambient_dim)
+    emb.data *= S.field.p**S.ambient_dim / S.size
+    return emb
 
 
 def restriction(F: FFunction, S: Surface) -> SurfaceFunction:

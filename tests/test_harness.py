@@ -432,21 +432,24 @@ def test_cached_grid_tables_of_the_sweep_fit_in_8_mib():
 
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
     # ST-1 at (7, 5) takes inner products over 7^5 = 16,807 terms, where
-    # a BLAS reduction splits its work, and so its rounding, by thread
+    # a BLAS reduction splits its work, and so its rounding, by thread.
+    # MX-1 at (13, 5) sums over W x V pairs of 13^2 points each, where a
+    # batched matrix product would split its sums by thread the same way.
     src = str(Path(fflab.__file__).resolve().parent.parent)
     path = os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
-    reports = []
-    for n in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
-                   PYTHONPATH=path)
-        out = tmp_path / f"threads{n}"
-        subprocess.run(
-            [sys.executable, "-m", "fflab.cli", "sweep", "--ids", "ST-1",
-             "--primes", "7", "--dims", "5", "--out", str(out)],
-            env=env, check=True, capture_output=True,
-        )
-        reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+    for sid, prime in (("ST-1", "7"), ("MX-1", "13")):
+        reports = []
+        for n in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                       PYTHONPATH=path)
+            out = tmp_path / f"{sid}-threads{n}"
+            subprocess.run(
+                [sys.executable, "-m", "fflab.cli", "sweep", "--ids", sid,
+                 "--primes", prime, "--dims", "5", "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1], sid
 
 
 def test_regenerate_matches_shipped_store(tmp_path):

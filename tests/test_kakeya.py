@@ -31,6 +31,7 @@ from fflab.core import (
     lp_norm,
 )
 from fflab.errors import FFLabError, NotIsotropicPair, SizeOverflow
+from fflab.fourier import fourier_transform, inverse_transform
 from fflab.qforms import Subspace, complementary_isotropic, enumerate_max_isotropic
 from fflab.surfaces import (
     SurfaceFunction,
@@ -592,7 +593,7 @@ def _coset_extension_oracle(f, W, V):
     return out / p ** S.base_dim
 
 
-@pytest.mark.parametrize("p,d", [(3, 3), (3, 5), (5, 3), (5, 5)])
+@pytest.mark.parametrize("p,d", [(3, 3), (3, 5), (5, 3), (5, 5), (7, 3), (13, 3)])
 def test_coset_extension_matches_literal_double_sum(p, d):
     S, W, V = _iso_pair_surface(p, d)
     f = SurfaceFunction.random(S, np.random.default_rng(19))
@@ -600,18 +601,50 @@ def test_coset_extension_matches_literal_double_sum(p, d):
     assert err < 1e-12
 
 
-def test_coset_extension_allocation_stays_small():
-    # The factored kernel holds (p, p^n, p^n) arrays; contracting the
-    # (|W|, p^{2n}) character tables directly peaked near 230 MiB here.
-    S, W, V = _iso_pair_surface(13, 5)
-    f = SurfaceFunction.random(S, np.random.default_rng(20))
+def _traced_peak(fn):
     tracemalloc.start()
     try:
-        kk.coset_extension(f, W, V)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+
+
+def test_coset_extension_allocation_stays_small():
+    # At (13, 5) the output grid is 5.7 MiB and the route adds one
+    # (p^n, p^n) slice with its transform scratch, about 8 MiB in all.
+    # Batched (p, p^n, p^n) matrix products peaked near 25 MiB, and the
+    # (|W|, p^{2n}) character tables contracted directly near 230 MiB.
+    S, W, V = _iso_pair_surface(13, 5)
+    f = SurfaceFunction.random(S, np.random.default_rng(20))
+    assert _traced_peak(lambda: kk.coset_extension(f, W, V)) < 10 * 2**20
+
+
+def test_extension_allocation_stays_small():
+    # One 5.7 MiB grid, transformed in place, plus one scratch array of
+    # the same size; a transform that copies on every round peaked near
+    # 23 MiB.
+    S, _, _ = _iso_pair_surface(13, 5)
+    f = SurfaceFunction.random(S, np.random.default_rng(21))
+    assert _traced_peak(lambda: extension(f)) < 12.5 * 2**20
+
+
+def test_transforms_leave_their_inputs_alone():
+    S, W, V = _iso_pair_surface(5, 5)
+    rng = np.random.default_rng(22)
+    F = FFunction.random(S.field, S.ambient_dim, rng)
+    f = SurfaceFunction.random(S, rng)
+    calls = [
+        (F.data, lambda: fourier_transform(F)),
+        (F.data, lambda: inverse_transform(F)),
+        (f.values, lambda: extension(f)),
+        (f.values, lambda: kk.coset_extension(f, W, V)),
+    ]
+    for data, call in calls:
+        before = data.copy()
+        out = call().data
+        assert np.array_equal(data, before)
+        assert not np.shares_memory(out, data)
 
 
 def test_coset_extension_of_delta_has_flat_modulus():
@@ -744,6 +777,30 @@ def test_surface_mixed_norm_literal():
         total += (s / p) ** (4.0 / 2)
     want = (total / p) ** (1 / 4.0)
     assert kk.surface_mixed_norm(f, W, V, 4.0, 2.0) == pytest.approx(want)
+
+
+def test_mixed_norm_inner_sums_match_a_per_row_loop_bit_for_bit():
+    # The inner sums add one base row at a time from 0.0; the finishing
+    # powers and reductions are the library's own.
+    S, W, V = _iso_pair_surface(5, 5)
+    p = 5
+    v_idx = kk._v_coset_index(W, V, p)
+    rng = np.random.default_rng(23)
+    F = FFunction.random(S.field, 5, rng)
+    f = SurfaceFunction.random(S, rng)
+    mags = np.abs(F.data).reshape(p**4, p, order="F") ** 2.0
+    sums = np.zeros((p**V.dim, p))
+    for i, v in enumerate(v_idx):
+        sums[v] += mags[i]
+    want = float(((sums ** 0.5) ** 3.0).sum() ** (1 / 3.0))
+    assert np.array_equal(kk._mixed_norm(F, v_idx, V.dim, 3.0, 2.0), want)
+    surf = np.abs(f.values) ** 2.0
+    sums = np.zeros(p**V.dim)
+    for i, v in enumerate(v_idx):
+        sums[v] += surf[i]
+    want = float(np.mean(((sums / p**W.dim) ** 0.5) ** 3.0) ** (1 / 3.0))
+    assert np.array_equal(
+        kk._surface_mixed_norm(f, v_idx, W.dim, V.dim, 3.0, 2.0), want)
 
 
 def test_single_cap_mixed_ratio_baseline_exhaustive():

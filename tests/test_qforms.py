@@ -270,8 +270,9 @@ def test_witt_sum_of_two_squares():
 
 
 def test_witt_requires_nondegenerate():
-    with pytest.raises(DegenerateForm):
-        witt_index(diagonal_form(PrimeField(5), [1, 0]))
+    for entries in ([1, 0], [1, 2, 0]):
+        with pytest.raises(DegenerateForm, match=f"form has rank {len(entries) - 1} < "):
+            witt_index(diagonal_form(PrimeField(5), entries))
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (5, 4)])
@@ -423,6 +424,22 @@ def test_isotropic_filter_matches_per_basis_loop(p, m):
                 if is_totally_isotropic(Q, V)]
         loop.sort(key=lambda V: V.basis.ravel().tolist())
         assert list(enumerate_max_isotropic(Q)) == loop
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 4), (7, 4), (3, 6)])
+def test_enumerated_subspaces_match_the_eliminating_constructor(p, m):
+    # Both enumerations wrap echelon bases without reducing them again;
+    # Subspace(...) runs the elimination and finds the pivots itself.
+    F = PrimeField(p)
+    found = [V for last in (1, NONSQUARE[p])
+             for V in enumerate_max_isotropic(diagonal_form(F, [1] * (m - 1) + [last]))]
+    found += [V for k in (1, m - 1) for V in enumerate_subspaces(F, m, k)]
+    assert found
+    for V in found:
+        want = Subspace(F, V.basis)
+        assert V == want and hash(V) == hash(want)
+        assert V.pivots == want.pivots and V.translate is None
+        assert V.basis.dtype == want.basis.dtype and V.ambient == m
 
 
 def test_complementary_isotropic_plane():
