@@ -187,7 +187,8 @@ class FFVector:
         return encode_point(self.coords, self.field.p)
 
     def dot(self, other: "FFVector") -> int:
-        assert len(other.coords) == len(self.coords)
+        if len(other.coords) != len(self.coords):
+            raise ValueError("dot product of vectors of different lengths")
         return sum(a * b for a, b in zip(self.coords, other.coords)) % self.field.p
 
     def __add__(self, other: "FFVector") -> "FFVector":

@@ -566,10 +566,10 @@ def _run_br3(ctx: RunContext):
 # EN: additive energy
 
 
-def _brute_energy(pts: list, p: int) -> int:
-    """Literal count of a + b = c + d over a set of distinct points: for
-    every (a, b, c) the fourth point d = a + b - c is fixed, so count the
-    triples whose d lies in the set."""
+def _brute_energy(pts: np.ndarray, p: int) -> int:
+    """EN-1's oracle: the literal count of a + b = c + d over the distinct
+    rows of pts, an (n, d) array.  For every (a, b, c) the fourth point
+    d = a + b - c is fixed, so count the triples whose d lies in the set."""
     arr = [tuple(int(c) % p for c in row) for row in pts]
     members = set(arr)
     count = 0
@@ -594,7 +594,7 @@ def _run_en1(ctx: RunContext):
         k = int(rng.integers(2, min(S.size, 12) + 1))
         E = random_surface_subset(S, k, rng)
         fast = additive_energy(E)
-        slow = _brute_energy([pt.coords for pt in E], p)
+        slow = _brute_energy(E.matrix(), p)
         dev = float(abs(fast - slow))
         worst.update(dev, lambda fast=fast, slow=slow, t=t:
                      witness_values(trial=t, vectorized=fast, quadruple_loop=slow))
@@ -665,8 +665,7 @@ def _run_en4(ctx: RunContext):
         S = maker(ctx.field, d)
         k = int(rng.integers(2, min(S.size, 40) + 1))
         E = random_surface_subset(S, k, rng)
-        pts = [pt.coords for pt in E]
-        f = SurfaceFunction.from_surface_points(S, pts)
+        f = SurfaceFunction.from_surface_points(S, E.matrix())
         lhs = lp_norm(extension(f), 4.0) ** 4
         lam = additive_energy(E)
         rhs = p**d * lam / S.size**4
@@ -858,7 +857,7 @@ def _run_pl3(ctx: RunContext):
     rng = ctx.trial_rng(0)
     for r_exp in (1.6, 1.75, 1.8):
         q = 2 * r_exp / (2 * r_exp - 1)
-        x0 = tuple(int(c) for c in rng.integers(0, p, size=3))
+        x0 = rng.integers(0, p, size=3)
         f1 = FFunction.delta(field, 3, x0)
         dev1 = max(abs(restriction(f1, S).norm(r_exp) - 1.0),
                    abs(lp_norm(f1, q) - 1.0))
@@ -901,9 +900,9 @@ def _witt_monomials(p: int, m: int):
 
 
 def _brute_witt(A: np.ndarray, p: int, lines: np.ndarray, planes) -> int:
-    """Largest dimension of a totally isotropic subspace, by direct
-    search over every projective vector and every echelon plane basis,
-    given as the monomial rows of _witt_monomials."""
+    """QF-1's oracle: the largest dimension of a totally isotropic
+    subspace, by direct search over every projective vector and every
+    echelon plane basis, given as the monomial rows of _witt_monomials."""
     a = np.asarray(A, dtype=np.int64).ravel()
     w = 1 if bool((lines @ a % p == 0).any()) else 0
     if w and planes is not None:
@@ -958,10 +957,10 @@ def _run_qf2(ctx: RunContext):
     p, m = ctx.prime, ctx.dim
     field = ctx.field
     n = m // 2
+    Q0 = hyperbolic_paraboloid(field, m + 1).Q
     worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
-        Q0 = hyperbolic_paraboloid(field, m + 1).Q
         M = random_invertible(field, m, rng)
         A = (M.T @ Q0.A @ M) % p
         Q = QuadraticSpace(field, A)
@@ -994,11 +993,11 @@ def _run_qf3(ctx: RunContext):
         W = random_subspace(field, m, int(rng.integers(1, m)), rng)
         comp = orthogonal_complement(Q, W)
         for _ in range(4):
-            x = tuple(int(c) for c in rng.integers(0, p, size=m))
+            x = rng.integers(0, p, size=m)
             got = complement_indicator_character_sum(Q, W, x)
             want = 1.0 if comp.contains(x) else 0.0
             dev = abs(got - want)
-            worst.update(dev, lambda t=t, x=x: witness_values(trial=t, point=list(x)))
+            worst.update(dev, lambda t=t, x=x: witness_values(trial=t, point=x.tolist()))
     return worst.result()
 
 
@@ -1023,11 +1022,6 @@ def _run_qf4(ctx: RunContext):
             try:
                 trip = classify_subsurface(S.Q, V)
             except FullyDegenerate:
-                continue
-            except FFLabError as exc:
-                bad += 1
-                if first_bad is None:
-                    first_bad = witness_values(error=str(exc))
                 continue
             if trip not in allowed:
                 bad += 1
@@ -1107,11 +1101,13 @@ def _run_kk3(ctx: RunContext):
             data[0] = 1.0
         h = FFunction(field, n, data.astype(complex))
         b = rng.integers(0, p, size=(p**n, n))
-        emb = kk.restriction_to_kakeya_embed(h, b, certify=True)
-        ext = extension(emb)
-        closed = kk.embed_closed_form(h, b)
-        dev = float(np.abs(ext.data - closed.data).max())
-        worst.update(dev, lambda t=t: witness_values(trial=t))
+        ext = extension(kk.restriction_to_kakeya_embed(h, b))
+        closed = float(np.abs(ext.data - kk.embed_closed_form(h, b).data).max())
+        cube = np.abs(ext.data.reshape(p**n, p**n, p, order="F")) ** 2
+        profile = kk.embed_collapse_profile(h, b).data.real.reshape(p**n, p, order="F")
+        collapse = float(np.abs(cube.sum(axis=1) - profile).max())
+        worst.update(max(closed, collapse), lambda t=t, c=closed, s=collapse:
+                     witness_values(trial=t, closed_form=c, collapse=s))
     ex = kk.restriction_to_kakeya_exponents(m)
     target = Fraction(m - 1, 2 * m - 1)
     chain_dev = 0.0

@@ -249,8 +249,10 @@ def diagonalize(Q: QuadraticSpace) -> tuple[np.ndarray, QuadraticSpace]:
             if A[k, i]:
                 add_col(i, k, (-A[k, i] * inv) % p)
     D = QuadraticSpace(Q.field, A)
-    assert np.array_equal((M.T @ Q.A @ M) % p, D.A)
-    assert np.array_equal(D.A, np.diag(np.diag(D.A)))
+    if not np.array_equal((M.T @ Q.A @ M) % p, D.A):
+        raise FFLabError("diagonalization lost congruence: M^T A M != D")
+    if not np.array_equal(D.A, np.diag(np.diag(D.A))):
+        raise FFLabError("diagonalization left an off-diagonal entry")
     return M, D
 
 
@@ -507,9 +509,10 @@ def complementary_isotropic(Q: QuadraticSpace, W: Subspace) -> Subspace:
         v = (u - quu * half % p * WB[i]) % p
         v_rows.append(v)
     V = np.array(v_rows, dtype=np.int64)
-    # sanity: exact dual pairing and total isotropy
-    assert np.array_equal((WB @ Q.A @ V.T) % p, np.eye(n, dtype=np.int64))
-    assert not ((V @ Q.A @ V.T) % p).any()
+    if not np.array_equal((WB @ Q.A @ V.T) % p, np.eye(n, dtype=np.int64)):
+        raise FFLabError("complement does not pair with W as the identity")
+    if ((V @ Q.A @ V.T) % p).any():
+        raise FFLabError("complement is not totally isotropic")
     return Subspace(Q.field, V)
 
 
@@ -626,10 +629,13 @@ def classify_subsurface(Q: QuadraticSpace, V: Subspace) -> tuple[int, int, int]:
     """Classify the restriction of the base form of a d-dimensional
     quadratic surface to a (d-3)-dimensional subspace V.
 
-    Returns (rank, degenerate dim, witt index of the nondegenerate part)
-    and checks the triple against the allowed table for the ambient type.
+    Returns (rank, degenerate dim, witt index of the nondegenerate part).
+    Scenario QF-4 checks the triple against allowed_subsurface_triples.
+    Raises DegenerateForm when Q itself is degenerate.
     """
     d = Q.m + 1
+    if Q.rank < Q.m:
+        raise DegenerateForm(f"base form has rank {Q.rank} < {Q.m}")
     if V.dim != d - 3:
         raise ValueError(f"V must have dimension d-3 = {d - 3}, got {V.dim}")
     if V.is_affine:
@@ -638,13 +644,4 @@ def classify_subsurface(Q: QuadraticSpace, V: Subspace) -> tuple[int, int, int]:
     r = R.rank
     if r == 0:
         raise FullyDegenerate("form vanishes identically on V")
-    s = V.dim - r
-    w = _nondegenerate_part_witt(R)
-    triple = (r, s, w)
-    allowed = allowed_subsurface_triples(d, witt_index(Q))
-    if triple not in allowed:
-        raise FFLabError(
-            f"restricted form has type {triple}, outside the allowed table "
-            f"{sorted(allowed)} for d={d}, ambient witt {witt_index(Q)}"
-        )
-    return triple
+    return r, V.dim - r, _nondegenerate_part_witt(R)

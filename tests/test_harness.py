@@ -1,6 +1,8 @@
 """Registry integrity, determinism, baselines, reports, and the CLI."""
 
+import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import fflab
+from fflab import combinatorics, qforms, surfaces
 from fflab import kakeya as kk
 from fflab.cli import main as cli_main
 from fflab.core import coordinate_array
@@ -410,6 +413,47 @@ def test_mx2_splits_the_base_once_per_run(monkeypatch, prime, dim):
     r = run_scenario("MX-2", prime=prime, dim=dim, trials=2)
     assert r.status == "pass"
     assert len(calls) == 1
+
+
+def _shifted_profile(profile):
+    def shifted(h, b):
+        out = profile(h, b)
+        out.data[0] += 1e-6
+        return out
+    return shifted
+
+
+# One planted defect per library function whose output its scenario
+# judges: the run must fail through that scenario's own metric and
+# witness, not through an error raised inside the library.
+@pytest.mark.parametrize("module,name,defect,scenario,dim,keys", [
+    (kk, "embed_collapse_profile", _shifted_profile, "KK-3", 3, ("collapse",)),
+    (qforms, "_nondegenerate_part_witt", lambda witt: lambda R: witt(R) + 1,
+     "QF-4", 4, ("triple",)),
+    (combinatorics, "incidence_count", lambda count: lambda P, L: 0,
+     "IN-1", 3, ("energy", "bound")),
+    (surfaces, "char_vector", lambda chars: lambda field: chars(field).conj(),
+     "PL-1", 3, ("slope", "offset")),
+])
+def test_each_library_defect_fails_through_its_scenario(
+        monkeypatch, module, name, defect, scenario, dim, keys):
+    monkeypatch.setattr(module, name, defect(getattr(module, name)))
+    r = run_scenario(scenario, prime=3, dim=dim, trials=4)
+    assert r.status == "fail"
+    assert math.isfinite(r.metric) and r.metric > r.tolerance
+    values = r.witness["values"]
+    assert "error" not in values
+    assert all(key in values for key in keys)
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, and with them the check
+    root = Path(fflab.__file__).resolve().parent
+    found = [f"{path.relative_to(root)}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # The (p, d) of every coordinate_array call and the (p, n) of every

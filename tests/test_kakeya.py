@@ -469,7 +469,7 @@ def test_embed_closed_form_matches_extension_route():
         field = PrimeField(p)
         h = FFunction(field, 1, rng.random(p).astype(complex))
         b = rng.integers(0, p, size=(p, 1))
-        f = kk.restriction_to_kakeya_embed(h, b, certify=False)
+        f = kk.restriction_to_kakeya_embed(h, b)
         direct = kk.embed_closed_form(h, b)
         assert np.abs(extension(f).data - direct.data).max() < 1e-9
 
@@ -492,7 +492,7 @@ def test_embed_collapse_profile_matches_squared_extension():
     field = PrimeField(p)
     h = FFunction(field, 1, rng.random(p).astype(complex))
     b = rng.integers(0, p, size=(p, 1))
-    ext = extension(kk.restriction_to_kakeya_embed(h, b, certify=False))
+    ext = extension(kk.restriction_to_kakeya_embed(h, b))
     cube = np.abs(ext.data.reshape(p, p, p, order="F")) ** 2
     profile = kk.embed_collapse_profile(h, b).data.real.reshape(p, p, order="F")
     assert np.abs(cube.sum(axis=1) - profile).max() < 1e-9
@@ -507,10 +507,6 @@ def test_embed_input_validation():
     h_cplx = FFunction(F3, 1, np.array([1j, 0, 0]))
     with pytest.raises(ValueError):
         kk.restriction_to_kakeya_embed(h_cplx, np.zeros((3, 1), dtype=int))
-    h = FFunction.constant(F3, 1, 1.0)
-    wrong_surface = hyperbolic_paraboloid(F3, 5)
-    with pytest.raises(ValueError):
-        kk.restriction_to_kakeya_embed(h, np.zeros((3, 1), dtype=int), wrong_surface)
 
 
 def test_exponent_chain_values():

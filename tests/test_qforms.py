@@ -637,3 +637,5 @@ def test_classify_subsurface_rejects_wrong_dim():
     Q = hyperbolic_pairing_form(F, 2)
     with pytest.raises(ValueError):
         classify_subsurface(Q, Subspace(F, [[1, 0, 0, 0]]))
+    with pytest.raises(DegenerateForm, match="base form has rank 2 < 3"):
+        classify_subsurface(diagonal_form(F, [1, 1, 0]), Subspace(F, [[1, 0, 0]]))

@@ -367,8 +367,10 @@ def test_plane_embed_ft_identity_random():
         f = FFunction.random(F, 2, rng)
         a = int(rng.integers(0, 5))
         b = int(rng.integers(0, 5))
-        # internal assertion compares against the direct 3-d transform
-        plane_embed_ft(f, a, b)
+        got = plane_embed_ft(f, a, b)
+        want = fourier_transform(plane_embed(f, a, b))
+        scale = max(1.0, float(np.abs(want.data).max()))
+        assert np.abs(got.data - want.data).max() < 1e-9 * scale
 
 
 def test_plane_embed_ft_a0_b0_constant_in_xi2():
