@@ -429,6 +429,17 @@ def test_dvir_envelope_values():
 # restriction side -> Kakeya side
 
 
+def _embed_deviations(h, f, b):
+    """Max deviations of extension(f) from embed_closed_form(h, b) and of
+    its squared x2-collapse from embed_collapse_profile(h, b)."""
+    p, n = h.field.p, h.dim
+    ext = extension(f)
+    closed = np.abs(ext.data - kk.embed_closed_form(h, b).data).max()
+    cube = np.abs(ext.data.reshape(p**n, p**n, p, order="F")) ** 2
+    profile = kk.embed_collapse_profile(h, b).data.real.reshape(p**n, p, order="F")
+    return closed, np.abs(cube.sum(axis=1) - profile).max()
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_embed_certifies_random_weight_and_base(p):
     field = PrimeField(p)
@@ -440,6 +451,8 @@ def test_embed_certifies_random_weight_and_base(p):
         f = kk.restriction_to_kakeya_embed(h, b)
         want = np.sqrt(h.data.real)[theta_of_base]
         assert np.allclose(np.abs(f.values), want, atol=1e-12)
+        closed, collapse = _embed_deviations(h, f, b)
+        assert closed < 1e-9 and collapse < 1e-9
 
 
 def test_embed_certifies_two_base_dimensions():
@@ -448,6 +461,8 @@ def test_embed_certifies_two_base_dimensions():
     b = rng.integers(0, 3, size=(9, 2))
     f = kk.restriction_to_kakeya_embed(h, b)
     assert f.surface.ambient_dim == 5
+    closed, collapse = _embed_deviations(h, f, b)
+    assert closed < 1e-9 and collapse < 1e-9
 
 
 def test_embed_flat_weight_zero_base_pattern():
