@@ -24,13 +24,14 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .core import (
     FFunction,
     PrimeField,
+    char_kernel,
     char_vector,
     coordinate_array,
     encode_point,
@@ -45,7 +46,6 @@ from .qforms import (
     enumerate_max_isotropic,
     inv_mod,
     is_totally_isotropic,
-    nullspace_mod,
     rank_mod,
 )
 from .fourier import _axis_dft
@@ -81,6 +81,7 @@ __all__ = [
     "embed_collapse_profile",
     "restriction_to_kakeya_exponents",
     "kakeya_bound_from_restriction",
+    "coset_slabs",
     "coset_extension",
     "mixed_norm",
     "surface_mixed_norm",
@@ -601,13 +602,13 @@ def _split_coefficients(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return (coordinate_array(p, n) @ inv_mod(stacked.T % p, p).T) % p
 
 
-def _isotropic_pair_split(S: Surface, W: Subspace, V: Subspace):
-    """Validate (W, V) and return the phase-splitting data.
+def _coset_read_index(S: Surface, W: Subspace, V: Subspace) -> np.ndarray:
+    """Validate (W, V) and return where the coset route reads each point.
 
-    Returns (X1, X2, a_idx, b_idx): bases X1 of the dot-orthocomplement
-    of V and X2 of that of W, each with n rows, and for every ambient base
-    point x (by index) the indices in F_p^n of its coefficients (a, b)
-    with x = a X1 + b X2.
+    For xi1 = c1 W and xi2 = c2 V, the phase (xi1 + xi2) . x is
+    c1 . (W x) + c2 . (V x), so the result holds for every base point x
+    (by index) the flat index in F_p^{2n} of (V x, W x), V x the fast
+    coordinates.
     """
     p = S.field.p
     n2 = S.base_dim
@@ -623,54 +624,58 @@ def _isotropic_pair_split(S: Surface, W: Subspace, V: Subspace):
             raise NotIsotropicPair("subspaces must pass through the origin")
         if not is_totally_isotropic(S.Q, U):
             raise NotIsotropicPair("subspace is not totally isotropic for the form")
-
-    # x = a X1 + b X2 with a X1 dot-orthogonal to V and b X2 dot-orthogonal
-    # to W, so the Fourier phase splits as xi1.(a X1) + xi2.(b X2).  The two
-    # orthocomplements span the space exactly when W and V are complementary.
-    X1 = nullspace_mod(V.basis, p)
-    X2 = nullspace_mod(W.basis, p)
-    coeff = _split_coefficients(X1, X2, p)
-    k = X1.shape[0]
-    return X1, X2, encode_point(coeff[:, :k], p), encode_point(coeff[:, k:], p)
+    # xi1 + xi2 runs over the base exactly once iff W and V are complementary
+    if rank_mod(np.vstack([W.basis, V.basis]), p) != n2:
+        raise NotIsotropicPair("subspaces are not complementary")
+    return encode_point(coordinate_array(p, n2) @ np.hstack([V.basis.T, W.basis.T]) % p, p)
 
 
-def coset_extension(f: SurfaceFunction, W: Subspace, V: Subspace) -> FFunction:
-    """Evaluate the extension of f through the W + V coordinates.
+def coset_slabs(f: SurfaceFunction, W: Subspace, V: Subspace
+                ) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (t, row) for t = 0 .. p-1: the extension of f on the height-t
+    slab, evaluated through the W + V coordinates.
 
-    The surface frequency splits as xi = xi1 + xi2 with xi1 in W and
-    xi2 in V; total isotropy kills the pure-square phases and leaves
-    e(xi1 . a X1 + xi2 . b X2 + 2 t B(xi1, xi2)) with B the form's pairing
-    and x = a X1 + b X2.  Writing xi1 = c1 W and xi2 = c2 V in their basis
-    coefficients, the phase xi1 . a X1 is c1 . (G1 a) with G1 = W X1^T, and
-    likewise c2 . (G2 b) with G2 = V X2^T.  So for each t the double sum
-    over (xi1, xi2) is the unnormalised inverse transform, on F_p^{2n} with
-    c2 as the fast coordinates, of M_t = f(xi1 + xi2) e(2 t B), read at
-    (G2 b, G1 a).  No d-dimensional transform is used: the route differs
-    from the direct extension in the split, the cross-term phase and the
-    G1/G2 change of coordinates, so agreement is a two-route identity, not
-    a refactoring.  Each M_t is transformed in place, so the call holds
-    the output grid and one M_t with its scratch.
+    The surface frequency splits as xi = xi1 + xi2 with xi1 = c1 W and
+    xi2 = c2 V; total isotropy kills the pure-square phases and leaves
+    e(c1 . (W x) + c2 . (V x) + 2 t B(xi1, xi2)) with B the form's pairing.
+    So for each t the double sum over (c1, c2) is the unnormalised inverse
+    transform, on F_p^{2n} with c2 as the fast coordinates, of
+    M_t = f(xi1 + xi2) e(2 t B), read at (V x, W x).  No d-dimensional
+    transform is used: the route differs from the direct extension in the
+    split, the cross-term phase and the change of coordinates, so
+    agreement is a two-route identity, not a refactoring.  The read index
+    is built once per call; every height reuses one M_t buffer and its
+    transform scratch, and each row is a fresh array.  The pair is
+    validated when the first slab is asked for.
     """
     S = f.surface
     p = S.field.p
-    X1, X2, a_idx, b_idx = _isotropic_pair_split(S, W, V)
+    read = _coset_read_index(S, W, V)
     xi1, xi2 = W.point_array(), V.point_array()
-    chars = char_vector(S.field)
+    E = char_kernel(S.field, +1)
 
     fvals = f.values[encode_point(xi1[:, None, :] + xi2[None, :, :], p)]
-    B = xi1 @ S.Q.A @ xi2.T % p
-    n = X1.shape[0]
-    coeffs = coordinate_array(p, n)
-    y1 = encode_point(coeffs @ (W.basis @ X1.T % p).T % p, p)
-    y2 = encode_point(coeffs @ (V.basis @ X2.T % p).T % p, p)
-    gather = y2[b_idx] + p**n * y1[a_idx]
-    out = np.empty((p, len(gather)), dtype=np.complex128)
+    B2 = 2 * (xi1 @ S.Q.A @ xi2.T) % p
+    M = np.empty(fvals.shape, dtype=np.complex128)    # c2 varies fastest
+    work = np.empty_like(M)
     for t in range(p):
-        M = fvals * chars[2 * t * B % p]    # (|W|, |V|): c2 varies fastest
-        _axis_dft(M.reshape(-1), S.field, 2 * n, +1)
-        out[t] = M.reshape(-1)[gather]
-    out /= p ** S.base_dim
-    return FFunction(S.field, S.ambient_dim, out.ravel())
+        E[t].take(B2, out=M)
+        M *= fvals
+        _axis_dft(M, S.field, S.base_dim, +1, work)
+        row = M.reshape(-1)[read]
+        row /= p ** S.base_dim
+        yield t, row
+
+
+def coset_extension(f: SurfaceFunction, W: Subspace, V: Subspace) -> FFunction:
+    """The extension of f through the W + V coordinates: the p slabs of
+    coset_slabs stacked by height.  The call holds the output grid and
+    one slab's buffers."""
+    S = f.surface
+    out = np.empty((S.field.p, S.size), dtype=np.complex128)
+    for t, row in coset_slabs(f, W, V):
+        out[t] = row
+    return FFunction(S.field, S.ambient_dim, out.reshape(-1))
 
 
 def _v_coset_index(W: Subspace, V: Subspace, p: int) -> np.ndarray:

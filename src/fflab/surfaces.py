@@ -12,13 +12,14 @@ mass |S|^{-1}.  Functions on the surface are indexed by the base point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .core import (
     FFunction,
     PrimeField,
+    char_kernel,
     char_vector,
     coordinate_array,
     encode_point,
@@ -27,7 +28,7 @@ from .core import (
     point_rows,
 )
 from .errors import NotCongruent, NotOnSurface
-from .fourier import _inverse_in_place, fourier_transform, inverse_transform
+from .fourier import _axis_dft, fourier_transform, inverse_transform
 from .qforms import (
     QuadraticSpace,
     diagonalize,
@@ -172,20 +173,48 @@ class SurfaceFunction:
 # extension and restriction
 
 
+def _height_rows(f: SurfaceFunction, heights, work: Optional[np.ndarray] = None
+                 ) -> np.ndarray:
+    """The extension of f on the given heights t, one row per height.
+
+    On the graph the last-axis phase is the single term e(t Q(xi)), so
+    height t of the extension is |S|^{-1} times the unnormalised base
+    inverse transform of f(xi) e(t Q(xi)).  The phase rows are gathered
+    from the inverse character kernel with take, which returns a fresh
+    C-contiguous stack for the in-place transform (a fancy-indexed
+    E[:, Q(xi)] is not C-contiguous); work is the transform's optional
+    reusable scratch, of the stack's size.
+    """
+    S = f.surface
+    rows = char_kernel(S.field, +1)[heights].take(S.point_array()[:, -1], axis=1)
+    rows *= f.values
+    _axis_dft(rows, S.field, S.base_dim, +1, work)
+    rows /= S.size
+    return rows
+
+
 def extension(f: SurfaceFunction) -> FFunction:
     """(f dsigma)-vee (x) = |S|^{-1} sum_{xi} f(xi) e(x . (xi, Q(xi))).
 
-    Computed as p^d/|S| times the inverse transform of f embedded on the
-    surface, which is the same sum.  The embedding is transformed and
-    scaled in place, so the call holds one grid array and the transform's
-    scratch.
+    Computed height by height: the slab at last coordinate t is the base
+    inverse transform of f(xi) e(t Q(xi)), divided by |S|, and all p
+    slabs run as one stacked transform over the d-1 base coordinates.
+    The call holds the output grid and the transform's scratch.
     """
     S = f.surface
-    emb = FFunction.zeros(S.field, S.ambient_dim)
-    emb.data[S.flat_indices] = f.values
-    _inverse_in_place(emb.data, S.field, S.ambient_dim)
-    emb.data *= S.field.p**S.ambient_dim / S.size
-    return emb
+    return FFunction(S.field, S.ambient_dim, _height_rows(f, slice(None)).reshape(-1))
+
+
+def extension_slabs(f: SurfaceFunction) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (t, row) for t = 0 .. p-1, where row is the extension of f on
+    the height-t slab, bit for bit the same as that slab of extension(f).
+
+    Each row is a fresh array; the transform scratch is shared across
+    heights, so a consumer holds one slab at a time instead of the grid.
+    """
+    work = np.empty(f.surface.size, dtype=np.complex128)
+    for t in range(f.surface.field.p):
+        yield t, _height_rows(f, slice(t, t + 1), work)[0]
 
 
 def restriction(F: FFunction, S: Surface) -> SurfaceFunction:

@@ -399,6 +399,31 @@ def test_mx1_row_states_the_trials_it_ran():
     assert run_scenario("MX-1", prime=13, dim=3, trials=4).trials == 4
 
 
+def _shift_last_slab(slabs, shift):
+    def patched(f, W, V):
+        for t, row in slabs(f, W, V):
+            if t == f.surface.field.p - 1:
+                row[0] += shift
+            yield t, row
+    return patched
+
+
+# Both MX-1 routes stream by height, so a defect confined to the last slab
+# must still reach the metric: every slab is compared, and a NaN in any of
+# them stays a NaN.
+@pytest.mark.parametrize("shift", [1e-6, math.nan])
+@pytest.mark.parametrize("dim", [3, 5])
+def test_mx1_fails_on_a_defect_at_the_last_height(monkeypatch, shift, dim):
+    monkeypatch.setattr(kk, "coset_slabs", _shift_last_slab(kk.coset_slabs, shift))
+    r = run_scenario("MX-1", prime=3, dim=dim, trials=3)
+    assert r.status == "fail"
+    if math.isnan(shift):
+        assert np.isnan(r.metric)
+    else:
+        assert r.metric == pytest.approx(shift, rel=1e-6)
+    assert set(r.witness["values"]) == {"trial"}
+
+
 @pytest.mark.parametrize("prime,dim", [(3, 3), (5, 3)])
 def test_mx2_splits_the_base_once_per_run(monkeypatch, prime, dim):
     # (3, 3) is the exhaustive 511-mask path, (5, 3) the structured one

@@ -32,6 +32,7 @@ from fflab.core import (
 )
 from fflab.errors import FFLabError, NotIsotropicPair, SizeOverflow
 from fflab.fourier import fourier_transform, inverse_transform
+from fflab.harness import run_scenario
 from fflab.qforms import Subspace, complementary_isotropic, enumerate_max_isotropic
 from fflab.surfaces import (
     SurfaceFunction,
@@ -612,6 +613,16 @@ def test_coset_extension_matches_literal_double_sum(p, d):
     assert err < 1e-12
 
 
+@pytest.mark.parametrize("p,d", [(3, 3), (5, 5), (13, 3)])
+def test_coset_slabs_stack_to_coset_extension(p, d):
+    S, W, V = _iso_pair_surface(p, d)
+    f = SurfaceFunction.random(S, np.random.default_rng(23))
+    slabs = list(kk.coset_slabs(f, W, V))
+    assert [t for t, _ in slabs] == list(range(p))
+    stacked = np.stack([row for _, row in slabs])
+    assert np.array_equal(stacked.reshape(-1), kk.coset_extension(f, W, V).data)
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -638,6 +649,14 @@ def test_extension_allocation_stays_small():
     S, _, _ = _iso_pair_surface(13, 5)
     f = SurfaceFunction.random(S, np.random.default_rng(21))
     assert _traced_peak(lambda: extension(f)) < 12.5 * 2**20
+
+
+def test_mx1_allocation_stays_small():
+    # Both routes stream the extension one height slab at a time, so the
+    # run holds no full 5.7 MiB grid; what is left is the surface build and
+    # the isotropic enumeration.  Comparing two full grids peaked near
+    # 16 MiB.
+    assert _traced_peak(lambda: run_scenario("MX-1", prime=13, dim=5)) < 9 * 2**20
 
 
 def test_transforms_leave_their_inputs_alone():

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from fflab.combinatorics import PointSet
-from fflab.core import FFunction, PrimeField, char_eval, coordinate_array, inner, lp_norm
+from fflab.core import (
+    FFunction,
+    PrimeField,
+    char_eval,
+    char_vector,
+    coordinate_array,
+    inner,
+    lp_norm,
+)
 from fflab.errors import NotCongruent, NotOnSurface
 from fflab.fourier import (
     exact_r22,
@@ -26,6 +34,7 @@ from fflab.surfaces import (
     congruence_between,
     equivalence_transfer,
     extension,
+    extension_slabs,
     gauss_sum,
     hyperbolic_paraboloid,
     paraboloid,
@@ -146,6 +155,42 @@ def test_general_surface_falls_back_to_summation():
         for row in S.point_array():
             acc += char_eval(F, int(row @ xv) % 3)
         assert k[x] == pytest.approx(acc / S.size, abs=1e-9)
+
+
+def _general_surface(p, d, seed):
+    F = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    while True:
+        Q = QuadraticSpace(F, random_symmetric(F, d - 1, rng))
+        if Q.rank == d - 1:
+            return Surface(Q)
+
+
+def _extension_surfaces():
+    # d = 2 runs the one-coordinate base transform
+    out = [paraboloid(PrimeField(5), 2),
+           paraboloid(PrimeField(3), 3), hyperbolic_paraboloid(PrimeField(5), 3),
+           hyperbolic_paraboloid(PrimeField(3), 5), paraboloid(PrimeField(13), 3)]
+    return out + [_general_surface(3, 3, 2), _general_surface(5, 4, 3)]
+
+
+@pytest.mark.parametrize("S", _extension_surfaces(), ids=repr)
+def test_extension_matches_literal_sum(S):
+    # |S|^{-1} sum over xi of f(xi) e(x . (xi, Q(xi))) at every x
+    p = S.field.p
+    f = SurfaceFunction.random(S, np.random.default_rng(p + S.ambient_dim))
+    X = coordinate_array(p, S.ambient_dim)
+    literal = char_vector(S.field)[(X @ S.point_array().T) % p] @ f.values / S.size
+    assert np.abs(extension(f).data - literal).max() < 1e-12
+
+
+@pytest.mark.parametrize("S", _extension_surfaces(), ids=repr)
+def test_extension_slabs_stack_to_extension(S):
+    f = SurfaceFunction.random(S, np.random.default_rng(5))
+    slabs = list(extension_slabs(f))
+    assert [t for t, _ in slabs] == list(range(S.field.p))
+    stacked = np.stack([row for _, row in slabs])
+    assert np.array_equal(stacked.reshape(-1), extension(f).data)
 
 
 def test_extension_of_point_mass():
