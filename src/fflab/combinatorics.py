@@ -723,16 +723,6 @@ def recursion_curve(inner: InnerCurve, samples: int = 65) -> EnergyExponent:
 # empirical exponent sampling
 
 
-def _coset_reps(V: Subspace, X: np.ndarray) -> np.ndarray:
-    """Canonical coset representative of each row of X modulo V, matching the
-    reduction performed by the Subspace constructor."""
-    p = V.field.p
-    T = X % p
-    for row, c in enumerate(V.pivots):
-        T = (T - T[:, c : c + 1] * V.basis[row]) % p
-    return T
-
-
 def max_isotropic_slice(E: PointSet, Q: QuadraticSpace) -> int:
     """Largest intersection of E (in the base space of Q) with a maximal
     totally isotropic affine subspace.  Witt index 0 means the maximal
@@ -747,7 +737,7 @@ def max_isotropic_slice(E: PointSet, Q: QuadraticSpace) -> int:
     X = E.matrix()
     best = 0
     for V in subspaces:
-        reps = encode_point(_coset_reps(V, X), Q.field.p)
+        reps = encode_point(V.reduce(X), Q.field.p)
         _, counts = np.unique(reps, return_counts=True)
         best = max(best, int(counts.max()))
     return best

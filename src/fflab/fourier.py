@@ -43,11 +43,18 @@ def _axis_dft(buf: np.ndarray, field: PrimeField, dim: int, sign: int,
     into a scratch array, which transforms coordinate 0 of every function,
     and copies each function's transpose back into its row, which makes
     that coordinate the slowest; after dim rounds each row is back in F
-    order.  A stack gives each row the same bits as separate calls, and
-    c = 1 is the single-function transform.  Cost is c dim p^{dim+1}
-    multiplies in dim flat products on the per-p kernel; memory is buf
-    plus one scratch of its size, which a caller looping over same-sized
-    stacks may pass as work.
+    order.  c = 1 is the single-function transform.  Cost is c dim
+    p^{dim+1} multiplies in dim flat products on the per-p kernel; memory
+    is buf plus one scratch of its size, which a caller looping over
+    same-sized stacks may pass as work.
+
+    Whether a stack gives each row the same bits as separate calls is a
+    property of the BLAS zgemm kernels, not of this code: a kernel that
+    splits a product by its row count may round a row of a small product
+    differently from the same row inside a larger one.  With OpenBLAS
+    0.3.31 the bits match at the row counts c p^{dim-1} the sweep uses;
+    test_stacked_transform_equals_separate_calls guards that on stacks
+    shaped like the sweep's.
     """
     if not buf.flags.c_contiguous:
         raise ValueError("the transform works in place on C-contiguous data")

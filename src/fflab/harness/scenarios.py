@@ -1147,6 +1147,20 @@ def _iso_pair(S: Surface):
     return W, complementary_isotropic(S.Q, W)
 
 
+def _mx1_surface(field: PrimeField, d: int) -> Surface:
+    """MX-1's surface: the paraboloid (p = 1 mod 4) or the hyperbolic
+    paraboloid, seen through the fixed change of coordinates x -> M x, M
+    the identity with its first row set to ones.  On the standard forms at
+    p = 3 the first isotropic pair is coordinate-aligned, so the coset
+    route would read the transform in the direct route's own layout; the
+    congruent copy moves the pair off the axes at every grid point."""
+    p = field.p
+    S = paraboloid(field, d) if p % 4 == 1 else hyperbolic_paraboloid(field, d)
+    M = np.eye(d - 1, dtype=np.int64)
+    M[0] = 1
+    return Surface(QuadraticSpace(field, M.T @ S.Q.A @ M % p))
+
+
 def _run_mx1(ctx: RunContext):
     # Splitting the frequency sum over a complementary isotropic pair
     # and using the cross-term phase reproduces the extension exactly.
@@ -1159,7 +1173,7 @@ def _run_mx1(ctx: RunContext):
     # point of each slab is compared, so no full grid is ever held; np.max
     # over the per-slab maxima keeps a NaN, where Python's max may drop it.
     p, d = ctx.prime, ctx.dim
-    S = paraboloid(ctx.field, d) if p % 4 == 1 else hyperbolic_paraboloid(ctx.field, d)
+    S = _mx1_surface(ctx.field, d)
     W, V = _iso_pair(S)
     cost = p ** (4 * ((d - 1) // 2) + 1)
     if cost > 2e7:
@@ -1178,15 +1192,14 @@ def _run_mx2(ctx: RunContext):
     # Mixed-norm extension constant at the endpoint pair
     # ((2d+2)/(d-1) outer, 2 inner): ratio of output to input mixed norms
     # over indicator inputs, exhaustive at the baseline prime.  The base
-    # splits once into W + V; every input reads that one split.
+    # splits once into W + V (kakeya caches the split per pair); every
+    # input reads that one split.
     p, d = ctx.prime, ctx.dim
     S = hyperbolic_paraboloid(ctx.field, d)
     W, V = _iso_pair(S)
-    v_idx = kk._v_coset_index(W, V, p)
 
     def ratio(vals):
-        return kk._mixed_extension_ratio(SurfaceFunction(S, vals), v_idx,
-                                         W.dim, V.dim)
+        return kk.mixed_extension_ratio(SurfaceFunction(S, vals), W, V)
 
     base_total = p ** (d - 1)
     worst = _Worst()

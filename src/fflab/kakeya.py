@@ -3,8 +3,8 @@
 The geometry here lives one dimension below the surfaces: lines in F_p^m
 are parameterized by a base and a direction in F_p^{m-1}, and every line
 sweeps the last coordinate.  Horizontal lines are deliberately out of the
-model; a full projective audit re-enters them through coordinate swaps in
-kakeya_set_audit(full_directions=True).
+model; kakeya_set_audit(full_directions=True) re-enters them by searching
+along every horizontal direction.
 
 Measure conventions, fixed once:
 
@@ -60,7 +60,6 @@ from .combinatorics import PointSet
 
 __all__ = [
     "AffineLine",
-    "KakeyaInstance",
     "KakeyaAudit",
     "DualConsistency",
     "KakeyaExponents",
@@ -270,11 +269,8 @@ def _as_direction_values(h, field: PrimeField, n: int) -> np.ndarray:
 
 
 def _as_base_map(x0, field: PrimeField, n: int) -> np.ndarray:
-    """Normalize a base map to a (p^n, n) int array indexed by direction."""
+    """Reduce a base map, a (p^n, n) int array indexed by direction, mod p."""
     p = field.p
-    if callable(x0):
-        rows = [x0(tuple(int(c) for c in eta)) for eta in coordinate_array(p, n)]
-        return np.array([[int(c) % p for c in r] for r in rows], dtype=np.int64)
     arr = np.asarray(x0, dtype=np.int64) % p
     if arr.shape != (p**n, n):
         raise ValueError(f"x0 must map all {p ** n} directions to bases")
@@ -285,7 +281,7 @@ def dual_kakeya_apply(h, x0, field: PrimeField, m: int) -> FFunction:
     """The normalized line superposition p^{-(m-1)} sum_v h(v) 1_{l(x0(v),v)}.
 
     h assigns a weight to each direction; x0 picks one base per direction
-    (callable, or a (p^{m-1}, m-1) array in direction-index order).
+    as a (p^{m-1}, m-1) array in direction-index order.
     """
     if m < 2:
         raise ValueError("ambient dimension must be >= 2")
@@ -344,93 +340,47 @@ def dual_consistency(F: FFunction, q: float, p_exp: float) -> DualConsistency:
 # Kakeya sets
 
 
-@dataclass(frozen=True)
-class KakeyaInstance:
-    """A candidate Kakeya set with an optional per-direction witness.
-
-    The witness maps every direction of F_p^{m-1} to a base whose line is
-    contained in the set; it is validated on construction, so a witnessed
-    instance is a certificate, not a claim.
-    """
-
-    points: PointSet
-    witness: Optional[dict] = None
-
-    def __post_init__(self):
-        p = self.points.field.p
-        n = self.points.dim - 1
-        if n < 1:
-            raise ValueError("Kakeya instances need ambient dimension >= 2")
-        if self.witness is None:
-            return
-        directions = point_rows(list(self.witness), n) % p
-        bases = point_rows(list(self.witness.values()), n)
-        inside = self.points.members(
-            encode_point(_line_points(bases, directions, p), p)).all(axis=1)
-        if not inside.all():
-            eta = list(self.witness)[int(np.argmin(inside))]
-            raise ValueError(f"witness line for direction {tuple(eta)} leaves the set")
-        seen = np.unique(encode_point(directions, p))
-        if len(seen) != p**n:
-            raise ValueError(
-                f"witness covers {len(seen)} of {p ** n} directions"
-            )
-
-    @property
-    def density(self) -> float:
-        p = self.points.field.p
-        return len(self.points) / p**self.points.dim
-
-
 class KakeyaAudit(NamedTuple):
     is_kakeya: bool
     density: float
-    missing: tuple  # directions with no fully contained line
+    missing: np.ndarray  # (k, m) directions with no fully contained line
 
 
-def kakeya_set_audit(K: KakeyaInstance, full_directions: bool = False) -> KakeyaAudit:
-    """Check for a contained line in every direction and report the density.
+def kakeya_set_audit(E: PointSet, full_directions: bool = False) -> KakeyaAudit:
+    """Search every direction for a line inside E and report the density.
 
-    Without a witness, the search per direction is exhaustive over bases.
-    full_directions additionally audits the horizontal directions (those
-    the line model omits) by searching along every projective direction.
+    A non-horizontal direction holds a line exactly when the maximal
+    function of E's indicator reaches p there; the search is exhaustive
+    over bases.  full_directions additionally audits the horizontal
+    directions (those the line model omits), one per projective class.
+    A missing direction eta of the line model is reported as (eta, 1).
     """
-    E = K.points
     field = E.field
     p = field.p
     m = E.dim
     ind = np.zeros(p**m, dtype=bool)
     ind[E.index] = True
 
-    missing = []
-    if K.witness is not None:
-        pass  # validated at construction: every non-horizontal direction holds
-    else:
-        star = kakeya_maximal(FFunction(field, m, ind.astype(np.complex128)))
-        for di, eta in enumerate(coordinate_array(p, m - 1)):
-            if star[di] < p - 0.5:
-                missing.append(tuple(int(c) for c in eta) + (1,))
+    star = kakeya_maximal(FFunction(field, m, ind.astype(np.complex128)))
+    heads = coordinate_array(p, m - 1)[star < p - 0.5]
+    missing = [np.hstack([heads, np.ones((len(heads), 1), dtype=np.int64)])]
 
     if full_directions:
+        # one direction per projective class: last coordinate 0, first
+        # nonzero coordinate 1; a line lies in E when all its p points do
         grid = coordinate_array(p, m)
-        for direction in grid:
-            if direction[-1] != 0:
-                continue  # handled by the line model above
-            lead = next((c for c in direction if c), 0)
-            if lead != 1:
-                continue  # one representative per projective direction
-            ok = ind.copy()
-            for t in range(1, p):
-                ok &= ind[encode_point(grid + t * direction, p)]
-                if not ok.any():
-                    break
-            if not ok.any():
-                missing.append(tuple(int(c) for c in direction))
+        flat = grid[grid[:, -1] == 0][1:]
+        for u in flat[flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)] == 1]:
+            starts = np.logical_and.reduce(
+                [ind[encode_point(grid + t * u, p)] for t in range(p)])
+            if not starts.any():
+                missing.append(u[None, :])
 
-    return KakeyaAudit(not missing, K.density, tuple(missing))
+    missing = np.concatenate(missing)
+    return KakeyaAudit(not len(missing), len(E) / p**m, missing)
 
 
-def standard_kakeya_set(field: PrimeField, m: int) -> KakeyaInstance:
+def standard_kakeya_set(field: PrimeField, m: int) -> PointSet:
     """The classical small Kakeya set: lines based at the squared direction.
 
     Taking b(eta) = (eta_1^2, ..., eta_{m-1}^2) makes the union of lines
@@ -442,11 +392,8 @@ def standard_kakeya_set(field: PrimeField, m: int) -> KakeyaInstance:
         raise ValueError("Kakeya sets need ambient dimension >= 2")
     p = field.p
     directions = coordinate_array(p, m - 1)
-    bases = directions * directions % p
-    index = np.unique(encode_point(_line_points(bases, directions, p), p))
-    witness = {tuple(eta): tuple(b)
-               for eta, b in zip(directions.tolist(), bases.tolist())}
-    return KakeyaInstance(PointSet(field, m, index), witness)
+    lines = _line_points(directions * directions % p, directions, p)
+    return PointSet(field, m, np.unique(encode_point(lines, p)))
 
 
 def dvir_envelope(m: int) -> float:
@@ -588,20 +535,6 @@ def kakeya_bound_from_restriction(
 # coset reparameterization and mixed norms
 
 
-def _split_coefficients(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of every point of F_p^n in the basis rows of A, then B.
-
-    Row i of the result, for the point with index i, holds (a, b) with
-    x = a A + b B.  Raises NotIsotropicPair when A and B together do not
-    form a basis.
-    """
-    stacked = np.vstack([A, B])
-    n = stacked.shape[1]
-    if rank_mod(stacked, p) != n:
-        raise NotIsotropicPair("subspaces are not complementary")
-    return (coordinate_array(p, n) @ inv_mod(stacked.T % p, p).T) % p
-
-
 def _coset_read_index(S: Surface, W: Subspace, V: Subspace) -> np.ndarray:
     """Validate (W, V) and return where the coset route reads each point.
 
@@ -678,10 +611,25 @@ def coset_extension(f: SurfaceFunction, W: Subspace, V: Subspace) -> FFunction:
     return FFunction(S.field, S.ambient_dim, out.reshape(-1))
 
 
-def _v_coset_index(W: Subspace, V: Subspace, p: int) -> np.ndarray:
-    """Index in V of the V part of every base point under x = w + v."""
-    coeff = _split_coefficients(W.basis, V.basis, p)
-    return encode_point(coeff[:, W.dim :], p)
+@functools.lru_cache(maxsize=16)
+def _v_coset_index(W: Subspace, V: Subspace) -> np.ndarray:
+    """The read-only split of the base as x = w + v, built once per (W, V):
+    entry i is the index in V of the V part of the base point with index i.
+    Pairs, unlike the (p, n) keys of _line_index, are unbounded in number,
+    so only the most recent 16 are kept; a caller uses one at a time.
+
+    Solves x = a W + b V for every point at once; raises NotIsotropicPair
+    when W and V together do not form a basis.
+    """
+    p = W.field.p
+    stacked = np.vstack([W.basis, V.basis])
+    n = stacked.shape[1]
+    if rank_mod(stacked, p) != n:
+        raise NotIsotropicPair("subspaces are not complementary")
+    coeff = coordinate_array(p, n) @ inv_mod(stacked.T % p, p).T % p
+    v_idx = encode_point(coeff[:, W.dim :], p)
+    v_idx.flags.writeable = False
+    return v_idx
 
 
 def mixed_norm(F: FFunction, W: Subspace, V: Subspace,
@@ -690,34 +638,22 @@ def mixed_norm(F: FFunction, W: Subspace, V: Subspace,
     inner L^{inner_p} over W cosets, outer L^{outer_q} over (V, t)."""
     if W.basis.shape[1] != F.dim - 1:
         raise ValueError("subspaces must live on the base of F's domain")
-    return _mixed_norm(F, _v_coset_index(W, V, F.field.p), V.dim,
-                       outer_q, inner_p)
-
-
-def _mixed_norm(F: FFunction, v_idx: np.ndarray, v_dim: int,
-                outer_q: float, inner_p: float) -> float:
     # bincount adds each cell's terms in input order from 0.0, row by row
     p = F.field.p
     mags = np.abs(F.data).reshape(p ** (F.dim - 1), p, order="F") ** inner_p
-    cells = (v_idx[:, None] * p + np.arange(p)).ravel()
-    inner_sums = np.bincount(cells, weights=mags.ravel(), minlength=p ** (v_dim + 1))
-    inner_vals = inner_sums.reshape(p**v_dim, p) ** (1.0 / inner_p)
+    cells = (_v_coset_index(W, V)[:, None] * p + np.arange(p)).ravel()
+    inner_sums = np.bincount(cells, weights=mags.ravel(), minlength=p ** (V.dim + 1))
+    inner_vals = inner_sums.reshape(p**V.dim, p) ** (1.0 / inner_p)
     return float((inner_vals**outer_q).sum() ** (1.0 / outer_q))
 
 
 def surface_mixed_norm(f: SurfaceFunction, W: Subspace, V: Subspace,
                        outer_q: float, inner_p: float) -> float:
     """Normalized mixed norm on the surface: both layers average."""
-    return _surface_mixed_norm(f, _v_coset_index(W, V, f.surface.field.p),
-                               W.dim, V.dim, outer_q, inner_p)
-
-
-def _surface_mixed_norm(f: SurfaceFunction, v_idx: np.ndarray, w_dim: int,
-                        v_dim: int, outer_q: float, inner_p: float) -> float:
     p = f.surface.field.p
     mags = np.abs(f.values) ** inner_p
-    inner_sums = np.bincount(v_idx, weights=mags, minlength=p**v_dim)
-    inner_vals = (inner_sums / p**w_dim) ** (1.0 / inner_p)
+    inner_sums = np.bincount(_v_coset_index(W, V), weights=mags, minlength=p**V.dim)
+    inner_vals = (inner_sums / p**W.dim) ** (1.0 / inner_p)
     return float((np.mean(inner_vals**outer_q)) ** (1.0 / outer_q))
 
 
@@ -725,21 +661,14 @@ def mixed_extension_ratio(f: SurfaceFunction, W: Subspace, V: Subspace) -> float
     """The tracked constant of the mixed-norm extension inequality:
     ||ext f||_{L^{(2d+2)/(d-1)}_{V,t} L^2_W} over the matching surface norm.
 
-    Both norms read one (W, V) split of the base."""
-    return _mixed_extension_ratio(f, _v_coset_index(W, V, f.surface.field.p),
-                                  W.dim, V.dim)
-
-
-def _mixed_extension_ratio(f: SurfaceFunction, v_idx: np.ndarray, w_dim: int,
-                           v_dim: int) -> float:
-    """mixed_extension_ratio on a split already made by _v_coset_index, so
-    a caller holding one (W, V) pair splits the base once for many f."""
+    Both norms read the one cached (W, V) split of the base, so a caller
+    holding one pair splits it once for many f."""
     d = f.surface.ambient_dim
     q = (2 * d + 2) / (d - 1)
-    denom = _surface_mixed_norm(f, v_idx, w_dim, v_dim, q, 2.0)
+    denom = surface_mixed_norm(f, W, V, q, 2.0)
     if denom == 0.0:
         raise ValueError("mixed ratio of the zero function")
-    return _mixed_norm(extension(f), v_idx, v_dim, q, 2.0) / denom
+    return mixed_norm(extension(f), W, V, q, 2.0) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +690,9 @@ def kakeya_regular_set_bound(F: FFunction, S: Surface, decomposition: dict
     F must be the indicator of a set E; decomposition maps each last
     coordinate z to a list of (affine subspace, points) pieces that
     partition the slice of E, every piece inside its own maximal totally
-    isotropic affine subspace (pairwise distinct within the slice).
+    isotropic affine subspace (pairwise distinct within the slice).  The
+    points of a piece are base rows: an (n, d-1) array or a list of
+    coordinate sequences.
     """
     field = F.field
     p = field.p
@@ -771,16 +702,13 @@ def kakeya_regular_set_bound(F: FFunction, S: Surface, decomposition: dict
     vals = F.data
     if not np.all(np.isclose(vals, 0) | np.isclose(vals, 1)):
         raise ValueError("F must be a set indicator")
-    support = {tuple(int(c) for c in row)
-               for row in coordinate_array(p, d)[np.abs(vals) > 0.5]}
-    size = len(support)
-    if size == 0:
+    support = np.flatnonzero(np.abs(vals) > 0.5)
+    if not len(support):
         raise ValueError("empty support")
     witt = S.Q.witt_index
     max_pieces = 1
-    covered = set()
+    covered = [np.zeros(0, dtype=np.int64)]
     for z, pieces in decomposition.items():
-        slice_cover = set()
         spaces = []
         for space, pts in pieces:
             if space.dim != witt or not is_totally_isotropic(S.Q, space.linear_part()):
@@ -788,22 +716,20 @@ def kakeya_regular_set_bound(F: FFunction, S: Surface, decomposition: dict
             if any(space == other for other in spaces):
                 raise ValueError("pieces of one slice must use distinct cosets")
             spaces.append(space)
-            for pt in pts:
-                base = tuple(int(c) % p for c in pt)
-                if not space.contains(base):
-                    raise ValueError(f"{base} is outside its claimed coset")
-                full = base + (int(z) % p,)
-                if full not in support:
-                    raise ValueError(f"{full} is not in the support of F")
-                if full in slice_cover:
-                    raise ValueError("pieces of one slice must be disjoint")
-                slice_cover.add(full)
-        covered |= slice_cover
+            rows = point_rows(pts, d - 1)
+            outside = ~space.contains_rows(rows)
+            if outside.any():
+                raise ValueError(f"{rows[outside][0] % p} is outside its claimed coset")
+            covered.append(encode_point(rows, p) + int(z) % p * p ** (d - 1))
         max_pieces = max(max_pieces, len(pieces))
-    if covered != support:
+    covered = np.concatenate(covered)
+    distinct = np.unique(covered)
+    if len(distinct) != len(covered):
+        raise ValueError("pieces must be disjoint")
+    if not np.array_equal(distinct, support):
         raise ValueError("decomposition does not cover the support exactly")
 
-    gamma = math.log(size, p)
+    gamma = math.log(len(support), p)
     e_exp = math.log(max_pieces, p)
     q = (2 * d + 2) / (d + 3)
     lhs = restriction(F, S).norm(q)
@@ -818,46 +744,41 @@ def random_slice_isotropic_function(
 
     Every last-coordinate slice gets up to pieces_per_slice random subsets
     of distinct maximal totally isotropic affine cosets (later pieces drop
-    points already used, keeping the pieces disjoint).
+    points already used, keeping the pieces disjoint).  The decomposition
+    maps each nonempty slice z to its (coset, rows) pieces, rows the
+    (n, d-1) base points of the piece.
     """
     field = S.field
     p = field.p
-    d = S.ambient_dim
     subspaces = enumerate_max_isotropic(S.Q)
     if not subspaces:
         raise ValueError("the base form has no isotropic subspaces to structure by")
     decomposition = {}
-    points = []
     for z in range(p):
-        used = set()
+        used = np.zeros(S.size, dtype=bool)
         pieces = []
         count = int(rng.integers(1, pieces_per_slice + 1))
-        seen_cosets = []
         for _ in range(count):
             U = subspaces[int(rng.integers(0, len(subspaces)))]
-            shift = tuple(int(c) for c in rng.integers(0, p, size=S.base_dim))
+            shift = rng.integers(0, p, size=S.base_dim)
             coset = Subspace(field, U.basis, translate=shift)
-            if any(coset == c for c in seen_cosets):
+            if any(coset == c for c, _ in pieces):
                 continue
-            seen_cosets.append(coset)
             rows = coset.point_array()
-            take = rng.random(len(rows)) < 0.6
-            pts = []
-            for row, keep in zip(rows, take):
-                tup = tuple(int(c) for c in row)
-                if keep and tup not in used:
-                    used.add(tup)
-                    pts.append(tup)
-            if pts:
-                pieces.append((coset, pts))
-                points.extend(t + (z,) for t in pts)
+            idx = encode_point(rows, p)
+            keep = (rng.random(len(rows)) < 0.6) & ~used[idx]
+            used[idx[keep]] = True
+            pieces.append((coset, rows[keep]))
+        pieces = [(c, rows) for c, rows in pieces if len(rows)]
         if pieces:
             decomposition[z] = pieces
-    if not points:
+    if not decomposition:
         # force one deterministic piece so the audit never sees emptiness
-        U = subspaces[0]
-        coset = Subspace(field, U.basis, translate=(0,) * S.base_dim)
-        pts = [tuple(int(c) for c in r) for r in coset.point_array()]
-        decomposition[0] = [(coset, pts)]
-        points = [t + (0,) for t in pts]
-    return FFunction.indicator(field, d, points), decomposition
+        coset = Subspace(field, subspaces[0].basis,
+                         translate=np.zeros(S.base_dim, dtype=np.int64))
+        decomposition[0] = [(coset, coset.point_array())]
+    F = FFunction.zeros(field, S.ambient_dim)
+    for z, pieces in decomposition.items():
+        for _, rows in pieces:
+            F.data[encode_point(rows, p) + z * S.size] = 1.0
+    return F, decomposition

@@ -303,15 +303,7 @@ class Subspace:
         basis, pivots = rref_mod(rows, field.p)
         self.basis = basis
         self.pivots = pivots
-        if translate is None:
-            self.translate = None
-        else:
-            t = np.array(translate, dtype=np.int64) % field.p
-            # zero the pivot coordinates of the representative
-            for row, c in enumerate(pivots):
-                if t[c]:
-                    t = (t - t[c] * basis[row]) % field.p
-            self.translate = t
+        self.translate = None if translate is None else self.reduce(translate)
 
     @classmethod
     def _reduced(cls, field: PrimeField, basis: np.ndarray) -> "Subspace":
@@ -337,14 +329,23 @@ class Subspace:
     def linear_part(self) -> "Subspace":
         return Subspace(self.field, self.basis)
 
+    def reduce(self, X) -> np.ndarray:
+        """Canonical representative of each row of X modulo the linear part:
+        the row with its pivot coordinates zeroed.  The echelon basis has
+        a 1 at its own pivot and 0 at the others, so one product subtracts
+        every pivot's multiple at once.  This is the one coset reducer."""
+        p = self.field.p
+        X = np.asarray(X, dtype=np.int64) % p
+        return (X - X[..., self.pivots] @ self.basis) % p
+
+    def contains_rows(self, X) -> np.ndarray:
+        """Which rows of X lie in the (co)space: their representative is the
+        translate (zero for a linear subspace)."""
+        t = 0 if self.translate is None else self.translate
+        return (self.reduce(X) == t).all(axis=-1)
+
     def contains(self, x) -> bool:
-        x = np.array(x, dtype=np.int64) % self.field.p
-        if self.translate is not None:
-            x = (x - self.translate) % self.field.p
-        for row, c in enumerate(self.pivots):
-            if x[c]:
-                x = (x - x[c] * self.basis[row]) % self.field.p
-        return not x.any()
+        return bool(self.contains_rows(x))
 
     def point_array(self) -> np.ndarray:
         """(p^k, m) array of all points of the (co)space."""
@@ -358,10 +359,6 @@ class Subspace:
         if self.translate is not None:
             base = (base + self.translate) % p
         return base
-
-    def points(self) -> Iterator[tuple[int, ...]]:
-        for row in self.point_array():
-            yield tuple(int(v) for v in row)
 
     def _key(self):
         t = None if self.translate is None else tuple(int(v) for v in self.translate)

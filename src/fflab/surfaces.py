@@ -207,7 +207,10 @@ def extension(f: SurfaceFunction) -> FFunction:
 
 def extension_slabs(f: SurfaceFunction) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (t, row) for t = 0 .. p-1, where row is the extension of f on
-    the height-t slab, bit for bit the same as that slab of extension(f).
+    the height-t slab.  It matches that slab of extension(f) bit for bit
+    only as far as the BLAS build gives a row of a stacked product the
+    bits of the same row inside a larger one (see fourier._axis_dft);
+    test_stacked_transform_equals_separate_calls guards it.
 
     Each row is a fresh array; the transform scratch is shared across
     heights, so a consumer holds one slab at a time instead of the grid.

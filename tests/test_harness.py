@@ -15,7 +15,7 @@ import fflab
 from fflab import combinatorics, qforms, surfaces
 from fflab import kakeya as kk
 from fflab.cli import main as cli_main
-from fflab.core import coordinate_array
+from fflab.core import PrimeField, coordinate_array
 from fflab.errors import UnknownScenario
 from fflab.harness import (
     REGISTRY,
@@ -37,6 +37,7 @@ from fflab.harness import (
     witness_values,
 )
 from fflab.harness.baselines import oracle_hash
+from fflab.harness.scenarios import _iso_pair, _mx1_surface
 from fflab.harness.reporting import CSV_COLUMNS
 
 
@@ -399,6 +400,18 @@ def test_mx1_row_states_the_trials_it_ran():
     assert run_scenario("MX-1", prime=13, dim=3, trials=4).trials == 4
 
 
+@pytest.mark.parametrize("dim", [3, 5])
+def test_mx1_pair_is_not_coordinate_aligned_at_p3(dim):
+    # On the standard p = 3 forms the first isotropic pair is spanned by
+    # coordinate vectors, the read index is the identity and both routes
+    # do the same products; MX-1's congruent copy must move it off the axes.
+    S = _mx1_surface(PrimeField(3), dim)
+    W, V = _iso_pair(S)
+    read = kk._coset_read_index(S, W, V)
+    assert np.array_equal(np.sort(read), np.arange(S.size))  # a permutation
+    assert not np.array_equal(read, np.arange(S.size))
+
+
 def _shift_last_slab(slabs, shift):
     def patched(f, W, V):
         for t, row in slabs(f, W, V):
@@ -425,19 +438,14 @@ def test_mx1_fails_on_a_defect_at_the_last_height(monkeypatch, shift, dim):
 
 
 @pytest.mark.parametrize("prime,dim", [(3, 3), (5, 3)])
-def test_mx2_splits_the_base_once_per_run(monkeypatch, prime, dim):
-    # (3, 3) is the exhaustive 511-mask path, (5, 3) the structured one
-    calls = []
-    split = kk._v_coset_index
-
-    def counted(*args):
-        calls.append(args)
-        return split(*args)
-
-    monkeypatch.setattr(kk, "_v_coset_index", counted)
+def test_mx2_splits_the_base_once_per_run(prime, dim):
+    # (3, 3) is the exhaustive 511-mask path, (5, 3) the structured one;
+    # the run uses one (W, V) pair, so the split is built once
+    kk._v_coset_index.cache_clear()
     r = run_scenario("MX-2", prime=prime, dim=dim, trials=2)
     assert r.status == "pass"
-    assert len(calls) == 1
+    info = kk._v_coset_index.cache_info()
+    assert info.misses == 1 and info.hits > 1
 
 
 def _shifted_profile(profile):
@@ -479,6 +487,45 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _private_reads(source):
+    """Underscore names that a module's source imports from, or reads as an
+    attribute of, a name bound by an import from within fflab."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(source)
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "fflab"):
+            bound.update(a.asname or a.name for a in node.names)
+            found += [a.name for a in node.names if private(a.name)]
+        elif isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names
+                         if a.name.split(".")[0] == "fflab")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(f"{root.id}.{node.attr}")
+    return found
+
+
+def test_harness_reads_no_private_name_of_another_module():
+    # Scenarios judge the library through its public functions; a private
+    # helper may change its signature or meaning with no notice to them.
+    planted = ("from .. import kakeya as kk\nfrom ..core import _grid, PrimeField\n"
+               "import fflab.surfaces\nkk._split(1); kk.__name__; x._y\n"
+               "fflab.surfaces._kernel\n")
+    assert sorted(_private_reads(planted)) == ["_grid", "fflab._kernel", "kk._split"]
+    harness = Path(fflab.__file__).resolve().parent / "harness"
+    found = {path.name: _private_reads(path.read_text())
+             for path in sorted(harness.glob("*.py"))}
+    assert all(not names for names in found.values()), found
 
 
 # The (p, d) of every coordinate_array call and the (p, n) of every

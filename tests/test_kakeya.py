@@ -280,16 +280,6 @@ def test_dual_matches_literal_superposition(field, m, seed):
     assert np.allclose(out.data, brute_superposition(h, x0, field, m))
 
 
-def test_dual_accepts_callable_base_map():
-    out_arr = kk.dual_kakeya_apply(
-        FFunction.constant(F3, 1, 1.0), np.array([[0], [1], [2]]), F3, 2
-    )
-    out_fn = kk.dual_kakeya_apply(
-        FFunction.constant(F3, 1, 1.0), lambda eta: (eta[0],), F3, 2
-    )
-    assert np.allclose(out_arr.data, out_fn.data)
-
-
 def test_dual_pairing_reconstructs_line_sums():
     rng = np.random.default_rng(9)
     G = FFunction.random(F5, 2, rng).abs()
@@ -358,38 +348,45 @@ def test_dual_endpoint_random_under_envelope_p5():
 
 def test_full_grid_is_a_kakeya_set():
     pts = [(a, b) for a in range(3) for b in range(3)]
-    audit = kk.kakeya_set_audit(
-        kk.KakeyaInstance(PointSet.of(F3, 2, pts)), full_directions=True
-    )
-    assert audit.is_kakeya and audit.density == 1.0 and audit.missing == ()
+    audit = kk.kakeya_set_audit(PointSet.of(F3, 2, pts), full_directions=True)
+    assert audit.is_kakeya and audit.density == 1.0
+    assert audit.missing.shape == (0, 2)
 
 
 @pytest.mark.parametrize("field,m", [(F3, 2), (F3, 3), (F5, 2), (F5, 3)])
 def test_standard_construction_is_witnessed_and_small(field, m):
-    K = kk.standard_kakeya_set(field, m)
+    E = kk.standard_kakeya_set(field, m)
     p = field.p
-    assert len(K.points) == p * ((p + 1) // 2) ** (m - 1)
-    assert kk.kakeya_set_audit(K).is_kakeya
-    # the exhaustive search agrees once the witness is dropped
-    assert kk.kakeya_set_audit(kk.KakeyaInstance(K.points)).is_kakeya
-    assert K.density < 1.0
+    assert len(E) == p * ((p + 1) // 2) ** (m - 1)
+    audit = kk.kakeya_set_audit(E)
+    assert audit.is_kakeya and audit.missing.shape == (0, m)
+    assert audit.density == len(E) / p**m < 1.0
+
+
+@pytest.mark.parametrize("field,m", [(F3, 2), (F3, 3), (F5, 2), (F5, 3), (F7, 3)])
+def test_standard_set_contains_the_squared_base_line_in_every_direction(field, m):
+    # The construction's certificate, walked point by point: the line
+    # based at (eta_1^2, ..., eta_{m-1}^2) with direction eta.
+    E = kk.standard_kakeya_set(field, m)
+    p = field.p
+    for eta in itertools.product(range(p), repeat=m - 1):
+        for t in range(p):
+            pt = tuple((e * e + t * e) % p for e in eta) + (t,)
+            assert pt in E, (eta, pt)
+
+
+def test_kakeya_sets_need_two_dimensions():
+    with pytest.raises(ValueError):
+        kk.standard_kakeya_set(F3, 1)
+    with pytest.raises(ValueError):
+        kk.kakeya_set_audit(PointSet.of(F3, 1, [(0,)]))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 @pytest.mark.parametrize("m", [2, 3])
 def test_density_floor_holds_for_standard_sets(p, m):
-    K = kk.standard_kakeya_set(PrimeField(p), m)
-    assert kk.kakeya_set_audit(K).density >= kk.dvir_envelope(m)
-
-
-def test_witness_validation_rejects_bad_certificates():
-    with pytest.raises(ValueError):
-        kk.KakeyaInstance(PointSet.of(F3, 2, [(0, 0)]), witness={(0,): (0,)})
-    K = kk.standard_kakeya_set(F3, 2)
-    with pytest.raises(ValueError):
-        kk.KakeyaInstance(K.points, witness={(0,): (0,)})  # missing directions
-    with pytest.raises(ValueError):
-        kk.KakeyaInstance(PointSet.of(F3, 1, [(0,)]))  # too small an ambient
+    E = kk.standard_kakeya_set(PrimeField(p), m)
+    assert kk.kakeya_set_audit(E).density >= kk.dvir_envelope(m)
 
 
 def test_audit_agrees_with_hand_search_on_random_sets():
@@ -398,7 +395,7 @@ def test_audit_agrees_with_hand_search_on_random_sets():
         pts = [tuple(map(int, r)) for r in np.argwhere(rng.random((3, 3)) < 0.5)]
         if not pts:
             continue
-        audit = kk.kakeya_set_audit(kk.KakeyaInstance(PointSet.of(F3, 2, pts)))
+        audit = kk.kakeya_set_audit(PointSet.of(F3, 2, pts))
         expected_missing = []
         for eta in range(3):
             if not any(
@@ -407,18 +404,18 @@ def test_audit_agrees_with_hand_search_on_random_sets():
             ):
                 expected_missing.append((eta, 1))
         assert audit.is_kakeya == (not expected_missing)
-        assert set(audit.missing) == set(expected_missing)
+        assert audit.missing.tolist() == [list(r) for r in expected_missing]
 
 
 def test_full_direction_audit_sees_horizontal_gaps():
     # two horizontal rows contain horizontal lines but no slanted ones
     pts = [(a, t) for a in range(3) for t in (0, 1)]
-    K = kk.KakeyaInstance(PointSet.of(F3, 2, pts))
-    partial = kk.kakeya_set_audit(K)
+    E = PointSet.of(F3, 2, pts)
+    partial = kk.kakeya_set_audit(E)
     assert not partial.is_kakeya  # no line sweeps all three heights
-    full = kk.kakeya_set_audit(K, full_directions=True)
-    assert (1, 0) not in full.missing  # the horizontal direction is covered
-    assert len(full.missing) == 3
+    full = kk.kakeya_set_audit(E, full_directions=True)
+    assert [1, 0] not in full.missing.tolist()  # the horizontal direction is covered
+    assert full.missing.shape == (3, 2)
 
 
 def test_dvir_envelope_values():
@@ -811,10 +808,14 @@ def test_surface_mixed_norm_literal():
 
 def test_mixed_norm_inner_sums_match_a_per_row_loop_bit_for_bit():
     # The inner sums add one base row at a time from 0.0; the finishing
-    # powers and reductions are the library's own.
+    # powers and reductions are the library's own.  The V part of each
+    # base point comes from solving x = w + v by brute force.
     S, W, V = _iso_pair_surface(5, 5)
     p = 5
-    v_idx = kk._v_coset_index(W, V, p)
+    Wp, Vp = W.point_array(), V.point_array()
+    v_idx = np.zeros(p**4, dtype=np.int64)
+    for j, v in enumerate(Vp):
+        v_idx[encode_point(Wp + v, p)] = j
     rng = np.random.default_rng(23)
     F = FFunction.random(S.field, 5, rng)
     f = SurfaceFunction.random(S, rng)
@@ -823,14 +824,13 @@ def test_mixed_norm_inner_sums_match_a_per_row_loop_bit_for_bit():
     for i, v in enumerate(v_idx):
         sums[v] += mags[i]
     want = float(((sums ** 0.5) ** 3.0).sum() ** (1 / 3.0))
-    assert np.array_equal(kk._mixed_norm(F, v_idx, V.dim, 3.0, 2.0), want)
+    assert np.array_equal(kk.mixed_norm(F, W, V, 3.0, 2.0), want)
     surf = np.abs(f.values) ** 2.0
     sums = np.zeros(p**V.dim)
     for i, v in enumerate(v_idx):
         sums[v] += surf[i]
     want = float(np.mean(((sums / p**W.dim) ** 0.5) ** 3.0) ** (1 / 3.0))
-    assert np.array_equal(
-        kk._surface_mixed_norm(f, v_idx, W.dim, V.dim, 3.0, 2.0), want)
+    assert np.array_equal(kk.surface_mixed_norm(f, W, V, 3.0, 2.0), want)
 
 
 def test_single_cap_mixed_ratio_baseline_exhaustive():
@@ -865,23 +865,19 @@ def test_mixed_extension_ratio_bounded_for_random_functions(p):
         assert kk.mixed_extension_ratio(f, W, V) <= 2.0
 
 
-def test_mixed_extension_ratio_splits_once(monkeypatch):
+def test_mixed_extension_ratio_splits_once():
     S = hyperbolic_paraboloid(F5, 5)
     W = enumerate_max_isotropic(S.Q)[0]
     V = complementary_isotropic(S.Q, W)
     f = SurfaceFunction.random(S, np.random.default_rng(31))
     q = (2 * 5 + 2) / (5 - 1)  # the endpoint exponent at d = 5
+    kk._v_coset_index.cache_clear()
     want = kk.mixed_norm(extension(f), W, V, q, 2.0) / kk.surface_mixed_norm(f, W, V, q, 2.0)
-    splits = []
-    split = kk._v_coset_index
-
-    def counted(*args):
-        splits.append(args)
-        return split(*args)
-
-    monkeypatch.setattr(kk, "_v_coset_index", counted)
     assert kk.mixed_extension_ratio(f, W, V) == want
-    assert len(splits) == 1
+    # one build for the pair; every later norm reads it
+    assert kk._v_coset_index.cache_info().misses == 1
+    assert kk._v_coset_index.cache_info().hits == 3
+    assert not kk._v_coset_index(W, V).flags.writeable
 
 
 def test_mixed_ratio_guards():
@@ -924,25 +920,46 @@ def test_regular_set_random_decompositions_stay_bounded(p, d):
         assert 0.0 <= audit.e_exp <= audit.gamma + 1e-12
 
 
-def test_regular_set_validation():
+def _regular_set_cases(as_rows):
+    """The one-coset set of the frozen-numbers test, its valid
+    decomposition, and one invalid (F, S, decomposition) per check; the
+    pieces hold tuple lists, or row arrays when as_rows is set."""
     S = hyperbolic_paraboloid(F3, 3)
     U = Subspace(F3, [[1, 0]], translate=(0, 1))
     pts = [tuple(int(c) for c in r) for r in U.point_array()]
     F = FFunction.indicator(F3, 3, [t + (0,) for t in pts])
-    with pytest.raises(ValueError):  # non-isotropic coset
-        kk.kakeya_regular_set_bound(F, S, {0: [(Subspace(F3, [[1, 1]]), pts)]})
-    with pytest.raises(ValueError):  # cover misses support points
-        kk.kakeya_regular_set_bound(F, S, {0: [(U, pts[:2])]})
-    with pytest.raises(ValueError):  # duplicate coset within a slice
-        kk.kakeya_regular_set_bound(F, S, {0: [(U, pts[:2]), (U, pts[2:])]})
-    with pytest.raises(ValueError):  # point not in its claimed coset
-        other = Subspace(F3, [[1, 0]], translate=(0, 2))
-        kk.kakeya_regular_set_bound(F, S, {0: [(other, pts)]})
-    with pytest.raises(ValueError):  # not an indicator
-        half = FFunction(F3, 3, 0.5 * F.data)
-        kk.kakeya_regular_set_bound(half, S, {0: [(U, pts)]})
-    with pytest.raises(ValueError):  # wrong point dimension for the surface
-        kk.kakeya_regular_set_bound(F, hyperbolic_paraboloid(F3, 5), {0: [(U, pts)]})
+    form = np.array if as_rows else list
+
+    def dec(*pieces, z=0):
+        return {z: [(space, form(rows)) for space, rows in pieces]}
+
+    other = Subspace(F3, [[1, 0]], translate=(0, 2))
+    bad = [
+        (F, S, dec((Subspace(F3, [[1, 1]]), pts))),          # non-isotropic coset
+        (F, S, dec((U, pts[:2]))),                            # cover misses points
+        (F, S, dec((U, pts[:2]), (U, pts[2:]))),              # duplicate coset
+        (F, S, dec((other, pts))),                            # point outside its coset
+        (F, S, dec((U, pts)) | dec((U, pts[:1]), z=3)),       # pieces overlap
+        (FFunction(F3, 3, 0.5 * F.data), S, dec((U, pts))),   # not an indicator
+        (F, hyperbolic_paraboloid(F3, 5), dec((U, pts))),     # wrong ambient
+    ]
+    return F, S, dec((U, pts)), bad
+
+
+def test_regular_set_validation():
+    _, _, _, bad = _regular_set_cases(as_rows=False)
+    for F, S, dec in bad:
+        with pytest.raises(ValueError):
+            kk.kakeya_regular_set_bound(F, S, dec)
+
+
+def test_regular_set_bound_takes_row_arrays_and_tuple_lists():
+    F, S, rows, bad = _regular_set_cases(as_rows=True)
+    _, _, tuples, _ = _regular_set_cases(as_rows=False)
+    assert kk.kakeya_regular_set_bound(F, S, rows) == kk.kakeya_regular_set_bound(F, S, tuples)
+    for Fb, Sb, dec in bad:
+        with pytest.raises(ValueError):
+            kk.kakeya_regular_set_bound(Fb, Sb, dec)
 
 
 def test_random_slice_builder_is_reproducible():
@@ -951,3 +968,7 @@ def test_random_slice_builder_is_reproducible():
     F2, d2 = kk.random_slice_isotropic_function(S, 3, np.random.default_rng(99))
     assert np.array_equal(F1.data, F2.data)
     assert list(d1.keys()) == list(d2.keys())
+    for z, pieces in d1.items():
+        for (c1, rows1), (c2, rows2) in zip(pieces, d2[z], strict=True):
+            assert c1 == c2 and np.array_equal(rows1, rows2)
+            assert rows1.shape[1] == S.base_dim and c1.contains_rows(rows1).all()

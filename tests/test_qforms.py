@@ -223,7 +223,35 @@ def test_affine_subspace_coset_semantics():
     assert V == same
     assert V.contains([1, 1, 0]) and V.contains([0, 1, 1])
     assert not V.contains([0, 0, 0])
-    assert len(list(V.points())) == 3
+    assert len(V.point_array()) == 3
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_reduce_and_contains_rows_match_brute_membership(p, m):
+    # Oracle: the members of span(B) + t listed from the raw rows B and
+    # translate t, over every point of F_p^m.
+    F = PrimeField(p)
+    rng = np.random.default_rng(10 * p + m)
+    grid = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)
+    for k in range(m + 1):
+        B = rng.integers(0, p, size=(k, m))
+        while rank_mod(B, p) != k:
+            B = rng.integers(0, p, size=(k, m))
+        span = {tuple(int(v) for v in np.array(c, dtype=np.int64) @ B % p)
+                for c in itertools.product(range(p), repeat=k)}
+        for t in (None, rng.integers(0, p, size=m)):
+            V = Subspace(F, B, translate=t)
+            shift = np.zeros(m, dtype=np.int64) if t is None else t
+            want = [tuple(int(v) for v in (x - shift) % p) in span for x in grid]
+            assert V.contains_rows(grid).tolist() == want, (k, t)
+            assert [V.contains(x) for x in grid] == want
+            # the representative differs from x by a member of the linear
+            # part and has zero pivot coordinates, which makes it unique
+            reps = V.reduce(grid)
+            assert not reps[:, V.pivots].any()
+            assert all(tuple(int(v) for v in (x - r) % p) in span
+                       for x, r in zip(grid, reps))
 
 
 # ---------------------------------------------------------------------------
