@@ -155,7 +155,9 @@ def decode_point(index, p: int, d: int):
     """Inverse of encode_point: the coordinate tuple of one index, or the
     (n, d) int64 coordinate rows of a 1-d index array."""
     if isinstance(index, np.ndarray):
-        return (index[:, None] // p ** np.arange(d, dtype=np.int64)) % p
+        X = index[:, None] // p ** np.arange(d, dtype=np.int64)
+        X %= p  # in place: the quotient array is fresh
+        return X
     return tuple((index // p**k) % p for k in range(d))
 
 

@@ -64,9 +64,11 @@ from ..qforms import (
     complementary_isotropic,
     complement_indicator_character_sum,
     det_mod,
+    dot_form,
     dual_pairing_basis,
     echelon_bases,
     enumerate_max_isotropic,
+    hyperbolic_pairing_form,
     orthogonal_complement,
     random_invertible,
     random_subspace,
@@ -1148,17 +1150,18 @@ def _iso_pair(S: Surface):
 
 
 def _mx1_surface(field: PrimeField, d: int) -> Surface:
-    """MX-1's surface: the paraboloid (p = 1 mod 4) or the hyperbolic
-    paraboloid, seen through the fixed change of coordinates x -> M x, M
-    the identity with its first row set to ones.  On the standard forms at
-    p = 3 the first isotropic pair is coordinate-aligned, so the coset
-    route would read the transform in the direct route's own layout; the
-    congruent copy moves the pair off the axes at every grid point."""
+    """MX-1's surface: the dot form (p = 1 mod 4) or the hyperbolic
+    pairing form, seen through the fixed change of coordinates x -> M x, M
+    the identity with its first row set to ones; only the congruent
+    surface is built.  On the standard forms at p = 3 the first isotropic
+    pair is coordinate-aligned, so the coset route would read the
+    transform in the direct route's own layout; the congruent copy moves
+    the pair off the axes at every grid point."""
     p = field.p
-    S = paraboloid(field, d) if p % 4 == 1 else hyperbolic_paraboloid(field, d)
+    Q = dot_form(field, d - 1) if p % 4 == 1 else hyperbolic_pairing_form(field, (d - 1) // 2)
     M = np.eye(d - 1, dtype=np.int64)
     M[0] = 1
-    return Surface(QuadraticSpace(field, M.T @ S.Q.A @ M % p))
+    return Surface(QuadraticSpace(field, M.T @ Q.A @ M % p))
 
 
 def _run_mx1(ctx: RunContext):
@@ -1169,9 +1172,11 @@ def _run_mx1(ctx: RunContext):
     # The trial count scales down deterministically at the largest combos,
     # keyed on p^{4n+1}, the number of (pair, output point) terms; the
     # context carries the lowered count so the report row states it.  Both
-    # routes stream the extension one height slab at a time and every
-    # point of each slab is compared, so no full grid is ever held; np.max
-    # over the per-slab maxima keeps a NaN, where Python's max may drop it.
+    # routes stream the extension one height slab at a time, p slabs each,
+    # and every point of each slab is compared in place (a -= b gives the
+    # bits of a - b); the pair is dropped before the next one is computed,
+    # so at most one slab pair is held.  np.max over the per-slab maxima
+    # keeps a NaN, where Python's max may drop it.
     p, d = ctx.prime, ctx.dim
     S = _mx1_surface(ctx.field, d)
     W, V = _iso_pair(S)
@@ -1182,9 +1187,14 @@ def _run_mx1(ctx: RunContext):
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         f = SurfaceFunction.random(S, rng)
-        slabs = zip(extension_slabs(f), kk.coset_slabs(f, W, V), strict=True)
-        dev = float(np.max([np.abs(a - b).max() for (_, a), (_, b) in slabs]))
-        worst.update(dev, lambda t=t: witness_values(trial=t))
+        direct, coset = extension_slabs(f), kk.coset_slabs(f, W, V)
+        devs = []
+        for _ in range(p):
+            a, b = next(direct)[1], next(coset)[1]
+            a -= b
+            devs.append(np.abs(a).max())
+            del a, b
+        worst.update(float(np.max(devs)), lambda t=t: witness_values(trial=t))
     return worst.result()
 
 

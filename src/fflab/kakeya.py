@@ -3,8 +3,7 @@
 The geometry here lives one dimension below the surfaces: lines in F_p^m
 are parameterized by a base and a direction in F_p^{m-1}, and every line
 sweeps the last coordinate.  Horizontal lines are deliberately out of the
-model; kakeya_set_audit(full_directions=True) re-enters them by searching
-along every horizontal direction.
+model.
 
 Measure conventions, fixed once:
 
@@ -346,14 +345,13 @@ class KakeyaAudit(NamedTuple):
     missing: np.ndarray  # (k, m) directions with no fully contained line
 
 
-def kakeya_set_audit(E: PointSet, full_directions: bool = False) -> KakeyaAudit:
+def kakeya_set_audit(E: PointSet) -> KakeyaAudit:
     """Search every direction for a line inside E and report the density.
 
-    A non-horizontal direction holds a line exactly when the maximal
-    function of E's indicator reaches p there; the search is exhaustive
-    over bases.  full_directions additionally audits the horizontal
-    directions (those the line model omits), one per projective class.
-    A missing direction eta of the line model is reported as (eta, 1).
+    A direction eta of the line model holds a line exactly when the
+    maximal function of E's indicator reaches p there; the search is
+    exhaustive over bases.  A missing direction eta is reported as
+    (eta, 1).
     """
     field = E.field
     p = field.p
@@ -363,20 +361,7 @@ def kakeya_set_audit(E: PointSet, full_directions: bool = False) -> KakeyaAudit:
 
     star = kakeya_maximal(FFunction(field, m, ind.astype(np.complex128)))
     heads = coordinate_array(p, m - 1)[star < p - 0.5]
-    missing = [np.hstack([heads, np.ones((len(heads), 1), dtype=np.int64)])]
-
-    if full_directions:
-        # one direction per projective class: last coordinate 0, first
-        # nonzero coordinate 1; a line lies in E when all its p points do
-        grid = coordinate_array(p, m)
-        flat = grid[grid[:, -1] == 0][1:]
-        for u in flat[flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)] == 1]:
-            starts = np.logical_and.reduce(
-                [ind[encode_point(grid + t * u, p)] for t in range(p)])
-            if not starts.any():
-                missing.append(u[None, :])
-
-    missing = np.concatenate(missing)
+    missing = np.hstack([heads, np.ones((len(heads), 1), dtype=np.int64)])
     return KakeyaAudit(not len(missing), len(E) / p**m, missing)
 
 
@@ -560,7 +545,8 @@ def _coset_read_index(S: Surface, W: Subspace, V: Subspace) -> np.ndarray:
     # xi1 + xi2 runs over the base exactly once iff W and V are complementary
     if rank_mod(np.vstack([W.basis, V.basis]), p) != n2:
         raise NotIsotropicPair("subspaces are not complementary")
-    return encode_point(coordinate_array(p, n2) @ np.hstack([V.basis.T, W.basis.T]) % p, p)
+    # encode_point reduces mod p itself
+    return encode_point(coordinate_array(p, n2) @ np.hstack([V.basis.T, W.basis.T]), p)
 
 
 def coset_slabs(f: SurfaceFunction, W: Subspace, V: Subspace

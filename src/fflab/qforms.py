@@ -383,16 +383,16 @@ def zero_space(field: PrimeField, m: int) -> Subspace:
     return Subspace(field, np.zeros((0, m), dtype=np.int64))
 
 
-def echelon_bases(p: int, m: int, k: int) -> np.ndarray:
-    """(N, k, m) int64 array of every k x m reduced row echelon basis over
-    F_p, one block per pivot pattern (patterns in lexicographic order).
-    Each row of the result spans a distinct k-dimensional subspace of
-    F_p^m; k = 0 gives one empty basis and k > m none.  Raises
-    SizeOverflow before allocating a block that would take the running
-    candidate count past the point budget."""
-    if k > m:
-        return np.zeros((0, k, m), dtype=np.int64)
-    blocks = []
+def _echelon_batches(p: int, m: int, k: int, batch: int = 4096
+                     ) -> Iterator[np.ndarray]:
+    """Every k x m reduced row echelon basis over F_p, in echelon_bases
+    order, as (n, k, m) int64 arrays of batch bases each (the last may
+    hold fewer).  Consecutive pivot patterns share a batch and a large
+    pattern spans several, so one batch array is filled at a time and a
+    space with no more than batch candidates gives one array.  Every
+    pattern is counted first: SizeOverflow is raised at the first one that
+    takes the running count past the point budget, before any allocation."""
+    patterns = []
     count = 0
     for pivots in itertools.combinations(range(m), k):
         # free entries sit at (row i, col c) with c not a pivot, c > pivots[i]
@@ -401,19 +401,45 @@ def echelon_bases(p: int, m: int, k: int) -> np.ndarray:
         count += p ** len(free)
         if count > POINT_BUDGET:
             raise SizeOverflow(count, POINT_BUDGET, what="subspace enumeration")
-        block = np.zeros((p ** len(free), k, m), dtype=np.int64)
-        block[:, range(k), pivots] = 1
+        patterns.append((pivots, free))
+    # from here count is the number of candidates not yet given a batch
+    out, filled = None, 0
+    for pivots, free in patterns:
+        coords = coordinate_array(p, len(free))
         rows, cols = np.array(free, dtype=np.int64).reshape(-1, 2).T
-        block[:, rows, cols] = coordinate_array(p, len(free))
-        blocks.append(block)
-    return np.concatenate(blocks)
+        start = 0
+        while start < len(coords):
+            if out is None:
+                out, filled = np.zeros((min(batch, count), k, m), dtype=np.int64), 0
+                count -= len(out)
+            n = min(len(coords) - start, len(out) - filled)
+            piece = out[filled:filled + n]
+            piece[:, range(k), pivots] = 1
+            piece[:, rows, cols] = coords[start:start + n]
+            start += n
+            filled += n
+            if filled == len(out):
+                yield out
+                out = None
+
+
+def echelon_bases(p: int, m: int, k: int) -> np.ndarray:
+    """(N, k, m) int64 array of every k x m reduced row echelon basis over
+    F_p, pivot patterns in lexicographic order: the batches of
+    _echelon_batches joined.  Each row of the result spans a distinct
+    k-dimensional subspace of F_p^m; k = 0 gives one empty basis and
+    k > m none.  Raises SizeOverflow before allocating a block that would
+    take the running candidate count past the point budget."""
+    return np.concatenate([np.zeros((0, k, m), dtype=np.int64),
+                           *_echelon_batches(p, m, k)])
 
 
 def enumerate_subspaces(field: PrimeField, m: int, k: int) -> Iterator[Subspace]:
     """All k-dimensional linear subspaces of F_p^m, one canonical
-    representative each, in echelon_bases order."""
-    for B in echelon_bases(field.p, m, k):
-        yield Subspace._reduced(field, B.copy())
+    representative each, in echelon_bases order, one batch held at a time."""
+    for batch in _echelon_batches(field.p, m, k):
+        for B in batch:
+            yield Subspace._reduced(field, B.copy())
 
 
 def random_subspace(
@@ -452,17 +478,21 @@ def enumerate_max_isotropic(Q: QuadraticSpace) -> tuple[Subspace, ...]:
     witt_index(Q), in canonical order: lexicographic in the entries of
     their reduced echelon bases.  Index 0 gives () (no nontrivial ones).
 
-    Every echelon basis of that dimension is tested at once through its
-    Gram matrices B A B^T; only the survivors become Subspace objects,
-    which keep their echelon bases as they are."""
+    The echelon bases of that dimension are tested through their Gram
+    matrices B A B^T in batches of at most 4,096 candidates, so the filter
+    never holds more than one batch; only the survivors are kept, and
+    only they become Subspace objects, which keep their echelon bases as
+    they are."""
     w = witt_index(Q)
     if w == 0:
         return ()
     p = Q.field.p
     grid_size(p, Q.m)
-    B = echelon_bases(p, Q.m, w)
-    gram = (B @ Q.A) @ B.transpose(0, 2, 1) % p  # exact: integer matmul
-    B = B[~gram.reshape(len(B), -1).any(axis=1)]
+    kept = [np.zeros((0, w, Q.m), dtype=np.int64)]
+    for B in _echelon_batches(p, Q.m, w):
+        gram = (B @ Q.A) @ B.transpose(0, 2, 1) % p  # exact: integer matmul
+        kept.append(B[~gram.reshape(len(B), -1).any(axis=1)])
+    B = np.concatenate(kept)
     flat = B.reshape(len(B), -1)
     return tuple(Subspace._reduced(Q.field, b) for b in B[np.lexsort(flat.T[::-1])])
 

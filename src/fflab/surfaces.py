@@ -42,7 +42,14 @@ from .qforms import (
 
 
 class Surface:
-    """Graph surface {(xi, Q(xi)) : xi in F_p^{d-1}} inside F_p^d."""
+    """Graph surface {(xi, Q(xi)) : xi in F_p^{d-1}} inside F_p^d.
+
+    Points are indexed by their base point xi, in coordinate_array order.
+    The surface stores heights (Q of every base point) and flat_indices,
+    the index of each lifted point in F_p^d, which is the base index plus
+    p^{d-1} times the height; point_array() builds the (p^{d-1}, d) rows
+    on demand from the shared coordinate table.
+    """
 
     def __init__(self, Q: QuadraticSpace, kind: str = "general"):
         if Q.rank < Q.m:
@@ -54,20 +61,19 @@ class Surface:
         self.kind = kind
         self.base_dim = Q.m
         self.ambient_dim = Q.m + 1
-        p = self.field.p
-        self.size = grid_size(p, self.base_dim)
-        base = coordinate_array(p, self.base_dim)
-        heights = Q.q_batch(base)
-        self._point_array = np.concatenate([base, heights[:, None]], axis=1)
-        # flat index of each lifted point inside F_p^d, in base-index order
-        self.flat_indices = encode_point(self._point_array, p)
+        self.size = grid_size(self.field.p, self.base_dim)
+        self.heights = Q.q_batch(coordinate_array(self.field.p, self.base_dim))
+        self.flat_indices = np.arange(self.size) + self.size * self.heights
 
     def point_array(self) -> np.ndarray:
-        return self._point_array
+        """(p^{d-1}, d) int64 rows (xi, Q(xi)), in base-index order; a
+        fresh array on every call."""
+        base = coordinate_array(self.field.p, self.base_dim)
+        return np.concatenate([base, self.heights[:, None]], axis=1)
 
     @property
     def points(self) -> set[tuple[int, ...]]:
-        return {tuple(int(v) for v in row) for row in self._point_array}
+        return {tuple(int(v) for v in row) for row in self.point_array()}
 
     def lift(self, xi) -> tuple[int, ...]:
         p = self.field.p
@@ -173,20 +179,20 @@ class SurfaceFunction:
 # extension and restriction
 
 
-def _height_rows(f: SurfaceFunction, heights, work: Optional[np.ndarray] = None
+def _height_rows(f: SurfaceFunction, ts, work: Optional[np.ndarray] = None
                  ) -> np.ndarray:
-    """The extension of f on the given heights t, one row per height.
+    """The extension of f on the heights t selected by ts, one row each.
 
     On the graph the last-axis phase is the single term e(t Q(xi)), so
     height t of the extension is |S|^{-1} times the unnormalised base
     inverse transform of f(xi) e(t Q(xi)).  The phase rows are gathered
     from the inverse character kernel with take, which returns a fresh
     C-contiguous stack for the in-place transform (a fancy-indexed
-    E[:, Q(xi)] is not C-contiguous); work is the transform's optional
+    E[:, S.heights] is not C-contiguous); work is the transform's optional
     reusable scratch, of the stack's size.
     """
     S = f.surface
-    rows = char_kernel(S.field, +1)[heights].take(S.point_array()[:, -1], axis=1)
+    rows = char_kernel(S.field, +1)[ts].take(S.heights, axis=1)
     rows *= f.values
     _axis_dft(rows, S.field, S.base_dim, +1, work)
     rows /= S.size

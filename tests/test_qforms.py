@@ -4,6 +4,7 @@ The Witt index classification, isotropic enumeration and pairing
 construction all get checked against exhaustive searches at small p.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fflab import qforms
 from fflab.core import PrimeField
 from fflab.errors import (
     DegenerateForm,
@@ -19,7 +21,7 @@ from fflab.errors import (
     NotMaximalIsotropic,
     SizeOverflow,
 )
-from fflab.harness.scenarios import _brute_witt, _witt_monomials
+from fflab.harness.scenarios import _brute_witt, _mx1_surface, _witt_monomials
 from fflab.qforms import (
     QuadraticSpace,
     Subspace,
@@ -452,6 +454,51 @@ def test_isotropic_filter_matches_per_basis_loop(p, m):
                 if is_totally_isotropic(Q, V)]
         loop.sort(key=lambda V: V.basis.ravel().tolist())
         assert list(enumerate_max_isotropic(Q)) == loop
+
+
+@pytest.mark.parametrize("p,m,k", [(3, 4, 2), (5, 3, 1), (5, 4, 2), (2, 5, 3), (3, 4, 0)])
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_echelon_batches_cut_the_same_sequence(p, m, k, batch):
+    # full batches, then one shorter tail; joined they are echelon_bases
+    batches = list(qforms._echelon_batches(p, m, k, batch))
+    assert all(len(B) == batch for B in batches[:-1])
+    assert 0 < len(batches[-1]) <= batch
+    assert np.array_equal(np.concatenate(batches), echelon_bases(p, m, k))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_isotropic_filter_in_small_batches_matches_per_subspace_loop(
+        p, m, twisted, monkeypatch):
+    # Batches of 7 candidates split large pivot patterns and join the
+    # tails of small ones; the survivors, in order, must be those of one
+    # is_totally_isotropic call per subspace at the default batch size.
+    F = PrimeField(p)
+    Q = diagonal_form(F, [1] * (m - 1) + [NONSQUARE[p] if twisted else 1])
+    w = Q.witt_index
+    loop = [V for V in enumerate_subspaces(F, m, w) if is_totally_isotropic(Q, V)] if w else []
+    loop.sort(key=lambda V: V.basis.ravel().tolist())
+    if m > 2:
+        assert gaussian_binomial(p, m, w) > 7  # the candidates span several batches
+    monkeypatch.setattr(qforms, "_echelon_batches",
+                        functools.partial(qforms._echelon_batches, batch=7))
+    assert list(enumerate_max_isotropic(Q)) == loop
+
+
+def test_isotropic_enumeration_holds_one_batch():
+    # MX-1's (13, 4) form has 31,110 candidate planes (1.9 MiB of bases);
+    # filtering them in one product peaked at 4.75 MiB.  A batch of 4,096
+    # with its Gram products holds about 0.75 MiB.
+    Q = _mx1_surface(PrimeField(13), 5).Q
+    tracemalloc.start()
+    try:
+        found = enumerate_max_isotropic(Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(found) == max_isotropic_count(13, 4, 2)
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("p,m", [(3, 4), (5, 4), (7, 4), (3, 6)])

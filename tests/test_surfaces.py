@@ -15,6 +15,7 @@ from fflab.core import (
     char_eval,
     char_vector,
     coordinate_array,
+    encode_point,
     inner,
     lp_norm,
 )
@@ -25,7 +26,7 @@ from fflab.fourier import (
     naive_convolve,
     power_iteration_norm,
 )
-from fflab.qforms import QuadraticSpace, galilean, random_symmetric
+from fflab.qforms import QuadraticSpace, det_mod, galilean, random_symmetric
 from fflab.surfaces import (
     Surface,
     SurfaceFunction,
@@ -59,6 +60,27 @@ def test_surface_basics():
     assert P.lift((2, 3)) == (2, 3, 13 % 5)
     with pytest.raises(ValueError):
         Surface(QuadraticSpace(F, [[1, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_surface_stores_heights_and_flat_indices(p):
+    # a surface keeps Q of every base point and the flat index of every
+    # lifted point; the point rows are rebuilt from them on demand
+    F = PrimeField(p)
+    rng = np.random.default_rng(60 + p)
+    A = random_symmetric(F, 3, rng)
+    while not det_mod(A, p):
+        A = random_symmetric(F, 3, rng)
+    surfaces = [paraboloid(F, 3), paraboloid(F, 4), hyperbolic_paraboloid(F, 3),
+                hyperbolic_paraboloid(F, 5), Surface(QuadraticSpace(F, A))]
+    for S in surfaces:
+        base = coordinate_array(p, S.base_dim)
+        X = S.point_array()
+        assert X.shape == (S.size, S.ambient_dim)
+        assert np.array_equal(X[:, :-1], base)
+        assert np.array_equal(S.heights, S.Q.q_batch(base))
+        assert np.array_equal(S.flat_indices, encode_point(X, p))
+        assert S.contains_rows(X).all()
 
 
 def test_surface_function_constructors():
