@@ -11,8 +11,6 @@ from .core import (
     FFunction,
     FFVector,
     PrimeField,
-    char_eval,
-    enumerate_points,
     inner,
     lp_norm,
 )
@@ -36,8 +34,6 @@ __all__ = [
     "FFunction",
     "FFVector",
     "PrimeField",
-    "char_eval",
-    "enumerate_points",
     "inner",
     "lp_norm",
     "DegenerateForm",

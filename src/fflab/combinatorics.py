@@ -16,21 +16,18 @@ The central objects:
 plus the operations that tie them together: the energy-to-incidence
 reduction, the double-counting incidence bound, vertical/horizontal plane
 covers in F_p^3, and the closed-form / recursive exponent calculus.  All
-of them work on PointSet.index or PointSet.matrix(); FFVectors appear only
-when a caller iterates a PointSet.
+of them work on PointSet.index or PointSet.matrix().
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .core import (
-    FFVector,
     FFunction,
     PrimeField,
     coordinate_array,
@@ -43,7 +40,6 @@ from .errors import (
     FFLabError,
     NotOnSurface,
     OutOfValidityRange,
-    SizeOverflow,
 )
 from .fourier import fourier_transform
 from .qforms import (
@@ -75,7 +71,6 @@ __all__ = [
     "all_affine_hyperplanes",
     "vh_plane_masks",
     "vh_plane_cover",
-    "minimum_vh_cover_size",
     "energy_exponent_closed",
     "closed_form_curve",
     "energy_exponent_recurse",
@@ -84,7 +79,6 @@ __all__ = [
     "isotropic_slice_alpha",
     "sample_energy_exponents",
     "surface_point_set",
-    "full_surface_point_set",
     "base_projection",
     "random_surface_subset",
 ]
@@ -101,7 +95,6 @@ class PointSet:
     points' flat indices in core's encoding (encode_point), so index order
     is the canonical order and every downstream tie-break follows it.
     matrix() decodes the (n, dim) coordinate rows once and caches them.
-    Iteration yields FFVectors; the library itself works on the arrays.
     """
 
     __slots__ = ("field", "dim", "index", "_matrix")
@@ -124,41 +117,15 @@ class PointSet:
     @classmethod
     def of(cls, field: PrimeField, dim: int, pts: Iterable) -> "PointSet":
         """Deduplicated set of the given points: an (n, dim) array, or any
-        iterable of coordinate sequences or FFVectors, reduced mod p."""
+        iterable of coordinate sequences, reduced mod p."""
         rows = point_rows(pts.matrix() if isinstance(pts, PointSet) else pts, dim)
         return cls(field, dim, np.unique(encode_point(rows, field.p)))
 
     def __len__(self) -> int:
         return len(self.index)
 
-    def __iter__(self) -> Iterator[FFVector]:
-        for coords in self.matrix().tolist():
-            yield FFVector(tuple(coords), self.field)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PointSet) and other.field == self.field
-                and other.dim == self.dim
-                and np.array_equal(other.index, self.index))
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.dim, self.index.tobytes()))
-
     def __repr__(self) -> str:
         return f"PointSet(p={self.field.p}, dim={self.dim}, size={len(self)})"
-
-    def members(self, index) -> np.ndarray:
-        """Which of the given flat indices belong to the set (same shape)."""
-        index = np.asarray(index, dtype=np.int64)
-        if not len(self.index):
-            return np.zeros(index.shape, dtype=bool)
-        pos = np.searchsorted(self.index, index).clip(max=len(self.index) - 1)
-        return self.index[pos] == index
-
-    def __contains__(self, pt) -> bool:
-        coords = pt.coords if isinstance(pt, FFVector) else tuple(pt)
-        if len(coords) != self.dim:
-            return False
-        return bool(self.members(encode_point(coords, self.field.p)))
 
     def matrix(self) -> np.ndarray:
         """(n, dim) int64 array of the points in index order (read-only)."""
@@ -168,20 +135,12 @@ class PointSet:
             self._matrix = m
         return self._matrix
 
-    def translate(self, t) -> "PointSet":
-        return PointSet.of(self.field, self.dim,
-                           self.matrix() + point_rows([t], self.dim))
-
 
 def surface_point_set(S: Surface, pts: Iterable) -> PointSet:
     """PointSet of surface points; rejects anything off the surface."""
     E = PointSet.of(S.field, S.ambient_dim, pts)
     S.require_on_surface(E.matrix())
     return E
-
-
-def full_surface_point_set(S: Surface) -> PointSet:
-    return PointSet(S.field, S.ambient_dim, np.sort(S.flat_indices))
 
 
 def base_projection(E: PointSet) -> PointSet:
@@ -539,36 +498,6 @@ def vh_plane_cover(E: PointSet, budget: int) -> VHPlaneCover:
             f"residual plane load {residual_max} exceeds ceil(|E|/budget) = {cap}"
         )
     return VHPlaneCover(tuple(chosen), covered, residual, residual_max)
-
-
-def minimum_vh_cover_size(E: PointSet) -> int:
-    """Exact minimum number of VH planes covering E, by exhaustive search.
-
-    Test oracle for the greedy vh_plane_cover, which must stay within a
-    logarithmic factor of this optimum.  Only the planes meeting E matter.
-    Guarded to tiny instances; the greedy cover is the tool for anything
-    larger.
-    """
-    if E.dim != 3:
-        raise ValueError("minimum_vh_cover_size expects points in F_p^3")
-    if len(E) == 0:
-        return 0
-    relevant = []
-    seen = set()
-    for mask in vh_plane_masks(E.matrix(), E.field.p):
-        key = mask.tobytes()
-        if mask.any() and key not in seen:
-            seen.add(key)
-            relevant.append(mask)
-    if len(E) > 8 or len(relevant) > 24:
-        raise SizeOverflow(
-            len(relevant) * len(E), 24 * 8, "exhaustive VH cover search"
-        )
-    for k in range(1, len(relevant) + 1):
-        for combo in itertools.combinations(relevant, k):
-            if np.logical_or.reduce(combo).all():
-                return k
-    raise FFLabError("VH planes failed to cover E")  # unreachable: planes cover F_p^3
 
 
 # ---------------------------------------------------------------------------

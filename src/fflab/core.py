@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -109,18 +109,10 @@ class CharacterTable:
         for E in self.kernels.values():
             E.flags.writeable = False
 
-    def __call__(self, k: int) -> complex:
-        return complex(self.values[k % self.p])
-
 
 @functools.lru_cache(maxsize=None)
 def _char_table(p: int) -> CharacterTable:
     return CharacterTable(p)
-
-
-def char_eval(field: PrimeField, x: int) -> complex:
-    """e(x) = exp(2*pi*i*x/p)."""
-    return _char_table(field.p)(x)
 
 
 def char_vector(field: PrimeField) -> np.ndarray:
@@ -210,21 +202,12 @@ class FFVector:
         return FFVector(tuple(c * a for a in self.coords), self.field)
 
 
-def enumerate_points(field: PrimeField, d: int) -> Iterator[FFVector]:
-    """All p^d points in index order.  Raises SizeOverflow past the budget."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    n = grid_size(field.p, d)
-    for idx in range(n):
-        yield FFVector(decode_point(idx, field.p, d), field)
-
-
 def point_rows(points, dim: int) -> np.ndarray:
     """(n, dim) int64 array of points given as an array or as an iterable
-    of coordinate sequences or FFVectors.  Order and repeats are kept; the
-    entries are not reduced mod p."""
+    of coordinate sequences.  Order and repeats are kept; the entries are
+    not reduced mod p."""
     if not isinstance(points, np.ndarray):
-        points = [pt.coords if isinstance(pt, FFVector) else pt for pt in points]
+        points = list(points)
     rows = (np.array(points, dtype=np.int64) if len(points)
             else np.zeros((0, dim), dtype=np.int64))
     if rows.ndim != 2 or rows.shape[1] != dim:
@@ -294,12 +277,6 @@ class FFunction:
         return f
 
     @classmethod
-    def from_grid(cls, field: PrimeField, grid: np.ndarray) -> "FFunction":
-        """Inverse of .grid: a (p,)*d array with axis k = coordinate k."""
-        d = grid.ndim
-        return cls(field, d, np.asarray(grid, dtype=np.complex128).reshape(-1, order="F"))
-
-    @classmethod
     def random(
         cls,
         field: PrimeField,
@@ -322,58 +299,13 @@ class FFunction:
             raise ValueError(f"unknown kind {kind!r}")
         return cls(field, dim, data)
 
-    # -- access ------------------------------------------------------------
-
-    @property
-    def grid(self) -> np.ndarray:
-        """View as a (p,)*d array; axis k is coordinate k."""
-        p = self.field.p
-        return self.data.reshape((p,) * self.dim, order="F")
-
-    def __getitem__(self, point) -> complex:
-        if isinstance(point, FFVector):
-            return complex(self.data[point.index])
-        if isinstance(point, (int, np.integer)):
-            return complex(self.data[point])
-        return complex(self.data[encode_point(point, self.field.p)])
-
-    def __setitem__(self, point, value: complex) -> None:
-        if isinstance(point, FFVector):
-            self.data[point.index] = value
-        elif isinstance(point, (int, np.integer)):
-            self.data[point] = value
-        else:
-            self.data[encode_point(point, self.field.p)] = value
-
-    def support(self) -> list[tuple[int, ...]]:
-        p = self.field.p
-        return [
-            decode_point(int(i), p, self.dim) for i in np.nonzero(self.data)[0]
-        ]
-
-    def copy(self) -> "FFunction":
-        return FFunction(self.field, self.dim, self.data.copy())
-
     # -- pointwise algebra ---------------------------------------------------
 
     def _like(self, data: np.ndarray) -> "FFunction":
         return FFunction(self.field, self.dim, data)
 
-    def __add__(self, other: "FFunction") -> "FFunction":
-        return self._like(self.data + other.data)
-
     def __sub__(self, other: "FFunction") -> "FFunction":
         return self._like(self.data - other.data)
-
-    def __mul__(self, other) -> "FFunction":
-        if isinstance(other, FFunction):
-            return self._like(self.data * other.data)
-        return self._like(self.data * other)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "FFunction":
-        return self._like(np.conj(self.data))
 
     def abs(self) -> "FFunction":
         return self._like(np.abs(self.data).astype(np.complex128))

@@ -18,14 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    FFunction,
-    PrimeField,
-    char_kernel,
-    char_vector,
-    coordinate_array,
-    encode_point,
-)
+from .core import FFunction, PrimeField, char_kernel
 
 # ---------------------------------------------------------------------------
 # transforms
@@ -93,31 +86,12 @@ def inverse_transform(g: FFunction) -> FFunction:
     return FFunction(g.field, g.dim, out)
 
 
-def naive_fourier_transform(f: FFunction) -> FFunction:
-    """The defining double sum, O(p^{2d}).  Test oracle for the axis-wise
-    transform; only sensible at small sizes."""
-    p = f.field.p
-    X = coordinate_array(p, f.dim)
-    vals = char_vector(f.field)
-    phases = vals[(-X @ X.T) % p]  # phases[xi_idx, x_idx] = e(-x.xi)
-    return FFunction(f.field, f.dim, phases @ f.data)
-
-
 def convolve(f: FFunction, g: FFunction) -> FFunction:
     """Counting-measure convolution (f*g)(x) = sum_y f(y) g(x-y), computed
     on the Fourier side where it is a pointwise product."""
     fh = fourier_transform(f)
     gh = fourier_transform(g)
     return inverse_transform(FFunction(f.field, f.dim, fh.data * gh.data))
-
-
-def naive_convolve(f: FFunction, g: FFunction) -> FFunction:
-    """The defining double sum; O(p^{2d}) memory.  Test oracle for the
-    Fourier-side convolve."""
-    p = f.field.p
-    X = coordinate_array(p, f.dim)
-    diff_idx = encode_point(X[:, None, :] - X[None, :, :], p)  # [x, y] -> x - y
-    return FFunction(f.field, f.dim, g.data[diff_idx] @ f.data)
 
 
 # ---------------------------------------------------------------------------

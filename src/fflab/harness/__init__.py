@@ -9,7 +9,6 @@ from .reporting import (
     ScenarioReport,
     witness_values,
     witness_array,
-    witness_points,
     decode_witness_array,
     reports_to_json,
     reports_to_csv,
@@ -29,7 +28,6 @@ __all__ = [
     "ScenarioReport",
     "witness_values",
     "witness_array",
-    "witness_points",
     "decode_witness_array",
     "reports_to_json",
     "reports_to_csv",

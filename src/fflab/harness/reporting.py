@@ -9,8 +9,8 @@ byte-level promises.
 Witness payloads are built to be diffable across implementations:
 
 - complex arrays are base64 of little-endian float64 pairs, real and
-  imaginary interleaved in C order, with the shape stored alongside;
-- point sets are plain integer coordinate rows;
+  imaginary interleaved in C order, with the shape stored alongside
+  (decode_witness_array reads them back);
 - everything else is a flat name -> scalar mapping.
 """
 
@@ -71,13 +71,6 @@ def decode_witness_array(w: dict) -> np.ndarray:
     inter = np.frombuffer(base64.b64decode(w["data"]), dtype="<f8")
     out = inter[0::2] + 1j * inter[1::2]
     return out.reshape(w["shape"])
-
-
-def witness_points(points, prime: int, dim: int) -> dict:
-    """Point-set witness as sorted integer coordinate rows."""
-    rows = sorted(tuple(int(c) for c in pt) for pt in points)
-    return {"kind": "point_set", "prime": prime, "dim": dim,
-            "points": [list(r) for r in rows]}
 
 
 @dataclass(frozen=True)

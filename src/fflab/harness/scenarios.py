@@ -66,7 +66,6 @@ from ..qforms import (
     det_mod,
     dot_form,
     dual_pairing_basis,
-    echelon_bases,
     enumerate_max_isotropic,
     hyperbolic_pairing_form,
     orthogonal_complement,
@@ -110,6 +109,7 @@ from ..combinatorics import (
     vh_plane_masks,
 )
 from .. import kakeya as kk
+from ..oracles import brute_energy, brute_witt, witt_monomials
 from .baselines import BaselineEntry, BaselineStore, BaselineMissing, oracle_hash
 from .reporting import ScenarioReport, witness_array, witness_values
 
@@ -194,6 +194,14 @@ def _random_support(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
     return np.sort(rng.choice(total, size=k, replace=False))
 
 
+def _sparse(field: PrimeField, d: int, idx: np.ndarray, vals) -> FFunction:
+    """The function on F_p^d equal to vals at the flat indices idx and 0
+    elsewhere."""
+    data = np.zeros(field.p**d, dtype=complex)
+    data[idx] = vals
+    return FFunction(field, d, data)
+
+
 # ---------------------------------------------------------------------------
 # FT: transform layer
 
@@ -251,9 +259,7 @@ def _run_st1(ctx: RunContext):
         k = int(rng.integers(1, max(2, p**d // 3)))
         idx = _random_support(rng, p**d, k)
         vals = rng.uniform(1.0, 2.0, size=k) * np.exp(2j * np.pi * rng.random(k))
-        data = np.zeros(p**d, dtype=complex)
-        data[idx] = vals
-        f = FFunction(ctx.field, d, data)
+        f = _sparse(ctx.field, d, idx, vals)
         f = _scale(f, 1.0 / lp_norm(f, q / (q - theta)))
         lam = float(np.abs(f.data[idx]).min())
         lhs = restriction(f, S).norm(2.0) ** 2
@@ -283,9 +289,8 @@ def _run_st2(ctx: RunContext):
         theta = float(rng.uniform(0.2, 0.9))
         k = int(rng.integers(1, max(2, p**d // 2)))
         idx = _random_support(rng, p**d, k)
-        data = np.zeros(p**d, dtype=complex)
-        data[idx] = rng.uniform(0.2, 1.0, size=k) * np.exp(2j * np.pi * rng.random(k))
-        f = FFunction(ctx.field, d, data)
+        f = _sparse(ctx.field, d, idx,
+                    rng.uniform(0.2, 1.0, size=k) * np.exp(2j * np.pi * rng.random(k)))
         q = 2.0
         f = _scale(f, 1.0 / lp_norm(f, q / (q - theta)))
         lam = float(np.abs(f.data).max())
@@ -367,9 +372,7 @@ def _run_st5(ctx: RunContext):
             rng = ctx.trial_rng(t)
             k = int(rng.integers(1, p**d))
             idx = _random_support(rng, p**d, k)
-            data = np.zeros(p**d, dtype=complex)
-            data[idx] = np.exp(2j * np.pi * rng.random(k))
-            f = FFunction(ctx.field, d, data)
+            f = _sparse(ctx.field, d, idx, np.exp(2j * np.pi * rng.random(k)))
             lhs = restriction(f, S).norm(2.0) ** 2
             bound = k + p ** (-(d - 1) / 2) * k**2
             dev = _pos(lhs - bound) / max(1.0, bound)
@@ -393,9 +396,7 @@ def _run_st6(ctx: RunContext):
         # gamma >= 1 keeps the derived exponent a genuine Lebesgue index
         k = int(rng.integers(p, p**d))
         idx = _random_support(rng, p**d, k)
-        data = np.zeros(p**d, dtype=complex)
-        data[idx] = 1.0
-        f = FFunction(ctx.field, d, data)
+        f = _sparse(ctx.field, d, idx, 1.0)
         gamma = _logp(p, k)
         r = 2 * gamma / (gamma + 2 * alpha)
         dev_norm = _rel(lp_norm(f, r), p ** (alpha + gamma / 2))
@@ -569,22 +570,6 @@ def _run_br3(ctx: RunContext):
 # EN: additive energy
 
 
-def _brute_energy(pts: np.ndarray, p: int) -> int:
-    """EN-1's oracle: the literal count of a + b = c + d over the distinct
-    rows of pts, an (n, d) array.  For every (a, b, c) the fourth point
-    d = a + b - c is fixed, so count the triples whose d lies in the set."""
-    arr = [tuple(int(c) % p for c in row) for row in pts]
-    members = set(arr)
-    count = 0
-    for a in arr:
-        for b in arr:
-            for c in arr:
-                if tuple((ai + bi - ci) % p
-                         for ai, bi, ci in zip(a, b, c)) in members:
-                    count += 1
-    return count
-
-
 def _run_en1(ctx: RunContext):
     # The vectorized sum-multiset energy count equals the literal
     # count of quadruples, as integers.
@@ -597,7 +582,7 @@ def _run_en1(ctx: RunContext):
         k = int(rng.integers(2, min(S.size, 12) + 1))
         E = random_surface_subset(S, k, rng)
         fast = additive_energy(E)
-        slow = _brute_energy(E.matrix(), p)
+        slow = brute_energy(E.matrix(), p)
         dev = float(abs(fast - slow))
         worst.update(dev, lambda fast=fast, slow=slow, t=t:
                      witness_values(trial=t, vectorized=fast, quadruple_loop=slow))
@@ -882,56 +867,19 @@ def _run_pl3(ctx: RunContext):
 # QF: quadratic form classification
 
 
-def _witt_monomials(p: int, m: int):
-    """Degree-two monomial rows for _brute_witt, built once per run.
-
-    Returns (lines, planes): x_i x_j for every projective vector x, as an
-    (N, m^2) array, and the (u_i u_j, v_i v_j, u_i v_j) arrays for every
-    echelon plane basis (u, v), or None below ambient dimension 4 (planes
-    are enough for ambient dimension at most 4).  A form's value on a row
-    is the row's dot product with A.ravel().
-    """
-    def outer(a, b):
-        return (a[:, :, None] * b[:, None, :]).reshape(len(a), m * m)
-
-    x = echelon_bases(p, m, 1)[:, 0]
-    if m < 4:
-        return outer(x, x), None
-    planes = echelon_bases(p, m, 2)
-    u, v = planes[:, 0, :], planes[:, 1, :]
-    return outer(x, x), (outer(u, u), outer(v, v), outer(u, v))
-
-
-def _brute_witt(A: np.ndarray, p: int, lines: np.ndarray, planes) -> int:
-    """QF-1's oracle: the largest dimension of a totally isotropic
-    subspace, by direct search over every projective vector and every
-    echelon plane basis, given as the monomial rows of _witt_monomials."""
-    a = np.asarray(A, dtype=np.int64).ravel()
-    w = 1 if bool((lines @ a % p == 0).any()) else 0
-    if w and planes is not None:
-        # u.u = 0, then v.v = 0, then u.v = 0, each tested only on the
-        # planes that passed the conditions before it
-        uu, vv, uv = planes
-        rows = np.flatnonzero(uu @ a % p == 0)
-        rows = rows[vv[rows] @ a % p == 0]
-        if bool((uv[rows] @ a % p == 0).any()):
-            w = 2
-    return w
-
-
 def _run_qf1(ctx: RunContext):
     # Computed isotropy index against exhaustive subspace search, for
     # every diagonal nondegenerate form and a batch of random symmetric
     # nondegenerate forms.
     p, m = ctx.prime, ctx.dim
     field = ctx.field
-    lines, planes = _witt_monomials(p, m)
+    lines, planes = witt_monomials(p, m)
     mismatches = 0
     first_bad = None
     for diag in itertools.product(range(1, p), repeat=m):
         A = np.diag(np.array(diag, dtype=np.int64))
         got = QuadraticSpace(field, A).witt_index
-        want = _brute_witt(A, p, lines, planes)
+        want = brute_witt(A, p, lines, planes)
         if got != want:
             mismatches += 1
             if first_bad is None:
@@ -944,7 +892,7 @@ def _run_qf1(ctx: RunContext):
             if det_mod(A, p) != 0:
                 break
         got = QuadraticSpace(field, A).witt_index
-        want = _brute_witt(A, p, lines, planes)
+        want = brute_witt(A, p, lines, planes)
         if got != want:
             mismatches += 1
             if first_bad is None:

@@ -68,7 +68,6 @@ __all__ = [
     "maximizing_base_map",
     "direction_norm",
     "maximal_ratio",
-    "line_sum",
     "dual_kakeya_apply",
     "dual_consistency",
     "kakeya_set_audit",
@@ -125,22 +124,11 @@ class AffineLine:
     def ambient_dim(self) -> int:
         return len(self.base) + 1
 
-    def __len__(self) -> int:
-        return self.field.p
-
     def point_array(self) -> np.ndarray:
         """(p, m) array of the line's points, ordered by the last coordinate."""
         return _line_points(np.array([self.base], dtype=np.int64),
                             np.array([self.direction], dtype=np.int64),
                             self.field.p)[0]
-
-    def __contains__(self, x) -> bool:
-        x = tuple(int(c) % self.field.p for c in x)
-        if len(x) != self.ambient_dim:
-            return False
-        t = x[-1]
-        p = self.field.p
-        return all((b + d * t - c) % p == 0 for b, d, c in zip(self.base, self.direction, x))
 
     def indicator(self) -> FFunction:
         return FFunction.indicator(self.field, self.ambient_dim, self.point_array())
@@ -237,19 +225,6 @@ def maximal_ratio(F: FFunction, q_out: Optional[float] = None,
     if denom == 0.0:
         raise ValueError("maximal ratio of the zero function")
     return direction_norm(kakeya_maximal(F), q_out) / denom
-
-
-def line_sum(F: FFunction, base, direction, absolute: bool = False) -> complex:
-    """Sum of F (or |F|) over the line with the given base and direction.
-
-    Test oracle for line_totals, kakeya_maximal and maximizing_base_map:
-    it walks one line's points directly instead of gathering all lines.
-    """
-    line = AffineLine.of(F.field, base, direction)
-    vals = F.data[encode_point(line.point_array(), F.field.p)]
-    if absolute:
-        return float(np.abs(vals).sum())
-    return complex(vals.sum())
 
 
 # ---------------------------------------------------------------------------

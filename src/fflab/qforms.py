@@ -375,14 +375,6 @@ class Subspace:
         return f"Subspace(p={self.field.p}, dim={self.dim}, ambient={self.ambient}{tag})"
 
 
-def full_space(field: PrimeField, m: int) -> Subspace:
-    return Subspace(field, np.eye(m, dtype=np.int64))
-
-
-def zero_space(field: PrimeField, m: int) -> Subspace:
-    return Subspace(field, np.zeros((0, m), dtype=np.int64))
-
-
 def _echelon_batches(p: int, m: int, k: int, batch: int = 4096
                      ) -> Iterator[np.ndarray]:
     """Every k x m reduced row echelon basis over F_p, in echelon_bases

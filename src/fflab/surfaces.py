@@ -84,9 +84,6 @@ class Surface:
         """Which rows of the (n, d) int array X are points of the surface."""
         return self.Q.q_batch(X[:, :-1]) == X[:, -1] % self.field.p
 
-    def contains(self, x) -> bool:
-        return bool(self.contains_rows(point_rows([x], self.ambient_dim))[0])
-
     def require_on_surface(self, pts) -> np.ndarray:
         """(n, d) int64 rows of the given points, reduced mod p, in their
         order; raises NotOnSurface naming the first one off the surface."""
@@ -130,16 +127,6 @@ class SurfaceFunction:
         self.values = values
 
     @classmethod
-    def constant(cls, surface: Surface, value: complex = 1.0) -> "SurfaceFunction":
-        return cls(surface, np.full(surface.size, value, dtype=np.complex128))
-
-    @classmethod
-    def delta(cls, surface: Surface, xi) -> "SurfaceFunction":
-        vals = np.zeros(surface.size, dtype=np.complex128)
-        vals[encode_point(xi, surface.field.p)] = 1.0
-        return cls(surface, vals)
-
-    @classmethod
     def from_surface_points(
         cls, surface: Surface, pts: Iterable[Sequence[int]]
     ) -> "SurfaceFunction":
@@ -166,13 +153,6 @@ class SurfaceFunction:
     def norm(self, q: float) -> float:
         """L^q(S, dsigma) with the normalized surface measure."""
         return lp_norm(self.as_base_function(), q, "normalized")
-
-    def __eq__(self, other) -> bool:  # exact; use norms for tolerant checks
-        return (
-            isinstance(other, SurfaceFunction)
-            and self.surface is other.surface
-            and np.array_equal(self.values, other.values)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +270,7 @@ def surface_measure_inverse_ft(S: Surface) -> FFunction:
         zero_slice = ~nz
         out[zero_slice] = (xbar[zero_slice] == 0).all(axis=1).astype(np.complex128)
     else:
-        return extension(SurfaceFunction.constant(S))
+        return extension(SurfaceFunction(S, np.ones(S.size)))
     return FFunction(S.field, d, out)
 
 
@@ -334,19 +314,11 @@ class Tube:
     x2_0: int
     t_0: int
 
-    def contains(self, x) -> bool:
-        p = self.field.p
-        x1, x2, t = (int(c) % p for c in x)
-        return (x2 - self.x2_0 + self.m * (t - self.t_0)) % p == 0
-
     def indicator(self) -> FFunction:
         p = self.field.p
         X = coordinate_array(p, 3)
         mask = (X[:, 1] - self.x2_0 + self.m * (X[:, 2] - self.t_0)) % p == 0
         return FFunction(self.field, 3, mask.astype(np.complex128))
-
-    def point_count(self) -> int:
-        return self.field.p**2
 
 
 # ---------------------------------------------------------------------------

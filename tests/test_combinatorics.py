@@ -27,12 +27,10 @@ from fflab.combinatorics import (
     energy_exponent_recurse,
     energy_slice_bound,
     energy_to_incidence,
-    full_surface_point_set,
     incidence_bound_audit,
     incidence_count,
     isotropic_slice_alpha,
     max_isotropic_slice,
-    minimum_vh_cover_size,
     off_diagonal_energy,
     random_surface_subset,
     recursion_curve,
@@ -42,14 +40,14 @@ from fflab.combinatorics import (
     vh_plane_masks,
     vh_profile,
 )
-from fflab.core import FFVector, PrimeField, decode_point, encode_point
+from fflab.core import PrimeField, decode_point, encode_point
 from fflab.errors import (
     FFLabError,
     NotOnSurface,
     OutOfValidityRange,
     SizeOverflow,
 )
-from fflab.harness.scenarios import _brute_energy
+from fflab.oracles import brute_energy, minimum_vh_cover_size
 from fflab.qforms import (
     QuadraticSpace,
     Subspace,
@@ -71,27 +69,33 @@ F5 = PrimeField(5)
 F7 = PrimeField(7)
 
 
+def _add(x, y, p):
+    return tuple((a + b) % p for a, b in zip(x, y))
+
+
 def quadruple_loop(A: PointSet, B: PointSet = None) -> int:
     """Literal O(|A|^2 |B|^2) count of a + b = c + d, the ground truth."""
     if B is None:
         B = A
+    p = A.field.p
     total = 0
-    for a in A:
-        for b in B:
-            sab = (a + b).coords
-            for c in A:
-                for d in B:
-                    if (c + d).coords == sab:
+    for a in A.matrix().tolist():
+        for b in B.matrix().tolist():
+            sab = _add(a, b, p)
+            for c in A.matrix().tolist():
+                for d in B.matrix().tolist():
+                    if _add(c, d, p) == sab:
                         total += 1
     return total
 
 
 def off_diagonal_loop(E: PointSet) -> int:
     """Literal count of a + b = c + d with b, d split in both base coords."""
+    p = E.field.p
     total = 0
-    for a, b, c, d in itertools.product(E, repeat=4):
-        if (a + b).coords == (c + d).coords:
-            if b.coords[0] != d.coords[0] and b.coords[1] != d.coords[1]:
+    for a, b, c, d in itertools.product(E.matrix().tolist(), repeat=4):
+        if _add(a, b, p) == _add(c, d, p):
+            if b[0] != d[0] and b[1] != d[1]:
                 total += 1
     return total
 
@@ -111,14 +115,9 @@ def test_pointset_dedups_sorts_and_searches():
     assert len(E) == 3
     # index order: flat indices 0, 2 + 1*3 = 5, 1 + 2*3 = 7
     assert E.index.tolist() == [0, 5, 7]
-    assert [v.coords for v in E] == [(0, 0), (2, 1), (1, 2)]
-    assert (1, 2) in E and (2, 1) in E
-    assert FFVector((2, 1), F3) in E
-    assert (1, 1) not in E
-    assert (4, 5) in E  # reduced mod 3 to (1, 2)
-    # a point of another length is never a member, whatever its flat index
-    assert (0,) not in E and (1, 2, 0) not in E
     assert E.matrix().tolist() == [[0, 0], [2, 1], [1, 2]]
+    # coordinates are reduced mod 3: (4, 5) is (1, 2)
+    assert PointSet.of(F3, 2, [(4, 5)]).index.tolist() == [7]
 
 
 def test_pointset_constructor_rejects_disorder():
@@ -148,29 +147,15 @@ def test_pointset_matches_set_of_tuples(p, d, raw, probe):
     oracle = {tuple(c % p for c in pt) for pt in pts}
     E = PointSet.of(F, d, pts)
     assert len(E) == len(oracle)
-    assert {v.coords for v in E} == oracle
+    assert {tuple(row) for row in E.matrix().tolist()} == oracle
     assert E.index.tolist() == sorted(encode_point(pt, p) for pt in oracle)
     assert np.array_equal(decode_point(E.index, p, d), E.matrix())
-    assert PointSet(F, d, encode_point(E.matrix(), p)) == E
-    for pt in pts + [tuple(probe[:d])]:
-        assert (pt in E) == (tuple(c % p for c in pt) in oracle)
-    assert tuple(probe[: d + 1]) not in E and tuple(probe[: d - 1]) not in E
-    t = tuple(probe[:d])
-    shifted = {tuple((a + b) % p for a, b in zip(pt, t)) for pt in oracle}
-    assert {v.coords for v in E.translate(t)} == shifted
-
-
-def test_pointset_translate_is_a_bijection():
-    E = PointSet.of(F5, 2, [(0, 0), (1, 2), (3, 3), (4, 1)])
-    T = E.translate((2, 4))
-    assert len(T) == len(E)
-    back = T.translate((3, 1))  # additive inverse of (2, 4) mod 5
-    assert [v.coords for v in back] == [v.coords for v in E]
+    assert np.array_equal(PointSet(F, d, encode_point(E.matrix(), p)).index, E.index)
 
 
 def test_surface_point_set_validation():
     S = hyperbolic_paraboloid(F3, 3)
-    full = full_surface_point_set(S)
+    full = surface_point_set(S, S.point_array())
     assert len(full) == 9
     with pytest.raises(NotOnSurface):
         surface_point_set(S, [(1, 1, 0)])
@@ -178,7 +163,7 @@ def test_surface_point_set_validation():
     assert proj.dim == 2 and len(proj) == 9
     rng = np.random.default_rng(3)
     sub = random_surface_subset(S, 4, rng)
-    assert len(sub) == 4 and all(S.contains(v.coords) for v in sub)
+    assert len(sub) == 4 and S.contains_rows(sub.matrix()).all()
     with pytest.raises(ValueError):
         random_surface_subset(S, 10, rng)
 
@@ -207,7 +192,7 @@ def test_en1_triple_loop_oracle_matches_quadruple_loop(p):
     F = PrimeField(p)
     for k in (1, 2, 3, 5, 8, 12):
         E = PointSet(F, 3, np.sort(rng.choice(p**3, size=k, replace=False)))
-        assert _brute_energy(E.matrix(), p) == quadruple_loop(E)
+        assert brute_energy(E.matrix(), p) == quadruple_loop(E)
 
 
 def test_energy_two_sets_matches_literal_loop():
@@ -241,7 +226,7 @@ def test_energy_trivia_and_frozen_full_surface_value():
     cube = PointSet.of(F3, 3, (tuple(r) for r in V.point_array()))
     assert additive_energy(cube) == 9 ** 3
     # whole bilinear surface at p = 3, frozen by exhaustive count
-    assert additive_energy(full_surface_point_set(S)) == 297
+    assert additive_energy(surface_point_set(S, S.point_array())) == 297
 
 
 def test_energy_invariant_under_translation_and_dilation():
@@ -249,9 +234,9 @@ def test_energy_invariant_under_translation_and_dilation():
     E = PointSet.of(F7, 2, {tuple(rng.integers(0, 7, 2)) for _ in range(8)})
     lam = additive_energy(E)
     for t in [(1, 3), (6, 6), (0, 2)]:
-        assert additive_energy(E.translate(t)) == lam
+        assert additive_energy(PointSet.of(F7, 2, E.matrix() + np.array(t))) == lam
     for unit in range(1, 7):
-        D = PointSet.of(F7, 2, ((unit * v.coords[0] % 7, unit * v.coords[1] % 7) for v in E))
+        D = PointSet.of(F7, 2, unit * E.matrix() % 7)
         assert additive_energy(D) == lam
 
 
@@ -288,7 +273,8 @@ def test_energy_invariant_under_surface_shear():
         tA = surface_point_set(S, galilean(S, t, A.matrix()))
         tB = surface_point_set(S, galilean(S, t, B.matrix()))
         t_inv = S.lift(tuple(-c for c in t[:-1]))
-        assert surface_point_set(S, galilean(S, t_inv, tA.matrix())) == A
+        back = surface_point_set(S, galilean(S, t_inv, tA.matrix()))
+        assert np.array_equal(back.index, A.index)
         assert additive_energy(tA) == additive_energy(A)
         assert additive_energy(tA, tB) == additive_energy(A, B)
 
@@ -371,8 +357,8 @@ def test_vh_profile_counts_every_slice():
     assert sum(prof.vertical.values()) == len(E)
     assert sum(prof.horizontal.values()) == len(E)
     for j in range(5):
-        assert prof.vertical[j] == sum(1 for v in E if v.coords[0] == j)
-        assert prof.horizontal[j] == sum(1 for v in E if v.coords[1] == j)
+        assert prof.vertical[j] == sum(1 for v in E.matrix().tolist() if v[0] == j)
+        assert prof.horizontal[j] == sum(1 for v in E.matrix().tolist() if v[1] == j)
     assert prof.max_line == max(
         itertools.chain(prof.vertical.values(), prof.horizontal.values())
     )
@@ -434,6 +420,23 @@ def test_hyperplane_family_degenerate_members():
     P = PointSet.of(F3, 2, [(0, 0), (1, 1), (2, 2)])
     rows = L.membership_rows(P)
     assert rows[0].all()  # the full-space member contains everything
+
+
+@pytest.mark.parametrize("p,m", [(5, 2), (5, 3), (7, 2), (7, 3)])
+def test_membership_rows_match_per_hyperplane_loop(p, m):
+    # Offsets lie in 1 .. (p-1)/2, so no member has its mirror w.y = -c in
+    # the family, and testing w.y = -c in place of w.y = c changes rows.
+    F = PrimeField(p)
+    rng = np.random.default_rng(10 * p + m)
+    normals = rng.integers(0, p, size=(12, m))
+    normals[~normals.any(axis=1), 0] = 1
+    offsets = rng.integers(1, (p + 1) // 2, size=len(normals))
+    L = HyperplaneFamily(F, m, np.vstack([normals, np.zeros((1, m), dtype=np.int64)]),
+                         np.append(offsets, 0))  # plus the full-space member
+    P = PointSet(F, m, np.arange(p**m))
+    literal = [[sum(a * b for a, b in zip(w, y)) % p == c for y in P.matrix().tolist()]
+               for w, c in zip(L.normals.tolist(), L.offsets.tolist())]
+    assert L.membership_rows(P).tolist() == literal
 
 
 def test_incidence_audit_frozen_example_and_duplicates():
@@ -572,9 +575,7 @@ def test_vh_plane_cover_residual_load_bound():
             cov = vh_plane_cover(E, budget)
             assert len(cov.planes) <= budget
             assert len(cov.covered) + len(cov.residual) == len(E)
-            assert set(v.coords for v in cov.covered).isdisjoint(
-                v.coords for v in cov.residual
-            )
+            assert set(cov.covered.index.tolist()).isdisjoint(cov.residual.index.tolist())
             assert cov.residual_plane_max <= math.ceil(len(E) / budget)
 
 
@@ -789,7 +790,7 @@ def test_max_isotropic_slice_against_brute_force():
         for line in ([(x, 0) for x in range(3)], [(0, y) for y in range(3)]):
             for t in pts:
                 coset = {((a + t[0]) % 3, (b + t[1]) % 3) for a, b in line}
-                brute = max(brute, sum(1 for v in E if v.coords in coset))
+                brute = max(brute, sum(1 for v in E.matrix().tolist() if tuple(v) in coset))
         assert got == brute
     # witt index 0: the only isotropic slice is a single point
     aniso = dot_form(F3, 2)

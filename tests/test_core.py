@@ -14,12 +14,10 @@ from fflab.core import (
     FFunction,
     FFVector,
     PrimeField,
-    char_eval,
     char_vector,
     coordinate_array,
     decode_point,
     encode_point,
-    enumerate_points,
     grid_size,
     inner,
     lp_norm,
@@ -59,17 +57,15 @@ def test_square_table_matches_exhaustive_squaring(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_character_basics(p):
     F = PrimeField(p)
-    assert char_eval(F, 0) == 1
     vals = char_vector(F)
+    assert vals[0] == 1
     assert np.all(np.abs(np.abs(vals) - 1.0) < 1e-12)
     # non-principal character sums to zero
     assert abs(vals.sum()) < 1e-9
     # multiplicative in the exponent
     for a in range(p):
         for b in range(p):
-            assert abs(
-                char_eval(F, a) * char_eval(F, b) - char_eval(F, (a + b) % p)
-            ) < 1e-12
+            assert abs(vals[a] * vals[b] - vals[(a + b) % p]) < 1e-12
 
 
 @pytest.mark.parametrize("p,d", [(3, 2), (3, 3), (5, 2), (7, 2)])
@@ -107,24 +103,14 @@ def test_encode_decode_roundtrip_random(which, coords):
     assert decode_point(idx, p, len(coords)).tolist() == [list(reduced)] * 2
 
 
-def test_enumerate_points_order():
-    F = PrimeField(3)
-    pts = [v.coords for v in enumerate_points(F, 1)]
-    assert pts == [(0,), (1,), (2,)]
-    pts2 = [v.coords for v in enumerate_points(F, 2)]
+def test_coordinate_array_order():
+    assert coordinate_array(3, 1).tolist() == [[0], [1], [2]]
+    pts2 = coordinate_array(3, 2).tolist()
     assert len(pts2) == 9
-    assert pts2[0] == (0, 0)
-    assert pts2[-1] == (2, 2)
+    assert pts2[0] == [0, 0]
+    assert pts2[-1] == [2, 2]
     # little-endian: first coordinate varies fastest
-    assert pts2[1] == (1, 0)
-
-
-def test_enumerate_points_guard():
-    F = PrimeField(13)
-    with pytest.raises(SizeOverflow):
-        list(enumerate_points(F, 9))
-    with pytest.raises(SizeOverflow):
-        grid_size(13, 9)
+    assert pts2[1] == [1, 0]
 
 
 def test_coordinate_array_is_one_read_only_table_per_size():
@@ -150,13 +136,12 @@ def test_ffvector_dot_bilinear():
 
 
 def test_grid_axis_convention():
-    # axis k of .grid is coordinate k
+    # reshaped in Fortran order, axis k of the flat data is coordinate k
     F = PrimeField(5)
-    f = FFunction.zeros(F, 3)
-    f[(1, 2, 3)] = 7.0
-    assert f.grid[1, 2, 3] == 7.0
-    g = FFunction.from_grid(F, f.grid)
-    assert np.array_equal(g.data, f.data)
+    f = FFunction.delta(F, 3, (1, 2, 3))
+    grid = f.data.reshape((5,) * 3, order="F")
+    assert grid[1, 2, 3] == 1.0 and np.count_nonzero(grid) == 1
+    assert np.array_equal(grid.reshape(-1, order="F"), f.data)
 
 
 def test_lp_norm_examples():

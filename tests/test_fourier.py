@@ -11,11 +11,10 @@ from fflab.fourier import (
     convolve,
     fourier_transform,
     inverse_transform,
-    naive_convolve,
-    naive_fourier_transform,
     power_iteration_norm,
     stein_tomas_transfer,
 )
+from fflab.oracles import naive_convolve, naive_fourier_transform
 
 
 def test_transform_of_delta_is_one():
@@ -49,7 +48,7 @@ def test_fast_transform_matches_naive(p, d):
         # the inverse sums against e(+x.xi): the conjugated naive sum of
         # conj(f), divided by p^d
         a = inverse_transform(f)
-        b = naive_fourier_transform(f.conj()).conj().data / p**d
+        b = naive_fourier_transform(FFunction(F, d, f.data.conj())).data.conj() / p**d
         assert np.abs(a.data - b).max() < 1e-9 * max(1, np.abs(b).max())
 
 
@@ -128,9 +127,9 @@ def test_inverse_roundtrip_and_linearity():
         assert np.abs(back.data - f.data).max() < 1e-9
     g = FFunction.random(F, 3, rng)
     h = FFunction.random(F, 3, rng)
-    lin = inverse_transform(2.0 * g + (1 - 3j) * h)
-    split = 2.0 * inverse_transform(g) + (1 - 3j) * inverse_transform(h)
-    assert np.abs(lin.data - split.data).max() < 1e-9
+    lin = inverse_transform(FFunction(F, 3, 2.0 * g.data + (1 - 3j) * h.data))
+    split = 2.0 * inverse_transform(g).data + (1 - 3j) * inverse_transform(h).data
+    assert np.abs(lin.data - split).max() < 1e-9
 
 
 def test_inverse_of_constant_is_delta():
@@ -151,8 +150,8 @@ def test_convolution_fourier_path_matches_naive():
     assert np.abs(a.data - b.data).max() < 1e-9
     # transform turns convolution into product
     lhs = fourier_transform(a)
-    rhs = fourier_transform(f) * fourier_transform(g)
-    assert np.abs(lhs.data - rhs.data).max() < 1e-7
+    rhs = fourier_transform(f).data * fourier_transform(g).data
+    assert np.abs(lhs.data - rhs).max() < 1e-7
 
 
 # ---------------------------------------------------------------------------

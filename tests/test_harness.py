@@ -1,6 +1,7 @@
 """Registry integrity, determinism, baselines, reports, and the CLI."""
 
 import ast
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import fflab
-from fflab import combinatorics, qforms, surfaces
+from fflab import combinatorics, core, fourier, qforms, surfaces
 from fflab import kakeya as kk
 from fflab.cli import main as cli_main
 from fflab.core import PrimeField, coordinate_array
@@ -33,7 +34,6 @@ from fflab.harness import (
     sweep,
     trial_seed,
     witness_array,
-    witness_points,
     witness_values,
 )
 from fflab.harness.baselines import oracle_hash
@@ -82,10 +82,142 @@ def test_every_tracked_scenario_has_fresh_baseline():
         assert store.entries[sid].oracle_hash == oracle_hash(REGISTRY[sid].runner)
 
 
-def test_each_scenario_runs_at_defaults():
-    for sid in sorted(REGISTRY):
-        r = run_scenario(sid)
-        assert r.status in ("pass", "report_only"), (sid, r.metric, r.witness)
+# the library modules whose code the reachability gate checks
+LIBRARY = (core, fourier, surfaces, qforms, combinatorics, kk)
+
+
+@pytest.fixture(scope="module")
+def default_runs():
+    """Every scenario at its defaults, plus KK-1 at (5, 2), whose sampled
+    path reaches the AffineLine code that the exhaustive default point
+    skips.  Returns the reports and the code objects the runs called.
+    The library's table caches are emptied first, so what the runs reach
+    does not depend on the tests that ran before them."""
+    for mod in LIBRARY:
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    reached = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        reports = [run_scenario(sid) for sid in sorted(REGISTRY)]
+        reports.append(run_scenario("KK-1", prime=5, dim=2))
+    finally:
+        sys.setprofile(previous)
+    return reports, reached
+
+
+def test_each_scenario_runs_at_defaults(default_runs):
+    reports, _ = default_runs
+    assert [r.scenario for r in reports] == sorted(REGISTRY) + ["KK-1"]
+    for r in reports:
+        assert r.status in ("pass", "report_only"), (r.scenario, r.metric, r.witness)
+
+
+# ---------------------------------------------------------------------------
+# reachability: no test-only code in the library
+
+# Library code that no default run reaches and that stays, with the reason.
+# An entry names a function as module.qualname, or a class, which covers
+# its methods; __repr__ methods are exempt.  Test oracles live in
+# fflab/oracles.py, outside the checked modules.
+UNREACHED_BY_DESIGN = {
+    "kakeya.coset_extension": "perfbench/tracer.py times it as an entry point",
+    "qforms.enumerate_subspaces": "perfbench/tracer.py counts its calls",
+    "core.FFVector": "perfbench/tracer.py counts FFVector.__post_init__",
+    "surfaces.Surface.points": "tests/test_acceptance.py criterion 3 reads it",
+    "core.PrimeField.__hash__": "goes with PrimeField.__eq__, which the runs reach",
+}
+
+
+def _library_functions():
+    """module.qualname -> code object of every function and method that
+    the library modules define at top level.  A nested def or lambda is
+    part of the function that encloses it."""
+    found = {}
+    for mod in LIBRARY:
+        prefix = mod.__name__.rpartition(".")[2]
+        for name, obj in vars(mod).items():
+            if isinstance(obj, type) and obj.__module__ == mod.__name__:
+                members = [(f"{name}.{attr}", m) for attr, m in vars(obj).items()]
+            else:
+                members = [(name, obj)]
+            for qualname, member in members:
+                if isinstance(member, property):
+                    fns = [member.fget, member.fset, member.fdel]
+                elif isinstance(member, (classmethod, staticmethod)):
+                    fns = [member.__func__]
+                else:
+                    fns = [member]
+                for fn in fns:
+                    code = getattr(inspect.unwrap(fn), "__code__", None)
+                    if code is not None and code.co_filename == mod.__file__:
+                        found[f"{prefix}.{qualname}"] = code
+    return found
+
+
+def _covers(entry, name):
+    """Whether an allowlist entry names this function or its class."""
+    return entry in (name, name.rpartition(".")[0])
+
+
+def _allowlisted(name):
+    return name.endswith(".__repr__") or any(
+        _covers(entry, name) for entry in UNREACHED_BY_DESIGN)
+
+
+def test_every_library_function_is_reached_by_the_defaults(default_runs):
+    # A function only tests call is either an oracle, and goes to
+    # fflab/oracles.py, or dead weight, and goes.
+    _, reached = default_runs
+    functions = _library_functions()
+    assert len(functions) > 150
+    unreached = sorted(name for name, code in functions.items()
+                       if code not in reached and not _allowlisted(name))
+    assert not unreached, f"no default run reaches {unreached}"
+
+
+def test_unreached_allowlist_has_no_stale_entry(default_runs):
+    _, reached = default_runs
+    functions = _library_functions()
+    stale = []
+    for entry in UNREACHED_BY_DESIGN:
+        codes = [code for name, code in functions.items() if _covers(entry, name)]
+        if not codes:
+            stale.append(f"{entry} no longer exists")
+        elif any(code in reached for code in codes):
+            stale.append(f"the defaults now reach {entry}")
+    assert not stale, stale
+
+
+def _imports_oracles(source):
+    """Whether a module's source imports fflab.oracles in any form."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [part for a in node.names for part in a.name.split(".")]
+        else:
+            continue
+        if "oracles" in parts:
+            return True
+    return False
+
+
+def test_library_modules_never_import_the_oracles():
+    for planted in ("from .oracles import line_sum\n", "from . import oracles\n",
+                    "import fflab.oracles\n", "def f():\n    from fflab import oracles\n"):
+        assert _imports_oracles(planted), planted
+    assert not _imports_oracles("from .core import encode_point\nimport numpy\n")
+    found = [mod.__name__ for mod in LIBRARY
+             if _imports_oracles(Path(mod.__file__).read_text())]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +313,6 @@ def test_witness_array_roundtrip():
     w = witness_array(arr, "sample")
     back = decode_witness_array(w)
     assert np.abs(back - arr).max() == 0.0
-
-
-def test_witness_points_sorted():
-    w = witness_points([(2, 1, 0), (0, 0, 1), (1, 2, 2)], prime=3, dim=3)
-    pts = w["points"]
-    assert pts == sorted(pts)
 
 
 def test_json_report_shape():
@@ -551,21 +677,25 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
     # a BLAS reduction splits its work, and so its rounding, by thread.
     # MX-1 at (13, 5) sums over W x V pairs of 13^2 points each, where a
     # batched matrix product would split its sums by thread the same way.
+    # ST-1 has no p = 13 and MX-1 no p = 7, so one sweep per thread count
+    # runs exactly these two points.
     src = str(Path(fflab.__file__).resolve().parent.parent)
     path = os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
-    for sid, prime in (("ST-1", "7"), ("MX-1", "13")):
-        reports = []
-        for n in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
-                       PYTHONPATH=path)
-            out = tmp_path / f"{sid}-threads{n}"
-            subprocess.run(
-                [sys.executable, "-m", "fflab.cli", "sweep", "--ids", sid,
-                 "--primes", prime, "--dims", "5", "--out", str(out)],
-                env=env, check=True, capture_output=True,
-            )
-            reports.append((out / "report.json").read_bytes())
-        assert reports[0] == reports[1], sid
+    reports = []
+    for n in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                   PYTHONPATH=path)
+        out = tmp_path / f"threads{n}"
+        subprocess.run(
+            [sys.executable, "-m", "fflab.cli", "sweep", "--ids", "ST-1,MX-1",
+             "--primes", "7,13", "--dims", "5", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        reports.append((out / "report.json").read_bytes())
+    rows = [(r["scenario"], r["prime"], r["dim"])
+            for r in json.loads(reports[0])["reports"]]
+    assert rows == [("ST-1", 7, 5), ("MX-1", 13, 5)]
+    assert reports[0] == reports[1]
 
 
 def test_regenerate_matches_shipped_store(tmp_path):

@@ -33,6 +33,7 @@ from fflab.core import (
 from fflab.errors import FFLabError, NotIsotropicPair, SizeOverflow
 from fflab.fourier import fourier_transform, inverse_transform
 from fflab.harness import run_scenario
+from fflab.oracles import line_sum
 from fflab.qforms import Subspace, complementary_isotropic, enumerate_max_isotropic
 from fflab.surfaces import (
     SurfaceFunction,
@@ -57,7 +58,7 @@ def brute_maximal(F):
         best = 0.0
         for b in coordinate_array(p, n):
             s = sum(
-                abs(F[tuple(int(c) for c in (b + t * eta) % p) + (t,)])
+                abs(F.data[encode_point(tuple((b + t * eta) % p) + (t,), p)])
                 for t in range(p)
             )
             best = max(best, s)
@@ -82,13 +83,13 @@ def brute_superposition(h, x0, field, m):
 def test_affine_line_geometry():
     line = kk.AffineLine.of(F5, (3, 7), (1, 2))
     assert line.base == (3, 2) and line.direction == (1, 2)
-    assert len(line) == 5 and line.ambient_dim == 3
+    assert line.ambient_dim == 3
     pts = line.point_array()
     assert pts.shape == (5, 3)
-    for row in pts:
-        assert tuple(row) in line
-    assert (0, 0, 0) not in line
-    assert (3, 2) not in line  # wrong arity
+    # every row is (b + eta t, t), and the origin is not on the line
+    assert np.array_equal(pts[:, -1], np.arange(5))
+    assert np.array_equal(pts[:, :-1], (np.array([3, 2]) + np.outer(pts[:, -1], (1, 2))) % 5)
+    assert not (pts == 0).all(axis=1).any()
     ind = line.indicator()
     assert ind.data.sum() == 5
 
@@ -103,7 +104,7 @@ def test_affine_line_rejects_bad_input():
 def test_distinct_directions_meet_in_at_most_one_point():
     a = kk.AffineLine.of(F5, (1, 2), (0, 3))
     b = kk.AffineLine.of(F5, (4, 0), (1, 3))
-    both = (a.indicator() * b.indicator()).data
+    both = a.indicator().data * b.indicator().data
     assert np.abs(both).sum() <= 1
 
 
@@ -136,8 +137,8 @@ def test_maximal_scaling_covariance_exact():
     rng = np.random.default_rng(4)
     F = FFunction.random(F5, 2, rng)
     star = kk.kakeya_maximal(F)
-    assert np.array_equal(kk.kakeya_maximal(F * 4.0), 4.0 * star)
-    assert np.allclose(kk.kakeya_maximal(F * (1.5j)), 1.5 * star)
+    assert np.array_equal(kk.kakeya_maximal(FFunction(F5, 2, F.data * 4.0)), 4.0 * star)
+    assert np.allclose(kk.kakeya_maximal(FFunction(F5, 2, F.data * 1.5j)), 1.5 * star)
 
 
 def test_maximizing_base_map_achieves_the_max():
@@ -146,7 +147,7 @@ def test_maximizing_base_map_achieves_the_max():
     star = kk.kakeya_maximal(F)
     bases = kk.maximizing_base_map(F)
     for di, eta in enumerate(coordinate_array(5, 2)):
-        assert kk.line_sum(F, bases[di], eta, absolute=True) == pytest.approx(star[di])
+        assert line_sum(F, bases[di], eta, absolute=True) == pytest.approx(star[di])
 
 
 @pytest.mark.parametrize("field,m,seed", [(F3, 2, 11), (F5, 3, 12)])
@@ -158,7 +159,7 @@ def test_line_totals_match_line_sums(field, m, seed):
     assert totals.shape == (len(coords), len(coords))
     for di, eta in enumerate(coords):
         for bi, b in enumerate(coords):
-            assert totals[di, bi] == pytest.approx(kk.line_sum(F, b, eta, absolute=True))
+            assert totals[di, bi] == pytest.approx(line_sum(F, b, eta, absolute=True))
 
 
 def _per_t_line_totals(F: FFunction) -> np.ndarray:
@@ -244,7 +245,7 @@ def test_maximal_dominates_every_line_sum(data, base, direction):
     F = FFunction(F3, 2, np.array(data, dtype=complex))
     star = kk.kakeya_maximal(F)
     di = encode_point(direction, 3)
-    assert kk.line_sum(F, base, direction, absolute=True) <= star[di] + 1e-12
+    assert line_sum(F, base, direction, absolute=True) <= star[di] + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +288,7 @@ def test_dual_pairing_reconstructs_line_sums():
     x0 = rng.integers(0, 5, size=(5, 1))
     paired = inner(kk.dual_kakeya_apply(h, x0, F5, 2), G, "counting")
     direct = sum(
-        h.data[di] * kk.line_sum(G, x0[di], eta, absolute=True)
+        h.data[di] * line_sum(G, x0[di], eta, absolute=True)
         for di, eta in enumerate(coordinate_array(5, 1))
     ) / 5
     assert paired == pytest.approx(direct)
@@ -368,11 +369,12 @@ def test_standard_set_contains_the_squared_base_line_in_every_direction(field, m
     # The construction's certificate, walked point by point: the line
     # based at (eta_1^2, ..., eta_{m-1}^2) with direction eta.
     E = kk.standard_kakeya_set(field, m)
+    members = set(E.index.tolist())
     p = field.p
     for eta in itertools.product(range(p), repeat=m - 1):
         for t in range(p):
             pt = tuple((e * e + t * e) % p for e in eta) + (t,)
-            assert pt in E, (eta, pt)
+            assert encode_point(pt, p) in members, (eta, pt)
 
 
 def test_kakeya_sets_need_two_dimensions():
@@ -668,19 +670,20 @@ def test_coset_extension_of_delta_has_flat_modulus():
     S = hyperbolic_paraboloid(F3, 5)
     W = Subspace(F3, np.eye(4, dtype=int)[:2])
     V = Subspace(F3, np.eye(4, dtype=int)[2:])
-    out = kk.coset_extension(SurfaceFunction.delta(S, (1, 2, 0, 1)), W, V)
+    delta = SurfaceFunction.from_surface_points(S, [S.lift((1, 2, 0, 1))])
+    out = kk.coset_extension(delta, W, V)
     assert np.allclose(np.abs(out.data), 3.0**-4)
 
 
 def test_coset_extension_rejects_bad_pairs():
     S = paraboloid(F5, 3)
-    f = SurfaceFunction.constant(S)
+    f = SurfaceFunction(S, np.ones(S.size))
     with pytest.raises(NotIsotropicPair):
         kk.coset_extension(f, Subspace(F5, [[1, 0]]), Subspace(F5, [[0, 1]]))
     with pytest.raises(NotIsotropicPair):
         kk.coset_extension(f, Subspace(F5, [[1, 2]]), Subspace(F5, [[1, 2]]))
     S5 = hyperbolic_paraboloid(F3, 5)
-    f5 = SurfaceFunction.constant(S5)
+    f5 = SurfaceFunction(S5, np.ones(S5.size))
     with pytest.raises(NotIsotropicPair):
         kk.coset_extension(
             f5, Subspace(F3, [[1, 0, 0, 0]]), Subspace(F3, np.eye(4, dtype=int)[2:])
@@ -697,7 +700,7 @@ def test_coset_extension_needs_even_base():
     S = paraboloid(F3, 4)  # base dimension 3
     with pytest.raises(ValueError):
         kk.coset_extension(
-            SurfaceFunction.constant(S),
+            SurfaceFunction(S, np.ones(S.size)),
             Subspace(F3, [[1, 0, 0]]),
             Subspace(F3, [[0, 1, 0]]),
         )
@@ -713,7 +716,7 @@ def brute_mixed(F, W, V, q, pe):
     for v in V.point_array():
         for t in range(p):
             s = sum(
-                abs(F[tuple(int(c) for c in (w + v) % p) + (t,)]) ** pe
+                abs(F.data[encode_point(tuple((w + v) % p) + (t,), p)]) ** pe
                 for w in W.point_array()
             )
             total += s ** (q / pe)
@@ -741,7 +744,7 @@ def test_mixed_norm_constant_function():
     want = (p * p) ** (1 / q) * (p * p) ** (1 / pe)  # (|V| p)^{1/q} |W|^{1/p}
     assert kk.mixed_norm(one, W, V, q, pe) == pytest.approx(want)
     # normalized measure on the surface: both layers average to 1
-    ones = SurfaceFunction.constant(paraboloid(F3, 4))
+    ones = SurfaceFunction(paraboloid(F3, 4), np.ones(27))
     assert kk.surface_mixed_norm(ones, W, V, q, pe) == pytest.approx(1.0)
 
 

@@ -21,7 +21,8 @@ from fflab.errors import (
     NotMaximalIsotropic,
     SizeOverflow,
 )
-from fflab.harness.scenarios import _brute_witt, _mx1_surface, _witt_monomials
+from fflab.harness.scenarios import _mx1_surface
+from fflab import oracles
 from fflab.qforms import (
     QuadraticSpace,
     Subspace,
@@ -35,7 +36,6 @@ from fflab.qforms import (
     echelon_bases,
     enumerate_max_isotropic,
     enumerate_subspaces,
-    full_space,
     hyperbolic_pairing_form,
     inv_mod,
     is_totally_isotropic,
@@ -48,7 +48,6 @@ from fflab.qforms import (
     rref_mod,
     solve_mod,
     witt_index,
-    zero_space,
     classify_subsurface,
 )
 
@@ -563,7 +562,8 @@ def test_complementary_isotropic_rejects_bad_input():
 def test_orthogonal_complement_basics():
     F = PrimeField(5)
     Q = hyperbolic_pairing_form(F, 1)
-    assert orthogonal_complement(Q, zero_space(F, 2)) == full_space(F, 2)
+    zero = Subspace(F, np.zeros((0, 2), dtype=np.int64))
+    assert orthogonal_complement(Q, zero) == Subspace(F, np.eye(2, dtype=np.int64))
     W = Subspace(F, [[1, 0]])
     assert orthogonal_complement(Q, W) == W  # maximal isotropic is self-dual
 
@@ -571,13 +571,14 @@ def test_orthogonal_complement_basics():
 def test_orthogonal_complement_dim_formula():
     F = PrimeField(7)
     rng = np.random.default_rng(23)
+    zero = Subspace(F, np.zeros((0, 4), dtype=np.int64))
     done = 0
     while done < 50:
         Q = QuadraticSpace(F, random_symmetric(F, 4, rng))
         if Q.rank < 4:
             continue
         k = int(rng.integers(0, 5))
-        W = random_subspace(F, 4, k, rng) if k else zero_space(F, 4)
+        W = random_subspace(F, 4, k, rng) if k else zero
         Wp = orthogonal_complement(Q, W)
         assert W.dim + Wp.dim == 4
         done += 1
@@ -680,7 +681,7 @@ def _witt_by_full_conjunction(A, p, lines, planes) -> int:
 @pytest.mark.parametrize("p", [5, 7])
 def test_staged_witt_oracle_matches_full_conjunction(p):
     F = PrimeField(p)
-    lines, planes = _witt_monomials(p, 4)
+    lines, planes = oracles.witt_monomials(p, 4)
     forms = [np.diag(np.array(diag, dtype=np.int64))
              for diag in itertools.product(range(1, p), repeat=4)]
     rng = np.random.default_rng(p)
@@ -690,7 +691,7 @@ def test_staged_witt_oracle_matches_full_conjunction(p):
             forms.append(A)
     seen = set()
     for A in forms:
-        w = _brute_witt(A, p, lines, planes)
+        w = oracles.brute_witt(A, p, lines, planes)
         assert w == _witt_by_full_conjunction(A, p, lines, planes)
         seen.add(w)
     assert seen == {1, 2}
