@@ -8,8 +8,6 @@ piece lives in.
 from .reporting import (
     ScenarioReport,
     witness_values,
-    witness_array,
-    decode_witness_array,
     reports_to_json,
     reports_to_csv,
 )
@@ -27,8 +25,6 @@ from .scenarios import (
 __all__ = [
     "ScenarioReport",
     "witness_values",
-    "witness_array",
-    "decode_witness_array",
     "reports_to_json",
     "reports_to_csv",
     "BaselineStore",

@@ -6,17 +6,14 @@ bytes, so nothing wall-clock dependent is allowed into it.  Timing goes
 into the CSV summary instead, which is the human hand-off and makes no
 byte-level promises.
 
-Witness payloads are built to be diffable across implementations:
-
-- complex arrays are base64 of little-endian float64 pairs, real and
-  imaginary interleaved in C order, with the shape stored alongside
-  (decode_witness_array reads them back);
-- everything else is a flat name -> scalar mapping.
+A witness is a flat name -> value mapping of named scalars: numbers,
+strings, a complex number as its [real, imaginary] pair, and a short
+list of ints where the case is a point, a form or a triple.  It is
+diffable across implementations.
 """
 
 from __future__ import annotations
 
-import base64
 import csv
 import io
 import json
@@ -49,28 +46,6 @@ def witness_values(**kw) -> dict:
             v = [_json_float(v.real), _json_float(v.imag)]
         vals[k] = v
     return {"kind": "values", "values": vals}
-
-
-def witness_array(arr: np.ndarray, label: str = "data") -> dict:
-    """Dense complex array witness, base64 of interleaved LE float64."""
-    a = np.ascontiguousarray(np.asarray(arr, dtype=complex))
-    inter = np.empty(a.size * 2, dtype="<f8")
-    inter[0::2] = a.real.ravel()
-    inter[1::2] = a.imag.ravel()
-    return {
-        "kind": "complex_array",
-        "label": label,
-        "shape": list(a.shape),
-        "data": base64.b64encode(inter.tobytes()).decode("ascii"),
-    }
-
-
-def decode_witness_array(w: dict) -> np.ndarray:
-    if w.get("kind") != "complex_array":
-        raise ValueError("not a complex_array witness")
-    inter = np.frombuffer(base64.b64decode(w["data"]), dtype="<f8")
-    out = inter[0::2] + 1j * inter[1::2]
-    return out.reshape(w["shape"])
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,16 @@ Three kinds:
 - exponent_arith: closed-form exponent bookkeeping, checked by rational
   arithmetic; the metric is the worst residual.
 
+The runner contract: a runner is a generator function of one RunContext
+that yields one (metric, fields) pair per case it checks, where fields
+is a plain dict of named witness scalars.  The harness alone reduces the
+cases (_measure): it keeps the first strictly largest metric, a NaN
+beats every number and is never replaced, and only the kept case's
+fields become the witness.  A run that yields no case fails.  A runner
+that checks fewer trials than it was asked for (an exhaustive family,
+or MX-1's schedule) sets ctx.trials to the count it ran, so the report
+row, and the drift check of a tracked scenario, state it.
+
 All randomness flows through RunContext.trial_rng, which hashes
 (master seed, scenario id, trial index), so per-trial results are
 independent of execution order and worker count.
@@ -111,7 +121,7 @@ from ..combinatorics import (
 from .. import kakeya as kk
 from ..oracles import brute_energy, brute_witt, witt_monomials
 from .baselines import BaselineEntry, BaselineStore, BaselineMissing, oracle_hash
-from .reporting import ScenarioReport, witness_array, witness_values
+from .reporting import ScenarioReport, witness_values
 
 
 def trial_seed(master: int, scenario_id: str, trial: int) -> int:
@@ -157,23 +167,14 @@ def _logp(p: int, n: float) -> float:
     return math.log(n) / math.log(p)
 
 
-class _Worst:
-    """Track the largest metric (a deviation or a measured constant) and a
-    lazily built witness for it.  It starts at 0.0 and only a strictly
-    larger value replaces it, so the first of equal maxima is kept.  A NaN
-    beats every number and is never replaced, so the run fails on it."""
-
-    def __init__(self):
-        self.metric = 0.0
-        self.witness: Optional[dict] = None
-
-    def update(self, dev: float, witness) -> None:
-        if dev > self.metric or (math.isnan(dev) and not math.isnan(self.metric)):
-            self.metric = dev
-            self.witness = witness() if callable(witness) else witness
-
-    def result(self):
-        return self.metric, self.witness
+def _nondegenerate_symmetric(field: PrimeField, m: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    """A random symmetric m x m matrix over the field, drawn again until
+    its determinant is nonzero."""
+    while True:
+        A = random_symmetric(field, m, rng)
+        if det_mod(A, field.p) != 0:
+            return A
 
 
 def _indicator_masks(n: int):
@@ -209,16 +210,16 @@ def _sparse(field: PrimeField, d: int, idx: np.ndarray, vals) -> FFunction:
 def _run_measure_ft(make_surface, ctx: RunContext):
     # FT-1 and FT-2 differ only in the surface; the registry binds it
     S = make_surface(ctx.field, ctx.dim)
-    closed = surface_measure_inverse_ft(S)
-    direct = _direct_sigma(S)
-    diff = closed.data - direct.data
-    dev = float(np.abs(diff).max())
-    return dev, witness_array(diff, "closed_minus_direct")
+    closed = surface_measure_inverse_ft(S).data
+    direct = _direct_sigma(S).data
+    gap = np.abs(closed - direct)
+    i = int(np.argmax(gap))
+    yield float(gap[i]), dict(index=i, closed=complex(closed[i]),
+                              direct=complex(direct[i]))
 
 
 def _run_ft3(ctx: RunContext):
     p, d = ctx.prime, ctx.dim
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         f = FFunction.random(ctx.field, d, rng)
@@ -231,10 +232,9 @@ def _run_ft3(ctx: RunContext):
         lhs = fourier_transform(convolve(f, g)).data
         rhs = fh.data * fourier_transform(g).data
         dev_conv = float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(rhs).max()))
-        dev = max(dev_plancherel, dev_inversion, dev_conv)
-        worst.update(dev, lambda t=t, a=dev_plancherel, b=dev_inversion, c=dev_conv:
-                     witness_values(trial=t, plancherel=a, inversion=b, convolution=c))
-    return worst.result()
+        yield max(dev_plancherel, dev_inversion, dev_conv), dict(
+            trial=t, plancherel=dev_plancherel, inversion=dev_inversion,
+            convolution=dev_conv)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,6 @@ def _run_st1(ctx: RunContext):
     S = paraboloid(ctx.field, d)
     sig = surface_measure_inverse_ft(S)
     dt = d - 1
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         q = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
@@ -269,10 +268,9 @@ def _run_st1(ctx: RunContext):
         dev_chain = _pos(lhs - bound) / max(1.0, bound)
         final = 1.0 + p ** (-dt / 4) * lam ** (-theta / (q - theta))
         dev_final = _pos(math.sqrt(lhs) - final) / max(1.0, final)
-        dev = max(dev_id, dev_chain, dev_final)
-        worst.update(dev, lambda t=t, a=dev_id, b=dev_chain, c=dev_final, q=q, th=theta:
-                     witness_values(trial=t, pairing=a, chain=b, final=c, q=q, theta=th))
-    return worst.result()
+        yield max(dev_id, dev_chain, dev_final), dict(
+            trial=t, pairing=dev_id, chain=dev_chain, final=dev_final, q=q,
+            theta=theta)
 
 
 def _run_st2(ctx: RunContext):
@@ -283,7 +281,6 @@ def _run_st2(ctx: RunContext):
     p, d = ctx.prime, ctx.dim
     S = paraboloid(ctx.field, d)
     r22 = exact_r22(S)
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         theta = float(rng.uniform(0.2, 0.9))
@@ -298,10 +295,8 @@ def _run_st2(ctx: RunContext):
         dev_norm = _pos(lp_norm(f, 2.0) - lam_pow) / max(1.0, lam_pow)
         lhs = restriction(f, S).norm(2.0)
         dev_rest = _pos(lhs - r22 * lam_pow) / max(1.0, r22 * lam_pow)
-        dev = max(dev_norm, dev_rest)
-        worst.update(dev, lambda t=t, a=dev_norm, b=dev_rest, th=theta:
-                     witness_values(trial=t, height_norm=a, restricted=b, theta=th))
-    return worst.result()
+        yield max(dev_norm, dev_rest), dict(
+            trial=t, height_norm=dev_norm, restricted=dev_rest, theta=theta)
 
 
 def _run_st3(ctx: RunContext):
@@ -309,7 +304,6 @@ def _run_st3(ctx: RunContext):
     # sqrt(p^d / |S|): the composition restriction-after-extension is that
     # constant squared times the identity, and power iteration on the
     # honest two-transform composition converges to the same number.
-    worst = _Worst()
     for maker, label in ((paraboloid, "paraboloid"),
                          (hyperbolic_paraboloid, "hyperbolic")):
         S = maker(ctx.field, ctx.dim)
@@ -324,10 +318,8 @@ def _run_st3(ctx: RunContext):
         dev_pi = abs(sigma - want) / want
         v = rng.standard_normal(S.size) + 1j * rng.standard_normal(S.size)
         dev_scalar = float(np.abs(gram(v) - scale * v).max()) / scale
-        dev = max(dev_pi, dev_scalar)
-        worst.update(dev, lambda label=label, a=dev_pi, b=dev_scalar:
-                     witness_values(surface=label, power_iteration=a, gram_scalar=b))
-    return worst.result()
+        yield max(dev_pi, dev_scalar), dict(
+            surface=label, power_iteration=dev_pi, gram_scalar=dev_scalar)
 
 
 def _run_st4(ctx: RunContext):
@@ -346,8 +338,7 @@ def _run_st4(ctx: RunContext):
     want = 0.5 * th2 - (d - 1) * (1 - th2) / 4
     devs["linear_branch"] = abs(stein_tomas_transfer(0.5, th2, d - 1) - max(0.0, want))
     devs["identity_at_one"] = abs(stein_tomas_transfer(0.5, 1.0, d - 1) - 0.5)
-    dev = max(devs.values())
-    return dev, witness_values(**devs)
+    yield max(devs.values()), devs
 
 
 def _run_st5(ctx: RunContext):
@@ -356,7 +347,6 @@ def _run_st5(ctx: RunContext):
     # unimodular function on a set E satisfies
     # ||f-hat||^2_{L2(dsigma)} <= |E| + p^{-(d-1)/2} |E|^2 with constant 1.
     p, d = ctx.prime, ctx.dim
-    worst = _Worst()
     for maker, label in ((paraboloid, "paraboloid"),
                          (hyperbolic_paraboloid, "hyperbolic")):
         S = maker(ctx.field, d)
@@ -365,9 +355,8 @@ def _run_st5(ctx: RunContext):
         off[0] = 0.0
         dev_decay = _pos(float(off.max()) - p ** (-(d - 1) / 2))
         dev_origin = abs(sig.data[0] - 1.0)
-        worst.update(max(dev_decay, dev_origin),
-                     lambda label=label, a=dev_decay, b=dev_origin:
-                     witness_values(surface=label, decay=a, origin=b))
+        yield max(dev_decay, dev_origin), dict(
+            surface=label, decay=dev_decay, origin=dev_origin)
         for t in range(ctx.trials):
             rng = ctx.trial_rng(t)
             k = int(rng.integers(1, p**d))
@@ -375,10 +364,8 @@ def _run_st5(ctx: RunContext):
             f = _sparse(ctx.field, d, idx, np.exp(2j * np.pi * rng.random(k)))
             lhs = restriction(f, S).norm(2.0) ** 2
             bound = k + p ** (-(d - 1) / 2) * k**2
-            dev = _pos(lhs - bound) / max(1.0, bound)
-            worst.update(dev, lambda label=label, t=t, k=k:
-                         witness_values(surface=label, trial=t, support=k))
-    return worst.result()
+            yield _pos(lhs - bound) / max(1.0, bound), dict(
+                surface=label, trial=t, support=k)
 
 
 def _run_st6(ctx: RunContext):
@@ -390,7 +377,6 @@ def _run_st6(ctx: RunContext):
     S = paraboloid(ctx.field, d)
     r22 = exact_r22(S)
     alpha = _logp(p, r22)
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         # gamma >= 1 keeps the derived exponent a genuine Lebesgue index
@@ -403,10 +389,8 @@ def _run_st6(ctx: RunContext):
         lhs = restriction(f, S).norm(2.0)
         bound = r22 * math.sqrt(k)
         dev_rest = _pos(lhs - bound) / max(1.0, bound)
-        dev = max(dev_norm, dev_rest)
-        worst.update(dev, lambda t=t, k=k, a=dev_norm, b=dev_rest:
-                     witness_values(trial=t, support=k, norm_identity=a, height=b))
-    return worst.result()
+        yield max(dev_norm, dev_rest), dict(
+            trial=t, support=k, norm_identity=dev_norm, height=dev_rest)
 
 
 def _run_eq1(ctx: RunContext):
@@ -418,16 +402,12 @@ def _run_eq1(ctx: RunContext):
     P = paraboloid(field, d)
     H = hyperbolic_paraboloid(field, d)
     M_ph = congruence_between(P, H)
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         routes = []
         if M_ph is not None:
             routes.append((SurfaceFunction.random(P, rng), M_ph, H, "dot_to_pairing"))
-        while True:
-            B = random_symmetric(field, d - 1, rng)
-            if det_mod(B, ctx.prime) != 0:
-                break
+        B = _nondegenerate_symmetric(field, d - 1, rng)
         M = random_invertible(field, d - 1, rng)
         S_from = Surface(QuadraticSpace(field, B))
         routes.append((SurfaceFunction.random(S_from, rng), M, None, "random_pair"))
@@ -439,9 +419,7 @@ def _run_eq1(ctx: RunContext):
                     _rel(lp_norm(ext_f, qe), lp_norm(ext_g, qe)),
                     _rel(f.norm(qe), g.norm(qe)),
                 )
-                worst.update(dev, lambda t=t, label=label, qe=qe:
-                             witness_values(trial=t, route=label, q=qe))
-    return worst.result()
+                yield dev, dict(trial=t, route=label, q=qe)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +435,6 @@ def _run_br1(ctx: RunContext):
     field = ctx.field
     S = hyperbolic_paraboloid(field, 3)
     X = coordinate_array(p, 3)
-    worst = _Worst()
     for m in range(p):
         char = np.exp(2j * np.pi * (m * X[:, 0] % p) / p)
         for x2o in range(p):
@@ -466,10 +443,8 @@ def _run_br1(ctx: RunContext):
                 F = FFunction(field, 3, data)
                 out = bochner_riesz(F, S, "kernel_only")
                 want = char * Tube(field, m, x2o, to).indicator().data
-                dev = float(np.abs(out.data - want).max())
-                worst.update(dev, lambda m=m, a=x2o, b=to:
-                             witness_values(slope=m, offset=a, time=b))
-    return worst.result()
+                yield float(np.abs(out.data - want).max()), dict(
+                    slope=m, offset=x2o, time=to)
 
 
 def _line_loads(I_pts: np.ndarray, p: int) -> int:
@@ -494,7 +469,6 @@ def _run_br2(ctx: RunContext):
     field = ctx.field
     S = hyperbolic_paraboloid(field, 3)
     x1 = np.arange(p)
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         if t == 0:
@@ -512,7 +486,7 @@ def _run_br2(ctx: RunContext):
             n_char = int(rng.integers(1, 4))
             for m in rng.choice(p, size=min(n_char, p), replace=False):
                 a = complex(rng.standard_normal(), rng.standard_normal())
-                idx = x1 + int(u) * p + int(v) * p * p
+                idx = encode_point(np.column_stack([x1, np.full((p, 2), (u, v))]), p)
                 data[idx] += a * np.exp(2j * np.pi * (int(m) * x1 % p) / p)
         F = FFunction(field, 3, data)
         l2 = lp_norm(F, 2.0)
@@ -521,9 +495,7 @@ def _run_br2(ctx: RunContext):
         u_exp = _logp(p, max(1, _line_loads(I_pts, p)))
         TF = bochner_riesz(F, S, "kernel_only")
         ratio = lp_norm(TF, 2.0) / (p ** ((1 + u_exp) / 2) * l2)
-        worst.update(ratio, lambda t=t, n=len(I_pts), u=u_exp, r=ratio:
-                     witness_values(trial=t, pieces=n, u=u, ratio=r))
-    return worst.result()
+        yield ratio, dict(trial=t, pieces=len(I_pts), u=u_exp, ratio=ratio)
 
 
 def _run_br3(ctx: RunContext):
@@ -536,7 +508,6 @@ def _run_br3(ctx: RunContext):
     p = ctx.prime
     field = ctx.field
     S = hyperbolic_paraboloid(field, 3)
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         n_lines = int(rng.integers(1, p + 1))
@@ -551,8 +522,7 @@ def _run_br3(ctx: RunContext):
             pts.extend((int(x), u, v) for x in xs)
         data = np.zeros(p**3, dtype=complex)
         coords = np.array(pts)
-        flat = coords[:, 0] + coords[:, 1] * p + coords[:, 2] * p * p
-        data[flat] = np.exp(2j * np.pi * rng.random(len(pts)))
+        data[encode_point(coords, p)] = np.exp(2j * np.pi * rng.random(len(pts)))
         F = FFunction(field, 3, data)
         alpha = _logp(p, int(vh_plane_masks(coords, p).sum(axis=1).max()))
         beta = _logp(p, min(sizes))
@@ -561,9 +531,8 @@ def _run_br3(ctx: RunContext):
         if _rel(rest.norm(2.0) ** 2, pair) > 1e-9:
             raise FFLabError("restricted norm does not match the kernel pairing")
         ratio = rest.norm(2.0) / (p ** ((1 + alpha - beta) / 4) * lp_norm(F, 2.0))
-        worst.update(ratio, lambda t=t, n=n_lines, a=alpha, b=beta, r=ratio:
-                     witness_values(trial=t, lines=n, alpha=a, beta=b, ratio=r))
-    return worst.result()
+        yield ratio, dict(trial=t, lines=n_lines, alpha=alpha, beta=beta,
+                          ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +543,6 @@ def _run_en1(ctx: RunContext):
     # The vectorized sum-multiset energy count equals the literal
     # count of quadruples, as integers.
     p = ctx.prime
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         maker = hyperbolic_paraboloid if t % 2 else paraboloid
@@ -583,62 +551,45 @@ def _run_en1(ctx: RunContext):
         E = random_surface_subset(S, k, rng)
         fast = additive_energy(E)
         slow = brute_energy(E.matrix(), p)
-        dev = float(abs(fast - slow))
-        worst.update(dev, lambda fast=fast, slow=slow, t=t:
-                     witness_values(trial=t, vectorized=fast, quadruple_loop=slow))
-    return worst.result()
+        yield float(abs(fast - slow)), dict(trial=t, vectorized=fast,
+                                            quadruple_loop=slow)
+
+
+def _graph_subsets(ctx: RunContext):
+    """EN-2's and EN-3's inputs, as (subset, witness fields) pairs on the
+    bilinear-graph surface: every nonempty subset at p = 3, where the run
+    is exhaustive and states one trial, else one random subset per
+    trial."""
+    S = hyperbolic_paraboloid(ctx.field, 3)
+    if ctx.prime == 3:
+        ctx.trials = 1
+        pts = S.point_array()
+        for _, row in _indicator_masks(len(pts)):
+            yield PointSet.of(ctx.field, 3, pts[row]), {}
+    else:
+        for t in range(ctx.trials):
+            rng = ctx.trial_rng(t)
+            k = int(rng.integers(2, S.size + 1))
+            yield random_surface_subset(S, k, rng), {"trial": t}
 
 
 def _run_en2(ctx: RunContext):
     # Slice-controlled energy: Lambda(E) against
     # |E|^{5/2} + sum_j |E_j|^3 + sum_k |E^k|^3 on the bilinear-graph
-    # surface.  Exhaustive over every subset at the baseline prime,
-    # random and structured families elsewhere.
-    p = ctx.prime
-    S = hyperbolic_paraboloid(ctx.field, 3)
-    worst = _Worst()
-    if p == 3:
-        pts = S.point_array()
-        for _, row in _indicator_masks(len(pts)):
-            E = PointSet.of(ctx.field, 3, pts[row])
-            sb = energy_slice_bound(E)
-            ratio = sb.energy / sb.bound
-            worst.update(ratio, lambda n=len(E), r=ratio:
-                         witness_values(size=n, ratio=r))
-        return worst.result()
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
-        k = int(rng.integers(2, S.size + 1))
-        E = random_surface_subset(S, k, rng)
+    # surface.  Exhaustive over every subset at the baseline prime, one
+    # random subset per trial elsewhere.
+    for E, fields in _graph_subsets(ctx):
         sb = energy_slice_bound(E)
         ratio = sb.energy / sb.bound
-        worst.update(ratio, lambda t=t, n=len(E), r=ratio:
-                     witness_values(trial=t, size=n, ratio=r))
-    return worst.result()
+        yield ratio, dict(fields, size=len(E), ratio=ratio)
 
 
 def _run_en3(ctx: RunContext):
     # Spread-pair energy: quadruples whose b, d entries differ in both
     # base coordinates, against |E|^{5/2}.
-    p = ctx.prime
-    S = hyperbolic_paraboloid(ctx.field, 3)
-    worst = _Worst()
-    if p == 3:
-        pts = S.point_array()
-        for _, row in _indicator_masks(len(pts)):
-            E = PointSet.of(ctx.field, 3, pts[row])
-            ratio = off_diagonal_energy(E) / len(E) ** 2.5
-            worst.update(ratio, lambda n=len(E), r=ratio:
-                         witness_values(size=n, ratio=r))
-        return worst.result()
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
-        k = int(rng.integers(2, S.size + 1))
-        E = random_surface_subset(S, k, rng)
+    for E, fields in _graph_subsets(ctx):
         ratio = off_diagonal_energy(E) / len(E) ** 2.5
-        worst.update(ratio, lambda t=t, n=len(E), r=ratio:
-                     witness_values(trial=t, size=n, ratio=r))
-    return worst.result()
+        yield ratio, dict(fields, size=len(E), ratio=ratio)
 
 
 def _run_en4(ctx: RunContext):
@@ -646,7 +597,6 @@ def _run_en4(ctx: RunContext):
     # ||extension||_4^4 equals p^d Lambda(E) / |S|^4 exactly, tying the
     # transform side to the quadruple count.
     p, d = ctx.prime, ctx.dim
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         maker = hyperbolic_paraboloid if t % 2 else paraboloid
@@ -657,10 +607,7 @@ def _run_en4(ctx: RunContext):
         lhs = lp_norm(extension(f), 4.0) ** 4
         lam = additive_energy(E)
         rhs = p**d * lam / S.size**4
-        dev = _rel(lhs, rhs)
-        worst.update(dev, lambda t=t, k=k, lam=lam:
-                     witness_values(trial=t, size=k, energy=lam))
-    return worst.result()
+        yield _rel(lhs, rhs), dict(trial=t, size=k, energy=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +618,6 @@ def _run_in1(ctx: RunContext):
     # Shear the surface so a maximizing point moves to the origin; the
     # energy of (A, B) is at most twice the resulting point-hyperplane
     # incidence count times the number of hyperplanes.
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         maker = hyperbolic_paraboloid if t % 2 else paraboloid
@@ -680,17 +626,14 @@ def _run_in1(ctx: RunContext):
         B = random_surface_subset(S, int(rng.integers(2, 9)), rng)
         r = energy_to_incidence(A, B, S)
         bound = 2 * len(r.lines) * r.incidences
-        dev = _pos(r.energy - bound) / max(1.0, bound)
-        worst.update(dev, lambda t=t, e=r.energy, b=bound:
-                     witness_values(trial=t, energy=e, bound=b))
-    return worst.result()
+        yield _pos(r.energy - bound) / max(1.0, bound), dict(
+            trial=t, energy=r.energy, bound=bound)
 
 
 def _run_in2(ctx: RunContext):
     # Double counting: incidences of P against a hyperplane multiset L
     # stay under sqrt(c1 |P|) |L| + c2 |P| with the audited c1, c2.
     p, m = ctx.prime, ctx.dim
-    worst = _Worst()
     full = all_affine_hyperplanes(ctx.field, m)
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
@@ -704,10 +647,8 @@ def _run_in2(ctx: RunContext):
             take = _random_support(rng, len(full), int(rng.integers(1, len(full))))
             L = HyperplaneFamily(ctx.field, m, full.normals[take], full.offsets[take])
         audit = incidence_bound_audit(P, L)
-        dev = _pos(audit.incidences - audit.bound) / max(1.0, audit.bound)
-        worst.update(dev, lambda t=t, i=audit.incidences, b=audit.bound:
-                     witness_values(trial=t, incidences=i, bound=b))
-    return worst.result()
+        yield _pos(audit.incidences - audit.bound) / max(1.0, audit.bound), dict(
+            trial=t, incidences=audit.incidences, bound=audit.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +660,6 @@ def _run_mt1(ctx: RunContext):
     # the surface kernel has, after inverting time and swapping the base
     # coordinates, the same pointwise modulus as p times the extension of
     # the slice transplanted onto the surface.
-    worst = _Worst()
     p = ctx.prime
     S = hyperbolic_paraboloid(ctx.field, 3)
     for t in range(ctx.trials):
@@ -727,9 +667,7 @@ def _run_mt1(ctx: RunContext):
         data = np.zeros(p**3, dtype=complex)
         data[: p * p] = rng.standard_normal(p * p)  # the slice t = 0
         h0 = FFunction(ctx.field, 3, data)
-        dev = pseudo_conformal_check(h0, S)
-        worst.update(dev, lambda t=t: witness_values(trial=t))
-    return worst.result()
+        yield pseudo_conformal_check(h0, S), dict(trial=t)
 
 
 def _run_mt2(ctx: RunContext):
@@ -741,7 +679,6 @@ def _run_mt2(ctx: RunContext):
     n = (d - 1) // 2
     S = paraboloid(ctx.field, d)
     base_n = p ** (d - 1)
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         zc = int(rng.integers(1, p + 1))
@@ -763,9 +700,7 @@ def _run_mt2(ctx: RunContext):
         lhs = restriction(h, S).norm(2.0)
         rhs = p ** (3 * gamma / 8 + n / 2 + alpha / 2 + s_exp / 2) + p ** (gamma / 2)
         ratio = lhs / rhs
-        worst.update(ratio, lambda t=t, z=zc, g=gamma, a=alpha, r=ratio:
-                     witness_values(trial=t, slices=z, gamma=g, alpha=a, ratio=r))
-    return worst.result()
+        yield ratio, dict(trial=t, slices=zc, gamma=gamma, alpha=alpha, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +711,6 @@ def _run_pl1(ctx: RunContext):
     # Embedding a bivariate function on the plane x2 = a x3 + b and
     # transforming equals shearing its own transform and twisting by the
     # offset character.
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         f = FFunction.random(ctx.field, 2, rng)
@@ -786,9 +720,7 @@ def _run_pl1(ctx: RunContext):
         want = fourier_transform(plane_embed(f, a, b))
         dev = float(np.abs(got.data - want.data).max()) / max(
             1.0, float(np.abs(want.data).max()))
-        worst.update(dev, lambda t=t, a=a, b=b:
-                     witness_values(trial=t, slope=a, offset=b))
-    return worst.result()
+        yield dev, dict(trial=t, slope=a, offset=b)
 
 
 def _run_pl2(ctx: RunContext):
@@ -800,7 +732,6 @@ def _run_pl2(ctx: RunContext):
     p = ctx.prime
     S = hyperbolic_paraboloid(ctx.field, 3)
     planes = vh_plane_masks(coordinate_array(p, 3), p).reshape(2, p, p, p**3)
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         n_planes = int(rng.integers(1, 5))
@@ -827,9 +758,7 @@ def _run_pl2(ctx: RunContext):
             main = p ** (2 + (gamma - 2) / q - 1 / q)
         rhs = main + p ** (gamma / 2 + e_exp / 2)
         ratio = lhs / rhs
-        worst.update(ratio, lambda t=t, g=gamma, e=e_exp, q=q, r=ratio:
-                     witness_values(trial=t, gamma=g, entropy=e, q=q, ratio=r))
-    return worst.result()
+        yield ratio, dict(trial=t, gamma=gamma, entropy=e_exp, q=q, ratio=ratio)
 
 
 def _run_pl3(ctx: RunContext):
@@ -841,7 +770,6 @@ def _run_pl3(ctx: RunContext):
     field = ctx.field
     S = hyperbolic_paraboloid(field, 3)
     X = coordinate_array(p, 3)
-    worst = _Worst()
     rng = ctx.trial_rng(0)
     for r_exp in (1.6, 1.75, 1.8):
         q = 2 * r_exp / (2 * r_exp - 1)
@@ -857,10 +785,8 @@ def _run_pl3(ctx: RunContext):
         f3 = FFunction.constant(field, 3, p ** (-3.0 / q))
         dev3 = max(abs(restriction(f3, S).norm(r_exp) - p ** (-1 / (2 * r_exp))),
                    abs(lp_norm(f3, q) - 1.0))
-        dev = max(dev1, dev2, dev3)
-        worst.update(dev, lambda r=r_exp, a=dev1, b_=dev2, c=dev3:
-                     witness_values(r=r, point_mass=a, plane=b_, full_space=c))
-    return worst.result()
+        yield max(dev1, dev2, dev3), dict(r=r_exp, point_mass=dev1, plane=dev2,
+                                          full_space=dev3)
 
 
 # ---------------------------------------------------------------------------
@@ -874,31 +800,18 @@ def _run_qf1(ctx: RunContext):
     p, m = ctx.prime, ctx.dim
     field = ctx.field
     lines, planes = witt_monomials(p, m)
-    mismatches = 0
-    first_bad = None
     for diag in itertools.product(range(1, p), repeat=m):
         A = np.diag(np.array(diag, dtype=np.int64))
         got = QuadraticSpace(field, A).witt_index
         want = brute_witt(A, p, lines, planes)
-        if got != want:
-            mismatches += 1
-            if first_bad is None:
-                first_bad = witness_values(diagonal=list(diag), computed=got,
-                                           brute=want)
+        yield float(got != want), dict(diagonal=list(diag), computed=got, brute=want)
     rng = ctx.trial_rng(0)
     for t in range(ctx.trials):
-        while True:
-            A = random_symmetric(field, m, rng)
-            if det_mod(A, p) != 0:
-                break
+        A = _nondegenerate_symmetric(field, m, rng)
         got = QuadraticSpace(field, A).witt_index
         want = brute_witt(A, p, lines, planes)
-        if got != want:
-            mismatches += 1
-            if first_bad is None:
-                first_bad = witness_values(matrix=[int(x) for x in A.ravel()],
-                                           computed=got, brute=want)
-    return float(mismatches), first_bad
+        yield float(got != want), dict(matrix=[int(x) for x in A.ravel()],
+                                       computed=got, brute=want)
 
 
 def _run_qf2(ctx: RunContext):
@@ -909,7 +822,6 @@ def _run_qf2(ctx: RunContext):
     field = ctx.field
     n = m // 2
     Q0 = hyperbolic_paraboloid(field, m + 1).Q
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         M = random_invertible(field, m, rng)
@@ -924,8 +836,7 @@ def _run_qf2(ctx: RunContext):
         for row in pair:
             if not V.contains(row):
                 dev = max(dev, 1.0)
-        worst.update(dev, lambda t=t: witness_values(trial=t))
-    return worst.result()
+        yield dev, dict(trial=t)
 
 
 def _run_qf3(ctx: RunContext):
@@ -933,23 +844,16 @@ def _run_qf3(ctx: RunContext):
     # indicator of the orthogonal complement.
     p, m = ctx.prime, ctx.dim
     field = ctx.field
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
-        while True:
-            A = random_symmetric(field, m, rng)
-            if det_mod(A, p) != 0:
-                break
-        Q = QuadraticSpace(field, A)
+        Q = QuadraticSpace(field, _nondegenerate_symmetric(field, m, rng))
         W = random_subspace(field, m, int(rng.integers(1, m)), rng)
         comp = orthogonal_complement(Q, W)
         for _ in range(4):
             x = rng.integers(0, p, size=m)
             got = complement_indicator_character_sum(Q, W, x)
             want = 1.0 if comp.contains(x) else 0.0
-            dev = abs(got - want)
-            worst.update(dev, lambda t=t, x=x: witness_values(trial=t, point=x.tolist()))
-    return worst.result()
+            yield abs(got - want), dict(trial=t, point=x.tolist())
 
 
 def _run_qf4(ctx: RunContext):
@@ -962,8 +866,6 @@ def _run_qf4(ctx: RunContext):
     makers = [paraboloid]
     if d % 2:
         makers.append(hyperbolic_paraboloid)
-    bad = 0
-    first_bad = None
     for maker in makers:
         S = maker(field, d)
         allowed = allowed_subsurface_triples(d, S.Q.witt_index)
@@ -974,12 +876,8 @@ def _run_qf4(ctx: RunContext):
                 trip = classify_subsurface(S.Q, V)
             except FullyDegenerate:
                 continue
-            if trip not in allowed:
-                bad += 1
-                if first_bad is None:
-                    first_bad = witness_values(triple=list(trip),
-                                               witt=S.Q.witt_index)
-    return float(bad), first_bad
+            yield float(trip not in allowed), dict(triple=list(trip),
+                                                   witt=S.Q.witt_index)
 
 
 # ---------------------------------------------------------------------------
@@ -992,28 +890,31 @@ def _run_kk1(ctx: RunContext):
     p, m = ctx.prime, ctx.dim
     field = ctx.field
     total = p**m
-    worst = _Worst()
-    if (p, m) == (3, 2):
-        for mask, row in _indicator_masks(total):
-            r = kk.maximal_ratio(FFunction(field, m, row.astype(complex)))
-            worst.update(r, lambda mask=mask, r=r: witness_values(mask=mask, ratio=r))
-        return worst.result()
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
-        if t == 0:
-            line = kk.AffineLine.of(field, (0,) * (m - 1), tuple(range(1, m)))
-            F = line.indicator()
-        elif t == 1:
-            F = FFunction.constant(field, m, 1.0)
-        else:
-            density = rng.uniform(0.1, 0.9)
-            vals = (rng.random(total) < density).astype(complex)
-            if not vals.any():
-                vals[0] = 1.0
-            F = FFunction(field, m, vals)
+
+    def family():
+        if (p, m) == (3, 2):
+            ctx.trials = 1
+            for mask, row in _indicator_masks(total):
+                yield FFunction(field, m, row.astype(complex)), {"mask": mask}
+            return
+        for t in range(ctx.trials):
+            rng = ctx.trial_rng(t)
+            if t == 0:
+                line = kk.AffineLine.of(field, (0,) * (m - 1), tuple(range(1, m)))
+                F = line.indicator()
+            elif t == 1:
+                F = FFunction.constant(field, m, 1.0)
+            else:
+                density = rng.uniform(0.1, 0.9)
+                vals = (rng.random(total) < density).astype(complex)
+                if not vals.any():
+                    vals[0] = 1.0
+                F = FFunction(field, m, vals)
+            yield F, {"trial": t}
+
+    for F, fields in family():
         r = kk.maximal_ratio(F)
-        worst.update(r, lambda t=t, r=r: witness_values(trial=t, ratio=r))
-    return worst.result()
+        yield r, dict(fields, ratio=r)
 
 
 def _run_kk2(ctx: RunContext):
@@ -1021,17 +922,13 @@ def _run_kk2(ctx: RunContext):
     # the paired lower bound built from the dual superposition with the
     # conjugate-power weight and the maximizing base map.
     p, m = ctx.prime, ctx.dim
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         vals = rng.uniform(0.1, 1.0, size=p**m).astype(complex)
         F = FFunction(ctx.field, m, vals)
         for q, pe in ((1.5, 1.5), (2.0, 2.0), (1.25, 3.0)):
             r = kk.dual_consistency(F, q, pe)
-            dev = _rel(r.direct_lower, r.paired_lower)
-            worst.update(dev, lambda t=t, q=q, pe=pe:
-                         witness_values(trial=t, q=q, p_in=pe))
-    return worst.result()
+            yield _rel(r.direct_lower, r.paired_lower), dict(trial=t, q=q, p_in=pe)
 
 
 def _run_kk3(ctx: RunContext):
@@ -1043,7 +940,6 @@ def _run_kk3(ctx: RunContext):
     n = (d - 1) // 2
     m = n + 1
     field = ctx.field
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         data = rng.uniform(0.0, 2.0, size=p**n)
@@ -1057,8 +953,8 @@ def _run_kk3(ctx: RunContext):
         cube = np.abs(ext.data.reshape(p**n, p**n, p, order="F")) ** 2
         profile = kk.embed_collapse_profile(h, b).data.real.reshape(p**n, p, order="F")
         collapse = float(np.abs(cube.sum(axis=1) - profile).max())
-        worst.update(max(closed, collapse), lambda t=t, c=closed, s=collapse:
-                     witness_values(trial=t, closed_form=c, collapse=s))
+        yield max(closed, collapse), dict(trial=t, closed_form=closed,
+                                          collapse=collapse)
     ex = kk.restriction_to_kakeya_exponents(m)
     target = Fraction(m - 1, 2 * m - 1)
     chain_dev = 0.0
@@ -1067,9 +963,7 @@ def _run_kk3(ctx: RunContext):
         chain_dev = 1.0
     want = p ** ((m - 1) * (1 - 1 / float(ex.dual_p))) * 1.3**2
     got = kk.kakeya_bound_from_restriction(field, m, float(ex.dual_p), 1.3)
-    chain_dev = max(chain_dev, _rel(got, want))
-    worst.update(chain_dev, witness_values(check="exponent_chain"))
-    return worst.result()
+    yield max(chain_dev, _rel(got, want)), dict(check="exponent_chain")
 
 
 def _run_kk4(ctx: RunContext):
@@ -1082,10 +976,11 @@ def _run_kk4(ctx: RunContext):
     audit = kk.kakeya_set_audit(K)
     density = audit.density
     ok = audit.is_kakeya and density >= kk.dvir_envelope(m) - 1e-12
-    if not ok:
-        return 0.0, witness_values(is_kakeya=audit.is_kakeya, density=density,
-                                   missing=len(audit.missing))
-    return density, witness_values(density=density)
+    if ok:
+        yield density, dict(density=density)
+    else:
+        yield 0.0, dict(is_kakeya=audit.is_kakeya, density=density,
+                        missing=len(audit.missing))
 
 
 # ---------------------------------------------------------------------------
@@ -1131,7 +1026,6 @@ def _run_mx1(ctx: RunContext):
     cost = p ** (4 * ((d - 1) // 2) + 1)
     if cost > 2e7:
         ctx.trials = min(ctx.trials, 3 if cost <= 5e8 else 1)
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         f = SurfaceFunction.random(S, rng)
@@ -1142,8 +1036,7 @@ def _run_mx1(ctx: RunContext):
             a -= b
             devs.append(np.abs(a).max())
             del a, b
-        worst.update(float(np.max(devs)), lambda t=t: witness_values(trial=t))
-    return worst.result()
+        yield float(np.max(devs)), dict(trial=t)
 
 
 def _run_mx2(ctx: RunContext):
@@ -1155,36 +1048,34 @@ def _run_mx2(ctx: RunContext):
     p, d = ctx.prime, ctx.dim
     S = hyperbolic_paraboloid(ctx.field, d)
     W, V = _iso_pair(S)
-
-    def ratio(vals):
-        return kk.mixed_extension_ratio(SurfaceFunction(S, vals), W, V)
-
     base_total = p ** (d - 1)
-    worst = _Worst()
-    if (p, d) == (3, 3):
-        for mask, row in _indicator_masks(base_total):
-            r = ratio(row.astype(complex))
-            worst.update(r, lambda mask=mask, r=r: witness_values(mask=mask, ratio=r))
-        return worst.result()
-    # structured inputs: the cosets W+v and V+w, then the whole base,
-    # each as the base indices of its points
-    Wp, Vp = W.point_array(), V.point_array()
-    structured = [encode_point(Vp + w, p) for w in Wp]
-    structured += [encode_point(Wp + v, p) for v in Vp]
-    structured.append(np.arange(base_total))
-    for i, idx in enumerate(structured):
-        vals = np.zeros(base_total, dtype=complex)
-        vals[idx] = 1.0
-        r = ratio(vals)
-        worst.update(r, lambda i=i, r=r: witness_values(structured=i, ratio=r))
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
-        vals = (rng.random(base_total) < rng.uniform(0.2, 0.8)).astype(complex)
-        if not vals.any():
-            vals[0] = 1.0
-        r = ratio(vals)
-        worst.update(r, lambda t=t, r=r: witness_values(trial=t, ratio=r))
-    return worst.result()
+
+    def family():
+        # indicators on the base, as bool masks
+        if (p, d) == (3, 3):
+            ctx.trials = 1
+            for mask, row in _indicator_masks(base_total):
+                yield row, {"mask": mask}
+            return
+        # structured inputs: the cosets W+v and V+w, then the whole base
+        Wp, Vp = W.point_array(), V.point_array()
+        structured = [encode_point(Vp + w, p) for w in Wp]
+        structured += [encode_point(Wp + v, p) for v in Vp]
+        structured.append(np.arange(base_total))
+        for i, idx in enumerate(structured):
+            row = np.zeros(base_total, dtype=bool)
+            row[idx] = True
+            yield row, {"structured": i}
+        for t in range(ctx.trials):
+            rng = ctx.trial_rng(t)
+            row = rng.random(base_total) < rng.uniform(0.2, 0.8)
+            if not row.any():
+                row[0] = True
+            yield row, {"trial": t}
+
+    for row, fields in family():
+        r = kk.mixed_extension_ratio(SurfaceFunction(S, row.astype(complex)), W, V)
+        yield r, dict(fields, ratio=r)
 
 
 def _run_mx3(ctx: RunContext):
@@ -1193,15 +1084,12 @@ def _run_mx3(ctx: RunContext):
     # gamma/2 + (e+1)/(d+1) + (d-3)/(2d+2); the measured ratio against
     # that exponent is tracked.
     S = hyperbolic_paraboloid(ctx.field, ctx.dim)
-    worst = _Worst()
     for t in range(ctx.trials):
         rng = ctx.trial_rng(t)
         F, dec = kk.random_slice_isotropic_function(S, 2, rng)
         audit = kk.kakeya_regular_set_bound(F, S, dec)
-        worst.update(audit.ratio, lambda t=t, a=audit:
-                     witness_values(trial=t, gamma=a.gamma, pieces=a.e_exp,
-                                    ratio=a.ratio))
-    return worst.result()
+        yield audit.ratio, dict(trial=t, gamma=audit.gamma, pieces=audit.e_exp,
+                                ratio=audit.ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -1228,8 +1116,7 @@ def _run_ex1(ctx: RunContext):
         devs["window_guard"] = 1.0
     except OutOfValidityRange:
         devs["window_guard"] = 0.0
-    dev = max(devs.values())
-    return dev, witness_values(**{k: v for k, v in devs.items()})
+    yield max(devs.values()), devs
 
 
 def _run_ex2(ctx: RunContext):
@@ -1245,8 +1132,7 @@ def _run_ex2(ctx: RunContext):
     devs["constant_rho"] = abs(r.rho - 8 / 9)
     devs["constant_value"] = abs(r.value - 53 / 18)
     devs["no_root_flag"] = 1.0 if r.no_root else 0.0
-    dev = max(devs.values())
-    return dev, witness_values(**devs)
+    yield max(devs.values()), devs
 
 
 def _run_ex3(ctx: RunContext):
@@ -1257,13 +1143,9 @@ def _run_ex3(ctx: RunContext):
     seed_int = trial_seed(ctx.seed, ctx.scenario_id, 0)
     samples = sample_energy_exponents(S, trials=ctx.trials, seed=seed_int,
                                       slack=0.2)
-    worst = _Worst()
     for s in samples:
-        over = s.size ** (s.exponent - (s.bound - 0.2))
-        worst.update(over, lambda s=s:
-                     witness_values(label=s.label, size=s.size, alpha=s.alpha,
-                                    exponent=s.exponent))
-    return worst.result()
+        yield s.size ** (s.exponent - (s.bound - 0.2)), dict(
+            label=s.label, size=s.size, alpha=s.alpha, exponent=s.exponent)
 
 
 def _run_main1(ctx: RunContext):
@@ -1276,14 +1158,11 @@ def _run_main1(ctx: RunContext):
                 "(2d+2)/(d-1)", "2d/(d-1)", "measured", "asymptotic",
                 "conjectured"]
     missing = [tok for tok in required if tok not in table]
-    dev = float(len(missing))
     for p in (3, 5):
         v = exact_r22(paraboloid(PrimeField(p), 3))
         if f"{v:.12g}" not in table:
-            dev += 1.0
             missing.append(f"r22(p={p})")
-    wit = witness_values(missing=", ".join(missing)) if missing else None
-    return dev, wit
+    yield float(len(missing)), dict(missing=", ".join(missing))
 
 
 # ---------------------------------------------------------------------------
@@ -1626,16 +1505,37 @@ def run_scenario(scenario_id: str, prime: Optional[int] = None,
     return _run_checked(sc, prime, dim, trials, seed, entry, slack)
 
 
+def _measure(sc: Scenario, ctx: RunContext):
+    """Run sc's runner at ctx and reduce its cases to (metric, witness).
+
+    The first strictly largest metric is kept; a NaN beats every number
+    and is never replaced.  Only the kept case's fields are built into a
+    witness, None when they are empty.  A run that yields no case
+    raises, so it cannot pass on a metric nothing produced."""
+    metric = fields = None
+    for value, kw in sc.runner(ctx):
+        if fields is None or value > metric or (
+                math.isnan(value) and not math.isnan(metric)):
+            metric, fields = value, kw
+    if fields is None:
+        raise FFLabError(f"{sc.id} yielded no case at p = {ctx.prime}, "
+                         f"d = {ctx.dim}")
+    return metric, witness_values(**fields) if fields else None
+
+
 def _run_checked(sc: Scenario, prime: int, dim: int, trials: int, seed: int,
                  entry: Optional[BaselineEntry],
                  slack: Optional[float]) -> ScenarioReport:
     """Run sc at one validated point and judge the result.  A tracked
-    scenario comes with its verified baseline entry and slack."""
+    scenario comes with its verified baseline entry and slack; its drift
+    check runs when the point, with the trials the run states, is the
+    baseline's provenance."""
     ctx = RunContext(sc.id, prime, dim, trials, seed)
+    tracked = sc.kind == "constant_tracked"
     start = time.perf_counter()
     error = None
     try:
-        metric, wit = sc.runner(ctx)
+        metric, wit = _measure(sc, ctx)
     except Exception as exc:  # a runner fault fails this run, not the sweep
         where = traceback.extract_tb(exc.__traceback__)[-1]
         metric, wit, error = math.nan, None, witness_values(
@@ -1643,43 +1543,35 @@ def _run_checked(sc: Scenario, prime: int, dim: int, trials: int, seed: int,
             raised_in=f"{where.name} ({Path(where.filename).name}:{where.lineno})")
     runtime_ms = (time.perf_counter() - start) * 1e3
 
-    if sc.kind == "constant_tracked":
-        if error is not None:
-            status, witness = "fail", error
-        elif not math.isfinite(metric):
+    status, witness = "pass", None
+    if error is not None:
+        status, witness = "fail", error
+    elif not tracked:
+        if not (math.isfinite(metric) and metric <= sc.tolerance):
+            status, witness = "fail", wit or witness_values(max_deviation=float(metric))
+    elif not math.isfinite(metric):
+        status, witness = "fail", witness_values(measured=metric, stored=entry.constant)
+    elif (prime, dim, ctx.trials, seed) == entry.provenance():
+        drift = abs(metric - entry.constant)
+        if drift > 1e-9:
             status, witness = "fail", witness_values(
-                measured=metric, stored=entry.constant)
-        elif (prime, dim, trials, seed) == entry.provenance():
-            drift = abs(metric - entry.constant)
-            if drift > 1e-9:
-                status, witness = "fail", witness_values(
-                    measured=metric, stored=entry.constant, drift=drift)
-            else:
-                status, witness = "report_only", None
+                measured=metric, stored=entry.constant, drift=drift)
         else:
-            if sc.direction == "upper":
-                ok = metric <= slack * entry.constant + 1e-12
-            else:
-                ok = metric >= entry.constant - 1e-12
-            status = "pass" if ok else "fail"
-            witness = None if ok else (wit or witness_values(
-                measured=metric, baseline=entry.constant))
-        return ScenarioReport(
-            scenario=sc.id, kind=sc.kind, prime=prime, dim=dim,
-            trials=ctx.trials, seed=seed, status=status,
-            metric_name="measured_constant", metric=float(metric),
-            baseline_constant=entry.constant, baseline_slack=slack,
-            witness=witness, runtime_ms=runtime_ms)
-
-    status = "pass" if math.isfinite(metric) and metric <= sc.tolerance else "fail"
-    witness = None
-    if status == "fail":
-        witness = error or wit or witness_values(max_deviation=float(metric))
+            status = "report_only"
+    else:
+        ok = (metric <= slack * entry.constant + 1e-12 if sc.direction == "upper"
+              else metric >= entry.constant - 1e-12)
+        if not ok:
+            status, witness = "fail", wit or witness_values(
+                measured=metric, baseline=entry.constant)
     return ScenarioReport(
         scenario=sc.id, kind=sc.kind, prime=prime, dim=dim,
         trials=ctx.trials, seed=seed, status=status,
-        metric_name="max_deviation", metric=float(metric),
-        tolerance=sc.tolerance, witness=witness, runtime_ms=runtime_ms)
+        metric_name="measured_constant" if tracked else "max_deviation",
+        metric=float(metric), tolerance=None if tracked else sc.tolerance,
+        baseline_constant=entry.constant if tracked else None,
+        baseline_slack=slack if tracked else None,
+        witness=witness, runtime_ms=runtime_ms)
 
 
 def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0):
@@ -1740,8 +1632,7 @@ def regenerate_baselines(ids=None, path=None) -> BaselineStore:
         if sc.kind != "constant_tracked":
             raise ValueError(f"{sid} is {sc.kind}, not constant_tracked")
         p, d, tr, sd = sc.provenance
-        ctx = RunContext(sid, p, d, tr, sd)
-        metric, _ = sc.runner(ctx)
+        metric, _ = _measure(sc, RunContext(sid, p, d, tr, sd))
         store.entries[sid] = BaselineEntry(
             constant=float(metric), prime=p, dim=d, trials=tr, seed=sd,
             oracle_hash=oracle_hash(sc.runner))

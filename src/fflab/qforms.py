@@ -171,8 +171,10 @@ class QuadraticSpace:
         return self.bilinear(x, x)
 
     def q_batch(self, X: np.ndarray) -> np.ndarray:
-        """Q(row) for every row of X at once."""
-        X = np.asarray(X, dtype=np.int64) % self.field.p
+        """Q(row) for every row of X at once.  Q(x) mod p does not depend
+        on which representatives x holds and the int64 sum is exact, so
+        only the result is reduced and an int64 X is not copied."""
+        X = np.asarray(X, dtype=np.int64)
         return np.einsum("ij,jk,ik->i", X, self.A, X) % self.field.p
 
     @property

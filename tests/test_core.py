@@ -3,6 +3,7 @@ and the package's exported names."""
 
 import importlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -178,14 +179,28 @@ def test_inner_normalized_scaling():
     assert inner(one, one, "normalized") == pytest.approx(1.0)
 
 
+# a base-p weight vector, or a sum with a term times p and a later term
+# times p * p (or p**2) on the same line
+HAND_ENCODING = re.compile(
+    r"\*\* np\.arange\(|\*\s*p\s*\+[^\n]*\*\s*p\s*(\*\s*p|\*\*\s*2)\b")
+
+
 def test_flat_index_encoding_lives_only_in_core():
     """Every flat index is computed by core.encode_point; a hand-made
-    base-p weight vector elsewhere would be a second encoding."""
+    base-p encoding elsewhere would be a second one."""
+    for planted in ("w = p ** np.arange(d, dtype=np.int64)",
+                    "idx = x1 + int(u) * p + int(v) * p * p",
+                    "flat = coords[:, 0] + coords[:, 1] * p + coords[:, 2] * p * p",
+                    "flat = x + y * p + z * p**2"):
+        assert HAND_ENCODING.search(planted), planted
+    for fine in ("flat = encode_point(coords, p)", "hits.reshape(2 * p * p, n)",
+                 "k = int(rng.integers(1, p * p + 1))"):
+        assert not HAND_ENCODING.search(fine), fine
     src = Path(importlib.import_module("fflab").__file__).parent
     offenders = [
         str(path.relative_to(src))
         for path in sorted(src.rglob("*.py"))
-        if path != src / "core.py" and "** np.arange(" in path.read_text()
+        if path != src / "core.py" and HAND_ENCODING.search(path.read_text())
     ]
     assert offenders == []
 

@@ -343,6 +343,20 @@ def test_homogeneity_of_q():
             assert Q.q((lam * x) % 7) == (lam * lam * Q.q(x)) % 7
 
 
+def test_q_batch_does_not_depend_on_representatives():
+    # q_batch reduces only its result, so rows shifted by multiples of p,
+    # negative ones included, must give the same values as the reduced rows
+    F = PrimeField(7)
+    rng = np.random.default_rng(4)
+    Q = QuadraticSpace(F, random_symmetric(F, 4, rng))
+    X = rng.integers(0, 7, size=(50, 4))
+    shifted = X + 7 * rng.integers(-3, 4, size=X.shape)
+    want = Q.q_batch(X)
+    assert want.min() >= 0 and want.max() < 7
+    assert np.array_equal(Q.q_batch(shifted), want)
+    assert [Q.q(x) for x in shifted] == want.tolist()
+
+
 # ---------------------------------------------------------------------------
 # isotropic subspaces
 
