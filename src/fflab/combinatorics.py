@@ -51,6 +51,8 @@ from .qforms import (
 from .surfaces import Surface
 
 __all__ = [
+    "CURVE_SAMPLES",
+    "ENERGY_SLACK",
     "PointSet",
     "HyperplaneFamily",
     "EnergyExponent",
@@ -58,7 +60,6 @@ __all__ = [
     "SliceEnergyBound",
     "EnergyIncidence",
     "IncidenceAudit",
-    "VHPlaneCover",
     "RecursedExponent",
     "EnergySample",
     "additive_energy",
@@ -457,51 +458,33 @@ def vh_plane_masks(X: np.ndarray, p: int) -> np.ndarray:
     return hits.reshape(2 * p * p, len(X))
 
 
-class VHPlaneCover(NamedTuple):
-    planes: tuple           # chosen (type, slope, offset) triples, in pick order
-    covered: PointSet
-    residual: PointSet
-    residual_plane_max: int  # max residual points on any single VH plane
-
-
-def vh_plane_cover(E: PointSet, budget: int) -> VHPlaneCover:
-    """Greedy cover of E in F_p^3 by at most `budget` VH planes.
+def vh_plane_cover(E: PointSet) -> tuple:
+    """Greedy cover of E in F_p^3 by VH planes: the chosen (type, slope,
+    offset) triples, in pick order.
 
     Each step takes the plane covering the most uncovered points (ties by
-    canonical (type, slope, offset) order) and stops early once everything
-    is covered.  Because the greedy gains are nonincreasing, any plane meets
-    the residual in at most ceil(|E|/budget) points; that is checked here.
+    canonical (type, slope, offset) order) until E is covered; every point
+    lies on a VH plane, so each step covers at least one.
     """
     if E.dim != 3:
         raise ValueError("vh_plane_cover expects points in F_p^3")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     p = E.field.p
     masks = vh_plane_masks(E.matrix(), p)
     alive = np.ones(len(E), dtype=bool)
     chosen = []
-    for _ in range(budget):
-        gains = (masks & alive).sum(axis=1)
-        k = int(gains.argmax())  # the first maximum: canonical tie order
-        if gains[k] == 0:
-            break
+    while alive.any():
+        k = int((masks & alive).sum(axis=1).argmax())  # the first maximum: canonical tie order
         ptype, a, b = np.unravel_index(k, (2, p, p))
         chosen.append((int(ptype) + 1, int(a), int(b)))
         alive &= ~masks[k]
-
-    covered = PointSet(E.field, 3, E.index[~alive])
-    residual = PointSet(E.field, 3, E.index[alive])
-    residual_max = int((masks & alive).sum(axis=1).max())
-    cap = math.ceil(len(E) / budget)
-    if residual_max > cap:
-        raise FFLabError(
-            f"residual plane load {residual_max} exceeds ceil(|E|/budget) = {cap}"
-        )
-    return VHPlaneCover(tuple(chosen), covered, residual, residual_max)
+    return tuple(chosen)
 
 
 # ---------------------------------------------------------------------------
 # energy exponent curves
+
+# Points on every tabulated exponent curve.
+CURVE_SAMPLES = 65
 
 _CLOSED_FORMS = {
     "dim3_witt1": (0.75, lambda a: 1.0 + 2.0 * a),
@@ -569,12 +552,13 @@ class EnergyExponent:
         return float(np.interp(alpha, self.alpha_grid, self.psi_values))
 
 
-def closed_form_curve(kind: str, samples: int = 65) -> EnergyExponent:
-    """Tabulate a closed-form class over its validity window as a curve."""
+def closed_form_curve(kind: str) -> EnergyExponent:
+    """Tabulate a closed-form class over its validity window as a curve of
+    CURVE_SAMPLES points."""
     if kind == "dim2":
         raise ValueError("dim2 is an unconditional bound, not a normalized curve")
     lo, formula = _CLOSED_FORMS[kind]
-    grid = np.linspace(lo, 1.0, samples)
+    grid = np.linspace(lo, 1.0, CURVE_SAMPLES)
     return EnergyExponent(
         tuple(float(a) for a in grid),
         tuple(float(formula(a)) for a in grid),
@@ -639,9 +623,10 @@ def energy_exponent_recurse(
     return RecursedExponent((5.0 + rho) / 2.0, rho, False)
 
 
-def recursion_curve(inner: InnerCurve, samples: int = 65) -> EnergyExponent:
-    """The full curve alpha -> Psi'(alpha) produced by the dim_induct step."""
-    grid = np.linspace(0.0, 1.0, samples)
+def recursion_curve(inner: InnerCurve) -> EnergyExponent:
+    """The curve alpha -> Psi'(alpha) produced by the dim_induct step, at
+    CURVE_SAMPLES points of [0, 1]."""
+    grid = np.linspace(0.0, 1.0, CURVE_SAMPLES)
     values = [energy_exponent_recurse(inner, float(a)).value for a in grid]
     return EnergyExponent(
         tuple(float(a) for a in grid), tuple(values), "recursion"
@@ -681,6 +666,10 @@ def isotropic_slice_alpha(E: PointSet, Q: QuadraticSpace) -> tuple[int, float]:
     return peak, math.log(peak) / math.log(n)
 
 
+# How far a sampled energy exponent may sit above its curve at desk scale.
+ENERGY_SLACK = 0.2
+
+
 class EnergySample(NamedTuple):
     label: str
     size: int
@@ -704,7 +693,7 @@ def _exponent_curve_for(S: Surface):
         # the pointwise max of the rank-1 and (clamped) rank-2 curves.
         r1 = closed_form_curve("rank1_deg")
         r2 = closed_form_curve("rank2_deg")
-        grid = np.linspace(0.0, 1.0, 65)
+        grid = np.linspace(0.0, 1.0, CURVE_SAMPLES)
         inner = EnergyExponent(
             tuple(float(a) for a in grid),
             tuple(max(r1(float(a)), r2(float(a))) for a in grid),
@@ -719,13 +708,12 @@ def _lifted_coset(S: Surface, V: Subspace, t: np.ndarray) -> np.ndarray:
     return S.flat_indices[encode_point(V.point_array() + t, S.field.p)]
 
 
-def sample_energy_exponents(
-    S: Surface, trials: int = 20, seed: int = 0, slack: float = 0.2
-) -> list:
+def sample_energy_exponents(S: Surface, trials: int, seed: int) -> list:
     """Measure (alpha, energy exponent) pairs for structured and random
     subsets of S and check each against the surface's exponent curve.
 
-    Every sample must sit on or below Psi(alpha) + slack; a violation raises
+    Every sample must sit on or below its bound Psi(alpha) + ENERGY_SLACK,
+    which each EnergySample records; a violation raises
     FFLabError with the offending set's statistics.  Dimensions 3 through 5
     at p <= 7 only: below that the diagonal term drowns the curve, above it
     the quadruple counts stop being desk-size.
@@ -746,7 +734,7 @@ def sample_energy_exponents(
         lam = additive_energy(E)
         exponent = math.log(lam) / math.log(n)
         _, alpha = isotropic_slice_alpha(base_projection(E), S.Q)
-        bound = curve(alpha) + slack
+        bound = curve(alpha) + ENERGY_SLACK
         if exponent > bound:
             raise FFLabError(
                 f"{label}: exponent {exponent:.4f} exceeds bound {bound:.4f} "

@@ -143,21 +143,19 @@ def encode_point(coords, p: int):
     return sum((c % p) * p**k for k, c in enumerate(coords))
 
 
-def decode_point(index, p: int, d: int):
-    """Inverse of encode_point: the coordinate tuple of one index, or the
-    (n, d) int64 coordinate rows of a 1-d index array."""
-    if isinstance(index, np.ndarray):
-        X = index[:, None] // p ** np.arange(d, dtype=np.int64)
-        X %= p  # in place: the quotient array is fresh
-        return X
-    return tuple((index // p**k) % p for k in range(d))
+def decode_point(index: np.ndarray, p: int, d: int) -> np.ndarray:
+    """Inverse of encode_point on a 1-d index array: the (n, d) int64
+    coordinate rows."""
+    X = index[:, None] // p ** np.arange(d, dtype=np.int64)
+    X %= p  # in place: the quotient array is fresh
+    return X
 
 
-def grid_size(p: int, d: int, budget: int = POINT_BUDGET) -> int:
-    """p^d, or SizeOverflow if that exceeds the point budget."""
+def grid_size(p: int, d: int) -> int:
+    """p^d, or SizeOverflow if that exceeds POINT_BUDGET."""
     n = p**d
-    if n > budget:
-        raise SizeOverflow(n, budget, what=f"F_{p}^{d}")
+    if n > POINT_BUDGET:
+        raise SizeOverflow(n, POINT_BUDGET, what=f"F_{p}^{d}")
     return n
 
 
@@ -277,27 +275,11 @@ class FFunction:
         return f
 
     @classmethod
-    def random(
-        cls,
-        field: PrimeField,
-        dim: int,
-        rng: np.random.Generator,
-        kind: str = "complex",
-        density: float = 0.5,
-    ) -> "FFunction":
-        """Random test function.  kind 'complex' draws iid standard complex
-        gaussians; 'indicator' keeps each point with probability `density`
-        (re-drawing once if the result is empty)."""
+    def random(cls, field: PrimeField, dim: int, rng: np.random.Generator
+               ) -> "FFunction":
+        """Random test function of iid standard complex gaussians."""
         n = grid_size(field.p, dim)
-        if kind == "complex":
-            data = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        elif kind == "indicator":
-            data = (rng.random(n) < density).astype(np.complex128)
-            if not data.any():
-                data[rng.integers(0, n)] = 1.0
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        return cls(field, dim, data)
+        return cls(field, dim, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
     # -- pointwise algebra ---------------------------------------------------
 
@@ -315,25 +297,19 @@ def lp_norm(f: FFunction, p_exp: float, measure: str = "counting") -> float:
     """L^p norm of f.
 
     measure 'counting' sums |f|^p over the grid; 'normalized' divides the
-    sum by p^d first.  p_exp = math.inf gives the sup norm either way.
+    sum by p^d first.  p_exp must be finite: there is no sup norm here.
     """
     if measure not in ("counting", "normalized"):
         raise ValueError(f"unknown measure {measure!r}")
-    if p_exp < 1:
-        raise ValueError("p_exp must be >= 1")
-    mags = np.abs(f.data)
-    if math.isinf(p_exp):
-        return float(mags.max()) if mags.size else 0.0
-    total = float(np.sum(mags**p_exp))
+    if not 1 <= p_exp < math.inf:
+        raise ValueError(f"p_exp must be finite and >= 1, got {p_exp}")
+    total = float(np.sum(np.abs(f.data) ** p_exp))
     if measure == "normalized":
         total /= f.field.p**f.dim
     return total ** (1.0 / p_exp)
 
 
-def inner(f: FFunction, g: FFunction, measure: str = "counting") -> complex:
-    """<f, g> = sum f * conj(g), optionally with the normalized measure."""
+def inner(f: FFunction, g: FFunction) -> complex:
+    """<f, g> = sum f * conj(g), with counting measure."""
     # a numpy reduction, not BLAS: its bits do not depend on the thread count
-    val = complex(np.sum(f.data * np.conj(g.data)))
-    if measure == "normalized":
-        val /= f.field.p**f.dim
-    return val
+    return complex(np.sum(f.data * np.conj(g.data)))

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import FFunction, PrimeField, char_kernel
+from .errors import FFLabError
 
 # ---------------------------------------------------------------------------
 # transforms
@@ -132,27 +133,25 @@ def power_iteration_norm(
     gram_apply: Callable[[np.ndarray], np.ndarray],
     dim: int,
     rng: np.random.Generator,
-    weight: float = 1.0,
-    tol: float = 1e-6,
-    max_iter: int = 2000,
 ) -> float:
     """Largest singular value of T from power iteration on T*T.
 
     gram_apply must implement g -> T*(T g), self-adjoint and PSD in the
-    weighted inner product weight * sum(g conj(h)).  Stops when successive
-    Rayleigh quotients agree to relative tol.
+    inner product sum(g conj(h)) (a constant weight on it cancels in the
+    Rayleigh quotient).  Stops when successive Rayleigh quotients agree to
+    relative 1e-10; raises FFLabError after 2,000 steps without that.
     """
     g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    g /= math.sqrt(weight * _dot(g, g))
+    g /= math.sqrt(_dot(g, g))
     lam_prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(2000):
         h = gram_apply(g)
-        lam = weight * _dot(g, h)
-        hn = math.sqrt(weight * _dot(h, h))
+        lam = _dot(g, h)
+        hn = math.sqrt(_dot(h, h))
         if hn == 0.0:
             return 0.0
         g = h / hn
-        if lam > 0 and abs(lam - lam_prev) <= tol * lam:
+        if lam > 0 and abs(lam - lam_prev) <= 1e-10 * lam:
             return math.sqrt(lam)
         lam_prev = lam
-    return math.sqrt(lam_prev)
+    raise FFLabError(f"power iteration did not converge in 2000 steps (last {lam})")

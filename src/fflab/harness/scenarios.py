@@ -74,6 +74,7 @@ from ..qforms import (
     complementary_isotropic,
     complement_indicator_character_sum,
     det_mod,
+    diagonal_form,
     dot_form,
     dual_pairing_basis,
     enumerate_max_isotropic,
@@ -105,6 +106,7 @@ from ..combinatorics import (
     PointSet,
     all_affine_hyperplanes,
     additive_energy,
+    ENERGY_SLACK,
     closed_form_curve,
     energy_exponent_closed,
     energy_exponent_recurse,
@@ -314,7 +316,7 @@ def _run_st3(ctx: RunContext):
             return restriction(extension(SurfaceFunction(S, vec)), S).values
 
         rng = ctx.trial_rng(0)
-        sigma = power_iteration_norm(gram, S.size, rng, tol=1e-10)
+        sigma = power_iteration_norm(gram, S.size, rng)
         dev_pi = abs(sigma - want) / want
         v = rng.standard_normal(S.size) + 1j * rng.standard_normal(S.size)
         dev_scalar = float(np.abs(gram(v) - scale * v).max()) / scale
@@ -746,8 +748,7 @@ def _run_pl2(ctx: RunContext):
                 keep[int(rng.integers(0, len(rows)))] = True
             support[rows[keep]] = True
         E = PointSet(ctx.field, 3, np.flatnonzero(support))
-        cover = vh_plane_cover(E, budget=len(E))
-        e_exp = _logp(p, max(1, len(cover.planes)))
+        e_exp = _logp(p, max(1, len(vh_plane_cover(E))))
         gamma = _logp(p, len(E))
         F = FFunction(ctx.field, 3, support.astype(complex))
         q = 1.5 if t % 2 else 2.0
@@ -860,24 +861,27 @@ def _run_qf4(ctx: RunContext):
     # Restricting the base form to a random (d-3)-dimensional subspace
     # lands in the allowed (rank, degenerate dim, isotropy) table for the
     # ambient class; fully vanishing restrictions are excluded by the
-    # classifier and skipped here.
+    # classifier and skipped here.  At odd d the dot and pairing forms are
+    # split at every p of the grid, so diag(1, ..., 1, g), g the least
+    # non-square, stands for the non-split class.
     d = ctx.dim
     field = ctx.field
-    makers = [paraboloid]
+    forms = [dot_form(field, d - 1)]
     if d % 2:
-        makers.append(hyperbolic_paraboloid)
-    for maker in makers:
-        S = maker(field, d)
-        allowed = allowed_subsurface_triples(d, S.Q.witt_index)
+        g = next(x for x in range(2, ctx.prime) if not field.is_square[x])
+        forms += [hyperbolic_pairing_form(field, (d - 1) // 2),
+                  diagonal_form(field, [1] * (d - 2) + [g])]
+    for Q in forms:
+        allowed = allowed_subsurface_triples(d, Q.witt_index)
         for t in range(ctx.trials):
             rng = ctx.trial_rng(t)
             V = random_subspace(field, d - 1, d - 3, rng)
             try:
-                trip = classify_subsurface(S.Q, V)
+                trip = classify_subsurface(Q, V)
             except FullyDegenerate:
                 continue
             yield float(trip not in allowed), dict(triple=list(trip),
-                                                   witt=S.Q.witt_index)
+                                                   witt=Q.witt_index)
 
 
 # ---------------------------------------------------------------------------
@@ -900,8 +904,9 @@ def _run_kk1(ctx: RunContext):
         for t in range(ctx.trials):
             rng = ctx.trial_rng(t)
             if t == 0:
-                line = kk.AffineLine.of(field, (0,) * (m - 1), tuple(range(1, m)))
-                F = line.indicator()
+                line = kk.line_points(np.zeros((1, m - 1), dtype=np.int64),
+                                      np.arange(1, m)[None], p)[0]
+                F = FFunction.indicator(field, m, line)
             elif t == 1:
                 F = FFunction.constant(field, m, 1.0)
             else:
@@ -1141,10 +1146,8 @@ def _run_ex3(ctx: RunContext):
     # multiplicative overshoot of a sample's energy over size^psi(alpha).
     S = hyperbolic_paraboloid(ctx.field, ctx.dim)
     seed_int = trial_seed(ctx.seed, ctx.scenario_id, 0)
-    samples = sample_energy_exponents(S, trials=ctx.trials, seed=seed_int,
-                                      slack=0.2)
-    for s in samples:
-        yield s.size ** (s.exponent - (s.bound - 0.2)), dict(
+    for s in sample_energy_exponents(S, ctx.trials, seed_int):
+        yield s.size ** (s.exponent - (s.bound - ENERGY_SLACK)), dict(
             label=s.label, size=s.size, alpha=s.alpha, exponent=s.exponent)
 
 

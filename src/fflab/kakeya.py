@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -58,7 +57,7 @@ from .surfaces import (
 from .combinatorics import PointSet
 
 __all__ = [
-    "AffineLine",
+    "line_points",
     "KakeyaAudit",
     "DualConsistency",
     "KakeyaExponents",
@@ -92,52 +91,13 @@ __all__ = [
 # lines
 
 
-@dataclass(frozen=True)
-class AffineLine:
-    """The non-horizontal line {(b + eta t, t) : t in F_p} in F_p^m.
+def line_points(bases: np.ndarray, directions: np.ndarray, p: int) -> np.ndarray:
+    """(k, p, m) array: [i, t] is the point (b_i + t eta_i, t) of the
+    non-horizontal line with base b_i and direction eta_i, reduced mod p.
 
-    base and direction live in F_p^{m-1}; the last coordinate sweeps the
-    field, so the line always has exactly p points.
-    """
-
-    field: PrimeField
-    base: tuple
-    direction: tuple
-
-    def __post_init__(self):
-        p = self.field.p
-        if len(self.base) != len(self.direction):
-            raise ValueError("base and direction must share a dimension")
-        if any(not 0 <= c < p for c in self.base + self.direction):
-            raise ValueError("coordinates must be reduced mod p (use AffineLine.of)")
-
-    @classmethod
-    def of(cls, field: PrimeField, base, direction) -> "AffineLine":
-        p = field.p
-        return cls(
-            field,
-            tuple(int(c) % p for c in base),
-            tuple(int(c) % p for c in direction),
-        )
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.base) + 1
-
-    def point_array(self) -> np.ndarray:
-        """(p, m) array of the line's points, ordered by the last coordinate."""
-        return _line_points(np.array([self.base], dtype=np.int64),
-                            np.array([self.direction], dtype=np.int64),
-                            self.field.p)[0]
-
-    def indicator(self) -> FFunction:
-        return FFunction.indicator(self.field, self.ambient_dim, self.point_array())
-
-
-def _line_points(bases: np.ndarray, directions: np.ndarray, p: int) -> np.ndarray:
-    """(k, p, m) array: [i, t] is the point (b_i + t eta_i, t), reduced.
-
-    bases and directions are (k, m-1) int arrays, one line per row.
+    bases and directions are (k, m-1) int arrays, one line per row; the
+    last coordinate sweeps the field, so every line has exactly p points,
+    ordered by it.
     """
     ts = np.arange(p, dtype=np.int64)
     head = (bases[:, None, :] + ts[None, :, None] * directions[:, None, :]) % p
@@ -202,44 +162,27 @@ def maximizing_base_map(F: FFunction) -> np.ndarray:
 
 
 def direction_norm(values: np.ndarray, q: float) -> float:
-    """L^q norm on the direction set with normalized counting measure."""
+    """L^q norm on the direction set with normalized counting measure;
+    q must be finite."""
+    if not 1 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 1, got {q}")
     values = np.abs(np.asarray(values, dtype=np.float64))
-    if math.isinf(q):
-        return float(values.max()) if values.size else 0.0
-    if q < 1:
-        raise ValueError("q must be >= 1")
     return float(np.mean(values**q) ** (1.0 / q))
 
 
-def maximal_ratio(F: FFunction, q_out: Optional[float] = None,
-                  p_in: Optional[float] = None) -> float:
-    """||F*||_{L^{q_out}(directions)} / ||F||_{L^{p_in}(counting)}.
-
-    Both exponents default to the ambient dimension m, the endpoint at
-    which the maximal inequality holds with a dimensional constant.
-    """
-    m = F.dim
-    q_out = float(m) if q_out is None else q_out
-    p_in = float(m) if p_in is None else p_in
-    denom = lp_norm(F, p_in, "counting")
+def maximal_ratio(F: FFunction) -> float:
+    """||F*||_{L^m(directions)} / ||F||_{L^m(counting)}, m the ambient
+    dimension: the endpoint at which the maximal inequality holds with a
+    dimensional constant."""
+    m = float(F.dim)
+    denom = lp_norm(F, m, "counting")
     if denom == 0.0:
         raise ValueError("maximal ratio of the zero function")
-    return direction_norm(kakeya_maximal(F), q_out) / denom
+    return direction_norm(kakeya_maximal(F), m) / denom
 
 
 # ---------------------------------------------------------------------------
 # the dual superposition
-
-
-def _as_direction_values(h, field: PrimeField, n: int) -> np.ndarray:
-    if isinstance(h, FFunction):
-        if h.field != field or h.dim != n:
-            raise ValueError("h must live on the direction set F_p^{m-1}")
-        return h.data.copy()
-    arr = np.asarray(h, dtype=np.complex128)
-    if arr.shape != (field.p**n,):
-        raise ValueError(f"h must have {field.p ** n} entries")
-    return arr
 
 
 def _as_base_map(x0, field: PrimeField, n: int) -> np.ndarray:
@@ -254,17 +197,20 @@ def _as_base_map(x0, field: PrimeField, n: int) -> np.ndarray:
 def dual_kakeya_apply(h, x0, field: PrimeField, m: int) -> FFunction:
     """The normalized line superposition p^{-(m-1)} sum_v h(v) 1_{l(x0(v),v)}.
 
-    h assigns a weight to each direction; x0 picks one base per direction
-    as a (p^{m-1}, m-1) array in direction-index order.
+    h assigns a weight to each direction, as an array in direction-index
+    order; x0 picks one base per direction as a (p^{m-1}, m-1) array in
+    the same order.
     """
     if m < 2:
         raise ValueError("ambient dimension must be >= 2")
     p = field.p
     n = m - 1
-    hv = _as_direction_values(h, field, n)
+    hv = np.asarray(h, dtype=np.complex128)
+    if hv.shape != (p**n,):
+        raise ValueError(f"h must have {p ** n} entries")
     bases = _as_base_map(x0, field, n)
     out = FFunction.zeros(field, m)
-    lines = encode_point(_line_points(bases, coordinate_array(p, n), p), p)
+    lines = encode_point(line_points(bases, coordinate_array(p, n), p), p)
     for di, idx in enumerate(lines):
         if hv[di] != 0:
             out.data[idx] += hv[di]
@@ -304,7 +250,7 @@ def dual_consistency(F: FFunction, q: float, p_exp: float) -> DualConsistency:
     h_norm = direction_norm(h, q)
     bases = maximizing_base_map(G)
     superpos = dual_kakeya_apply(h, bases, field, m)
-    pairing = inner(superpos, G, "counting").real
+    pairing = inner(superpos, G).real
     paired = pairing / (h_norm * g_norm)
     dual_ratio = lp_norm(superpos, p_exp, "counting") / h_norm
     return DualConsistency(direct, paired, dual_ratio)
@@ -352,7 +298,7 @@ def standard_kakeya_set(field: PrimeField, m: int) -> PointSet:
         raise ValueError("Kakeya sets need ambient dimension >= 2")
     p = field.p
     directions = coordinate_array(p, m - 1)
-    lines = _line_points(directions * directions % p, directions, p)
+    lines = line_points(directions * directions % p, directions, p)
     return PointSet(field, m, np.unique(encode_point(lines, p)))
 
 
@@ -440,7 +386,7 @@ def embed_collapse_profile(h: FFunction, b) -> FFunction:
     b_arr = _as_base_map(b, field, n)
     out = FFunction.zeros(field, n + 1)
     thetas = coordinate_array(p, n)
-    lines = encode_point(_line_points(b_arr[encode_point(-thetas, p)], -thetas, p), p)
+    lines = encode_point(line_points(b_arr[encode_point(-thetas, p)], -thetas, p), p)
     for ti, idx in enumerate(lines):
         if hv[ti] != 0.0:
             out.data[idx] += hv[ti]

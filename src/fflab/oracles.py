@@ -16,7 +16,7 @@ import numpy as np
 from .core import FFunction, char_vector, coordinate_array, encode_point
 from .errors import FFLabError, SizeOverflow
 from .combinatorics import PointSet, vh_plane_masks
-from .kakeya import AffineLine
+from .kakeya import line_points
 from .qforms import echelon_bases
 
 __all__ = [
@@ -55,8 +55,10 @@ def line_sum(F: FFunction, base, direction, absolute: bool = False) -> complex:
     Oracle for line_totals, kakeya_maximal and maximizing_base_map: it
     walks one line's points directly instead of gathering all lines.
     """
-    line = AffineLine.of(F.field, base, direction)
-    vals = F.data[encode_point(line.point_array(), F.field.p)]
+    p = F.field.p
+    line = line_points(np.array([base], dtype=np.int64),
+                       np.array([direction], dtype=np.int64), p)[0]
+    vals = F.data[encode_point(line, p)]
     if absolute:
         return float(np.abs(vals).sum())
     return complex(vals.sum())

@@ -137,15 +137,9 @@ class SurfaceFunction:
         return cls(surface, vals)
 
     @classmethod
-    def random(
-        cls,
-        surface: Surface,
-        rng: np.random.Generator,
-        kind: str = "complex",
-        density: float = 0.5,
-    ) -> "SurfaceFunction":
-        f = FFunction.random(surface.field, surface.base_dim, rng, kind, density)
-        return cls(surface, f.data)
+    def random(cls, surface: Surface, rng: np.random.Generator) -> "SurfaceFunction":
+        """iid standard complex gaussians, as FFunction.random on the base."""
+        return cls(surface, FFunction.random(surface.field, surface.base_dim, rng).data)
 
     def as_base_function(self) -> FFunction:
         return FFunction(self.surface.field, self.surface.base_dim, self.values.copy())
@@ -229,8 +223,8 @@ def gauss_sum(field: PrimeField, t: int) -> complex:
 def surface_measure_inverse_ft(S: Surface) -> FFunction:
     """(dsigma)-vee on all of F_p^d.
 
-    Closed forms for the two graph models; any other surface falls back
-    to extending the constant function 1.
+    Closed forms for the two graph models; any other surface raises
+    ValueError.
 
     Paraboloid (base form xi . xi), writing G(t) for the quadratic Gauss
     sum and n2 = x . x on the base part:
@@ -240,6 +234,8 @@ def surface_measure_inverse_ft(S: Surface) -> FFunction:
         t = 0:  delta_0(x)
         t != 0: p^{-n} e(-(x_1 . x_2) / t)
     """
+    if S.kind not in ("paraboloid", "hyperbolic_paraboloid"):
+        raise ValueError(f"no closed form for the measure of {S!r}")
     p = S.field.p
     d = S.ambient_dim
     X = coordinate_array(p, d)
@@ -260,7 +256,7 @@ def surface_measure_inverse_ft(S: Surface) -> FFunction:
         out[nz] = float(p) ** (-(d - 1)) * G[t[nz]] ** (d - 1) * vals[phase]
         zero_slice = ~nz
         out[zero_slice] = (xbar[zero_slice] == 0).all(axis=1).astype(np.complex128)
-    elif S.kind == "hyperbolic_paraboloid":
+    else:
         n = (d - 1) // 2
         dots = np.einsum("ij,ij->i", xbar[:, :n], xbar[:, n:]) % p
         inv = np.array([0] + [S.field.inverse(tt) for tt in range(1, p)], dtype=np.int64)
@@ -269,8 +265,6 @@ def surface_measure_inverse_ft(S: Surface) -> FFunction:
         out[nz] = float(p) ** (-n) * vals[phase]
         zero_slice = ~nz
         out[zero_slice] = (xbar[zero_slice] == 0).all(axis=1).astype(np.complex128)
-    else:
-        return extension(SurfaceFunction(S, np.ones(S.size)))
     return FFunction(S.field, d, out)
 
 

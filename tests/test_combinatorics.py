@@ -551,32 +551,12 @@ def test_energy_to_incidence_degenerate_inputs():
 
 def test_vh_plane_cover_single_plane_and_full_grid():
     one = PointSet.of(F3, 3, [(x, (2 * t + 1) % 3, t) for x in range(3) for t in range(3)])
-    cov = vh_plane_cover(one, budget=1)
-    assert cov.planes == ((1, 2, 1),)
-    assert len(cov.residual) == 0 and len(cov.covered) == 9
+    assert vh_plane_cover(one) == ((1, 2, 1),)
     grid = PointSet.of(F3, 3, itertools.product(range(3), repeat=3))
-    cov2 = vh_plane_cover(grid, budget=3)
-    assert len(cov2.residual) == 0
-    assert cov2.planes == ((1, 0, 0), (1, 0, 1), (1, 0, 2))
+    assert vh_plane_cover(grid) == ((1, 0, 0), (1, 0, 1), (1, 0, 2))
+    assert vh_plane_cover(PointSet.of(F3, 3, [])) == ()
     with pytest.raises(ValueError):
-        vh_plane_cover(grid, budget=0)
-    with pytest.raises(ValueError):
-        vh_plane_cover(PointSet.of(F3, 2, [(0, 0)]), budget=1)
-
-
-def test_vh_plane_cover_residual_load_bound():
-    rng = np.random.default_rng(43)
-    for p in (3, 5):
-        F = PrimeField(p)
-        for _ in range(15):
-            pts = {tuple(rng.integers(0, p, 3)) for _ in range(rng.integers(2, 4 * p))}
-            E = PointSet.of(F, 3, pts)
-            budget = int(rng.integers(1, 5))
-            cov = vh_plane_cover(E, budget)
-            assert len(cov.planes) <= budget
-            assert len(cov.covered) + len(cov.residual) == len(E)
-            assert set(cov.covered.index.tolist()).isdisjoint(cov.residual.index.tolist())
-            assert cov.residual_plane_max <= math.ceil(len(E) / budget)
+        vh_plane_cover(PointSet.of(F3, 2, [(0, 0)]))
 
 
 def _literal_vh_planes(p):
@@ -597,9 +577,10 @@ def test_vh_plane_masks_match_per_plane_membership_loop(p):
             assert got[row, i] == ((coord - a * t - b) % p == 0)
 
 
-def _dict_loop_greedy_cover(E, budget):
+def _dict_loop_greedy_cover(E):
     """Oracle: the greedy VH cover as a loop over a dict of plane masks,
-    taking the first plane with the strictly largest gain."""
+    taking the first plane with the strictly largest gain until E is
+    covered."""
     p = E.field.p
     X = E.matrix()
     planes = _literal_vh_planes(p)
@@ -609,20 +590,15 @@ def _dict_loop_greedy_cover(E, budget):
         masks[(ptype, a, b)] = (coord - a * X[:, 2] - b) % p == 0
     alive = np.ones(len(E), dtype=bool)
     chosen = []
-    for _ in range(budget):
-        if not alive.any():
-            break
+    while alive.any():
         best_plane, best_gain = None, 0
         for plane in planes:
             gain = int((masks[plane] & alive).sum())
             if gain > best_gain:
                 best_plane, best_gain = plane, gain
-        if best_plane is None:
-            break
         chosen.append(best_plane)
         alive &= ~masks[best_plane]
-    residual_max = max(int((masks[plane] & alive).sum()) for plane in planes)
-    return tuple(chosen), E.index[~alive].tolist(), residual_max
+    return tuple(chosen)
 
 
 def test_vh_plane_cover_matches_dict_loop_greedy():
@@ -632,13 +608,9 @@ def test_vh_plane_cover_matches_dict_loop_greedy():
         for _ in range(12):
             k = int(rng.integers(1, min(p**3, 6 * p)))
             E = PointSet(F, 3, np.sort(rng.choice(p**3, size=k, replace=False)))
-            for budget in (1, 2, int(rng.integers(3, 2 * p * p + 1)), len(E)):
-                cov = vh_plane_cover(E, budget)
-                planes, covered, residual_max = _dict_loop_greedy_cover(E, budget)
-                assert cov.planes == planes
-                assert all(type(c) is int for pl in cov.planes for c in pl)
-                assert cov.covered.index.tolist() == covered
-                assert cov.residual_plane_max == residual_max
+            planes = vh_plane_cover(E)
+            assert planes == _dict_loop_greedy_cover(E)
+            assert all(type(c) is int for pl in planes for c in pl)
 
 
 def test_vh_cover_greedy_within_log_factor_of_optimum():
@@ -649,9 +621,7 @@ def test_vh_cover_greedy_within_log_factor_of_optimum():
         if len(E) > 8:
             continue
         kmin = minimum_vh_cover_size(E)
-        full = vh_plane_cover(E, budget=18)  # all planes allowed
-        assert len(full.residual) == 0
-        greedy_size = len(full.planes)
+        greedy_size = len(vh_plane_cover(E))
         assert kmin <= greedy_size
         assert greedy_size <= math.ceil((math.log(len(E)) + 1) * kmin)
 
@@ -841,6 +811,6 @@ def test_sample_energy_exponents_runs_clean():
 
 def test_sample_energy_exponents_guardrails():
     with pytest.raises(ValueError):
-        sample_energy_exponents(hyperbolic_paraboloid(PrimeField(11), 3))
+        sample_energy_exponents(hyperbolic_paraboloid(PrimeField(11), 3), 20, 0)
     with pytest.raises(ValueError):
-        sample_energy_exponents(Surface(QuadraticSpace(F3, [[1]])))
+        sample_energy_exponents(Surface(QuadraticSpace(F3, [[1]])), 20, 0)

@@ -75,20 +75,18 @@ def test_character_orthogonality_on_grid(p, d):
     F = PrimeField(p)
     pts = coordinate_array(p, d)
     vals = char_vector(F)
-    for xi_idx in range(1, p**d):
-        xi = np.array(decode_point(xi_idx, p, d))
+    for xi in pts[1:]:
         s = vals[(pts @ xi) % p].sum()
         assert abs(s) < 1e-9 * p**d
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (3, 3), (5, 2), (5, 3), (7, 3)])
 def test_encode_decode_roundtrip_exhaustive(p, d):
-    for idx in range(p**d):
-        coords = decode_point(idx, p, d)
-        assert encode_point(coords, p) == idx
-    # the array forms: all rows at once, in the same index order
+    # row i holds the base-p digits of i, least significant first
     rows = decode_point(np.arange(p**d), p, d)
-    assert rows.tolist() == [list(decode_point(i, p, d)) for i in range(p**d)]
+    assert rows.tolist() == [[i // p**k % p for k in range(d)] for i in range(p**d)]
+    for idx, coords in enumerate(rows.tolist()):
+        assert encode_point(coords, p) == idx
     assert encode_point(rows, p).tolist() == list(range(p**d))
 
 
@@ -96,7 +94,8 @@ def test_encode_decode_roundtrip_exhaustive(p, d):
 def test_encode_decode_roundtrip_random(which, coords):
     p = PRIMES[which]
     reduced = tuple(c % p for c in coords)
-    assert decode_point(encode_point(coords, p), p, len(coords)) == reduced
+    one = np.array([encode_point(coords, p)])
+    assert decode_point(one, p, len(coords)).tolist() == [list(reduced)]
     # the array form reduces and encodes each row the same way
     rows = np.array([coords, reduced])
     idx = encode_point(rows, p)
@@ -117,7 +116,7 @@ def test_coordinate_array_order():
 def test_coordinate_array_is_one_read_only_table_per_size():
     X = coordinate_array(5, 3)
     assert coordinate_array(5, 3) is X
-    assert X.tolist() == [list(decode_point(i, 5, 3)) for i in range(125)]
+    assert X.tolist() == [[i % 5, i // 5 % 5, i // 25] for i in range(125)]
     with pytest.raises(ValueError):
         X[0, 0] = 1
     # the budget is checked on every call, not only when the table is built
@@ -151,11 +150,16 @@ def test_lp_norm_examples():
     assert lp_norm(point, 2, "counting") == pytest.approx(1.0)
     one = FFunction.constant(F, 2, 1.0)
     assert lp_norm(one, 2, "counting") == pytest.approx(3.0)
-    for q in (1, 2, 4, math.inf):
+    for q in (1, 2, 4):
         assert lp_norm(one, q, "normalized") == pytest.approx(1.0)
-    assert lp_norm(point, math.inf) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        lp_norm(one, 0.5)
+    assert inner(one, one) == pytest.approx(9.0)
+    # there is no sup norm: a non-finite exponent raises instead of
+    # returning sum(|f|^inf) ** 0 = 1.0
+    five = FFunction.delta(F, 2, (1, 2))
+    five.data *= 5
+    for bad in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            lp_norm(five, bad)
 
 
 @settings(deadline=None, max_examples=25)
@@ -170,13 +174,6 @@ def test_holder_sanity(seed, p_exp):
     lhs = abs(inner(f, g))
     rhs = lp_norm(f, p_exp) * lp_norm(g, q)
     assert lhs <= rhs + 1e-9
-
-
-def test_inner_normalized_scaling():
-    F = PrimeField(3)
-    one = FFunction.constant(F, 2, 1.0)
-    assert inner(one, one, "counting") == pytest.approx(9.0)
-    assert inner(one, one, "normalized") == pytest.approx(1.0)
 
 
 # a base-p weight vector, or a sum with a term times p and a later term

@@ -1,11 +1,14 @@
 """Transform normalization, exponent arithmetic, operator norm estimation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fflab.core import FFunction, PrimeField, char_kernel, char_vector, lp_norm
+from fflab.errors import FFLabError
 from fflab.fourier import (
     _axis_dft,
     convolve,
@@ -190,6 +193,15 @@ def test_power_iteration_matches_svd():
     rng = np.random.default_rng(17)
     T = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
     gram = lambda g: T.conj().T @ (T @ g)
-    sigma = power_iteration_norm(gram, 8, rng, tol=1e-10)
+    sigma = power_iteration_norm(gram, 8, rng)
     top = np.linalg.svd(T, compute_uv=False)[0]
     assert sigma == pytest.approx(top, rel=1e-6)
+
+
+def test_power_iteration_raises_when_it_does_not_converge():
+    # a stub Gram that scales by 1, 2, 3, ...: its Rayleigh quotient moves
+    # by a relative 1/k at step k, far above 1e-10 for all 2,000 steps
+    steps = itertools.count(1)
+    with pytest.raises(FFLabError, match="did not converge"):
+        power_iteration_norm(lambda g: g * next(steps), 4, np.random.default_rng(0))
+    assert next(steps) == 2001

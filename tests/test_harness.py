@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from fflab.harness import (
     witness_values,
 )
 from fflab.harness.baselines import oracle_hash
-from fflab.harness.scenarios import _iso_pair, _mx1_surface
+from fflab.harness.scenarios import RunContext, _iso_pair, _mx1_surface
 from fflab.harness.reporting import CSV_COLUMNS
 
 
@@ -95,19 +96,29 @@ LIBRARY = (core, fourier, surfaces, qforms, combinatorics, kk)
 @pytest.fixture(scope="module")
 def default_runs():
     """Every scenario at its defaults, plus KK-1 at (5, 2), whose sampled
-    path reaches the AffineLine code that the exhaustive default point
-    skips.  Returns the reports and the code objects the runs called.
+    path is the only one that reaches FFunction.indicator (the exhaustive
+    default point builds its inputs directly).  Returns the reports, the
+    code objects the runs called, and for every defaulted parameter of
+    the library the kinds of value it received: "default" or "other".
     The library's table caches are emptied first, so what the runs reach
     does not depend on the tests that ran before them."""
     for mod in LIBRARY:
         for obj in vars(mod).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
+    options = _defaulted_parameters()
     reached = set()
+    received = {key: set() for spec in options.values() for key, _, _ in spec}
 
     def hook(frame, event, arg):
         if event == "call":
             reached.add(frame.f_code)
+            spec = options.get(frame.f_code)
+            if spec is not None:
+                args = frame.f_locals
+                for key, name, default in spec:
+                    received[key].add(
+                        "default" if _is_default(args[name], default) else "other")
 
     previous = sys.getprofile()
     sys.setprofile(hook)
@@ -116,11 +127,11 @@ def default_runs():
         reports.append(run_scenario("KK-1", prime=5, dim=2))
     finally:
         sys.setprofile(previous)
-    return reports, reached
+    return reports, reached, received
 
 
 def test_each_scenario_runs_at_defaults(default_runs):
-    reports, _ = default_runs
+    reports, _, _ = default_runs
     assert [r.scenario for r in reports] == sorted(REGISTRY) + ["KK-1"]
     for r in reports:
         assert r.status in ("pass", "report_only"), (r.scenario, r.metric, r.witness)
@@ -143,9 +154,9 @@ UNREACHED_BY_DESIGN = {
 
 
 def _library_functions():
-    """module.qualname -> code object of every function and method that
-    the library modules define at top level.  A nested def or lambda is
-    part of the function that encloses it."""
+    """module.qualname -> every function and method, unwrapped, that the
+    library modules define at top level.  A nested def or lambda is part
+    of the function that encloses it."""
     found = {}
     for mod in LIBRARY:
         prefix = mod.__name__.rpartition(".")[2]
@@ -162,10 +173,40 @@ def _library_functions():
                 else:
                     fns = [member]
                 for fn in fns:
-                    code = getattr(inspect.unwrap(fn), "__code__", None)
+                    fn = inspect.unwrap(fn)
+                    code = getattr(fn, "__code__", None)
                     if code is not None and code.co_filename == mod.__file__:
-                        found[f"{prefix}.{qualname}"] = code
+                        found[f"{prefix}.{qualname}"] = fn
     return found
+
+
+def _defaulted_parameters():
+    """code object -> ((module.qualname.param, param, default), ...) for
+    every library function that has a parameter with a default."""
+    found = {}
+    for name, fn in _library_functions().items():
+        spec = tuple((f"{name}.{param.name}", param.name, param.default)
+                     for param in inspect.signature(fn).parameters.values()
+                     if param.default is not param.empty)
+        if spec:
+            # the hook reads a generator's locals again on every resume
+            assert not (inspect.isgeneratorfunction(fn) and _rebinds(fn, spec)), name
+            found[fn.__code__] = spec
+    return found
+
+
+def _rebinds(fn, spec):
+    """Whether fn's body assigns to one of the parameters in spec."""
+    names = {name for _, name, _ in spec}
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return any(isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+               and node.id in names for node in ast.walk(tree))
+
+
+def _is_default(value, default):
+    """Whether a received value is the parameter's default: the same
+    object, or an equal value of the same type."""
+    return value is default or (type(value) is type(default) and value == default)
 
 
 def _covers(entry, name):
@@ -181,24 +222,57 @@ def _allowlisted(name):
 def test_every_library_function_is_reached_by_the_defaults(default_runs):
     # A function only tests call is either an oracle, and goes to
     # fflab/oracles.py, or dead weight, and goes.
-    _, reached = default_runs
+    _, reached, _ = default_runs
     functions = _library_functions()
     assert len(functions) > 150
-    unreached = sorted(name for name, code in functions.items()
-                       if code not in reached and not _allowlisted(name))
+    unreached = sorted(name for name, fn in functions.items()
+                       if fn.__code__ not in reached and not _allowlisted(name))
     assert not unreached, f"no default run reaches {unreached}"
 
 
 def test_unreached_allowlist_has_no_stale_entry(default_runs):
-    _, reached = default_runs
+    _, reached, _ = default_runs
     functions = _library_functions()
     stale = []
     for entry in UNREACHED_BY_DESIGN:
-        codes = [code for name, code in functions.items() if _covers(entry, name)]
+        codes = [fn.__code__ for name, fn in functions.items() if _covers(entry, name)]
         if not codes:
             stale.append(f"{entry} no longer exists")
         elif any(code in reached for code in codes):
             stale.append(f"the defaults now reach {entry}")
+    assert not stale, stale
+
+
+# ---------------------------------------------------------------------------
+# option use: no library option that the runs leave at one value
+
+# Defaulted parameters that the default runs set to one kind of value only
+# (always the default, or never) and that stay, with the reason.
+ONE_VALUE_BY_DESIGN = {
+    "combinatorics.additive_energy.method":
+        "tests/test_acceptance.py criterion 3 counts with method='fourier'",
+    "qforms._echelon_batches.batch":
+        "test_isotropic_filter_in_small_batches_matches_per_subspace_loop "
+        "shrinks it to 7 to cross batch boundaries",
+}
+
+
+def test_every_library_option_takes_its_default_and_another_value(default_runs):
+    # An option that every run leaves at one value is a constant with a
+    # branch no run executes: inline the value and delete the branch.
+    _, _, received = default_runs
+    one_value = sorted(f"{key} ({next(iter(kinds))} only)"
+                       for key, kinds in received.items()
+                       if len(kinds) == 1 and key not in ONE_VALUE_BY_DESIGN)
+    assert not one_value, f"the default runs set one kind of value for {one_value}"
+
+
+def test_one_value_allowlist_has_no_stale_entry(default_runs):
+    _, _, received = default_runs
+    stale = [f"{key} no longer exists" for key in ONE_VALUE_BY_DESIGN
+             if key not in received]
+    stale += [f"the default runs now set {key} both ways"
+              for key in ONE_VALUE_BY_DESIGN if len(received.get(key, ())) > 1]
     assert not stale, stale
 
 
@@ -608,6 +682,17 @@ def test_mx2_splits_the_base_once_per_run(prime, dim):
     assert r.status == ("report_only" if prime == 3 else "pass")
     info = kk._v_coset_index.cache_info()
     assert info.misses == 1 and info.hits > 1
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7])
+def test_qf4_reads_every_row_of_the_non_split_table_at_d5(prime):
+    # the dot and pairing forms on F_p^4 are split at every p of the grid;
+    # only the non-split form brings the Witt index 1 rows into play
+    ctx = RunContext("QF-4", prime, 5, REGISTRY["QF-4"].default_trials, 0)
+    cases = list(REGISTRY["QF-4"].runner(ctx))
+    assert all(metric == 0.0 for metric, _ in cases)
+    seen = {tuple(fields["triple"]) for _, fields in cases if fields["witt"] == 1}
+    assert seen == qforms.allowed_subsurface_triples(5, 1)
 
 
 def _shifted_profile(profile):

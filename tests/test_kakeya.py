@@ -72,8 +72,14 @@ def brute_superposition(h, x0, field, m):
     for di, eta in enumerate(coordinate_array(p, m - 1)):
         for t in range(p):
             x = tuple(int(c) for c in (x0[di] + t * eta) % p) + (t,)
-            out[encode_point(x, p)] += h.data[di]
+            out[encode_point(x, p)] += h[di]
     return out / p ** (m - 1)
+
+
+def line_indicator(field, base, direction):
+    """Indicator of the line {(base + direction t, t)} in F_p^m."""
+    pts = kk.line_points(np.array([base]), np.array([direction]), field.p)[0]
+    return FFunction.indicator(field, len(base) + 1, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -81,30 +87,22 @@ def brute_superposition(h, x0, field, m):
 
 
 def test_affine_line_geometry():
-    line = kk.AffineLine.of(F5, (3, 7), (1, 2))
-    assert line.base == (3, 2) and line.direction == (1, 2)
-    assert line.ambient_dim == 3
-    pts = line.point_array()
-    assert pts.shape == (5, 3)
-    # every row is (b + eta t, t), and the origin is not on the line
+    lines = kk.line_points(np.array([[3, 7], [1, 2]]), np.array([[1, 2], [0, 3]]), 5)
+    assert lines.shape == (2, 5, 3)
+    pts = lines[0]
+    # every row is (b + eta t, t) reduced mod p, and the origin is not on the line
     assert np.array_equal(pts[:, -1], np.arange(5))
     assert np.array_equal(pts[:, :-1], (np.array([3, 2]) + np.outer(pts[:, -1], (1, 2))) % 5)
     assert not (pts == 0).all(axis=1).any()
-    ind = line.indicator()
-    assert ind.data.sum() == 5
-
-
-def test_affine_line_rejects_bad_input():
-    with pytest.raises(ValueError):
-        kk.AffineLine(F3, (0, 1), (1,))
-    with pytest.raises(ValueError):
-        kk.AffineLine(F3, (4,), (1,))  # unreduced; .of would accept it
+    assert np.array_equal(lines[1], kk.line_points(np.array([[1, 2]]),
+                                                   np.array([[0, 3]]), 5)[0])
+    assert line_indicator(F5, (3, 7), (1, 2)).data.sum() == 5
 
 
 def test_distinct_directions_meet_in_at_most_one_point():
-    a = kk.AffineLine.of(F5, (1, 2), (0, 3))
-    b = kk.AffineLine.of(F5, (4, 0), (1, 3))
-    both = a.indicator().data * b.indicator().data
+    a = line_indicator(F5, (1, 2), (0, 3))
+    b = line_indicator(F5, (4, 0), (1, 3))
+    both = a.data * b.data
     assert np.abs(both).sum() <= 1
 
 
@@ -120,8 +118,7 @@ def test_maximal_of_constant_is_p(field, m):
 
 
 def test_maximal_of_single_line():
-    line = kk.AffineLine.of(F3, (2,), (1,))
-    star = kk.kakeya_maximal(line.indicator())
+    star = kk.kakeya_maximal(line_indicator(F3, (2,), (1,)))
     # full mass in its own direction, one crossing point in every other
     assert list(star) == [1.0, 3.0, 1.0]
 
@@ -215,6 +212,13 @@ def test_maximal_ratio_of_constant_is_one():
         kk.maximal_ratio(FFunction.zeros(F3, 2))
 
 
+def test_direction_norm_averages_and_has_no_sup_norm():
+    assert kk.direction_norm(np.array([3.0, -4.0]), 2) == pytest.approx(math.sqrt(12.5))
+    for bad in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            kk.direction_norm(np.array([5.0, 0.0]), bad)
+
+
 def test_maximal_ratio_exhaustive_baseline_p3():
     grid = [(a, b) for a in range(3) for b in range(3)]
     best = 0.0
@@ -253,17 +257,15 @@ def test_maximal_dominates_every_line_sum(data, base, direction):
 
 
 def test_dual_delta_weight_is_one_line():
-    h = FFunction.delta(F3, 1, (1,))
+    h = np.array([0.0, 1.0, 0.0])
     out = kk.dual_kakeya_apply(h, np.zeros((3, 1), dtype=int), F3, 2)
-    line = kk.AffineLine.of(F3, (0,), (1,))
-    assert np.allclose(out.data, line.indicator().data / 3)
+    assert np.allclose(out.data, line_indicator(F3, (0,), (1,)).data / 3)
 
 
 def test_dual_constant_weight_counts_directions_through_x():
     # x0 == 0 sends every line through the origin: a bush.  At t = 0 the
     # origin collects all p directions, every other point exactly one.
-    out = kk.dual_kakeya_apply(FFunction.constant(F3, 1, 1.0),
-                               np.zeros((3, 1), dtype=int), F3, 2)
+    out = kk.dual_kakeya_apply(np.ones(3), np.zeros((3, 1), dtype=int), F3, 2)
     grid = out.data.real.reshape(3, 3, order="F")
     assert grid[0, 0] == pytest.approx(1.0)
     assert np.allclose(grid[1:, 0], 0.0)
@@ -274,8 +276,7 @@ def test_dual_constant_weight_counts_directions_through_x():
 def test_dual_matches_literal_superposition(field, m, seed):
     rng = np.random.default_rng(seed)
     n = m - 1
-    h = FFunction(field, n, rng.standard_normal(field.p**n)
-                  + 1j * rng.standard_normal(field.p**n))
+    h = rng.standard_normal(field.p**n) + 1j * rng.standard_normal(field.p**n)
     x0 = rng.integers(0, field.p, size=(field.p**n, n))
     out = kk.dual_kakeya_apply(h, x0, field, m)
     assert np.allclose(out.data, brute_superposition(h, x0, field, m))
@@ -284,11 +285,11 @@ def test_dual_matches_literal_superposition(field, m, seed):
 def test_dual_pairing_reconstructs_line_sums():
     rng = np.random.default_rng(9)
     G = FFunction.random(F5, 2, rng).abs()
-    h = FFunction(F5, 1, rng.random(5).astype(complex))
+    h = rng.random(5)
     x0 = rng.integers(0, 5, size=(5, 1))
-    paired = inner(kk.dual_kakeya_apply(h, x0, F5, 2), G, "counting")
+    paired = inner(kk.dual_kakeya_apply(h, x0, F5, 2), G)
     direct = sum(
-        h.data[di] * line_sum(G, x0[di], eta, absolute=True)
+        h[di] * line_sum(G, x0[di], eta, absolute=True)
         for di, eta in enumerate(coordinate_array(5, 1))
     ) / 5
     assert paired == pytest.approx(direct)
@@ -323,7 +324,7 @@ def test_dual_endpoint_exhaustive_under_envelope_p3():
                 for d, b in zip(D, bases):
                     hv[d] = 1.0
                     x0[d, 0] = b
-                out = kk.dual_kakeya_apply(FFunction(F3, 1, hv), x0, F3, 2)
+                out = kk.dual_kakeya_apply(hv, x0, F3, 2)
                 ratio = lp_norm(out, q, "counting") / kk.direction_norm(np.abs(hv), q)
                 best = max(best, ratio)
     assert best <= 2.0 * 3 ** (1 / 3)
@@ -338,7 +339,7 @@ def test_dual_endpoint_random_under_envelope_p5():
         if not mask.any():
             continue
         x0 = rng.integers(0, 5, size=(5, 1))
-        out = kk.dual_kakeya_apply(FFunction(F5, 1, mask.astype(complex)), x0, F5, 2)
+        out = kk.dual_kakeya_apply(mask.astype(complex), x0, F5, 2)
         ratio = lp_norm(out, q, "counting") / kk.direction_norm(mask.astype(float), q)
         assert ratio <= 2.0 * 5 ** (1 / 3)
 
@@ -486,7 +487,7 @@ def test_embed_collapse_equals_dual_superposition():
         b = rng.integers(0, p, size=(p, 1))
         neg = (-coordinate_array(p, 1).ravel()) % p
         lhs = kk.embed_collapse_profile(h, b)
-        rhs = kk.dual_kakeya_apply(FFunction(field, 1, h.data[neg]), b, field, 2)
+        rhs = kk.dual_kakeya_apply(h.data[neg], b, field, 2)
         assert np.abs(lhs.data - rhs.data).max() < 1e-12
 
 
