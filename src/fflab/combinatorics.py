@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -227,7 +227,6 @@ def off_diagonal_energy(E: PointSet) -> int:
 
 
 class VHProfile(NamedTuple):
-    max_line: int
     vertical: dict    # j -> |{points with x1 = j}|
     horizontal: dict  # k -> |{points with x2 = k}|
 
@@ -237,7 +236,7 @@ def vh_profile(E: PointSet) -> VHProfile:
     vertical (x1 fixed) and horizontal (x2 fixed) lines.
 
     Every point must satisfy t = x1 * x2; the set is a VH(alpha) set
-    exactly when max_line <= p^alpha.
+    exactly when no slice holds more than p^alpha points.
     """
     if E.dim != 3:
         raise ValueError("vh_profile expects points in F_p^3")
@@ -249,22 +248,21 @@ def vh_profile(E: PointSet) -> VHProfile:
             f"{tuple(X[off][0].tolist())} is not on the bilinear graph surface")
     vertical = np.bincount(X[:, 0], minlength=p)
     horizontal = np.bincount(X[:, 1], minlength=p)
-    peak = int(max(vertical.max(), horizontal.max()))
-    return VHProfile(peak, dict(enumerate(vertical.tolist())),
+    return VHProfile(dict(enumerate(vertical.tolist())),
                      dict(enumerate(horizontal.tolist())))
 
 
 class SliceEnergyBound(NamedTuple):
     energy: int
     bound: float
-    ratio: float
 
 
 def energy_slice_bound(E: PointSet) -> SliceEnergyBound:
     """Energy of E against |E|^{5/2} + sum_j |E_j|^3 + sum_k |E^k|^3.
 
-    The bound combines the off-diagonal estimate with the slice terms; the
-    ratio is tracked by the harness against a committed exhaustive baseline.
+    The bound combines the off-diagonal estimate with the slice terms;
+    scenario EN-2 tracks energy / bound against a committed exhaustive
+    baseline.
     """
     profile = vh_profile(E)
     lam = additive_energy(E)
@@ -272,8 +270,7 @@ def energy_slice_bound(E: PointSet) -> SliceEnergyBound:
     bound = float(n) ** 2.5
     bound += sum(c ** 3 for c in profile.vertical.values())
     bound += sum(c ** 3 for c in profile.horizontal.values())
-    ratio = lam / bound if bound > 0 else 0.0
-    return SliceEnergyBound(lam, bound, ratio)
+    return SliceEnergyBound(lam, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +363,6 @@ def incidence_bound_audit(P: PointSet, L: HyperplaneFamily) -> IncidenceAudit:
     IN-2 checks that the incidences stay under it.
     """
     rows = L.membership_rows(P)
-    if rows.size == 0:
-        return IncidenceAudit(0, 0, 0, 0.0)
     count = int(rows.sum())
     # one canonical key per item: C2 is the largest key count, and C1 reads
     # the pairwise overlaps of the first membership row of each key
@@ -395,10 +390,7 @@ def incidence_count(P: PointSet, L: HyperplaneFamily) -> int:
 
 class EnergyIncidence(NamedTuple):
     energy: int
-    a_prime: PointSet
-    b_prime: PointSet
     lines: HyperplaneFamily
-    points: PointSet
     incidences: int
 
 
@@ -416,13 +408,6 @@ def energy_to_incidence(A: PointSet, B: PointSet, S: Surface) -> EnergyIncidence
     A_surf = surface_point_set(S, A)
     B_surf = surface_point_set(S, B)
     energy = additive_energy(A_surf, B_surf)
-    if len(B_surf) == 0 or len(A_surf) == 0:
-        empty_pts = PointSet.of(S.field, S.base_dim, [])
-        return EnergyIncidence(
-            energy, A_surf, B_surf, HyperplaneFamily(S.field, S.base_dim, [], []),
-            empty_pts, 0,
-        )
-
     A_mat, B_mat = A_surf.matrix(), B_surf.matrix()
     diffs = (A_mat[:, None, :] - B_mat[None, :, :]).reshape(-1, S.ambient_dim)
     counts = [int(S.contains_rows(diffs + b).sum()) for b in B_mat]
@@ -432,9 +417,7 @@ def energy_to_incidence(A: PointSet, B: PointSet, S: Surface) -> EnergyIncidence
     a_prime = PointSet.of(S.field, S.ambient_dim, galilean(S, t, A_mat))
     b_prime = PointSet.of(S.field, S.ambient_dim, galilean(S, t, B_mat))
     lines = HyperplaneFamily.from_surface_points(S, b_prime.matrix())
-    points = base_projection(a_prime)
-    incidences = incidence_count(points, lines)
-    return EnergyIncidence(energy, a_prime, b_prime, lines, points, incidences)
+    return EnergyIncidence(energy, lines, incidence_count(base_projection(a_prime), lines))
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +471,6 @@ CURVE_SAMPLES = 65
 
 _CLOSED_FORMS = {
     "dim3_witt1": (0.75, lambda a: 1.0 + 2.0 * a),
-    "dim2": (0.0, lambda a: 2.0),
-    "rank1_deg": (0.0, lambda a: 2.0 + a),
-    "rank2_deg": (0.75, lambda a: 1.0 + 4.0 * a - 2.0 * a * a),
-    "dim4": (0.6, lambda a: 2.5 + 0.5 * a),
     "dim5_witt2": (0.5625, lambda a: (19.0 + 2.0 * a) / 7.0),
 }
 
@@ -525,12 +504,9 @@ class EnergyExponent:
 
     alpha_grid: tuple
     psi_values: tuple
-    provenance: str
 
     def __post_init__(self):
         grid, psi = self.alpha_grid, self.psi_values
-        if self.provenance not in ("closed_form", "recursion"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         if len(grid) != len(psi) or len(grid) < 2:
             raise ValueError("grid and values must match with at least 2 samples")
         if any(b - a <= 0 for a, b in zip(grid, grid[1:])):
@@ -555,31 +531,26 @@ class EnergyExponent:
 def closed_form_curve(kind: str) -> EnergyExponent:
     """Tabulate a closed-form class over its validity window as a curve of
     CURVE_SAMPLES points."""
-    if kind == "dim2":
-        raise ValueError("dim2 is an unconditional bound, not a normalized curve")
     lo, formula = _CLOSED_FORMS[kind]
     grid = np.linspace(lo, 1.0, CURVE_SAMPLES)
     return EnergyExponent(
         tuple(float(a) for a in grid),
         tuple(float(formula(a)) for a in grid),
-        "closed_form",
     )
 
 
 class RecursedExponent(NamedTuple):
     value: float
     rho: float
-    no_root: bool
 
 
-InnerCurve = Union[EnergyExponent, Callable[[float], float], float, int]
+# an exponent curve, or a constant exponent
+InnerCurve = Union[EnergyExponent, float]
 
 
 def _eval_inner(inner: InnerCurve, alpha: float) -> float:
     if isinstance(inner, EnergyExponent):
         return inner(alpha)
-    if callable(inner):
-        return float(inner(alpha))
     return float(inner)
 
 
@@ -591,15 +562,16 @@ def energy_exponent_recurse(
     dim_induct balances the spread-set and concentrated-set exponents by
     solving 5/2 + rho/2 = 4(1 - rho) + Psi(alpha/rho) for rho in [alpha, 1]
     (bisection to 1e-10) and returns Psi'(alpha) = (5 + rho)/2.  If no root
-    exists the nearest endpoint bound is returned with no_root set instead
-    of raising.  degenerate_lift returns 3 alpha + Psi(alpha)(1 - alpha),
-    the exponent after absorbing fully degenerate directions.
+    exists the bisection closes in on the nearer endpoint, whose bound it
+    returns to within 1e-10.  degenerate_lift returns
+    3 alpha + Psi(alpha)(1 - alpha), the exponent after absorbing fully
+    degenerate directions.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if variant == "degenerate_lift":
         psi = _eval_inner(inner, alpha)
-        return RecursedExponent(3.0 * alpha + psi * (1.0 - alpha), alpha, False)
+        return RecursedExponent(3.0 * alpha + psi * (1.0 - alpha), alpha)
     if variant != "dim_induct":
         raise ValueError(f"unknown variant {variant!r}")
 
@@ -608,11 +580,6 @@ def energy_exponent_recurse(
         return 4.5 * rho - 1.5 - _eval_inner(inner, min(arg, 1.0))
 
     lo, hi = alpha, 1.0
-    if gap(max(lo, 1e-12)) > 1e-12:
-        # already positive at the left end: spread term dominates everywhere
-        return RecursedExponent((5.0 + lo) / 2.0, lo, True)
-    if gap(hi) < -1e-12:
-        return RecursedExponent(3.0, hi, True)
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if gap(mid) < 0.0:
@@ -620,7 +587,7 @@ def energy_exponent_recurse(
         else:
             hi = mid
     rho = 0.5 * (lo + hi)
-    return RecursedExponent((5.0 + rho) / 2.0, rho, False)
+    return RecursedExponent((5.0 + rho) / 2.0, rho)
 
 
 def recursion_curve(inner: InnerCurve) -> EnergyExponent:
@@ -628,9 +595,7 @@ def recursion_curve(inner: InnerCurve) -> EnergyExponent:
     CURVE_SAMPLES points of [0, 1]."""
     grid = np.linspace(0.0, 1.0, CURVE_SAMPLES)
     values = [energy_exponent_recurse(inner, float(a)).value for a in grid]
-    return EnergyExponent(
-        tuple(float(a) for a in grid), tuple(values), "recursion"
-    )
+    return EnergyExponent(tuple(float(a) for a in grid), tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -639,12 +604,10 @@ def recursion_curve(inner: InnerCurve) -> EnergyExponent:
 
 def max_isotropic_slice(E: PointSet, Q: QuadraticSpace) -> int:
     """Largest intersection of E (in the base space of Q) with a maximal
-    totally isotropic affine subspace.  Witt index 0 means the maximal
-    isotropic subspaces are points, so the answer is min(|E|, 1)."""
+    totally isotropic affine subspace, for a nonempty E.  Witt index 0
+    means the maximal isotropic subspaces are points, so the answer is 1."""
     if Q.m != E.dim:
         raise ValueError("Q must live on the ambient of E")
-    if len(E) == 0:
-        return 0
     subspaces = enumerate_max_isotropic(Q)
     if not subspaces:
         return 1
@@ -658,12 +621,9 @@ def max_isotropic_slice(E: PointSet, Q: QuadraticSpace) -> int:
 
 
 def isotropic_slice_alpha(E: PointSet, Q: QuadraticSpace) -> tuple[int, float]:
-    """(max slice, alpha) where max slice = |E|^alpha; alpha = 0 for |E| <= 1."""
+    """(max slice, alpha) where max slice = |E|^alpha, for |E| >= 2."""
     peak = max_isotropic_slice(E, Q)
-    n = len(E)
-    if n <= 1 or peak <= 1:
-        return peak, 0.0
-    return peak, math.log(peak) / math.log(n)
+    return peak, math.log(peak) / math.log(len(E))
 
 
 # How far a sampled energy exponent may sit above its curve at desk scale.
@@ -678,29 +638,14 @@ class EnergySample(NamedTuple):
     bound: float
 
 
-def _exponent_curve_for(S: Surface):
+def _exponent_curve_for(S: Surface) -> EnergyExponent:
+    """The closed-form curve of a split surface of dimension 3 or 5."""
     d, w = S.ambient_dim, S.Q.witt_index
-    if d == 3:
-        if w == 1:
-            return closed_form_curve("dim3_witt1")
-        return lambda a: 2.5
-    if d == 4:
-        return closed_form_curve("dim4")
-    if d == 5:
-        if w == 2:
-            return closed_form_curve("dim5_witt2")
-        # Witt index 1: recurse over the rank <= 2 subsurface exponents,
-        # the pointwise max of the rank-1 and (clamped) rank-2 curves.
-        r1 = closed_form_curve("rank1_deg")
-        r2 = closed_form_curve("rank2_deg")
-        grid = np.linspace(0.0, 1.0, CURVE_SAMPLES)
-        inner = EnergyExponent(
-            tuple(float(a) for a in grid),
-            tuple(max(r1(float(a)), r2(float(a))) for a in grid),
-            "closed_form",
-        )
-        return recursion_curve(inner)
-    raise ValueError(f"no exponent curve for dimension {d}")
+    if (d, w) == (3, 1):
+        return closed_form_curve("dim3_witt1")
+    if (d, w) == (5, 2):
+        return closed_form_curve("dim5_witt2")
+    raise ValueError(f"no exponent curve for dimension {d} and Witt index {w}")
 
 
 def _lifted_coset(S: Surface, V: Subspace, t: np.ndarray) -> np.ndarray:
@@ -714,12 +659,11 @@ def sample_energy_exponents(S: Surface, trials: int, seed: int) -> list:
 
     Every sample must sit on or below its bound Psi(alpha) + ENERGY_SLACK,
     which each EnergySample records; a violation raises
-    FFLabError with the offending set's statistics.  Dimensions 3 through 5
-    at p <= 7 only: below that the diagonal term drowns the curve, above it
-    the quadruple counts stop being desk-size.
+    FFLabError with the offending set's statistics.  Split surfaces of
+    dimension 3 and 5 at p <= 7 only, the ones with a closed-form curve:
+    below p = 3 the diagonal term drowns the curve, above p = 7 the
+    quadruple counts stop being desk-size.
     """
-    if not 3 <= S.ambient_dim <= 5:
-        raise ValueError("sampling supports surface dimensions 3 through 5")
     if S.field.p > 7:
         raise ValueError("sampling is limited to p <= 7")
     rng = np.random.default_rng(seed)
@@ -729,8 +673,6 @@ def sample_energy_exponents(S: Surface, trials: int, seed: int) -> list:
     def record(label: str, index: np.ndarray) -> None:
         E = PointSet(S.field, S.ambient_dim, np.unique(index))
         n = len(E)
-        if n < 2:
-            return
         lam = additive_energy(E)
         exponent = math.log(lam) / math.log(n)
         _, alpha = isotropic_slice_alpha(base_projection(E), S.Q)

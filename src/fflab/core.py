@@ -69,13 +69,6 @@ class PrimeField:
             raise ZeroDivisionError("0 has no inverse")
         return int(self.inv[x])
 
-    def legendre(self, x: int) -> int:
-        """Legendre symbol: 0 at 0, +1 on nonzero squares, -1 otherwise."""
-        x %= self.p
-        if x == 0:
-            return 0
-        return 1 if self.is_square[x] else -1
-
     def sqrt(self, x: int) -> int:
         """Some square root of x, or ValueError if x is a non-square."""
         x %= self.p

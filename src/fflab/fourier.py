@@ -7,8 +7,8 @@ this pairing Plancherel reads
 
     sum_x |f(x)|^2  =  p^{-d} sum_xi |fhat(xi)|^2.
 
-Every norm call site names its measure explicitly; there are no defaults
-to misremember.
+Norms default to counting measure (core.lp_norm); a normalized norm names
+its measure, as SurfaceFunction.norm does.
 """
 
 from __future__ import annotations
@@ -55,12 +55,6 @@ def _axis_dft(buf: np.ndarray, field: PrimeField, dim: int, sign: int,
     p = field.p
     E = char_kernel(field, sign)
     rows = buf.reshape(-1, p)
-    if dim == 1:
-        # BLAS takes a one-row product down its vector path, which rounds
-        # differently from its matrix path, so give every function its own
-        for row in rows:
-            row[...] = np.dot(row, E)
-        return
     R = p ** (dim - 1)
     cols = buf.reshape(-1, p, R)
     work = np.empty_like(rows) if work is None else work.reshape(rows.shape)
@@ -99,17 +93,15 @@ def convolve(f: FFunction, g: FFunction) -> FFunction:
 # exponent arithmetic
 
 
-def stein_tomas_transfer(alpha: float, theta: float, d_tilde: float) -> float:
-    """Log-constant produced by interpolating an extension bound of
-    strength alpha at exponent q against the trivial L^2 estimate, landing
-    at exponent q/theta: max(0, theta*alpha - d_tilde*(1-theta)/4)."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+def stein_tomas_transfer(theta: float, d_tilde: float) -> float:
+    """Log-constant produced by interpolating the sharp L^2 extension bound,
+    of strength 1/2, against the trivial L^2 estimate, landing at exponent
+    2/theta: max(0, theta/2 - d_tilde*(1-theta)/4)."""
     if not 0 < theta <= 1:
         raise ValueError("theta must lie in (0, 1]")
     if d_tilde <= 0:
         raise ValueError("d_tilde must be positive")
-    return max(0.0, theta * alpha - d_tilde * (1.0 - theta) / 4.0)
+    return max(0.0, theta * 0.5 - d_tilde * (1.0 - theta) / 4.0)
 
 
 def exact_r22(S) -> float:
@@ -147,10 +139,7 @@ def power_iteration_norm(
     for _ in range(2000):
         h = gram_apply(g)
         lam = _dot(g, h)
-        hn = math.sqrt(_dot(h, h))
-        if hn == 0.0:
-            return 0.0
-        g = h / hn
+        g = h / math.sqrt(_dot(h, h))
         if lam > 0 and abs(lam - lam_prev) <= 1e-10 * lam:
             return math.sqrt(lam)
         lam_prev = lam

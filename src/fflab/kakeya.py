@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -76,7 +76,6 @@ __all__ = [
     "embed_closed_form",
     "embed_collapse_profile",
     "restriction_to_kakeya_exponents",
-    "kakeya_bound_from_restriction",
     "coset_slabs",
     "coset_extension",
     "mixed_norm",
@@ -221,7 +220,6 @@ def dual_kakeya_apply(h, x0, field: PrimeField, m: int) -> FFunction:
 class DualConsistency(NamedTuple):
     direct_lower: float   # ||F*||_{q'} / ||F||_{p'}
     paired_lower: float   # the same number recovered through the dual pairing
-    dual_ratio: float     # ||dual superposition||_p / ||h||_q, >= paired_lower
 
 
 def dual_consistency(F: FFunction, q: float, p_exp: float) -> DualConsistency:
@@ -231,8 +229,8 @@ def dual_consistency(F: FFunction, q: float, p_exp: float) -> DualConsistency:
     conjugate pair (p', q') and the superposition inequality share their
     optimal constant.  This realizes the equality constructively: take the
     maximizing bases of |F| as x0, the conjugate power of F* as h, and pair
-    the superposition against |F|.  The first two numbers agree to within
-    floating point; the third can only be larger.
+    the superposition against |F|.  The two numbers agree to within
+    floating point.
     """
     if q <= 1 or p_exp <= 1:
         raise ValueError("dual exponents must exceed 1")
@@ -251,9 +249,7 @@ def dual_consistency(F: FFunction, q: float, p_exp: float) -> DualConsistency:
     bases = maximizing_base_map(G)
     superpos = dual_kakeya_apply(h, bases, field, m)
     pairing = inner(superpos, G).real
-    paired = pairing / (h_norm * g_norm)
-    dual_ratio = lp_norm(superpos, p_exp, "counting") / h_norm
-    return DualConsistency(direct, paired, dual_ratio)
+    return DualConsistency(direct, pairing / (h_norm * g_norm))
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +391,8 @@ def embed_collapse_profile(h: FFunction, b) -> FFunction:
 
 
 class KakeyaExponents(NamedTuple):
-    m: int
-    dual_q: Fraction          # exponent pair for the superposition bound
-    dual_p: Fraction
+    dual_q: Fraction          # q = p of the dual pair for the superposition bound
     restriction_q: Fraction   # the surface estimate consumed by the chain
-    restriction_p: Fraction
     prefactor: Fraction       # power of p multiplying the squared constant
     endpoint: Fraction        # power of p in the resulting Kakeya bound
 
@@ -417,24 +410,11 @@ def restriction_to_kakeya_exponents(m: int) -> KakeyaExponents:
     q = Fraction(2 * m - 1, 2 * m - 2)
     pre = (m - 1) * (1 - Fraction(1, q))
     return KakeyaExponents(
-        m=m,
         dual_q=q,
-        dual_p=q,
         restriction_q=2 * q,
-        restriction_p=2 * q,
         prefactor=pre,
         endpoint=Fraction(m - 1, 2 * m - 1),
     )
-
-
-def kakeya_bound_from_restriction(
-    field: PrimeField, m: int, p_exp: Union[float, Fraction], rstar: float
-) -> float:
-    """Numeric superposition-constant bound p^{(m-1)(1-1/p_exp)} rstar^2."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    exponent = (m - 1) * (1.0 - 1.0 / float(p_exp))
-    return field.p**exponent * rstar**2
 
 
 # ---------------------------------------------------------------------------
@@ -539,28 +519,28 @@ def _v_coset_index(W: Subspace, V: Subspace) -> np.ndarray:
     return v_idx
 
 
-def mixed_norm(F: FFunction, W: Subspace, V: Subspace,
-               outer_q: float, inner_p: float) -> float:
+def mixed_norm(F: FFunction, W: Subspace, V: Subspace, outer_q: float) -> float:
     """Counting-measure mixed norm of a function on base x last coordinate:
-    inner L^{inner_p} over W cosets, outer L^{outer_q} over (V, t)."""
+    inner L^2 over W cosets, outer L^{outer_q} over (V, t)."""
     if W.basis.shape[1] != F.dim - 1:
         raise ValueError("subspaces must live on the base of F's domain")
     # bincount adds each cell's terms in input order from 0.0, row by row
     p = F.field.p
-    mags = np.abs(F.data).reshape(p ** (F.dim - 1), p, order="F") ** inner_p
+    mags = np.abs(F.data).reshape(p ** (F.dim - 1), p, order="F") ** 2.0
     cells = (_v_coset_index(W, V)[:, None] * p + np.arange(p)).ravel()
     inner_sums = np.bincount(cells, weights=mags.ravel(), minlength=p ** (V.dim + 1))
-    inner_vals = inner_sums.reshape(p**V.dim, p) ** (1.0 / inner_p)
+    inner_vals = inner_sums.reshape(p**V.dim, p) ** 0.5
     return float((inner_vals**outer_q).sum() ** (1.0 / outer_q))
 
 
 def surface_mixed_norm(f: SurfaceFunction, W: Subspace, V: Subspace,
-                       outer_q: float, inner_p: float) -> float:
-    """Normalized mixed norm on the surface: both layers average."""
+                       outer_q: float) -> float:
+    """Normalized mixed norm on the surface, inner L^2 over W cosets and
+    outer L^{outer_q} over V: both layers average."""
     p = f.surface.field.p
-    mags = np.abs(f.values) ** inner_p
+    mags = np.abs(f.values) ** 2.0
     inner_sums = np.bincount(_v_coset_index(W, V), weights=mags, minlength=p**V.dim)
-    inner_vals = (inner_sums / p**W.dim) ** (1.0 / inner_p)
+    inner_vals = (inner_sums / p**W.dim) ** 0.5
     return float((np.mean(inner_vals**outer_q)) ** (1.0 / outer_q))
 
 
@@ -572,10 +552,10 @@ def mixed_extension_ratio(f: SurfaceFunction, W: Subspace, V: Subspace) -> float
     holding one pair splits it once for many f."""
     d = f.surface.ambient_dim
     q = (2 * d + 2) / (d - 1)
-    denom = surface_mixed_norm(f, W, V, q, 2.0)
+    denom = surface_mixed_norm(f, W, V, q)
     if denom == 0.0:
         raise ValueError("mixed ratio of the zero function")
-    return mixed_norm(extension(f), W, V, q, 2.0) / denom
+    return mixed_norm(extension(f), W, V, q) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +563,10 @@ def mixed_extension_ratio(f: SurfaceFunction, W: Subspace, V: Subspace) -> float
 
 
 class RegularSetAudit(NamedTuple):
-    lhs: float            # restricted-transform norm at (2d+2)/(d+3)
     gamma: float          # log_p of the support size
     e_exp: float          # log_p of the max number of pieces per slice
-    rhs_exponent: float   # gamma/2 + (e+1)/(d+1) + (d-3)/(2d+2)
-    ratio: float          # lhs / p^{rhs_exponent}
+    ratio: float          # restricted-transform norm at (2d+2)/(d+3), over
+                          # p^(gamma/2 + (e+1)/(d+1) + (d-3)/(2d+2))
 
 
 def kakeya_regular_set_bound(F: FFunction, S: Surface, decomposition: dict
@@ -641,15 +620,15 @@ def kakeya_regular_set_bound(F: FFunction, S: Surface, decomposition: dict
     q = (2 * d + 2) / (d + 3)
     lhs = restriction(F, S).norm(q)
     rhs_exponent = gamma / 2 + (e_exp + 1) / (d + 1) + (d - 3) / (2 * d + 2)
-    return RegularSetAudit(lhs, gamma, e_exp, rhs_exponent, lhs / p**rhs_exponent)
+    return RegularSetAudit(gamma, e_exp, lhs / p**rhs_exponent)
 
 
 def random_slice_isotropic_function(
-    S: Surface, pieces_per_slice: int, rng: np.random.Generator
+    S: Surface, rng: np.random.Generator
 ) -> tuple[FFunction, dict]:
     """A random slice-structured indicator together with its decomposition.
 
-    Every last-coordinate slice gets up to pieces_per_slice random subsets
+    Every last-coordinate slice gets one or two random subsets
     of distinct maximal totally isotropic affine cosets (later pieces drop
     points already used, keeping the pieces disjoint).  The decomposition
     maps each nonempty slice z to its (coset, rows) pieces, rows the
@@ -664,7 +643,7 @@ def random_slice_isotropic_function(
     for z in range(p):
         used = np.zeros(S.size, dtype=bool)
         pieces = []
-        count = int(rng.integers(1, pieces_per_slice + 1))
+        count = int(rng.integers(1, 3))
         for _ in range(count):
             U = subspaces[int(rng.integers(0, len(subspaces)))]
             shift = rng.integers(0, p, size=S.base_dim)

@@ -105,8 +105,6 @@ def solve_mod(A: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
     Free variables are set to zero."""
     A = np.array(A, dtype=np.int64) % p
     b = np.array(b, dtype=np.int64) % p
-    if A.size == 0:
-        return np.zeros(A.shape[1], dtype=np.int64) if not b.any() else None
     aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
     R, pivots = rref_mod(aug, p)
     ncols = A.shape[1]
@@ -123,8 +121,6 @@ def nullspace_mod(M: np.ndarray, p: int) -> np.ndarray:
     """Rows span the kernel of M over F_p."""
     M = np.array(M, dtype=np.int64) % p
     ncols = M.shape[1]
-    if M.size == 0 or not M.any():
-        return np.eye(ncols, dtype=np.int64)
     R, pivots = rref_mod(M, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
@@ -277,7 +273,7 @@ def witt_index(Q: QuadraticSpace) -> int:
     if m % 2 == 1:
         return (m - 1) // 2
     n = m // 2
-    det_is_square = Q.field.legendre(det) == 1
+    det_is_square = Q.field.is_square[det]
     parity_even = (n * (p - 1) // 2) % 2 == 0
     return n if det_is_square == parity_even else n - 1
 
@@ -352,12 +348,7 @@ class Subspace:
     def point_array(self) -> np.ndarray:
         """(p^k, m) array of all points of the (co)space."""
         p = self.field.p
-        k = self.dim
-        if k == 0:
-            base = np.zeros((1, self.ambient), dtype=np.int64)
-        else:
-            grid_size(p, k)
-            base = coordinate_array(p, k) @ self.basis % p
+        base = coordinate_array(p, self.dim) @ self.basis % p
         if self.translate is not None:
             base = (base + self.translate) % p
         return base
@@ -596,8 +587,6 @@ def _nondegenerate_part_witt(R: QuadraticSpace) -> int:
     form, via diagonalization and dropping zero diagonal entries."""
     _, D = diagonalize(R)
     entries = [int(v) for v in np.diag(D.A) if v % R.field.p]
-    if not entries:
-        return 0
     return witt_index(diagonal_form(R.field, entries))
 
 

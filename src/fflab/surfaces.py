@@ -27,7 +27,7 @@ from .core import (
     lp_norm,
     point_rows,
 )
-from .errors import NotCongruent, NotOnSurface
+from .errors import FFLabError, NotCongruent, NotOnSurface
 from .fourier import _axis_dft, fourier_transform, inverse_transform
 from .qforms import (
     QuadraticSpace,
@@ -417,11 +417,13 @@ def congruence_between(S1: Surface, S2: Surface) -> Optional[np.ndarray]:
 
     Diagonalize both, then scale and pair diagonal entries by square
     class; possible iff ranks match and discriminants agree up to squares
-    (odd p, nondegenerate)."""
+    (odd p, nondegenerate).  Raises ValueError when the surfaces live over
+    different fields or bases, and FFLabError when the assembled M fails
+    the congruence it claims."""
     F = S1.field
     p = F.p
     if S1.base_dim != S2.base_dim or F.p != S2.field.p:
-        return None
+        raise ValueError("congruence needs surfaces over one field and base dimension")
     M1, D1 = diagonalize(S1.Q)
     M2, D2 = diagonalize(S2.Q)
     d1 = np.diag(D1.A)
@@ -441,11 +443,10 @@ def congruence_between(S1: Surface, S2: Surface) -> Optional[np.ndarray]:
         perm.append(found)
     n = len(d1)
     Pm = np.zeros((n, n), dtype=np.int64)
-    scales = np.zeros(n, dtype=np.int64)
     for i, j in enumerate(perm):
         c = F.sqrt((d1[i] * F.inverse(int(d2[j]))) % p)
         Pm[i, j] = F.inverse(c)
     M = (M1 @ Pm @ inv_mod(M2, p)) % p
     if not np.array_equal((M.T @ S1.Q.A @ M) % p, S2.Q.A):
-        return None
+        raise FFLabError("congruence lost: M^T A1 M != A2")
     return M

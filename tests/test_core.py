@@ -19,7 +19,6 @@ from fflab.core import (
     coordinate_array,
     decode_point,
     encode_point,
-    grid_size,
     inner,
     lp_norm,
 )

@@ -1,6 +1,7 @@
 """Registry integrity, determinism, baselines, reports, and the CLI."""
 
 import ast
+import functools
 import inspect
 import json
 import math
@@ -89,68 +90,234 @@ def test_every_tracked_scenario_has_fresh_baseline():
         assert store.entries[sid].oracle_hash == oracle_hash(REGISTRY[sid].runner)
 
 
-# the library modules whose code the reachability gate checks
+# the library modules whose statements the reachability gate checks
 LIBRARY = (core, fourier, surfaces, qforms, combinatorics, kk)
+
+
+def _traced(run, files, on_call=None):
+    """Call run() under sys.settrace and return, for each of the given
+    source files, the set of its lines that got a line event.  Only frames
+    of those files are traced: on_call(frame), if given, sees each one's
+    call event, and a line tracer its lines."""
+    lines = {name: set() for name in files}
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename not in lines:
+            return None
+        if on_call is not None:
+            on_call(frame)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+# Grid points beyond the defaults, each for branches only it reaches.
+EXTRA_POINTS = (
+    # the sampled path, the only one that calls FFunction.indicator
+    ("KK-1", 5, 2),
+    # the odd-d rows of allowed_subsurface_triples, and diagonalize's
+    # swaps and its exits on a radical or a decoupled coordinate
+    ("QF-4", 3, 5),
+    # the d = 5 exponent curve of _exponent_curve_for
+    ("EX-3", 3, 5),
+    # complementary_isotropic's n >= 2 solve against the rows built so far
+    ("QF-2", 3, 4),
+    # congruence_between on non-congruent square classes (the dot and
+    # pairing forms at p = 7)
+    ("EQ-1", 7, 3),
+    # the trial-division loop of _is_prime, which the allowlist would
+    # otherwise cover with its rejections
+    ("KK-4", 13, 3),
+)
 
 
 @pytest.fixture(scope="module")
 def default_runs():
-    """Every scenario at its defaults, plus KK-1 at (5, 2), whose sampled
-    path is the only one that reaches FFunction.indicator (the exhaustive
-    default point builds its inputs directly).  Returns the reports, the
-    code objects the runs called, and for every defaulted parameter of
-    the library the kinds of value it received: "default" or "other".
-    The library's table caches are emptied first, so what the runs reach
-    does not depend on the tests that ran before them."""
+    """Every scenario at its defaults, plus EXTRA_POINTS, under a line
+    tracer.  Returns the reports, the lines of each library module that
+    ran, and for every defaulted parameter of the library the kinds of
+    value it received: "default" or "other".  The library's table caches
+    are emptied first, so what the runs reach does not depend on the
+    tests that ran before them."""
     for mod in LIBRARY:
         for obj in vars(mod).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
     options = _defaulted_parameters()
-    reached = set()
     received = {key: set() for spec in options.values() for key, _, _ in spec}
 
-    def hook(frame, event, arg):
-        if event == "call":
-            reached.add(frame.f_code)
-            spec = options.get(frame.f_code)
-            if spec is not None:
-                args = frame.f_locals
-                for key, name, default in spec:
-                    received[key].add(
-                        "default" if _is_default(args[name], default) else "other")
+    def record_options(frame):
+        spec = options.get(frame.f_code)
+        if spec is not None:
+            args = frame.f_locals
+            for key, name, default in spec:
+                received[key].add(
+                    "default" if _is_default(args[name], default) else "other")
 
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        reports = [run_scenario(sid) for sid in sorted(REGISTRY)]
-        reports.append(run_scenario("KK-1", prime=5, dim=2))
-    finally:
-        sys.setprofile(previous)
-    return reports, reached, received
+    reports = []
+
+    def run():
+        reports.extend(run_scenario(sid) for sid in sorted(REGISTRY))
+        reports.extend(run_scenario(sid, prime=p, dim=d) for sid, p, d in EXTRA_POINTS)
+
+    lines = _traced(run, [mod.__file__ for mod in LIBRARY], record_options)
+    return reports, lines, received
 
 
 def test_each_scenario_runs_at_defaults(default_runs):
     reports, _, _ = default_runs
-    assert [r.scenario for r in reports] == sorted(REGISTRY) + ["KK-1"]
+    assert ([r.scenario for r in reports]
+            == sorted(REGISTRY) + [sid for sid, _, _ in EXTRA_POINTS])
     for r in reports:
         assert r.status in ("pass", "report_only"), (r.scenario, r.metric, r.witness)
 
 
 # ---------------------------------------------------------------------------
-# reachability: no test-only code in the library
+# reachability: every library statement runs
 
-# Library code that no default run reaches and that stays, with the reason.
-# An entry names a function as module.qualname, or a class, which covers
-# its methods; __repr__ methods are exempt.  Test oracles live in
-# fflab/oracles.py, outside the checked modules.
+# Library code that no default run executes and that stays, with the
+# reason.  An entry names a function as module.qualname, or a class, which
+# covers its methods, and covers that name's unrun statements.  Test
+# oracles live in fflab/oracles.py, outside the checked modules.
 UNREACHED_BY_DESIGN = {
     "kakeya.coset_extension": "perfbench/tracer.py times it as an entry point",
     "qforms.enumerate_subspaces": "perfbench/tracer.py counts its calls",
     "core.FFVector": "perfbench/tracer.py counts FFVector.__post_init__",
     "surfaces.Surface.points": "tests/test_acceptance.py criterion 3 reads it",
     "core.PrimeField.__hash__": "goes with PrimeField.__eq__, which the runs reach",
+    "combinatorics.additive_energy":
+        "tests/test_acceptance.py criterion 3 counts with method='fourier'",
+    "core._is_prime": "its rejections: every grid prime passes it",
+    "qforms.solve_mod":
+        "its None for an inconsistent system, on which complementary_isotropic raises",
+    "qforms.enumerate_max_isotropic":
+        "its Witt-index-0 return: without it lexsort meets zero-width keys",
+    "combinatorics.max_isotropic_slice":
+        "its Witt-index-0 return: without it the slice of a nonempty set is 0",
+    "kakeya.random_slice_isotropic_function":
+        "its fallback piece for a draw that leaves every slice empty",
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed(path):
+    """The source text and syntax tree of a file, read and parsed once."""
+    source = Path(path).read_text()
+    return source, ast.parse(source)
+
+
+def _is_docstring(stmt):
+    return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+            and isinstance(stmt.value.value, str))
+
+
+def _statements(source, tree, filename, prefix):
+    """(filename, prefix.qualname, line, text) of every statement in the
+    function bodies of a module's source, in line order.  Nested defs
+    count, under the top-level function or method that holds them; module
+    and class bodies do not.  raise statements, docstrings and __repr__
+    are exempt."""
+    text = source.splitlines()
+    found = []
+    for top in tree.body:
+        members = ([(f"{top.name}.", fn) for fn in top.body]
+                   if isinstance(top, ast.ClassDef) else [("", top)])
+        for scope, fn in members:
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "__repr__":
+                continue
+            name = f"{prefix}.{scope}{fn.name}"
+            docs = {id(node.body[0]) for node in ast.walk(fn)
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and _is_docstring(node.body[0])}
+            found += [(filename, name, node.lineno, text[node.lineno - 1].strip())
+                      for node in ast.walk(fn)
+                      if isinstance(node, ast.stmt) and node is not fn
+                      and not isinstance(node, ast.Raise) and id(node) not in docs]
+    return sorted(found, key=lambda item: item[2])
+
+
+@functools.lru_cache(maxsize=None)
+def _library_statements():
+    return tuple(stmt for mod in LIBRARY
+                 for stmt in _statements(*_parsed(Path(mod.__file__)), mod.__file__,
+                                         mod.__name__.rpartition(".")[2]))
+
+
+def _unrun(statements, lines):
+    """module.qualname -> ["line N: text", ...] for the statements whose
+    first line got no line event."""
+    unrun = {}
+    for filename, name, line, text in statements:
+        if line not in lines[filename]:
+            unrun.setdefault(name, []).append(f"line {line}: {text}")
+    return unrun
+
+
+def _covers(entry, name):
+    """Whether an allowlist entry names this function or its class."""
+    return entry in (name, name.rpartition(".")[0])
+
+
+def test_statement_finder_flags_a_planted_unrun_branch():
+    source = textwrap.dedent('''\
+        def planted(x):
+            """Docstring."""
+            def inner(y):
+                return -y
+            if x:
+                return inner(x)
+            if x is None:
+                raise ValueError(x)
+            return 0
+
+        class Planted:
+            def __repr__(self):
+                return "Planted"
+        ''')
+    namespace = {}
+    exec(compile(source, "<planted>", "exec"), namespace)
+    lines = _traced(lambda: namespace["planted"](0), ["<planted>"])
+    statements = _statements(source, ast.parse(source), "<planted>", "m")
+    assert _unrun(statements, lines) == {
+        "m.planted": ["line 4: return -y", "line 6: return inner(x)"]}
+
+
+def test_every_library_statement_runs_at_the_defaults(default_runs):
+    # A statement no run executes is either a branch the scenarios should
+    # reach, or dead weight, and goes.
+    _, lines, _ = default_runs
+    assert len(_library_statements()) > 1000
+    unrun = {name: found for name, found in _unrun(_library_statements(), lines).items()
+             if not any(_covers(entry, name) for entry in UNREACHED_BY_DESIGN)}
+    assert not unrun, f"no default run executes {unrun}"
+
+
+def test_unreached_allowlist_has_no_stale_entry(default_runs):
+    _, lines, _ = default_runs
+    names = {name for _, name, _, _ in _library_statements()}
+    unrun = _unrun(_library_statements(), lines)
+    stale = []
+    for entry in UNREACHED_BY_DESIGN:
+        if not any(_covers(entry, name) for name in names):
+            stale.append(f"{entry} no longer exists")
+        elif not any(_covers(entry, name) for name in unrun):
+            stale.append(f"the defaults now run every statement of {entry}")
+    assert not stale, stale
+
+
+# ---------------------------------------------------------------------------
+# option use: no library option that the runs leave at one value
 
 
 def _library_functions():
@@ -189,7 +356,7 @@ def _defaulted_parameters():
                      for param in inspect.signature(fn).parameters.values()
                      if param.default is not param.empty)
         if spec:
-            # the hook reads a generator's locals again on every resume
+            # the tracer reads a generator's locals again on every resume
             assert not (inspect.isgeneratorfunction(fn) and _rebinds(fn, spec)), name
             found[fn.__code__] = spec
     return found
@@ -208,43 +375,6 @@ def _is_default(value, default):
     object, or an equal value of the same type."""
     return value is default or (type(value) is type(default) and value == default)
 
-
-def _covers(entry, name):
-    """Whether an allowlist entry names this function or its class."""
-    return entry in (name, name.rpartition(".")[0])
-
-
-def _allowlisted(name):
-    return name.endswith(".__repr__") or any(
-        _covers(entry, name) for entry in UNREACHED_BY_DESIGN)
-
-
-def test_every_library_function_is_reached_by_the_defaults(default_runs):
-    # A function only tests call is either an oracle, and goes to
-    # fflab/oracles.py, or dead weight, and goes.
-    _, reached, _ = default_runs
-    functions = _library_functions()
-    assert len(functions) > 150
-    unreached = sorted(name for name, fn in functions.items()
-                       if fn.__code__ not in reached and not _allowlisted(name))
-    assert not unreached, f"no default run reaches {unreached}"
-
-
-def test_unreached_allowlist_has_no_stale_entry(default_runs):
-    _, reached, _ = default_runs
-    functions = _library_functions()
-    stale = []
-    for entry in UNREACHED_BY_DESIGN:
-        codes = [fn.__code__ for name, fn in functions.items() if _covers(entry, name)]
-        if not codes:
-            stale.append(f"{entry} no longer exists")
-        elif any(code in reached for code in codes):
-            stale.append(f"the defaults now reach {entry}")
-    assert not stale, stale
-
-
-# ---------------------------------------------------------------------------
-# option use: no library option that the runs leave at one value
 
 # Defaulted parameters that the default runs set to one kind of value only
 # (always the default, or never) and that stay, with the reason.
@@ -276,9 +406,9 @@ def test_one_value_allowlist_has_no_stale_entry(default_runs):
     assert not stale, stale
 
 
-def _imports_oracles(source):
-    """Whether a module's source imports fflab.oracles in any form."""
-    for node in ast.walk(ast.parse(source)):
+def _imports_oracles(tree):
+    """Whether a module's syntax tree imports fflab.oracles in any form."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             parts = (node.module or "").split(".") + [a.name for a in node.names]
         elif isinstance(node, ast.Import):
@@ -293,10 +423,10 @@ def _imports_oracles(source):
 def test_library_modules_never_import_the_oracles():
     for planted in ("from .oracles import line_sum\n", "from . import oracles\n",
                     "import fflab.oracles\n", "def f():\n    from fflab import oracles\n"):
-        assert _imports_oracles(planted), planted
-    assert not _imports_oracles("from .core import encode_point\nimport numpy\n")
+        assert _imports_oracles(ast.parse(planted)), planted
+    assert not _imports_oracles(ast.parse("from .core import encode_point\nimport numpy\n"))
     found = [mod.__name__ for mod in LIBRARY
-             if _imports_oracles(Path(mod.__file__).read_text())]
+             if _imports_oracles(_parsed(Path(mod.__file__))[1])]
     assert found == []
 
 
@@ -728,23 +858,64 @@ def test_each_library_defect_fails_through_its_scenario(
     assert all(key in values for key in keys)
 
 
+def test_eq1_fails_when_its_congruence_is_wrong(monkeypatch):
+    # At p = 5 the dot and pairing paraboloids are congruent.  A square
+    # root off by one breaks the M that congruence_between assembles; EQ-1
+    # must fail on it, not drop its dot_to_pairing route and pass.
+    sqrt = PrimeField.sqrt
+    monkeypatch.setattr(PrimeField, "sqrt", lambda self, x: sqrt(self, x) + 1)
+    r = run_scenario("EQ-1", prime=5, dim=3)
+    assert r.status == "fail"
+    values = r.witness["values"]
+    assert values["error"] == "FFLabError"
+    assert values["raised_in"].startswith("congruence_between")
+
+
 def test_library_has_no_assert_statements():
     # python -O strips assert statements, and with them the check
     root = Path(fflab.__file__).resolve().parent
     found = [f"{path.relative_to(root)}:{node.lineno}"
              for path in sorted(root.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+             for node in ast.walk(_parsed(path)[1])
              if isinstance(node, ast.Assert)]
     assert found == []
 
 
-def _private_reads(source):
-    """Underscore names that a module's source imports from, or reads as an
-    attribute of, a name bound by an import from within fflab."""
+def _unread_imports(tree):
+    """Names a module's syntax tree binds by an import and never reads: no
+    load of the name, and no entry of __all__ that re-exports it."""
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(elt.value for elt in node.value.elts)
+    return sorted(imported - read)
+
+
+def test_every_imported_name_is_read():
+    planted = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
+               "import fflab.core\nfrom a import b, c\n__all__ = ['c']\n"
+               "np.zeros(fflab.core.POINT_BUDGET)\n")
+    assert _unread_imports(ast.parse(planted)) == ["b", "os"]
+    root = Path(fflab.__file__).resolve().parent
+    files = sorted(root.rglob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    found = {str(path.relative_to(path.parents[1])): names for path in files
+             if (names := _unread_imports(_parsed(path)[1]))}
+    assert found == {}
+
+
+def _private_reads(tree):
+    """Underscore names that a module's syntax tree imports from, or reads
+    as an attribute of, a name bound by an import from within fflab."""
     def private(name):
         return name.startswith("_") and not name.endswith("__")
 
-    tree = ast.parse(source)
     bound, found = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
@@ -770,9 +941,9 @@ def test_harness_reads_no_private_name_of_another_module():
     planted = ("from .. import kakeya as kk\nfrom ..core import _grid, PrimeField\n"
                "import fflab.surfaces\nkk._split(1); kk.__name__; x._y\n"
                "fflab.surfaces._kernel\n")
-    assert sorted(_private_reads(planted)) == ["_grid", "fflab._kernel", "kk._split"]
+    assert sorted(_private_reads(ast.parse(planted))) == ["_grid", "fflab._kernel", "kk._split"]
     harness = Path(fflab.__file__).resolve().parent / "harness"
-    found = {path.name: _private_reads(path.read_text())
+    found = {path.name: _private_reads(_parsed(path)[1])
              for path in sorted(harness.glob("*.py"))}
     assert all(not names for names in found.values()), found
 

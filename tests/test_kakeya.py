@@ -30,7 +30,7 @@ from fflab.core import (
     inner,
     lp_norm,
 )
-from fflab.errors import FFLabError, NotIsotropicPair, SizeOverflow
+from fflab.errors import NotIsotropicPair, SizeOverflow
 from fflab.fourier import fourier_transform, inverse_transform
 from fflab.harness import run_scenario
 from fflab.oracles import line_sum
@@ -40,6 +40,7 @@ from fflab.surfaces import (
     extension,
     hyperbolic_paraboloid,
     paraboloid,
+    restriction,
 )
 from fflab.combinatorics import PointSet
 from fflab import kakeya as kk
@@ -302,7 +303,12 @@ def test_dual_consistency_recovers_the_direct_bound(q, p_exp):
         F = FFunction.random(field, m, rng)
         res = kk.dual_consistency(F, q, p_exp)
         assert res.paired_lower == pytest.approx(res.direct_lower, abs=1e-6)
-        assert res.dual_ratio >= res.paired_lower - 1e-9
+        # the superposition's own norm ratio can only be larger (Hölder)
+        G = F.abs()
+        h = kk.kakeya_maximal(G) ** (1.0 / (q - 1.0))
+        superpos = kk.dual_kakeya_apply(h, kk.maximizing_base_map(G), field, m)
+        dual_ratio = lp_norm(superpos, p_exp) / kk.direction_norm(h, q)
+        assert dual_ratio >= res.paired_lower - 1e-9
 
 
 def test_dual_consistency_guards():
@@ -516,8 +522,8 @@ def test_embed_input_validation():
 
 def test_exponent_chain_values():
     ex = kk.restriction_to_kakeya_exponents(2)
-    assert ex.dual_q == Fraction(3, 2) and ex.dual_p == Fraction(3, 2)
-    assert ex.restriction_q == Fraction(3) and ex.restriction_p == Fraction(3)
+    assert ex.dual_q == Fraction(3, 2)
+    assert ex.restriction_q == Fraction(3)
     assert ex.prefactor == Fraction(1, 3) and ex.endpoint == Fraction(1, 3)
     ex = kk.restriction_to_kakeya_exponents(3)
     assert ex.dual_q == Fraction(5, 4)
@@ -531,13 +537,6 @@ def test_exponent_chain_values():
         assert ex.restriction_q == 2 * ex.dual_q
     with pytest.raises(ValueError):
         kk.restriction_to_kakeya_exponents(1)
-
-
-def test_kakeya_bound_from_restriction_numeric():
-    got = kk.kakeya_bound_from_restriction(F3, 2, Fraction(3, 2), 2.0)
-    assert got == pytest.approx(3 ** (1 / 3) * 4.0)
-    with pytest.raises(ValueError):
-        kk.kakeya_bound_from_restriction(F3, 1, 1.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -733,43 +732,41 @@ def _standard_split(p, kV, kW):
 def test_mixed_norm_single_point():
     V, W = _standard_split(3, 1, 1)
     f = FFunction.delta(F3, 3, (1, 2, 0))
-    for q, pe in [(1, 1), (2, 3), (4, 2)]:
-        assert kk.mixed_norm(f, W, V, q, pe) == pytest.approx(1.0)
+    for q in (1, 2, 4):
+        assert kk.mixed_norm(f, W, V, q) == pytest.approx(1.0)
 
 
 def test_mixed_norm_constant_function():
     p = 3
     V, W = _standard_split(p, 1, 2)
-    q, pe = 3.0, 2.0
+    q = 3.0
     one = FFunction.constant(F3, 4, 1.0)
-    want = (p * p) ** (1 / q) * (p * p) ** (1 / pe)  # (|V| p)^{1/q} |W|^{1/p}
-    assert kk.mixed_norm(one, W, V, q, pe) == pytest.approx(want)
+    want = (p * p) ** (1 / q) * (p * p) ** (1 / 2)  # (|V| p)^{1/q} |W|^{1/2}
+    assert kk.mixed_norm(one, W, V, q) == pytest.approx(want)
     # normalized measure on the surface: both layers average to 1
     ones = SurfaceFunction(paraboloid(F3, 4), np.ones(27))
-    assert kk.surface_mixed_norm(ones, W, V, q, pe) == pytest.approx(1.0)
+    assert kk.surface_mixed_norm(ones, W, V, q) == pytest.approx(1.0)
 
 
 def test_mixed_norm_rejects_overlapping_split():
     V = Subspace(F3, [[1, 0]])
     f = FFunction.constant(F3, 3, 1.0)
     with pytest.raises(NotIsotropicPair):
-        kk.mixed_norm(f, Subspace(F3, [[2, 0]]), V, 2.0, 2.0)  # same line
+        kk.mixed_norm(f, Subspace(F3, [[2, 0]]), V, 2.0)  # same line
     with pytest.raises(NotIsotropicPair):
-        kk.mixed_norm(f, Subspace(F3, np.zeros((0, 2), dtype=np.int64)), V, 2.0, 2.0)
+        kk.mixed_norm(f, Subspace(F3, np.zeros((0, 2), dtype=np.int64)), V, 2.0)
 
 
 def test_mixed_norm_collapses_to_lp_when_exponents_match():
     rng = np.random.default_rng(19)
     W = Subspace(F5, [[1, 0]])
     V = Subspace(F5, [[0, 1]])
-    F = FFunction.random(F5, 3, rng)
-    for ex in (2.0, 3.0, 4.0):
-        assert kk.mixed_norm(F, W, V, ex, ex) == pytest.approx(
-            lp_norm(F, ex, "counting")
-        )
+    for _ in range(3):
+        F = FFunction.random(F5, 3, rng)
+        assert kk.mixed_norm(F, W, V, 2.0) == pytest.approx(lp_norm(F, 2.0, "counting"))
     S = hyperbolic_paraboloid(F5, 3)
     f = SurfaceFunction.random(S, rng)
-    assert kk.surface_mixed_norm(f, W, V, 2.0, 2.0) == pytest.approx(f.norm(2.0))
+    assert kk.surface_mixed_norm(f, W, V, 2.0) == pytest.approx(f.norm(2.0))
 
 
 @pytest.mark.parametrize(
@@ -781,7 +778,7 @@ def test_mixed_norm_matches_literal_loop(wrow, vrow):
     V = Subspace(F5, [vrow])
     for _ in range(3):
         F = FFunction.random(F5, 3, rng)
-        got = kk.mixed_norm(F, W, V, 3.0, 2.0)
+        got = kk.mixed_norm(F, W, V, 3.0)
         assert got == pytest.approx(brute_mixed(F, W, V, 3.0, 2.0))
 
 
@@ -797,7 +794,7 @@ def test_surface_mixed_norm_literal():
         s = sum(abs(f.values[encode_point((w + v) % p, p)]) ** 2 for w in W.point_array())
         total += (s / p) ** (4.0 / 2)
     want = (total / p) ** (1 / 4.0)
-    assert kk.surface_mixed_norm(f, W, V, 4.0, 2.0) == pytest.approx(want)
+    assert kk.surface_mixed_norm(f, W, V, 4.0) == pytest.approx(want)
 
 
 def test_mixed_norm_inner_sums_match_a_per_row_loop_bit_for_bit():
@@ -818,13 +815,13 @@ def test_mixed_norm_inner_sums_match_a_per_row_loop_bit_for_bit():
     for i, v in enumerate(v_idx):
         sums[v] += mags[i]
     want = float(((sums ** 0.5) ** 3.0).sum() ** (1 / 3.0))
-    assert np.array_equal(kk.mixed_norm(F, W, V, 3.0, 2.0), want)
+    assert np.array_equal(kk.mixed_norm(F, W, V, 3.0), want)
     surf = np.abs(f.values) ** 2.0
     sums = np.zeros(p**V.dim)
     for i, v in enumerate(v_idx):
         sums[v] += surf[i]
     want = float(np.mean(((sums / p**W.dim) ** 0.5) ** 3.0) ** (1 / 3.0))
-    assert np.array_equal(kk.surface_mixed_norm(f, W, V, 3.0, 2.0), want)
+    assert np.array_equal(kk.surface_mixed_norm(f, W, V, 3.0), want)
 
 
 def test_single_cap_mixed_ratio_baseline_exhaustive():
@@ -866,7 +863,7 @@ def test_mixed_extension_ratio_splits_once():
     f = SurfaceFunction.random(S, np.random.default_rng(31))
     q = (2 * 5 + 2) / (5 - 1)  # the endpoint exponent at d = 5
     kk._v_coset_index.cache_clear()
-    want = kk.mixed_norm(extension(f), W, V, q, 2.0) / kk.surface_mixed_norm(f, W, V, q, 2.0)
+    want = kk.mixed_norm(extension(f), W, V, q) / kk.surface_mixed_norm(f, W, V, q)
     assert kk.mixed_extension_ratio(f, W, V) == want
     # one build for the pair; every later norm reads it
     assert kk._v_coset_index.cache_info().misses == 1
@@ -882,7 +879,7 @@ def test_mixed_ratio_guards():
     with pytest.raises(ValueError):
         kk.mixed_extension_ratio(zero, W, V)
     with pytest.raises(NotIsotropicPair):
-        kk.mixed_norm(FFunction.zeros(F3, 3), W, Subspace(F3, [[1, 0]]), 2.0, 2.0)
+        kk.mixed_norm(FFunction.zeros(F3, 3), W, Subspace(F3, [[1, 0]]), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -897,8 +894,8 @@ def test_regular_set_single_coset_frozen_numbers():
     audit = kk.kakeya_regular_set_bound(F, S, {0: [(U, pts)]})
     assert audit.gamma == pytest.approx(1.0)
     assert audit.e_exp == 0.0
-    assert audit.lhs == pytest.approx(3**0.25, abs=1e-9)
-    assert audit.rhs_exponent == pytest.approx(0.75)
+    # the restricted norm at (2d+2)/(d+3) = 4/3 over p^(1/2 + 1/4)
+    assert restriction(F, S).norm(4 / 3) == pytest.approx(3**0.25, abs=1e-9)
     assert audit.ratio == pytest.approx(3**-0.5, abs=1e-9)
 
 
@@ -908,7 +905,7 @@ def test_regular_set_random_decompositions_stay_bounded(p, d):
     S = hyperbolic_paraboloid(field, d)
     rng = np.random.default_rng(p * d)
     for _ in range(8):
-        F, dec = kk.random_slice_isotropic_function(S, 2, rng)
+        F, dec = kk.random_slice_isotropic_function(S, rng)
         audit = kk.kakeya_regular_set_bound(F, S, dec)
         assert audit.ratio <= 2.0
         assert 0.0 <= audit.e_exp <= audit.gamma + 1e-12
@@ -958,8 +955,8 @@ def test_regular_set_bound_takes_row_arrays_and_tuple_lists():
 
 def test_random_slice_builder_is_reproducible():
     S = hyperbolic_paraboloid(F5, 3)
-    F1, d1 = kk.random_slice_isotropic_function(S, 3, np.random.default_rng(99))
-    F2, d2 = kk.random_slice_isotropic_function(S, 3, np.random.default_rng(99))
+    F1, d1 = kk.random_slice_isotropic_function(S, np.random.default_rng(99))
+    F2, d2 = kk.random_slice_isotropic_function(S, np.random.default_rng(99))
     assert np.array_equal(F1.data, F2.data)
     assert list(d1.keys()) == list(d2.keys())
     for z, pieces in d1.items():

@@ -16,7 +16,6 @@ from fflab import qforms
 from fflab.core import PrimeField
 from fflab.errors import (
     DegenerateForm,
-    FFLabError,
     FullyDegenerate,
     NotMaximalIsotropic,
     SizeOverflow,
