@@ -15,8 +15,10 @@ The central objects:
 
 plus the operations that tie them together: the energy-to-incidence
 reduction, the double-counting incidence bound, vertical/horizontal plane
-covers in F_p^3, and the closed-form / recursive exponent calculus.  All
-of them work on PointSet.index or PointSet.matrix().
+covers in F_p^3, and the closed-form / recursive exponent calculus.  Most
+of them work on PointSet.index or PointSet.matrix(); off_diagonal_energy
+and energy_slice_bound judge a whole family of subsets at once, given as
+point rows and one bool mask row per subset.
 """
 
 from __future__ import annotations
@@ -56,15 +58,12 @@ __all__ = [
     "PointSet",
     "HyperplaneFamily",
     "EnergyExponent",
-    "VHProfile",
-    "SliceEnergyBound",
     "EnergyIncidence",
     "IncidenceAudit",
     "RecursedExponent",
     "EnergySample",
     "additive_energy",
     "off_diagonal_energy",
-    "vh_profile",
     "energy_slice_bound",
     "energy_to_incidence",
     "incidence_count",
@@ -175,7 +174,8 @@ def additive_energy(A: PointSet, B: Optional[PointSet] = None,
     if A.field != B.field or A.dim != B.dim:
         raise ValueError("A and B must share their ambient space")
     if method == "quadruple_loop":
-        return _colliding_pairs(_pair_sums(A.matrix(), B.matrix(), A.field.p))
+        sums = encode_point(A.matrix()[:, None, :] + B.matrix()[None, :, :], A.field.p)
+        return int(_colliding_pairs(sums, 0, 1)[0])
     if method == "fourier":
         def spectrum(E: PointSet) -> np.ndarray:
             f = FFunction.zeros(E.field, E.dim)
@@ -190,87 +190,73 @@ def additive_energy(A: PointSet, B: Optional[PointSet] = None,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _pair_sums(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
-    """(|X|, |Y|) flat indices of the sums x + y of the rows of X and Y."""
-    return encode_point(X[:, None, :] + Y[None, :, :], p)
+def _colliding_pairs(keys: np.ndarray, case, cases: int) -> np.ndarray:
+    """For each case 0 ... cases - 1, the number of ordered pairs of equal
+    entries among the nonnegative keys of that case.
+
+    case is an int array of keys' shape, or one int for all of them.  One
+    np.unique over case * span + keys groups every case at once.
+    """
+    span = keys.max(initial=0) + 1
+    groups, counts = np.unique(case * span + keys, return_counts=True)
+    pairs = np.zeros(cases, dtype=np.int64)
+    np.add.at(pairs, groups // span, counts * counts)
+    return pairs
 
 
-def _colliding_pairs(keys: np.ndarray) -> int:
-    """Number of ordered pairs of entries of keys that are equal."""
-    _, counts = np.unique(keys, return_counts=True)
-    return int(np.dot(counts, counts))
+def _chosen_pair_sums(X: np.ndarray, masks: np.ndarray, p: int) -> tuple:
+    """(sums, case, j): for every row case of the bool (cases, n) array
+    masks and every ordered pair (i, j) of the rows of X it chooses, the
+    flat index of X[i] + X[j], with its case and its j, as flat arrays."""
+    case, i, j = np.nonzero(masks[:, :, None] & masks[:, None, :])
+    return encode_point(X[i] + X[j], p), case, j
 
 
-def off_diagonal_energy(E: PointSet) -> int:
-    """Quadruples a + b = c + d in E^4 whose b, d differ in BOTH of the
-    first two coordinates.
+def off_diagonal_energy(X: np.ndarray, masks: np.ndarray, p: int) -> np.ndarray:
+    """For each row of the bool (cases, n) array masks, the quadruples
+    a + b = c + d among the rows of the (n, 3) array X it chooses whose
+    b, d differ in BOTH of the first two coordinates.
 
     This is the part of the energy of a 3-dimensional set not explained by
-    vertical/horizontal slices; ambient dimension must be 3.  Counted by
-    inclusion-exclusion inside each class of equal sums: all (b, d) pairs,
-    minus those with b0 = d0, minus those with b1 = d1, plus those with
-    both.
+    vertical/horizontal slices.  Counted by inclusion-exclusion inside
+    each class of equal sums: all (b, d) pairs, minus those with b0 = d0,
+    minus those with b1 = d1, plus those with both.
     """
-    if E.dim != 3:
+    if X.shape[1] != 3:
         raise ValueError("off_diagonal_energy expects points in F_p^3")
-    p = E.field.p
-    X = E.matrix()
-    sums = _pair_sums(X, X, p) * (p * p)  # [a, b]; room for a key below p^2
-    b0, b1 = X[None, :, 0], X[None, :, 1]
-    return (_colliding_pairs(sums) - _colliding_pairs(sums + b0)
-            - _colliding_pairs(sums + p * b1)
-            + _colliding_pairs(sums + b0 + p * b1))
+    sums, case, j = _chosen_pair_sums(X, masks, p)
+    sums *= p * p  # room for a key below p^2
+    b0, b1 = X[j, 0], X[j, 1]
+    cases = len(masks)
+    return (_colliding_pairs(sums, case, cases) - _colliding_pairs(sums + b0, case, cases)
+            - _colliding_pairs(sums + p * b1, case, cases)
+            + _colliding_pairs(sums + b0 + p * b1, case, cases))
 
 
-# ---------------------------------------------------------------------------
-# vertical / horizontal structure in F_p^3
+def energy_slice_bound(X: np.ndarray, masks: np.ndarray, p: int) -> np.ndarray:
+    """For each nonempty row of the bool (cases, n) array masks, the energy
+    of the set E of rows of X it chooses over the bound
+    |E|^{5/2} + sum_j |E_j|^3 + sum_k |E^k|^3, where E_j is the vertical
+    slice x1 = j and E^k the horizontal slice x2 = k.
 
-
-class VHProfile(NamedTuple):
-    vertical: dict    # j -> |{points with x1 = j}|
-    horizontal: dict  # k -> |{points with x2 = k}|
-
-
-def vh_profile(E: PointSet) -> VHProfile:
-    """Slice sizes of a subset of the 3-dim bilinear graph surface along
-    vertical (x1 fixed) and horizontal (x2 fixed) lines.
-
-    Every point must satisfy t = x1 * x2; the set is a VH(alpha) set
-    exactly when no slice holds more than p^alpha points.
+    Every row of X must lie on the 3-dim bilinear graph surface t = x1 x2.
+    The bound combines the off-diagonal estimate with the slice terms;
+    scenario EN-2 tracks the ratio against a committed exhaustive
+    baseline.
     """
-    if E.dim != 3:
-        raise ValueError("vh_profile expects points in F_p^3")
-    p = E.field.p
-    X = E.matrix()
     off = (X[:, 0] * X[:, 1] - X[:, 2]) % p != 0
     if off.any():
         raise NotOnSurface(
             f"{tuple(X[off][0].tolist())} is not on the bilinear graph surface")
-    vertical = np.bincount(X[:, 0], minlength=p)
-    horizontal = np.bincount(X[:, 1], minlength=p)
-    return VHProfile(dict(enumerate(vertical.tolist())),
-                     dict(enumerate(horizontal.tolist())))
-
-
-class SliceEnergyBound(NamedTuple):
-    energy: int
-    bound: float
-
-
-def energy_slice_bound(E: PointSet) -> SliceEnergyBound:
-    """Energy of E against |E|^{5/2} + sum_j |E_j|^3 + sum_k |E^k|^3.
-
-    The bound combines the off-diagonal estimate with the slice terms;
-    scenario EN-2 tracks energy / bound against a committed exhaustive
-    baseline.
-    """
-    profile = vh_profile(E)
-    lam = additive_energy(E)
-    n = len(E)
-    bound = float(n) ** 2.5
-    bound += sum(c ** 3 for c in profile.vertical.values())
-    bound += sum(c ** 3 for c in profile.horizontal.values())
-    return SliceEnergyBound(lam, bound)
+    sums, case, _ = _chosen_pair_sums(X, masks, p)
+    energy = _colliding_pairs(sums, case, len(masks))
+    onehot = (X[:, :2, None] == np.arange(p)).reshape(len(X), 2 * p)
+    slices = masks.astype(np.int64) @ onehot  # [case, (axis, value)]
+    vertical, horizontal = (slices ** 3).reshape(len(masks), 2, p).sum(axis=2).T
+    # Python's float power: numpy's vectorized power can differ in the
+    # last bit, and the tracked ratios keep the bits of the scalar bound
+    root = np.array([float(n) ** 2.5 for n in range(len(X) + 1)])
+    return energy / (root[masks.sum(axis=1)] + vertical + horizontal)
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +590,13 @@ def recursion_curve(inner: InnerCurve) -> EnergyExponent:
 
 def max_isotropic_slice(E: PointSet, Q: QuadraticSpace) -> int:
     """Largest intersection of E (in the base space of Q) with a maximal
-    totally isotropic affine subspace, for a nonempty E.  Witt index 0
-    means the maximal isotropic subspaces are points, so the answer is 1."""
+    totally isotropic affine subspace, for a nonempty E and a form of Witt
+    index at least 1."""
     if Q.m != E.dim:
         raise ValueError("Q must live on the ambient of E")
     subspaces = enumerate_max_isotropic(Q)
     if not subspaces:
-        return 1
+        raise ValueError("Q has Witt index 0: no isotropic subspace to slice along")
     X = E.matrix()
     best = 0
     for V in subspaces:
@@ -685,25 +671,23 @@ def sample_energy_exponents(S: Surface, trials: int, seed: int) -> list:
         samples.append(EnergySample(label, n, alpha, exponent, bound))
 
     p = S.field.p
-    subspaces = enumerate_max_isotropic(S.Q)
-    if subspaces:
-        V = subspaces[0]
-        t0 = rng.integers(0, p, size=S.base_dim)
-        coset0 = _lifted_coset(S, V, t0)
-        record("isotropic_coset", coset0)
-        # a second, disjoint translate of the same subspace; crossing cosets
-        # of different directions carry too large a constant at desk scale
-        while True:
-            t1 = rng.integers(0, p, size=S.base_dim)
-            if not V.contains((t1 - t0) % p):
-                break
-        record("two_isotropic_cosets",
-               np.concatenate([coset0, _lifted_coset(S, V, t1)]))
-        # the lexicographically first half of the coset's points
-        rows = decode_point(coset0, p, S.ambient_dim)
-        half = coset0[np.lexsort(rows.T[::-1])][: max(2, len(coset0) // 2)]
-        extra = random_surface_subset(S, min(4, S.size), rng)
-        record("half_coset_plus_random", np.concatenate([half, extra.index]))
+    V = enumerate_max_isotropic(S.Q)[0]
+    t0 = rng.integers(0, p, size=S.base_dim)
+    coset0 = _lifted_coset(S, V, t0)
+    record("isotropic_coset", coset0)
+    # a second, disjoint translate of the same subspace; crossing cosets
+    # of different directions carry too large a constant at desk scale
+    while True:
+        t1 = rng.integers(0, p, size=S.base_dim)
+        if not V.contains((t1 - t0) % p):
+            break
+    record("two_isotropic_cosets",
+           np.concatenate([coset0, _lifted_coset(S, V, t1)]))
+    # the lexicographically first half of the coset's points
+    rows = decode_point(coset0, p, S.ambient_dim)
+    half = coset0[np.lexsort(rows.T[::-1])][: max(2, len(coset0) // 2)]
+    extra = random_surface_subset(S, min(4, S.size), rng)
+    record("half_coset_plus_random", np.concatenate([half, extra.index]))
 
     lo, hi = 8, min(S.size, 24)
     for i in range(trials):

@@ -557,22 +557,25 @@ def _run_en1(ctx: RunContext):
                                             quadruple_loop=slow)
 
 
-def _graph_subsets(ctx: RunContext):
-    """EN-2's and EN-3's inputs, as (subset, witness fields) pairs on the
-    bilinear-graph surface: every nonempty subset at p = 3, where the run
-    is exhaustive and states one trial, else one random subset per
-    trial."""
+def _graph_subsets(ctx: RunContext) -> tuple:
+    """EN-2's and EN-3's inputs on the bilinear-graph surface: its (n, 3)
+    point rows, a bool (cases, n) array whose rows choose the subsets,
+    and each case's witness fields, which hold its size.  Every nonempty
+    subset at p = 3, where the run is exhaustive and states one trial,
+    else one random subset per trial."""
     S = hyperbolic_paraboloid(ctx.field, 3)
     if ctx.prime == 3:
         ctx.trials = 1
-        pts = S.point_array()
-        for _, row in _indicator_masks(len(pts)):
-            yield PointSet.of(ctx.field, 3, pts[row]), {}
-    else:
-        for t in range(ctx.trials):
-            rng = ctx.trial_rng(t)
-            k = int(rng.integers(2, S.size + 1))
-            yield random_surface_subset(S, k, rng), {"trial": t}
+        masks = np.array([row for _, row in _indicator_masks(S.size)])
+        return S.point_array(), masks, [{"size": k} for k in masks.sum(axis=1).tolist()]
+    masks = np.zeros((ctx.trials, S.size), dtype=bool)
+    fields = []
+    for t in range(ctx.trials):
+        rng = ctx.trial_rng(t)
+        k = int(rng.integers(2, S.size + 1))
+        masks[t, rng.choice(S.size, size=k, replace=False)] = True
+        fields.append({"trial": t, "size": k})
+    return S.point_array(), masks, fields
 
 
 def _run_en2(ctx: RunContext):
@@ -580,18 +583,18 @@ def _run_en2(ctx: RunContext):
     # |E|^{5/2} + sum_j |E_j|^3 + sum_k |E^k|^3 on the bilinear-graph
     # surface.  Exhaustive over every subset at the baseline prime, one
     # random subset per trial elsewhere.
-    for E, fields in _graph_subsets(ctx):
-        sb = energy_slice_bound(E)
-        ratio = sb.energy / sb.bound
-        yield ratio, dict(fields, size=len(E), ratio=ratio)
+    X, masks, fields = _graph_subsets(ctx)
+    for ratio, f in zip(energy_slice_bound(X, masks, ctx.prime).tolist(), fields):
+        yield ratio, dict(f, ratio=ratio)
 
 
 def _run_en3(ctx: RunContext):
     # Spread-pair energy: quadruples whose b, d entries differ in both
     # base coordinates, against |E|^{5/2}.
-    for E, fields in _graph_subsets(ctx):
-        ratio = off_diagonal_energy(E) / len(E) ** 2.5
-        yield ratio, dict(fields, size=len(E), ratio=ratio)
+    X, masks, fields = _graph_subsets(ctx)
+    for lam, f in zip(off_diagonal_energy(X, masks, ctx.prime).tolist(), fields):
+        ratio = lam / f["size"] ** 2.5
+        yield ratio, dict(f, ratio=ratio)
 
 
 def _run_en4(ctx: RunContext):

@@ -211,8 +211,7 @@ def dual_kakeya_apply(h, x0, field: PrimeField, m: int) -> FFunction:
     out = FFunction.zeros(field, m)
     lines = encode_point(line_points(bases, coordinate_array(p, n), p), p)
     for di, idx in enumerate(lines):
-        if hv[di] != 0:
-            out.data[idx] += hv[di]
+        out.data[idx] += hv[di]
     out.data /= p**n
     return out
 

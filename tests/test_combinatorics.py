@@ -38,7 +38,6 @@ from fflab.combinatorics import (
     surface_point_set,
     vh_plane_cover,
     vh_plane_masks,
-    vh_profile,
 )
 from fflab.core import PrimeField, decode_point, encode_point
 from fflab.errors import (
@@ -88,15 +87,38 @@ def quadruple_loop(A: PointSet, B: PointSet = None) -> int:
     return total
 
 
-def off_diagonal_loop(E: PointSet) -> int:
-    """Literal count of a + b = c + d with b, d split in both base coords."""
-    p = E.field.p
+def off_diagonal_loop(rows, p: int) -> int:
+    """Literal count of a + b = c + d with b, d split in both base coords,
+    over the given coordinate rows."""
     total = 0
-    for a, b, c, d in itertools.product(E.matrix().tolist(), repeat=4):
+    for a, b, c, d in itertools.product(rows, repeat=4):
         if _add(a, b, p) == _add(c, d, p):
             if b[0] != d[0] and b[1] != d[1]:
                 total += 1
     return total
+
+
+def slice_bound_loop(rows) -> float:
+    """|E|^{5/2} + sum_j |E_j|^3 + sum_k |E^k|^3 for the given coordinate
+    rows, counting each vertical (x1 = j) and horizontal (x2 = k) slice
+    point by point."""
+    bound = len(rows) ** 2.5
+    bound += sum(sum(1 for r in rows if r[0] == j) ** 3 for j in {r[0] for r in rows})
+    bound += sum(sum(1 for r in rows if r[1] == k) ** 3 for k in {r[1] for r in rows})
+    return bound
+
+
+def every_subset(n):
+    """The (2^n - 1, n) bool rows of every nonempty subset of range(n)."""
+    return ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
+
+
+def random_masks(rng, cases, n, lo, hi):
+    """cases bool rows over range(n), each choosing lo <= k < hi entries."""
+    masks = np.zeros((cases, n), dtype=bool)
+    for row in masks:
+        row[rng.choice(n, int(rng.integers(lo, hi)), replace=False)] = True
+    return masks
 
 
 def all_subsets(pts, max_size=None):
@@ -315,74 +337,73 @@ def test_energy_routes_agree_property(p, pts):
 
 
 def test_off_diagonal_energy_matches_literal_loop():
+    X = hyperbolic_paraboloid(F3, 3).point_array()
+    masks = every_subset(len(X))
+    assert (off_diagonal_energy(X, masks, 3).tolist()
+            == [off_diagonal_loop(X[row].tolist(), 3) for row in masks])
     rng = np.random.default_rng(59)
     for F in (F5, F7):
-        S = hyperbolic_paraboloid(F, 3)
-        pts = sorted(S.points)
-        for _ in range(8):
-            k = int(rng.integers(1, 9))
-            E = surface_point_set(S, [pts[i] for i in rng.choice(len(pts), k, replace=False)])
-            assert off_diagonal_energy(E) == off_diagonal_loop(E)
+        X = hyperbolic_paraboloid(F, 3).point_array()
+        masks = random_masks(rng, 8, len(X), 1, 9)
+        assert (off_diagonal_energy(X, masks, F.p).tolist()
+                == [off_diagonal_loop(X[row].tolist(), F.p) for row in masks])
     with pytest.raises(ValueError):
-        off_diagonal_energy(PointSet.of(F3, 2, [(0, 0)]))
+        off_diagonal_energy(np.zeros((1, 2), dtype=np.int64), np.ones((1, 1), dtype=bool), 3)
+
+
+def test_an_all_false_mask_row_has_no_off_diagonal_energy():
+    X = hyperbolic_paraboloid(F5, 3).point_array()
+    masks = np.zeros((3, len(X)), dtype=bool)
+    masks[0, :6] = masks[2, 3:9] = True
+    got = off_diagonal_energy(X, masks, 5)
+    assert got[1] == 0
+    assert got[[0, 2]].tolist() == off_diagonal_energy(X, masks[[0, 2]], 5).tolist()
+    assert off_diagonal_energy(X, masks[1:2], 5).tolist() == [0]
 
 
 def test_off_diagonal_energy_exhaustive_p3_baseline():
-    S = hyperbolic_paraboloid(F3, 3)
-    pts = sorted(S.points)
-    star = [q for q in pts if q[0] and q[1]]
-    assert len(star) == 4
-    assert off_diagonal_energy(PointSet.of(F3, 3, star)) == 4
-    worst = 0.0
-    for combo in all_subsets(pts):
-        E = PointSet.of(F3, 3, combo)
-        lam = off_diagonal_energy(E)
-        assert lam <= additive_energy(E)
-        worst = max(worst, lam / len(E) ** 2.5)
+    X = hyperbolic_paraboloid(F3, 3).point_array()
+    star = (X[:, 0] != 0) & (X[:, 1] != 0)
+    assert star.sum() == 4
+    assert off_diagonal_energy(X, star[None], 3).tolist() == [4]
+    masks = every_subset(len(X))
+    lam = off_diagonal_energy(X, masks, 3)
+    assert (lam <= [additive_energy(PointSet.of(F3, 3, X[row])) for row in masks]).all()
     # frozen: the extremal ratio over all 511 subsets is exactly 16 / 4^{5/2}
+    worst = max(e / n ** 2.5 for e, n in zip(lam.tolist(), masks.sum(axis=1).tolist()))
     assert abs(worst - 0.5) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# slices and the slice-energy bound
+# the slice-energy bound
 
 
-def test_vh_profile_counts_every_slice():
-    S = hyperbolic_paraboloid(F5, 3)
-    pts = sorted(S.points)
-    rng = np.random.default_rng(7)
-    E = surface_point_set(S, [pts[i] for i in rng.choice(len(pts), 11, replace=False)])
-    prof = vh_profile(E)
-    assert sum(prof.vertical.values()) == len(E)
-    assert sum(prof.horizontal.values()) == len(E)
-    for j in range(5):
-        assert prof.vertical[j] == sum(1 for v in E.matrix().tolist() if v[0] == j)
-        assert prof.horizontal[j] == sum(1 for v in E.matrix().tolist() if v[1] == j)
+def test_energy_slice_bound_matches_a_literal_slice_count():
+    X = hyperbolic_paraboloid(F5, 3).point_array()
+    masks = random_masks(np.random.default_rng(7), 6, len(X), 1, len(X) + 1)
+    for ratio, row in zip(energy_slice_bound(X, masks, 5).tolist(), masks):
+        rows = X[row].tolist()
+        assert ratio == additive_energy(PointSet.of(F5, 3, rows)) / slice_bound_loop(rows)
     with pytest.raises(NotOnSurface):
-        vh_profile(PointSet.of(F5, 3, [(1, 1, 0)]))
+        energy_slice_bound(np.array([[1, 1, 0]]), np.ones((1, 1), dtype=bool), 5)
 
 
 def test_energy_slice_bound_exhaustive_p3_baseline():
-    S = hyperbolic_paraboloid(F3, 3)
-    pts = sorted(S.points)
-    worst = 0.0
-    for combo in all_subsets(pts):
-        res = energy_slice_bound(PointSet.of(F3, 3, combo))
-        assert res.energy <= res.bound
-        worst = max(worst, res.energy / res.bound)
+    X = hyperbolic_paraboloid(F3, 3).point_array()
+    ratios = energy_slice_bound(X, every_subset(len(X)), 3)
+    assert (ratios <= 1.0).all()
     # frozen extremal ratio 297/405 = 11/15, attained by the full surface
-    assert abs(worst - 11.0 / 15.0) < 1e-12
+    assert abs(ratios.max() - 11.0 / 15.0) < 1e-12
+    assert ratios[-1] == ratios.max()
 
 
 def test_energy_slice_bound_tracked_constant_at_larger_p():
     rng = np.random.default_rng(13)
     for p in (5, 7):
-        S = hyperbolic_paraboloid(PrimeField(p), 3)
-        for _ in range(25):
-            E = random_surface_subset(S, int(rng.integers(2, min(S.size, 30))), rng)
-            res = energy_slice_bound(E)
-            # within twice the exhaustive p = 3 constant
-            assert res.energy / res.bound <= 2.0 * (11.0 / 15.0)
+        X = hyperbolic_paraboloid(PrimeField(p), 3).point_array()
+        masks = random_masks(rng, 25, len(X), 2, min(len(X), 30))
+        # within twice the exhaustive p = 3 constant
+        assert (energy_slice_bound(X, masks, p) <= 2.0 * (11.0 / 15.0)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -754,12 +775,10 @@ def test_max_isotropic_slice_against_brute_force():
                 coset = {((a + t[0]) % 3, (b + t[1]) % 3) for a, b in line}
                 brute = max(brute, sum(1 for v in E.matrix().tolist() if tuple(v) in coset))
         assert got == brute
-    # witt index 0: the only isotropic slice is a single point
-    aniso = dot_form(F3, 2)
+    # witt index 0: no isotropic line to slice along, so the call is refused
     E = PointSet.of(F3, 2, [(0, 0), (1, 1), (2, 1)])
-    assert max_isotropic_slice(E, aniso) == 1
-    peak, alpha = isotropic_slice_alpha(E, aniso)
-    assert (peak, alpha) == (1, 0.0)
+    with pytest.raises(ValueError):
+        max_isotropic_slice(E, dot_form(F3, 2))
     line = PointSet.of(F3, 2, [(0, 0), (1, 0), (2, 0)])
     peak, alpha = isotropic_slice_alpha(line, Q)
     assert peak == 3 and alpha == pytest.approx(1.0)

@@ -186,27 +186,66 @@ def test_each_scenario_runs_at_defaults(default_runs):
 # ---------------------------------------------------------------------------
 # reachability: every library statement runs
 
-# Library code that no default run executes and that stays, with the
-# reason.  An entry names a function as module.qualname, or a class, which
-# covers its methods, and covers that name's unrun statements.  Test
-# oracles live in fflab/oracles.py, outside the checked modules.
+# Library statements that no default run executes and that stay: each
+# entry maps a function (module.qualname), or a class, which covers its
+# methods, to the reason and the texts of the unrun statements it allows
+# there.  Any other unrun statement of that function still fails the
+# gate.  Test oracles live in fflab/oracles.py, outside the checked
+# modules.
 UNREACHED_BY_DESIGN = {
-    "kakeya.coset_extension": "perfbench/tracer.py times it as an entry point",
-    "qforms.enumerate_subspaces": "perfbench/tracer.py counts its calls",
-    "core.FFVector": "perfbench/tracer.py counts FFVector.__post_init__",
-    "surfaces.Surface.points": "tests/test_acceptance.py criterion 3 reads it",
-    "core.PrimeField.__hash__": "goes with PrimeField.__eq__, which the runs reach",
-    "combinatorics.additive_energy":
+    "kakeya.coset_extension": (
+        "perfbench/tracer.py times it as an entry point",
+        ("S = f.surface",
+         "out = np.empty((S.field.p, S.size), dtype=np.complex128)",
+         "for t, row in coset_slabs(f, W, V):",
+         "out[t] = row",
+         "return FFunction(S.field, S.ambient_dim, out.reshape(-1))")),
+    "qforms.enumerate_subspaces": (
+        "perfbench/tracer.py counts its calls",
+        ("for batch in _echelon_batches(field.p, m, k):",
+         "for B in batch:",
+         "yield Subspace._reduced(field, B.copy())")),
+    "core.FFVector": (
+        "perfbench/tracer.py counts FFVector.__post_init__",
+        ("p = self.field.p",
+         'object.__setattr__(self, "coords", tuple(c % p for c in self.coords))',
+         "return len(self.coords)",
+         "return encode_point(self.coords, self.field.p)",
+         "if len(other.coords) != len(self.coords):",
+         "return sum(a * b for a, b in zip(self.coords, other.coords)) % self.field.p",
+         "return FFVector(",
+         "return FFVector(tuple(-a for a in self.coords), self.field)",
+         "return FFVector(tuple(c * a for a in self.coords), self.field)")),
+    "surfaces.Surface.points": (
+        "tests/test_acceptance.py criterion 3 reads it",
+        ("return {tuple(int(v) for v in row) for row in self.point_array()}",)),
+    "core.PrimeField.__hash__": (
+        "goes with PrimeField.__eq__, which the runs reach",
+        ('return hash(("PrimeField", self.p))',)),
+    "combinatorics.additive_energy": (
         "tests/test_acceptance.py criterion 3 counts with method='fourier'",
-    "core._is_prime": "its rejections: every grid prime passes it",
-    "qforms.solve_mod":
+        ('if method == "fourier":',
+         "def spectrum(E: PointSet) -> np.ndarray:",
+         "f = FFunction.zeros(E.field, E.dim)",
+         "f.data[E.index] = 1.0",
+         "return np.abs(fourier_transform(f).data) ** 2",
+         "raw = float(np.dot(spectrum(A), spectrum(B))) / grid_size(A.field.p, A.dim)",
+         "count = int(round(raw))",
+         "if abs(raw - count) > 1e-6 * max(1.0, raw):",
+         "return count")),
+    "core._is_prime": (
+        "its rejections: every grid prime passes it",
+        ("return False", "return n == 2")),
+    "qforms.solve_mod": (
         "its None for an inconsistent system, on which complementary_isotropic raises",
-    "qforms.enumerate_max_isotropic":
+        ("return None  # pivot in the constants column",)),
+    "qforms.enumerate_max_isotropic": (
         "its Witt-index-0 return: without it lexsort meets zero-width keys",
-    "combinatorics.max_isotropic_slice":
-        "its Witt-index-0 return: without it the slice of a nonempty set is 0",
-    "kakeya.random_slice_isotropic_function":
+        ("return ()",)),
+    "kakeya.random_slice_isotropic_function": (
         "its fallback piece for a draw that leaves every slice empty",
+        ("coset = Subspace(field, subspaces[0].basis,",
+         "decomposition[0] = [(coset, coset.point_array())]")),
 }
 
 
@@ -269,6 +308,18 @@ def _covers(entry, name):
     return entry in (name, name.rpartition(".")[0])
 
 
+def _not_allowed(unrun):
+    """The part of _unrun's result that no allowlist entry names."""
+    found = {}
+    for name, statements in unrun.items():
+        rest = [stmt for stmt in statements
+                if not any(_covers(entry, name) and stmt.partition(": ")[2] in texts
+                           for entry, (_, texts) in UNREACHED_BY_DESIGN.items())]
+        if rest:
+            found[name] = rest
+    return found
+
+
 def test_statement_finder_flags_a_planted_unrun_branch():
     source = textwrap.dedent('''\
         def planted(x):
@@ -298,9 +349,23 @@ def test_every_library_statement_runs_at_the_defaults(default_runs):
     # reach, or dead weight, and goes.
     _, lines, _ = default_runs
     assert len(_library_statements()) > 1000
-    unrun = {name: found for name, found in _unrun(_library_statements(), lines).items()
-             if not any(_covers(entry, name) for entry in UNREACHED_BY_DESIGN)}
+    unrun = _not_allowed(_unrun(_library_statements(), lines))
     assert not unrun, f"no default run executes {unrun}"
+
+
+def test_allowlist_passes_only_the_statements_it_names(default_runs):
+    # _is_prime is allowlisted for its rejections, not as a whole: were
+    # its trial division to stop running, as it does when no run reaches
+    # p = 13, the gate must flag the loop.
+    _, lines, _ = default_runs
+    loop = {line for _, name, line, text in _library_statements()
+            if name == "core._is_prime" and text in ("if n % f == 0:", "f += 2")}
+    assert len(loop) == 2 and loop <= lines[core.__file__]
+    thinned = dict(lines, **{core.__file__: lines[core.__file__] - loop})
+    flagged = _not_allowed(_unrun(_library_statements(), thinned))
+    assert list(flagged) == ["core._is_prime"]
+    assert [stmt.partition(": ")[2] for stmt in flagged["core._is_prime"]] == [
+        "if n % f == 0:", "f += 2"]
 
 
 def test_unreached_allowlist_has_no_stale_entry(default_runs):
@@ -308,11 +373,14 @@ def test_unreached_allowlist_has_no_stale_entry(default_runs):
     names = {name for _, name, _, _ in _library_statements()}
     unrun = _unrun(_library_statements(), lines)
     stale = []
-    for entry in UNREACHED_BY_DESIGN:
+    for entry, (_, texts) in UNREACHED_BY_DESIGN.items():
         if not any(_covers(entry, name) for name in names):
             stale.append(f"{entry} no longer exists")
-        elif not any(_covers(entry, name) for name in unrun):
-            stale.append(f"the defaults now run every statement of {entry}")
+            continue
+        left = {stmt.partition(": ")[2] for name, statements in unrun.items()
+                if _covers(entry, name) for stmt in statements}
+        stale += [f"every {text!r} of {entry} now runs, or is gone"
+                  for text in texts if text not in left]
     assert not stale, stale
 
 
@@ -743,7 +811,7 @@ def test_drift_check_catches_a_defect_in_an_exhaustive_constant(monkeypatch):
     # provenance, where the drift check compares the constant itself.
     import fflab.harness.scenarios as scenarios
     source = inspect.getsource(combinatorics.off_diagonal_energy)
-    both = "\n            + _colliding_pairs(sums + b0 + p * b1)"
+    both = "\n            + _colliding_pairs(sums + b0 + p * b1, case, cases)"
     assert both in source
     planted = {}
     exec(source.replace(both, ""), vars(combinatorics), planted)
