@@ -3,6 +3,13 @@
 Subcommands: list the registry, run one scenario, sweep many and write
 report files, regenerate tracked baselines, print the exponent table.
 
+`fflab sweep` (and `python -m fflab.cli sweep`) runs the sweep's (p, d)
+points on one forked worker per CPU of the process's affinity set;
+`taskset -c 0 fflab sweep ...` runs it serially.  runtime_ms is timed
+inside the worker, so it includes contention for the cores.  A host
+program that calls main(argv) with an explicit argv keeps the sweep in
+its own process: fflab forks only a process whose command line it owns.
+
 Exit codes: 0 when everything passed (or only reported a constant),
 1 when at least one scenario failed (a runner that raises is a failed
 scenario), 2 on configuration errors found before any runner starts,
@@ -82,7 +89,7 @@ def _cmd_sweep(args) -> int:
     primes = _parse_ints(args.primes)
     dims = _parse_ints(args.dims)
     reports, failed = sweep(ids, primes, dims, trials=args.trials,
-                            seed=args.seed)
+                            seed=args.seed, workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(reports_to_json(reports))
@@ -149,6 +156,9 @@ def main(argv=None) -> int:
     sub.add_parser("table", help="print the exponent landscape")
 
     args = parser.parse_args(argv)
+    # fork only a process whose own command line this is: a host that
+    # passes argv keeps every run in its process
+    args.workers = len(os.sched_getaffinity(0)) if argv is None else 1
     try:
         code = _dispatch(args, parser)
         # flush here so a closed pipe surfaces inside the handler below

@@ -1577,13 +1577,20 @@ def _run_checked(sc: Scenario, prime: int, dim: int, trials: int, seed: int,
         witness=witness, runtime_ms=runtime_ms)
 
 
-def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0):
+def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0,
+          workers: int = 1):
     """Run the cross product of ids with the primes and dims each
-    scenario supports.  Returns (reports, any_failed).
+    scenario supports.  Returns (reports, any_failed), the reports in the
+    order of ids, then primes, then dims.
 
     Baseline integrity for every tracked id in the list is checked
     before any scenario executes; a missing baseline becomes a failing
     report with an actionable message rather than an abort.
+
+    The runs are grouped by (p, d) point, largest static cost estimate
+    first.  With workers > 1 the groups run on that many forked worker
+    processes, where runtime_ms includes contention for the cores; a
+    worker that dies fails every run it left unfinished.
     """
     ids = list(ids)
     if trials is not None and trials < 1:
@@ -1600,7 +1607,7 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0):
                 continue
             store.verify(sid, sc.runner)
 
-    reports = []
+    reports, points = [], {}
     for sid in ids:
         sc = REGISTRY[sid]
         ps = [p for p in primes if p in sc.primes]
@@ -1616,11 +1623,60 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0):
         entry = store.entries.get(sid) if sc.kind == "constant_tracked" else None
         for p in ps:
             for d in ds:
-                reports.append(_run_checked(
-                    sc, p, d, sc.default_trials if trials is None else trials,
-                    seed, entry, store.slack))
+                points.setdefault((p, d), []).append((len(reports), sid, p, d, (
+                    sc.default_trials if trials is None else trials), entry))
+                reports.append(None)
+    groups = sorted(points.values(), reverse=True, key=lambda group: sum(
+        RUN_COST + trials * p ** d for _, _, p, d, trials, _ in group))
+    for group, done in zip(groups, _run_groups(groups, seed, store.slack, workers)):
+        for run, report in zip(group, done):
+            reports[run[0]] = report
     failed = any(r.status == "fail" for r in reports)
     return reports, failed
+
+
+# A run's fixed cost in point-trials: in the default seed-0 sweep a run
+# takes about 5 ms plus 1e-4 ms per trial and grid point.
+RUN_COST = 50_000
+
+
+def _run_group(group, seed: int, slack: Optional[float]) -> list:
+    """Judge one (p, d) group's runs, in-process or in a worker."""
+    return [_run_checked(REGISTRY[sid], p, d, trials, seed, entry, slack)
+            for _, sid, p, d, trials, entry in group]
+
+
+def _run_groups(groups, seed: int, slack: Optional[float], workers: int) -> list:
+    """Each group's reports, and a failing one for each run that a dead
+    worker left unfinished.  Forked workers inherit the registry and the
+    verified store; gc.freeze keeps the collector off the pages they
+    share, and OpenBLAS resets its thread pool at a fork."""
+    workers = min(workers, len(groups))
+    if workers <= 1:
+        return [_run_group(group, seed, slack) for group in groups]
+    # imported here: they add about 25 ms to every import of fflab
+    import gc
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing import get_context
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            futures = [pool.submit(_run_group, group, seed, slack) for group in groups]
+            done = []
+            for future, group in zip(futures, groups):
+                try:
+                    done.append(future.result())
+                except BrokenProcessPool as exc:
+                    done.append([ScenarioReport(
+                        sid, REGISTRY[sid].kind, p, d, trials, seed, "fail",
+                        "max_deviation" if entry is None else "measured_constant",
+                        math.nan, witness=witness_values(
+                            error=type(exc).__name__, message=str(exc),
+                            raised_in=f"sweep worker at p = {p}, d = {d}"))
+                        for _, sid, p, d, trials, entry in group])
+            return done
+    finally:
+        gc.unfreeze()
 
 
 def regenerate_baselines(ids=None, path=None) -> BaselineStore:

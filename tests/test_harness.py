@@ -5,10 +5,12 @@ import functools
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -611,10 +613,14 @@ def test_csv_columns_and_runtime():
 def test_sweep_deterministic_bytes():
     ids = ["FT-1", "ST-4", "EN-2", "KK-4"]
     r1, f1 = sweep(ids, [3, 5], [2, 3], seed=0)
-    r2, f2 = sweep(ids, [3, 5], [2, 3], seed=0)
+    r2, f2 = sweep(ids, [3, 5], [2, 3], seed=0, workers=2)
     assert not f1 and not f2
     assert reports_to_json(r1) == reports_to_json(r2)
-    assert reports_to_csv(r1).split("\n")[0] == ",".join(CSV_COLUMNS)
+    csv1, csv2 = ([row.rpartition(",")[0] for row in reports_to_csv(r).split("\n")]
+                  for r in (r1, r2))
+    assert csv1[0] == ",".join(CSV_COLUMNS[:-1])
+    # the same rows in the same order; only runtime_ms may differ
+    assert csv1 == csv2
 
 
 def test_sweep_skips_combos_outside_validity():
@@ -759,6 +765,62 @@ def test_wrong_tracked_constant_fails(direction, bad_prime, tmp_path, monkeypatc
     assert bad["status"] == "fail"
     assert bad["witness"]["values"] == {"measured": bad["metric"], "baseline": 1.0}
     assert good["status"] == "pass" and good["witness"] is None
+
+
+def _dying_runner(ctx, parent=os.getpid()):
+    # a worker killed mid-run, as by the out-of-memory killer
+    if os.getpid() != parent:
+        os._exit(70)
+    yield 0.0, {}
+
+
+def test_a_dead_worker_fails_its_runs_and_leaves_no_child(monkeypatch):
+    monkeypatch.setitem(REGISTRY, "DIE-1", Scenario(
+        "DIE-1", "exact_identity", "stub runner whose worker process dies",
+        _dying_runner, (3,), (3,), 1))
+    done = []
+    # a pool that waited on its dead worker forever would hang here
+    worker = threading.Thread(target=lambda: done.append(
+        sweep(["DIE-1", "FT-3"], [3], [2, 3], seed=0, workers=2)), daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(done) == 1
+    reports, failed = done[0]
+    assert failed
+    assert multiprocessing.active_children() == []
+    assert [(r.scenario, r.dim) for r in reports] == [
+        ("DIE-1", 3), ("FT-3", 2), ("FT-3", 3)]
+    die = reports[0]
+    assert die.status == "fail" and math.isnan(die.metric)
+    assert die.witness["values"]["error"] == "BrokenProcessPool"
+    assert die.witness["values"]["raised_in"] == "sweep worker at p = 3, d = 3"
+    # FT-3 (3, 3) ran in the dead worker's group; FT-3 (3, 2) may have
+    # finished in the other worker before the pool broke
+    for r in reports[1:]:
+        assert r.status == "pass" or (
+            r.witness["values"]["error"] == "BrokenProcessPool")
+    assert reports[2].status == "fail"
+
+
+def _pid_runner(ctx):
+    # fails on purpose, so that the report's witness shows where it ran
+    yield 1.0, {"pid": os.getpid()}
+
+
+def test_cli_sweep_with_argv_forks_nothing(tmp_path, monkeypatch):
+    # perfbench/tracer.py calls cli.main(argv) and counts library calls in
+    # its own process; a worker's calls would escape it
+    monkeypatch.setitem(REGISTRY, "PID-1", Scenario(
+        "PID-1", "exact_identity", "stub runner that reports its process id",
+        _pid_runner, (3, 5), (2, 3), 1))
+    out = tmp_path / "reports"
+    assert cli_main(["sweep", "--ids", "PID-1", "--primes", "3,5",
+                     "--dims", "2,3", "--out", str(out)]) == 1
+    doc = json.loads((out / "report.json").read_text())
+    assert [rec["witness"]["values"]["pid"] for rec in doc["reports"]] == [os.getpid()] * 4
+    # the same runs with workers do leave this process
+    reports, _ = sweep(["PID-1"], [3, 5], [2, 3], seed=0, workers=2)
+    assert os.getpid() not in {r.witness["values"]["pid"] for r in reports}
 
 
 def _unit_runner(ctx):
