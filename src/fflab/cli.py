@@ -15,6 +15,8 @@ Exit codes: 0 when everything passed (or only reported a constant),
 scenario), 2 on configuration errors found before any runner starts,
 such as an unknown scenario id, parameters outside a scenario's
 validity set, a size-budget overflow, or a baseline integrity problem.
+A missing baseline is the one exception in `sweep`: it fails that id's
+row, with no metric, and the sweep goes on (`run` exits 2 on it).
 """
 
 import argparse
@@ -42,10 +44,14 @@ def _parse_ints(text: str) -> list:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _baseline(constant) -> str:
+    return "MISSING" if constant is None else f"{constant:.9g}"
+
+
 def _report_line(r: ScenarioReport) -> str:
     if r.metric_name == "measured_constant":
         detail = (f"measured_constant={r.metric:.9g} "
-                  f"baseline={r.baseline_constant:.9g} slack={r.baseline_slack}")
+                  f"baseline={_baseline(r.baseline_constant)} slack={r.baseline_slack}")
     else:
         detail = f"max_deviation={r.metric:.3g} tolerance={r.tolerance:g}"
     return (f"{r.scenario} p={r.prime} d={r.dim} trials={r.trials} "
@@ -58,10 +64,8 @@ def _cmd_list() -> int:
         sc = REGISTRY[sid]
         extra = ""
         if sc.kind == "constant_tracked":
-            if sid in store.entries:
-                extra = f"  baseline={store.entries[sid].constant:.9g}"
-            else:
-                extra = "  baseline=MISSING"
+            entry = store.entries.get(sid)
+            extra = f"  baseline={_baseline(entry.constant if entry else None)}"
         primes = ",".join(str(p) for p in sc.primes)
         dims = ",".join(str(d) for d in sc.dims)
         print(f"{sid:7s} {sc.kind:16s} p in {{{primes}}} d in {{{dims}}}{extra}")

@@ -449,18 +449,6 @@ def _run_br1(ctx: RunContext):
                     slope=m, offset=x2o, time=to)
 
 
-def _line_loads(I_pts: np.ndarray, p: int) -> int:
-    """Largest intersection of a planar point set with any affine line."""
-    best = 0
-    u, v = I_pts[:, 0], I_pts[:, 1]
-    for c in range(p):
-        best = max(best, int((u == c).sum()))
-    for a in range(p):
-        for b in range(p):
-            best = max(best, int(((v - a * u - b) % p == 0).sum()))
-    return best
-
-
 def _run_br2(ctx: RunContext):
     # Slice-superposition bound: F = sum over i in I of a one-line piece
     # delta-slice times a character combination; if every planar line
@@ -494,7 +482,13 @@ def _run_br2(ctx: RunContext):
         l2 = lp_norm(F, 2.0)
         if l2 == 0.0:
             continue
-        u_exp = _logp(p, max(1, _line_loads(I_pts, p)))
+        # the most points of I on one line of the (u, v) plane: the lines
+        # that sweep v by line_totals, the p lines v = c by a bincount
+        indicator = np.zeros(p * p)
+        indicator[sel] = 1.0
+        load = max(kk.line_totals(FFunction(field, 2, indicator)).max(),
+                   np.bincount(sel // p).max())
+        u_exp = _logp(p, int(load))
         TF = bochner_riesz(F, S, "kernel_only")
         ratio = lp_norm(TF, 2.0) / (p ** ((1 + u_exp) / 2) * l2)
         yield ratio, dict(trial=t, pieces=len(I_pts), u=u_exp, ratio=ratio)
@@ -1567,12 +1561,24 @@ def _run_checked(sc: Scenario, prime: int, dim: int, trials: int, seed: int,
         if not ok:
             status, witness = "fail", wit or witness_values(
                 measured=metric, baseline=entry.constant)
+    return _report(sc, prime, dim, ctx.trials, seed, status, metric, witness,
+                   entry, slack, runtime_ms)
+
+
+def _report(sc: Scenario, prime: int, dim: int, trials: int, seed: int,
+            status: str, metric: float, witness: Optional[dict],
+            entry: Optional[BaselineEntry], slack: Optional[float],
+            runtime_ms: float = 0.0) -> ScenarioReport:
+    """The one builder of a ScenarioReport.  Every row carries its kind's
+    fields: an untracked scenario's tolerance, or a tracked one's stored
+    constant, None when its entry is missing, and the store's slack."""
+    tracked = sc.kind == "constant_tracked"
     return ScenarioReport(
         scenario=sc.id, kind=sc.kind, prime=prime, dim=dim,
-        trials=ctx.trials, seed=seed, status=status,
+        trials=trials, seed=seed, status=status,
         metric_name="measured_constant" if tracked else "max_deviation",
         metric=float(metric), tolerance=None if tracked else sc.tolerance,
-        baseline_constant=entry.constant if tracked else None,
+        baseline_constant=None if entry is None else entry.constant,
         baseline_slack=slack if tracked else None,
         witness=witness, runtime_ms=runtime_ms)
 
@@ -1584,8 +1590,9 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0,
     order of ids, then primes, then dims.
 
     Baseline integrity for every tracked id in the list is checked
-    before any scenario executes; a missing baseline becomes a failing
-    report with an actionable message rather than an abort.
+    before any scenario executes; an id whose baseline is missing gets
+    one failing report, with no metric (NaN, JSON null) and an actionable
+    message, rather than an abort.
 
     The runs are grouped by (p, d) point, largest static cost estimate
     first.  With workers > 1 the groups run on that many forked worker
@@ -1601,11 +1608,9 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0,
         sc = _scenario(sid)
         if sc.kind == "constant_tracked":
             try:
-                store.entry(sid)
+                store.verify(sid, sc.runner)
             except BaselineMissing as exc:
                 missing[sid] = str(exc)
-                continue
-            store.verify(sid, sc.runner)
 
     reports, points = [], {}
     for sid in ids:
@@ -1613,12 +1618,10 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0,
         ps = [p for p in primes if p in sc.primes]
         ds = [d for d in dims if d in sc.dims]
         if sid in missing:
-            reports.append(ScenarioReport(
-                scenario=sid, kind=sc.kind, prime=ps[0] if ps else sc.primes[0],
-                dim=ds[0] if ds else sc.dims[0],
-                trials=trials or sc.default_trials, seed=seed, status="fail",
-                metric_name="measured_constant", metric=0.0,
-                witness=witness_values(error=missing[sid])))
+            reports.append(_report(
+                sc, ps[0] if ps else sc.primes[0], ds[0] if ds else sc.dims[0],
+                trials or sc.default_trials, seed, "fail", math.nan,
+                witness_values(error=missing[sid]), None, store.slack))
             continue
         entry = store.entries.get(sid) if sc.kind == "constant_tracked" else None
         for p in ps:
@@ -1667,12 +1670,12 @@ def _run_groups(groups, seed: int, slack: Optional[float], workers: int) -> list
                 try:
                     done.append(future.result())
                 except BrokenProcessPool as exc:
-                    done.append([ScenarioReport(
-                        sid, REGISTRY[sid].kind, p, d, trials, seed, "fail",
-                        "max_deviation" if entry is None else "measured_constant",
-                        math.nan, witness=witness_values(
+                    done.append([_report(
+                        REGISTRY[sid], p, d, trials, seed, "fail", math.nan,
+                        witness_values(
                             error=type(exc).__name__, message=str(exc),
-                            raised_in=f"sweep worker at p = {p}, d = {d}"))
+                            raised_in=f"sweep worker at p = {p}, d = {d}"),
+                        entry, slack)
                         for _, sid, p, d, trials, entry in group])
             return done
     finally:

@@ -65,7 +65,6 @@ __all__ = [
     "line_totals",
     "kakeya_maximal",
     "maximizing_base_map",
-    "direction_norm",
     "maximal_ratio",
     "dual_kakeya_apply",
     "dual_consistency",
@@ -160,15 +159,6 @@ def maximizing_base_map(F: FFunction) -> np.ndarray:
     return coordinate_array(F.field.p, F.dim - 1)[line_totals(F).argmax(axis=1)]
 
 
-def direction_norm(values: np.ndarray, q: float) -> float:
-    """L^q norm on the direction set with normalized counting measure;
-    q must be finite."""
-    if not 1 <= q < math.inf:
-        raise ValueError(f"q must be finite and >= 1, got {q}")
-    values = np.abs(np.asarray(values, dtype=np.float64))
-    return float(np.mean(values**q) ** (1.0 / q))
-
-
 def maximal_ratio(F: FFunction) -> float:
     """||F*||_{L^m(directions)} / ||F||_{L^m(counting)}, m the ambient
     dimension: the endpoint at which the maximal inequality holds with a
@@ -177,7 +167,8 @@ def maximal_ratio(F: FFunction) -> float:
     denom = lp_norm(F, m, "counting")
     if denom == 0.0:
         raise ValueError("maximal ratio of the zero function")
-    return direction_norm(kakeya_maximal(F), m) / denom
+    star = FFunction(F.field, F.dim - 1, kakeya_maximal(F))
+    return lp_norm(star, m, "normalized") / denom
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +233,9 @@ def dual_consistency(F: FFunction, q: float, p_exp: float) -> DualConsistency:
     g_norm = lp_norm(G, p_c, "counting")
     if g_norm == 0.0:
         raise ValueError("dual consistency of the zero function")
-    direct = direction_norm(star, q_c) / g_norm
+    direct = lp_norm(FFunction(field, n, star), q_c, "normalized") / g_norm
     h = star ** (q_c / q)
-    h_norm = direction_norm(h, q)
+    h_norm = lp_norm(FFunction(field, n, h), q, "normalized")
     bases = maximizing_base_map(G)
     superpos = dual_kakeya_apply(h, bases, field, m)
     pairing = inner(superpos, G).real

@@ -368,13 +368,15 @@ class Subspace:
         return f"Subspace(p={self.field.p}, dim={self.dim}, ambient={self.ambient}{tag})"
 
 
-def _echelon_batches(p: int, m: int, k: int, batch: int = 4096
-                     ) -> Iterator[np.ndarray]:
+ECHELON_BATCH = 4096  # bases per array of _echelon_batches
+
+
+def _echelon_batches(p: int, m: int, k: int) -> Iterator[np.ndarray]:
     """Every k x m reduced row echelon basis over F_p, in echelon_bases
-    order, as (n, k, m) int64 arrays of batch bases each (the last may
-    hold fewer).  Consecutive pivot patterns share a batch and a large
+    order, as (n, k, m) int64 arrays of ECHELON_BATCH bases each (the last
+    may hold fewer).  Consecutive pivot patterns share a batch and a large
     pattern spans several, so one batch array is filled at a time and a
-    space with no more than batch candidates gives one array.  Every
+    space with no more candidates than a batch gives one array.  Every
     pattern is counted first: SizeOverflow is raised at the first one that
     takes the running count past the point budget, before any allocation."""
     patterns = []
@@ -395,7 +397,7 @@ def _echelon_batches(p: int, m: int, k: int, batch: int = 4096
         start = 0
         while start < len(coords):
             if out is None:
-                out, filled = np.zeros((min(batch, count), k, m), dtype=np.int64), 0
+                out, filled = np.zeros((min(ECHELON_BATCH, count), k, m), dtype=np.int64), 0
                 count -= len(out)
             n = min(len(coords) - start, len(out) - filled)
             piece = out[filled:filled + n]
@@ -464,10 +466,10 @@ def enumerate_max_isotropic(Q: QuadraticSpace) -> tuple[Subspace, ...]:
     their reduced echelon bases.  Index 0 gives () (no nontrivial ones).
 
     The echelon bases of that dimension are tested through their Gram
-    matrices B A B^T in batches of at most 4,096 candidates, so the filter
-    never holds more than one batch; only the survivors are kept, and
-    only they become Subspace objects, which keep their echelon bases as
-    they are."""
+    matrices B A B^T in batches of at most ECHELON_BATCH candidates, so
+    the filter never holds more than one batch; only the survivors are
+    kept, and only they become Subspace objects, which keep their echelon
+    bases as they are."""
     w = witt_index(Q)
     if w == 0:
         return ()

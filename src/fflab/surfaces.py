@@ -71,10 +71,6 @@ class Surface:
         base = coordinate_array(self.field.p, self.base_dim)
         return np.concatenate([base, self.heights[:, None]], axis=1)
 
-    @property
-    def points(self) -> set[tuple[int, ...]]:
-        return {tuple(int(v) for v in row) for row in self.point_array()}
-
     def lift(self, xi) -> tuple[int, ...]:
         p = self.field.p
         xi = tuple(int(c) % p for c in xi)

@@ -55,15 +55,17 @@ def test_criterion_02_operator_norm_matches_closed_form():
 
 
 def test_criterion_03_energy_counts_are_integer_exact():
-    """Vectorized, spectral, and literal quadruple-loop energies agree as
-    integers: 201 random subsets across p in {3,5,7}, then every one of
-    the 512 subsets of the nine-point saddle surface at p=3."""
+    """The vectorized energy count agrees as an integer with EN-1's
+    literal loop (fflab.oracles.brute_energy) on 201 random subsets
+    across p in {3,5,7}, and with additive_energy's spectral count
+    (method="fourier", Parseval over the transform) on every one of the
+    512 subsets of the nine-point saddle surface at p=3."""
     for p in (3, 5, 7):
         r = _passes("EN-1", prime=p, dim=3, trials=67)
         assert r.metric == 0.0, (p, r.metric)
     field = PrimeField(3)
-    pts = sorted(hyperbolic_paraboloid(field, 3).points)
-    assert len(pts) == 9
+    pts = sorted(map(tuple, hyperbolic_paraboloid(field, 3).point_array().tolist()))
+    assert len(pts) == len(set(pts)) == 9
     for mask in range(512):
         subset = [pts[i] for i in range(9) if (mask >> i) & 1]
         E = PointSet.of(field, 3, subset)

@@ -108,6 +108,11 @@ def slice_bound_loop(rows) -> float:
     return bound
 
 
+def surface_points(S: Surface) -> list:
+    """The points of S as int tuples, in sorted order."""
+    return sorted(map(tuple, S.point_array().tolist()))
+
+
 def every_subset(n):
     """The (2^n - 1, n) bool rows of every nonempty subset of range(n)."""
     return ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
@@ -231,7 +236,7 @@ def test_energy_two_sets_matches_literal_loop():
 
 def test_energy_fourier_equals_loop_exhaustively_at_p3():
     S = hyperbolic_paraboloid(F3, 3)
-    pts = sorted(S.points)
+    pts = surface_points(S)
     for combo in all_subsets(pts):
         E = PointSet.of(F3, 3, combo)
         assert additive_energy(E) == additive_energy(E, method="fourier")
@@ -285,7 +290,7 @@ def test_energy_quasi_triangle_and_fourth_root_subadditive():
 
 def test_energy_invariant_under_surface_shear():
     S = hyperbolic_paraboloid(F5, 3)
-    pts = sorted(S.points)
+    pts = surface_points(S)
     rng = np.random.default_rng(29)
     for _ in range(20):
         A = surface_point_set(S, [pts[i] for i in rng.choice(len(pts), 6, replace=False)])
@@ -308,7 +313,7 @@ def test_energy_invariant_under_base_congruence():
     M = congruence_between(S1, S2)
     assert M is not None
     assert np.array_equal((M.T @ S1.Q.A @ M) % 5, S2.Q.A)
-    pts2 = sorted(S2.points)
+    pts2 = surface_points(S2)
     rng = np.random.default_rng(101)
     for _ in range(100):
         take = [pts2[i] for i in rng.choice(len(pts2), rng.integers(2, 10), replace=False)]
@@ -506,7 +511,7 @@ def test_surface_hyperplanes_collapse_along_isotropic_lines():
     # two distinct points share a hyperplane exactly when their base parts
     # span the same isotropic line through the origin
     S = hyperbolic_paraboloid(F5, 3)
-    pts = sorted(S.points)
+    pts = surface_points(S)
     fam = HyperplaneFamily.from_surface_points(S, pts)
     keys = fam.canonical_keys()
     grid = PointSet.of(F5, 2, itertools.product(range(5), repeat=2))
@@ -530,7 +535,7 @@ def test_surface_hyperplanes_collapse_along_isotropic_lines():
 
 def test_energy_to_incidence_chain():
     S = hyperbolic_paraboloid(F5, 3)
-    pts = sorted(S.points)
+    pts = surface_points(S)
     rng = np.random.default_rng(211)
     for _ in range(25):
         A = surface_point_set(

@@ -19,7 +19,7 @@ import pytest
 import fflab
 from fflab import combinatorics, core, fourier, qforms, surfaces
 from fflab import kakeya as kk
-from fflab.cli import main as cli_main
+from fflab.cli import _report_line, main as cli_main
 from fflab.core import PrimeField, coordinate_array
 from fflab.errors import UnknownScenario
 from fflab.harness import (
@@ -218,9 +218,6 @@ UNREACHED_BY_DESIGN = {
          "return FFVector(",
          "return FFVector(tuple(-a for a in self.coords), self.field)",
          "return FFVector(tuple(c * a for a in self.coords), self.field)")),
-    "surfaces.Surface.points": (
-        "tests/test_acceptance.py criterion 3 reads it",
-        ("return {tuple(int(v) for v in row) for row in self.point_array()}",)),
     "core.PrimeField.__hash__": (
         "goes with PrimeField.__eq__, which the runs reach",
         ('return hash(("PrimeField", self.p))',)),
@@ -451,9 +448,6 @@ def _is_default(value, default):
 ONE_VALUE_BY_DESIGN = {
     "combinatorics.additive_energy.method":
         "tests/test_acceptance.py criterion 3 counts with method='fourier'",
-    "qforms._echelon_batches.batch":
-        "test_isotropic_filter_in_small_batches_matches_per_subspace_loop "
-        "shrinks it to 7 to cross batch boundaries",
 }
 
 
@@ -643,17 +637,29 @@ def test_sweep_unknown_id_raises():
 # baseline integrity
 
 
-def test_missing_baseline_fails_actionably(tmp_path, monkeypatch):
+def test_missing_baseline_fails_actionably(tmp_path, monkeypatch, capsys):
     import fflab.harness.baselines as bl
     monkeypatch.setattr(bl, "_DEFAULT_PATH", tmp_path / "none.json")
     with pytest.raises(BaselineMissing, match="fflab baseline --regen"):
         run_scenario("EN-2", prime=3)
-    reports, failed = sweep(["EN-2", "FT-1"], [3], [3], seed=0)
-    assert failed
-    by_id = {r.scenario: r for r in reports}
-    assert by_id["EN-2"].status == "fail"
-    assert "baseline --regen" in by_id["EN-2"].witness["values"]["error"]
-    assert by_id["FT-1"].status == "pass"
+    # the sweep fails the id's row, which still prints with the rest of
+    # the sweep and its summary
+    out = tmp_path / "reports"
+    code = cli_main(["sweep", "--ids", "EN-2,FT-1", "--primes", "3",
+                     "--dims", "3", "--out", str(out)])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    trials = REGISTRY["EN-2"].default_trials
+    assert lines[0] == (f"EN-2 p=3 d=3 trials={trials} seed=0: fail "
+                        "(measured_constant=nan baseline=MISSING slack=2.0)")
+    assert lines[1].startswith("FT-1 p=3 d=3 ") and ": pass " in lines[1]
+    assert lines[2].startswith("2 runs, 1 failed; wrote ")
+    en2, ft1 = _strict_json((out / "report.json").read_text())["reports"]
+    assert "baseline --regen" in en2["witness"]["values"]["error"]
+    assert (en2["metric"], en2["baseline_constant"], en2["baseline_slack"],
+            en2["tolerance"]) == (None, None, 2.0, None)
+    assert ft1["status"] == "pass"
 
 
 def test_hash_mismatch_aborts_before_running(tmp_path, monkeypatch):
@@ -800,6 +806,10 @@ def test_a_dead_worker_fails_its_runs_and_leaves_no_child(monkeypatch):
         assert r.status == "pass" or (
             r.witness["values"]["error"] == "BrokenProcessPool")
     assert reports[2].status == "fail"
+    # each row carries its kind's fields, so the CLI can print it
+    assert [r.tolerance for r in reports] == [1e-9, 1e-9, 1e-9]
+    for r in reports:
+        assert _report_line(r).startswith(f"{r.scenario} p=3 d={r.dim} ")
 
 
 def _pid_runner(ctx):
@@ -1038,6 +1048,38 @@ def test_every_imported_name_is_read():
     found = {str(path.relative_to(path.parents[1])): names for path in files
              if (names := _unread_imports(_parsed(path)[1]))}
     assert found == {}
+
+
+def _functions_calling(tree, name):
+    """Qualified names of the functions in a syntax tree whose own bodies
+    call name(...); a call at module level counts as '<module>'."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == name):
+                found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_function_builds_every_report():
+    # a report built by hand can leave out fields of its kind that the
+    # CLI prints; one builder gives every row the same ones
+    planted = ("def a():\n    return [ScenarioReport(1) for _ in x]\n"
+               "class B:\n    def c(self):\n        def d():\n"
+               "            ScenarioReport(2)\n        return d\n")
+    assert _functions_calling(ast.parse(planted), "ScenarioReport") == {"a", "B.c.d"}
+    root = Path(fflab.__file__).resolve().parent
+    found = {f"{path.relative_to(root)}:{fn}" for path in sorted(root.rglob("*.py"))
+             for fn in _functions_calling(_parsed(path)[1], "ScenarioReport")}
+    assert found == {"harness/scenarios.py:_report"}
 
 
 def _private_reads(tree):

@@ -32,7 +32,7 @@ from fflab.core import (
 )
 from fflab.errors import NotIsotropicPair, SizeOverflow
 from fflab.fourier import fourier_transform, inverse_transform
-from fflab.harness import run_scenario
+from fflab.harness import run_scenario, scenarios
 from fflab.oracles import line_sum
 from fflab.qforms import Subspace, complementary_isotropic, enumerate_max_isotropic
 from fflab.surfaces import (
@@ -193,6 +193,35 @@ def test_line_index_is_built_once_and_read_only():
     assert np.array_equal(again, first)
 
 
+def _literal_line_load(sel, p):
+    """The most points of {(s % p, s // p) : s in sel} on one affine line
+    of F_p^2, by a loop over the p lines u = c and the p^2 lines
+    v = a u + b."""
+    u, v = sel % p, sel // p
+    best = max(int((u == c).sum()) for c in range(p))
+    for a in range(p):
+        for b in range(p):
+            best = max(best, int(((v - a * u - b) % p == 0).sum()))
+    return best
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_br2_reads_the_largest_load_on_any_planar_line(monkeypatch, p):
+    # BR-2 takes its line loads from line_totals, which leaves out the p
+    # horizontal lines, plus a bincount for those; its runner is fed
+    # random supports and each yielded u must match the literal loop
+    rng = np.random.default_rng(p)
+    sels = [np.sort(rng.choice(p * p, size=int(rng.integers(1, p * p + 1)),
+                               replace=False)) for _ in range(60)]
+    fed = iter(sels)
+    monkeypatch.setattr(scenarios, "_random_support", lambda rng, total, k: next(fed))
+    ctx = scenarios.RunContext("BR-2", p, 3, 3 + len(sels), 0)
+    fixed = [np.arange(p * p), np.array([0]), np.arange(p)]
+    got = [case["u"] for _, case in scenarios._run_br2(ctx)]
+    assert got == [math.log(_literal_line_load(sel, p)) / math.log(p)
+                   for sel in fixed + sels]
+
+
 def test_maximizing_base_map_breaks_ties_on_smallest_base():
     # every line of a constant function carries the same mass
     bases = kk.maximizing_base_map(FFunction.constant(F5, 3, 1.0))
@@ -213,11 +242,15 @@ def test_maximal_ratio_of_constant_is_one():
         kk.maximal_ratio(FFunction.zeros(F3, 2))
 
 
-def test_direction_norm_averages_and_has_no_sup_norm():
-    assert kk.direction_norm(np.array([3.0, -4.0]), 2) == pytest.approx(math.sqrt(12.5))
-    for bad in (0.5, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            kk.direction_norm(np.array([5.0, 0.0]), bad)
+def test_maximal_ratio_averages_over_the_directions():
+    # the direction side carries normalized counting measure: the mean of
+    # (F*)^m over the p^{m-1} directions, not their sum
+    rng = np.random.default_rng(3)
+    for field, m in [(F3, 2), (F5, 2), (F3, 3), (F5, 3)]:
+        F = FFunction.random(field, m, rng)
+        star = kk.kakeya_maximal(F)
+        want = np.mean(star ** m) ** (1 / m) / lp_norm(F, m)
+        assert kk.maximal_ratio(F) == pytest.approx(want, rel=1e-12)
 
 
 def test_maximal_ratio_exhaustive_baseline_p3():
@@ -307,7 +340,8 @@ def test_dual_consistency_recovers_the_direct_bound(q, p_exp):
         G = F.abs()
         h = kk.kakeya_maximal(G) ** (1.0 / (q - 1.0))
         superpos = kk.dual_kakeya_apply(h, kk.maximizing_base_map(G), field, m)
-        dual_ratio = lp_norm(superpos, p_exp) / kk.direction_norm(h, q)
+        dual_ratio = (lp_norm(superpos, p_exp)
+                      / lp_norm(FFunction(field, m - 1, h), q, "normalized"))
         assert dual_ratio >= res.paired_lower - 1e-9
 
 
@@ -331,7 +365,8 @@ def test_dual_endpoint_exhaustive_under_envelope_p3():
                     hv[d] = 1.0
                     x0[d, 0] = b
                 out = kk.dual_kakeya_apply(hv, x0, F3, 2)
-                ratio = lp_norm(out, q, "counting") / kk.direction_norm(np.abs(hv), q)
+                ratio = (lp_norm(out, q, "counting")
+                         / lp_norm(FFunction(F3, 1, hv), q, "normalized"))
                 best = max(best, ratio)
     assert best <= 2.0 * 3 ** (1 / 3)
     assert best > 3 ** (1 / 3)  # the envelope is not slack by more than 2x
@@ -346,7 +381,8 @@ def test_dual_endpoint_random_under_envelope_p5():
             continue
         x0 = rng.integers(0, 5, size=(5, 1))
         out = kk.dual_kakeya_apply(mask.astype(complex), x0, F5, 2)
-        ratio = lp_norm(out, q, "counting") / kk.direction_norm(mask.astype(float), q)
+        ratio = (lp_norm(out, q, "counting")
+                 / lp_norm(FFunction(F5, 1, mask.astype(float)), q, "normalized"))
         assert ratio <= 2.0 * 5 ** (1 / 3)
 
 

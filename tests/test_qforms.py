@@ -4,7 +4,6 @@ The Witt index classification, isotropic enumeration and pairing
 construction all get checked against exhaustive searches at small p.
 """
 
-import functools
 import itertools
 import math
 import tracemalloc
@@ -470,9 +469,10 @@ def test_isotropic_filter_matches_per_basis_loop(p, m):
 
 @pytest.mark.parametrize("p,m,k", [(3, 4, 2), (5, 3, 1), (5, 4, 2), (2, 5, 3), (3, 4, 0)])
 @pytest.mark.parametrize("batch", [1, 7, 64])
-def test_echelon_batches_cut_the_same_sequence(p, m, k, batch):
+def test_echelon_batches_cut_the_same_sequence(p, m, k, batch, monkeypatch):
     # full batches, then one shorter tail; joined they are echelon_bases
-    batches = list(qforms._echelon_batches(p, m, k, batch))
+    monkeypatch.setattr(qforms, "ECHELON_BATCH", batch)
+    batches = list(qforms._echelon_batches(p, m, k))
     assert all(len(B) == batch for B in batches[:-1])
     assert 0 < len(batches[-1]) <= batch
     assert np.array_equal(np.concatenate(batches), echelon_bases(p, m, k))
@@ -493,8 +493,7 @@ def test_isotropic_filter_in_small_batches_matches_per_subspace_loop(
     loop.sort(key=lambda V: V.basis.ravel().tolist())
     if m > 2:
         assert gaussian_binomial(p, m, w) > 7  # the candidates span several batches
-    monkeypatch.setattr(qforms, "_echelon_batches",
-                        functools.partial(qforms._echelon_batches, batch=7))
+    monkeypatch.setattr(qforms, "ECHELON_BATCH", 7)
     assert list(enumerate_max_isotropic(Q)) == loop
 
 

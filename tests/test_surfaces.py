@@ -49,7 +49,7 @@ def test_surface_basics():
     F = PrimeField(5)
     S = hyperbolic_paraboloid(F, 3)
     assert S.size == 25
-    assert len(S.points) == 25
+    assert len(np.unique(S.point_array(), axis=0)) == 25
     assert len(set(S.flat_indices.tolist())) == 25
     assert S.lift((2, 3)) == (2, 3, 6 % 5)
     assert S.contains_rows(np.array([(2, 3, 1), (2, 3, 2)])).tolist() == [True, False]
