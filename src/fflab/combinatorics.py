@@ -598,12 +598,7 @@ def max_isotropic_slice(E: PointSet, Q: QuadraticSpace) -> int:
     if not subspaces:
         raise ValueError("Q has Witt index 0: no isotropic subspace to slice along")
     X = E.matrix()
-    best = 0
-    for V in subspaces:
-        reps = encode_point(V.reduce(X), Q.field.p)
-        _, counts = np.unique(reps, return_counts=True)
-        best = max(best, int(counts.max()))
-    return best
+    return max(int(np.bincount(V.coset_labels(X)).max()) for V in subspaces)
 
 
 def isotropic_slice_alpha(E: PointSet, Q: QuadraticSpace) -> tuple[int, float]:

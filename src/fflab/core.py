@@ -286,23 +286,24 @@ class FFunction:
         return self._like(np.abs(self.data).astype(np.complex128))
 
 
-def lp_norm(f: FFunction, p_exp: float, measure: str = "counting") -> float:
-    """L^p norm of f.
+def lp_norm(values: np.ndarray, p_exp: float, measure: str = "counting") -> float:
+    """L^p norm of an array of values, such as FFunction.data.
 
-    measure 'counting' sums |f|^p over the grid; 'normalized' divides the
-    sum by p^d first.  p_exp must be finite: there is no sup norm here.
+    measure 'counting' sums |values|^p; 'normalized' divides the sum by
+    values.size first.  p_exp must be finite: there is no sup norm here.
     """
     if measure not in ("counting", "normalized"):
         raise ValueError(f"unknown measure {measure!r}")
     if not 1 <= p_exp < math.inf:
         raise ValueError(f"p_exp must be finite and >= 1, got {p_exp}")
-    total = float(np.sum(np.abs(f.data) ** p_exp))
+    total = float(np.sum(np.abs(values) ** p_exp))
     if measure == "normalized":
-        total /= f.field.p**f.dim
+        total /= values.size
     return total ** (1.0 / p_exp)
 
 
-def inner(f: FFunction, g: FFunction) -> complex:
-    """<f, g> = sum f * conj(g), with counting measure."""
+def inner(f: np.ndarray, g: np.ndarray) -> complex:
+    """<f, g> = sum f * conj(g) over two arrays of one shape, with counting
+    measure."""
     # a numpy reduction, not BLAS: its bits do not depend on the thread count
-    return complex(np.sum(f.data * np.conj(g.data)))
+    return complex(np.sum(f * np.conj(g)))

@@ -7,8 +7,9 @@ this pairing Plancherel reads
 
     sum_x |f(x)|^2  =  p^{-d} sum_xi |fhat(xi)|^2.
 
-Norms default to counting measure (core.lp_norm); a normalized norm names
-its measure, as SurfaceFunction.norm does.
+core.lp_norm and core.inner take plain arrays (FFunction.data, a surface
+function's values).  Norms default to counting measure; a normalized norm
+names its measure, as SurfaceFunction.norm does.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FFunction, PrimeField, char_kernel
+from .core import FFunction, PrimeField, char_kernel, inner
 from .errors import FFLabError
 
 # ---------------------------------------------------------------------------
@@ -115,12 +116,6 @@ def exact_r22(S) -> float:
 # operator-norm estimation
 
 
-def _dot(g: np.ndarray, h: np.ndarray) -> float:
-    """Re sum(conj(g) h) as a numpy reduction: unlike BLAS vdot, its bits do
-    not depend on the BLAS thread count."""
-    return float(np.sum(np.conj(g) * h).real)
-
-
 def power_iteration_norm(
     gram_apply: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -134,12 +129,12 @@ def power_iteration_norm(
     relative 1e-10; raises FFLabError after 2,000 steps without that.
     """
     g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    g /= math.sqrt(_dot(g, g))
+    g /= math.sqrt(inner(g, g).real)
     lam_prev = 0.0
     for _ in range(2000):
         h = gram_apply(g)
-        lam = _dot(g, h)
-        g = h / math.sqrt(_dot(h, h))
+        lam = inner(h, g).real
+        g = h / math.sqrt(inner(h, h).real)
         if lam > 0 and abs(lam - lam_prev) <= 1e-10 * lam:
             return math.sqrt(lam)
         lam_prev = lam

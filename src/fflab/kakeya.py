@@ -42,7 +42,6 @@ from .errors import NotIsotropicPair
 from .qforms import (
     Subspace,
     enumerate_max_isotropic,
-    inv_mod,
     is_totally_isotropic,
     rank_mod,
 )
@@ -164,11 +163,10 @@ def maximal_ratio(F: FFunction) -> float:
     dimension: the endpoint at which the maximal inequality holds with a
     dimensional constant."""
     m = float(F.dim)
-    denom = lp_norm(F, m, "counting")
+    denom = lp_norm(F.data, m, "counting")
     if denom == 0.0:
         raise ValueError("maximal ratio of the zero function")
-    star = FFunction(F.field, F.dim - 1, kakeya_maximal(F))
-    return lp_norm(star, m, "normalized") / denom
+    return lp_norm(kakeya_maximal(F), m, "normalized") / denom
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +222,19 @@ def dual_consistency(F: FFunction, q: float, p_exp: float) -> DualConsistency:
     """
     if q <= 1 or p_exp <= 1:
         raise ValueError("dual exponents must exceed 1")
-    field, m = F.field, F.dim
-    n = m - 1
     G = F.abs()
     q_c = q / (q - 1.0)
     p_c = p_exp / (p_exp - 1.0)
     star = kakeya_maximal(G)
-    g_norm = lp_norm(G, p_c, "counting")
+    g_norm = lp_norm(G.data, p_c, "counting")
     if g_norm == 0.0:
         raise ValueError("dual consistency of the zero function")
-    direct = lp_norm(FFunction(field, n, star), q_c, "normalized") / g_norm
+    direct = lp_norm(star, q_c, "normalized") / g_norm
     h = star ** (q_c / q)
-    h_norm = lp_norm(FFunction(field, n, h), q, "normalized")
+    h_norm = lp_norm(h, q, "normalized")
     bases = maximizing_base_map(G)
-    superpos = dual_kakeya_apply(h, bases, field, m)
-    pairing = inner(superpos, G).real
+    superpos = dual_kakeya_apply(h, bases, F.field, F.dim)
+    pairing = inner(superpos.data, G.data).real
     return DualConsistency(direct, pairing / (h_norm * g_norm))
 
 
@@ -489,63 +485,53 @@ def coset_extension(f: SurfaceFunction, W: Subspace, V: Subspace) -> FFunction:
 
 
 @functools.lru_cache(maxsize=16)
-def _v_coset_index(W: Subspace, V: Subspace) -> np.ndarray:
-    """The read-only split of the base as x = w + v, built once per (W, V):
-    entry i is the index in V of the V part of the base point with index i.
-    Pairs, unlike the (p, n) keys of _line_index, are unbounded in number,
-    so only the most recent 16 are kept; a caller uses one at a time.
-
-    Solves x = a W + b V for every point at once; raises NotIsotropicPair
-    when W and V together do not form a basis.
-    """
-    p = W.field.p
-    stacked = np.vstack([W.basis, V.basis])
-    n = stacked.shape[1]
-    if rank_mod(stacked, p) != n:
-        raise NotIsotropicPair("subspaces are not complementary")
-    coeff = coordinate_array(p, n) @ inv_mod(stacked.T % p, p).T % p
-    v_idx = encode_point(coeff[:, W.dim :], p)
-    v_idx.flags.writeable = False
-    return v_idx
+def _base_coset_labels(W: Subspace) -> np.ndarray:
+    """The read-only W.coset_labels of every base point, in index order,
+    built once per W; the base meets every coset, so the labels fill
+    their range.  Subspaces, unlike the (p, n) keys of _line_index, are
+    unbounded in number, so only the most recent 16 are kept; a caller
+    uses one at a time."""
+    labels = W.coset_labels(coordinate_array(W.field.p, W.ambient))
+    labels.flags.writeable = False
+    return labels
 
 
-def mixed_norm(F: FFunction, W: Subspace, V: Subspace, outer_q: float) -> float:
+def mixed_norm(F: FFunction, W: Subspace, outer_q: float) -> float:
     """Counting-measure mixed norm of a function on base x last coordinate:
-    inner L^2 over W cosets, outer L^{outer_q} over (V, t)."""
-    if W.basis.shape[1] != F.dim - 1:
-        raise ValueError("subspaces must live on the base of F's domain")
+    inner L^2 over each coset of W in the base, outer L^{outer_q} over W's
+    cosets and t."""
+    if W.ambient != F.dim - 1:
+        raise ValueError("W must live on the base of F's domain")
     # bincount adds each cell's terms in input order from 0.0, row by row
     p = F.field.p
-    mags = np.abs(F.data).reshape(p ** (F.dim - 1), p, order="F") ** 2.0
-    cells = (_v_coset_index(W, V)[:, None] * p + np.arange(p)).ravel()
-    inner_sums = np.bincount(cells, weights=mags.ravel(), minlength=p ** (V.dim + 1))
-    inner_vals = inner_sums.reshape(p**V.dim, p) ** 0.5
-    return float((inner_vals**outer_q).sum() ** (1.0 / outer_q))
+    mags = np.abs(F.data).reshape(p**W.ambient, p, order="F") ** 2.0
+    cells = (_base_coset_labels(W)[:, None] * p + np.arange(p)).ravel()
+    inner_sums = np.bincount(cells, weights=mags.ravel())
+    return lp_norm(inner_sums**0.5, outer_q, "counting")
 
 
-def surface_mixed_norm(f: SurfaceFunction, W: Subspace, V: Subspace,
-                       outer_q: float) -> float:
-    """Normalized mixed norm on the surface, inner L^2 over W cosets and
-    outer L^{outer_q} over V: both layers average."""
+def surface_mixed_norm(f: SurfaceFunction, W: Subspace, outer_q: float) -> float:
+    """Normalized mixed norm on the surface: inner L^2 over each coset of
+    W, outer L^{outer_q} over W's cosets; both layers average."""
     p = f.surface.field.p
     mags = np.abs(f.values) ** 2.0
-    inner_sums = np.bincount(_v_coset_index(W, V), weights=mags, minlength=p**V.dim)
-    inner_vals = (inner_sums / p**W.dim) ** 0.5
-    return float((np.mean(inner_vals**outer_q)) ** (1.0 / outer_q))
+    inner_sums = np.bincount(_base_coset_labels(W), weights=mags)
+    return lp_norm((inner_sums / p**W.dim) ** 0.5, outer_q, "normalized")
 
 
-def mixed_extension_ratio(f: SurfaceFunction, W: Subspace, V: Subspace) -> float:
+def mixed_extension_ratio(f: SurfaceFunction, W: Subspace) -> float:
     """The tracked constant of the mixed-norm extension inequality:
-    ||ext f||_{L^{(2d+2)/(d-1)}_{V,t} L^2_W} over the matching surface norm.
+    ||ext f||_{L^{(2d+2)/(d-1)}_{W cosets, t} L^2_W} over the matching
+    surface norm.
 
-    Both norms read the one cached (W, V) split of the base, so a caller
-    holding one pair splits it once for many f."""
+    Both norms read the one cached coset labelling of the base by W, so a
+    caller holding one W labels the base once for many f."""
     d = f.surface.ambient_dim
     q = (2 * d + 2) / (d - 1)
-    denom = surface_mixed_norm(f, W, V, q)
+    denom = surface_mixed_norm(f, W, q)
     if denom == 0.0:
         raise ValueError("mixed ratio of the zero function")
-    return mixed_norm(extension(f), W, V, q) / denom
+    return mixed_norm(extension(f), W, q) / denom
 
 
 # ---------------------------------------------------------------------------

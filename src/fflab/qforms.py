@@ -19,7 +19,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import POINT_BUDGET, PrimeField, char_vector, coordinate_array, grid_size
+from .core import (POINT_BUDGET, PrimeField, char_vector, coordinate_array,
+                   encode_point, grid_size)
 from .errors import (
     DegenerateForm,
     FFLabError,
@@ -335,6 +336,14 @@ class Subspace:
         p = self.field.p
         X = np.asarray(X, dtype=np.int64) % p
         return (X - X[..., self.pivots] @ self.basis) % p
+
+    def coset_labels(self, X) -> np.ndarray:
+        """A label for each row of X, in [0, p^(m-k)), equal for two rows
+        exactly when their difference lies in the linear part: the flat
+        index of reduce(X) read at the non-pivot coordinates, which are
+        all the reduction leaves free."""
+        free = [c for c in range(self.ambient) if c not in self.pivots]
+        return encode_point(self.reduce(X)[..., free], self.field.p)
 
     def contains_rows(self, X) -> np.ndarray:
         """Which rows of X lie in the (co)space: their representative is the

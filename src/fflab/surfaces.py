@@ -137,12 +137,9 @@ class SurfaceFunction:
         """iid standard complex gaussians, as FFunction.random on the base."""
         return cls(surface, FFunction.random(surface.field, surface.base_dim, rng).data)
 
-    def as_base_function(self) -> FFunction:
-        return FFunction(self.surface.field, self.surface.base_dim, self.values.copy())
-
     def norm(self, q: float) -> float:
         """L^q(S, dsigma) with the normalized surface measure."""
-        return lp_norm(self.as_base_function(), q, "normalized")
+        return lp_norm(self.values, q, "normalized")
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +236,8 @@ def surface_measure_inverse_ft(S: Surface) -> FFunction:
     t = X[:, -1]
     vals = char_vector(S.field)
     out = np.zeros(p**d, dtype=np.complex128)
+    out[0] = 1.0  # the t = 0 slice is delta_0, and the origin has index 0
+    nz = t != 0
 
     if S.kind == "paraboloid":
         G = np.array([gauss_sum(S.field, tt) for tt in range(p)])
@@ -247,20 +246,14 @@ def surface_measure_inverse_ft(S: Surface) -> FFunction:
             [0] + [S.field.inverse((4 * tt) % p) for tt in range(1, p)],
             dtype=np.int64,
         )
-        nz = t != 0
         phase = (-n2[nz] * inv4[t[nz]]) % p
         out[nz] = float(p) ** (-(d - 1)) * G[t[nz]] ** (d - 1) * vals[phase]
-        zero_slice = ~nz
-        out[zero_slice] = (xbar[zero_slice] == 0).all(axis=1).astype(np.complex128)
     else:
         n = (d - 1) // 2
         dots = np.einsum("ij,ij->i", xbar[:, :n], xbar[:, n:]) % p
         inv = np.array([0] + [S.field.inverse(tt) for tt in range(1, p)], dtype=np.int64)
-        nz = t != 0
         phase = (-dots[nz] * inv[t[nz]]) % p
         out[nz] = float(p) ** (-n) * vals[phase]
-        zero_slice = ~nz
-        out[zero_slice] = (xbar[zero_slice] == 0).all(axis=1).astype(np.complex128)
     return FFunction(S.field, d, out)
 
 

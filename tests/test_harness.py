@@ -875,6 +875,23 @@ def test_nan_deviation_fails_the_run_with_its_witness(monkeypatch, devs, first_n
     assert r.witness == witness_values(trial=first_nan)
 
 
+def test_in2_witness_reports_the_audited_constants(monkeypatch):
+    # a failing IN-2 row names the c1 and c2 its bound was built from
+    import fflab.harness.scenarios as scenarios
+    audits = []
+
+    def zero_bound(P, L):
+        audits.append(combinatorics.incidence_bound_audit(P, L))
+        return audits[-1]._replace(bound=0.0)
+
+    monkeypatch.setattr(scenarios, "incidence_bound_audit", zero_bound)
+    r = run_scenario("IN-2", prime=3, dim=2, trials=2)
+    assert r.status == "fail"
+    values = r.witness["values"]
+    want = audits[values["trial"]]
+    assert (values["c1"], values["c2"]) == (want.c1, want.c2)
+
+
 def test_drift_check_catches_a_defect_in_an_exhaustive_constant(monkeypatch):
     # Drop the "+ both" term of off_diagonal_energy's inclusion-exclusion.
     # EN-3's exhaustive p = 3 constant falls from 0.5 to 1/9, which is
@@ -945,12 +962,12 @@ def test_mx1_fails_on_a_defect_at_the_last_height(monkeypatch, shift, dim):
 @pytest.mark.parametrize("prime,dim", [(3, 3), (5, 3)])
 def test_mx2_splits_the_base_once_per_run(prime, dim):
     # (3, 3) is the exhaustive 511-mask path, (5, 3) the structured one;
-    # the run uses one (W, V) pair, so the split is built once.  The
+    # the run uses one W, so the base is labelled by its cosets once.  The
     # exhaustive run states one trial, so at seed 0 it is the provenance.
-    kk._v_coset_index.cache_clear()
+    kk._base_coset_labels.cache_clear()
     r = run_scenario("MX-2", prime=prime, dim=dim, trials=2)
     assert r.status == ("report_only" if prime == 3 else "pass")
-    info = kk._v_coset_index.cache_info()
+    info = kk._base_coset_labels.cache_info()
     assert info.misses == 1 and info.hits > 1
 
 
@@ -1050,9 +1067,10 @@ def test_every_imported_name_is_read():
     assert found == {}
 
 
-def _functions_calling(tree, name):
+def _functions_holding(tree, match):
     """Qualified names of the functions in a syntax tree whose own bodies
-    call name(...); a call at module level counts as '<module>'."""
+    hold a node that match accepts; a node at module level counts as
+    '<module>'."""
     found = set()
 
     def visit(node, scope):
@@ -1060,13 +1078,26 @@ def _functions_calling(tree, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == name):
+            if match(child):
                 found.add(scope or "<module>")
             visit(child, scope)
 
     visit(tree, "")
     return found
+
+
+def _functions_calling(tree, name):
+    """The functions of a syntax tree whose own bodies call name(...)."""
+    return _functions_holding(tree, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == name))
+
+
+def _is_lq_root(node):
+    """A power whose exponent is 1 / x or 1.0 / x: the root of an L^q norm."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Div)
+            and isinstance(node.right.left, ast.Constant) and node.right.left.value == 1)
 
 
 def test_one_function_builds_every_report():
@@ -1080,6 +1111,18 @@ def test_one_function_builds_every_report():
     found = {f"{path.relative_to(root)}:{fn}" for path in sorted(root.rglob("*.py"))
              for fn in _functions_calling(_parsed(path)[1], "ScenarioReport")}
     assert found == {"harness/scenarios.py:_report"}
+
+
+def test_one_function_takes_an_lq_root():
+    # a norm finished by hand is a second copy of lp_norm's formula
+    planted = ("def a(x, q):\n    return x.sum() ** (1 / q)\n"
+               "class B:\n    def c(self, q):\n        return self.t ** (1.0 / q)\n"
+               "def d(x):\n    return x ** 0.5 + x ** (2 / 3) + x ** (-1 / 4)\n")
+    assert _functions_holding(ast.parse(planted), _is_lq_root) == {"a", "B.c"}
+    root = Path(fflab.__file__).resolve().parent
+    found = {f"{path.relative_to(root)}:{fn}" for path in sorted(root.rglob("*.py"))
+             for fn in _functions_holding(_parsed(path)[1], _is_lq_root)}
+    assert found == {"core.py:lp_norm"}
 
 
 def _private_reads(tree):

@@ -249,7 +249,7 @@ def test_maximal_ratio_averages_over_the_directions():
     for field, m in [(F3, 2), (F5, 2), (F3, 3), (F5, 3)]:
         F = FFunction.random(field, m, rng)
         star = kk.kakeya_maximal(F)
-        want = np.mean(star ** m) ** (1 / m) / lp_norm(F, m)
+        want = np.mean(star ** m) ** (1 / m) / lp_norm(F.data, m)
         assert kk.maximal_ratio(F) == pytest.approx(want, rel=1e-12)
 
 
@@ -321,7 +321,7 @@ def test_dual_pairing_reconstructs_line_sums():
     G = FFunction.random(F5, 2, rng).abs()
     h = rng.random(5)
     x0 = rng.integers(0, 5, size=(5, 1))
-    paired = inner(kk.dual_kakeya_apply(h, x0, F5, 2), G)
+    paired = inner(kk.dual_kakeya_apply(h, x0, F5, 2).data, G.data)
     direct = sum(
         h[di] * line_sum(G, x0[di], eta, absolute=True)
         for di, eta in enumerate(coordinate_array(5, 1))
@@ -340,8 +340,7 @@ def test_dual_consistency_recovers_the_direct_bound(q, p_exp):
         G = F.abs()
         h = kk.kakeya_maximal(G) ** (1.0 / (q - 1.0))
         superpos = kk.dual_kakeya_apply(h, kk.maximizing_base_map(G), field, m)
-        dual_ratio = (lp_norm(superpos, p_exp)
-                      / lp_norm(FFunction(field, m - 1, h), q, "normalized"))
+        dual_ratio = lp_norm(superpos.data, p_exp) / lp_norm(h, q, "normalized")
         assert dual_ratio >= res.paired_lower - 1e-9
 
 
@@ -365,8 +364,8 @@ def test_dual_endpoint_exhaustive_under_envelope_p3():
                     hv[d] = 1.0
                     x0[d, 0] = b
                 out = kk.dual_kakeya_apply(hv, x0, F3, 2)
-                ratio = (lp_norm(out, q, "counting")
-                         / lp_norm(FFunction(F3, 1, hv), q, "normalized"))
+                ratio = (lp_norm(out.data, q, "counting")
+                         / lp_norm(hv, q, "normalized"))
                 best = max(best, ratio)
     assert best <= 2.0 * 3 ** (1 / 3)
     assert best > 3 ** (1 / 3)  # the envelope is not slack by more than 2x
@@ -381,8 +380,8 @@ def test_dual_endpoint_random_under_envelope_p5():
             continue
         x0 = rng.integers(0, 5, size=(5, 1))
         out = kk.dual_kakeya_apply(mask.astype(complex), x0, F5, 2)
-        ratio = (lp_norm(out, q, "counting")
-                 / lp_norm(FFunction(F5, 1, mask.astype(float)), q, "normalized"))
+        ratio = (lp_norm(out.data, q, "counting")
+                 / lp_norm(mask.astype(float), q, "normalized"))
         assert ratio <= 2.0 * 5 ** (1 / 3)
 
 
@@ -766,56 +765,51 @@ def _standard_split(p, kV, kW):
 
 
 def test_mixed_norm_single_point():
-    V, W = _standard_split(3, 1, 1)
+    _, W = _standard_split(3, 1, 1)
     f = FFunction.delta(F3, 3, (1, 2, 0))
     for q in (1, 2, 4):
-        assert kk.mixed_norm(f, W, V, q) == pytest.approx(1.0)
+        assert kk.mixed_norm(f, W, q) == pytest.approx(1.0)
 
 
 def test_mixed_norm_constant_function():
     p = 3
-    V, W = _standard_split(p, 1, 2)
+    _, W = _standard_split(p, 1, 2)
     q = 3.0
     one = FFunction.constant(F3, 4, 1.0)
-    want = (p * p) ** (1 / q) * (p * p) ** (1 / 2)  # (|V| p)^{1/q} |W|^{1/2}
-    assert kk.mixed_norm(one, W, V, q) == pytest.approx(want)
+    # (p cosets of W x p heights)^{1/q} |W|^{1/2}
+    want = (p * p) ** (1 / q) * (p * p) ** (1 / 2)
+    assert kk.mixed_norm(one, W, q) == pytest.approx(want)
     # normalized measure on the surface: both layers average to 1
     ones = SurfaceFunction(paraboloid(F3, 4), np.ones(27))
-    assert kk.surface_mixed_norm(ones, W, V, q) == pytest.approx(1.0)
-
-
-def test_mixed_norm_rejects_overlapping_split():
-    V = Subspace(F3, [[1, 0]])
-    f = FFunction.constant(F3, 3, 1.0)
-    with pytest.raises(NotIsotropicPair):
-        kk.mixed_norm(f, Subspace(F3, [[2, 0]]), V, 2.0)  # same line
-    with pytest.raises(NotIsotropicPair):
-        kk.mixed_norm(f, Subspace(F3, np.zeros((0, 2), dtype=np.int64)), V, 2.0)
+    assert kk.surface_mixed_norm(ones, W, q) == pytest.approx(1.0)
 
 
 def test_mixed_norm_collapses_to_lp_when_exponents_match():
     rng = np.random.default_rng(19)
     W = Subspace(F5, [[1, 0]])
-    V = Subspace(F5, [[0, 1]])
     for _ in range(3):
         F = FFunction.random(F5, 3, rng)
-        assert kk.mixed_norm(F, W, V, 2.0) == pytest.approx(lp_norm(F, 2.0, "counting"))
+        assert kk.mixed_norm(F, W, 2.0) == pytest.approx(lp_norm(F.data, 2.0, "counting"))
     S = hyperbolic_paraboloid(F5, 3)
     f = SurfaceFunction.random(S, rng)
-    assert kk.surface_mixed_norm(f, W, V, 2.0) == pytest.approx(f.norm(2.0))
+    assert kk.surface_mixed_norm(f, W, 2.0) == pytest.approx(f.norm(2.0))
 
 
 @pytest.mark.parametrize(
     "wrow,vrow", [([1, 0], [0, 1]), ([1, 2], [1, 3]), ([1, 4], [0, 1])]
 )
 def test_mixed_norm_matches_literal_loop(wrow, vrow):
+    # the norm depends on W alone: the literal loop agrees with it through
+    # two different complements of W, V and the line through vrow + wrow
     rng = np.random.default_rng(20)
     W = Subspace(F5, [wrow])
-    V = Subspace(F5, [vrow])
+    complements = [Subspace(F5, [vrow]), Subspace(F5, [np.add(vrow, wrow)])]
+    assert complements[0] != complements[1]
     for _ in range(3):
         F = FFunction.random(F5, 3, rng)
-        got = kk.mixed_norm(F, W, V, 3.0)
-        assert got == pytest.approx(brute_mixed(F, W, V, 3.0, 2.0))
+        got = kk.mixed_norm(F, W, 3.0)
+        for V in complements:
+            assert got == pytest.approx(brute_mixed(F, W, V, 3.0, 2.0))
 
 
 def test_surface_mixed_norm_literal():
@@ -830,34 +824,38 @@ def test_surface_mixed_norm_literal():
         s = sum(abs(f.values[encode_point((w + v) % p, p)]) ** 2 for w in W.point_array())
         total += (s / p) ** (4.0 / 2)
     want = (total / p) ** (1 / 4.0)
-    assert kk.surface_mixed_norm(f, W, V, 4.0) == pytest.approx(want)
+    assert kk.surface_mixed_norm(f, W, 4.0) == pytest.approx(want)
 
 
 def test_mixed_norm_inner_sums_match_a_per_row_loop_bit_for_bit():
     # The inner sums add one base row at a time from 0.0; the finishing
-    # powers and reductions are the library's own.  The V part of each
-    # base point comes from solving x = w + v by brute force.
-    S, W, V = _iso_pair_surface(5, 5)
+    # powers and reductions are the library's own.  Coset j of W is the
+    # one whose member with zero pivot coordinates has free coordinates
+    # of index j, found here by shifting W through those members.
+    S, W, _ = _iso_pair_surface(5, 5)
     p = 5
-    Wp, Vp = W.point_array(), V.point_array()
-    v_idx = np.zeros(p**4, dtype=np.int64)
-    for j, v in enumerate(Vp):
-        v_idx[encode_point(Wp + v, p)] = j
+    free = [c for c in range(4) if c not in W.pivots]
+    reps = np.zeros((p ** len(free), 4), dtype=np.int64)
+    reps[:, free] = coordinate_array(p, len(free))
+    label = np.full(p**4, -1)
+    for j, rep in enumerate(reps):
+        label[encode_point(W.point_array() + rep, p)] = j
+    assert (label >= 0).all()
     rng = np.random.default_rng(23)
     F = FFunction.random(S.field, 5, rng)
     f = SurfaceFunction.random(S, rng)
     mags = np.abs(F.data).reshape(p**4, p, order="F") ** 2.0
-    sums = np.zeros((p**V.dim, p))
-    for i, v in enumerate(v_idx):
-        sums[v] += mags[i]
+    sums = np.zeros((len(reps), p))
+    for i, j in enumerate(label):
+        sums[j] += mags[i]
     want = float(((sums ** 0.5) ** 3.0).sum() ** (1 / 3.0))
-    assert np.array_equal(kk.mixed_norm(F, W, V, 3.0), want)
+    assert np.array_equal(kk.mixed_norm(F, W, 3.0), want)
     surf = np.abs(f.values) ** 2.0
-    sums = np.zeros(p**V.dim)
-    for i, v in enumerate(v_idx):
-        sums[v] += surf[i]
+    sums = np.zeros(len(reps))
+    for i, j in enumerate(label):
+        sums[j] += surf[i]
     want = float(np.mean(((sums / p**W.dim) ** 0.5) ** 3.0) ** (1 / 3.0))
-    assert np.array_equal(kk.surface_mixed_norm(f, W, V, 3.0), want)
+    assert np.array_equal(kk.surface_mixed_norm(f, W, 3.0), want)
 
 
 def test_single_cap_mixed_ratio_baseline_exhaustive():
@@ -876,7 +874,7 @@ def test_single_cap_mixed_ratio_baseline_exhaustive():
                     f = SurfaceFunction.from_surface_points(
                         S, [S.lift(x) for x in sub]
                     )
-                    best = max(best, kk.mixed_extension_ratio(f, W, V))
+                    best = max(best, kk.mixed_extension_ratio(f, W))
         assert best == pytest.approx(p**-0.25, abs=1e-12)
 
 
@@ -885,37 +883,34 @@ def test_mixed_extension_ratio_bounded_for_random_functions(p):
     field = PrimeField(p)
     S = hyperbolic_paraboloid(field, 3)
     W = Subspace(field, [[1, 0]])
-    V = Subspace(field, [[0, 1]])
     rng = np.random.default_rng(p + 22)
     for _ in range(20):
         f = SurfaceFunction.random(S, rng)
-        assert kk.mixed_extension_ratio(f, W, V) <= 2.0
+        assert kk.mixed_extension_ratio(f, W) <= 2.0
 
 
 def test_mixed_extension_ratio_splits_once():
     S = hyperbolic_paraboloid(F5, 5)
     W = enumerate_max_isotropic(S.Q)[0]
-    V = complementary_isotropic(S.Q, W)
     f = SurfaceFunction.random(S, np.random.default_rng(31))
     q = (2 * 5 + 2) / (5 - 1)  # the endpoint exponent at d = 5
-    kk._v_coset_index.cache_clear()
-    want = kk.mixed_norm(extension(f), W, V, q) / kk.surface_mixed_norm(f, W, V, q)
-    assert kk.mixed_extension_ratio(f, W, V) == want
-    # one build for the pair; every later norm reads it
-    assert kk._v_coset_index.cache_info().misses == 1
-    assert kk._v_coset_index.cache_info().hits == 3
-    assert not kk._v_coset_index(W, V).flags.writeable
+    kk._base_coset_labels.cache_clear()
+    want = kk.mixed_norm(extension(f), W, q) / kk.surface_mixed_norm(f, W, q)
+    assert kk.mixed_extension_ratio(f, W) == want
+    # one labelling of the base for W; every later norm reads it
+    assert kk._base_coset_labels.cache_info().misses == 1
+    assert kk._base_coset_labels.cache_info().hits == 3
+    assert not kk._base_coset_labels(W).flags.writeable
 
 
 def test_mixed_ratio_guards():
     S = hyperbolic_paraboloid(F3, 3)
     W = Subspace(F3, [[1, 0]])
-    V = Subspace(F3, [[0, 1]])
     zero = SurfaceFunction(S, np.zeros(9, dtype=complex))
     with pytest.raises(ValueError):
-        kk.mixed_extension_ratio(zero, W, V)
-    with pytest.raises(NotIsotropicPair):
-        kk.mixed_norm(FFunction.zeros(F3, 3), W, Subspace(F3, [[1, 0]]), 2.0)
+        kk.mixed_extension_ratio(zero, W)
+    with pytest.raises(ValueError):
+        kk.mixed_norm(FFunction.zeros(F3, 3), Subspace(F3, [[1, 0, 0]]), 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fflab import qforms
-from fflab.core import PrimeField
+from fflab.core import PrimeField, coordinate_array, encode_point
 from fflab.errors import (
     DegenerateForm,
     FullyDegenerate,
@@ -251,6 +251,25 @@ def test_reduce_and_contains_rows_match_brute_membership(p, m):
             assert not reps[:, V.pivots].any()
             assert all(tuple(int(v) for v in (x - r) % p) in span
                        for x, r in zip(grid, reps))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_coset_labels_match_brute_membership(m):
+    # Oracle: the span of each echelon basis listed from every coefficient
+    # vector; two points share a label exactly when their difference is in
+    # it, and the grid's labels are exactly 0 .. p^(m-k) - 1.
+    p = 3
+    F = PrimeField(p)
+    grid = coordinate_array(p, m)
+    diffs = encode_point(grid[:, None, :] - grid[None, :, :], p)
+    for k in (1, 2):
+        for B in echelon_bases(p, m, k):
+            V = Subspace(F, B)
+            span = encode_point(coordinate_array(p, k) @ B, p)
+            labels = V.coset_labels(grid)
+            assert np.array_equal(labels[:, None] == labels[None, :],
+                                  np.isin(diffs, span))
+            assert np.array_equal(np.unique(labels), np.arange(p ** (m - k)))
 
 
 # ---------------------------------------------------------------------------

@@ -243,10 +243,9 @@ def test_extension_restriction_duality():
     for _ in range(100):
         g = SurfaceFunction.random(S, rng)
         Ffn = FFunction.random(F, 3, rng)
-        lhs = inner(extension(g), Ffn)
+        lhs = inner(extension(g).data, Ffn.data)
         # the normalized surface measure: the base sum over |S|
-        rhs = inner(g.as_base_function(),
-                    restriction(Ffn, S).as_base_function()) / S.size
+        rhs = inner(g.values, restriction(Ffn, S).values) / S.size
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
@@ -476,8 +475,8 @@ def test_congruence_paraboloid_hyperbolic_p5():
             assert g.norm(q) == pytest.approx(f.norm(q), rel=1e-9)
         assert np.abs(g.values).max() == pytest.approx(np.abs(f.values).max(), rel=1e-9)
         for pe in (2.0, 4.0):
-            assert lp_norm(extension(g), pe, "counting") == pytest.approx(
-                lp_norm(extension(f), pe, "counting"), rel=1e-9
+            assert lp_norm(extension(g).data, pe, "counting") == pytest.approx(
+                lp_norm(extension(f).data, pe, "counting"), rel=1e-9
             )
 
 
@@ -505,8 +504,8 @@ def test_equivalence_transfer_random_congruence_p7():
         T = Surface(QuadraticSpace(F, B))
         f = SurfaceFunction.random(S, rng)
         g = equivalence_transfer(f, M, target=T)
-        assert lp_norm(extension(g), 3.0, "counting") == pytest.approx(
-            lp_norm(extension(f), 3.0, "counting"), rel=1e-9
+        assert lp_norm(extension(g).data, 3.0, "counting") == pytest.approx(
+            lp_norm(extension(f).data, 3.0, "counting"), rel=1e-9
         )
         assert g.norm(2) == pytest.approx(f.norm(2), rel=1e-9)
 
