@@ -34,6 +34,7 @@ from .core import (
     PrimeField,
     coordinate_array,
     decode_point,
+    draw_until,
     encode_point,
     grid_size,
     point_rows,
@@ -433,7 +434,7 @@ def vh_plane_cover(E: PointSet) -> tuple:
 
     Each step takes the plane covering the most uncovered points (ties by
     canonical (type, slope, offset) order) until E is covered; every point
-    lies on a VH plane, so each step covers at least one.
+    lies on a VH plane, so a step that covers none raises FFLabError.
     """
     if E.dim != 3:
         raise ValueError("vh_plane_cover expects points in F_p^3")
@@ -443,6 +444,8 @@ def vh_plane_cover(E: PointSet) -> tuple:
     chosen = []
     while alive.any():
         k = int((masks & alive).sum(axis=1).argmax())  # the first maximum: canonical tie order
+        if not (masks[k] & alive).any():
+            raise FFLabError(f"no VH plane covers the {int(alive.sum())} points left")
         ptype, a, b = np.unravel_index(k, (2, p, p))
         chosen.append((int(ptype) + 1, int(a), int(b)))
         alive &= ~masks[k]
@@ -672,10 +675,8 @@ def sample_energy_exponents(S: Surface, trials: int, seed: int) -> list:
     record("isotropic_coset", coset0)
     # a second, disjoint translate of the same subspace; crossing cosets
     # of different directions carry too large a constant at desk scale
-    while True:
-        t1 = rng.integers(0, p, size=S.base_dim)
-        if not V.contains((t1 - t0) % p):
-            break
+    t1 = draw_until(lambda: rng.integers(0, p, size=S.base_dim),
+                    lambda t1: not V.contains((t1 - t0) % p), "disjoint second coset")
     record("two_isotropic_cosets",
            np.concatenate([coset0, _lifted_coset(S, V, t1)]))
     # the lexicographically first half of the coset's points

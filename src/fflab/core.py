@@ -19,14 +19,18 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import SizeOverflow
+from .errors import FFLabError, SizeOverflow
 
 # Hard ceiling on the number of points any single enumeration may touch.
 POINT_BUDGET = 2**31
+
+# Rejections draw_until allows before it raises; every sampler in the
+# package accepts a draw at p = 3 with probability above 1/2.
+MAX_DRAWS = 1000
 
 
 def _is_prime(n: int) -> bool:
@@ -307,3 +311,14 @@ def inner(f: np.ndarray, g: np.ndarray) -> complex:
     measure."""
     # a numpy reduction, not BLAS: its bits do not depend on the thread count
     return complex(np.sum(f * np.conj(g)))
+
+
+def draw_until(draw: Callable, accept: Callable, what: str):
+    """The first draw() that accept() takes.  Raises FFLabError naming
+    what was wanted after MAX_DRAWS rejections, so a defect in the test
+    cannot turn a rejection loop into a hang."""
+    for _ in range(MAX_DRAWS):
+        x = draw()
+        if accept(x):
+            return x
+    raise FFLabError(f"no {what} in {MAX_DRAWS} draws")

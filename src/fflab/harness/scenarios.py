@@ -27,7 +27,10 @@ row, and the drift check of a tracked scenario, state it.
 
 All randomness flows through RunContext.trial_rng, which hashes
 (master seed, scenario id, trial index), so per-trial results are
-independent of execution order and worker count.
+independent of execution order and worker count.  A runner loops over
+ctx.trial_rngs(), or draws one stream from ctx.trial_rng(0) (QF-1, ST-3,
+PL-3).  A draw repeated until a test accepts it goes through
+core.draw_until, which fails the run after MAX_DRAWS rejections.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from ..core import (
     FFunction,
     PrimeField,
     coordinate_array,
+    draw_until,
     encode_point,
     inner,
     lp_norm,
@@ -148,6 +152,11 @@ class RunContext:
             trial_seed(self.seed, self.scenario_id, trial)
         )
 
+    def trial_rngs(self):
+        """(t, trial_rng(t)) for every trial t of the run, in order."""
+        for t in range(self.trials):
+            yield t, self.trial_rng(t)
+
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -173,10 +182,8 @@ def _nondegenerate_symmetric(field: PrimeField, m: int,
                              rng: np.random.Generator) -> np.ndarray:
     """A random symmetric m x m matrix over the field, drawn again until
     its determinant is nonzero."""
-    while True:
-        A = random_symmetric(field, m, rng)
-        if det_mod(A, field.p) != 0:
-            return A
+    return draw_until(lambda: random_symmetric(field, m, rng),
+                      lambda A: det_mod(A, field.p) != 0, "nondegenerate form")
 
 
 def _indicator_masks(n: int):
@@ -222,8 +229,7 @@ def _run_measure_ft(make_surface, ctx: RunContext):
 
 def _run_ft3(ctx: RunContext):
     p, d = ctx.prime, ctx.dim
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         f = FFunction.random(ctx.field, d, rng)
         g = FFunction.random(ctx.field, d, rng)
         fh = fourier_transform(f)
@@ -253,8 +259,7 @@ def _run_st1(ctx: RunContext):
     S = paraboloid(ctx.field, d)
     sig = surface_measure_inverse_ft(S)
     dt = d - 1
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         q = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
         theta = float(rng.uniform(0.2, 0.9))
         k = int(rng.integers(1, max(2, p**d // 3)))
@@ -283,8 +288,7 @@ def _run_st2(ctx: RunContext):
     p, d = ctx.prime, ctx.dim
     S = paraboloid(ctx.field, d)
     r22 = exact_r22(S)
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         theta = float(rng.uniform(0.2, 0.9))
         k = int(rng.integers(1, max(2, p**d // 2)))
         idx = _random_support(rng, p**d, k)
@@ -359,8 +363,7 @@ def _run_st5(ctx: RunContext):
         dev_origin = abs(sig.data[0] - 1.0)
         yield max(dev_decay, dev_origin), dict(
             surface=label, decay=dev_decay, origin=dev_origin)
-        for t in range(ctx.trials):
-            rng = ctx.trial_rng(t)
+        for t, rng in ctx.trial_rngs():
             k = int(rng.integers(1, p**d))
             idx = _random_support(rng, p**d, k)
             f = _sparse(ctx.field, d, idx, np.exp(2j * np.pi * rng.random(k)))
@@ -379,8 +382,7 @@ def _run_st6(ctx: RunContext):
     S = paraboloid(ctx.field, d)
     r22 = exact_r22(S)
     alpha = _logp(p, r22)
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         # gamma >= 1 keeps the derived exponent a genuine Lebesgue index
         k = int(rng.integers(p, p**d))
         idx = _random_support(rng, p**d, k)
@@ -404,8 +406,7 @@ def _run_eq1(ctx: RunContext):
     P = paraboloid(field, d)
     H = hyperbolic_paraboloid(field, d)
     M_ph = congruence_between(P, H)
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         routes = []
         if M_ph is not None:
             routes.append((SurfaceFunction.random(P, rng), M_ph, H, "dot_to_pairing"))
@@ -459,8 +460,7 @@ def _run_br2(ctx: RunContext):
     field = ctx.field
     S = hyperbolic_paraboloid(field, 3)
     x1 = np.arange(p)
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         if t == 0:
             sel = np.arange(p * p)
         elif t == 1:
@@ -504,8 +504,7 @@ def _run_br3(ctx: RunContext):
     p = ctx.prime
     field = ctx.field
     S = hyperbolic_paraboloid(field, 3)
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         n_lines = int(rng.integers(1, p + 1))
         sel = _random_support(rng, p * p, n_lines)
         pts = []
@@ -539,8 +538,7 @@ def _run_en1(ctx: RunContext):
     # The vectorized sum-multiset energy count equals the literal
     # count of quadruples, as integers.
     p = ctx.prime
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         maker = hyperbolic_paraboloid if t % 2 else paraboloid
         S = maker(ctx.field, 3)
         k = int(rng.integers(2, min(S.size, 12) + 1))
@@ -564,8 +562,7 @@ def _graph_subsets(ctx: RunContext) -> tuple:
         return S.point_array(), masks, [{"size": k} for k in masks.sum(axis=1).tolist()]
     masks = np.zeros((ctx.trials, S.size), dtype=bool)
     fields = []
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         k = int(rng.integers(2, S.size + 1))
         masks[t, rng.choice(S.size, size=k, replace=False)] = True
         fields.append({"trial": t, "size": k})
@@ -596,8 +593,7 @@ def _run_en4(ctx: RunContext):
     # ||extension||_4^4 equals p^d Lambda(E) / |S|^4 exactly, tying the
     # transform side to the quadruple count.
     p, d = ctx.prime, ctx.dim
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         maker = hyperbolic_paraboloid if t % 2 else paraboloid
         S = maker(ctx.field, d)
         k = int(rng.integers(2, min(S.size, 40) + 1))
@@ -617,8 +613,7 @@ def _run_in1(ctx: RunContext):
     # Shear the surface so a maximizing point moves to the origin; the
     # energy of (A, B) is at most twice the resulting point-hyperplane
     # incidence count times the number of hyperplanes.
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         maker = hyperbolic_paraboloid if t % 2 else paraboloid
         S = maker(ctx.field, 3)
         A = random_surface_subset(S, int(rng.integers(2, 9)), rng)
@@ -634,8 +629,7 @@ def _run_in2(ctx: RunContext):
     # stay under sqrt(c1 |P|) |L| + c2 |P| with the audited c1, c2.
     p, m = ctx.prime, ctx.dim
     full = all_affine_hyperplanes(ctx.field, m)
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         k = int(rng.integers(1, p**m))
         idx = _random_support(rng, p**m, k)
         X = coordinate_array(p, m)[idx]
@@ -662,8 +656,7 @@ def _run_mt1(ctx: RunContext):
     # the slice transplanted onto the surface.
     p = ctx.prime
     S = hyperbolic_paraboloid(ctx.field, 3)
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         data = np.zeros(p**3, dtype=complex)
         data[: p * p] = rng.standard_normal(p * p)  # the slice t = 0
         h0 = FFunction(ctx.field, 3, data)
@@ -679,8 +672,7 @@ def _run_mt2(ctx: RunContext):
     n = (d - 1) // 2
     S = paraboloid(ctx.field, d)
     base_n = p ** (d - 1)
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         zc = int(rng.integers(1, p + 1))
         zs = sorted(int(z) for z in rng.choice(p, size=zc, replace=False))
         h = FFunction.zeros(ctx.field, d)
@@ -711,8 +703,7 @@ def _run_pl1(ctx: RunContext):
     # Embedding a bivariate function on the plane x2 = a x3 + b and
     # transforming equals shearing its own transform and twisting by the
     # offset character.
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         f = FFunction.random(ctx.field, 2, rng)
         a = int(rng.integers(0, ctx.prime))
         b = int(rng.integers(0, ctx.prime))
@@ -732,8 +723,7 @@ def _run_pl2(ctx: RunContext):
     p = ctx.prime
     S = hyperbolic_paraboloid(ctx.field, 3)
     planes = vh_plane_masks(coordinate_array(p, 3), p).reshape(2, p, p, p**3)
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         n_planes = int(rng.integers(1, 5))
         support = np.zeros(p**3, dtype=bool)
         for _ in range(n_planes):
@@ -821,8 +811,7 @@ def _run_qf2(ctx: RunContext):
     field = ctx.field
     n = m // 2
     Q0 = hyperbolic_paraboloid(field, m + 1).Q
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         M = random_invertible(field, m, rng)
         A = (M.T @ Q0.A @ M) % p
         Q = QuadraticSpace(field, A)
@@ -843,8 +832,7 @@ def _run_qf3(ctx: RunContext):
     # indicator of the orthogonal complement.
     p, m = ctx.prime, ctx.dim
     field = ctx.field
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         Q = QuadraticSpace(field, _nondegenerate_symmetric(field, m, rng))
         W = random_subspace(field, m, int(rng.integers(1, m)), rng)
         comp = orthogonal_complement(Q, W)
@@ -871,8 +859,7 @@ def _run_qf4(ctx: RunContext):
                   diagonal_form(field, [1] * (d - 2) + [g])]
     for Q in forms:
         allowed = allowed_subsurface_triples(d, Q.witt_index)
-        for t in range(ctx.trials):
-            rng = ctx.trial_rng(t)
+        for _, rng in ctx.trial_rngs():
             V = random_subspace(field, d - 1, d - 3, rng)
             try:
                 trip = classify_subsurface(Q, V)
@@ -899,8 +886,7 @@ def _run_kk1(ctx: RunContext):
             for mask, row in _indicator_masks(total):
                 yield FFunction(field, m, row.astype(complex)), {"mask": mask}
             return
-        for t in range(ctx.trials):
-            rng = ctx.trial_rng(t)
+        for t, rng in ctx.trial_rngs():
             if t == 0:
                 line = kk.line_points(np.zeros((1, m - 1), dtype=np.int64),
                                       np.arange(1, m)[None], p)[0]
@@ -925,8 +911,7 @@ def _run_kk2(ctx: RunContext):
     # the paired lower bound built from the dual superposition with the
     # conjugate-power weight and the maximizing base map.
     p, m = ctx.prime, ctx.dim
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         vals = rng.uniform(0.1, 1.0, size=p**m).astype(complex)
         F = FFunction(ctx.field, m, vals)
         for q, pe in ((1.5, 1.5), (2.0, 2.0), (1.25, 3.0)):
@@ -943,8 +928,7 @@ def _run_kk3(ctx: RunContext):
     n = (d - 1) // 2
     m = n + 1
     field = ctx.field
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         data = rng.uniform(0.0, 2.0, size=p**n)
         data[rng.random(p**n) < 0.2] = 0.0
         if not data.any():
@@ -1027,8 +1011,7 @@ def _run_mx1(ctx: RunContext):
     cost = p ** (4 * ((d - 1) // 2) + 1)
     if cost > 2e7:
         ctx.trials = min(ctx.trials, 3 if cost <= 5e8 else 1)
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         f = SurfaceFunction.random(S, rng)
         direct, coset = extension_slabs(f), kk.coset_slabs(f, W, V)
         devs = []
@@ -1067,8 +1050,7 @@ def _run_mx2(ctx: RunContext):
             row = np.zeros(base_total, dtype=bool)
             row[idx] = True
             yield row, {"structured": i}
-        for t in range(ctx.trials):
-            rng = ctx.trial_rng(t)
+        for t, rng in ctx.trial_rngs():
             row = rng.random(base_total) < rng.uniform(0.2, 0.8)
             if not row.any():
                 row[0] = True
@@ -1085,8 +1067,7 @@ def _run_mx3(ctx: RunContext):
     # gamma/2 + (e+1)/(d+1) + (d-3)/(2d+2); the measured ratio against
     # that exponent is tracked.
     S = hyperbolic_paraboloid(ctx.field, ctx.dim)
-    for t in range(ctx.trials):
-        rng = ctx.trial_rng(t)
+    for t, rng in ctx.trial_rngs():
         F, dec = kk.random_slice_isotropic_function(S, rng)
         audit = kk.kakeya_regular_set_bound(F, S, dec)
         yield audit.ratio, dict(trial=t, gamma=audit.gamma, pieces=audit.e_exp,

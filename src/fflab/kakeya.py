@@ -197,12 +197,12 @@ def dual_kakeya_apply(h, x0, field: PrimeField, m: int) -> FFunction:
     if hv.shape != (p**n,):
         raise ValueError(f"h must have {p ** n} entries")
     bases = _as_base_map(x0, field, n)
-    out = FFunction.zeros(field, m)
-    lines = encode_point(line_points(bases, coordinate_array(p, n), p), p)
-    for di, idx in enumerate(lines):
-        out.data[idx] += hv[di]
-    out.data /= p**n
-    return out
+    # the lines are direction-major, so bincount adds each point's weights
+    # in direction order
+    idx = encode_point(line_points(bases, coordinate_array(p, n), p), p).ravel()
+    w = np.repeat(hv, p)
+    out = (np.bincount(idx, w.real, p**m) + 1j * np.bincount(idx, w.imag, p**m)) / p**n
+    return FFunction(field, m, out)
 
 
 class DualConsistency(NamedTuple):

@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .core import (POINT_BUDGET, PrimeField, char_vector, coordinate_array,
-                   encode_point, grid_size)
+                   draw_until, encode_point, grid_size)
 from .errors import (
     DegenerateForm,
     FFLabError,
@@ -441,17 +441,14 @@ def enumerate_subspaces(field: PrimeField, m: int, k: int) -> Iterator[Subspace]
 def random_subspace(
     field: PrimeField, m: int, k: int, rng: np.random.Generator
 ) -> Subspace:
-    while True:
-        B = rng.integers(0, field.p, size=(k, m))
-        if rank_mod(B, field.p) == k:
-            return Subspace(field, B)
+    B = draw_until(lambda: rng.integers(0, field.p, size=(k, m)),
+                   lambda B: rank_mod(B, field.p) == k, f"rank-{k} basis")
+    return Subspace(field, B)
 
 
 def random_invertible(field: PrimeField, m: int, rng: np.random.Generator) -> np.ndarray:
-    while True:
-        M = rng.integers(0, field.p, size=(m, m))
-        if det_mod(M, field.p) != 0:
-            return np.array(M, dtype=np.int64)
+    return draw_until(lambda: rng.integers(0, field.p, size=(m, m)),
+                      lambda M: det_mod(M, field.p) != 0, "invertible matrix")
 
 
 def random_symmetric(field: PrimeField, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,17 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fflab.core import (
+    MAX_DRAWS,
     FFunction,
     FFVector,
     PrimeField,
     char_vector,
     coordinate_array,
     decode_point,
+    draw_until,
     encode_point,
     inner,
     lp_norm,
 )
-from fflab.errors import SizeOverflow
+from fflab.errors import FFLabError, SizeOverflow
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -179,6 +181,16 @@ def test_holder_sanity(seed, p_exp):
 # times p * p (or p**2) on the same line
 HAND_ENCODING = re.compile(
     r"\*\* np\.arange\(|\*\s*p\s*\+[^\n]*\*\s*p\s*(\*\s*p|\*\*\s*2)\b")
+
+
+def test_draw_until_takes_the_first_accepted_draw_and_gives_up_at_max_draws():
+    draws = iter(range(10))
+    assert draw_until(lambda: next(draws), lambda x: x % 3 == 2, "x") == 2
+    assert next(draws) == 3  # nothing is drawn past the accepted one
+    calls = []
+    with pytest.raises(FFLabError, match=f"^no odd zero in {MAX_DRAWS} draws$"):
+        draw_until(lambda: calls.append(0), lambda x: False, "odd zero")
+    assert len(calls) == MAX_DRAWS
 
 
 def test_flat_index_encoding_lives_only_in_core():

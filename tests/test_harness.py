@@ -1028,6 +1028,44 @@ def test_eq1_fails_when_its_congruence_is_wrong(monkeypatch):
     assert values["raised_in"].startswith("congruence_between")
 
 
+# A sampler that redraws until another library function accepts: with that
+# function broken, the run must fail in-process within a second, with
+# draw_until's FFLabError as its witness, where it used to hang.
+@pytest.mark.parametrize("targets,defect,scenario,prime,dim", [
+    ("qforms.det_mod scenarios.det_mod", lambda M, p: 0, "QF-3", 3, 2),
+    ("qforms.det_mod scenarios.det_mod", lambda M, p: 0, "EQ-1", 5, 3),
+    ("qforms.det_mod scenarios.det_mod", lambda M, p: 0, "QF-2", 3, 4),
+    ("qforms.rank_mod", lambda M, p: 0, "QF-3", 3, 2),
+    ("Subspace.contains", lambda self, x: True, "EX-3", 3, 3),
+])
+def test_a_defect_under_a_rejection_draw_fails_the_run_fast(
+        monkeypatch, targets, defect, scenario, prime, dim):
+    import fflab.harness.scenarios as scenarios
+    owners = {"qforms": qforms, "scenarios": scenarios, "Subspace": qforms.Subspace}
+    for target in targets.split():
+        owner, _, name = target.partition(".")
+        monkeypatch.setattr(owners[owner], name, defect)
+    r = run_scenario(scenario, prime=prime, dim=dim)
+    assert r.status == "fail" and r.runtime_ms < 1000
+    values = r.witness["values"]
+    assert values["error"] == "FFLabError"
+    assert values["raised_in"].startswith("draw_until")
+    assert values["message"].endswith(f" in {core.MAX_DRAWS} draws")
+
+
+def test_a_cover_step_that_covers_nothing_fails_the_run(monkeypatch):
+    # with every VH-plane mask row empty, the greedy cover used to loop forever
+    masks = combinatorics.vh_plane_masks
+    monkeypatch.setattr(combinatorics, "vh_plane_masks",
+                        lambda X, p: np.zeros_like(masks(X, p)))
+    r = run_scenario("PL-2", prime=3, dim=3)
+    assert r.status == "fail"
+    values = r.witness["values"]
+    assert values["error"] == "FFLabError"
+    assert values["raised_in"].startswith("vh_plane_cover")
+    assert values["message"].startswith("no VH plane covers")
+
+
 def test_library_has_no_assert_statements():
     # python -O strips assert statements, and with them the check
     root = Path(fflab.__file__).resolve().parent
@@ -1113,6 +1151,41 @@ def test_one_function_builds_every_report():
     assert found == {"harness/scenarios.py:_report"}
 
 
+def _is_while_true(node):
+    """A loop whose test is a true constant: it ends only from its body."""
+    return (isinstance(node, ast.While) and isinstance(node.test, ast.Constant)
+            and bool(node.test.value))
+
+
+def _draws_a_trial_but_0(node):
+    """A trial_rng(...) call whose argument is not the literal 0."""
+    func = getattr(node, "func", None)
+    return (isinstance(node, ast.Call)
+            and getattr(func, "attr", getattr(func, "id", None)) == "trial_rng"
+            and not (len(node.args) == 1 and isinstance(node.args[0], ast.Constant)
+                     and node.args[0].value == 0))
+
+
+def test_every_draw_is_bounded_and_only_the_context_loops_over_trials():
+    # a `while True` draw hangs the sweep when the test it waits on is
+    # broken (draw_until bounds it); a trial loop written out by hand is a
+    # second copy of RunContext.trial_rngs
+    planted = ("def a(x):\n    while True:\n        pass\n    while x:\n        x -= 1\n"
+               "class RunContext:\n    def trial_rngs(self):\n"
+               "        yield self.trial_rng(t)\n"
+               "def b(ctx):\n    return ctx.trial_rng(0), ctx.trial_rng(t), trial_rng(1)\n")
+    tree = ast.parse(planted)
+    assert _functions_holding(tree, _is_while_true) == {"a"}
+    assert _functions_holding(tree, _draws_a_trial_but_0) == {"RunContext.trial_rngs", "b"}
+    root = Path(fflab.__file__).resolve().parent
+    paths = sorted(root.rglob("*.py"))
+    assert [f"{path.relative_to(root)}:{fn}" for path in paths
+            for fn in _functions_holding(_parsed(path)[1], _is_while_true)] == []
+    assert [f"{path.relative_to(root)}:{fn}" for path in paths
+            for fn in _functions_holding(_parsed(path)[1], _draws_a_trial_but_0)] == [
+        "harness/scenarios.py:RunContext.trial_rngs"]
+
+
 def test_one_function_takes_an_lq_root():
     # a norm finished by hand is a second copy of lp_norm's formula
     planted = ("def a(x, q):\n    return x.sum() ** (1 / q)\n"
@@ -1190,16 +1263,21 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
     # runs exactly these two points.
     src = str(Path(fflab.__file__).resolve().parent.parent)
     path = os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
-    reports = []
+    # the two sweeps run at the same time
+    runs = []
     for n in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
                    PYTHONPATH=path)
         out = tmp_path / f"threads{n}"
-        subprocess.run(
+        runs.append((out, subprocess.Popen(
             [sys.executable, "-m", "fflab.cli", "sweep", "--ids", "ST-1,MX-1",
              "--primes", "7,13", "--dims", "5", "--out", str(out)],
-            env=env, check=True, capture_output=True,
-        )
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )))
+    reports = []
+    for out, proc in runs:
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err.decode()
         reports.append((out / "report.json").read_bytes())
     rows = [(r["scenario"], r["prime"], r["dim"])
             for r in json.loads(reports[0])["reports"]]

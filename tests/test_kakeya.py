@@ -306,14 +306,17 @@ def test_dual_constant_weight_counts_directions_through_x():
     assert np.allclose(grid[:, 1:], 1 / 3)
 
 
-@pytest.mark.parametrize("field,m,seed", [(F3, 2, 6), (F5, 2, 7), (F3, 3, 8)])
+@pytest.mark.parametrize("field,m,seed", [(F3, 2, 6), (F5, 2, 7), (F3, 3, 8),
+                                          (F5, 3, 9), (PrimeField(13), 3, 10)])
 def test_dual_matches_literal_superposition(field, m, seed):
+    # each point adds its weights in direction order, as the literal loop
+    # does, so the bits agree, not just the values
     rng = np.random.default_rng(seed)
     n = m - 1
     h = rng.standard_normal(field.p**n) + 1j * rng.standard_normal(field.p**n)
     x0 = rng.integers(0, field.p, size=(field.p**n, n))
     out = kk.dual_kakeya_apply(h, x0, field, m)
-    assert np.allclose(out.data, brute_superposition(h, x0, field, m))
+    assert out.data.tobytes() == brute_superposition(h, x0, field, m).tobytes()
 
 
 def test_dual_pairing_reconstructs_line_sums():
