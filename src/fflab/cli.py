@@ -14,7 +14,9 @@ Exit codes: 0 when everything passed (or only reported a constant),
 1 when at least one scenario failed (a runner that raises is a failed
 scenario), 2 on configuration errors found before any runner starts,
 such as an unknown scenario id, parameters outside a scenario's
-validity set, a size-budget overflow, or a baseline integrity problem.
+validity set, a size-budget overflow, a baseline integrity problem, or
+a baseline store that is not one of constants and oracle hashes under
+the current schema.
 A missing baseline is the one exception in `sweep`: it fails that id's
 row, with no metric, and the sweep goes on (`run` exits 2 on it).
 """
@@ -108,21 +110,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_baseline(args) -> int:
     ids = [x.strip() for x in args.ids.split(",") if x.strip()] or None
-    if args.regen:
-        store = regenerate_baselines(ids)
-        for sid in sorted(store.entries):
-            e = store.entries[sid]
-            print(f"{sid}: constant={e.constant:.12g} at p={e.prime} "
-                  f"d={e.dim} trials={e.trials} seed={e.seed}")
-        return 0
-    store = BaselineStore.load()
+    store = regenerate_baselines(ids) if args.regen else BaselineStore.load()
     if not store.entries:
         print("no baselines stored; run `fflab baseline --regen`")
-        return 0
     for sid in sorted(store.entries):
+        if sid not in REGISTRY:
+            raise BaselineMismatch(f"{store.path} holds an entry for {sid}, "
+                                   "which is no registered scenario; delete it")
         e = store.entries[sid]
-        print(f"{sid}: constant={e.constant:.12g} at p={e.prime} d={e.dim} "
-              f"trials={e.trials} seed={e.seed} hash={e.oracle_hash[:12]}")
+        p, d, trials, seed = REGISTRY[sid].provenance
+        print(f"{sid}: constant={e.constant:.12g} at p={p} d={d} trials={trials} "
+              f"seed={seed}" + ("" if args.regen else f" hash={e.oracle_hash[:12]}"))
     return 0
 
 

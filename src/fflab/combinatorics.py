@@ -637,9 +637,11 @@ def _lifted_coset(S: Surface, V: Subspace, t: np.ndarray) -> np.ndarray:
     return S.flat_indices[encode_point(V.point_array() + t, S.field.p)]
 
 
-def sample_energy_exponents(S: Surface, trials: int, seed: int) -> list:
+def sample_energy_exponents(S: Surface, trials: int,
+                            rng: np.random.Generator) -> list:
     """Measure (alpha, energy exponent) pairs for structured and random
-    subsets of S and check each against the surface's exponent curve.
+    subsets of S, drawn from rng, and check each against the surface's
+    exponent curve.
 
     Every sample must sit on or below its bound Psi(alpha) + ENERGY_SLACK,
     which each EnergySample records; a violation raises
@@ -650,7 +652,6 @@ def sample_energy_exponents(S: Surface, trials: int, seed: int) -> list:
     """
     if S.field.p > 7:
         raise ValueError("sampling is limited to p <= 7")
-    rng = np.random.default_rng(seed)
     curve = _exponent_curve_for(S)
     samples: list = []
 

@@ -1,16 +1,16 @@
 """Tracked-constant store.
 
 Every constant_tracked scenario pins one number: the constant its own
-runner measured at a fixed provenance point (prime, dim, trials, seed).
-Runs at the provenance point must reproduce the stored constant exactly
-(drift detection); runs elsewhere must stay within the slack factor for
-upper-tracked constants, or at or above the constant for floor-tracked
-ones.
+runner measured at the scenario's provenance point (prime, dim, trials,
+seed), which the registry states.  Runs at that point must reproduce the
+stored constant exactly (drift detection); runs elsewhere must stay
+within SLACK times it for upper-tracked constants, or at or above it for
+floor-tracked ones.
 
-The store also keeps a hash of the runner source.  If the runner
-changes, every previously stored constant is suspect, so the hash is
-checked before any scenario executes and a mismatch aborts the run.
-Regenerate with ``fflab baseline --regen``.
+The store holds only what it measured: each constant and a hash of the
+runner source.  If the runner changes, its stored constant is suspect,
+so verify checks the hash before any scenario executes and a mismatch
+aborts the run.  Regenerate with ``fflab baseline --regen``.
 """
 
 from __future__ import annotations
@@ -18,22 +18,23 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 from ..errors import FFLabError
 
-SCHEMA = "fflab-baselines/1"
+SCHEMA = "fflab-baselines/2"
 
-# Fixed project constant.  Changing it requires regenerating baselines.
+# Fixed project constant, kept only here: away from its provenance point an
+# upper-tracked run passes up to SLACK times the stored constant.
 SLACK = 2.0
 
 _DEFAULT_PATH = Path(__file__).parent / "baselines.json"
 
 
 class BaselineMismatch(FFLabError):
-    """Stored oracle hash does not match the current runner source."""
+    """The store, or an entry's oracle hash, does not match the code."""
 
 
 class BaselineMissing(FFLabError):
@@ -48,71 +49,41 @@ def oracle_hash(fn) -> str:
 @dataclass(frozen=True)
 class BaselineEntry:
     constant: float
-    prime: int
-    dim: int
-    trials: int
-    seed: int
     oracle_hash: str
-
-    def provenance(self) -> tuple:
-        return (self.prime, self.dim, self.trials, self.seed)
 
 
 class BaselineStore:
-    def __init__(self, entries: dict, slack: float = SLACK,
-                 path: Optional[Path] = None):
+    def __init__(self, entries: dict, path: Optional[Path] = None):
         self.entries = dict(entries)
-        self.slack = slack
         self.path = path or _DEFAULT_PATH
 
     @classmethod
     def load(cls, path: Optional[Path] = None) -> "BaselineStore":
         path = Path(path) if path else _DEFAULT_PATH
         if not path.exists():
-            return cls({}, SLACK, path)
+            return cls({}, path)
         doc = json.loads(path.read_text())
-        if doc.get("schema") != SCHEMA:
-            raise FFLabError(f"unexpected baseline schema {doc.get('schema')!r}")
-        entries = {
-            sid: BaselineEntry(
-                constant=e["constant"], prime=e["prime"], dim=e["dim"],
-                trials=e["trials"], seed=e["seed"],
-                oracle_hash=e["oracle_hash"],
-            )
-            for sid, e in doc["entries"].items()
-        }
-        return cls(entries, doc.get("slack", SLACK), path)
+        if set(doc) != {"schema", "entries"} or doc["schema"] != SCHEMA or any(
+                set(e) != {"constant", "oracle_hash"} for e in doc["entries"].values()):
+            raise BaselineMismatch(
+                f"{path} is not a {SCHEMA} store of constants and oracle "
+                f"hashes; move it aside and run `fflab baseline --regen`")
+        return cls({sid: BaselineEntry(**e) for sid, e in doc["entries"].items()}, path)
 
-    def save(self, path: Optional[Path] = None) -> None:
-        path = Path(path) if path else self.path
-        doc = {
-            "schema": SCHEMA,
-            "slack": self.slack,
-            "entries": {
-                sid: {
-                    "constant": e.constant,
-                    "prime": e.prime,
-                    "dim": e.dim,
-                    "trials": e.trials,
-                    "seed": e.seed,
-                    "oracle_hash": e.oracle_hash,
-                }
-                for sid, e in sorted(self.entries.items())
-            },
-        }
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    def save(self) -> None:
+        doc = {"schema": SCHEMA,
+               "entries": {sid: asdict(e) for sid, e in sorted(self.entries.items())}}
+        self.path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
-    def entry(self, sid: str) -> BaselineEntry:
+    def verify(self, sid: str, runner) -> float:
+        """sid's stored constant, once its hash matches the runner source;
+        raises before anything runs when the entry is missing or stale."""
         if sid not in self.entries:
             raise BaselineMissing(
                 f"no baseline entry for {sid}; run "
                 f"`fflab baseline --regen --ids {sid}` to create one"
             )
-        return self.entries[sid]
-
-    def verify(self, sid: str, runner) -> None:
-        """Abort before running anything when the runner source changed."""
-        e = self.entry(sid)
+        e = self.entries[sid]
         h = oracle_hash(runner)
         if h != e.oracle_hash:
             raise BaselineMismatch(
@@ -120,3 +91,4 @@ class BaselineStore:
                 f"{e.oracle_hash[:12]}; regenerate with "
                 f"`fflab baseline --regen --ids {sid}`"
             )
+        return e.constant

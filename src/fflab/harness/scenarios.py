@@ -9,9 +9,10 @@ Three kinds:
   deviation across trials; pass iff it stays under the tolerance.
 - constant_tracked: inequalities whose constant is bounded but not 1.
   The runner measures the constant over a deterministic family and the
-  value is compared against the stored baseline (baselines.py).  At the
-  baseline's own provenance parameters the run re-derives the constant
-  and reports it (report_only), failing only on drift.
+  value is compared against the stored constant (baselines.py).  At the
+  scenario's provenance point, which the registry alone states, the run
+  re-derives the constant and reports it (report_only), failing only on
+  drift; elsewhere it is judged against SLACK times the constant.
 - exponent_arith: closed-form exponent bookkeeping, checked by rational
   arithmetic; the metric is the worst residual.
 
@@ -29,7 +30,7 @@ All randomness flows through RunContext.trial_rng, which hashes
 (master seed, scenario id, trial index), so per-trial results are
 independent of execution order and worker count.  A runner loops over
 ctx.trial_rngs(), or draws one stream from ctx.trial_rng(0) (QF-1, ST-3,
-PL-3).  A draw repeated until a test accepts it goes through
+PL-3, EX-3).  A draw repeated until a test accepts it goes through
 core.draw_until, which fails the run after MAX_DRAWS rejections.
 """
 
@@ -126,7 +127,7 @@ from ..combinatorics import (
 )
 from .. import kakeya as kk
 from ..oracles import brute_energy, brute_witt, witt_monomials
-from .baselines import BaselineEntry, BaselineStore, BaselineMissing, oracle_hash
+from .baselines import SLACK, BaselineEntry, BaselineStore, BaselineMissing, oracle_hash
 from .reporting import ScenarioReport, witness_values
 
 
@@ -1121,8 +1122,7 @@ def _run_ex3(ctx: RunContext):
     # measured energy exponents; the tracked constant is the worst
     # multiplicative overshoot of a sample's energy over size^psi(alpha).
     S = hyperbolic_paraboloid(ctx.field, ctx.dim)
-    seed_int = trial_seed(ctx.seed, ctx.scenario_id, 0)
-    for s in sample_energy_exponents(S, ctx.trials, seed_int):
+    for s in sample_energy_exponents(S, ctx.trials, ctx.trial_rng(0)):
         yield s.size ** (s.exponent - (s.bound - ENERGY_SLACK)), dict(
             label=s.label, size=s.size, alpha=s.alpha, exponent=s.exponent)
 
@@ -1476,12 +1476,10 @@ def run_scenario(scenario_id: str, prime: Optional[int] = None,
     if trials < 1:
         raise ValueError("trials must be at least 1")
 
-    entry = slack = None
+    constant = None
     if sc.kind == "constant_tracked":
-        store = BaselineStore.load()
-        entry, slack = store.entry(scenario_id), store.slack
-        store.verify(scenario_id, sc.runner)
-    return _run_checked(sc, prime, dim, trials, seed, entry, slack)
+        constant = BaselineStore.load().verify(scenario_id, sc.runner)
+    return _run_checked(sc, prime, dim, trials, seed, constant)
 
 
 def _measure(sc: Scenario, ctx: RunContext):
@@ -1503,12 +1501,11 @@ def _measure(sc: Scenario, ctx: RunContext):
 
 
 def _run_checked(sc: Scenario, prime: int, dim: int, trials: int, seed: int,
-                 entry: Optional[BaselineEntry],
-                 slack: Optional[float]) -> ScenarioReport:
+                 constant: Optional[float]) -> ScenarioReport:
     """Run sc at one validated point and judge the result.  A tracked
-    scenario comes with its verified baseline entry and slack; its drift
-    check runs when the point, with the trials the run states, is the
-    baseline's provenance."""
+    scenario comes with its verified stored constant; its drift check
+    runs when the point, with the trials the run states, is the
+    scenario's provenance."""
     ctx = RunContext(sc.id, prime, dim, trials, seed)
     tracked = sc.kind == "constant_tracked"
     start = time.perf_counter()
@@ -1529,39 +1526,38 @@ def _run_checked(sc: Scenario, prime: int, dim: int, trials: int, seed: int,
         if not (math.isfinite(metric) and metric <= sc.tolerance):
             status, witness = "fail", wit or witness_values(max_deviation=float(metric))
     elif not math.isfinite(metric):
-        status, witness = "fail", witness_values(measured=metric, stored=entry.constant)
-    elif (prime, dim, ctx.trials, seed) == entry.provenance():
-        drift = abs(metric - entry.constant)
+        status, witness = "fail", witness_values(measured=metric, stored=constant)
+    elif (prime, dim, ctx.trials, seed) == sc.provenance:
+        drift = abs(metric - constant)
         if drift > 1e-9:
             status, witness = "fail", witness_values(
-                measured=metric, stored=entry.constant, drift=drift)
+                measured=metric, stored=constant, drift=drift)
         else:
             status = "report_only"
     else:
-        ok = (metric <= slack * entry.constant + 1e-12 if sc.direction == "upper"
-              else metric >= entry.constant - 1e-12)
+        ok = (metric <= SLACK * constant + 1e-12 if sc.direction == "upper"
+              else metric >= constant - 1e-12)
         if not ok:
             status, witness = "fail", wit or witness_values(
-                measured=metric, baseline=entry.constant)
+                measured=metric, baseline=constant)
     return _report(sc, prime, dim, ctx.trials, seed, status, metric, witness,
-                   entry, slack, runtime_ms)
+                   constant, runtime_ms)
 
 
 def _report(sc: Scenario, prime: int, dim: int, trials: int, seed: int,
             status: str, metric: float, witness: Optional[dict],
-            entry: Optional[BaselineEntry], slack: Optional[float],
-            runtime_ms: float = 0.0) -> ScenarioReport:
+            constant: Optional[float], runtime_ms: float = 0.0) -> ScenarioReport:
     """The one builder of a ScenarioReport.  Every row carries its kind's
     fields: an untracked scenario's tolerance, or a tracked one's stored
-    constant, None when its entry is missing, and the store's slack."""
+    constant, None when its entry is missing, and SLACK."""
     tracked = sc.kind == "constant_tracked"
     return ScenarioReport(
         scenario=sc.id, kind=sc.kind, prime=prime, dim=dim,
         trials=trials, seed=seed, status=status,
         metric_name="measured_constant" if tracked else "max_deviation",
         metric=float(metric), tolerance=None if tracked else sc.tolerance,
-        baseline_constant=None if entry is None else entry.constant,
-        baseline_slack=slack if tracked else None,
+        baseline_constant=constant,
+        baseline_slack=SLACK if tracked else None,
         witness=witness, runtime_ms=runtime_ms)
 
 
@@ -1585,12 +1581,12 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0,
     if trials is not None and trials < 1:
         raise ValueError("trials must be at least 1")
     store = BaselineStore.load()
-    missing: dict = {}
+    constants, missing = {}, {}
     for sid in ids:
         sc = _scenario(sid)
         if sc.kind == "constant_tracked":
             try:
-                store.verify(sid, sc.runner)
+                constants[sid] = store.verify(sid, sc.runner)
             except BaselineMissing as exc:
                 missing[sid] = str(exc)
 
@@ -1603,17 +1599,16 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0,
             reports.append(_report(
                 sc, ps[0] if ps else sc.primes[0], ds[0] if ds else sc.dims[0],
                 trials or sc.default_trials, seed, "fail", math.nan,
-                witness_values(error=missing[sid]), None, store.slack))
+                witness_values(error=missing[sid]), None))
             continue
-        entry = store.entries.get(sid) if sc.kind == "constant_tracked" else None
         for p in ps:
             for d in ds:
                 points.setdefault((p, d), []).append((len(reports), sid, p, d, (
-                    sc.default_trials if trials is None else trials), entry))
+                    sc.default_trials if trials is None else trials), constants.get(sid)))
                 reports.append(None)
     groups = sorted(points.values(), reverse=True, key=lambda group: sum(
         RUN_COST + trials * p ** d for _, _, p, d, trials, _ in group))
-    for group, done in zip(groups, _run_groups(groups, seed, store.slack, workers)):
+    for group, done in zip(groups, _run_groups(groups, seed, workers)):
         for run, report in zip(group, done):
             reports[run[0]] = report
     failed = any(r.status == "fail" for r in reports)
@@ -1625,20 +1620,20 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0,
 RUN_COST = 50_000
 
 
-def _run_group(group, seed: int, slack: Optional[float]) -> list:
+def _run_group(group, seed: int) -> list:
     """Judge one (p, d) group's runs, in-process or in a worker."""
-    return [_run_checked(REGISTRY[sid], p, d, trials, seed, entry, slack)
-            for _, sid, p, d, trials, entry in group]
+    return [_run_checked(REGISTRY[sid], p, d, trials, seed, constant)
+            for _, sid, p, d, trials, constant in group]
 
 
-def _run_groups(groups, seed: int, slack: Optional[float], workers: int) -> list:
+def _run_groups(groups, seed: int, workers: int) -> list:
     """Each group's reports, and a failing one for each run that a dead
     worker left unfinished.  Forked workers inherit the registry and the
     verified store; gc.freeze keeps the collector off the pages they
     share, and OpenBLAS resets its thread pool at a fork."""
     workers = min(workers, len(groups))
     if workers <= 1:
-        return [_run_group(group, seed, slack) for group in groups]
+        return [_run_group(group, seed) for group in groups]
     # imported here: they add about 25 ms to every import of fflab
     import gc
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -1646,7 +1641,7 @@ def _run_groups(groups, seed: int, slack: Optional[float], workers: int) -> list
     gc.freeze()
     try:
         with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            futures = [pool.submit(_run_group, group, seed, slack) for group in groups]
+            futures = [pool.submit(_run_group, group, seed) for group in groups]
             done = []
             for future, group in zip(futures, groups):
                 try:
@@ -1657,8 +1652,8 @@ def _run_groups(groups, seed: int, slack: Optional[float], workers: int) -> list
                         witness_values(
                             error=type(exc).__name__, message=str(exc),
                             raised_in=f"sweep worker at p = {p}, d = {d}"),
-                        entry, slack)
-                        for _, sid, p, d, trials, entry in group])
+                        constant)
+                        for _, sid, p, d, trials, constant in group])
             return done
     finally:
         gc.unfreeze()
@@ -1675,12 +1670,9 @@ def regenerate_baselines(ids=None, path=None) -> BaselineStore:
         sc = _scenario(sid)
         if sc.kind != "constant_tracked":
             raise ValueError(f"{sid} is {sc.kind}, not constant_tracked")
-        p, d, tr, sd = sc.provenance
-        metric, _ = _measure(sc, RunContext(sid, p, d, tr, sd))
-        store.entries[sid] = BaselineEntry(
-            constant=float(metric), prime=p, dim=d, trials=tr, seed=sd,
-            oracle_hash=oracle_hash(sc.runner))
-    store.save(path)
+        metric, _ = _measure(sc, RunContext(sid, *sc.provenance))
+        store.entries[sid] = BaselineEntry(float(metric), oracle_hash(sc.runner))
+    store.save()
     return store
 
 

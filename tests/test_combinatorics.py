@@ -814,23 +814,24 @@ def test_sample_energy_exponents_runs_clean():
         hyperbolic_paraboloid(F5, 3),
         hyperbolic_paraboloid(F3, 5),
     ):
-        samples = sample_energy_exponents(S, trials=10, seed=7)
+        samples = sample_energy_exponents(S, trials=10, rng=np.random.default_rng(7))
         assert len(samples) >= 10
         for s in samples:
             assert s.exponent <= s.bound
             assert 0.0 <= s.alpha <= 1.0 + 1e-9
-    # determinism: the same seed reproduces the same measurements
+    # determinism: generators of the same seed reproduce the same measurements
     S = hyperbolic_paraboloid(F5, 3)
-    a = sample_energy_exponents(S, trials=8, seed=3)
-    b = sample_energy_exponents(S, trials=8, seed=3)
+    a = sample_energy_exponents(S, trials=8, rng=np.random.default_rng(3))
+    b = sample_energy_exponents(S, trials=8, rng=np.random.default_rng(3))
     assert a == b
 
 
 def test_sample_energy_exponents_guardrails():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sample_energy_exponents(hyperbolic_paraboloid(PrimeField(11), 3), 20, 0)
+        sample_energy_exponents(hyperbolic_paraboloid(PrimeField(11), 3), 20, rng)
     with pytest.raises(ValueError):
-        sample_energy_exponents(Surface(QuadraticSpace(F3, [[1]])), 20, 0)
+        sample_energy_exponents(Surface(QuadraticSpace(F3, [[1]])), 20, rng)
     # no exponent curve for a non-split surface
     with pytest.raises(ValueError):
-        sample_energy_exponents(paraboloid(F3, 3), 20, 0)
+        sample_energy_exponents(paraboloid(F3, 3), 20, rng)

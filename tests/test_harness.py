@@ -1,6 +1,7 @@
 """Registry integrity, determinism, baselines, reports, and the CLI."""
 
 import ast
+import dataclasses
 import functools
 import inspect
 import json
@@ -667,16 +668,54 @@ def test_hash_mismatch_aborts_before_running(tmp_path, monkeypatch):
     store = BaselineStore.load()
     doctored = {}
     for sid, e in store.entries.items():
-        doctored[sid] = bl.BaselineEntry(
-            constant=e.constant, prime=e.prime, dim=e.dim, trials=e.trials,
-            seed=e.seed, oracle_hash="0" * 64)
+        doctored[sid] = bl.BaselineEntry(constant=e.constant, oracle_hash="0" * 64)
     path = tmp_path / "baselines.json"
-    BaselineStore(doctored, store.slack, path).save()
+    BaselineStore(doctored, path).save()
     monkeypatch.setattr(bl, "_DEFAULT_PATH", path)
     with pytest.raises(BaselineMismatch, match="EN-2"):
         run_scenario("EN-2", prime=3)
     with pytest.raises(BaselineMismatch):
         sweep(["EN-2"], [3], [3])
+
+
+@pytest.mark.parametrize("layout", ["schema 1", "entry key", "store key"])
+def test_a_store_that_keeps_more_than_it_measured_stops_every_command(
+        layout, tmp_path, monkeypatch, capsys):
+    # A schema-1 store kept the slack and each constant's provenance
+    # beside it, and the judge read those copies: BR-2's trials set to 11
+    # turned its drift check off, and a slack of 100 would pass a constant
+    # cut 60x.  Provenance and slack live only in code, so a store that
+    # holds them is refused before any runner starts.
+    import fflab.harness.baselines as bl
+    calls = []
+
+    def stub(ctx):
+        calls.append((ctx.prime, ctx.dim))
+        yield 1.0, {}
+
+    monkeypatch.setitem(REGISTRY, "BR-2", dataclasses.replace(REGISTRY["BR-2"], runner=stub))
+    entries = {sid: {"constant": e.constant, "oracle_hash": oracle_hash(REGISTRY[sid].runner)}
+               for sid, e in BaselineStore.load().entries.items()}
+    doc = {"schema": bl.SCHEMA, "entries": entries}
+    if layout == "schema 1":
+        for sid, e in entries.items():
+            e.update(zip(("prime", "dim", "trials", "seed"), REGISTRY[sid].provenance))
+        doc["schema"] = "fflab-baselines/1"
+    if layout != "store key":
+        entries["BR-2"]["trials"] = 11
+    if layout != "entry key":
+        doc["slack"] = 100
+    path = tmp_path / "baselines.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(bl, "_DEFAULT_PATH", path)
+    out = tmp_path / "reports"
+    for argv in (["list"], ["run", "BR-2"],
+                 ["sweep", "--ids", "BR-2", "--primes", "3", "--dims", "3", "--out", str(out)]):
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert str(path) in err and "move it aside" in err and "fflab baseline --regen" in err
+    assert calls == []
+    assert not out.exists()
 
 
 def _faulty_runner(ctx):
@@ -701,8 +740,7 @@ def test_non_finite_metric_fails(kind, tmp_path, monkeypatch):
         direction="upper" if tracked else None,
         provenance=(3, 3, 1, 0) if tracked else None))
     path = tmp_path / "baselines.json"
-    entry = bl.BaselineEntry(constant=1.0, prime=3, dim=3, trials=1, seed=0,
-                             oracle_hash=oracle_hash(_faulty_runner))
+    entry = bl.BaselineEntry(constant=1.0, oracle_hash=oracle_hash(_faulty_runner))
     BaselineStore({"NAN-1": entry}, path=path).save()
     monkeypatch.setattr(bl, "_DEFAULT_PATH", path)
     # dim 3 is the provenance point and returns NaN; dim 2 returns -inf
@@ -757,8 +795,7 @@ def test_wrong_tracked_constant_fails(direction, bad_prime, tmp_path, monkeypatc
         _wrong_constant_runner, (3, 5, 7), (3,), 1,
         direction=direction, provenance=(7, 3, 1, 0)))
     path = tmp_path / "baselines.json"
-    entry = bl.BaselineEntry(constant=1.0, prime=7, dim=3, trials=1, seed=0,
-                             oracle_hash=oracle_hash(_wrong_constant_runner))
+    entry = bl.BaselineEntry(constant=1.0, oracle_hash=oracle_hash(_wrong_constant_runner))
     BaselineStore({"BAD-1": entry}, path=path).save()
     monkeypatch.setattr(bl, "_DEFAULT_PATH", path)
     out = tmp_path / "reports"
@@ -844,8 +881,7 @@ def test_sweep_verifies_each_tracked_runner_once(tmp_path, monkeypatch):
         _unit_runner, (3, 5, 7), (3,), 1,
         direction="upper", provenance=(3, 3, 1, 0)))
     path = tmp_path / "baselines.json"
-    entry = bl.BaselineEntry(constant=1.0, prime=3, dim=3, trials=1, seed=0,
-                             oracle_hash=oracle_hash(_unit_runner))
+    entry = bl.BaselineEntry(constant=1.0, oracle_hash=oracle_hash(_unit_runner))
     BaselineStore({"ONE-1": entry}, path=path).save()
     monkeypatch.setattr(bl, "_DEFAULT_PATH", path)
     hashed = []
@@ -1166,17 +1202,28 @@ def _draws_a_trial_but_0(node):
                      and node.args[0].value == 0))
 
 
+def _seeds_a_trial(node):
+    """A trial_seed(...) call, by name or as an attribute."""
+    func = getattr(node, "func", None)
+    return (isinstance(node, ast.Call)
+            and getattr(func, "attr", getattr(func, "id", None)) == "trial_seed")
+
+
 def test_every_draw_is_bounded_and_only_the_context_loops_over_trials():
     # a `while True` draw hangs the sweep when the test it waits on is
     # broken (draw_until bounds it); a trial loop written out by hand is a
-    # second copy of RunContext.trial_rngs
+    # second copy of RunContext.trial_rngs, and a runner that seeds its
+    # own stream from trial_seed goes round RunContext altogether
     planted = ("def a(x):\n    while True:\n        pass\n    while x:\n        x -= 1\n"
                "class RunContext:\n    def trial_rngs(self):\n"
                "        yield self.trial_rng(t)\n"
-               "def b(ctx):\n    return ctx.trial_rng(0), ctx.trial_rng(t), trial_rng(1)\n")
+               "    def trial_rng(self, t):\n        return trial_seed(self.seed, t)\n"
+               "def b(ctx):\n    return ctx.trial_rng(0), ctx.trial_rng(t), trial_rng(1)\n"
+               "def c(ctx):\n    return rng(h.trial_seed(ctx.seed, 0)), trial_seed(1, 0)\n")
     tree = ast.parse(planted)
     assert _functions_holding(tree, _is_while_true) == {"a"}
     assert _functions_holding(tree, _draws_a_trial_but_0) == {"RunContext.trial_rngs", "b"}
+    assert _functions_holding(tree, _seeds_a_trial) == {"RunContext.trial_rng", "c"}
     root = Path(fflab.__file__).resolve().parent
     paths = sorted(root.rglob("*.py"))
     assert [f"{path.relative_to(root)}:{fn}" for path in paths
@@ -1184,6 +1231,9 @@ def test_every_draw_is_bounded_and_only_the_context_loops_over_trials():
     assert [f"{path.relative_to(root)}:{fn}" for path in paths
             for fn in _functions_holding(_parsed(path)[1], _draws_a_trial_but_0)] == [
         "harness/scenarios.py:RunContext.trial_rngs"]
+    assert [f"{path.relative_to(root)}:{fn}" for path in paths
+            for fn in _functions_holding(_parsed(path)[1], _seeds_a_trial)] == [
+        "harness/scenarios.py:RunContext.trial_rng"]
 
 
 def test_one_function_takes_an_lq_root():
@@ -1286,14 +1336,9 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_regenerate_matches_shipped_store(tmp_path):
-    fresh = regenerate_baselines(path=tmp_path / "regen.json")
-    shipped = BaselineStore.load()
-    assert set(fresh.entries) == set(shipped.entries)
-    for sid, e in fresh.entries.items():
-        s = shipped.entries[sid]
-        assert e.constant == s.constant, sid
-        assert e.oracle_hash == s.oracle_hash, sid
-        assert e.provenance() == s.provenance(), sid
+    path = tmp_path / "regen.json"
+    regenerate_baselines(path=path)
+    assert path.read_bytes() == BaselineStore.load().path.read_bytes()
 
 
 def test_regenerate_unknown_id_names_the_registered_ids(tmp_path):
@@ -1370,9 +1415,23 @@ def test_cli_list_and_table(capsys):
     assert "Stein-Tomas" in capsys.readouterr().out
 
 
-def test_cli_baseline_show(capsys):
+def test_cli_baseline_show(capsys, tmp_path, monkeypatch):
+    import fflab.harness.baselines as bl
     assert cli_main(["baseline"]) == 0
-    assert "EN-2" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    # the provenance printed is the registry's, the store keeps none
+    p, d, trials, seed = REGISTRY["EN-2"].provenance
+    assert [line for line in lines if line.startswith("EN-2: ")] == [
+        f"EN-2: constant=0.733333333333 at p={p} d={d} trials={trials} seed={seed} "
+        f"hash={BaselineStore.load().entries['EN-2'].oracle_hash[:12]}"]
+    # an entry for no registered scenario has no provenance to print
+    doc = json.loads(bl._DEFAULT_PATH.read_text())
+    doc["entries"]["XX-1"] = doc["entries"]["EN-2"]
+    path = tmp_path / "baselines.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(bl, "_DEFAULT_PATH", path)
+    assert cli_main(["baseline"]) == 2
+    assert "XX-1, which is no registered scenario" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
