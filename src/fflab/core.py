@@ -11,7 +11,9 @@ counts) is built on the three conventions fixed here:
   an array of rows);
 * a function on F_p^d is a flat complex128 array of length p^d in
   that index order.  Reshaping with Fortran order gives a d-axis
-  grid whose axis k is coordinate k.
+  grid whose axis k is coordinate k.  A stack of c functions is a
+  (c, p^d) array, one function per row; the transform layer maps a
+  stack to a stack, and the norms take one function.
 """
 
 from __future__ import annotations
@@ -233,14 +235,16 @@ def _coordinate_table(p: int, d: int) -> np.ndarray:
 
 
 class FFunction:
-    """Dense complex function on F_p^d, stored flat in index order."""
+    """Dense complex function on F_p^d, stored flat in index order: data
+    of shape (p^d,), or (c, p^d) for a stack of c functions."""
 
     __slots__ = ("field", "dim", "data")
 
     def __init__(self, field: PrimeField, dim: int, data: np.ndarray):
         n = grid_size(field.p, dim)
-        if data.shape != (n,):
-            raise ValueError(f"expected flat array of length {n}, got {data.shape}")
+        if data.shape[-1:] != (n,) or data.ndim > 2:
+            raise ValueError(f"expected flat array of length {n}, or a stack of "
+                             f"them, got {data.shape}")
         self.field = field
         self.dim = dim
         self.data = np.asarray(data, dtype=np.complex128)
@@ -291,11 +295,15 @@ class FFunction:
 
 
 def lp_norm(values: np.ndarray, p_exp: float, measure: str = "counting") -> float:
-    """L^p norm of an array of values, such as FFunction.data.
+    """L^p norm of one function's 1-d array of values, such as
+    FFunction.data; a stack raises ValueError rather than being summed
+    across its functions.
 
     measure 'counting' sums |values|^p; 'normalized' divides the sum by
     values.size first.  p_exp must be finite: there is no sup norm here.
     """
+    if values.ndim != 1:
+        raise ValueError(f"a norm takes one function, got shape {values.shape}")
     if measure not in ("counting", "normalized"):
         raise ValueError(f"unknown measure {measure!r}")
     if not 1 <= p_exp < math.inf:
@@ -307,8 +315,11 @@ def lp_norm(values: np.ndarray, p_exp: float, measure: str = "counting") -> floa
 
 
 def inner(f: np.ndarray, g: np.ndarray) -> complex:
-    """<f, g> = sum f * conj(g) over two arrays of one shape, with counting
-    measure."""
+    """<f, g> = sum f * conj(g) over two 1-d arrays of one shape, with
+    counting measure; a stack raises ValueError."""
+    if f.ndim != 1 or g.ndim != 1:
+        raise ValueError(f"an inner product takes two functions, got shapes "
+                         f"{f.shape} and {g.shape}")
     # a numpy reduction, not BLAS: its bits do not depend on the thread count
     return complex(np.sum(f * np.conj(g)))
 

@@ -7,9 +7,12 @@ this pairing Plancherel reads
 
     sum_x |f(x)|^2  =  p^{-d} sum_xi |fhat(xi)|^2.
 
-core.lp_norm and core.inner take plain arrays (FFunction.data, a surface
-function's values).  Norms default to counting measure; a normalized norm
-names its measure, as SurfaceFunction.norm does.
+The transforms take one function or a stack of c functions (an
+FFunction whose data is (c, p^d)) and map a stack to a stack, row by row.
+core.lp_norm and core.inner take plain 1-d arrays (FFunction.data, a
+surface function's values, one row of a stack).  Norms default to
+counting measure; a normalized norm names its measure, as
+SurfaceFunction.norm does.
 """
 
 from __future__ import annotations
@@ -47,9 +50,15 @@ def _axis_dft(buf: np.ndarray, field: PrimeField, dim: int, sign: int,
     property of the BLAS zgemm kernels, not of this code: a kernel that
     splits a product by its row count may round a row of a small product
     differently from the same row inside a larger one.  With OpenBLAS
-    0.3.31 the bits match at the row counts c p^{dim-1} the sweep uses;
-    test_stacked_transform_equals_separate_calls guards that on stacks
-    shaped like the sweep's.
+    0.3.31 on one thread, a separate call at dim = 1 is a one-row product
+    that rounds on another path, so every stack there differs in the last
+    bit; no run transforms on F_p^1.  At dim >= 2 every stack checked
+    matched: p = 3, 5, 7, p^dim up to 16,807 and c up to
+    p max(2, 4096 // p^dim) + 1.  test_stacked_transform_equals_separate_calls
+    pins the (p, dim, c) stacks the sweep makes: an extension's p heights,
+    MX-1's slabs, the stacked runners' trials, such as (3, 3, 20),
+    (5, 3, 20), (7, 3, 11), (3, 5, 16) and (7, 2, 20), and the heights of
+    their stacked extensions, such as (7, 2, 77) for MT-1 at p = 7.
     """
     if not buf.flags.c_contiguous:
         raise ValueError("the transform works in place on C-contiguous data")
@@ -68,7 +77,7 @@ def _axis_dft(buf: np.ndarray, field: PrimeField, dim: int, sign: int,
 
 
 def fourier_transform(f: FFunction) -> FFunction:
-    """fhat(xi) = sum_x f(x) e(-x.xi)."""
+    """fhat(xi) = sum_x f(x) e(-x.xi), for each function of a stack."""
     out = f.data.copy()
     _axis_dft(out, f.field, f.dim, -1)
     return FFunction(f.field, f.dim, out)
@@ -84,7 +93,9 @@ def inverse_transform(g: FFunction) -> FFunction:
 
 def convolve(f: FFunction, g: FFunction) -> FFunction:
     """Counting-measure convolution (f*g)(x) = sum_y f(y) g(x-y), computed
-    on the Fourier side where it is a pointwise product."""
+    on the Fourier side where it is a pointwise product.  f and g are one
+    function or stacks of one size, or a stack and one function, which is
+    then convolved with every row."""
     fh = fourier_transform(f)
     gh = fourier_transform(g)
     return inverse_transform(FFunction(f.field, f.dim, fh.data * gh.data))

@@ -30,8 +30,12 @@ All randomness flows through RunContext.trial_rng, which hashes
 (master seed, scenario id, trial index), so per-trial results are
 independent of execution order and worker count.  A runner loops over
 ctx.trial_rngs(), or draws one stream from ctx.trial_rng(0) (QF-1, ST-3,
-PL-3, EX-3).  A draw repeated until a test accepts it goes through
-core.draw_until, which fails the run after MAX_DRAWS rejections.
+PL-3, EX-3).  The stacked runners (FT-3, ST-1, ST-2, ST-5, ST-6, BR-1,
+PL-1, MT-1, EN-4) cut their trials into consecutive stacks with _stacks,
+draw each stack's trials in trial order, make one call per operator on
+the stack, and yield one case per trial in trial order.  A draw repeated
+until a test accepts it goes through core.draw_until, which fails the
+run after MAX_DRAWS rejections.
 """
 
 from __future__ import annotations
@@ -162,9 +166,19 @@ class RunContext:
 # ---------------------------------------------------------------------------
 # small helpers
 
+# Grid points that a stacked runner hands one operator call at most.  Like
+# the 4,096 bases of an echelon batch it bounds memory: a grid of more
+# than 2,048 points runs one trial per stack.
+STACK_POINTS = 4096
 
-def _scale(f: FFunction, c: complex) -> FFunction:
-    return FFunction(f.field, f.dim, f.data * c)
+
+def _stacks(items, points: int):
+    """Consecutive lists of the items, such as ctx.trial_rngs(), each of
+    at most STACK_POINTS // points of them and at least one."""
+    items = iter(items)
+    size = max(1, STACK_POINTS // points)
+    while stack := list(itertools.islice(items, size)):
+        yield stack
 
 
 def _rel(a: float, b: float) -> float:
@@ -198,19 +212,12 @@ def _indicator_masks(n: int):
 def _direct_sigma(S: Surface) -> FFunction:
     """|S|^{-1} sum over surface points of e(x.xi), by direct transform."""
     scale = S.field.p**S.ambient_dim / S.size
-    return _scale(inverse_transform(S.indicator()), scale)
+    return FFunction(S.field, S.ambient_dim,
+                     inverse_transform(S.indicator()).data * scale)
 
 
 def _random_support(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
     return np.sort(rng.choice(total, size=k, replace=False))
-
-
-def _sparse(field: PrimeField, d: int, idx: np.ndarray, vals) -> FFunction:
-    """The function on F_p^d equal to vals at the flat indices idx and 0
-    elsewhere."""
-    data = np.zeros(field.p**d, dtype=complex)
-    data[idx] = vals
-    return FFunction(field, d, data)
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +237,25 @@ def _run_measure_ft(make_surface, ctx: RunContext):
 
 def _run_ft3(ctx: RunContext):
     p, d = ctx.prime, ctx.dim
-    for t, rng in ctx.trial_rngs():
-        f = FFunction.random(ctx.field, d, rng)
-        g = FFunction.random(ctx.field, d, rng)
+    for stack in _stacks(ctx.trial_rngs(), p**d):
+        pairs = [(FFunction.random(ctx.field, d, rng).data,
+                  FFunction.random(ctx.field, d, rng).data) for _, rng in stack]
+        f = FFunction(ctx.field, d, np.stack([a for a, _ in pairs]))
+        g = FFunction(ctx.field, d, np.stack([b for _, b in pairs]))
         fh = fourier_transform(f)
-        energy_hat = float(np.sum(np.abs(fh.data) ** 2))
-        energy = float(np.sum(np.abs(f.data) ** 2))
-        dev_plancherel = _rel(energy_hat, p**d * energy)
-        dev_inversion = float(np.abs(inverse_transform(fh).data - f.data).max())
+        energy_hat = np.sum(np.abs(fh.data) ** 2, axis=1).tolist()
+        energy = np.sum(np.abs(f.data) ** 2, axis=1).tolist()
+        inversion = np.abs(inverse_transform(fh).data - f.data).max(axis=1).tolist()
         lhs = fourier_transform(convolve(f, g)).data
         rhs = fh.data * fourier_transform(g).data
-        dev_conv = float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(rhs).max()))
-        yield max(dev_plancherel, dev_inversion, dev_conv), dict(
-            trial=t, plancherel=dev_plancherel, inversion=dev_inversion,
-            convolution=dev_conv)
+        conv = (np.abs(lhs - rhs).max(axis=1)
+                / np.maximum(1.0, np.abs(rhs).max(axis=1))).tolist()
+        for (t, _), e_hat, e, dev_inversion, dev_conv in zip(
+                stack, energy_hat, energy, inversion, conv):
+            dev_plancherel = _rel(e_hat, p**d * e)
+            yield max(dev_plancherel, dev_inversion, dev_conv), dict(
+                trial=t, plancherel=dev_plancherel, inversion=dev_inversion,
+                convolution=dev_conv)
 
 
 # ---------------------------------------------------------------------------
@@ -260,25 +272,31 @@ def _run_st1(ctx: RunContext):
     S = paraboloid(ctx.field, d)
     sig = surface_measure_inverse_ft(S)
     dt = d - 1
-    for t, rng in ctx.trial_rngs():
-        q = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
-        theta = float(rng.uniform(0.2, 0.9))
-        k = int(rng.integers(1, max(2, p**d // 3)))
-        idx = _random_support(rng, p**d, k)
-        vals = rng.uniform(1.0, 2.0, size=k) * np.exp(2j * np.pi * rng.random(k))
-        f = _sparse(ctx.field, d, idx, vals)
-        f = _scale(f, 1.0 / lp_norm(f.data, q / (q - theta)))
-        lam = float(np.abs(f.data[idx]).min())
-        lhs = restriction(f, S).norm(2.0) ** 2
-        pairing = abs(inner(f.data, convolve(f, sig).data))
-        dev_id = _rel(lhs, pairing)
-        bound = lp_norm(f.data, 2.0) ** 2 + p ** (-dt / 2) * lp_norm(f.data, 1.0) ** 2
-        dev_chain = _pos(lhs - bound) / max(1.0, bound)
-        final = 1.0 + p ** (-dt / 4) * lam ** (-theta / (q - theta))
-        dev_final = _pos(math.sqrt(lhs) - final) / max(1.0, final)
-        yield max(dev_id, dev_chain, dev_final), dict(
-            trial=t, pairing=dev_id, chain=dev_chain, final=dev_final, q=q,
-            theta=theta)
+    for stack in _stacks(ctx.trial_rngs(), p**d):
+        data = np.zeros((len(stack), p**d), dtype=complex)
+        draws = []
+        for f, (t, rng) in zip(data, stack):
+            q = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
+            theta = float(rng.uniform(0.2, 0.9))
+            k = int(rng.integers(1, max(2, p**d // 3)))
+            idx = _random_support(rng, p**d, k)
+            f[idx] = rng.uniform(1.0, 2.0, size=k) * np.exp(2j * np.pi * rng.random(k))
+            f *= 1.0 / lp_norm(f, q / (q - theta))
+            draws.append((t, q, theta, float(np.abs(f[idx]).min())))
+        F = FFunction(ctx.field, d, data)
+        rest = restriction(F, S)
+        conv = convolve(F, sig).data
+        for i, (f, (t, q, theta, lam)) in enumerate(zip(data, draws)):
+            lhs = rest[i].norm(2.0) ** 2
+            pairing = abs(inner(f, conv[i]))
+            dev_id = _rel(lhs, pairing)
+            bound = lp_norm(f, 2.0) ** 2 + p ** (-dt / 2) * lp_norm(f, 1.0) ** 2
+            dev_chain = _pos(lhs - bound) / max(1.0, bound)
+            final = 1.0 + p ** (-dt / 4) * lam ** (-theta / (q - theta))
+            dev_final = _pos(math.sqrt(lhs) - final) / max(1.0, final)
+            yield max(dev_id, dev_chain, dev_final), dict(
+                trial=t, pairing=dev_id, chain=dev_chain, final=dev_final, q=q,
+                theta=theta)
 
 
 def _run_st2(ctx: RunContext):
@@ -289,21 +307,26 @@ def _run_st2(ctx: RunContext):
     p, d = ctx.prime, ctx.dim
     S = paraboloid(ctx.field, d)
     r22 = exact_r22(S)
-    for t, rng in ctx.trial_rngs():
-        theta = float(rng.uniform(0.2, 0.9))
-        k = int(rng.integers(1, max(2, p**d // 2)))
-        idx = _random_support(rng, p**d, k)
-        f = _sparse(ctx.field, d, idx,
-                    rng.uniform(0.2, 1.0, size=k) * np.exp(2j * np.pi * rng.random(k)))
-        q = 2.0
-        f = _scale(f, 1.0 / lp_norm(f.data, q / (q - theta)))
-        lam = float(np.abs(f.data).max())
-        lam_pow = lam ** ((1.0 - theta) / (q - theta))
-        dev_norm = _pos(lp_norm(f.data, 2.0) - lam_pow) / max(1.0, lam_pow)
-        lhs = restriction(f, S).norm(2.0)
-        dev_rest = _pos(lhs - r22 * lam_pow) / max(1.0, r22 * lam_pow)
-        yield max(dev_norm, dev_rest), dict(
-            trial=t, height_norm=dev_norm, restricted=dev_rest, theta=theta)
+    q = 2.0
+    for stack in _stacks(ctx.trial_rngs(), p**d):
+        data = np.zeros((len(stack), p**d), dtype=complex)
+        thetas = []
+        for f, (_, rng) in zip(data, stack):
+            theta = float(rng.uniform(0.2, 0.9))
+            k = int(rng.integers(1, max(2, p**d // 2)))
+            idx = _random_support(rng, p**d, k)
+            f[idx] = rng.uniform(0.2, 1.0, size=k) * np.exp(2j * np.pi * rng.random(k))
+            f *= 1.0 / lp_norm(f, q / (q - theta))
+            thetas.append(theta)
+        rest = restriction(FFunction(ctx.field, d, data), S)
+        for i, (f, (t, _), theta) in enumerate(zip(data, stack, thetas)):
+            lam = float(np.abs(f).max())
+            lam_pow = lam ** ((1.0 - theta) / (q - theta))
+            dev_norm = _pos(lp_norm(f, 2.0) - lam_pow) / max(1.0, lam_pow)
+            lhs = rest[i].norm(2.0)
+            dev_rest = _pos(lhs - r22 * lam_pow) / max(1.0, r22 * lam_pow)
+            yield max(dev_norm, dev_rest), dict(
+                trial=t, height_norm=dev_norm, restricted=dev_rest, theta=theta)
 
 
 def _run_st3(ctx: RunContext):
@@ -364,14 +387,19 @@ def _run_st5(ctx: RunContext):
         dev_origin = abs(sig.data[0] - 1.0)
         yield max(dev_decay, dev_origin), dict(
             surface=label, decay=dev_decay, origin=dev_origin)
-        for t, rng in ctx.trial_rngs():
-            k = int(rng.integers(1, p**d))
-            idx = _random_support(rng, p**d, k)
-            f = _sparse(ctx.field, d, idx, np.exp(2j * np.pi * rng.random(k)))
-            lhs = restriction(f, S).norm(2.0) ** 2
-            bound = k + p ** (-(d - 1) / 2) * k**2
-            yield _pos(lhs - bound) / max(1.0, bound), dict(
-                surface=label, trial=t, support=k)
+        for stack in _stacks(ctx.trial_rngs(), p**d):
+            data = np.zeros((len(stack), p**d), dtype=complex)
+            sizes = []
+            for f, (_, rng) in zip(data, stack):
+                k = int(rng.integers(1, p**d))
+                f[_random_support(rng, p**d, k)] = np.exp(2j * np.pi * rng.random(k))
+                sizes.append(k)
+            rest = restriction(FFunction(ctx.field, d, data), S)
+            for i, ((t, _), k) in enumerate(zip(stack, sizes)):
+                lhs = rest[i].norm(2.0) ** 2
+                bound = k + p ** (-(d - 1) / 2) * k**2
+                yield _pos(lhs - bound) / max(1.0, bound), dict(
+                    surface=label, trial=t, support=k)
 
 
 def _run_st6(ctx: RunContext):
@@ -383,19 +411,24 @@ def _run_st6(ctx: RunContext):
     S = paraboloid(ctx.field, d)
     r22 = exact_r22(S)
     alpha = _logp(p, r22)
-    for t, rng in ctx.trial_rngs():
-        # gamma >= 1 keeps the derived exponent a genuine Lebesgue index
-        k = int(rng.integers(p, p**d))
-        idx = _random_support(rng, p**d, k)
-        f = _sparse(ctx.field, d, idx, 1.0)
-        gamma = _logp(p, k)
-        r = 2 * gamma / (gamma + 2 * alpha)
-        dev_norm = _rel(lp_norm(f.data, r), p ** (alpha + gamma / 2))
-        lhs = restriction(f, S).norm(2.0)
-        bound = r22 * math.sqrt(k)
-        dev_rest = _pos(lhs - bound) / max(1.0, bound)
-        yield max(dev_norm, dev_rest), dict(
-            trial=t, support=k, norm_identity=dev_norm, height=dev_rest)
+    for stack in _stacks(ctx.trial_rngs(), p**d):
+        data = np.zeros((len(stack), p**d), dtype=complex)
+        sizes = []
+        for f, (_, rng) in zip(data, stack):
+            # gamma >= 1 keeps the derived exponent a genuine Lebesgue index
+            k = int(rng.integers(p, p**d))
+            f[_random_support(rng, p**d, k)] = 1.0
+            sizes.append(k)
+        rest = restriction(FFunction(ctx.field, d, data), S)
+        for i, (f, (t, _), k) in enumerate(zip(data, stack, sizes)):
+            gamma = _logp(p, k)
+            r = 2 * gamma / (gamma + 2 * alpha)
+            dev_norm = _rel(lp_norm(f, r), p ** (alpha + gamma / 2))
+            lhs = rest[i].norm(2.0)
+            bound = r22 * math.sqrt(k)
+            dev_rest = _pos(lhs - bound) / max(1.0, bound)
+            yield max(dev_norm, dev_rest), dict(
+                trial=t, support=k, norm_identity=dev_norm, height=dev_rest)
 
 
 def _run_eq1(ctx: RunContext):
@@ -439,16 +472,17 @@ def _run_br1(ctx: RunContext):
     field = ctx.field
     S = hyperbolic_paraboloid(field, 3)
     X = coordinate_array(p, 3)
-    for m in range(p):
-        char = np.exp(2j * np.pi * (m * X[:, 0] % p) / p)
-        for x2o in range(p):
-            for to in range(p):
-                data = np.where((X[:, 1] == x2o) & (X[:, 2] == to), char, 0)
-                F = FFunction(field, 3, data)
-                out = bochner_riesz(F, S, "kernel_only")
-                want = char * Tube(field, m, x2o, to).indicator().data
-                yield float(np.abs(out.data - want).max()), dict(
-                    slope=m, offset=x2o, time=to)
+    # chars[m] is the character e(m x1 / p) on the whole grid
+    chars = np.exp(2j * np.pi * (np.arange(p)[:, None] * X[:, 0] % p) / p)
+    for stack in _stacks(itertools.product(range(p), repeat=3), p**3):
+        slopes, offsets, times = np.array(stack).T
+        lines = (X[:, 1] == offsets[:, None]) & (X[:, 2] == times[:, None])
+        F = FFunction(field, 3, np.where(lines, chars[slopes], 0))
+        out = bochner_riesz(F, S, "kernel_only")
+        tubes = np.stack([Tube(field, *triple).indicator().data for triple in stack])
+        devs = np.abs(out.data - chars[slopes] * tubes).max(axis=1)
+        for (m, x2o, to), dev in zip(stack, devs.tolist()):
+            yield dev, dict(slope=m, offset=x2o, time=to)
 
 
 def _run_br2(ctx: RunContext):
@@ -539,9 +573,9 @@ def _run_en1(ctx: RunContext):
     # The vectorized sum-multiset energy count equals the literal
     # count of quadruples, as integers.
     p = ctx.prime
+    surfaces = (paraboloid(ctx.field, 3), hyperbolic_paraboloid(ctx.field, 3))
     for t, rng in ctx.trial_rngs():
-        maker = hyperbolic_paraboloid if t % 2 else paraboloid
-        S = maker(ctx.field, 3)
+        S = surfaces[t % 2]
         k = int(rng.integers(2, min(S.size, 12) + 1))
         E = random_surface_subset(S, k, rng)
         fast = additive_energy(E)
@@ -592,18 +626,28 @@ def _run_en3(ctx: RunContext):
 def _run_en4(ctx: RunContext):
     # Fourth-moment identity: for an indicator on the surface,
     # ||extension||_4^4 equals p^d Lambda(E) / |S|^4 exactly, tying the
-    # transform side to the quadruple count.
+    # transform side to the quadruple count.  Even trials draw on the
+    # paraboloid, odd ones on the hyperbolic paraboloid.
     p, d = ctx.prime, ctx.dim
-    for t, rng in ctx.trial_rngs():
-        maker = hyperbolic_paraboloid if t % 2 else paraboloid
-        S = maker(ctx.field, d)
-        k = int(rng.integers(2, min(S.size, 40) + 1))
-        E = random_surface_subset(S, k, rng)
-        f = SurfaceFunction.from_surface_points(S, E.matrix())
-        lhs = lp_norm(extension(f).data, 4.0) ** 4
-        lam = additive_energy(E)
-        rhs = p**d * lam / S.size**4
-        yield _rel(lhs, rhs), dict(trial=t, size=k, energy=lam)
+    surfaces = (paraboloid(ctx.field, d), hyperbolic_paraboloid(ctx.field, d))
+    for stack in _stacks(ctx.trial_rngs(), p**d):
+        draws = []
+        for t, rng in stack:
+            S = surfaces[t % 2]
+            k = int(rng.integers(2, min(S.size, 40) + 1))
+            E = random_surface_subset(S, k, rng)
+            draws.append((t, k, E, SurfaceFunction.from_surface_points(S, E.matrix())))
+        lhs = {}
+        for parity, S in enumerate(surfaces):
+            part = [(t, f.values) for t, _, _, f in draws if t % 2 == parity]
+            if part:
+                ext = extension(SurfaceFunction(S, np.stack([v for _, v in part])))
+                for (t, _), row in zip(part, ext.data):
+                    lhs[t] = lp_norm(row, 4.0) ** 4
+        for t, k, E, _ in draws:
+            lam = additive_energy(E)
+            rhs = p**d * lam / surfaces[t % 2].size**4
+            yield _rel(lhs[t], rhs), dict(trial=t, size=k, energy=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -614,9 +658,9 @@ def _run_in1(ctx: RunContext):
     # Shear the surface so a maximizing point moves to the origin; the
     # energy of (A, B) is at most twice the resulting point-hyperplane
     # incidence count times the number of hyperplanes.
+    surfaces = (paraboloid(ctx.field, 3), hyperbolic_paraboloid(ctx.field, 3))
     for t, rng in ctx.trial_rngs():
-        maker = hyperbolic_paraboloid if t % 2 else paraboloid
-        S = maker(ctx.field, 3)
+        S = surfaces[t % 2]
         A = random_surface_subset(S, int(rng.integers(2, 9)), rng)
         B = random_surface_subset(S, int(rng.integers(2, 9)), rng)
         r = energy_to_incidence(A, B, S)
@@ -657,11 +701,13 @@ def _run_mt1(ctx: RunContext):
     # the slice transplanted onto the surface.
     p = ctx.prime
     S = hyperbolic_paraboloid(ctx.field, 3)
-    for t, rng in ctx.trial_rngs():
-        data = np.zeros(p**3, dtype=complex)
-        data[: p * p] = rng.standard_normal(p * p)  # the slice t = 0
-        h0 = FFunction(ctx.field, 3, data)
-        yield pseudo_conformal_check(h0, S), dict(trial=t)
+    for stack in _stacks(ctx.trial_rngs(), p**3):
+        data = np.zeros((len(stack), p**3), dtype=complex)
+        for row, (_, rng) in zip(data, stack):
+            row[: p * p] = rng.standard_normal(p * p)  # the slice t = 0
+        devs = pseudo_conformal_check(FFunction(ctx.field, 3, data), S)
+        for (t, _), dev in zip(stack, devs.tolist()):
+            yield dev, dict(trial=t)
 
 
 def _run_mt2(ctx: RunContext):
@@ -704,15 +750,16 @@ def _run_pl1(ctx: RunContext):
     # Embedding a bivariate function on the plane x2 = a x3 + b and
     # transforming equals shearing its own transform and twisting by the
     # offset character.
-    for t, rng in ctx.trial_rngs():
-        f = FFunction.random(ctx.field, 2, rng)
-        a = int(rng.integers(0, ctx.prime))
-        b = int(rng.integers(0, ctx.prime))
-        got = plane_embed_ft(f, a, b)
-        want = fourier_transform(plane_embed(f, a, b))
-        dev = float(np.abs(got.data - want.data).max()) / max(
-            1.0, float(np.abs(want.data).max()))
-        yield dev, dict(trial=t, slope=a, offset=b)
+    for stack in _stacks(ctx.trial_rngs(), ctx.prime**3):
+        draws = [(t, FFunction.random(ctx.field, 2, rng),
+                  int(rng.integers(0, ctx.prime)), int(rng.integers(0, ctx.prime)))
+                 for t, rng in stack]
+        want = fourier_transform(FFunction(ctx.field, 3, np.stack(
+            [plane_embed(f, a, b).data for _, f, a, b in draws]))).data
+        for (t, f, a, b), w in zip(draws, want):
+            got = plane_embed_ft(f, a, b)
+            dev = float(np.abs(got.data - w).max()) / max(1.0, float(np.abs(w).max()))
+            yield dev, dict(trial=t, slope=a, offset=b)
 
 
 def _run_pl2(ctx: RunContext):
@@ -1661,11 +1708,15 @@ def _run_groups(groups, seed: int, workers: int) -> list:
 
 def regenerate_baselines(ids=None, path=None) -> BaselineStore:
     """Recompute tracked constants at their provenance parameters and
-    rewrite the store (constants plus runner source hashes)."""
+    rewrite the store (constants plus runner source hashes).  A full
+    regeneration, with no ids, also drops every entry whose id is no
+    registered constant_tracked scenario."""
     store = BaselineStore.load(path)
     tracked = [sid for sid, sc in REGISTRY.items()
                if sc.kind == "constant_tracked"]
     todo = list(ids) if ids else tracked
+    if not ids:
+        store.entries.clear()
     for sid in todo:
         sc = _scenario(sid)
         if sc.kind != "constant_tracked":

@@ -7,6 +7,9 @@ transforms, and norm transfer along congruences.
 A surface is the graph {(xi, Q(xi))} of a nondegenerate quadratic form Q
 on F_p^{d-1}; its normalized measure gives each of the p^{d-1} points
 mass |S|^{-1}.  Functions on the surface are indexed by the base point.
+Like the transforms, restriction, extension, bochner_riesz and
+pseudo_conformal_check take one function or a stack of them, and map a
+stack row by row.
 """
 
 from __future__ import annotations
@@ -111,14 +114,16 @@ def hyperbolic_paraboloid(field: PrimeField, d: int) -> Surface:
 
 
 class SurfaceFunction:
-    """Complex function on a surface, stored by base point index."""
+    """Complex function on a surface, stored by base point index: values
+    of shape (|S|,), or (c, |S|) for a stack of c functions."""
 
     __slots__ = ("surface", "values")
 
     def __init__(self, surface: Surface, values: np.ndarray):
         values = np.asarray(values, dtype=np.complex128)
-        if values.shape != (surface.size,):
-            raise ValueError(f"expected {surface.size} values, got {values.shape}")
+        if values.shape[-1:] != (surface.size,) or values.ndim > 2:
+            raise ValueError(f"expected {surface.size} values, or a stack of "
+                             f"them, got {values.shape}")
         self.surface = surface
         self.values = values
 
@@ -137,8 +142,13 @@ class SurfaceFunction:
         """iid standard complex gaussians, as FFunction.random on the base."""
         return cls(surface, FFunction.random(surface.field, surface.base_dim, rng).data)
 
+    def __getitem__(self, i: int) -> "SurfaceFunction":
+        """Function i of a stack."""
+        return SurfaceFunction(self.surface, self.values[i])
+
     def norm(self, q: float) -> float:
-        """L^q(S, dsigma) with the normalized surface measure."""
+        """L^q(S, dsigma) with the normalized surface measure, of one
+        function; lp_norm refuses a stack."""
         return lp_norm(self.values, q, "normalized")
 
 
@@ -148,19 +158,26 @@ class SurfaceFunction:
 
 def _height_rows(f: SurfaceFunction, ts, work: Optional[np.ndarray] = None
                  ) -> np.ndarray:
-    """The extension of f on the heights t selected by ts, one row each.
+    """The extension of f on the heights t selected by ts, one row each,
+    and one such block per function of a stack: shape (heights, |S|), or
+    (c, heights, |S|).
 
     On the graph the last-axis phase is the single term e(t Q(xi)), so
     height t of the extension is |S|^{-1} times the unnormalised base
     inverse transform of f(xi) e(t Q(xi)).  The phase rows are gathered
     from the inverse character kernel with take, which returns a fresh
-    C-contiguous stack for the in-place transform (a fancy-indexed
-    E[:, S.heights] is not C-contiguous); work is the transform's optional
+    C-contiguous array for the in-place transform (a fancy-indexed
+    E[:, S.heights] is not C-contiguous); one function, alone or as a
+    stack of one, multiplies into it in place, a larger stack into a
+    fresh product of its shape.  work is the transform's optional
     reusable scratch, of the stack's size.
     """
     S = f.surface
-    rows = char_kernel(S.field, +1)[ts].take(S.heights, axis=1)
-    rows *= f.values
+    phases = char_kernel(S.field, +1)[ts].take(S.heights, axis=1)
+    values = f.values[..., None, :]
+    shape = values.shape[:-2] + phases.shape
+    rows = np.multiply(phases, values,
+                       out=phases.reshape(shape) if values.size == S.size else None)
     _axis_dft(rows, S.field, S.base_dim, +1, work)
     rows /= S.size
     return rows
@@ -171,11 +188,14 @@ def extension(f: SurfaceFunction) -> FFunction:
 
     Computed height by height: the slab at last coordinate t is the base
     inverse transform of f(xi) e(t Q(xi)), divided by |S|, and all p
-    slabs run as one stacked transform over the d-1 base coordinates.
-    The call holds the output grid and the transform's scratch.
+    slabs of every function of a stack run as one stacked transform over
+    the d-1 base coordinates.  The call holds the output grid and the
+    transform's scratch.
     """
     S = f.surface
-    return FFunction(S.field, S.ambient_dim, _height_rows(f, slice(None)).reshape(-1))
+    rows = _height_rows(f, slice(None))
+    return FFunction(S.field, S.ambient_dim,
+                     rows.reshape(rows.shape[:-2] + (-1,)))
 
 
 def extension_slabs(f: SurfaceFunction) -> Iterator[tuple[int, np.ndarray]]:
@@ -198,8 +218,7 @@ def restriction(F: FFunction, S: Surface) -> SurfaceFunction:
     <extension(g), F>_dx = <g, restriction(F, S)>_dsigma."""
     if F.dim != S.ambient_dim:
         raise ValueError("function dimension does not match the surface ambient")
-    Fh = fourier_transform(F)
-    return SurfaceFunction(S, Fh.data[S.flat_indices].copy())
+    return SurfaceFunction(S, fourier_transform(F).data[..., S.flat_indices])
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +294,7 @@ def bochner_riesz(F: FFunction, S: Surface, variant: str = "with_delta") -> FFun
     Fh = fourier_transform(F)
     mh = np.zeros_like(Fh.data)
     scale = S.field.p**S.ambient_dim / S.size
-    mh[S.flat_indices] = Fh.data[S.flat_indices] * scale
+    mh[..., S.flat_indices] = Fh.data[..., S.flat_indices] * scale
     out = inverse_transform(FFunction(F.field, F.dim, mh))
     if variant == "with_delta":
         out = out - F
@@ -308,9 +327,10 @@ class Tube:
 # pseudo-conformal slice transport (d = 3)
 
 
-def pseudo_conformal_check(h0: FFunction, S: Surface) -> float:
+def pseudo_conformal_check(h0: FFunction, S: Surface):
     """Max over t != 0 of | |(h0*K)(x1,x2,t)| - p |(h0~ dsigma)-vee at the
-    transformed point | for real-valued h0 supported on the slice t = 0.
+    transformed point | for real-valued h0 supported on the slice t = 0:
+    a float for one function, an array of one per row for a stack.
 
     The transformed point is w = (-x2/t, -x1/t), t' = 1/t.  K is the
     surface kernel minus the identity; on t != 0 output slices the delta
@@ -322,7 +342,7 @@ def pseudo_conformal_check(h0: FFunction, S: Surface) -> float:
     p = S.field.p
     X = coordinate_array(p, 3)
     off_slice = X[:, 2] != 0
-    if np.abs(h0.data[off_slice]).max() > 0:
+    if np.abs(h0.data[..., off_slice]).max() > 0:
         raise ValueError("h0 must vanish off the slice t = 0")
     if np.abs(h0.data.imag).max() > 1e-12:
         raise ValueError("h0 must be real-valued")
@@ -330,17 +350,17 @@ def pseudo_conformal_check(h0: FFunction, S: Surface) -> float:
     conv = bochner_riesz(h0, S, "with_delta")
     # h0 read as a function on the surface through the base identification;
     # the slice t=0 occupies the first p^2 flat indices
-    ext = extension(SurfaceFunction(S, h0.data[: p * p].copy()))
+    ext = extension(SurfaceFunction(S, h0.data[..., : p * p]))
 
     X = X[off_slice]
     tp = S.field.inv[X[:, 2]]
     moved = np.stack([-X[:, 1] * tp, -X[:, 0] * tp, tp], axis=1)
-    lhs = conv.data[off_slice]
-    rhs = ext.data[encode_point(moved, p)]
+    lhs = conv.data[..., off_slice]
+    rhs = ext.data[..., encode_point(moved, p)]
     # np.hypot is the libm hypot behind Python's abs(complex); np.abs on
     # complex input rounds differently in the last bit
     diff = np.hypot(lhs.real, lhs.imag) - p * np.hypot(rhs.real, rhs.imag)
-    return float(np.abs(diff).max())
+    return np.abs(diff).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,28 @@ def test_lp_norm_examples():
             lp_norm(five.data, bad)
 
 
+def test_a_function_holds_one_row_or_a_stack():
+    F = PrimeField(3)
+    for shape in ((8,), (2, 8), (1, 2, 9)):
+        with pytest.raises(ValueError):
+            FFunction(F, 2, np.zeros(shape, dtype=complex))
+    assert FFunction(F, 2, np.zeros((4, 9), dtype=complex)).data.shape == (4, 9)
+
+
+def test_norms_take_one_function_not_a_stack():
+    # a stack of functions has no one norm: summing across its rows would
+    # mix the functions, so a 2-d array raises
+    stack = np.ones((2, 9), dtype=complex)
+    for measure in ("counting", "normalized"):
+        with pytest.raises(ValueError, match="one function"):
+            lp_norm(stack, 2.0, measure)
+    with pytest.raises(ValueError, match="two functions"):
+        inner(stack, stack)
+    with pytest.raises(ValueError, match="two functions"):
+        inner(stack[0], stack)
+    assert lp_norm(stack[0], 2.0) == 3.0 and inner(stack[0], stack[1]) == 9.0
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1.5, 2.0, 3.0, 4.0]))
 def test_holder_sanity(seed, p_exp):

@@ -57,11 +57,17 @@ def test_fast_transform_matches_naive(p, d):
 
 # A stacked transform must give every row the bits of a separate call.  BLAS
 # may round a product differently by its row count, so this pins it on
-# stacks shaped like the sweep's.  No run transforms on F_p^1, where a
+# stacks shaped like the sweep's: an extension's p heights and MX-1's slabs,
+# the stacked runners' trials (FT-3, ST-1 and BR-1 at (3, 3), (5, 3), (7, 3),
+# (3, 5) and (7, 2)), and the heights of their extension stacks (MT-1 at
+# p = 3, 5, 7 and EN-4 at (3, 5)).  No run transforms on F_p^1, where a
 # separate call is a one-row product that BLAS rounds on another path.
 @pytest.mark.parametrize("p,dim,c", [(3, 3, 3), (3, 4, 5), (3, 5, 2),
                                      (5, 2, 5), (5, 4, 5), (7, 3, 2), (11, 2, 11),
-                                     (13, 2, 13), (13, 3, 1), (13, 4, 2)])
+                                     (13, 2, 13), (13, 3, 1), (13, 4, 2),
+                                     (3, 3, 20), (5, 3, 20), (7, 3, 11), (3, 5, 16),
+                                     (7, 2, 20), (3, 3, 27), (5, 3, 32),
+                                     (3, 2, 75), (5, 2, 125), (7, 2, 77), (3, 4, 24)])
 def test_stacked_transform_equals_separate_calls(p, dim, c):
     F = PrimeField(p)
     rng = np.random.default_rng(p * 100 + dim * 10 + c)
@@ -76,6 +82,25 @@ def test_stacked_transform_equals_separate_calls(p, dim, c):
         flat = stack.reshape(-1).copy()
         _axis_dft(flat, F, dim, sign, np.empty_like(flat))
         assert np.array_equal(flat, stacked.reshape(-1))
+
+
+@pytest.mark.parametrize("p,d,c", [(3, 3, 20), (5, 3, 20), (7, 3, 11), (3, 5, 16),
+                                   (7, 2, 20)])
+def test_stacked_operators_equal_per_row_calls(p, d, c):
+    # each transform maps a stack row by row, to the bits of one call per
+    # row; convolve also takes a stack against one function
+    F = PrimeField(p)
+    rng = np.random.default_rng(p * 100 + d * 10 + c)
+    fs = [FFunction.random(F, d, rng) for _ in range(c)]
+    gs = [FFunction.random(F, d, rng) for _ in range(c)]
+    f = FFunction(F, d, np.stack([x.data for x in fs]))
+    g = FFunction(F, d, np.stack([x.data for x in gs]))
+    for op in (fourier_transform, inverse_transform):
+        assert np.array_equal(op(f).data, np.stack([op(x).data for x in fs]))
+    assert np.array_equal(convolve(f, g).data,
+                          np.stack([convolve(a, b).data for a, b in zip(fs, gs)]))
+    assert np.array_equal(convolve(f, gs[0]).data,
+                          np.stack([convolve(a, gs[0]).data for a in fs]))
 
 
 def test_stacked_transform_refuses_a_strided_buffer():

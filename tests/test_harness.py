@@ -903,12 +903,49 @@ def test_sweep_verifies_each_tracked_runner_once(tmp_path, monkeypatch):
 def test_nan_deviation_fails_the_run_with_its_witness(monkeypatch, devs, first_nan):
     import fflab.harness.scenarios as scenarios
     values = iter(devs)
+    # MT-1 checks a stack of trials per call, so the stub returns one
+    # deviation per row, in trial order
     monkeypatch.setattr(scenarios, "pseudo_conformal_check",
-                        lambda h0, S: next(values))
+                        lambda h0, S: np.array([next(values) for _ in h0.data]))
     r = run_scenario("MT-1", prime=3, dim=3, trials=len(devs))
     assert r.status == "fail"
     assert np.isnan(r.metric)
     assert r.witness == witness_values(trial=first_nan)
+
+
+# The runners that cut their trials into stacks, one operator call per
+# stack (scenarios._stacks).
+STACKED_RUNNERS = ("FT-3", "ST-1", "ST-2", "ST-5", "ST-6", "BR-1", "PL-1", "MT-1",
+                   "EN-4")
+
+
+def test_stacks_cut_a_run_into_consecutive_bounded_lists():
+    import fflab.harness.scenarios as scenarios
+    assert scenarios.STACK_POINTS == 4096
+    sizes = {27: [20], 343: [11, 11, 3], 2048: [2] * 12 + [1], 2049: [1] * 25,
+             16807: [1] * 25}
+    for points, want in sizes.items():
+        stacks = list(scenarios._stacks(range(25 if points != 27 else 20), points))
+        assert [len(s) for s in stacks] == want
+        assert [x for s in stacks for x in s] == list(range(sum(want)))
+
+
+@pytest.mark.parametrize("sid", STACKED_RUNNERS)
+def test_stacked_runner_yields_the_cases_of_one_trial_stacks(monkeypatch, sid):
+    # With the stack limit patched down to one trial per stack, a runner
+    # makes one operator call per trial; its cases must come out the same,
+    # bit for bit and in order.  (7, 3) splits 25 trials, or BR-1's 343
+    # triples, into stacks of 11 and a remainder.
+    import fflab.harness.scenarios as scenarios
+    sc = REGISTRY[sid]
+    for p, d in ((3, sc.dims[0]), (7, 3)):
+        assert scenarios.STACK_POINTS // p**d > 1
+        stacked = list(sc.runner(RunContext(sid, p, d, sc.default_trials, 11)))
+        with monkeypatch.context() as patch:
+            patch.setattr(scenarios, "STACK_POINTS", 1)
+            single = list(sc.runner(RunContext(sid, p, d, sc.default_trials, 11)))
+        assert len(stacked) > 1
+        assert repr(stacked) == repr(single)
 
 
 def test_in2_witness_reports_the_audited_constants(monkeypatch):
@@ -1351,6 +1388,25 @@ def test_regenerate_unknown_id_names_the_registered_ids(tmp_path):
 def test_regenerate_rejects_untracked_ids(tmp_path):
     with pytest.raises(ValueError):
         regenerate_baselines(["FT-1"], path=tmp_path / "x.json")
+
+
+def test_full_regen_drops_an_entry_for_no_tracked_scenario(tmp_path, monkeypatch, capsys):
+    # a tracked scenario that left the registry must not leave its
+    # constant behind for `fflab baseline` to exit 2 on: the full regen
+    # writes exactly the registered tracked entries, a regen of named ids
+    # touches only those
+    import fflab.harness.baselines as bl
+    shipped = bl._DEFAULT_PATH.read_bytes()
+    doc = json.loads(shipped)
+    doc["entries"]["XX-1"] = doc["entries"]["EN-2"]
+    path = tmp_path / "baselines.json"
+    path.write_text(json.dumps(doc))
+    assert "XX-1" in regenerate_baselines(["EN-2"], path=path).entries
+    monkeypatch.setattr(bl, "_DEFAULT_PATH", path)
+    assert cli_main(["baseline", "--regen"]) == 0
+    assert "XX-1" not in capsys.readouterr().out
+    assert path.read_bytes() == shipped
+    assert cli_main(["baseline"]) == 0
 
 
 def test_benchmark_tracer_finds_every_entry_point():

@@ -91,6 +91,60 @@ def test_surface_function_constructors():
 
 
 # ---------------------------------------------------------------------------
+# stacks
+
+
+def _stack_cases():
+    # surfaces and stack heights of the stacked runners: ST-1 at (3, 3),
+    # (5, 3), (7, 3) and (3, 5), EN-4's two surfaces, MT-1 and BR-1 at d = 3
+    return [(paraboloid(PrimeField(3), 3), 20), (paraboloid(PrimeField(5), 3), 20),
+            (paraboloid(PrimeField(7), 3), 11), (paraboloid(PrimeField(3), 5), 16),
+            (hyperbolic_paraboloid(PrimeField(3), 5), 8),
+            (hyperbolic_paraboloid(PrimeField(3), 3), 25),
+            (hyperbolic_paraboloid(PrimeField(5), 3), 32),
+            (hyperbolic_paraboloid(PrimeField(7), 3), 11)]
+
+
+@pytest.mark.parametrize("S,c", _stack_cases(), ids=repr)
+def test_stacked_surface_operators_equal_per_row_calls(S, c):
+    p, d = S.field.p, S.ambient_dim
+    rng = np.random.default_rng(p * 10 + d + c)
+    fs = [SurfaceFunction.random(S, rng) for _ in range(c)]
+    Fs = [FFunction.random(S.field, d, rng) for _ in range(c)]
+    f = SurfaceFunction(S, np.stack([x.values for x in fs]))
+    F = FFunction(S.field, d, np.stack([x.data for x in Fs]))
+    assert np.array_equal(extension(f).data, np.stack([extension(x).data for x in fs]))
+    rest = restriction(F, S)
+    assert np.array_equal(rest.values, np.stack([restriction(x, S).values for x in Fs]))
+    assert [rest[i].norm(2.0) for i in range(c)] == [
+        restriction(x, S).norm(2.0) for x in Fs]
+    for variant in ("with_delta", "kernel_only"):
+        assert np.array_equal(bochner_riesz(F, S, variant).data, np.stack(
+            [bochner_riesz(x, S, variant).data for x in Fs]))
+    if d == 3:
+        # real slices t = 0, as MT-1 draws them
+        slices = np.zeros((c, p**3), dtype=complex)
+        slices[:, : p * p] = rng.standard_normal((c, p * p))
+        devs = pseudo_conformal_check(FFunction(S.field, 3, slices), S)
+        assert devs.shape == (c,)
+        assert devs.tolist() == [
+            float(pseudo_conformal_check(FFunction(S.field, 3, h), S)) for h in slices]
+
+
+def test_a_stack_has_no_one_norm():
+    # SurfaceFunction.norm goes through lp_norm, which refuses a stack
+    # rather than summing across its functions
+    S = paraboloid(PrimeField(3), 3)
+    f = SurfaceFunction(S, np.ones((2, S.size)))
+    with pytest.raises(ValueError, match="one function"):
+        f.norm(2.0)
+    assert f[1].norm(2.0) == 1.0
+    for shape in ((S.size + 1,), (2, S.size - 1), (1, 2, S.size)):
+        with pytest.raises(ValueError):
+            SurfaceFunction(S, np.ones(shape))
+
+
+# ---------------------------------------------------------------------------
 # extension / restriction
 
 
