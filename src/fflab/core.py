@@ -284,14 +284,8 @@ class FFunction:
 
     # -- pointwise algebra ---------------------------------------------------
 
-    def _like(self, data: np.ndarray) -> "FFunction":
-        return FFunction(self.field, self.dim, data)
-
-    def __sub__(self, other: "FFunction") -> "FFunction":
-        return self._like(self.data - other.data)
-
     def abs(self) -> "FFunction":
-        return self._like(np.abs(self.data).astype(np.complex128))
+        return FFunction(self.field, self.dim, np.abs(self.data).astype(np.complex128))
 
 
 def lp_norm(values: np.ndarray, p_exp: float, measure: str = "counting") -> float:

@@ -56,6 +56,7 @@ import numpy as np
 from ..core import (
     FFunction,
     PrimeField,
+    char_vector,
     coordinate_array,
     draw_until,
     encode_point,
@@ -96,7 +97,6 @@ from ..qforms import (
 from ..surfaces import (
     Surface,
     SurfaceFunction,
-    Tube,
     bochner_riesz,
     congruence_between,
     equivalence_transfer,
@@ -189,6 +189,12 @@ def _pos(x: float) -> float:
     return max(0.0, x)
 
 
+def _excess(lhs: float, bound: float) -> float:
+    """How far lhs overshoots bound, relative to max(1, bound); 0 when
+    the inequality holds."""
+    return _pos(lhs - bound) / max(1.0, bound)
+
+
 def _logp(p: int, n: float) -> float:
     return math.log(n) / math.log(p)
 
@@ -201,12 +207,15 @@ def _nondegenerate_symmetric(field: PrimeField, m: int,
                       lambda A: det_mod(A, field.p) != 0, "nondegenerate form")
 
 
-def _indicator_masks(n: int):
-    """Every nonempty subset of range(n) as (mask, row) for mask = 1 ...
-    2^n - 1 in order, where row is the length-n bool array of its bits."""
-    bits = 1 << np.arange(n)
-    for mask in range(1, 2**n):
-        yield mask, (mask & bits) != 0
+def _exhaustive_masks(ctx: RunContext, n: int) -> Optional[np.ndarray]:
+    """At the scenario's provenance point, where its family is
+    exhaustive: state one trial and return every nonempty subset of
+    range(n) as a bool (2^n - 1, n) array whose row mask - 1 holds the
+    bits of mask.  None at every other point."""
+    if (ctx.prime, ctx.dim) != REGISTRY[ctx.scenario_id].provenance[:2]:
+        return None
+    ctx.trials = 1
+    return (np.arange(1, 2**n)[:, None] & (1 << np.arange(n))) != 0
 
 
 def _direct_sigma(S: Surface) -> FFunction:
@@ -291,9 +300,9 @@ def _run_st1(ctx: RunContext):
             pairing = abs(inner(f, conv[i]))
             dev_id = _rel(lhs, pairing)
             bound = lp_norm(f, 2.0) ** 2 + p ** (-dt / 2) * lp_norm(f, 1.0) ** 2
-            dev_chain = _pos(lhs - bound) / max(1.0, bound)
+            dev_chain = _excess(lhs, bound)
             final = 1.0 + p ** (-dt / 4) * lam ** (-theta / (q - theta))
-            dev_final = _pos(math.sqrt(lhs) - final) / max(1.0, final)
+            dev_final = _excess(math.sqrt(lhs), final)
             yield max(dev_id, dev_chain, dev_final), dict(
                 trial=t, pairing=dev_id, chain=dev_chain, final=dev_final, q=q,
                 theta=theta)
@@ -322,9 +331,8 @@ def _run_st2(ctx: RunContext):
         for i, (f, (t, _), theta) in enumerate(zip(data, stack, thetas)):
             lam = float(np.abs(f).max())
             lam_pow = lam ** ((1.0 - theta) / (q - theta))
-            dev_norm = _pos(lp_norm(f, 2.0) - lam_pow) / max(1.0, lam_pow)
-            lhs = rest[i].norm(2.0)
-            dev_rest = _pos(lhs - r22 * lam_pow) / max(1.0, r22 * lam_pow)
+            dev_norm = _excess(lp_norm(f, 2.0), lam_pow)
+            dev_rest = _excess(rest[i].norm(2.0), r22 * lam_pow)
             yield max(dev_norm, dev_rest), dict(
                 trial=t, height_norm=dev_norm, restricted=dev_rest, theta=theta)
 
@@ -398,8 +406,7 @@ def _run_st5(ctx: RunContext):
             for i, ((t, _), k) in enumerate(zip(stack, sizes)):
                 lhs = rest[i].norm(2.0) ** 2
                 bound = k + p ** (-(d - 1) / 2) * k**2
-                yield _pos(lhs - bound) / max(1.0, bound), dict(
-                    surface=label, trial=t, support=k)
+                yield _excess(lhs, bound), dict(surface=label, trial=t, support=k)
 
 
 def _run_st6(ctx: RunContext):
@@ -424,9 +431,7 @@ def _run_st6(ctx: RunContext):
             gamma = _logp(p, k)
             r = 2 * gamma / (gamma + 2 * alpha)
             dev_norm = _rel(lp_norm(f, r), p ** (alpha + gamma / 2))
-            lhs = rest[i].norm(2.0)
-            bound = r22 * math.sqrt(k)
-            dev_rest = _pos(lhs - bound) / max(1.0, bound)
+            dev_rest = _excess(rest[i].norm(2.0), r22 * math.sqrt(k))
             yield max(dev_norm, dev_rest), dict(
                 trial=t, support=k, norm_identity=dev_norm, height=dev_rest)
 
@@ -467,19 +472,22 @@ def _run_br1(ctx: RunContext):
     # A character along a full horizontal line maps, under convolution
     # with the surface kernel, to the same character spread with
     # coefficient 1 over the slope-matched tube.  Exhaustive over all
-    # (slope, offset, time) triples.
+    # (slope, offset, time) triples.  The tube of the line through
+    # (x2_0, t_0) with character slope m is x2 - x2_0 = -m (t - t_0): the
+    # type-1 VH plane of slope -m and offset x2_0 + m t_0.
     p = ctx.prime
     field = ctx.field
     S = hyperbolic_paraboloid(field, 3)
     X = coordinate_array(p, 3)
     # chars[m] is the character e(m x1 / p) on the whole grid
-    chars = np.exp(2j * np.pi * (np.arange(p)[:, None] * X[:, 0] % p) / p)
+    chars = char_vector(field)[np.arange(p)[:, None] * X[:, 0] % p]
+    planes = vh_plane_masks(X, p).reshape(2, p, p, p**3)[0]
     for stack in _stacks(itertools.product(range(p), repeat=3), p**3):
         slopes, offsets, times = np.array(stack).T
         lines = (X[:, 1] == offsets[:, None]) & (X[:, 2] == times[:, None])
         F = FFunction(field, 3, np.where(lines, chars[slopes], 0))
-        out = bochner_riesz(F, S, "kernel_only")
-        tubes = np.stack([Tube(field, *triple).indicator().data for triple in stack])
+        out = bochner_riesz(F, S)
+        tubes = planes[-slopes % p, (offsets + slopes * times) % p]
         devs = np.abs(out.data - chars[slopes] * tubes).max(axis=1)
         for (m, x2o, to), dev in zip(stack, devs.tolist()):
             yield dev, dict(slope=m, offset=x2o, time=to)
@@ -495,6 +503,7 @@ def _run_br2(ctx: RunContext):
     field = ctx.field
     S = hyperbolic_paraboloid(field, 3)
     x1 = np.arange(p)
+    chars = char_vector(field)
     for t, rng in ctx.trial_rngs():
         if t == 0:
             sel = np.arange(p * p)
@@ -512,7 +521,7 @@ def _run_br2(ctx: RunContext):
             for m in rng.choice(p, size=min(n_char, p), replace=False):
                 a = complex(rng.standard_normal(), rng.standard_normal())
                 idx = encode_point(np.column_stack([x1, np.full((p, 2), (u, v))]), p)
-                data[idx] += a * np.exp(2j * np.pi * (int(m) * x1 % p) / p)
+                data[idx] += a * chars[int(m) * x1 % p]
         F = FFunction(field, 3, data)
         l2 = lp_norm(F.data, 2.0)
         if l2 == 0.0:
@@ -524,7 +533,7 @@ def _run_br2(ctx: RunContext):
         load = max(kk.line_totals(FFunction(field, 2, indicator)).max(),
                    np.bincount(sel // p).max())
         u_exp = _logp(p, int(load))
-        TF = bochner_riesz(F, S, "kernel_only")
+        TF = bochner_riesz(F, S)
         ratio = lp_norm(TF.data, 2.0) / (p ** ((1 + u_exp) / 2) * l2)
         yield ratio, dict(trial=t, pieces=len(I_pts), u=u_exp, ratio=ratio)
 
@@ -557,7 +566,7 @@ def _run_br3(ctx: RunContext):
         alpha = _logp(p, int(vh_plane_masks(coords, p).sum(axis=1).max()))
         beta = _logp(p, min(sizes))
         rest = restriction(F, S)
-        pair = abs(inner(F.data, bochner_riesz(F, S, "kernel_only").data))
+        pair = abs(inner(F.data, bochner_riesz(F, S).data))
         if _rel(rest.norm(2.0) ** 2, pair) > 1e-9:
             raise FFLabError("restricted norm does not match the kernel pairing")
         ratio = rest.norm(2.0) / (p ** ((1 + alpha - beta) / 4) * lp_norm(F.data, 2.0))
@@ -588,12 +597,10 @@ def _graph_subsets(ctx: RunContext) -> tuple:
     """EN-2's and EN-3's inputs on the bilinear-graph surface: its (n, 3)
     point rows, a bool (cases, n) array whose rows choose the subsets,
     and each case's witness fields, which hold its size.  Every nonempty
-    subset at p = 3, where the run is exhaustive and states one trial,
-    else one random subset per trial."""
+    subset at the provenance point, else one random subset per trial."""
     S = hyperbolic_paraboloid(ctx.field, 3)
-    if ctx.prime == 3:
-        ctx.trials = 1
-        masks = np.array([row for _, row in _indicator_masks(S.size)])
+    masks = _exhaustive_masks(ctx, S.size)
+    if masks is not None:
         return S.point_array(), masks, [{"size": k} for k in masks.sum(axis=1).tolist()]
     masks = np.zeros((ctx.trials, S.size), dtype=bool)
     fields = []
@@ -665,8 +672,7 @@ def _run_in1(ctx: RunContext):
         B = random_surface_subset(S, int(rng.integers(2, 9)), rng)
         r = energy_to_incidence(A, B, S)
         bound = 2 * len(r.lines) * r.incidences
-        yield _pos(r.energy - bound) / max(1.0, bound), dict(
-            trial=t, energy=r.energy, bound=bound)
+        yield _excess(r.energy, bound), dict(trial=t, energy=r.energy, bound=bound)
 
 
 def _run_in2(ctx: RunContext):
@@ -676,16 +682,14 @@ def _run_in2(ctx: RunContext):
     full = all_affine_hyperplanes(ctx.field, m)
     for t, rng in ctx.trial_rngs():
         k = int(rng.integers(1, p**m))
-        idx = _random_support(rng, p**m, k)
-        X = coordinate_array(p, m)[idx]
-        P = PointSet.of(ctx.field, m, X)
+        P = PointSet(ctx.field, m, _random_support(rng, p**m, k))
         if t % 2:
             L = full
         else:
             take = _random_support(rng, len(full), int(rng.integers(1, len(full))))
             L = HyperplaneFamily(ctx.field, m, full.normals[take], full.offsets[take])
         audit = incidence_bound_audit(P, L)
-        yield _pos(audit.incidences - audit.bound) / max(1.0, audit.bound), dict(
+        yield _excess(audit.incidences, audit.bound), dict(
             trial=t, incidences=audit.incidences, bound=audit.bound, c1=audit.c1,
             c2=audit.c2)
 
@@ -929,9 +933,9 @@ def _run_kk1(ctx: RunContext):
     total = p**m
 
     def family():
-        if (p, m) == (3, 2):
-            ctx.trials = 1
-            for mask, row in _indicator_masks(total):
+        masks = _exhaustive_masks(ctx, total)
+        if masks is not None:
+            for mask, row in enumerate(masks, 1):
                 yield FFunction(field, m, row.astype(complex)), {"mask": mask}
             return
         for t, rng in ctx.trial_rngs():
@@ -1045,9 +1049,9 @@ def _run_mx1(ctx: RunContext):
     # and using the cross-term phase reproduces the extension exactly.
     # The coset route evaluates the double sum over W x V as p transforms
     # of p^{2n} points, one per height t (about 2n p^{2n+2} multiplies).
-    # The trial count scales down deterministically at the largest combos,
-    # keyed on p^{4n+1}, the number of (pair, output point) terms; the
-    # context carries the lowered count so the report row states it.  Both
+    # The run checks one trial where p^{4n+1}, the number of (pair, output
+    # point) terms, passes 5e8 (only (13, 5) of the grid); the context
+    # carries the lowered count so the report row states it.  Both
     # routes stream the extension one height slab at a time, p slabs each,
     # and every point of each slab is compared in place (a -= b gives the
     # bits of a - b); the pair is dropped before the next one is computed,
@@ -1056,15 +1060,12 @@ def _run_mx1(ctx: RunContext):
     p, d = ctx.prime, ctx.dim
     S = _mx1_surface(ctx.field, d)
     W, V = _iso_pair(S)
-    cost = p ** (4 * ((d - 1) // 2) + 1)
-    if cost > 2e7:
-        ctx.trials = min(ctx.trials, 3 if cost <= 5e8 else 1)
+    if p ** (4 * ((d - 1) // 2) + 1) > 5e8:
+        ctx.trials = 1
     for t, rng in ctx.trial_rngs():
         f = SurfaceFunction.random(S, rng)
-        direct, coset = extension_slabs(f), kk.coset_slabs(f, W, V)
         devs = []
-        for _ in range(p):
-            a, b = next(direct)[1], next(coset)[1]
+        for a, b in zip(extension_slabs(f), kk.coset_slabs(f, W, V)):
             a -= b
             devs.append(np.abs(a).max())
             del a, b
@@ -1084,9 +1085,9 @@ def _run_mx2(ctx: RunContext):
 
     def family():
         # indicators on the base, as bool masks
-        if (p, d) == (3, 3):
-            ctx.trials = 1
-            for mask, row in _indicator_masks(base_total):
+        masks = _exhaustive_masks(ctx, base_total)
+        if masks is not None:
+            for mask, row in enumerate(masks, 1):
                 yield row, {"mask": mask}
             return
         # structured inputs: the cosets W+v and V+w, then the whole base

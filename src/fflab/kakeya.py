@@ -437,9 +437,9 @@ def _coset_read_index(S: Surface, W: Subspace, V: Subspace) -> np.ndarray:
 
 
 def coset_slabs(f: SurfaceFunction, W: Subspace, V: Subspace
-                ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (t, row) for t = 0 .. p-1: the extension of f on the height-t
-    slab, evaluated through the W + V coordinates.
+                ) -> Iterator[np.ndarray]:
+    """Yield, for t = 0 .. p-1 in order, the extension of f on the
+    height-t slab, evaluated through the W + V coordinates.
 
     The surface frequency splits as xi = xi1 + xi2 with xi1 = c1 W and
     xi2 = c2 V; total isotropy kills the pure-square phases and leaves
@@ -470,7 +470,7 @@ def coset_slabs(f: SurfaceFunction, W: Subspace, V: Subspace
         _axis_dft(M, S.field, S.base_dim, +1, work)
         row = M.reshape(-1)[read]
         row /= p ** S.base_dim
-        yield t, row
+        yield row
 
 
 def coset_extension(f: SurfaceFunction, W: Subspace, V: Subspace) -> FFunction:
@@ -479,7 +479,7 @@ def coset_extension(f: SurfaceFunction, W: Subspace, V: Subspace) -> FFunction:
     one slab's buffers."""
     S = f.surface
     out = np.empty((S.field.p, S.size), dtype=np.complex128)
-    for t, row in coset_slabs(f, W, V):
+    for t, row in enumerate(coset_slabs(f, W, V)):
         out[t] = row
     return FFunction(S.field, S.ambient_dim, out.reshape(-1))
 

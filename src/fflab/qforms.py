@@ -158,14 +158,9 @@ class QuadraticSpace:
             self._rank = rank_mod(self.A, self.field.p)
         return self._rank
 
-    def bilinear(self, x, y) -> int:
-        """x o y = x^T A y mod p."""
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        return int(x @ self.A @ y % self.field.p)
-
     def q(self, x) -> int:
-        return self.bilinear(x, x)
+        """Q(x) of one vector: q_batch of a one-row batch."""
+        return int(self.q_batch([x])[0])
 
     def q_batch(self, X: np.ndarray) -> np.ndarray:
         """Q(row) for every row of X at once.  Q(x) mod p does not depend

@@ -14,7 +14,6 @@ stack row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -198,9 +197,9 @@ def extension(f: SurfaceFunction) -> FFunction:
                      rows.reshape(rows.shape[:-2] + (-1,)))
 
 
-def extension_slabs(f: SurfaceFunction) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (t, row) for t = 0 .. p-1, where row is the extension of f on
-    the height-t slab.  It matches that slab of extension(f) bit for bit
+def extension_slabs(f: SurfaceFunction) -> Iterator[np.ndarray]:
+    """Yield, for t = 0 .. p-1 in order, the extension of f on the
+    height-t slab.  It matches that slab of extension(f) bit for bit
     only as far as the BLAS build gives a row of a stacked product the
     bits of the same row inside a larger one (see fourier._axis_dft);
     test_stacked_transform_equals_separate_calls guards it.
@@ -210,7 +209,7 @@ def extension_slabs(f: SurfaceFunction) -> Iterator[tuple[int, np.ndarray]]:
     """
     work = np.empty(f.surface.size, dtype=np.complex128)
     for t in range(f.surface.field.p):
-        yield t, _height_rows(f, slice(t, t + 1), work)[0]
+        yield _height_rows(f, slice(t, t + 1), work)[0]
 
 
 def restriction(F: FFunction, S: Surface) -> SurfaceFunction:
@@ -261,17 +260,12 @@ def surface_measure_inverse_ft(S: Surface) -> FFunction:
     if S.kind == "paraboloid":
         G = np.array([gauss_sum(S.field, tt) for tt in range(p)])
         n2 = np.einsum("ij,ij->i", xbar, xbar) % p
-        inv4 = np.array(
-            [0] + [S.field.inverse((4 * tt) % p) for tt in range(1, p)],
-            dtype=np.int64,
-        )
-        phase = (-n2[nz] * inv4[t[nz]]) % p
+        phase = (-n2[nz] * S.field.inv[4 * t[nz] % p]) % p
         out[nz] = float(p) ** (-(d - 1)) * G[t[nz]] ** (d - 1) * vals[phase]
     else:
         n = (d - 1) // 2
         dots = np.einsum("ij,ij->i", xbar[:, :n], xbar[:, n:]) % p
-        inv = np.array([0] + [S.field.inverse(tt) for tt in range(1, p)], dtype=np.int64)
-        phase = (-dots[nz] * inv[t[nz]]) % p
+        phase = (-dots[nz] * S.field.inv[t[nz]]) % p
         out[nz] = float(p) ** (-n) * vals[phase]
     return FFunction(S.field, d, out)
 
@@ -280,47 +274,16 @@ def surface_measure_inverse_ft(S: Surface) -> FFunction:
 # surface kernel convolution
 
 
-def bochner_riesz(F: FFunction, S: Surface, variant: str = "with_delta") -> FFunction:
-    """Convolution with the surface kernel.
-
-    kernel_only convolves with (dsigma)-vee; with_delta subtracts the
-    identity, i.e. convolves with (dsigma)-vee - delta_0.  Computed on
-    the Fourier side where the kernel multiplier is (p^d/|S|) 1_S.
-    """
-    if variant not in ("with_delta", "kernel_only"):
-        raise ValueError(f"unknown variant {variant!r}")
+def bochner_riesz(F: FFunction, S: Surface) -> FFunction:
+    """Convolution with the surface kernel (dsigma)-vee, computed on the
+    Fourier side where the kernel multiplier is (p^d/|S|) 1_S."""
     if F.dim != S.ambient_dim:
         raise ValueError("function dimension does not match the surface ambient")
     Fh = fourier_transform(F)
     mh = np.zeros_like(Fh.data)
     scale = S.field.p**S.ambient_dim / S.size
     mh[..., S.flat_indices] = Fh.data[..., S.flat_indices] * scale
-    out = inverse_transform(FFunction(F.field, F.dim, mh))
-    if variant == "with_delta":
-        out = out - F
-    return out
-
-
-# ---------------------------------------------------------------------------
-# tubes (d = 3)
-
-
-@dataclass(frozen=True)
-class Tube:
-    """Support of the shifted line kernel in F_p^3: all (x1, x2, t) with
-    x2 - x2_0 = -m (t - t_0).  A union of p parallel full x1-lines whose
-    (x2, t) projection is a line of slope -m through (x2_0, t_0)."""
-
-    field: PrimeField
-    m: int
-    x2_0: int
-    t_0: int
-
-    def indicator(self) -> FFunction:
-        p = self.field.p
-        X = coordinate_array(p, 3)
-        mask = (X[:, 1] - self.x2_0 + self.m * (X[:, 2] - self.t_0)) % p == 0
-        return FFunction(self.field, 3, mask.astype(np.complex128))
+    return inverse_transform(FFunction(F.field, F.dim, mh))
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +296,10 @@ def pseudo_conformal_check(h0: FFunction, S: Surface):
     a float for one function, an array of one per row for a stack.
 
     The transformed point is w = (-x2/t, -x1/t), t' = 1/t.  K is the
-    surface kernel minus the identity; on t != 0 output slices the delta
-    term never contributes.  The two sides are conjugate character sums,
-    so real input is required for the moduli to match.
+    surface kernel minus the identity; h0 vanishes on the t != 0 slices
+    read here, so there h0*K is bochner_riesz(h0, S).  The two sides are
+    conjugate character sums, so real input is required for the moduli
+    to match.
     """
     if S.ambient_dim != 3:
         raise ValueError("slice transport is a d=3 statement")
@@ -347,7 +311,7 @@ def pseudo_conformal_check(h0: FFunction, S: Surface):
     if np.abs(h0.data.imag).max() > 1e-12:
         raise ValueError("h0 must be real-valued")
 
-    conv = bochner_riesz(h0, S, "with_delta")
+    conv = bochner_riesz(h0, S)
     # h0 read as a function on the surface through the base identification;
     # the slice t=0 occupies the first p^2 flat indices
     ext = extension(SurfaceFunction(S, h0.data[..., : p * p]))

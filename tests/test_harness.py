@@ -200,7 +200,7 @@ UNREACHED_BY_DESIGN = {
         "perfbench/tracer.py times it as an entry point",
         ("S = f.surface",
          "out = np.empty((S.field.p, S.size), dtype=np.complex128)",
-         "for t, row in coset_slabs(f, W, V):",
+         "for t, row in enumerate(coset_slabs(f, W, V)):",
          "out[t] = row",
          "return FFunction(S.field, S.ambient_dim, out.reshape(-1))")),
     "qforms.enumerate_subspaces": (
@@ -987,6 +987,41 @@ def test_drift_check_catches_a_defect_in_an_exhaustive_constant(monkeypatch):
     assert r.witness["values"]["drift"] == pytest.approx(0.5 - 1 / 9)
 
 
+def test_the_exhaustive_point_is_the_registry_provenance(monkeypatch):
+    # A tracked runner enumerates its whole family, and states one trial,
+    # at the point its registry entry names as provenance and nowhere
+    # else, so moving the provenance moves the enumeration and the drift
+    # check still meets it.
+    import fflab.harness.scenarios as scenarios
+    sc = REGISTRY["KK-1"]
+    monkeypatch.setitem(REGISTRY, "KK-1", dataclasses.replace(sc, provenance=(5, 2, 1, 0)))
+    ctx = RunContext("KK-1", 3, 2, sc.default_trials, 0)
+    cases = list(sc.runner(ctx))
+    assert ctx.trials == sc.default_trials
+    assert [fields["trial"] for _, fields in cases] == list(range(sc.default_trials))
+    assert run_scenario("KK-1", prime=3, dim=2).trials == sc.default_trials
+
+    masks = scenarios._exhaustive_masks(RunContext("KK-1", 5, 2, 30, 0), 4)
+    assert masks.dtype == bool and masks.shape == (15, 4)
+    assert [int(row @ (1 << np.arange(4))) for row in masks] == list(range(1, 16))
+    assert scenarios._exhaustive_masks(RunContext("KK-1", 3, 2, 30, 0), 4) is None
+
+    # All 2^25 - 1 indicators of F_5^2 are too many to build here; the
+    # family is cut to its first 7 rows, the subsets of the first three
+    # points, and the decision stays the helper's own.
+    real = scenarios._exhaustive_masks
+
+    def first_rows(ctx, n):
+        rows = real(ctx, 3)
+        return None if rows is None else np.pad(rows, ((0, 0), (0, n - 3)))
+
+    monkeypatch.setattr(scenarios, "_exhaustive_masks", first_rows)
+    ctx = RunContext("KK-1", 5, 2, sc.default_trials, 0)
+    cases = list(sc.runner(ctx))
+    assert ctx.trials == 1
+    assert [fields["mask"] for _, fields in cases] == list(range(1, 8))
+
+
 def test_mx1_row_states_the_trials_it_ran():
     # the p^{4n+1} schedule runs a single trial at (13, 5)
     r = run_scenario("MX-1", prime=13, dim=5)
@@ -1009,10 +1044,10 @@ def test_mx1_pair_is_not_coordinate_aligned_at_p3(dim):
 
 def _shift_last_slab(slabs, shift):
     def patched(f, W, V):
-        for t, row in slabs(f, W, V):
+        for t, row in enumerate(slabs(f, W, V)):
             if t == f.surface.field.p - 1:
                 row[0] += shift
-            yield t, row
+            yield row
     return patched
 
 

@@ -644,9 +644,8 @@ def test_coset_slabs_stack_to_coset_extension(p, d):
     S, W, V = _iso_pair_surface(p, d)
     f = SurfaceFunction.random(S, np.random.default_rng(23))
     slabs = list(kk.coset_slabs(f, W, V))
-    assert [t for t, _ in slabs] == list(range(p))
-    stacked = np.stack([row for _, row in slabs])
-    assert np.array_equal(stacked.reshape(-1), kk.coset_extension(f, W, V).data)
+    assert len(slabs) == p
+    assert np.array_equal(np.stack(slabs).reshape(-1), kk.coset_extension(f, W, V).data)
 
 
 def _traced_peak(fn):

@@ -554,7 +554,7 @@ def test_complementary_isotropic_plane():
     V = complementary_isotropic(Q, W)
     assert is_totally_isotropic(Q, V)
     dual = dual_pairing_basis(Q, W, V)
-    assert Q.bilinear(W.basis[0], dual[0]) == 1
+    assert W.basis[0] @ Q.A @ dual[0] % 7 == 1
 
 
 @pytest.mark.parametrize("p", [3, 7])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fflab.combinatorics import PointSet
+from fflab.combinatorics import PointSet, vh_plane_masks
 from fflab.core import (
     FFunction,
     PrimeField,
@@ -28,7 +28,6 @@ from fflab.qforms import QuadraticSpace, det_mod, galilean, random_symmetric
 from fflab.surfaces import (
     Surface,
     SurfaceFunction,
-    Tube,
     bochner_riesz,
     congruence_between,
     equivalence_transfer,
@@ -118,9 +117,8 @@ def test_stacked_surface_operators_equal_per_row_calls(S, c):
     assert np.array_equal(rest.values, np.stack([restriction(x, S).values for x in Fs]))
     assert [rest[i].norm(2.0) for i in range(c)] == [
         restriction(x, S).norm(2.0) for x in Fs]
-    for variant in ("with_delta", "kernel_only"):
-        assert np.array_equal(bochner_riesz(F, S, variant).data, np.stack(
-            [bochner_riesz(x, S, variant).data for x in Fs]))
+    assert np.array_equal(bochner_riesz(F, S).data, np.stack(
+        [bochner_riesz(x, S).data for x in Fs]))
     if d == 3:
         # real slices t = 0, as MT-1 draws them
         slices = np.zeros((c, p**3), dtype=complex)
@@ -252,9 +250,8 @@ def test_extension_matches_literal_sum(S):
 def test_extension_slabs_stack_to_extension(S):
     f = SurfaceFunction.random(S, np.random.default_rng(5))
     slabs = list(extension_slabs(f))
-    assert [t for t, _ in slabs] == list(range(S.field.p))
-    stacked = np.stack([row for _, row in slabs])
-    assert np.array_equal(stacked.reshape(-1), extension(f).data)
+    assert len(slabs) == S.field.p
+    assert np.array_equal(np.stack(slabs).reshape(-1), extension(f).data)
 
 
 def test_extension_of_point_mass():
@@ -325,7 +322,7 @@ def test_exact_r22_values_and_power_iteration():
 def test_bochner_riesz_delta_gives_kernel():
     F = PrimeField(5)
     S = hyperbolic_paraboloid(F, 3)
-    out = bochner_riesz(FFunction.delta(F, 3, (0, 0, 0)), S, "kernel_only")
+    out = bochner_riesz(FFunction.delta(F, 3, (0, 0, 0)), S)
     k = surface_measure_inverse_ft(S)
     assert np.abs(out.data - k.data).max() < 1e-9
 
@@ -335,11 +332,15 @@ def test_bochner_riesz_matches_direct_convolution():
     S = paraboloid(F, 3)
     rng = np.random.default_rng(4)
     Ffn = FFunction.random(F, 3, rng)
-    fast = bochner_riesz(Ffn, S, "kernel_only")
+    fast = bochner_riesz(Ffn, S)
     direct = naive_convolve(Ffn, surface_measure_inverse_ft(S))
     assert np.abs(fast.data - direct.data).max() < 1e-9
-    shifted = bochner_riesz(Ffn, S, "with_delta")
-    assert np.abs((fast.data - Ffn.data) - shifted.data).max() < 1e-12
+
+
+def _tube(X, p, m, x2p, tp):
+    """Oracle: the tube {x2 - x2p = -m (t - tp)} of the line through
+    (x2p, tp) whose character has slope m, by its literal formula."""
+    return (X[:, 1] - x2p + m * (X[:, 2] - tp)) % p == 0
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -358,33 +359,22 @@ def test_line_input_identity_exhaustive(p):
                     0,
                 )
                 Ffn = FFunction(F, 3, data)
-                out = bochner_riesz(Ffn, S, "kernel_only")
-                tube = Tube(F, m, x2p, tp)
-                want = np.exp(2j * np.pi * (m * X[:, 0] % p) / p) * tube.indicator().data
+                out = bochner_riesz(Ffn, S)
+                want = np.exp(2j * np.pi * (m * X[:, 0] % p) / p) * _tube(X, p, m, x2p, tp)
                 assert np.abs(out.data - want).max() < 1e-9
 
 
-def test_tube_geometry():
-    F = PrimeField(5)
-    t1 = Tube(F, 2, 1, 3)
-    ind = t1.indicator()
-    assert ind.data.sum() == pytest.approx(25)
-    on_tube = encode_point(np.array([(0, 1, 3), (4, (1 - 2 * 2) % 5, 0)]), 5)
-    assert ind.data[on_tube].tolist() == [1, 1]
-    # parallel distinct tubes are disjoint
-    t2 = Tube(F, 2, 2, 3)
-    assert not np.any((t1.indicator().data > 0) & (t2.indicator().data > 0))
-    # through any fixed (x2, t) there is exactly one tube per direction:
-    # the p translate parameterizations hitting it all carve the same set
-    probe = encode_point((0, 1, 3), 5)
-    for m in range(5):
-        tubes = [Tube(F, m, x2p, tp).indicator().data
-                 for x2p in range(5) for tp in range(5)]
-        hits = [data for data in tubes if data[probe] == 1]
-        assert len(hits) == 5
-        for other in hits[1:]:
-            assert np.array_equal(hits[0], other)
-    assert Tube(F, 1, 0, 0).indicator().data.sum() == pytest.approx(25)
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_vh_plane_masks_are_the_literal_tubes(p):
+    # the tube of slope m through (x2p, tp) is the type-1 VH plane of slope
+    # -m and offset x2p + m tp, the row BR-1 reads as its target
+    X = coordinate_array(p, 3)
+    planes = vh_plane_masks(X, p).reshape(2, p, p, p**3)[0]
+    for m in range(p):
+        for x2p in range(p):
+            for tp in range(p):
+                assert np.array_equal(planes[-m % p, (x2p + m * tp) % p],
+                                      _tube(X, p, m, x2p, tp))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +401,7 @@ def test_pseudo_conformal_random_real_slices():
 def _pseudo_conformal_loop(h0, S):
     """Oracle: the per-point loop over t != 0 with Python's abs(complex)."""
     p = S.field.p
-    conv = bochner_riesz(h0, S, "with_delta")
+    conv = bochner_riesz(h0, S).data - h0.data  # the kernel minus the identity
     ext = extension(SurfaceFunction(S, h0.data[: p * p].copy()))
     worst = 0.0
     X = coordinate_array(p, 3)
@@ -419,7 +409,7 @@ def _pseudo_conformal_loop(h0, S):
         tp = S.field.inverse(t)
         w1 = (-x2 * tp) % p
         w2 = (-x1 * tp) % p
-        lhs = abs(complex(conv.data[encode_point((x1, x2, t), p)]))
+        lhs = abs(complex(conv[encode_point((x1, x2, t), p)]))
         rhs = p * abs(complex(ext.data[encode_point((w1, w2, tp), p)]))
         worst = max(worst, abs(lhs - rhs))
     return worst
