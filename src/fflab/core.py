@@ -13,7 +13,8 @@ counts) is built on the three conventions fixed here:
   that index order.  Reshaping with Fortran order gives a d-axis
   grid whose axis k is coordinate k.  A stack of c functions is a
   (c, p^d) array, one function per row; the transform layer maps a
-  stack to a stack, and the norms take one function.
+  stack to a stack, lp_norm a stack to its row norms, and inner takes
+  two functions.
 """
 
 from __future__ import annotations
@@ -288,24 +289,29 @@ class FFunction:
         return FFunction(self.field, self.dim, np.abs(self.data).astype(np.complex128))
 
 
-def lp_norm(values: np.ndarray, p_exp: float, measure: str = "counting") -> float:
+def lp_norm(values: np.ndarray, p_exp: float, measure: str = "counting"):
     """L^p norm of one function's 1-d array of values, such as
-    FFunction.data; a stack raises ValueError rather than being summed
-    across its functions.
+    FFunction.data, as a float; a (c, n) stack gives the array of its c
+    row norms, each with the bits of lp_norm of that row, never one norm
+    summed across its functions.
 
     measure 'counting' sums |values|^p; 'normalized' divides the sum by
-    values.size first.  p_exp must be finite: there is no sup norm here.
+    n first.  p_exp must be finite: there is no sup norm here.
     """
-    if values.ndim != 1:
-        raise ValueError(f"a norm takes one function, got shape {values.shape}")
+    if values.ndim not in (1, 2):
+        raise ValueError(f"a norm takes a function or a stack, got shape {values.shape}")
     if measure not in ("counting", "normalized"):
         raise ValueError(f"unknown measure {measure!r}")
     if not 1 <= p_exp < math.inf:
         raise ValueError(f"p_exp must be finite and >= 1, got {p_exp}")
-    total = float(np.sum(np.abs(values) ** p_exp))
+    # numpy sums a row pairwise only along a contiguous axis, so an
+    # F-ordered stack (a restriction's) is summed from a C-ordered copy
+    totals = np.ascontiguousarray(np.abs(values) ** p_exp).sum(axis=-1)
     if measure == "normalized":
-        total /= values.size
-    return total ** (1.0 / p_exp)
+        totals = totals / values.shape[-1]
+    # Python's float power: numpy's array power rounds otherwise
+    roots = [total ** (1.0 / p_exp) for total in np.atleast_1d(totals).tolist()]
+    return roots[0] if values.ndim == 1 else np.array(roots)
 
 
 def inner(f: np.ndarray, g: np.ndarray) -> complex:

@@ -9,8 +9,9 @@ this pairing Plancherel reads
 
 The transforms take one function or a stack of c functions (an
 FFunction whose data is (c, p^d)) and map a stack to a stack, row by row.
-core.lp_norm and core.inner take plain 1-d arrays (FFunction.data, a
-surface function's values, one row of a stack).  Norms default to
+core.lp_norm takes plain arrays (FFunction.data, a surface function's
+values) and gives one norm per row of a stack; core.inner takes two 1-d
+arrays.  Norms default to
 counting measure; a normalized norm names its measure, as
 SurfaceFunction.norm does.
 """

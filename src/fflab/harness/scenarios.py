@@ -31,17 +31,19 @@ All randomness flows through RunContext.trial_rng, which hashes
 independent of execution order and worker count.  A runner loops over
 ctx.trial_rngs(), or draws one stream from ctx.trial_rng(0) (QF-1, ST-3,
 PL-3, EX-3).  The stacked runners (FT-3, ST-1, ST-2, ST-5, ST-6, BR-1,
-PL-1, MT-1, EN-4) cut their trials into consecutive stacks with _stacks,
-draw each stack's trials in trial order, make one call per operator on
-the stack, and yield one case per trial in trial order.  A draw repeated
-until a test accepts it goes through core.draw_until, which fails the
-run after MAX_DRAWS rejections.
+PL-1, MT-1, EN-4, KK-1, KK-2, KK-3, MX-2) cut their trials, or their
+exhaustive or structured inputs, into consecutive stacks with _stacks,
+draw each stack's trials in trial order, make one call per operator and
+per norm on the stack, and yield one case per trial in trial order.  A
+draw repeated until a test accepts it goes through core.draw_until,
+which fails the run after MAX_DRAWS rejections.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
 import itertools
 import math
 import time
@@ -211,9 +213,13 @@ def _exhaustive_masks(ctx: RunContext, n: int) -> Optional[np.ndarray]:
     """At the scenario's provenance point, where its family is
     exhaustive: state one trial and return every nonempty subset of
     range(n) as a bool (2^n - 1, n) array whose row mask - 1 holds the
-    bits of mask.  None at every other point."""
+    bits of mask.  None at every other point.  A family of more than
+    2^16 subsets raises before anything is built."""
     if (ctx.prime, ctx.dim) != REGISTRY[ctx.scenario_id].provenance[:2]:
         return None
+    if 2**n - 1 > 2**16:
+        raise FFLabError(f"the exhaustive family at p = {ctx.prime}, d = {ctx.dim} "
+                         f"has 2^{n} - 1 = {2**n - 1} subsets, more than 2^16")
     ctx.trials = 1
     return (np.arange(1, 2**n)[:, None] & (1 << np.arange(n))) != 0
 
@@ -293,13 +299,15 @@ def _run_st1(ctx: RunContext):
             f *= 1.0 / lp_norm(f, q / (q - theta))
             draws.append((t, q, theta, float(np.abs(f[idx]).min())))
         F = FFunction(ctx.field, d, data)
-        rest = restriction(F, S)
+        rest = restriction(F, S).norm(2.0).tolist()
         conv = convolve(F, sig).data
-        for i, (f, (t, q, theta, lam)) in enumerate(zip(data, draws)):
-            lhs = rest[i].norm(2.0) ** 2
-            pairing = abs(inner(f, conv[i]))
+        l2, l1 = lp_norm(data, 2.0).tolist(), lp_norm(data, 1.0).tolist()
+        for f, g, rest_norm, f2, f1, (t, q, theta, lam) in zip(
+                data, conv, rest, l2, l1, draws):
+            lhs = rest_norm ** 2
+            pairing = abs(inner(f, g))
             dev_id = _rel(lhs, pairing)
-            bound = lp_norm(f, 2.0) ** 2 + p ** (-dt / 2) * lp_norm(f, 1.0) ** 2
+            bound = f2 ** 2 + p ** (-dt / 2) * f1 ** 2
             dev_chain = _excess(lhs, bound)
             final = 1.0 + p ** (-dt / 4) * lam ** (-theta / (q - theta))
             dev_final = _excess(math.sqrt(lhs), final)
@@ -327,12 +335,13 @@ def _run_st2(ctx: RunContext):
             f[idx] = rng.uniform(0.2, 1.0, size=k) * np.exp(2j * np.pi * rng.random(k))
             f *= 1.0 / lp_norm(f, q / (q - theta))
             thetas.append(theta)
-        rest = restriction(FFunction(ctx.field, d, data), S)
-        for i, (f, (t, _), theta) in enumerate(zip(data, stack, thetas)):
-            lam = float(np.abs(f).max())
+        rest = restriction(FFunction(ctx.field, d, data), S).norm(2.0).tolist()
+        heights = np.abs(data).max(axis=1).tolist()
+        for (t, _), theta, lam, f2, rest_norm in zip(
+                stack, thetas, heights, lp_norm(data, 2.0).tolist(), rest):
             lam_pow = lam ** ((1.0 - theta) / (q - theta))
-            dev_norm = _excess(lp_norm(f, 2.0), lam_pow)
-            dev_rest = _excess(rest[i].norm(2.0), r22 * lam_pow)
+            dev_norm = _excess(f2, lam_pow)
+            dev_rest = _excess(rest_norm, r22 * lam_pow)
             yield max(dev_norm, dev_rest), dict(
                 trial=t, height_norm=dev_norm, restricted=dev_rest, theta=theta)
 
@@ -402,9 +411,9 @@ def _run_st5(ctx: RunContext):
                 k = int(rng.integers(1, p**d))
                 f[_random_support(rng, p**d, k)] = np.exp(2j * np.pi * rng.random(k))
                 sizes.append(k)
-            rest = restriction(FFunction(ctx.field, d, data), S)
-            for i, ((t, _), k) in enumerate(zip(stack, sizes)):
-                lhs = rest[i].norm(2.0) ** 2
+            rest = restriction(FFunction(ctx.field, d, data), S).norm(2.0).tolist()
+            for (t, _), k, rest_norm in zip(stack, sizes, rest):
+                lhs = rest_norm ** 2
                 bound = k + p ** (-(d - 1) / 2) * k**2
                 yield _excess(lhs, bound), dict(surface=label, trial=t, support=k)
 
@@ -426,12 +435,12 @@ def _run_st6(ctx: RunContext):
             k = int(rng.integers(p, p**d))
             f[_random_support(rng, p**d, k)] = 1.0
             sizes.append(k)
-        rest = restriction(FFunction(ctx.field, d, data), S)
-        for i, (f, (t, _), k) in enumerate(zip(data, stack, sizes)):
+        rest = restriction(FFunction(ctx.field, d, data), S).norm(2.0).tolist()
+        for f, (t, _), k, rest_norm in zip(data, stack, sizes, rest):
             gamma = _logp(p, k)
             r = 2 * gamma / (gamma + 2 * alpha)
             dev_norm = _rel(lp_norm(f, r), p ** (alpha + gamma / 2))
-            dev_rest = _excess(rest[i].norm(2.0), r22 * math.sqrt(k))
+            dev_rest = _excess(rest_norm, r22 * math.sqrt(k))
             yield max(dev_norm, dev_rest), dict(
                 trial=t, support=k, norm_identity=dev_norm, height=dev_rest)
 
@@ -649,8 +658,8 @@ def _run_en4(ctx: RunContext):
             part = [(t, f.values) for t, _, _, f in draws if t % 2 == parity]
             if part:
                 ext = extension(SurfaceFunction(S, np.stack([v for _, v in part])))
-                for (t, _), row in zip(part, ext.data):
-                    lhs[t] = lp_norm(row, 4.0) ** 4
+                for (t, _), norm in zip(part, lp_norm(ext.data, 4.0).tolist()):
+                    lhs[t] = norm ** 4
         for t, k, E, _ in draws:
             lam = additive_energy(E)
             rhs = p**d * lam / surfaces[t % 2].size**4
@@ -760,9 +769,11 @@ def _run_pl1(ctx: RunContext):
                  for t, rng in stack]
         want = fourier_transform(FFunction(ctx.field, 3, np.stack(
             [plane_embed(f, a, b).data for _, f, a, b in draws]))).data
-        for (t, f, a, b), w in zip(draws, want):
-            got = plane_embed_ft(f, a, b)
-            dev = float(np.abs(got.data - w).max()) / max(1.0, float(np.abs(w).max()))
+        _, fs, slopes, offsets = zip(*draws)
+        got = plane_embed_ft(FFunction(ctx.field, 2, np.stack([f.data for f in fs])),
+                             slopes, offsets).data
+        for (t, _, a, b), g, w in zip(draws, got, want):
+            dev = float(np.abs(g - w).max()) / max(1.0, float(np.abs(w).max()))
             yield dev, dict(trial=t, slope=a, offset=b)
 
 
@@ -936,26 +947,26 @@ def _run_kk1(ctx: RunContext):
         masks = _exhaustive_masks(ctx, total)
         if masks is not None:
             for mask, row in enumerate(masks, 1):
-                yield FFunction(field, m, row.astype(complex)), {"mask": mask}
+                yield row.astype(complex), {"mask": mask}
             return
         for t, rng in ctx.trial_rngs():
             if t == 0:
                 line = kk.line_points(np.zeros((1, m - 1), dtype=np.int64),
                                       np.arange(1, m)[None], p)[0]
-                F = FFunction.indicator(field, m, line)
+                vals = FFunction.indicator(field, m, line).data
             elif t == 1:
-                F = FFunction.constant(field, m, 1.0)
+                vals = FFunction.constant(field, m, 1.0).data
             else:
                 density = rng.uniform(0.1, 0.9)
                 vals = (rng.random(total) < density).astype(complex)
                 if not vals.any():
                     vals[0] = 1.0
-                F = FFunction(field, m, vals)
-            yield F, {"trial": t}
+            yield vals, {"trial": t}
 
-    for F, fields in family():
-        r = kk.maximal_ratio(F)
-        yield r, dict(fields, ratio=r)
+    for stack in _stacks(family(), total):
+        F = FFunction(field, m, np.stack([vals for vals, _ in stack]))
+        for (_, fields), r in zip(stack, kk.maximal_ratio(F).tolist()):
+            yield r, dict(fields, ratio=r)
 
 
 def _run_kk2(ctx: RunContext):
@@ -963,12 +974,15 @@ def _run_kk2(ctx: RunContext):
     # the paired lower bound built from the dual superposition with the
     # conjugate-power weight and the maximizing base map.
     p, m = ctx.prime, ctx.dim
-    for t, rng in ctx.trial_rngs():
-        vals = rng.uniform(0.1, 1.0, size=p**m).astype(complex)
-        F = FFunction(ctx.field, m, vals)
-        for q, pe in ((1.5, 1.5), (2.0, 2.0), (1.25, 3.0)):
-            r = kk.dual_consistency(F, q, pe)
-            yield _rel(r.direct_lower, r.paired_lower), dict(trial=t, q=q, p_in=pe)
+    pairs = ((1.5, 1.5), (2.0, 2.0), (1.25, 3.0))
+    for stack in _stacks(ctx.trial_rngs(), p**m):
+        F = FFunction(ctx.field, m, np.stack(
+            [rng.uniform(0.1, 1.0, size=p**m).astype(complex) for _, rng in stack]))
+        found = [(r.direct_lower.tolist(), r.paired_lower.tolist())
+                 for r in kk.dual_consistency(F, pairs)]
+        for i, (t, _) in enumerate(stack):
+            for (q, pe), (direct, paired) in zip(pairs, found):
+                yield _rel(direct[i], paired[i]), dict(trial=t, q=q, p_in=pe)
 
 
 def _run_kk3(ctx: RunContext):
@@ -980,20 +994,24 @@ def _run_kk3(ctx: RunContext):
     n = (d - 1) // 2
     m = n + 1
     field = ctx.field
-    for t, rng in ctx.trial_rngs():
-        data = rng.uniform(0.0, 2.0, size=p**n)
-        data[rng.random(p**n) < 0.2] = 0.0
-        if not data.any():
-            data[0] = 1.0
-        h = FFunction(field, n, data.astype(complex))
-        b = rng.integers(0, p, size=(p**n, n))
-        ext = extension(kk.restriction_to_kakeya_embed(h, b))
-        closed = float(np.abs(ext.data - kk.embed_closed_form(h, b).data).max())
-        cube = np.abs(ext.data.reshape(p**n, p**n, p, order="F")) ** 2
-        profile = kk.embed_collapse_profile(h, b).data.real.reshape(p**n, p, order="F")
-        collapse = float(np.abs(cube.sum(axis=1) - profile).max())
-        yield max(closed, collapse), dict(trial=t, closed_form=closed,
-                                          collapse=collapse)
+    for stack in _stacks(ctx.trial_rngs(), p**d):
+        hs, bs = [], []
+        for _, rng in stack:
+            data = rng.uniform(0.0, 2.0, size=p**n)
+            data[rng.random(p**n) < 0.2] = 0.0
+            if not data.any():
+                data[0] = 1.0
+            hs.append(FFunction(field, n, data.astype(complex)))
+            bs.append(rng.integers(0, p, size=(p**n, n)))
+        embed = kk.restriction_to_kakeya_embed(
+            FFunction(field, n, np.stack([h.data for h in hs])), np.stack(bs))
+        for (t, _), h, b, ext in zip(stack, hs, bs, extension(embed).data):
+            closed = float(np.abs(ext - kk.embed_closed_form(h, b).data).max())
+            cube = np.abs(ext.reshape(p**n, p**n, p, order="F")) ** 2
+            profile = kk.embed_collapse_profile(h, b).data.real.reshape(p**n, p, order="F")
+            collapse = float(np.abs(cube.sum(axis=1) - profile).max())
+            yield max(closed, collapse), dict(trial=t, closed_form=closed,
+                                              collapse=collapse)
     ex = kk.restriction_to_kakeya_exponents(m)
     target = Fraction(m - 1, 2 * m - 1)
     chain_dev = 0.0
@@ -1105,9 +1123,10 @@ def _run_mx2(ctx: RunContext):
                 row[0] = True
             yield row, {"trial": t}
 
-    for row, fields in family():
-        r = kk.mixed_extension_ratio(SurfaceFunction(S, row.astype(complex)), W)
-        yield r, dict(fields, ratio=r)
+    for stack in _stacks(family(), p**d):
+        f = SurfaceFunction(S, np.stack([row for row, _ in stack]).astype(complex))
+        for (_, fields), r in zip(stack, kk.mixed_extension_ratio(f, W).tolist()):
+            yield r, dict(fields, ratio=r)
 
 
 def _run_mx3(ctx: RunContext):
@@ -1678,7 +1697,14 @@ def _run_groups(groups, seed: int, workers: int) -> list:
     """Each group's reports, and a failing one for each run that a dead
     worker left unfinished.  Forked workers inherit the registry and the
     verified store; gc.freeze keeps the collector off the pages they
-    share, and OpenBLAS resets its thread pool at a fork."""
+    share, and OpenBLAS resets its thread pool at a fork.
+
+    numpy loads numpy.random and numpy.ma on first use (the first
+    trial_rng, the first np.unique).  Both are loaded here, before the
+    first group runs and before the fork, so no run's runtime_ms, in any
+    worker, pays for them."""
+    for name in ("numpy.random", "numpy.ma"):
+        importlib.import_module(name)
     workers = min(workers, len(groups))
     if workers <= 1:
         return [_run_group(group, seed) for group in groups]

@@ -11,6 +11,10 @@ Measure conventions, fixed once:
   * functions on the direction set F_p^{m-1} carry normalized counting
     measure (each direction weighs p^{-(m-1)}).
 
+The maximal operator, the dual superposition, the embedding and the mixed
+norms take one function or a stack of them, and give each row of a stack
+the bits of that row alone.
+
 The two bridges at the end of the file are exact identities, not bounds:
 the quadratic-surface extension of a suitably modulated function collapses
 to a superposition of line indicators, and the extension operator factors
@@ -94,12 +98,13 @@ def line_points(bases: np.ndarray, directions: np.ndarray, p: int) -> np.ndarray
 
     bases and directions are (k, m-1) int arrays, one line per row; the
     last coordinate sweeps the field, so every line has exactly p points,
-    ordered by it.
+    ordered by it.  A (c, k, m-1) stack of bases against the one set of
+    directions gives a (c, k, p, m) stack of lines.
     """
     ts = np.arange(p, dtype=np.int64)
-    head = (bases[:, None, :] + ts[None, :, None] * directions[:, None, :]) % p
+    head = (bases[..., None, :] + ts[:, None] * directions[..., None, :]) % p
     return np.concatenate(
-        [head, np.broadcast_to(ts[None, :, None], head.shape[:2] + (1,))], axis=2)
+        [head, np.broadcast_to(ts[:, None], head.shape[:-1] + (1,))], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +112,9 @@ def line_points(bases: np.ndarray, directions: np.ndarray, p: int) -> np.ndarray
 
 
 def line_totals(F: FFunction) -> np.ndarray:
-    """(p^{m-1}, p^{m-1}) array of the |F|-mass on every non-horizontal line.
+    """(p^{m-1}, p^{m-1}) array of the |F|-mass on every non-horizontal
+    line, or a (c, p^{m-1}, p^{m-1}) stack of them for a stack of c
+    functions, each with the bits of its function alone.
 
     Entry [i, j] sums |F| over the line with direction i and base j (both
     in index order).  Every base of every direction is summed, so maxima
@@ -119,12 +126,13 @@ def line_totals(F: FFunction) -> np.ndarray:
     p = F.field.p
     n = m - 1
     grid_size(p, 2 * n)  # p^{m-1} directions x p^{m-1} bases
-    mags = np.abs(F.data).reshape(p**n, p, order="F")
+    # mags[..., t, j] is |F| at base point j and height t
+    mags = np.abs(F.data).reshape(F.data.shape[:-1] + (p, p**n))
     shift, heights = _line_index(p, n)
-    totals = np.zeros((p**n, p**n), dtype=np.float64)
+    totals = np.zeros(F.data.shape[:-1] + (p**n, p**n), dtype=np.float64)
     # one t at a time, so each entry adds its p terms in order of t
     for t in range(p):
-        totals += mags[:, t][shift[heights[t]]]
+        totals += mags[..., t, :].take(shift[heights[t]], axis=-1)
     return totals
 
 
@@ -145,26 +153,29 @@ def _line_index(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 def kakeya_maximal(F: FFunction) -> np.ndarray:
     """F*(eta) = max over bases b of the |F|-mass on the line (b, eta).
 
-    Returns one value per direction of F_p^{m-1}, in index order.
+    Returns one value per direction of F_p^{m-1}, in index order, and
+    one such row per function of a stack.
     """
-    return line_totals(F).max(axis=1)
+    return line_totals(F).max(axis=-1)
 
 
 def maximizing_base_map(F: FFunction) -> np.ndarray:
-    """(p^{m-1}, m-1) array: row i is the base achieving F* for direction i.
+    """(p^{m-1}, m-1) array: row i is the base achieving F* for direction
+    i; a (c, p^{m-1}, m-1) stack of them for a stack of functions.
 
     Ties resolve to the smallest base index, so the map is deterministic.
     """
-    return coordinate_array(F.field.p, F.dim - 1)[line_totals(F).argmax(axis=1)]
+    return coordinate_array(F.field.p, F.dim - 1)[line_totals(F).argmax(axis=-1)]
 
 
 def maximal_ratio(F: FFunction) -> float:
     """||F*||_{L^m(directions)} / ||F||_{L^m(counting)}, m the ambient
     dimension: the endpoint at which the maximal inequality holds with a
-    dimensional constant."""
+    dimensional constant.  A float for one function, an array of one per
+    row for a stack."""
     m = float(F.dim)
     denom = lp_norm(F.data, m, "counting")
-    if denom == 0.0:
+    if np.any(denom == 0.0):
         raise ValueError("maximal ratio of the zero function")
     return lp_norm(kakeya_maximal(F), m, "normalized") / denom
 
@@ -174,12 +185,24 @@ def maximal_ratio(F: FFunction) -> float:
 
 
 def _as_base_map(x0, field: PrimeField, n: int) -> np.ndarray:
-    """Reduce a base map, a (p^n, n) int array indexed by direction, mod p."""
+    """Reduce a base map, a (p^n, n) int array indexed by direction, or a
+    stack of them, mod p."""
     p = field.p
     arr = np.asarray(x0, dtype=np.int64) % p
-    if arr.shape != (p**n, n):
+    if arr.shape[-2:] != (p**n, n):
         raise ValueError(f"x0 must map all {p ** n} directions to bases")
     return arr
+
+
+def _row_bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """np.bincount into n bins of each row of a stack of weights; index
+    gives the bin of each entry, in one row that every weight row shares
+    or in one row per weight row.  Flat weights are one row.  Each bin
+    adds its terms in order from 0.0, as bincount of that row alone does."""
+    rows = weights.reshape(-1, weights.shape[-1])
+    bins = index + n * np.arange(len(rows))[:, None]
+    sums = np.bincount(bins.ravel(), rows.ravel(), len(rows) * n)
+    return sums.reshape(weights.shape[:-1] + (n,))
 
 
 def dual_kakeya_apply(h, x0, field: PrimeField, m: int) -> FFunction:
@@ -187,21 +210,24 @@ def dual_kakeya_apply(h, x0, field: PrimeField, m: int) -> FFunction:
 
     h assigns a weight to each direction, as an array in direction-index
     order; x0 picks one base per direction as a (p^{m-1}, m-1) array in
-    the same order.
+    the same order.  A (c, p^{m-1}) stack of weights with a stack of c
+    base maps gives the stack of c superpositions.
     """
     if m < 2:
         raise ValueError("ambient dimension must be >= 2")
     p = field.p
     n = m - 1
     hv = np.asarray(h, dtype=np.complex128)
-    if hv.shape != (p**n,):
-        raise ValueError(f"h must have {p ** n} entries")
     bases = _as_base_map(x0, field, n)
+    if hv.shape[-1:] != (p**n,) or bases.shape[:-1] != hv.shape:
+        raise ValueError(f"h must have {p ** n} entries, one per base")
     # the lines are direction-major, so bincount adds each point's weights
     # in direction order
-    idx = encode_point(line_points(bases, coordinate_array(p, n), p), p).ravel()
-    w = np.repeat(hv, p)
-    out = (np.bincount(idx, w.real, p**m) + 1j * np.bincount(idx, w.imag, p**m)) / p**n
+    lines = line_points(bases, coordinate_array(p, n), p)
+    idx = encode_point(lines, p).reshape(hv.shape[:-1] + (-1,))
+    w = np.repeat(hv, p, axis=-1)
+    out = (_row_bincount(idx, w.real, p**m)
+           + 1j * _row_bincount(idx, w.imag, p**m)) / p**n
     return FFunction(field, m, out)
 
 
@@ -210,32 +236,39 @@ class DualConsistency(NamedTuple):
     paired_lower: float   # the same number recovered through the dual pairing
 
 
-def dual_consistency(F: FFunction, q: float, p_exp: float) -> DualConsistency:
-    """Rebuild the maximal-side operator lower bound on the dual side.
+def dual_consistency(F: FFunction, pairs) -> list[DualConsistency]:
+    """Rebuild the maximal-side operator lower bound on the dual side, for
+    each dual-side exponent pair (q, p) of pairs.
 
-    Given the dual-side exponent pair (q, p), the maximal inequality at the
-    conjugate pair (p', q') and the superposition inequality share their
-    optimal constant.  This realizes the equality constructively: take the
-    maximizing bases of |F| as x0, the conjugate power of F* as h, and pair
-    the superposition against |F|.  The two numbers agree to within
-    floating point.
+    Given (q, p), the maximal inequality at the conjugate pair (p', q')
+    and the superposition inequality share their optimal constant.  This
+    realizes the equality constructively: take the maximizing bases of |F|
+    as x0, the conjugate power of F* as h, and pair the superposition
+    against |F|.  The two numbers agree to within floating point.  F* and
+    the bases are found once for all the pairs.  For a stack of functions
+    each field holds an array of one number per row.
     """
-    if q <= 1 or p_exp <= 1:
-        raise ValueError("dual exponents must exceed 1")
     G = F.abs()
-    q_c = q / (q - 1.0)
-    p_c = p_exp / (p_exp - 1.0)
     star = kakeya_maximal(G)
-    g_norm = lp_norm(G.data, p_c, "counting")
-    if g_norm == 0.0:
-        raise ValueError("dual consistency of the zero function")
-    direct = lp_norm(star, q_c, "normalized") / g_norm
-    h = star ** (q_c / q)
-    h_norm = lp_norm(h, q, "normalized")
     bases = maximizing_base_map(G)
-    superpos = dual_kakeya_apply(h, bases, F.field, F.dim)
-    pairing = inner(superpos.data, G.data).real
-    return DualConsistency(direct, pairing / (h_norm * g_norm))
+    rows = G.data.reshape(-1, G.data.shape[-1])
+    found = []
+    for q, p_exp in pairs:
+        if q <= 1 or p_exp <= 1:
+            raise ValueError("dual exponents must exceed 1")
+        q_c = q / (q - 1.0)
+        p_c = p_exp / (p_exp - 1.0)
+        g_norm = lp_norm(G.data, p_c, "counting")
+        if np.any(g_norm == 0.0):
+            raise ValueError("dual consistency of the zero function")
+        direct = lp_norm(star, q_c, "normalized") / g_norm
+        h = star ** (q_c / q)
+        h_norm = lp_norm(h, q, "normalized")
+        superpos = dual_kakeya_apply(h, bases, F.field, F.dim).data.reshape(rows.shape)
+        pairing = np.array([inner(s, g).real for s, g in zip(superpos, rows)])
+        found.append(DualConsistency(
+            direct, pairing.reshape(G.data.shape[:-1]) / (h_norm * g_norm)))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +336,8 @@ def restriction_to_kakeya_embed(h, b) -> SurfaceFunction:
     extension equals embed_closed_form(h, b) pointwise, and its squared
     modulus summed over the middle coordinates collapses to the line
     profile embed_collapse_profile(h, b).  Scenario KK-3 checks both
-    identities.
+    identities.  A stack of c weights with a stack of c base maps gives
+    the stack of c functions on the one surface, built once per call.
     """
     if not isinstance(h, FFunction):
         raise ValueError("pass h as an FFunction on F_p^n so the field is unambiguous")
@@ -315,14 +349,16 @@ def restriction_to_kakeya_embed(h, b) -> SurfaceFunction:
     p = field.p
 
     b_arr = _as_base_map(b, field, n)
+    if b_arr.shape[:-1] != hv.shape:
+        raise ValueError("pass one base map per weight")
     base = coordinate_array(p, 2 * n)
     xi = base[:, :n]
     theta = base[:, n:]
     theta_idx = encode_point(theta, p)
     neg_theta_idx = encode_point(-theta, p)
     chars = char_vector(field)
-    phase_idx = (-np.einsum("ij,ij->i", xi, b_arr[neg_theta_idx])) % p
-    values = np.sqrt(hv[theta_idx]) * chars[phase_idx]
+    phase_idx = (-np.einsum("ij,...ij->...i", xi, b_arr[..., neg_theta_idx, :])) % p
+    values = np.sqrt(hv[..., theta_idx]) * chars[phase_idx]
     return SurfaceFunction(hyperbolic_paraboloid(field, 2 * n + 1), values)
 
 
@@ -496,40 +532,42 @@ def _base_coset_labels(W: Subspace) -> np.ndarray:
     return labels
 
 
-def mixed_norm(F: FFunction, W: Subspace, outer_q: float) -> float:
+def mixed_norm(F: FFunction, W: Subspace, outer_q: float):
     """Counting-measure mixed norm of a function on base x last coordinate:
     inner L^2 over each coset of W in the base, outer L^{outer_q} over W's
-    cosets and t."""
+    cosets and t.  A float, or an array of one per row of a stack."""
     if W.ambient != F.dim - 1:
         raise ValueError("W must live on the base of F's domain")
-    # bincount adds each cell's terms in input order from 0.0, row by row
     p = F.field.p
-    mags = np.abs(F.data).reshape(p**W.ambient, p, order="F") ** 2.0
-    cells = (_base_coset_labels(W)[:, None] * p + np.arange(p)).ravel()
-    inner_sums = np.bincount(cells, weights=mags.ravel())
+    # the values run over the base points within each height t, so each
+    # (coset, t) cell adds its terms in base order
+    cells = (_base_coset_labels(W) * p + np.arange(p)[:, None]).ravel()
+    inner_sums = _row_bincount(cells, np.abs(F.data) ** 2.0,
+                               p ** (W.ambient - W.dim + 1))
     return lp_norm(inner_sums**0.5, outer_q, "counting")
 
 
-def surface_mixed_norm(f: SurfaceFunction, W: Subspace, outer_q: float) -> float:
+def surface_mixed_norm(f: SurfaceFunction, W: Subspace, outer_q: float):
     """Normalized mixed norm on the surface: inner L^2 over each coset of
-    W, outer L^{outer_q} over W's cosets; both layers average."""
+    W, outer L^{outer_q} over W's cosets; both layers average.  A float,
+    or an array of one per row of a stack."""
     p = f.surface.field.p
     mags = np.abs(f.values) ** 2.0
-    inner_sums = np.bincount(_base_coset_labels(W), weights=mags)
+    inner_sums = _row_bincount(_base_coset_labels(W), mags, p ** (W.ambient - W.dim))
     return lp_norm((inner_sums / p**W.dim) ** 0.5, outer_q, "normalized")
 
 
-def mixed_extension_ratio(f: SurfaceFunction, W: Subspace) -> float:
+def mixed_extension_ratio(f: SurfaceFunction, W: Subspace):
     """The tracked constant of the mixed-norm extension inequality:
     ||ext f||_{L^{(2d+2)/(d-1)}_{W cosets, t} L^2_W} over the matching
-    surface norm.
+    surface norm; a float, or an array of one per row of a stack.
 
     Both norms read the one cached coset labelling of the base by W, so a
     caller holding one W labels the base once for many f."""
     d = f.surface.ambient_dim
     q = (2 * d + 2) / (d - 1)
     denom = surface_mixed_norm(f, W, q)
-    if denom == 0.0:
+    if np.any(denom == 0.0):
         raise ValueError("mixed ratio of the zero function")
     return mixed_norm(extension(f), W, q) / denom
 

@@ -7,9 +7,9 @@ transforms, and norm transfer along congruences.
 A surface is the graph {(xi, Q(xi))} of a nondegenerate quadratic form Q
 on F_p^{d-1}; its normalized measure gives each of the p^{d-1} points
 mass |S|^{-1}.  Functions on the surface are indexed by the base point.
-Like the transforms, restriction, extension, bochner_riesz and
-pseudo_conformal_check take one function or a stack of them, and map a
-stack row by row.
+Like the transforms, restriction, extension, bochner_riesz,
+pseudo_conformal_check, plane_embed_ft and SurfaceFunction.norm take one
+function or a stack of them, and map a stack row by row.
 """
 
 from __future__ import annotations
@@ -141,13 +141,9 @@ class SurfaceFunction:
         """iid standard complex gaussians, as FFunction.random on the base."""
         return cls(surface, FFunction.random(surface.field, surface.base_dim, rng).data)
 
-    def __getitem__(self, i: int) -> "SurfaceFunction":
-        """Function i of a stack."""
-        return SurfaceFunction(self.surface, self.values[i])
-
     def norm(self, q: float) -> float:
-        """L^q(S, dsigma) with the normalized surface measure, of one
-        function; lp_norm refuses a stack."""
+        """L^q(S, dsigma) with the normalized surface measure: a float
+        for one function, the array of each row's norm for a stack."""
         return lp_norm(self.values, q, "normalized")
 
 
@@ -168,14 +164,15 @@ def _height_rows(f: SurfaceFunction, ts, work: Optional[np.ndarray] = None
     C-contiguous array for the in-place transform (a fancy-indexed
     E[:, S.heights] is not C-contiguous); one function, alone or as a
     stack of one, multiplies into it in place, a larger stack into a
-    fresh product of its shape.  work is the transform's optional
-    reusable scratch, of the stack's size.
+    fresh C-ordered product of its shape, whatever the order of the
+    stack's values (a fancy-indexed stack is not C-ordered).  work is the
+    transform's optional reusable scratch, of the stack's size.
     """
     S = f.surface
     phases = char_kernel(S.field, +1)[ts].take(S.heights, axis=1)
     values = f.values[..., None, :]
     shape = values.shape[:-2] + phases.shape
-    rows = np.multiply(phases, values,
+    rows = np.multiply(phases, values, order="C",
                        out=phases.reshape(shape) if values.size == S.size else None)
     _axis_dft(rows, S.field, S.base_dim, +1, work)
     rows /= S.size
@@ -343,19 +340,24 @@ def plane_embed(f: FFunction, a: int, b: int) -> FFunction:
     return FFunction(f.field, 3, data)
 
 
-def plane_embed_ft(f: FFunction, a: int, b: int) -> FFunction:
+def plane_embed_ft(f: FFunction, a, b) -> FFunction:
     """Transform of the plane-supported embedding, by reindexing the 2-d
     transform:  Fhat(xi1, xi2, xi3) = fhat(xi1, xi3 + a xi2) e(-xi2 b).
 
-    Scenario PL-1 checks it against the direct 3-d transform of
-    plane_embed(f, a, b).
+    A stack of c functions on F_p^2 takes c slopes a and c offsets b, one
+    plane per row, and makes one 2-d transform for the stack.  Scenario
+    PL-1 checks it against the direct 3-d transform of plane_embed(f, a, b).
     """
     p = f.field.p
     fh = fourier_transform(f)
     X = coordinate_array(p, 3)
-    src = encode_point(np.stack([X[:, 0], X[:, 2] + a * X[:, 1]], axis=1), p)
+    # one row of slopes and offsets per function: (c, 1), or (1,) for one
+    a, b = (np.asarray(v)[..., None] for v in (a, b))
+    sheared = X[:, 2] + a * X[:, 1]
+    src = encode_point(np.stack([np.broadcast_to(X[:, 0], sheared.shape), sheared],
+                                axis=-1), p)
     phases = char_vector(f.field)[(-X[:, 1] * b) % p]
-    return FFunction(f.field, 3, fh.data[src] * phases)
+    return FFunction(f.field, 3, np.take_along_axis(fh.data, src, axis=-1) * phases)
 
 
 # ---------------------------------------------------------------------------

@@ -171,18 +171,31 @@ def test_a_function_holds_one_row_or_a_stack():
     assert FFunction(F, 2, np.zeros((4, 9), dtype=complex)).data.shape == (4, 9)
 
 
-def test_norms_take_one_function_not_a_stack():
-    # a stack of functions has no one norm: summing across its rows would
-    # mix the functions, so a 2-d array raises
-    stack = np.ones((2, 9), dtype=complex)
-    for measure in ("counting", "normalized"):
-        with pytest.raises(ValueError, match="one function"):
-            lp_norm(stack, 2.0, measure)
+def test_a_stack_gives_one_norm_per_row():
+    # a stack of functions has no one norm: each row gets its own, with the
+    # bits of lp_norm of that row alone, in both measures and for an
+    # F-ordered stack, whose rows numpy would sum in another order
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((5, 343)) + 1j * rng.standard_normal((5, 343))
+    for values in (stack, np.asfortranarray(stack), stack[:, ::2]):
+        for measure in ("counting", "normalized"):
+            for q in (1.0, 2.0, 7 / 3, 4.0):
+                norms = lp_norm(values, q, measure)
+                assert isinstance(norms, np.ndarray) and norms.shape == (len(values),)
+                assert norms.tolist() == [lp_norm(row.copy(), q, measure)
+                                          for row in values]
+    ones = np.ones((2, 9), dtype=complex)
+    assert lp_norm(ones, 2.0).tolist() == [3.0, 3.0]
+    assert lp_norm(ones[:1], 1.0, "normalized").tolist() == [1.0]
+    assert isinstance(lp_norm(ones[0], 2.0), float)
+    with pytest.raises(ValueError, match="a function or a stack"):
+        lp_norm(np.ones((2, 2, 9)), 2.0)
+    # the inner product still pairs two functions
     with pytest.raises(ValueError, match="two functions"):
-        inner(stack, stack)
+        inner(ones, ones)
     with pytest.raises(ValueError, match="two functions"):
-        inner(stack[0], stack)
-    assert lp_norm(stack[0], 2.0) == 3.0 and inner(stack[0], stack[1]) == 9.0
+        inner(ones[0], ones)
+    assert inner(ones[0], ones[1]) == 9.0
 
 
 @settings(deadline=None, max_examples=25)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from fflab import combinatorics, core, fourier, qforms, surfaces
 from fflab import kakeya as kk
 from fflab.cli import _report_line, main as cli_main
 from fflab.core import PrimeField, coordinate_array
-from fflab.errors import UnknownScenario
+from fflab.errors import FFLabError, UnknownScenario
 from fflab.harness import (
     REGISTRY,
     BaselineMismatch,
@@ -913,10 +914,11 @@ def test_nan_deviation_fails_the_run_with_its_witness(monkeypatch, devs, first_n
     assert r.witness == witness_values(trial=first_nan)
 
 
-# The runners that cut their trials into stacks, one operator call per
-# stack (scenarios._stacks).
+# The runners that cut their trials, or their exhaustive and structured
+# inputs, into stacks, one operator call per stack (scenarios._stacks).
+# KK-1 at (3, 2) and MX-2 at (3, 3) stack their exhaustive families.
 STACKED_RUNNERS = ("FT-3", "ST-1", "ST-2", "ST-5", "ST-6", "BR-1", "PL-1", "MT-1",
-                   "EN-4")
+                   "EN-4", "KK-1", "KK-2", "KK-3", "MX-2")
 
 
 def test_stacks_cut_a_run_into_consecutive_bounded_lists():
@@ -1022,6 +1024,60 @@ def test_the_exhaustive_point_is_the_registry_provenance(monkeypatch):
     assert [fields["mask"] for _, fields in cases] == list(range(1, 8))
 
 
+def test_an_exhaustive_family_past_2_16_subsets_fails_before_it_is_built(monkeypatch):
+    # At (5, 2) KK-1's family would be all 2^25 - 1 indicators of F_5^2,
+    # about 6.7 GB of masks and rows; the run fails at once instead, with
+    # a witness that names the family's size.
+    import fflab.harness.scenarios as scenarios
+    sc = REGISTRY["KK-1"]
+    monkeypatch.setitem(REGISTRY, "KK-1", dataclasses.replace(sc, provenance=(5, 2, 1, 0)))
+    start = time.perf_counter()
+    r = run_scenario("KK-1", prime=5, dim=2)
+    assert time.perf_counter() - start < 0.5
+    assert r.status == "fail" and r.trials == sc.default_trials
+    values = r.witness["values"]
+    assert values["error"] == "FFLabError"
+    assert "2^25 - 1 = 33554431 subsets" in values["message"]
+    assert values["raised_in"].startswith("_exhaustive_masks")
+    # 2^16 - 1 rows is the largest family built
+    ctx = RunContext("KK-1", 5, 2, 30, 0)
+    assert scenarios._exhaustive_masks(ctx, 16).shape == (2**16 - 1, 16)
+    with pytest.raises(FFLabError, match="2\\^17 - 1"):
+        scenarios._exhaustive_masks(ctx, 17)
+
+
+def test_the_sweep_loads_numpy_lazy_modules_before_the_fork():
+    # numpy loads numpy.random and numpy.ma on first use.  The sweep loads
+    # both before its first group and its fork, so a worker holds them
+    # before its first run, and no run's runtime_ms pays for them.
+    # Importing fflab loads neither; a fresh process shows both, since
+    # this one loaded them long ago.
+    script = textwrap.dedent("""\
+        import dataclasses, os, sys
+        import fflab.cli
+        from fflab.harness import REGISTRY, sweep
+        lazy = ("numpy.random", "numpy.ma")
+        print(sorted(set(lazy) & set(sys.modules)))
+        parent = os.getpid()
+
+        def probe(ctx):
+            # 0 in a worker that holds both modules, and only there
+            yield float(os.getpid() == parent) + sum(
+                name not in sys.modules for name in lazy), {}
+
+        REGISTRY["FT-1"] = dataclasses.replace(REGISTRY["FT-1"], runner=probe)
+        reports, failed = sweep(["FT-1"], (3, 5), (3,), workers=2)
+        print([(r.prime, r.metric) for r in reports], failed)
+        """)
+    src = str(Path(fflab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "[(3, 0.0), (5, 0.0)] False"]
+
+
 def test_mx1_row_states_the_trials_it_ran():
     # the p^{4n+1} schedule runs a single trial at (13, 5)
     r = run_scenario("MX-1", prime=13, dim=5)
@@ -1069,14 +1125,17 @@ def test_mx1_fails_on_a_defect_at_the_last_height(monkeypatch, shift, dim):
 
 @pytest.mark.parametrize("prime,dim", [(3, 3), (5, 3)])
 def test_mx2_splits_the_base_once_per_run(prime, dim):
-    # (3, 3) is the exhaustive 511-mask path, (5, 3) the structured one;
-    # the run uses one W, so the base is labelled by its cosets once.  The
-    # exhaustive run states one trial, so at seed 0 it is the provenance.
+    # (3, 3) is the exhaustive 511-mask path, in stacks of 151, (5, 3) the
+    # structured one, whose 13 inputs make one stack; the run uses one W,
+    # so the base is labelled by its cosets once, and both norms of every
+    # stack read that labelling.  The exhaustive run states one trial, so
+    # at seed 0 it is the provenance.
+    stacks = {3: 4, 5: 1}[prime]
     kk._base_coset_labels.cache_clear()
     r = run_scenario("MX-2", prime=prime, dim=dim, trials=2)
     assert r.status == ("report_only" if prime == 3 else "pass")
     info = kk._base_coset_labels.cache_info()
-    assert info.misses == 1 and info.hits > 1
+    assert info.misses == 1 and info.hits == 2 * stacks - 1
 
 
 @pytest.mark.parametrize("prime", [3, 5, 7])

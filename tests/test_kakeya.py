@@ -179,6 +179,41 @@ def test_line_totals_bit_identical_to_per_t_gather(p, m):
     assert np.array_equal(kk.line_totals(F), _per_t_line_totals(F))
 
 
+def _all_indicators(p, m):
+    """Every nonempty subset of F_p^m as a stack of complex indicator rows:
+    KK-1's exhaustive family at its provenance (3, 2)."""
+    n = p**m
+    return ((np.arange(1, 2**n)[:, None] & (1 << np.arange(n))) != 0).astype(complex)
+
+
+@pytest.mark.parametrize("p,m,c", [(13, 3, 1), (3, 2, 511), (7, 3, 11), (11, 3, 3)])
+def test_line_totals_of_a_stack_are_those_of_each_row(p, m, c):
+    # a stack of one at (13, 3), the (3, 2) mask family and KK-1's stacks
+    # of random indicators: every function of the maximal layer gives each
+    # row of a stack the bits of that row alone
+    field = PrimeField(p)
+    if (p, m) == (3, 2):
+        data = _all_indicators(p, m)
+    else:
+        rng = np.random.default_rng(p * 10 + m)
+        data = (rng.random((c, p**m)) < 0.5).astype(complex)
+        data[:, 0] = 1.0
+    assert data.shape == (c, p**m)
+    F = FFunction(field, m, data)
+    rows = [FFunction(field, m, row) for row in data]
+    totals = kk.line_totals(F)
+    assert totals.shape == (c, p ** (m - 1), p ** (m - 1))
+    assert np.array_equal(totals, np.stack([kk.line_totals(r) for r in rows]))
+    assert np.array_equal(totals[0], _per_t_line_totals(rows[0]))
+    assert np.array_equal(kk.kakeya_maximal(F),
+                          np.stack([kk.kakeya_maximal(r) for r in rows]))
+    assert np.array_equal(kk.maximizing_base_map(F),
+                          np.stack([kk.maximizing_base_map(r) for r in rows]))
+    assert kk.maximal_ratio(F).tolist() == [kk.maximal_ratio(r) for r in rows]
+    with pytest.raises(ValueError):
+        kk.maximal_ratio(FFunction(field, m, np.vstack([data, np.zeros(p**m)])))
+
+
 def test_line_index_is_built_once_and_read_only():
     F = FFunction.random(F5, 3, np.random.default_rng(7))
     first = kk.line_totals(F)
@@ -337,7 +372,7 @@ def test_dual_consistency_recovers_the_direct_bound(q, p_exp):
     rng = np.random.default_rng(10)
     for field, m in [(F3, 2), (F5, 2), (F3, 3)]:
         F = FFunction.random(field, m, rng)
-        res = kk.dual_consistency(F, q, p_exp)
+        (res,) = kk.dual_consistency(F, [(q, p_exp)])
         assert res.paired_lower == pytest.approx(res.direct_lower, abs=1e-6)
         # the superposition's own norm ratio can only be larger (Hölder)
         G = F.abs()
@@ -349,9 +384,34 @@ def test_dual_consistency_recovers_the_direct_bound(q, p_exp):
 
 def test_dual_consistency_guards():
     with pytest.raises(ValueError):
-        kk.dual_consistency(FFunction.zeros(F3, 2), 1.5, 1.5)
+        kk.dual_consistency(FFunction.zeros(F3, 2), [(1.5, 1.5)])
     with pytest.raises(ValueError):
-        kk.dual_consistency(FFunction.constant(F3, 2, 1.0), 1.0, 1.5)
+        kk.dual_consistency(FFunction.constant(F3, 2, 1.0), [(2.0, 2.0), (1.0, 1.5)])
+
+
+@pytest.mark.parametrize("field,m,c", [(F3, 2, 5), (F7, 3, 11), (F5, 3, 1)])
+def test_dual_consistency_of_a_stack_is_that_of_each_row(field, m, c):
+    # KK-2's pairs on a stack share one maximal function and one base map,
+    # and give each row the bits of that row alone
+    pairs = ((1.5, 1.5), (2.0, 2.0), (1.25, 3.0))
+    rng = np.random.default_rng(field.p * 10 + m)
+    F = FFunction(field, m, rng.uniform(0.1, 1.0, (c, field.p**m)).astype(complex))
+    stacked = kk.dual_consistency(F, pairs)
+    assert len(stacked) == len(pairs)
+    for i, row in enumerate(F.data):
+        for got, want in zip(stacked, kk.dual_consistency(FFunction(field, m, row), pairs)):
+            assert (got.direct_lower[i], got.paired_lower[i]) == tuple(want)
+
+
+def test_dual_kakeya_apply_maps_a_stack_row_by_row():
+    rng = np.random.default_rng(21)
+    h = rng.random((4, 25)) + 1j * rng.random((4, 25))
+    x0 = rng.integers(0, 5, size=(4, 25, 2))
+    got = kk.dual_kakeya_apply(h, x0, F5, 3)
+    assert np.array_equal(got.data, np.stack(
+        [kk.dual_kakeya_apply(w, b, F5, 3).data for w, b in zip(h, x0)]))
+    with pytest.raises(ValueError):
+        kk.dual_kakeya_apply(h, x0[:3], F5, 3)
 
 
 def test_dual_endpoint_exhaustive_under_envelope_p3():
@@ -545,6 +605,24 @@ def test_embed_collapse_profile_matches_squared_extension():
     cube = np.abs(ext.data.reshape(p, p, p, order="F")) ** 2
     profile = kk.embed_collapse_profile(h, b).data.real.reshape(p, p, order="F")
     assert np.abs(cube.sum(axis=1) - profile).max() < 1e-9
+
+
+@pytest.mark.parametrize("p,n,c", [(3, 1, 15), (5, 1, 15), (3, 2, 7)])
+def test_embed_maps_a_stack_row_by_row(p, n, c):
+    # one surface for the stack, and each row's function and extension
+    # with the bits of one call per row
+    field = PrimeField(p)
+    rng = np.random.default_rng(p * 10 + n)
+    h = FFunction(field, n, rng.uniform(0.0, 2.0, (c, p**n)).astype(complex))
+    b = rng.integers(0, p, size=(c, p**n, n))
+    f = kk.restriction_to_kakeya_embed(h, b)
+    rows = [kk.restriction_to_kakeya_embed(FFunction(field, n, w), x)
+            for w, x in zip(h.data, b)]
+    assert f.surface.ambient_dim == 2 * n + 1
+    assert np.array_equal(f.values, np.stack([r.values for r in rows]))
+    assert np.array_equal(extension(f).data, np.stack([extension(r).data for r in rows]))
+    with pytest.raises(ValueError):
+        kk.restriction_to_kakeya_embed(h, b[0])
 
 
 def test_embed_input_validation():
@@ -903,6 +981,27 @@ def test_mixed_extension_ratio_splits_once():
     assert kk._base_coset_labels.cache_info().misses == 1
     assert kk._base_coset_labels.cache_info().hits == 3
     assert not kk._base_coset_labels(W).flags.writeable
+
+
+@pytest.mark.parametrize("p,d,c", [(3, 3, 151), (7, 3, 11), (3, 5, 16)])
+def test_mixed_extension_ratio_of_a_stack_is_that_of_each_row(p, d, c):
+    # MX-2's stacks of base indicators: one extension and one labelling
+    # for the stack, each row's ratio and norms with the bits of its own
+    field = PrimeField(p)
+    S = hyperbolic_paraboloid(field, d)
+    W = enumerate_max_isotropic(S.Q)[0]
+    rng = np.random.default_rng(p * 10 + d)
+    values = (rng.random((c, S.size)) < 0.5).astype(complex)
+    values[:, 0] = 1.0
+    f = SurfaceFunction(S, values)
+    rows = [SurfaceFunction(S, v) for v in values]
+    q = (2 * d + 2) / (d - 1)
+    assert kk.surface_mixed_norm(f, W, q).tolist() == [
+        kk.surface_mixed_norm(r, W, q) for r in rows]
+    assert kk.mixed_norm(extension(f), W, q).tolist() == [
+        kk.mixed_norm(extension(r), W, q) for r in rows]
+    assert kk.mixed_extension_ratio(f, W).tolist() == [
+        kk.mixed_extension_ratio(r, W) for r in rows]
 
 
 def test_mixed_ratio_guards():

@@ -115,8 +115,7 @@ def test_stacked_surface_operators_equal_per_row_calls(S, c):
     assert np.array_equal(extension(f).data, np.stack([extension(x).data for x in fs]))
     rest = restriction(F, S)
     assert np.array_equal(rest.values, np.stack([restriction(x, S).values for x in Fs]))
-    assert [rest[i].norm(2.0) for i in range(c)] == [
-        restriction(x, S).norm(2.0) for x in Fs]
+    assert rest.norm(2.0).tolist() == [restriction(x, S).norm(2.0) for x in Fs]
     assert np.array_equal(bochner_riesz(F, S).data, np.stack(
         [bochner_riesz(x, S).data for x in Fs]))
     if d == 3:
@@ -129,14 +128,27 @@ def test_stacked_surface_operators_equal_per_row_calls(S, c):
             float(pseudo_conformal_check(FFunction(S.field, 3, h), S)) for h in slices]
 
 
-def test_a_stack_has_no_one_norm():
-    # SurfaceFunction.norm goes through lp_norm, which refuses a stack
-    # rather than summing across its functions
+def test_a_stack_gives_one_surface_norm_per_row():
+    # SurfaceFunction.norm goes through lp_norm: a stack gives one norm per
+    # function, with the bits of that function's own norm, never one
+    # summed across them.  The restriction of a stack is F-ordered, so its
+    # rows are strided; their norms still match row by row.
     S = paraboloid(PrimeField(3), 3)
     f = SurfaceFunction(S, np.ones((2, S.size)))
-    with pytest.raises(ValueError, match="one function"):
-        f.norm(2.0)
-    assert f[1].norm(2.0) == 1.0
+    assert f.norm(2.0).tolist() == [1.0, 1.0]
+    assert SurfaceFunction(S, f.values[1]).norm(2.0) == 1.0
+    rng = np.random.default_rng(8)
+    for p, d, c in ((3, 3, 20), (7, 3, 11), (3, 5, 16)):
+        S = paraboloid(PrimeField(p), d)
+        F = FFunction(S.field, d, rng.standard_normal((c, p**d))
+                      + 1j * rng.standard_normal((c, p**d)))
+        rest = restriction(F, S)
+        assert not rest.values.flags.c_contiguous
+        for q in (1.5, 2.0, 4.0):
+            assert rest.norm(q).tolist() == [
+                SurfaceFunction(S, row).norm(q) for row in rest.values]
+            assert rest.norm(q).tolist() == [
+                restriction(FFunction(S.field, d, row), S).norm(q) for row in F.data]
     for shape in ((S.size + 1,), (2, S.size - 1), (1, 2, S.size)):
         with pytest.raises(ValueError):
             SurfaceFunction(S, np.ones(shape))
@@ -471,6 +483,21 @@ def test_plane_embed_ft_identity_random():
         want = fourier_transform(plane_embed(f, a, b))
         scale = max(1.0, float(np.abs(want.data).max()))
         assert np.abs(got.data - want.data).max() < 1e-9 * scale
+
+
+@pytest.mark.parametrize("p,c", [(3, 25), (5, 25), (7, 11), (7, 3)])
+def test_plane_embed_ft_maps_a_stack_row_by_row(p, c):
+    # one plane per row, and one 2-d transform for the stack, with the
+    # bits of one call per row
+    F = PrimeField(p)
+    rng = np.random.default_rng(p * 100 + c)
+    fs = [FFunction.random(F, 2, rng) for _ in range(c)]
+    a = rng.integers(0, p, size=c)
+    b = rng.integers(0, p, size=c)
+    got = plane_embed_ft(FFunction(F, 2, np.stack([f.data for f in fs])), a, b)
+    assert got.data.shape == (c, p**3)
+    assert np.array_equal(got.data, np.stack(
+        [plane_embed_ft(f, int(s), int(o)).data for f, s, o in zip(fs, a, b)]))
 
 
 def test_plane_embed_ft_a0_b0_constant_in_xi2():
