@@ -224,13 +224,6 @@ def _exhaustive_masks(ctx: RunContext, n: int) -> Optional[np.ndarray]:
     return (np.arange(1, 2**n)[:, None] & (1 << np.arange(n))) != 0
 
 
-def _direct_sigma(S: Surface) -> FFunction:
-    """|S|^{-1} sum over surface points of e(x.xi), by direct transform."""
-    scale = S.field.p**S.ambient_dim / S.size
-    return FFunction(S.field, S.ambient_dim,
-                     inverse_transform(S.indicator()).data * scale)
-
-
 def _random_support(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
     return np.sort(rng.choice(total, size=k, replace=False))
 
@@ -240,10 +233,11 @@ def _random_support(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
 
 
 def _run_measure_ft(make_surface, ctx: RunContext):
-    # FT-1 and FT-2 differ only in the surface; the registry binds it
+    # FT-1 and FT-2 differ only in the surface; the registry binds it.
+    # The direct route is the extension of the constant 1.
     S = make_surface(ctx.field, ctx.dim)
     closed = surface_measure_inverse_ft(S).data
-    direct = _direct_sigma(S).data
+    direct = extension(SurfaceFunction(S, np.ones(S.size))).data
     gap = np.abs(closed - direct)
     i = int(np.argmax(gap))
     yield float(gap[i]), dict(index=i, closed=complex(closed[i]),
@@ -282,10 +276,10 @@ def _run_st1(ctx: RunContext):
     # ||f||_{(q/theta)'} = 1, the squared L2(dsigma) transform norm equals
     # the pairing <f, f * sigma-vee>, is at most ||f||_2^2 + p^{-dt/2}||f||_1^2,
     # and the final bound 1 + p^{-dt/4} lam^{-theta/(q-theta)} holds with
-    # constant exactly 1.
+    # constant exactly 1.  The convolution is f * sigma-vee = E R f, the
+    # extension of the same restriction whose norm is the left side.
     p, d = ctx.prime, ctx.dim
     S = paraboloid(ctx.field, d)
-    sig = surface_measure_inverse_ft(S)
     dt = d - 1
     for stack in _stacks(ctx.trial_rngs(), p**d):
         data = np.zeros((len(stack), p**d), dtype=complex)
@@ -298,12 +292,11 @@ def _run_st1(ctx: RunContext):
             f[idx] = rng.uniform(1.0, 2.0, size=k) * np.exp(2j * np.pi * rng.random(k))
             f *= 1.0 / lp_norm(f, q / (q - theta))
             draws.append((t, q, theta, float(np.abs(f[idx]).min())))
-        F = FFunction(ctx.field, d, data)
-        rest = restriction(F, S).norm(2.0).tolist()
-        conv = convolve(F, sig).data
+        rest = restriction(FFunction(ctx.field, d, data), S)
+        conv = extension(rest).data
         l2, l1 = lp_norm(data, 2.0).tolist(), lp_norm(data, 1.0).tolist()
         for f, g, rest_norm, f2, f1, (t, q, theta, lam) in zip(
-                data, conv, rest, l2, l1, draws):
+                data, conv, rest.norm(2.0).tolist(), l2, l1, draws):
             lhs = rest_norm ** 2
             pairing = abs(inner(f, g))
             dev_id = _rel(lhs, pairing)
@@ -553,7 +546,8 @@ def _run_br3(ctx: RunContext):
     # vertical-horizontal plane holding at most p^alpha points of the
     # support, the surface-restricted transform obeys
     # ||F-hat||_{L2(dsigma)} <= C p^{(1+alpha-beta)/4} ||F||_2.  The exact
-    # pairing ||F-hat||^2_{L2(dsigma)} = <F, TF> is certified on the way.
+    # pairing ||F-hat||^2_{L2(dsigma)} = <F, TF> is certified on the way,
+    # with TF = E R F the extension of the same restriction.
     p = ctx.prime
     field = ctx.field
     S = hyperbolic_paraboloid(field, 3)
@@ -575,10 +569,10 @@ def _run_br3(ctx: RunContext):
         alpha = _logp(p, int(vh_plane_masks(coords, p).sum(axis=1).max()))
         beta = _logp(p, min(sizes))
         rest = restriction(F, S)
-        pair = abs(inner(F.data, bochner_riesz(F, S).data))
-        if _rel(rest.norm(2.0) ** 2, pair) > 1e-9:
+        rest_norm = rest.norm(2.0)
+        if _rel(rest_norm ** 2, abs(inner(F.data, extension(rest).data))) > 1e-9:
             raise FFLabError("restricted norm does not match the kernel pairing")
-        ratio = rest.norm(2.0) / (p ** ((1 + alpha - beta) / 4) * lp_norm(F.data, 2.0))
+        ratio = rest_norm / (p ** ((1 + alpha - beta) / 4) * lp_norm(F.data, 2.0))
         yield ratio, dict(trial=t, lines=n_lines, alpha=alpha, beta=beta,
                           ratio=ratio)
 

@@ -1,8 +1,10 @@
-"""Quadratic graph surfaces in F_p^d and the operators that live on them:
-extension/restriction with normalized surface measure, the closed-form
-inverse Fourier transform of the measure, convolution against the
-surface kernel, pseudo-conformal slice transport, plane-supported
-transforms, and norm transfer along congruences.
+"""Quadratic graph surfaces in F_p^d and the operators that live on them.
+Extension E and restriction R, with normalized surface measure, are the
+only surface operators: convolution with the surface kernel (dsigma)-vee
+is E R (bochner_riesz), and (dsigma)-vee is E of the constant 1, against
+which its closed form is checked.  Also here: pseudo-conformal slice
+transport, plane-supported transforms, and norm transfer along
+congruences.
 
 A surface is the graph {(xi, Q(xi))} of a nondegenerate quadratic form Q
 on F_p^{d-1}; its normalized measure gives each of the p^{d-1} points
@@ -30,7 +32,7 @@ from .core import (
     point_rows,
 )
 from .errors import FFLabError, NotCongruent, NotOnSurface
-from .fourier import _axis_dft, fourier_transform, inverse_transform
+from .fourier import _axis_dft, fourier_transform
 from .qforms import (
     QuadraticSpace,
     diagonalize,
@@ -90,11 +92,6 @@ class Surface:
         if off.any():
             raise NotOnSurface(f"{tuple(X[off][0].tolist())} is not on {self!r}")
         return X
-
-    def indicator(self) -> FFunction:
-        f = FFunction.zeros(self.field, self.ambient_dim)
-        f.data[self.flat_indices] = 1.0
-        return f
 
     def __repr__(self) -> str:
         return f"Surface({self.kind}, p={self.field.p}, d={self.ambient_dim})"
@@ -272,15 +269,11 @@ def surface_measure_inverse_ft(S: Surface) -> FFunction:
 
 
 def bochner_riesz(F: FFunction, S: Surface) -> FFunction:
-    """Convolution with the surface kernel (dsigma)-vee, computed on the
-    Fourier side where the kernel multiplier is (p^d/|S|) 1_S."""
-    if F.dim != S.ambient_dim:
-        raise ValueError("function dimension does not match the surface ambient")
-    Fh = fourier_transform(F)
-    mh = np.zeros_like(Fh.data)
-    scale = S.field.p**S.ambient_dim / S.size
-    mh[..., S.flat_indices] = Fh.data[..., S.flat_indices] * scale
-    return inverse_transform(FFunction(F.field, F.dim, mh))
+    """Convolution with the surface kernel, F * (dsigma)-vee: the inverse
+    transform of Fhat times the multiplier (p^d/|S|) 1_S, which is
+    |S|^{-1} sum over xi in S of Fhat(xi) e(x . xi) = E R F, the TT* step
+    of the Stein-Tomas argument."""
+    return extension(restriction(F, S))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +290,10 @@ def pseudo_conformal_check(h0: FFunction, S: Surface):
     read here, so there h0*K is bochner_riesz(h0, S).  The two sides are
     conjugate character sums, so real input is required for the moduli
     to match.
+
+    Both sides go through extension, so a defect in extension moves them
+    together: MT-1 judges the transport, and FT-1, FT-2, ST-1, ST-3, BR-1
+    and EN-4 judge extension itself.
     """
     if S.ambient_dim != 3:
         raise ValueError("slice transport is a d=3 statement")

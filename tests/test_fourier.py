@@ -61,8 +61,8 @@ def test_fast_transform_matches_naive(p, d):
 # the stacked runners' trials (FT-3, ST-1 and BR-1 at (3, 3), (5, 3), (7, 3),
 # (3, 5) and (7, 2); PL-1's planar transforms at p = 3, 5, 7), and the
 # heights of their extension stacks (MT-1 at p = 3, 5, 7, EN-4 at (3, 5),
-# KK-3 at (3, 3), (5, 3) and (3, 5), and MX-2's exhaustive, structured and
-# random stacks).  No run transforms on F_p^1, where a separate call is a
+# KK-3 at (3, 3), (5, 3) and (3, 5), MX-2's exhaustive, structured and
+# random stacks, and the E R f of ST-1 and BR-1, from (3, 2, 60) on).  No run transforms on F_p^1, where a separate call is a
 # one-row product that BLAS rounds on another path.
 @pytest.mark.parametrize("p,dim,c", [(3, 3, 3), (3, 4, 5), (3, 5, 2),
                                      (5, 2, 5), (5, 4, 5), (7, 3, 2), (11, 2, 11),
@@ -73,7 +73,9 @@ def test_fast_transform_matches_naive(p, d):
                                      (3, 2, 25), (5, 2, 25), (7, 2, 11), (7, 2, 3),
                                      (3, 2, 45), (5, 2, 75), (3, 4, 45),
                                      (3, 2, 453), (3, 2, 174), (3, 4, 48), (3, 4, 21),
-                                     (5, 2, 155), (7, 2, 14)])
+                                     (5, 2, 155), (7, 2, 14),
+                                     (3, 2, 60), (3, 2, 81), (3, 4, 12), (5, 2, 100),
+                                     (5, 2, 145), (5, 2, 160), (7, 2, 63)])
 def test_stacked_transform_equals_separate_calls(p, dim, c):
     F = PrimeField(p)
     rng = np.random.default_rng(p * 100 + dim * 10 + c)

@@ -1,6 +1,7 @@
 """Registry integrity, determinism, baselines, reports, and the CLI."""
 
 import ast
+import collections
 import dataclasses
 import functools
 import inspect
@@ -1170,6 +1171,12 @@ def _shifted_profile(profile):
      "PL-1", 3, ("slope", "offset")),
     (surfaces, "gauss_sum", lambda gauss: lambda field, t: gauss(field, t) * (1 + 1e-6),
      "FT-2", 3, ("index", "closed", "direct")),
+    # a defect in the extension: FT-2's direct route and ST-1's pairing
+    # both read it, as E 1 and E R f
+    (surfaces, "_height_rows", lambda rows: lambda *a: rows(*a) * (1 + 1e-6),
+     "FT-2", 3, ("index", "closed", "direct")),
+    (surfaces, "_height_rows", lambda rows: lambda *a: rows(*a) * (1 + 1e-6),
+     "ST-1", 3, ("pairing",)),
 ])
 def test_each_library_defect_fails_through_its_scenario(
         monkeypatch, module, name, defect, scenario, dim, keys):
@@ -1180,6 +1187,29 @@ def test_each_library_defect_fails_through_its_scenario(
     values = r.witness["values"]
     assert "error" not in values
     assert all(key in values for key in keys)
+
+
+@pytest.mark.parametrize("scenario,prime,dim,calls", [
+    # per trial: one forward transform of the function, and one inverse
+    # transform of its p extension heights on the base
+    ("ST-1", 7, 5, {(-1, 5): 20, (1, 4): 20}),
+    ("BR-3", 5, 3, {(-1, 3): 12, (1, 2): 12}),
+])
+def test_the_kernel_pairing_transforms_each_trial_once(
+        monkeypatch, scenario, prime, dim, calls):
+    # the pairing <f, f * sigma-vee> reads E R f from the restriction whose
+    # norm it is compared with, so no run transforms a function twice
+    seen = collections.Counter()
+    axis_dft = fourier._axis_dft
+
+    def counted(buf, field, dim, sign, work=None):
+        seen[sign, dim] += 1
+        axis_dft(buf, field, dim, sign, work)
+
+    for module in (fourier, surfaces):
+        monkeypatch.setattr(module, "_axis_dft", counted)
+    assert run_scenario(scenario, prime=prime, dim=dim).status == "pass"
+    assert seen == calls
 
 
 def test_eq1_fails_when_its_congruence_is_wrong(monkeypatch):
