@@ -23,6 +23,7 @@ point rows and one bool mask row per subset.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
@@ -498,15 +499,15 @@ class EnergyExponent:
         grid, psi = self.alpha_grid, self.psi_values
         if len(grid) != len(psi) or len(grid) < 2:
             raise ValueError("grid and values must match with at least 2 samples")
-        if any(b - a <= 0 for a, b in zip(grid, grid[1:])):
+        if any(b - a <= 0 for a, b in itertools.pairwise(grid)):
             raise ValueError("alpha grid must be strictly increasing")
         if grid[0] < 0.0 or abs(grid[-1] - 1.0) > 1e-12:
             raise ValueError("alpha grid must sit in [0, 1] and end at 1")
-        if any(b - a < -1e-9 for a, b in zip(psi, psi[1:])):
+        if any(b - a < -1e-9 for a, b in itertools.pairwise(psi)):
             raise ValueError("psi values must be nondecreasing")
         if abs(psi[-1] - 3.0) > 1e-9:
             raise ValueError("psi(1) must equal 3")
-        if any(a < 1.0 - 1e-12 and v >= 3.0 for a, v in zip(grid, psi)):
+        if any(a < 1.0 - 1e-12 and v >= 3.0 for a, v in zip(grid, psi, strict=True)):
             raise ValueError("psi must stay below 3 for alpha < 1")
 
     def __call__(self, alpha: float) -> float:

@@ -19,7 +19,7 @@ SurfaceFunction.norm does.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .errors import FFLabError
 # transforms
 
 
-def _axis_dft(buf: np.ndarray, field: PrimeField, dim: int, sign: int,
-              work: Optional[np.ndarray] = None) -> None:
+def _axis_dft(buf: np.ndarray, field: PrimeField, dim: int, sign: int) -> None:
     """Transform every row of a stack along each of its axes, in place.
 
     buf is a C-contiguous complex128 stack of c functions on F_p^dim,
@@ -44,8 +43,7 @@ def _axis_dft(buf: np.ndarray, field: PrimeField, dim: int, sign: int,
     that coordinate the slowest; after dim rounds each row is back in F
     order.  c = 1 is the single-function transform.  Cost is c dim
     p^{dim+1} multiplies in dim flat products on the per-p kernel; memory
-    is buf plus one scratch of its size, which a caller looping over
-    same-sized stacks may pass as work.
+    is buf plus one scratch of its size.
 
     Whether a stack gives each row the same bits as separate calls is a
     property of the BLAS zgemm kernels, not of this code: a kernel that
@@ -56,10 +54,11 @@ def _axis_dft(buf: np.ndarray, field: PrimeField, dim: int, sign: int,
     bit; no run transforms on F_p^1.  At dim >= 2 every stack checked
     matched: p = 3, 5, 7, p^dim up to 16,807 and c up to
     p max(2, 4096 // p^dim) + 1.  test_stacked_transform_equals_separate_calls
-    pins the (p, dim, c) stacks the sweep makes: an extension's p heights,
-    MX-1's slabs, the stacked runners' trials, such as (3, 3, 20),
-    (5, 3, 20), (7, 3, 11), (3, 5, 16) and (7, 2, 20), and the heights of
-    their stacked extensions, such as (7, 2, 77) for MT-1 at p = 7.
+    pins every multi-row (p, dim, c) stack that the seed-0 and seed-7
+    sweeps make: an extension's p heights, the stacked runners' trials,
+    such as (3, 3, 20), (5, 3, 20), (7, 3, 11), (3, 5, 16) and
+    (7, 2, 20), and the heights of their stacked extensions, such as
+    (7, 2, 77) for MT-1 at p = 7.
     """
     if not buf.flags.c_contiguous:
         raise ValueError("the transform works in place on C-contiguous data")
@@ -68,7 +67,7 @@ def _axis_dft(buf: np.ndarray, field: PrimeField, dim: int, sign: int,
     rows = buf.reshape(-1, p)
     R = p ** (dim - 1)
     cols = buf.reshape(-1, p, R)
-    work = np.empty_like(rows) if work is None else work.reshape(rows.shape)
+    work = np.empty_like(rows)
     tiles = work.reshape(-1, R, p).transpose(0, 2, 1)
     for _ in range(dim):
         # the same BLAS product as np.matmul, whose out= handling adds

@@ -260,7 +260,7 @@ def _run_ft3(ctx: RunContext):
         conv = (np.abs(lhs - rhs).max(axis=1)
                 / np.maximum(1.0, np.abs(rhs).max(axis=1))).tolist()
         for (t, _), e_hat, e, dev_inversion, dev_conv in zip(
-                stack, energy_hat, energy, inversion, conv):
+                stack, energy_hat, energy, inversion, conv, strict=True):
             dev_plancherel = _rel(e_hat, p**d * e)
             yield max(dev_plancherel, dev_inversion, dev_conv), dict(
                 trial=t, plancherel=dev_plancherel, inversion=dev_inversion,
@@ -284,7 +284,7 @@ def _run_st1(ctx: RunContext):
     for stack in _stacks(ctx.trial_rngs(), p**d):
         data = np.zeros((len(stack), p**d), dtype=complex)
         draws = []
-        for f, (t, rng) in zip(data, stack):
+        for f, (t, rng) in zip(data, stack, strict=True):
             q = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
             theta = float(rng.uniform(0.2, 0.9))
             k = int(rng.integers(1, max(2, p**d // 3)))
@@ -296,7 +296,7 @@ def _run_st1(ctx: RunContext):
         conv = extension(rest).data
         l2, l1 = lp_norm(data, 2.0).tolist(), lp_norm(data, 1.0).tolist()
         for f, g, rest_norm, f2, f1, (t, q, theta, lam) in zip(
-                data, conv, rest.norm(2.0).tolist(), l2, l1, draws):
+                data, conv, rest.norm(2.0).tolist(), l2, l1, draws, strict=True):
             lhs = rest_norm ** 2
             pairing = abs(inner(f, g))
             dev_id = _rel(lhs, pairing)
@@ -321,7 +321,7 @@ def _run_st2(ctx: RunContext):
     for stack in _stacks(ctx.trial_rngs(), p**d):
         data = np.zeros((len(stack), p**d), dtype=complex)
         thetas = []
-        for f, (_, rng) in zip(data, stack):
+        for f, (_, rng) in zip(data, stack, strict=True):
             theta = float(rng.uniform(0.2, 0.9))
             k = int(rng.integers(1, max(2, p**d // 2)))
             idx = _random_support(rng, p**d, k)
@@ -331,7 +331,7 @@ def _run_st2(ctx: RunContext):
         rest = restriction(FFunction(ctx.field, d, data), S).norm(2.0).tolist()
         heights = np.abs(data).max(axis=1).tolist()
         for (t, _), theta, lam, f2, rest_norm in zip(
-                stack, thetas, heights, lp_norm(data, 2.0).tolist(), rest):
+                stack, thetas, heights, lp_norm(data, 2.0).tolist(), rest, strict=True):
             lam_pow = lam ** ((1.0 - theta) / (q - theta))
             dev_norm = _excess(f2, lam_pow)
             dev_rest = _excess(rest_norm, r22 * lam_pow)
@@ -400,12 +400,12 @@ def _run_st5(ctx: RunContext):
         for stack in _stacks(ctx.trial_rngs(), p**d):
             data = np.zeros((len(stack), p**d), dtype=complex)
             sizes = []
-            for f, (_, rng) in zip(data, stack):
+            for f, (_, rng) in zip(data, stack, strict=True):
                 k = int(rng.integers(1, p**d))
                 f[_random_support(rng, p**d, k)] = np.exp(2j * np.pi * rng.random(k))
                 sizes.append(k)
             rest = restriction(FFunction(ctx.field, d, data), S).norm(2.0).tolist()
-            for (t, _), k, rest_norm in zip(stack, sizes, rest):
+            for (t, _), k, rest_norm in zip(stack, sizes, rest, strict=True):
                 lhs = rest_norm ** 2
                 bound = k + p ** (-(d - 1) / 2) * k**2
                 yield _excess(lhs, bound), dict(surface=label, trial=t, support=k)
@@ -423,13 +423,13 @@ def _run_st6(ctx: RunContext):
     for stack in _stacks(ctx.trial_rngs(), p**d):
         data = np.zeros((len(stack), p**d), dtype=complex)
         sizes = []
-        for f, (_, rng) in zip(data, stack):
+        for f, (_, rng) in zip(data, stack, strict=True):
             # gamma >= 1 keeps the derived exponent a genuine Lebesgue index
             k = int(rng.integers(p, p**d))
             f[_random_support(rng, p**d, k)] = 1.0
             sizes.append(k)
         rest = restriction(FFunction(ctx.field, d, data), S).norm(2.0).tolist()
-        for f, (t, _), k, rest_norm in zip(data, stack, sizes, rest):
+        for f, (t, _), k, rest_norm in zip(data, stack, sizes, rest, strict=True):
             gamma = _logp(p, k)
             r = 2 * gamma / (gamma + 2 * alpha)
             dev_norm = _rel(lp_norm(f, r), p ** (alpha + gamma / 2))
@@ -491,7 +491,7 @@ def _run_br1(ctx: RunContext):
         out = bochner_riesz(F, S)
         tubes = planes[-slopes % p, (offsets + slopes * times) % p]
         devs = np.abs(out.data - chars[slopes] * tubes).max(axis=1)
-        for (m, x2o, to), dev in zip(stack, devs.tolist()):
+        for (m, x2o, to), dev in zip(stack, devs.tolist(), strict=True):
             yield dev, dict(slope=m, offset=x2o, time=to)
 
 
@@ -620,7 +620,8 @@ def _run_en2(ctx: RunContext):
     # surface.  Exhaustive over every subset at the baseline prime, one
     # random subset per trial elsewhere.
     X, masks, fields = _graph_subsets(ctx)
-    for ratio, f in zip(energy_slice_bound(X, masks, ctx.prime).tolist(), fields):
+    ratios = energy_slice_bound(X, masks, ctx.prime).tolist()
+    for ratio, f in zip(ratios, fields, strict=True):
         yield ratio, dict(f, ratio=ratio)
 
 
@@ -628,7 +629,8 @@ def _run_en3(ctx: RunContext):
     # Spread-pair energy: quadruples whose b, d entries differ in both
     # base coordinates, against |E|^{5/2}.
     X, masks, fields = _graph_subsets(ctx)
-    for lam, f in zip(off_diagonal_energy(X, masks, ctx.prime).tolist(), fields):
+    lams = off_diagonal_energy(X, masks, ctx.prime).tolist()
+    for lam, f in zip(lams, fields, strict=True):
         ratio = lam / f["size"] ** 2.5
         yield ratio, dict(f, ratio=ratio)
 
@@ -652,7 +654,8 @@ def _run_en4(ctx: RunContext):
             part = [(t, f.values) for t, _, _, f in draws if t % 2 == parity]
             if part:
                 ext = extension(SurfaceFunction(S, np.stack([v for _, v in part])))
-                for (t, _), norm in zip(part, lp_norm(ext.data, 4.0).tolist()):
+                norms = lp_norm(ext.data, 4.0).tolist()
+                for (t, _), norm in zip(part, norms, strict=True):
                     lhs[t] = norm ** 4
         for t, k, E, _ in draws:
             lam = additive_energy(E)
@@ -710,10 +713,10 @@ def _run_mt1(ctx: RunContext):
     S = hyperbolic_paraboloid(ctx.field, 3)
     for stack in _stacks(ctx.trial_rngs(), p**3):
         data = np.zeros((len(stack), p**3), dtype=complex)
-        for row, (_, rng) in zip(data, stack):
+        for row, (_, rng) in zip(data, stack, strict=True):
             row[: p * p] = rng.standard_normal(p * p)  # the slice t = 0
         devs = pseudo_conformal_check(FFunction(ctx.field, 3, data), S)
-        for (t, _), dev in zip(stack, devs.tolist()):
+        for (t, _), dev in zip(stack, devs.tolist(), strict=True):
             yield dev, dict(trial=t)
 
 
@@ -763,10 +766,10 @@ def _run_pl1(ctx: RunContext):
                  for t, rng in stack]
         want = fourier_transform(FFunction(ctx.field, 3, np.stack(
             [plane_embed(f, a, b).data for _, f, a, b in draws]))).data
-        _, fs, slopes, offsets = zip(*draws)
+        _, fs, slopes, offsets = zip(*draws, strict=True)
         got = plane_embed_ft(FFunction(ctx.field, 2, np.stack([f.data for f in fs])),
                              slopes, offsets).data
-        for (t, _, a, b), g, w in zip(draws, got, want):
+        for (t, _, a, b), g, w in zip(draws, got, want, strict=True):
             dev = float(np.abs(g - w).max()) / max(1.0, float(np.abs(w).max()))
             yield dev, dict(trial=t, slope=a, offset=b)
 
@@ -959,7 +962,7 @@ def _run_kk1(ctx: RunContext):
 
     for stack in _stacks(family(), total):
         F = FFunction(field, m, np.stack([vals for vals, _ in stack]))
-        for (_, fields), r in zip(stack, kk.maximal_ratio(F).tolist()):
+        for (_, fields), r in zip(stack, kk.maximal_ratio(F).tolist(), strict=True):
             yield r, dict(fields, ratio=r)
 
 
@@ -975,7 +978,7 @@ def _run_kk2(ctx: RunContext):
         found = [(r.direct_lower.tolist(), r.paired_lower.tolist())
                  for r in kk.dual_consistency(F, pairs)]
         for i, (t, _) in enumerate(stack):
-            for (q, pe), (direct, paired) in zip(pairs, found):
+            for (q, pe), (direct, paired) in zip(pairs, found, strict=True):
                 yield _rel(direct[i], paired[i]), dict(trial=t, q=q, p_in=pe)
 
 
@@ -988,6 +991,7 @@ def _run_kk3(ctx: RunContext):
     n = (d - 1) // 2
     m = n + 1
     field = ctx.field
+    rev = encode_point(-coordinate_array(p, n), p)
     for stack in _stacks(ctx.trial_rngs(), p**d):
         hs, bs = [], []
         for _, rng in stack:
@@ -995,17 +999,17 @@ def _run_kk3(ctx: RunContext):
             data[rng.random(p**n) < 0.2] = 0.0
             if not data.any():
                 data[0] = 1.0
-            hs.append(FFunction(field, n, data.astype(complex)))
+            hs.append(data.astype(complex))
             bs.append(rng.integers(0, p, size=(p**n, n)))
-        embed = kk.restriction_to_kakeya_embed(
-            FFunction(field, n, np.stack([h.data for h in hs])), np.stack(bs))
-        for (t, _), h, b, ext in zip(stack, hs, bs, extension(embed).data):
-            closed = float(np.abs(ext - kk.embed_closed_form(h, b).data).max())
-            cube = np.abs(ext.reshape(p**n, p**n, p, order="F")) ** 2
-            profile = kk.embed_collapse_profile(h, b).data.real.reshape(p**n, p, order="F")
-            collapse = float(np.abs(cube.sum(axis=1) - profile).max())
-            yield max(closed, collapse), dict(trial=t, closed_form=closed,
-                                              collapse=collapse)
+        h, b = FFunction(field, n, np.stack(hs)), np.stack(bs)
+        ext = extension(kk.restriction_to_kakeya_embed(h, b)).data
+        closed = np.abs(ext - kk.embed_closed_form(h, b).data).max(axis=-1).tolist()
+        profiles = kk.dual_kakeya_apply(h.data[..., rev], b, field, n + 1).data.real
+        for (t, _), e, c, profile in zip(stack, ext, closed, profiles, strict=True):
+            cube = np.abs(e.reshape(p**n, p**n, p, order="F")) ** 2
+            collapse = float(np.abs(
+                cube.sum(axis=1) - profile.reshape(p**n, p, order="F")).max())
+            yield max(c, collapse), dict(trial=t, closed_form=c, collapse=collapse)
     ex = kk.restriction_to_kakeya_exponents(m)
     target = Fraction(m - 1, 2 * m - 1)
     chain_dev = 0.0
@@ -1077,7 +1081,7 @@ def _run_mx1(ctx: RunContext):
     for t, rng in ctx.trial_rngs():
         f = SurfaceFunction.random(S, rng)
         devs = []
-        for a, b in zip(extension_slabs(f), kk.coset_slabs(f, W, V)):
+        for a, b in zip(extension_slabs(f), kk.coset_slabs(f, W, V), strict=True):
             a -= b
             devs.append(np.abs(a).max())
             del a, b
@@ -1119,7 +1123,8 @@ def _run_mx2(ctx: RunContext):
 
     for stack in _stacks(family(), p**d):
         f = SurfaceFunction(S, np.stack([row for row, _ in stack]).astype(complex))
-        for (_, fields), r in zip(stack, kk.mixed_extension_ratio(f, W).tolist()):
+        ratios = kk.mixed_extension_ratio(f, W).tolist()
+        for (_, fields), r in zip(stack, ratios, strict=True):
             yield r, dict(fields, ratio=r)
 
 
@@ -1170,7 +1175,7 @@ def _run_ex2(ctx: RunContext):
     devs = {}
     cur = recursion_curve(closed_form_curve("dim3_witt1"))
     vals = cur.psi_values
-    devs["monotone"] = max(_pos(a - b) for a, b in zip(vals, vals[1:]))
+    devs["monotone"] = max(_pos(a - b) for a, b in itertools.pairwise(vals))
     devs["endpoint"] = abs(cur(1.0) - 3.0)
     r = energy_exponent_recurse(2.5, 0.8)
     devs["constant_rho"] = abs(r.rho - 8 / 9)
@@ -1669,8 +1674,8 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0,
                 reports.append(None)
     groups = sorted(points.values(), reverse=True, key=lambda group: sum(
         RUN_COST + trials * p ** d for _, _, p, d, trials, _ in group))
-    for group, done in zip(groups, _run_groups(groups, seed, workers)):
-        for run, report in zip(group, done):
+    for group, done in zip(groups, _run_groups(groups, seed, workers), strict=True):
+        for run, report in zip(group, done, strict=True):
             reports[run[0]] = report
     failed = any(r.status == "fail" for r in reports)
     return reports, failed
@@ -1711,7 +1716,7 @@ def _run_groups(groups, seed: int, workers: int) -> list:
         with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
             futures = [pool.submit(_run_group, group, seed) for group in groups]
             done = []
-            for future, group in zip(futures, groups):
+            for future, group in zip(futures, groups, strict=True):
                 try:
                     done.append(future.result())
                 except BrokenProcessPool as exc:

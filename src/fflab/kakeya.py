@@ -76,7 +76,6 @@ __all__ = [
     "dvir_envelope",
     "restriction_to_kakeya_embed",
     "embed_closed_form",
-    "embed_collapse_profile",
     "restriction_to_kakeya_exponents",
     "coset_slabs",
     "coset_extension",
@@ -265,7 +264,8 @@ def dual_consistency(F: FFunction, pairs) -> list[DualConsistency]:
         h = star ** (q_c / q)
         h_norm = lp_norm(h, q, "normalized")
         superpos = dual_kakeya_apply(h, bases, F.field, F.dim).data.reshape(rows.shape)
-        pairing = np.array([inner(s, g).real for s, g in zip(superpos, rows)])
+        pairing = np.array([inner(s, g).real
+                            for s, g in zip(superpos, rows, strict=True)])
         found.append(DualConsistency(
             direct, pairing.reshape(G.data.shape[:-1]) / (h_norm * g_norm)))
     return found
@@ -334,8 +334,8 @@ def restriction_to_kakeya_embed(h, b) -> SurfaceFunction:
     F_p^n.  The returned function on the 2n+1 dimensional bilinear graph
     surface is f(xi, theta) = sqrt(h(theta)) e(-b(-theta) . xi); its
     extension equals embed_closed_form(h, b) pointwise, and its squared
-    modulus summed over the middle coordinates collapses to the line
-    profile embed_collapse_profile(h, b).  Scenario KK-3 checks both
+    modulus summed over the middle coordinates collapses to the dual
+    superposition dual_kakeya_apply(h(-.), b).  Scenario KK-3 checks both
     identities.  A stack of c weights with a stack of c base maps gives
     the stack of c functions on the one surface, built once per call.
     """
@@ -364,52 +364,27 @@ def restriction_to_kakeya_embed(h, b) -> SurfaceFunction:
 
 def embed_closed_form(h: FFunction, b) -> FFunction:
     """p^{-n} sum_theta sqrt(h(theta)) 1_{l(b(-theta),-theta)}(x1,t) e(theta.x2),
-    assembled directly from lines and characters, never through a transform.
-    Oracle for the extension of restriction_to_kakeya_embed in scenario KK-3."""
-    field, n = h.field, h.dim
-    p = field.p
-    hv = h.data.real.astype(np.float64)
-    b_arr = _as_base_map(b, field, n)
-    d = 2 * n + 1
-    out = FFunction.zeros(field, d)
-    chars = char_vector(field)
-    x2_grid = coordinate_array(p, n)
-    x2_offsets = encode_point(x2_grid, p) * p**n
-    for ti, theta in enumerate(coordinate_array(p, n)):
-        w = math.sqrt(hv[ti])
-        if w == 0.0:
-            continue
-        bb = b_arr[encode_point(-theta, p)]
-        ring = chars[(x2_grid @ theta) % p] * w
-        for t in range(p):
-            start = encode_point(bb - t * theta, p)
-            block = start + x2_offsets + t * p ** (2 * n)
-            out.data[block] += ring
-    out.data /= p**n
-    return out
+    assembled from lines and characters, never through a transform.
 
-
-def embed_collapse_profile(h: FFunction, b) -> FFunction:
-    """The (x1, t) line profile p^{-n} sum_theta h(theta) 1_{l(b(-theta),-theta)}.
-
-    Equals dual_kakeya_apply of the direction-reversed weights against the
-    base map b, which the tests verify.  Oracle for the collapse identity
-    of restriction_to_kakeya_embed that scenario KK-3 checks: it is
-    assembled from lines directly, so that check has an independent
-    target.
+    At each x2 this is the dual superposition of the weights
+    v -> sqrt(h(-v)) e(-v.x2) against the base map b, so one
+    dual_kakeya_apply call makes every x2 at once, one row per x2 with b
+    repeated, and its (x2; x1, t) rows are reordered into the (x1, x2, t)
+    grid.  Oracle for the extension of restriction_to_kakeya_embed in
+    scenario KK-3.  A stack of c weights with a stack of c base maps gives
+    the stack of c closed forms.
     """
     field, n = h.field, h.dim
     p = field.p
-    hv = h.data.real.astype(np.float64)
-    b_arr = _as_base_map(b, field, n)
-    out = FFunction.zeros(field, n + 1)
-    thetas = coordinate_array(p, n)
-    lines = encode_point(line_points(b_arr[encode_point(-thetas, p)], -thetas, p), p)
-    for ti, idx in enumerate(lines):
-        if hv[ti] != 0.0:
-            out.data[idx] += hv[ti]
-    out.data /= p**n
-    return out
+    lead = h.data.shape[:-1]
+    coords = coordinate_array(p, n)
+    roots = np.sqrt(h.data.real[..., encode_point(-coords, p)])
+    weights = roots[..., None, :] * char_vector(field)[(-coords @ coords.T) % p]
+    bases = np.repeat(_as_base_map(b, field, n)[..., None, :, :], p**n, axis=-3)
+    rows = dual_kakeya_apply(weights.reshape(-1, p**n), bases.reshape(-1, p**n, n),
+                             field, n + 1).data
+    grid = rows.reshape(lead + (p**n, p, p**n)).swapaxes(-3, -2)
+    return FFunction(field, 2 * n + 1, grid.reshape(lead + (-1,)))
 
 
 class KakeyaExponents(NamedTuple):
@@ -486,9 +461,9 @@ def coset_slabs(f: SurfaceFunction, W: Subspace, V: Subspace
     transform is used: the route differs from the direct extension in the
     split, the cross-term phase and the change of coordinates, so
     agreement is a two-route identity, not a refactoring.  The read index
-    is built once per call; every height reuses one M_t buffer and its
-    transform scratch, and each row is a fresh array.  The pair is
-    validated when the first slab is asked for.
+    is built once per call; every height reuses one M_t buffer, the
+    transform allocates its scratch per height, and each row is a fresh
+    array.  The pair is validated when the first slab is asked for.
     """
     S = f.surface
     p = S.field.p
@@ -499,11 +474,10 @@ def coset_slabs(f: SurfaceFunction, W: Subspace, V: Subspace
     fvals = f.values[encode_point(xi1[:, None, :] + xi2[None, :, :], p)]
     B2 = 2 * (xi1 @ S.Q.A @ xi2.T) % p
     M = np.empty(fvals.shape, dtype=np.complex128)    # c2 varies fastest
-    work = np.empty_like(M)
     for t in range(p):
         E[t].take(B2, out=M)
         M *= fvals
-        _axis_dft(M, S.field, S.base_dim, +1, work)
+        _axis_dft(M, S.field, S.base_dim, +1)
         row = M.reshape(-1)[read]
         row /= p ** S.base_dim
         yield row

@@ -57,7 +57,7 @@ def rref_mod(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         for i in range(nrows):
             f = R[i][c]
             if i != r and f:
-                R[i] = [(a - f * b) % p for a, b in zip(R[i], lead)]
+                R[i] = [(a - f * b) % p for a, b in zip(R[i], lead, strict=True)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -87,7 +87,7 @@ def det_mod(M: np.ndarray, p: int) -> int:
         for i in range(c + 1, n):
             f = A[i][c] * inv
             if f:
-                A[i] = [(a - f * b) % p for a, b in zip(A[i], lead)]
+                A[i] = [(a - f * b) % p for a, b in zip(A[i], lead, strict=True)]
     return det % p
 
 

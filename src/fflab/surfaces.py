@@ -148,8 +148,7 @@ class SurfaceFunction:
 # extension and restriction
 
 
-def _height_rows(f: SurfaceFunction, ts, work: Optional[np.ndarray] = None
-                 ) -> np.ndarray:
+def _height_rows(f: SurfaceFunction, ts) -> np.ndarray:
     """The extension of f on the heights t selected by ts, one row each,
     and one such block per function of a stack: shape (heights, |S|), or
     (c, heights, |S|).
@@ -162,8 +161,7 @@ def _height_rows(f: SurfaceFunction, ts, work: Optional[np.ndarray] = None
     E[:, S.heights] is not C-contiguous); one function, alone or as a
     stack of one, multiplies into it in place, a larger stack into a
     fresh C-ordered product of its shape, whatever the order of the
-    stack's values (a fancy-indexed stack is not C-ordered).  work is the
-    transform's optional reusable scratch, of the stack's size.
+    stack's values (a fancy-indexed stack is not C-ordered).
     """
     S = f.surface
     phases = char_kernel(S.field, +1)[ts].take(S.heights, axis=1)
@@ -171,7 +169,7 @@ def _height_rows(f: SurfaceFunction, ts, work: Optional[np.ndarray] = None
     shape = values.shape[:-2] + phases.shape
     rows = np.multiply(phases, values, order="C",
                        out=phases.reshape(shape) if values.size == S.size else None)
-    _axis_dft(rows, S.field, S.base_dim, +1, work)
+    _axis_dft(rows, S.field, S.base_dim, +1)
     rows /= S.size
     return rows
 
@@ -198,12 +196,12 @@ def extension_slabs(f: SurfaceFunction) -> Iterator[np.ndarray]:
     bits of the same row inside a larger one (see fourier._axis_dft);
     test_stacked_transform_equals_separate_calls guards it.
 
-    Each row is a fresh array; the transform scratch is shared across
-    heights, so a consumer holds one slab at a time instead of the grid.
+    Each row is a fresh array, and each height allocates its own
+    transform scratch, so a consumer holds one slab at a time instead of
+    the grid.
     """
-    work = np.empty(f.surface.size, dtype=np.complex128)
     for t in range(f.surface.field.p):
-        yield _height_rows(f, slice(t, t + 1), work)[0]
+        yield _height_rows(f, slice(t, t + 1))[0]
 
 
 def restriction(F: FFunction, S: Surface) -> SurfaceFunction:

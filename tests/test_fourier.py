@@ -62,8 +62,11 @@ def test_fast_transform_matches_naive(p, d):
 # (3, 5) and (7, 2); PL-1's planar transforms at p = 3, 5, 7), and the
 # heights of their extension stacks (MT-1 at p = 3, 5, 7, EN-4 at (3, 5),
 # KK-3 at (3, 3), (5, 3) and (3, 5), MX-2's exhaustive, structured and
-# random stacks, and the E R f of ST-1 and BR-1, from (3, 2, 60) on).  No run transforms on F_p^1, where a separate call is a
-# one-row product that BLAS rounds on another path.
+# random stacks, and the E R f of ST-1 and BR-1, from (3, 2, 60) on).  The
+# last 25 are every other multi-row stack that a seed-0 or seed-7 sweep of
+# every id makes, collected by wrapping _axis_dft.  No run transforms on
+# F_p^1, where a separate call is a one-row product that BLAS rounds on
+# another path.
 @pytest.mark.parametrize("p,dim,c", [(3, 3, 3), (3, 4, 5), (3, 5, 2),
                                      (5, 2, 5), (5, 4, 5), (7, 3, 2), (11, 2, 11),
                                      (13, 2, 13), (13, 3, 1), (13, 4, 2),
@@ -75,7 +78,14 @@ def test_fast_transform_matches_naive(p, d):
                                      (3, 2, 453), (3, 2, 174), (3, 4, 48), (3, 4, 21),
                                      (5, 2, 155), (7, 2, 14),
                                      (3, 2, 60), (3, 2, 81), (3, 4, 12), (5, 2, 100),
-                                     (5, 2, 145), (5, 2, 160), (7, 2, 63)])
+                                     (5, 2, 145), (5, 2, 160), (7, 2, 63),
+                                     (3, 2, 3), (3, 2, 20), (3, 2, 21), (3, 2, 24),
+                                     (3, 3, 12), (3, 3, 25), (3, 4, 3), (3, 4, 20),
+                                     (3, 5, 4), (3, 5, 12), (5, 2, 20), (5, 2, 35),
+                                     (5, 2, 40), (5, 3, 12), (5, 3, 25), (5, 3, 29),
+                                     (5, 4, 2), (5, 4, 6), (7, 2, 7), (7, 2, 21),
+                                     (7, 2, 35), (7, 2, 42), (7, 3, 3), (7, 3, 9),
+                                     (7, 4, 7)])
 def test_stacked_transform_equals_separate_calls(p, dim, c):
     F = PrimeField(p)
     rng = np.random.default_rng(p * 100 + dim * 10 + c)
@@ -88,7 +98,7 @@ def test_stacked_transform_equals_separate_calls(p, dim, c):
         _axis_dft(stacked, F, dim, sign)
         assert np.array_equal(stacked, np.stack(rows))
         flat = stack.reshape(-1).copy()
-        _axis_dft(flat, F, dim, sign, np.empty_like(flat))
+        _axis_dft(flat, F, dim, sign)
         assert np.array_equal(flat, stacked.reshape(-1))
 
 

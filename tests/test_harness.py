@@ -346,11 +346,30 @@ def test_statement_finder_flags_a_planted_unrun_branch():
         "m.planted": ["line 4: return -y", "line 6: return inner(x)"]}
 
 
+def _functions_without_statements(statements):
+    """The library functions, __repr__ aside, that own none of the given
+    statements: none for a finder that sees every function body."""
+    owners = {name for _, name, _, _ in statements}
+    return sorted(name for name in _library_functions()
+                  if not name.endswith(".__repr__") and name not in owners)
+
+
+def test_statement_finder_sees_every_library_function():
+    # The gate below is only as wide as the finder: one that finds
+    # nothing, or skips a whole function, must fail it, however much
+    # library code is deleted.
+    statements = _library_statements()
+    assert _functions_without_statements(()) == sorted(
+        name for name in _library_functions() if not name.endswith(".__repr__"))
+    skipped = [stmt for stmt in statements if stmt[1] != "kakeya.embed_closed_form"]
+    assert _functions_without_statements(skipped) == ["kakeya.embed_closed_form"]
+
+
 def test_every_library_statement_runs_at_the_defaults(default_runs):
     # A statement no run executes is either a branch the scenarios should
     # reach, or dead weight, and goes.
     _, lines, _ = default_runs
-    assert len(_library_statements()) > 1000
+    assert not _functions_without_statements(_library_statements())
     unrun = _not_allowed(_unrun(_library_statements(), lines))
     assert not unrun, f"no default run executes {unrun}"
 
@@ -1124,6 +1143,25 @@ def test_mx1_fails_on_a_defect_at_the_last_height(monkeypatch, shift, dim):
     assert set(r.witness["values"]) == {"trial"}
 
 
+def _drop_last_slab(slabs):
+    def patched(f, W, V):
+        for t, row in enumerate(slabs(f, W, V)):
+            if t < f.surface.field.p - 1:
+                yield row
+    return patched
+
+
+def test_mx1_fails_when_a_route_drops_its_last_height(monkeypatch):
+    # p - 1 slabs that match must not pass for p: a route that ends early
+    # is a runner fault, with the witness of the error the comparison raises
+    monkeypatch.setattr(kk, "coset_slabs", _drop_last_slab(kk.coset_slabs))
+    r = run_scenario("MX-1", prime=3, dim=3, trials=3)
+    assert r.status == "fail"
+    values = r.witness["values"]
+    assert values["error"] == "ValueError"
+    assert values["raised_in"].startswith("_run_mx1 ")
+
+
 @pytest.mark.parametrize("prime,dim", [(3, 3), (5, 3)])
 def test_mx2_splits_the_base_once_per_run(prime, dim):
     # (3, 3) is the exhaustive 511-mask path, in stacks of 151, (5, 3) the
@@ -1150,10 +1188,10 @@ def test_qf4_reads_every_row_of_the_non_split_table_at_d5(prime):
     assert seen == qforms.allowed_subsurface_triples(5, 1)
 
 
-def _shifted_profile(profile):
-    def shifted(h, b):
-        out = profile(h, b)
-        out.data[0] += 1e-6
+def _shifted_superposition(superposition):
+    def shifted(h, x0, field, m):
+        out = superposition(h, x0, field, m)
+        out.data.flat[0] += 1e-6
         return out
     return shifted
 
@@ -1162,7 +1200,10 @@ def _shifted_profile(profile):
 # judges: the run must fail through that scenario's own metric and
 # witness, not through an error raised inside the library.
 @pytest.mark.parametrize("module,name,defect,scenario,dim,keys", [
-    (kk, "embed_collapse_profile", _shifted_profile, "KK-3", 3, ("collapse",)),
+    # a defect in the line superposition: KK-3 reads both its closed form
+    # and its collapse from it
+    (kk, "dual_kakeya_apply", _shifted_superposition, "KK-3", 3,
+     ("closed_form", "collapse")),
     (qforms, "_nondegenerate_part_witt", lambda witt: lambda R: witt(R) + 1,
      "QF-4", 4, ("triple",)),
     (combinatorics, "incidence_count", lambda count: lambda P, L: 0,
@@ -1202,9 +1243,9 @@ def test_the_kernel_pairing_transforms_each_trial_once(
     seen = collections.Counter()
     axis_dft = fourier._axis_dft
 
-    def counted(buf, field, dim, sign, work=None):
+    def counted(buf, field, dim, sign):
         seen[sign, dim] += 1
-        axis_dft(buf, field, dim, sign, work)
+        axis_dft(buf, field, dim, sign)
 
     for module in (fourier, surfaces):
         monkeypatch.setattr(module, "_axis_dft", counted)

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from fflab.core import (
     FFunction,
     PrimeField,
+    char_vector,
     coordinate_array,
     encode_point,
     inner,
@@ -523,15 +524,61 @@ def test_dvir_envelope_values():
 # restriction side -> Kakeya side
 
 
+def _collapse_profile(h, b):
+    """The (x1, t) line profile p^{-n} sum_theta h(theta) 1_{l(b(-theta),-theta)}
+    as an (x1, t) array: the dual superposition of the direction-reversed
+    weights against b."""
+    p, n = h.field.p, h.dim
+    rev = encode_point(-coordinate_array(p, n), p)
+    out = kk.dual_kakeya_apply(h.data[rev], b, h.field, n + 1)
+    return out.data.real.reshape(p**n, p, order="F")
+
+
 def _embed_deviations(h, f, b):
     """Max deviations of extension(f) from embed_closed_form(h, b) and of
-    its squared x2-collapse from embed_collapse_profile(h, b)."""
+    its squared x2-collapse from the dual superposition of h(-.) on b."""
     p, n = h.field.p, h.dim
     ext = extension(f)
     closed = np.abs(ext.data - kk.embed_closed_form(h, b).data).max()
     cube = np.abs(ext.data.reshape(p**n, p**n, p, order="F")) ** 2
-    profile = kk.embed_collapse_profile(h, b).data.real.reshape(p**n, p, order="F")
-    return closed, np.abs(cube.sum(axis=1) - profile).max()
+    return closed, np.abs(cube.sum(axis=1) - _collapse_profile(h, b)).max()
+
+
+def _literal_closed_form(h, b):
+    """Oracle: p^{-n} sum_theta sqrt(h(theta)) 1_{l(b(-theta),-theta)}(x1,t)
+    e(theta.x2), one line at a time: for each theta and t, the point
+    b(-theta) - t theta of x1 gets the ring of characters over x2."""
+    field, n = h.field, h.dim
+    p = field.p
+    hv = h.data.real
+    out = FFunction.zeros(field, 2 * n + 1)
+    chars = char_vector(field)
+    x2_grid = coordinate_array(p, n)
+    x2_offsets = encode_point(x2_grid, p) * p**n
+    for ti, theta in enumerate(coordinate_array(p, n)):
+        w = math.sqrt(hv[ti])
+        if w == 0.0:
+            continue
+        bb = np.asarray(b)[encode_point(-theta, p)]
+        ring = chars[(x2_grid @ theta) % p] * w
+        for t in range(p):
+            start = encode_point(bb - t * theta, p)
+            out.data[start + x2_offsets + t * p ** (2 * n)] += ring
+    out.data /= p**n
+    return out
+
+
+@pytest.mark.parametrize("p,n", itertools.product((3, 5, 7), (1, 2)))
+def test_embed_closed_form_matches_literal_loop(p, n):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p * 10 + n)
+    data = rng.uniform(0.0, 2.0, size=p**n)
+    data[rng.random(p**n) < 0.2] = 0.0
+    h = FFunction(field, n, data.astype(complex))
+    b = rng.integers(0, p, size=(p**n, n))
+    got = kk.embed_closed_form(h, b)
+    assert got.dim == 2 * n + 1
+    assert np.abs(got.data - _literal_closed_form(h, b).data).max() < 1e-12
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -583,19 +630,7 @@ def test_embed_closed_form_matches_extension_route():
         assert np.abs(extension(f).data - direct.data).max() < 1e-9
 
 
-def test_embed_collapse_equals_dual_superposition():
-    rng = np.random.default_rng(15)
-    for p in (3, 5):
-        field = PrimeField(p)
-        h = FFunction(field, 1, rng.random(p).astype(complex))
-        b = rng.integers(0, p, size=(p, 1))
-        neg = (-coordinate_array(p, 1).ravel()) % p
-        lhs = kk.embed_collapse_profile(h, b)
-        rhs = kk.dual_kakeya_apply(h.data[neg], b, field, 2)
-        assert np.abs(lhs.data - rhs.data).max() < 1e-12
-
-
-def test_embed_collapse_profile_matches_squared_extension():
+def test_embed_collapse_matches_squared_extension():
     rng = np.random.default_rng(16)
     p = 5
     field = PrimeField(p)
@@ -603,8 +638,7 @@ def test_embed_collapse_profile_matches_squared_extension():
     b = rng.integers(0, p, size=(p, 1))
     ext = extension(kk.restriction_to_kakeya_embed(h, b))
     cube = np.abs(ext.data.reshape(p, p, p, order="F")) ** 2
-    profile = kk.embed_collapse_profile(h, b).data.real.reshape(p, p, order="F")
-    assert np.abs(cube.sum(axis=1) - profile).max() < 1e-9
+    assert np.abs(cube.sum(axis=1) - _collapse_profile(h, b)).max() < 1e-9
 
 
 @pytest.mark.parametrize("p,n,c", [(3, 1, 15), (5, 1, 15), (3, 2, 7)])
@@ -621,8 +655,13 @@ def test_embed_maps_a_stack_row_by_row(p, n, c):
     assert f.surface.ambient_dim == 2 * n + 1
     assert np.array_equal(f.values, np.stack([r.values for r in rows]))
     assert np.array_equal(extension(f).data, np.stack([extension(r).data for r in rows]))
+    closed = [kk.embed_closed_form(FFunction(field, n, w), x).data
+              for w, x in zip(h.data, b, strict=True)]
+    assert np.array_equal(kk.embed_closed_form(h, b).data, np.stack(closed))
     with pytest.raises(ValueError):
         kk.restriction_to_kakeya_embed(h, b[0])
+    with pytest.raises(ValueError):
+        kk.embed_closed_form(h, b[0])
 
 
 def test_embed_input_validation():
