@@ -31,7 +31,6 @@ from typing import Iterable, NamedTuple, Optional, Union
 import numpy as np
 
 from .core import (
-    FFunction,
     PrimeField,
     coordinate_array,
     decode_point,
@@ -45,7 +44,6 @@ from .errors import (
     NotOnSurface,
     OutOfValidityRange,
 )
-from .fourier import fourier_transform
 from .qforms import (
     QuadraticSpace,
     Subspace,
@@ -162,34 +160,18 @@ def random_surface_subset(S: Surface, size: int, rng: np.random.Generator) -> Po
 # additive energy
 
 
-def additive_energy(A: PointSet, B: Optional[PointSet] = None,
-                    method: str = "quadruple_loop") -> int:
+def additive_energy(A: PointSet, B: Optional[PointSet] = None) -> int:
     """Number of quadruples a + b = c + d with a, c in A and b, d in B.
 
-    B defaults to A.  The quadruple_loop method counts exactly: it groups
-    the |A||B| pairwise sums by flat index and adds the squared group
-    sizes.  The fourier method evaluates p^{-d} sum_xi |1A^(xi)|^2
-    |1B^(xi)|^2 and rounds, which must agree.
+    B defaults to A.  The count is exact: it groups the |A||B| pairwise
+    sums by flat index and adds the squared group sizes.
     """
     if B is None:
         B = A
     if A.field != B.field or A.dim != B.dim:
         raise ValueError("A and B must share their ambient space")
-    if method == "quadruple_loop":
-        sums = encode_point(A.matrix()[:, None, :] + B.matrix()[None, :, :], A.field.p)
-        return int(_colliding_pairs(sums, 0, 1)[0])
-    if method == "fourier":
-        def spectrum(E: PointSet) -> np.ndarray:
-            f = FFunction.zeros(E.field, E.dim)
-            f.data[E.index] = 1.0
-            return np.abs(fourier_transform(f).data) ** 2
-
-        raw = float(np.dot(spectrum(A), spectrum(B))) / grid_size(A.field.p, A.dim)
-        count = int(round(raw))
-        if abs(raw - count) > 1e-6 * max(1.0, raw):
-            raise FFLabError(f"fourier energy {raw} is not close to an integer")
-        return count
-    raise ValueError(f"unknown method {method!r}")
+    sums = encode_point(A.matrix()[:, None, :] + B.matrix()[None, :, :], A.field.p)
+    return int(_colliding_pairs(sums, 0, 1)[0])
 
 
 def _colliding_pairs(keys: np.ndarray, case, cases: int) -> np.ndarray:

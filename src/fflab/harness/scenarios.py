@@ -948,8 +948,8 @@ def _run_kk1(ctx: RunContext):
             return
         for t, rng in ctx.trial_rngs():
             if t == 0:
-                line = kk.line_points(np.zeros((1, m - 1), dtype=np.int64),
-                                      np.arange(1, m)[None], p)[0]
+                # the line through the origin with direction (1, ..., m-1)
+                line = np.outer(np.arange(p), np.r_[np.arange(1, m), 1])
                 vals = FFunction.indicator(field, m, line).data
             elif t == 1:
                 vals = FFunction.constant(field, m, 1.0).data
@@ -1135,8 +1135,7 @@ def _run_mx3(ctx: RunContext):
     # that exponent is tracked.
     S = hyperbolic_paraboloid(ctx.field, ctx.dim)
     for t, rng in ctx.trial_rngs():
-        F, dec = kk.random_slice_isotropic_function(S, rng)
-        audit = kk.kakeya_regular_set_bound(F, S, dec)
+        audit = kk.kakeya_regular_set_bound(S, kk.random_slice_decomposition(S, rng))
         yield audit.ratio, dict(trial=t, gamma=audit.gamma, pieces=audit.e_exp,
                                 ratio=audit.ratio)
 

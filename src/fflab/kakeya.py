@@ -40,7 +40,6 @@ from .core import (
     grid_size,
     inner,
     lp_norm,
-    point_rows,
 )
 from .errors import NotIsotropicPair
 from .qforms import (
@@ -60,7 +59,6 @@ from .surfaces import (
 from .combinatorics import PointSet
 
 __all__ = [
-    "line_points",
     "KakeyaAudit",
     "DualConsistency",
     "KakeyaExponents",
@@ -83,27 +81,8 @@ __all__ = [
     "surface_mixed_norm",
     "mixed_extension_ratio",
     "kakeya_regular_set_bound",
-    "random_slice_isotropic_function",
+    "random_slice_decomposition",
 ]
-
-
-# ---------------------------------------------------------------------------
-# lines
-
-
-def line_points(bases: np.ndarray, directions: np.ndarray, p: int) -> np.ndarray:
-    """(k, p, m) array: [i, t] is the point (b_i + t eta_i, t) of the
-    non-horizontal line with base b_i and direction eta_i, reduced mod p.
-
-    bases and directions are (k, m-1) int arrays, one line per row; the
-    last coordinate sweeps the field, so every line has exactly p points,
-    ordered by it.  A (c, k, m-1) stack of bases against the one set of
-    directions gives a (c, k, p, m) stack of lines.
-    """
-    ts = np.arange(p, dtype=np.int64)
-    head = (bases[..., None, :] + ts[:, None] * directions[..., None, :]) % p
-    return np.concatenate(
-        [head, np.broadcast_to(ts[:, None], head.shape[:-1] + (1,))], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +103,6 @@ def line_totals(F: FFunction) -> np.ndarray:
         raise ValueError("the maximal operator needs ambient dimension >= 2")
     p = F.field.p
     n = m - 1
-    grid_size(p, 2 * n)  # p^{m-1} directions x p^{m-1} bases
     # mags[..., t, j] is |F| at base point j and height t
     mags = np.abs(F.data).reshape(F.data.shape[:-1] + (p, p**n))
     shift, heights = _line_index(p, n)
@@ -137,10 +115,12 @@ def line_totals(F: FFunction) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _line_index(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only line index of line_totals on F_p^n x F_p, built once
-    per (p, n): shift[i, j] is the index of e_i + e_j, and heights[t] the
-    row indices of t eta for every direction eta, so shift[heights[t]]
-    holds the points of every line (eta, .) at height t."""
+    """The read-only line index on F_p^n x F_p, the one line table of
+    this module, built once per (p, n): shift[i, j] is the index of
+    e_i + e_j, and heights[t] the row indices of t eta for every
+    direction eta, so shift[heights[t], b] + t p^n is the point at
+    height t of the line with base b and direction eta."""
+    grid_size(p, 2 * n)  # p^n directions x p^n bases
     coords = coordinate_array(p, n)
     shift = encode_point(coords[None, :, :] + coords[:, None, :], p)
     heights = encode_point(np.arange(p)[:, None, None] * coords, p)
@@ -220,10 +200,11 @@ def dual_kakeya_apply(h, x0, field: PrimeField, m: int) -> FFunction:
     bases = _as_base_map(x0, field, n)
     if hv.shape[-1:] != (p**n,) or bases.shape[:-1] != hv.shape:
         raise ValueError(f"h must have {p ** n} entries, one per base")
-    # the lines are direction-major, so bincount adds each point's weights
-    # in direction order
-    lines = line_points(bases, coordinate_array(p, n), p)
-    idx = encode_point(lines, p).reshape(hv.shape[:-1] + (-1,))
+    # the lines are direction-major, then t, so bincount adds each
+    # point's weights in direction order
+    shift, heights = _line_index(p, n)
+    idx = shift[heights.T, encode_point(bases, p)[..., None]] + np.arange(p) * p**n
+    idx = idx.reshape(hv.shape[:-1] + (-1,))
     w = np.repeat(hv, p, axis=-1)
     out = (_row_bincount(idx, w.real, p**m)
            + 1j * _row_bincount(idx, w.imag, p**m)) / p**n
@@ -307,14 +288,13 @@ def standard_kakeya_set(field: PrimeField, m: int) -> PointSet:
     Taking b(eta) = (eta_1^2, ..., eta_{m-1}^2) makes the union of lines
     cover only about (p+1)/2 values per head coordinate on each horizontal
     slice, so the density decays like 2^{-(m-1)} while every direction
-    still carries a full line by construction.
+    still carries a full line by construction.  The union is the support
+    of the dual superposition of unit weights against that base map:
+    positive weights never cancel.
     """
-    if m < 2:
-        raise ValueError("Kakeya sets need ambient dimension >= 2")
-    p = field.p
-    directions = coordinate_array(p, m - 1)
-    lines = line_points(directions * directions % p, directions, p)
-    return PointSet(field, m, np.unique(encode_point(lines, p)))
+    directions = coordinate_array(field.p, m - 1)
+    lines = dual_kakeya_apply(np.ones(len(directions)), directions * directions, field, m)
+    return PointSet(field, m, np.flatnonzero(lines.data))
 
 
 def dvir_envelope(m: int) -> float:
@@ -343,7 +323,7 @@ def restriction_to_kakeya_embed(h, b) -> SurfaceFunction:
         raise ValueError("pass h as an FFunction on F_p^n so the field is unambiguous")
     field, n = h.field, h.dim
     hv = h.data
-    if np.any(np.abs(hv.imag) > 1e-12) or np.any(hv.real < -1e-12):
+    if np.any(np.abs(hv.imag) > 1e-12) or np.any(hv.real < 0):
         raise ValueError("h must be nonnegative")
     hv = hv.real.astype(np.float64)
     p = field.p
@@ -557,53 +537,47 @@ class RegularSetAudit(NamedTuple):
                           # p^(gamma/2 + (e+1)/(d+1) + (d-3)/(2d+2))
 
 
-def kakeya_regular_set_bound(F: FFunction, S: Surface, decomposition: dict
-                             ) -> RegularSetAudit:
-    """Audit the restricted-transform bound for slice-structured indicators.
+def kakeya_regular_set_bound(S: Surface, decomposition: dict) -> RegularSetAudit:
+    """Audit the restricted-transform bound for the slice-structured set
+    E that a decomposition gives.
 
-    F must be the indicator of a set E; decomposition maps each last
-    coordinate z to a list of (affine subspace, points) pieces that
-    partition the slice of E, every piece inside its own maximal totally
-    isotropic affine subspace (pairwise distinct within the slice).  The
-    points of a piece are base rows: an (n, d-1) array or a list of
-    coordinate sequences.
+    decomposition maps each last coordinate z to a list of (affine
+    subspace, rows) pieces, rows the (n, d-1) int array of a nonempty
+    piece of the slice of E at z, every piece inside its own maximal
+    totally isotropic affine subspace (pairwise distinct within the
+    slice) and disjoint from the others.  E is their union, and the
+    audit takes the restriction of its indicator.
     """
-    field = F.field
+    field = S.field
     p = field.p
-    d = F.dim
-    if S.ambient_dim != d:
-        raise ValueError("F must live on the ambient space of S")
-    vals = F.data
-    if not np.all(np.isclose(vals, 0) | np.isclose(vals, 1)):
-        raise ValueError("F must be a set indicator")
-    support = np.flatnonzero(np.abs(vals) > 0.5)
-    if not len(support):
-        raise ValueError("empty support")
+    d = S.ambient_dim
     witt = S.Q.witt_index
     max_pieces = 1
     covered = [np.zeros(0, dtype=np.int64)]
     for z, pieces in decomposition.items():
         spaces = []
-        for space, pts in pieces:
+        for space, rows in pieces:
             if space.dim != witt or not is_totally_isotropic(S.Q, space.linear_part()):
                 raise ValueError("pieces must sit in maximal totally isotropic cosets")
             if any(space == other for other in spaces):
                 raise ValueError("pieces of one slice must use distinct cosets")
+            if not len(rows):
+                raise ValueError("every piece must hold a point")
             spaces.append(space)
-            rows = point_rows(pts, d - 1)
             outside = ~space.contains_rows(rows)
             if outside.any():
                 raise ValueError(f"{rows[outside][0] % p} is outside its claimed coset")
             covered.append(encode_point(rows, p) + int(z) % p * p ** (d - 1))
         max_pieces = max(max_pieces, len(pieces))
     covered = np.concatenate(covered)
-    distinct = np.unique(covered)
-    if len(distinct) != len(covered):
+    if not len(covered):
+        raise ValueError("the decomposition covers no point")
+    if len(np.unique(covered)) != len(covered):
         raise ValueError("pieces must be disjoint")
-    if not np.array_equal(distinct, support):
-        raise ValueError("decomposition does not cover the support exactly")
+    F = FFunction.zeros(field, d)
+    F.data[covered] = 1.0
 
-    gamma = math.log(len(support), p)
+    gamma = math.log(len(covered), p)
     e_exp = math.log(max_pieces, p)
     q = (2 * d + 2) / (d + 3)
     lhs = restriction(F, S).norm(q)
@@ -611,10 +585,8 @@ def kakeya_regular_set_bound(F: FFunction, S: Surface, decomposition: dict
     return RegularSetAudit(gamma, e_exp, lhs / p**rhs_exponent)
 
 
-def random_slice_isotropic_function(
-    S: Surface, rng: np.random.Generator
-) -> tuple[FFunction, dict]:
-    """A random slice-structured indicator together with its decomposition.
+def random_slice_decomposition(S: Surface, rng: np.random.Generator) -> dict:
+    """The decomposition of a random slice-structured set.
 
     Every last-coordinate slice gets one or two random subsets
     of distinct maximal totally isotropic affine cosets (later pieces drop
@@ -651,8 +623,4 @@ def random_slice_isotropic_function(
         coset = Subspace(field, subspaces[0].basis,
                          translate=np.zeros(S.base_dim, dtype=np.int64))
         decomposition[0] = [(coset, coset.point_array())]
-    F = FFunction.zeros(field, S.ambient_dim)
-    for z, pieces in decomposition.items():
-        for _, rows in pieces:
-            F.data[encode_point(rows, p) + z * S.size] = 1.0
-    return F, decomposition
+    return decomposition

@@ -13,10 +13,10 @@ import itertools
 
 import numpy as np
 
-from .core import FFunction, char_vector, coordinate_array, encode_point
+from .core import FFunction, char_vector, coordinate_array, encode_point, grid_size
 from .errors import FFLabError, SizeOverflow
 from .combinatorics import PointSet, vh_plane_masks
-from .kakeya import line_points
+from .fourier import fourier_transform
 from .qforms import echelon_bases
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "line_sum",
     "minimum_vh_cover_size",
     "brute_energy",
+    "spectral_energy",
     "witt_monomials",
     "brute_witt",
 ]
@@ -53,12 +54,13 @@ def line_sum(F: FFunction, base, direction, absolute: bool = False) -> complex:
     """Sum of F (or |F|) over the line with the given base and direction.
 
     Oracle for line_totals, kakeya_maximal and maximizing_base_map: it
-    walks one line's points directly instead of gathering all lines.
+    writes out the line's points (base + t direction, t), t = 0 .. p-1,
+    instead of reading the library's line index.
     """
     p = F.field.p
-    line = line_points(np.array([base], dtype=np.int64),
-                       np.array([direction], dtype=np.int64), p)[0]
-    vals = F.data[encode_point(line, p)]
+    ts = np.arange(p)
+    heads = np.asarray(base) + ts[:, None] * np.asarray(direction)
+    vals = F.data[encode_point(np.column_stack([heads, ts]), p)]
     if absolute:
         return float(np.abs(vals).sum())
     return complex(vals.sum())
@@ -106,6 +108,25 @@ def brute_energy(pts: np.ndarray, p: int) -> int:
                 if tuple((ai + bi - ci) % p
                          for ai, bi, ci in zip(a, b, c)) in members:
                     count += 1
+    return count
+
+
+def spectral_energy(A: PointSet, B: PointSet | None = None) -> int:
+    """The additive energy of A and B (B defaults to A) by Parseval:
+    p^{-d} sum_xi |1A^(xi)|^2 |1B^(xi)|^2, rounded to the integer it
+    must be.  Oracle for additive_energy's quadruple count."""
+    if B is None:
+        B = A
+
+    def spectrum(E: PointSet) -> np.ndarray:
+        f = FFunction.zeros(E.field, E.dim)
+        f.data[E.index] = 1.0
+        return np.abs(fourier_transform(f).data) ** 2
+
+    raw = float(np.dot(spectrum(A), spectrum(B))) / grid_size(A.field.p, A.dim)
+    count = int(round(raw))
+    if abs(raw - count) > 1e-6 * max(1.0, raw):
+        raise FFLabError(f"fourier energy {raw} is not close to an integer")
     return count
 
 

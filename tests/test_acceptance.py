@@ -26,6 +26,7 @@ from fflab.core import PrimeField
 from fflab.errors import OutOfValidityRange
 from fflab.harness import exponent_table, run_scenario, sweep, reports_to_json
 from fflab.cli import main as cli_main
+from fflab.oracles import spectral_energy
 from fflab.surfaces import hyperbolic_paraboloid
 
 TOL = 1e-9
@@ -57,9 +58,9 @@ def test_criterion_02_operator_norm_matches_closed_form():
 def test_criterion_03_energy_counts_are_integer_exact():
     """The vectorized energy count agrees as an integer with EN-1's
     literal loop (fflab.oracles.brute_energy) on 201 random subsets
-    across p in {3,5,7}, and with additive_energy's spectral count
-    (method="fourier", Parseval over the transform) on every one of the
-    512 subsets of the nine-point saddle surface at p=3."""
+    across p in {3,5,7}, and with the spectral count
+    (fflab.oracles.spectral_energy, Parseval over the transform) on every
+    one of the 512 subsets of the nine-point saddle surface at p=3."""
     for p in (3, 5, 7):
         r = _passes("EN-1", prime=p, dim=3, trials=67)
         assert r.metric == 0.0, (p, r.metric)
@@ -69,10 +70,10 @@ def test_criterion_03_energy_counts_are_integer_exact():
     for mask in range(512):
         subset = [pts[i] for i in range(9) if (mask >> i) & 1]
         E = PointSet.of(field, 3, subset)
-        slow = additive_energy(E, method="quadruple_loop")
-        fast = additive_energy(E, method="fourier")
-        assert isinstance(slow, int) and isinstance(fast, int)
-        assert slow == fast, (mask, slow, fast)
+        fast = additive_energy(E)
+        spectral = spectral_energy(E)
+        assert isinstance(fast, int) and isinstance(spectral, int)
+        assert fast == spectral, (mask, fast, spectral)
 
 
 def test_criterion_04_energy_ratio_baselines_hold():

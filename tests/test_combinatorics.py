@@ -45,7 +45,7 @@ from fflab.errors import (
     OutOfValidityRange,
     SizeOverflow,
 )
-from fflab.oracles import brute_energy, minimum_vh_cover_size
+from fflab.oracles import brute_energy, minimum_vh_cover_size, spectral_energy
 from fflab.qforms import (
     QuadraticSpace,
     Subspace,
@@ -207,7 +207,7 @@ def test_energy_matches_literal_loop_small_random():
             E = PointSet.of(F, d, pts)
             want = quadruple_loop(E)
             assert additive_energy(E) == want
-            assert additive_energy(E, method="fourier") == want
+            assert spectral_energy(E) == want
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -229,7 +229,7 @@ def test_energy_two_sets_matches_literal_loop():
         B = PointSet.of(F, 2, {tuple(rng.integers(0, 5, 2)) for _ in range(3)})
         want = quadruple_loop(A, B)
         assert additive_energy(A, B) == want
-        assert additive_energy(A, B, method="fourier") == want
+        assert spectral_energy(A, B) == want
     with pytest.raises(ValueError):
         additive_energy(A, PointSet.of(F3, 2, [(0, 0)]))
 
@@ -239,7 +239,7 @@ def test_energy_fourier_equals_loop_exhaustively_at_p3():
     pts = surface_points(S)
     for combo in all_subsets(pts):
         E = PointSet.of(F3, 3, combo)
-        assert additive_energy(E) == additive_energy(E, method="fourier")
+        assert additive_energy(E) == spectral_energy(E)
 
 
 def test_energy_trivia_and_frozen_full_surface_value():
@@ -334,7 +334,7 @@ def test_energy_routes_agree_property(p, pts):
     F = PrimeField(p)
     E = PointSet.of(F, 2, pts)
     want = quadruple_loop(E)
-    assert additive_energy(E) == want == additive_energy(E, method="fourier")
+    assert additive_energy(E) == want == spectral_energy(E)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 and the package's exported names."""
 
 import importlib
+import inspect
 import math
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -272,10 +274,30 @@ def test_isotropic_subspace_order_lives_only_in_qforms():
     assert offenders == []
 
 
+def _unexported(mod):
+    """The public top-level functions and classes that mod defines itself
+    but leaves out of its __all__."""
+    return sorted(name for name, obj in vars(mod).items()
+                  if not name.startswith("_") and name not in mod.__all__
+                  and (inspect.isfunction(obj) or inspect.isclass(obj))
+                  and obj.__module__ == mod.__name__)
+
+
 @pytest.mark.parametrize(
-    "module", ["fflab", "fflab.combinatorics", "fflab.kakeya", "fflab.harness"]
+    "module",
+    ["fflab", "fflab.combinatorics", "fflab.kakeya", "fflab.harness", "fflab.oracles"],
 )
 def test_every_exported_name_resolves(module):
+    # __all__ both ways: every listed name exists, and every public
+    # function or class the module defines is listed
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+    assert _unexported(mod) == []
+
+
+def test_unexported_finds_a_public_definition_left_out():
+    mod = types.ModuleType("planted")
+    exec("def shown(): pass\ndef hidden(): pass\ndef _private(): pass\n"
+         "class Hidden: pass\nfrom math import sqrt\n__all__ = ['shown']", vars(mod))
+    assert _unexported(mod) == ["Hidden", "hidden"]

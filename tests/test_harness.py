@@ -224,17 +224,6 @@ UNREACHED_BY_DESIGN = {
     "core.PrimeField.__hash__": (
         "goes with PrimeField.__eq__, which the runs reach",
         ('return hash(("PrimeField", self.p))',)),
-    "combinatorics.additive_energy": (
-        "tests/test_acceptance.py criterion 3 counts with method='fourier'",
-        ('if method == "fourier":',
-         "def spectrum(E: PointSet) -> np.ndarray:",
-         "f = FFunction.zeros(E.field, E.dim)",
-         "f.data[E.index] = 1.0",
-         "return np.abs(fourier_transform(f).data) ** 2",
-         "raw = float(np.dot(spectrum(A), spectrum(B))) / grid_size(A.field.p, A.dim)",
-         "count = int(round(raw))",
-         "if abs(raw - count) > 1e-6 * max(1.0, raw):",
-         "return count")),
     "core._is_prime": (
         "its rejections: every grid prime passes it",
         ("return False", "return n == 2")),
@@ -244,7 +233,7 @@ UNREACHED_BY_DESIGN = {
     "qforms.enumerate_max_isotropic": (
         "its Witt-index-0 return: without it lexsort meets zero-width keys",
         ("return ()",)),
-    "kakeya.random_slice_isotropic_function": (
+    "kakeya.random_slice_decomposition": (
         "its fallback piece for a draw that leaves every slice empty",
         ("coset = Subspace(field, subspaces[0].basis,",
          "decomposition[0] = [(coset, coset.point_array())]")),
@@ -467,10 +456,7 @@ def _is_default(value, default):
 
 # Defaulted parameters that the default runs set to one kind of value only
 # (always the default, or never) and that stay, with the reason.
-ONE_VALUE_BY_DESIGN = {
-    "combinatorics.additive_energy.method":
-        "tests/test_acceptance.py criterion 3 counts with method='fourier'",
-}
+ONE_VALUE_BY_DESIGN = {}
 
 
 def test_every_library_option_takes_its_default_and_another_value(default_runs):

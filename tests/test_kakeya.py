@@ -9,7 +9,9 @@ enumerations in this file, then pinned):
   * p**-0.25     max mixed extension ratio over every single-cap indicator
                  at d = 3, attained by full caps (exact at p = 3 and 5),
   * 3**0.25      restricted-transform norm of one isotropic coset in one
-                 slice of the d = 3 bilinear surface at p = 3.
+                 slice of the d = 3 bilinear surface at p = 3,
+  * 3**(2/3)     the same for one full maximal isotropic coset of the
+                 d = 5 bilinear surface at p = 3.
 """
 
 import itertools
@@ -80,7 +82,8 @@ def brute_superposition(h, x0, field, m):
 
 def line_indicator(field, base, direction):
     """Indicator of the line {(base + direction t, t)} in F_p^m."""
-    pts = kk.line_points(np.array([base]), np.array([direction]), field.p)[0]
+    pts = [tuple(b + t * e for b, e in zip(base, direction, strict=True)) + (t,)
+           for t in range(field.p)]
     return FFunction.indicator(field, len(base) + 1, pts)
 
 
@@ -89,16 +92,16 @@ def line_indicator(field, base, direction):
 
 
 def test_affine_line_geometry():
-    lines = kk.line_points(np.array([[3, 7], [1, 2]]), np.array([[1, 2], [0, 3]]), 5)
-    assert lines.shape == (2, 5, 3)
-    pts = lines[0]
-    # every row is (b + eta t, t) reduced mod p, and the origin is not on the line
-    assert np.array_equal(pts[:, -1], np.arange(5))
-    assert np.array_equal(pts[:, :-1], (np.array([3, 2]) + np.outer(pts[:, -1], (1, 2))) % 5)
-    assert not (pts == 0).all(axis=1).any()
-    assert np.array_equal(lines[1], kk.line_points(np.array([[1, 2]]),
-                                                   np.array([[0, 3]]), 5)[0])
+    # the line index puts the point (b + eta t, t) of the line (b, eta)
+    # at shift[heights[t, eta], b] + t p^n, reduced mod p
+    shift, heights = kk._line_index(5, 2)
+    for base, direction in (((3, 7), (1, 2)), ((1, 2), (0, 3))):
+        b, eta = encode_point(base, 5), encode_point(direction, 5)
+        got = [int(shift[heights[t, eta], b]) + t * 25 for t in range(5)]
+        assert got == np.flatnonzero(line_indicator(F5, base, direction).data).tolist()
     assert line_indicator(F5, (3, 7), (1, 2)).data.sum() == 5
+    # the origin is not on the line (3, 7) + t (1, 2)
+    assert line_indicator(F5, (3, 7), (1, 2)).data[0] == 0
 
 
 def test_distinct_directions_meet_in_at_most_one_point():
@@ -667,9 +670,10 @@ def test_embed_maps_a_stack_row_by_row(p, n, c):
 def test_embed_input_validation():
     with pytest.raises(ValueError):
         kk.restriction_to_kakeya_embed(np.ones(3), np.zeros((3, 1), dtype=int))
-    h_neg = FFunction(F3, 1, np.array([-1.0, 0, 0], dtype=complex))
-    with pytest.raises(ValueError):
-        kk.restriction_to_kakeya_embed(h_neg, np.zeros((3, 1), dtype=int))
+    for neg in ([-1.0, 0, 0], [1.0, -1e-13, 0.5]):
+        h_neg = FFunction(F3, 1, np.array(neg, dtype=complex))
+        with pytest.raises(ValueError):
+            kk.restriction_to_kakeya_embed(h_neg, np.zeros((3, 1), dtype=int))
     h_cplx = FFunction(F3, 1, np.array([1j, 0, 0]))
     with pytest.raises(ValueError):
         kk.restriction_to_kakeya_embed(h_cplx, np.zeros((3, 1), dtype=int))
@@ -1060,14 +1064,28 @@ def test_mixed_ratio_guards():
 def test_regular_set_single_coset_frozen_numbers():
     U = Subspace(F3, [[1, 0]], translate=(0, 1))
     S = hyperbolic_paraboloid(F3, 3)
-    pts = [tuple(int(c) for c in r) for r in U.point_array()]
-    F = FFunction.indicator(F3, 3, [t + (0,) for t in pts])
-    audit = kk.kakeya_regular_set_bound(F, S, {0: [(U, pts)]})
+    pts = U.point_array()
+    F = FFunction.indicator(F3, 3, np.column_stack([pts, np.zeros(len(pts), dtype=int)]))
+    audit = kk.kakeya_regular_set_bound(S, {0: [(U, pts)]})
     assert audit.gamma == pytest.approx(1.0)
     assert audit.e_exp == 0.0
     # the restricted norm at (2d+2)/(d+3) = 4/3 over p^(1/2 + 1/4)
     assert restriction(F, S).norm(4 / 3) == pytest.approx(3**0.25, abs=1e-9)
     assert audit.ratio == pytest.approx(3**-0.5, abs=1e-9)
+
+
+def test_regular_set_exponent_at_d5():
+    # One full maximal isotropic coset at z = 0 on the d = 5 bilinear
+    # surface at p = 3: gamma = 2, e = 0, and the restricted norm at
+    # q = 3/2 is 3^(2/3), so the ratio is 3^(2/3 - (1 + 1/6 + 1/6)).
+    S = hyperbolic_paraboloid(F3, 5)
+    U = enumerate_max_isotropic(S.Q)[0]
+    pts = U.point_array()
+    F = FFunction.indicator(F3, 5, np.column_stack([pts, np.zeros(len(pts), dtype=int)]))
+    assert restriction(F, S).norm(1.5) == pytest.approx(3 ** (2 / 3), abs=1e-9)
+    audit = kk.kakeya_regular_set_bound(S, {0: [(U, pts)]})
+    assert audit.gamma == pytest.approx(2.0) and audit.e_exp == 0.0
+    assert audit.ratio == pytest.approx(3 ** (-2 / 3), abs=1e-9)
 
 
 @pytest.mark.parametrize("p,d", [(3, 3), (5, 3), (3, 5), (5, 5)])
@@ -1076,59 +1094,36 @@ def test_regular_set_random_decompositions_stay_bounded(p, d):
     S = hyperbolic_paraboloid(field, d)
     rng = np.random.default_rng(p * d)
     for _ in range(8):
-        F, dec = kk.random_slice_isotropic_function(S, rng)
-        audit = kk.kakeya_regular_set_bound(F, S, dec)
+        audit = kk.kakeya_regular_set_bound(S, kk.random_slice_decomposition(S, rng))
         assert audit.ratio <= 2.0
         assert 0.0 <= audit.e_exp <= audit.gamma + 1e-12
 
 
-def _regular_set_cases(as_rows):
-    """The one-coset set of the frozen-numbers test, its valid
-    decomposition, and one invalid (F, S, decomposition) per check; the
-    pieces hold tuple lists, or row arrays when as_rows is set."""
+def test_regular_set_validation():
     S = hyperbolic_paraboloid(F3, 3)
     U = Subspace(F3, [[1, 0]], translate=(0, 1))
-    pts = [tuple(int(c) for c in r) for r in U.point_array()]
-    F = FFunction.indicator(F3, 3, [t + (0,) for t in pts])
-    form = np.array if as_rows else list
-
-    def dec(*pieces, z=0):
-        return {z: [(space, form(rows)) for space, rows in pieces]}
-
+    pts = U.point_array()
     other = Subspace(F3, [[1, 0]], translate=(0, 2))
     bad = [
-        (F, S, dec((Subspace(F3, [[1, 1]]), pts))),          # non-isotropic coset
-        (F, S, dec((U, pts[:2]))),                            # cover misses points
-        (F, S, dec((U, pts[:2]), (U, pts[2:]))),              # duplicate coset
-        (F, S, dec((other, pts))),                            # point outside its coset
-        (F, S, dec((U, pts)) | dec((U, pts[:1]), z=3)),       # pieces overlap
-        (FFunction(F3, 3, 0.5 * F.data), S, dec((U, pts))),   # not an indicator
-        (F, hyperbolic_paraboloid(F3, 5), dec((U, pts))),     # wrong ambient
+        (S, {0: [(Subspace(F3, [[1, 1]]), pts)]}, "isotropic"),
+        (S, {0: [(U, pts[:2]), (U, pts[2:])]}, "distinct"),
+        (S, {0: [(other, pts)]}, "outside"),
+        (S, {0: [(U, pts)], 3: [(U, pts[:1])]}, "disjoint"),
+        # an empty piece would count toward e without covering a point
+        (S, {0: [(U, pts), (other, pts[:0])]}, "hold a point"),
+        (S, {}, "no point"),
+        (S, {0: []}, "no point"),
+        (hyperbolic_paraboloid(F3, 5), {0: [(U, pts)]}, "isotropic"),  # wrong ambient
     ]
-    return F, S, dec((U, pts)), bad
-
-
-def test_regular_set_validation():
-    _, _, _, bad = _regular_set_cases(as_rows=False)
-    for F, S, dec in bad:
-        with pytest.raises(ValueError):
-            kk.kakeya_regular_set_bound(F, S, dec)
-
-
-def test_regular_set_bound_takes_row_arrays_and_tuple_lists():
-    F, S, rows, bad = _regular_set_cases(as_rows=True)
-    _, _, tuples, _ = _regular_set_cases(as_rows=False)
-    assert kk.kakeya_regular_set_bound(F, S, rows) == kk.kakeya_regular_set_bound(F, S, tuples)
-    for Fb, Sb, dec in bad:
-        with pytest.raises(ValueError):
-            kk.kakeya_regular_set_bound(Fb, Sb, dec)
+    for S_bad, dec, reason in bad:
+        with pytest.raises(ValueError, match=reason):
+            kk.kakeya_regular_set_bound(S_bad, dec)
 
 
 def test_random_slice_builder_is_reproducible():
     S = hyperbolic_paraboloid(F5, 3)
-    F1, d1 = kk.random_slice_isotropic_function(S, np.random.default_rng(99))
-    F2, d2 = kk.random_slice_isotropic_function(S, np.random.default_rng(99))
-    assert np.array_equal(F1.data, F2.data)
+    d1 = kk.random_slice_decomposition(S, np.random.default_rng(99))
+    d2 = kk.random_slice_decomposition(S, np.random.default_rng(99))
     assert list(d1.keys()) == list(d2.keys())
     for z, pieces in d1.items():
         for (c1, rows1), (c2, rows2) in zip(pieces, d2[z], strict=True):
