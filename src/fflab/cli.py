@@ -16,7 +16,9 @@ scenario), 2 on configuration errors found before any runner starts,
 such as an unknown scenario id, parameters outside a scenario's
 validity set, a size-budget overflow, a baseline integrity problem, or
 a baseline store that is not one of constants and oracle hashes under
-the current schema.
+the current schema.  In `sweep` these include an empty selection, an
+id none of whose grid points meets --primes and --dims, and an --out
+that cannot be created or written (probed with a temporary file).
 A missing baseline is the one exception in `sweep`: it fails that id's
 row, with no metric, and the sweep goes on (`run` exits 2 on it).
 """
@@ -24,6 +26,7 @@ row, with no metric, and the sweep goes on (`run` exits 2 on it).
 import argparse
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .errors import SizeOverflow, UnknownScenario
@@ -84,19 +87,27 @@ def _cmd_run(args) -> int:
     return 0 if report.status in ("pass", "report_only") else 1
 
 
+def _probe(out: Path) -> None:
+    """Raise ValueError unless out, or its nearest existing ancestor when
+    out is still to be made, is a directory that takes a temporary file.
+    Nothing is left behind, so a usage error that the sweep finds next
+    writes no directory."""
+    where = next(p for p in (out, *out.parents) if p.exists())
+    try:
+        tempfile.TemporaryFile(dir=where).close()
+    except OSError as exc:
+        raise ValueError(f"cannot write reports to {out}: {exc.strerror}") from exc
+
+
 def _cmd_sweep(args) -> int:
     if args.ids.strip().lower() == "all":
         ids = sorted(REGISTRY)
     else:
         ids = [x.strip() for x in args.ids.split(",") if x.strip()]
-    if not ids:
-        print("nothing to run")
-        return 0
-    primes = _parse_ints(args.primes)
-    dims = _parse_ints(args.dims)
-    reports, failed = sweep(ids, primes, dims, trials=args.trials,
-                            seed=args.seed, workers=args.workers)
     out = Path(args.out)
+    _probe(out)
+    reports, failed = sweep(ids, _parse_ints(args.primes), _parse_ints(args.dims),
+                            trials=args.trials, seed=args.seed, workers=args.workers)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(reports_to_json(reports))
     (out / "summary.csv").write_text(reports_to_csv(reports))

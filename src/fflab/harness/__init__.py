@@ -1,4 +1,4 @@
-"""Scenario harness: registry, baselines, reports.
+"""Scenario harness: registry, runners, baselines, reports.
 
 The public surface is re-exported here so callers can write
 ``from fflab.harness import run_scenario`` without caring which file a
@@ -17,10 +17,11 @@ from .scenarios import (
     REGISTRY,
     run_scenario,
     sweep,
-    exponent_table,
     regenerate_baselines,
     trial_seed,
 )
+# importing the runners registers every scenario
+from .runners import exponent_table
 
 __all__ = [
     "ScenarioReport",

@@ -1,0 +1,1321 @@
+"""The scenario runners, each declared with @scenario beside the
+function that checks its claim.  Importing this module registers every
+scenario in scenarios.REGISTRY; scenarios.py states the kinds and the
+runner contract, and judges every run.
+
+A tracked scenario's oracle hash is the source of its runner, decorator
+lines included, so an edit to its claim, grid or provenance marks its
+stored constant stale, as an edit to its body does.
+
+The stacked runners (FT-3, ST-1, ST-2, ST-5, ST-6, BR-1, PL-1, MT-1,
+EN-4, KK-1, KK-2, KK-3, MX-2) cut their trials, or their exhaustive or
+structured inputs, into consecutive stacks with _stacks, draw each
+stack's trials in trial order, make one call per operator and per norm
+on the stack, and yield one case per trial in trial order.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+from fractions import Fraction
+from typing import Optional
+
+import numpy as np
+
+from ..core import (
+    FFunction,
+    PrimeField,
+    char_vector,
+    coordinate_array,
+    draw_until,
+    encode_point,
+    inner,
+    lp_norm,
+)
+from ..errors import FFLabError, FullyDegenerate, OutOfValidityRange
+from ..fourier import (
+    convolve,
+    exact_r22,
+    fourier_transform,
+    inverse_transform,
+    power_iteration_norm,
+    stein_tomas_transfer,
+)
+from ..qforms import (
+    QuadraticSpace,
+    allowed_subsurface_triples,
+    classify_subsurface,
+    complementary_isotropic,
+    complement_indicator_character_sum,
+    det_mod,
+    diagonal_form,
+    dot_form,
+    dual_pairing_basis,
+    enumerate_max_isotropic,
+    hyperbolic_pairing_form,
+    orthogonal_complement,
+    random_invertible,
+    random_subspace,
+    random_symmetric,
+)
+from ..surfaces import (
+    Surface,
+    SurfaceFunction,
+    bochner_riesz,
+    congruence_between,
+    equivalence_transfer,
+    extension,
+    extension_slabs,
+    hyperbolic_paraboloid,
+    paraboloid,
+    plane_embed,
+    plane_embed_ft,
+    pseudo_conformal_check,
+    restriction,
+    surface_measure_inverse_ft,
+)
+from ..combinatorics import (
+    HyperplaneFamily,
+    PointSet,
+    all_affine_hyperplanes,
+    additive_energy,
+    ENERGY_SLACK,
+    closed_form_curve,
+    energy_exponent_closed,
+    energy_exponent_recurse,
+    energy_slice_bound,
+    energy_to_incidence,
+    incidence_bound_audit,
+    off_diagonal_energy,
+    random_surface_subset,
+    recursion_curve,
+    sample_energy_exponents,
+    vh_plane_cover,
+    vh_plane_masks,
+)
+from .. import kakeya as kk
+from ..oracles import brute_energy, brute_witt, witt_monomials
+from .scenarios import REGISTRY, RunContext, scenario
+
+
+# ---------------------------------------------------------------------------
+# small helpers
+
+# Grid points that a stacked runner hands one operator call at most.  Like
+# the 4,096 bases of an echelon batch it bounds memory: a grid of more
+# than 2,048 points runs one trial per stack.
+STACK_POINTS = 4096
+
+
+def _stacks(items, points: int):
+    """Consecutive lists of the items, such as ctx.trial_rngs(), each of
+    at most STACK_POINTS // points of them and at least one."""
+    items = iter(items)
+    size = max(1, STACK_POINTS // points)
+    while stack := list(itertools.islice(items, size)):
+        yield stack
+
+
+def _rel(a: float, b: float) -> float:
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _pos(x: float) -> float:
+    return max(0.0, x)
+
+
+def _excess(lhs: float, bound: float) -> float:
+    """How far lhs overshoots bound, relative to max(1, bound); 0 when
+    the inequality holds."""
+    return _pos(lhs - bound) / max(1.0, bound)
+
+
+def _logp(p: int, n: float) -> float:
+    return math.log(n) / math.log(p)
+
+
+def _nondegenerate_symmetric(field: PrimeField, m: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    """A random symmetric m x m matrix over the field, drawn again until
+    its determinant is nonzero."""
+    return draw_until(lambda: random_symmetric(field, m, rng),
+                      lambda A: det_mod(A, field.p) != 0, "nondegenerate form")
+
+
+def _exhaustive_masks(ctx: RunContext, n: int) -> Optional[np.ndarray]:
+    """At the scenario's provenance point, where its family is
+    exhaustive: state one trial and return every nonempty subset of
+    range(n) as a bool (2^n - 1, n) array whose row mask - 1 holds the
+    bits of mask.  None at every other point.  A family of more than
+    2^16 subsets raises before anything is built."""
+    if (ctx.prime, ctx.dim) != REGISTRY[ctx.scenario_id].provenance[:2]:
+        return None
+    if 2**n - 1 > 2**16:
+        raise FFLabError(f"the exhaustive family at p = {ctx.prime}, d = {ctx.dim} "
+                         f"has 2^{n} - 1 = {2**n - 1} subsets, more than 2^16")
+    ctx.trials = 1
+    return (np.arange(1, 2**n)[:, None] & (1 << np.arange(n))) != 0
+
+
+def _random_support(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
+    return np.sort(rng.choice(total, size=k, replace=False))
+
+
+# ---------------------------------------------------------------------------
+# FT: transform layer
+
+
+def _run_measure_ft(make_surface, ctx: RunContext):
+    # FT-1 and FT-2 differ only in the surface; their registrations bind it.
+    # The direct route is the extension of the constant 1.
+    S = make_surface(ctx.field, ctx.dim)
+    closed = surface_measure_inverse_ft(S).data
+    direct = extension(SurfaceFunction(S, np.ones(S.size))).data
+    gap = np.abs(closed - direct)
+    i = int(np.argmax(gap))
+    yield float(gap[i]), dict(index=i, closed=complex(closed[i]),
+                              direct=complex(direct[i]))
+
+
+scenario(
+    "FT-1", "exact_identity",
+    "inverse transform of the hyperbolic-paraboloid surface measure "
+    "matches its closed form (1 at the origin, 0 on the rest of the "
+    "time-zero slice, p^{-n} times a ratio character elsewhere) at "
+    "every point",
+    (3, 5, 7), (3, 5), 1)(functools.partial(_run_measure_ft, hyperbolic_paraboloid))
+
+
+scenario(
+    "FT-2", "exact_identity",
+    "inverse transform of the dot-form paraboloid surface measure "
+    "matches its quadratic Gauss sum closed form at every point",
+    (3, 5, 7), (3, 5), 1)(functools.partial(_run_measure_ft, paraboloid))
+
+
+@scenario(
+    "FT-3", "exact_identity",
+    "Plancherel, inversion, and the convolution product rule hold "
+    "for the transform pair on random inputs",
+    (3, 5, 7), (2, 3, 4), 20)
+def _run_ft3(ctx: RunContext):
+    p, d = ctx.prime, ctx.dim
+    for stack in _stacks(ctx.trial_rngs(), p**d):
+        pairs = [(FFunction.random(ctx.field, d, rng).data,
+                  FFunction.random(ctx.field, d, rng).data) for _, rng in stack]
+        f = FFunction(ctx.field, d, np.stack([a for a, _ in pairs]))
+        g = FFunction(ctx.field, d, np.stack([b for _, b in pairs]))
+        fh = fourier_transform(f)
+        energy_hat = np.sum(np.abs(fh.data) ** 2, axis=1).tolist()
+        energy = np.sum(np.abs(f.data) ** 2, axis=1).tolist()
+        inversion = np.abs(inverse_transform(fh).data - f.data).max(axis=1).tolist()
+        lhs = fourier_transform(convolve(f, g)).data
+        rhs = fh.data * fourier_transform(g).data
+        conv = (np.abs(lhs - rhs).max(axis=1)
+                / np.maximum(1.0, np.abs(rhs).max(axis=1))).tolist()
+        for (t, _), e_hat, e, dev_inversion, dev_conv in zip(
+                stack, energy_hat, energy, inversion, conv, strict=True):
+            dev_plancherel = _rel(e_hat, p**d * e)
+            yield max(dev_plancherel, dev_inversion, dev_conv), dict(
+                trial=t, plancherel=dev_plancherel, inversion=dev_inversion,
+                convolution=dev_conv)
+
+
+# ---------------------------------------------------------------------------
+# ST: the restriction chain with constant 1
+
+
+@scenario(
+    "ST-1", "exact_identity",
+    "support-size step with constant 1: the squared restricted "
+    "transform norm equals the kernel pairing, is controlled by "
+    "||f||_2^2 + p^{-(d-1)/2} ||f||_1^2, and obeys "
+    "1 + p^{-(d-1)/4} lam^{-theta/(q-theta)} under the height floor "
+    "and unit dual normalization",
+    (3, 5, 7), (3, 5), 20)
+def _run_st1(ctx: RunContext):
+    # The kernel pairing is <f, f * sigma-vee>, and f * sigma-vee = E R f
+    # is the extension of the same restriction whose norm is the left side.
+    p, d = ctx.prime, ctx.dim
+    S = paraboloid(ctx.field, d)
+    dt = d - 1
+    for stack in _stacks(ctx.trial_rngs(), p**d):
+        data = np.zeros((len(stack), p**d), dtype=complex)
+        draws = []
+        for f, (t, rng) in zip(data, stack, strict=True):
+            q = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
+            theta = float(rng.uniform(0.2, 0.9))
+            k = int(rng.integers(1, max(2, p**d // 3)))
+            idx = _random_support(rng, p**d, k)
+            f[idx] = rng.uniform(1.0, 2.0, size=k) * np.exp(2j * np.pi * rng.random(k))
+            f *= 1.0 / lp_norm(f, q / (q - theta))
+            draws.append((t, q, theta, float(np.abs(f[idx]).min())))
+        rest = restriction(FFunction(ctx.field, d, data), S)
+        conv = extension(rest).data
+        l2, l1 = lp_norm(data, 2.0).tolist(), lp_norm(data, 1.0).tolist()
+        for f, g, rest_norm, f2, f1, (t, q, theta, lam) in zip(
+                data, conv, rest.norm(2.0).tolist(), l2, l1, draws, strict=True):
+            lhs = rest_norm ** 2
+            pairing = abs(inner(f, g))
+            dev_id = _rel(lhs, pairing)
+            bound = f2 ** 2 + p ** (-dt / 2) * f1 ** 2
+            dev_chain = _excess(lhs, bound)
+            final = 1.0 + p ** (-dt / 4) * lam ** (-theta / (q - theta))
+            dev_final = _excess(math.sqrt(lhs), final)
+            yield max(dev_id, dev_chain, dev_final), dict(
+                trial=t, pairing=dev_id, chain=dev_chain, final=dev_final, q=q,
+                theta=theta)
+
+
+@scenario(
+    "ST-2", "exact_identity",
+    "height step with constant 1: under unit dual normalization and "
+    "||f||_inf <= lam, the dual norm is at most "
+    "lam^{(1-theta)/(q-theta)} and the restricted transform is at "
+    "most the sharp two-norm constant times that height power",
+    (3, 5, 7), (3, 5), 20)
+def _run_st2(ctx: RunContext):
+    # The chain runs at q = 2, through the exact sharp constant r22.
+    p, d = ctx.prime, ctx.dim
+    S = paraboloid(ctx.field, d)
+    r22 = exact_r22(S)
+    q = 2.0
+    for stack in _stacks(ctx.trial_rngs(), p**d):
+        data = np.zeros((len(stack), p**d), dtype=complex)
+        thetas = []
+        for f, (_, rng) in zip(data, stack, strict=True):
+            theta = float(rng.uniform(0.2, 0.9))
+            k = int(rng.integers(1, max(2, p**d // 2)))
+            idx = _random_support(rng, p**d, k)
+            f[idx] = rng.uniform(0.2, 1.0, size=k) * np.exp(2j * np.pi * rng.random(k))
+            f *= 1.0 / lp_norm(f, q / (q - theta))
+            thetas.append(theta)
+        rest = restriction(FFunction(ctx.field, d, data), S).norm(2.0).tolist()
+        heights = np.abs(data).max(axis=1).tolist()
+        for (t, _), theta, lam, f2, rest_norm in zip(
+                stack, thetas, heights, lp_norm(data, 2.0).tolist(), rest, strict=True):
+            lam_pow = lam ** ((1.0 - theta) / (q - theta))
+            dev_norm = _excess(f2, lam_pow)
+            dev_rest = _excess(rest_norm, r22 * lam_pow)
+            yield max(dev_norm, dev_rest), dict(
+                trial=t, height_norm=dev_norm, restricted=dev_rest, theta=theta)
+
+
+@scenario(
+    "ST-3", "exact_identity",
+    "the sharp L2(dsigma) to L2(dx) extension norm is exactly "
+    "sqrt(p^d/|S|): the restriction-after-extension composition is "
+    "that constant squared times the identity and power iteration "
+    "converges to the formula",
+    (3, 5), (3, 5), 1, tolerance=1e-6)
+def _run_st3(ctx: RunContext):
+    for maker, label in ((paraboloid, "paraboloid"),
+                         (hyperbolic_paraboloid, "hyperbolic")):
+        S = maker(ctx.field, ctx.dim)
+        want = exact_r22(S)
+        scale = ctx.prime**ctx.dim / S.size
+
+        def gram(vec, S=S):
+            return restriction(extension(SurfaceFunction(S, vec)), S).values
+
+        rng = ctx.trial_rng(0)
+        sigma = power_iteration_norm(gram, S.size, rng)
+        dev_pi = abs(sigma - want) / want
+        v = rng.standard_normal(S.size) + 1j * rng.standard_normal(S.size)
+        dev_scalar = float(np.abs(gram(v) - scale * v).max()) / scale
+        yield max(dev_pi, dev_scalar), dict(
+            surface=label, power_iteration=dev_pi, gram_scalar=dev_scalar)
+
+
+@scenario(
+    "ST-4", "exponent_arith",
+    "interpolation bookkeeping: the transferred decay exponent "
+    "max(0, theta/2 - (d-1)(1-theta)/4) vanishes exactly at "
+    "theta = (d-1)/(d+1), where the widened exponent equals "
+    "(2d+2)/(d-1)",
+    (3, 5, 7), (3, 5, 7), 1, tolerance=1e-12)
+def _run_st4(ctx: RunContext):
+    d = ctx.dim
+    devs = {}
+    th = Fraction(d - 1, d + 1)
+    devs["zero_at_threshold"] = abs(stein_tomas_transfer(float(th), d - 1))
+    devs["threshold_exponent"] = float(abs(Fraction(2, 1) / th - Fraction(2 * d + 2, d - 1)))
+    above = stein_tomas_transfer(float(th) + 0.05, d - 1)
+    devs["positive_above"] = _pos(1e-15 - above)
+    th2 = float(th) + 0.1
+    want = 0.5 * th2 - (d - 1) * (1 - th2) / 4
+    devs["linear_branch"] = abs(stein_tomas_transfer(th2, d - 1) - max(0.0, want))
+    devs["identity_at_one"] = abs(stein_tomas_transfer(1.0, d - 1) - 0.5)
+    yield max(devs.values()), devs
+
+
+@scenario(
+    "ST-5", "exact_identity",
+    "decay step: the surface kernel is 1 at the origin and at most "
+    "p^{-(d-1)/2} elsewhere, so unimodular functions on E obey "
+    "||f-hat||^2_{L2(dsigma)} <= |E| + p^{-(d-1)/2}|E|^2",
+    (3, 5, 7), (3, 5), 12)
+def _run_st5(ctx: RunContext):
+    p, d = ctx.prime, ctx.dim
+    for maker, label in ((paraboloid, "paraboloid"),
+                         (hyperbolic_paraboloid, "hyperbolic")):
+        S = maker(ctx.field, d)
+        sig = surface_measure_inverse_ft(S)
+        off = np.abs(sig.data).copy()
+        off[0] = 0.0
+        dev_decay = _pos(float(off.max()) - p ** (-(d - 1) / 2))
+        dev_origin = abs(sig.data[0] - 1.0)
+        yield max(dev_decay, dev_origin), dict(
+            surface=label, decay=dev_decay, origin=dev_origin)
+        for stack in _stacks(ctx.trial_rngs(), p**d):
+            data = np.zeros((len(stack), p**d), dtype=complex)
+            sizes = []
+            for f, (_, rng) in zip(data, stack, strict=True):
+                k = int(rng.integers(1, p**d))
+                f[_random_support(rng, p**d, k)] = np.exp(2j * np.pi * rng.random(k))
+                sizes.append(k)
+            rest = restriction(FFunction(ctx.field, d, data), S).norm(2.0).tolist()
+            for (t, _), k, rest_norm in zip(stack, sizes, rest, strict=True):
+                lhs = rest_norm ** 2
+                bound = k + p ** (-(d - 1) / 2) * k**2
+                yield _excess(lhs, bound), dict(surface=label, trial=t, support=k)
+
+
+@scenario(
+    "ST-6", "exact_identity",
+    "indicator bookkeeping: with alpha = log_p of the sharp "
+    "two-norm constant and |E| = p^gamma, the "
+    "L^{2 gamma/(gamma+2 alpha)} norm equals p^{alpha + gamma/2} "
+    "exactly and the restricted transform obeys the height bound",
+    (3, 5, 7), (3, 5), 20)
+def _run_st6(ctx: RunContext):
+    p, d = ctx.prime, ctx.dim
+    S = paraboloid(ctx.field, d)
+    r22 = exact_r22(S)
+    alpha = _logp(p, r22)
+    for stack in _stacks(ctx.trial_rngs(), p**d):
+        data = np.zeros((len(stack), p**d), dtype=complex)
+        sizes = []
+        for f, (_, rng) in zip(data, stack, strict=True):
+            # gamma >= 1 keeps the derived exponent a genuine Lebesgue index
+            k = int(rng.integers(p, p**d))
+            f[_random_support(rng, p**d, k)] = 1.0
+            sizes.append(k)
+        rest = restriction(FFunction(ctx.field, d, data), S).norm(2.0).tolist()
+        for f, (t, _), k, rest_norm in zip(data, stack, sizes, rest, strict=True):
+            gamma = _logp(p, k)
+            r = 2 * gamma / (gamma + 2 * alpha)
+            dev_norm = _rel(lp_norm(f, r), p ** (alpha + gamma / 2))
+            dev_rest = _excess(rest_norm, r22 * math.sqrt(k))
+            yield max(dev_norm, dev_rest), dict(
+                trial=t, support=k, norm_identity=dev_norm, height=dev_rest)
+
+
+@scenario(
+    "EQ-1", "exact_identity",
+    "congruent base forms give isometric restriction problems: "
+    "composing with the change of variables preserves extension "
+    "L^q(dx) norms and surface L^q(dsigma) norms exactly",
+    (5, 7, 13), (3,), 10)
+def _run_eq1(ctx: RunContext):
+    field = ctx.field
+    d = ctx.dim
+    P = paraboloid(field, d)
+    H = hyperbolic_paraboloid(field, d)
+    M_ph = congruence_between(P, H)
+    for t, rng in ctx.trial_rngs():
+        routes = []
+        if M_ph is not None:
+            routes.append((SurfaceFunction.random(P, rng), M_ph, H, "dot_to_pairing"))
+        B = _nondegenerate_symmetric(field, d - 1, rng)
+        M = random_invertible(field, d - 1, rng)
+        S_from = Surface(QuadraticSpace(field, B))
+        routes.append((SurfaceFunction.random(S_from, rng), M, None, "random_pair"))
+        for f, M0, target, label in routes:
+            g = equivalence_transfer(f, M0, target)
+            ext_f, ext_g = extension(f), extension(g)
+            for qe in (2.0, 8.0 / 3.0, 4.0):
+                dev = max(
+                    _rel(lp_norm(ext_f.data, qe), lp_norm(ext_g.data, qe)),
+                    _rel(f.norm(qe), g.norm(qe)),
+                )
+                yield dev, dict(trial=t, route=label, q=qe)
+
+
+# ---------------------------------------------------------------------------
+# BR: kernel geometry
+
+
+@scenario(
+    "BR-1", "exact_identity",
+    "a character along a horizontal line convolves with the "
+    "surface kernel to the same character with coefficient 1 on "
+    "the slope-matched tube, for every slope, offset, and time",
+    (3, 5, 7), (3,), 1)
+def _run_br1(ctx: RunContext):
+    # The tube of the line through (x2_0, t_0) with character slope m is
+    # x2 - x2_0 = -m (t - t_0): the type-1 VH plane of slope -m and offset
+    # x2_0 + m t_0.
+    p = ctx.prime
+    field = ctx.field
+    S = hyperbolic_paraboloid(field, 3)
+    X = coordinate_array(p, 3)
+    # chars[m] is the character e(m x1 / p) on the whole grid
+    chars = char_vector(field)[np.arange(p)[:, None] * X[:, 0] % p]
+    planes = vh_plane_masks(X, p).reshape(2, p, p, p**3)[0]
+    for stack in _stacks(itertools.product(range(p), repeat=3), p**3):
+        slopes, offsets, times = np.array(stack).T
+        lines = (X[:, 1] == offsets[:, None]) & (X[:, 2] == times[:, None])
+        F = FFunction(field, 3, np.where(lines, chars[slopes], 0))
+        out = bochner_riesz(F, S)
+        tubes = planes[-slopes % p, (offsets + slopes * times) % p]
+        devs = np.abs(out.data - chars[slopes] * tubes).max(axis=1)
+        for (m, x2o, to), dev in zip(stack, devs.tolist(), strict=True):
+            yield dev, dict(slope=m, offset=x2o, time=to)
+
+
+@scenario(
+    "BR-2", "constant_tracked",
+    "slice superposition: when every planar line meets the index "
+    "set in at most p^u points, the kernel convolution of the "
+    "line-character stack has L2 norm at most C p^{(1+u)/2} times "
+    "the input L2 norm; C is tracked",
+    (3, 5), (3,), 12,
+    direction="upper", provenance=(3, 3, 12, 0))
+def _run_br2(ctx: RunContext):
+    # F sums, over the points of I, a one-line delta-slice times a
+    # character combination; u is taken from the actual worst line load.
+    p = ctx.prime
+    field = ctx.field
+    S = hyperbolic_paraboloid(field, 3)
+    x1 = np.arange(p)
+    chars = char_vector(field)
+    for t, rng in ctx.trial_rngs():
+        if t == 0:
+            sel = np.arange(p * p)
+        elif t == 1:
+            sel = np.array([0])
+        elif t == 2:
+            sel = np.arange(p)  # one vertical line in the (x2, t) plane
+        else:
+            k = int(rng.integers(1, p * p + 1))
+            sel = _random_support(rng, p * p, k)
+        I_pts = np.stack([sel % p, sel // p], axis=1)
+        data = np.zeros(p**3, dtype=complex)
+        for u, v in I_pts:
+            n_char = int(rng.integers(1, 4))
+            for m in rng.choice(p, size=min(n_char, p), replace=False):
+                a = complex(rng.standard_normal(), rng.standard_normal())
+                idx = encode_point(np.column_stack([x1, np.full((p, 2), (u, v))]), p)
+                data[idx] += a * chars[int(m) * x1 % p]
+        F = FFunction(field, 3, data)
+        l2 = lp_norm(F.data, 2.0)
+        if l2 == 0.0:
+            continue
+        # the most points of I on one line of the (u, v) plane: the lines
+        # that sweep v by line_totals, the p lines v = c by a bincount
+        indicator = np.zeros(p * p)
+        indicator[sel] = 1.0
+        load = max(kk.line_totals(FFunction(field, 2, indicator)).max(),
+                   np.bincount(sel // p).max())
+        u_exp = _logp(p, int(load))
+        TF = bochner_riesz(F, S)
+        ratio = lp_norm(TF.data, 2.0) / (p ** ((1 + u_exp) / 2) * l2)
+        yield ratio, dict(trial=t, pieces=len(I_pts), u=u_exp, ratio=ratio)
+
+
+@scenario(
+    "BR-3", "constant_tracked",
+    "restricted version: unimodular functions on unions of "
+    "horizontal-line pieces of size at least p^beta with "
+    "vertical-horizontal plane loads at most p^alpha obey "
+    "||F-hat||_{L2(dsigma)} <= C p^{(1+alpha-beta)/4} ||F||_2, "
+    "certifying the exact kernel pairing on the way; C is tracked",
+    (3, 5), (3,), 12,
+    direction="upper", provenance=(3, 3, 12, 0))
+def _run_br3(ctx: RunContext):
+    # The pairing is ||F-hat||^2_{L2(dsigma)} = <F, TF>, with TF = E R F
+    # the extension of the same restriction.
+    p = ctx.prime
+    field = ctx.field
+    S = hyperbolic_paraboloid(field, 3)
+    for t, rng in ctx.trial_rngs():
+        n_lines = int(rng.integers(1, p + 1))
+        sel = _random_support(rng, p * p, n_lines)
+        pts = []
+        sizes = []
+        for s in sel:
+            u, v = int(s % p), int(s // p)
+            size = int(rng.integers(2, p + 1))
+            xs = _random_support(rng, p, size)
+            sizes.append(size)
+            pts.extend((int(x), u, v) for x in xs)
+        data = np.zeros(p**3, dtype=complex)
+        coords = np.array(pts)
+        data[encode_point(coords, p)] = np.exp(2j * np.pi * rng.random(len(pts)))
+        F = FFunction(field, 3, data)
+        alpha = _logp(p, int(vh_plane_masks(coords, p).sum(axis=1).max()))
+        beta = _logp(p, min(sizes))
+        rest = restriction(F, S)
+        rest_norm = rest.norm(2.0)
+        if _rel(rest_norm ** 2, abs(inner(F.data, extension(rest).data))) > 1e-9:
+            raise FFLabError("restricted norm does not match the kernel pairing")
+        ratio = rest_norm / (p ** ((1 + alpha - beta) / 4) * lp_norm(F.data, 2.0))
+        yield ratio, dict(trial=t, lines=n_lines, alpha=alpha, beta=beta,
+                          ratio=ratio)
+
+
+# ---------------------------------------------------------------------------
+# EN: additive energy
+
+
+@scenario(
+    "EN-1", "exact_identity",
+    "the vectorized additive-energy count equals the literal "
+    "quadruple count as integers on random surface subsets",
+    (3, 5, 7), (3,), 30)
+def _run_en1(ctx: RunContext):
+    p = ctx.prime
+    surfaces = (paraboloid(ctx.field, 3), hyperbolic_paraboloid(ctx.field, 3))
+    for t, rng in ctx.trial_rngs():
+        S = surfaces[t % 2]
+        k = int(rng.integers(2, min(S.size, 12) + 1))
+        E = random_surface_subset(S, k, rng)
+        fast = additive_energy(E)
+        slow = brute_energy(E.matrix(), p)
+        yield float(abs(fast - slow)), dict(trial=t, vectorized=fast,
+                                            quadruple_loop=slow)
+
+
+def _graph_subsets(ctx: RunContext) -> tuple:
+    """EN-2's and EN-3's inputs on the bilinear-graph surface: its (n, 3)
+    point rows, a bool (cases, n) array whose rows choose the subsets,
+    and each case's witness fields, which hold its size.  Every nonempty
+    subset at the provenance point, else one random subset per trial."""
+    S = hyperbolic_paraboloid(ctx.field, 3)
+    masks = _exhaustive_masks(ctx, S.size)
+    if masks is not None:
+        return S.point_array(), masks, [{"size": k} for k in masks.sum(axis=1).tolist()]
+    masks = np.zeros((ctx.trials, S.size), dtype=bool)
+    fields = []
+    for t, rng in ctx.trial_rngs():
+        k = int(rng.integers(2, S.size + 1))
+        masks[t, rng.choice(S.size, size=k, replace=False)] = True
+        fields.append({"trial": t, "size": k})
+    return S.point_array(), masks, fields
+
+
+@scenario(
+    "EN-2", "constant_tracked",
+    "slice-controlled energy on the bilinear graph: Lambda(E) "
+    "against |E|^{5/2} + sum of cubed slice sizes in both "
+    "directions; tracked ratio, exhaustive at the baseline prime",
+    (3, 5, 7), (3,), 40,
+    direction="upper", provenance=(3, 3, 1, 0))
+def _run_en2(ctx: RunContext):
+    X, masks, fields = _graph_subsets(ctx)
+    ratios = energy_slice_bound(X, masks, ctx.prime).tolist()
+    for ratio, f in zip(ratios, fields, strict=True):
+        yield ratio, dict(f, ratio=ratio)
+
+
+@scenario(
+    "EN-3", "constant_tracked",
+    "spread-pair energy against |E|^{5/2}: quadruples whose "
+    "second pair differs in both base coordinates; tracked ratio, "
+    "exhaustive at the baseline prime",
+    (3, 5, 7), (3,), 40,
+    direction="upper", provenance=(3, 3, 1, 0))
+def _run_en3(ctx: RunContext):
+    X, masks, fields = _graph_subsets(ctx)
+    lams = off_diagonal_energy(X, masks, ctx.prime).tolist()
+    for lam, f in zip(lams, fields, strict=True):
+        ratio = lam / f["size"] ** 2.5
+        yield ratio, dict(f, ratio=ratio)
+
+
+@scenario(
+    "EN-4", "exact_identity",
+    "fourth-moment identity: ||extension of an indicator||_4^4 "
+    "equals p^d Lambda(E) / |S|^4 exactly",
+    (3, 5, 7), (3, 5), 15)
+def _run_en4(ctx: RunContext):
+    # Even trials draw on the paraboloid, odd ones on the hyperbolic
+    # paraboloid.
+    p, d = ctx.prime, ctx.dim
+    surfaces = (paraboloid(ctx.field, d), hyperbolic_paraboloid(ctx.field, d))
+    for stack in _stacks(ctx.trial_rngs(), p**d):
+        draws = []
+        for t, rng in stack:
+            S = surfaces[t % 2]
+            k = int(rng.integers(2, min(S.size, 40) + 1))
+            E = random_surface_subset(S, k, rng)
+            draws.append((t, k, E, SurfaceFunction.from_surface_points(S, E.matrix())))
+        lhs = {}
+        for parity, S in enumerate(surfaces):
+            part = [(t, f.values) for t, _, _, f in draws if t % 2 == parity]
+            if part:
+                ext = extension(SurfaceFunction(S, np.stack([v for _, v in part])))
+                norms = lp_norm(ext.data, 4.0).tolist()
+                for (t, _), norm in zip(part, norms, strict=True):
+                    lhs[t] = norm ** 4
+        for t, k, E, _ in draws:
+            lam = additive_energy(E)
+            rhs = p**d * lam / surfaces[t % 2].size**4
+            yield _rel(lhs[t], rhs), dict(trial=t, size=k, energy=lam)
+
+
+# ---------------------------------------------------------------------------
+# IN: incidence reductions
+
+
+@scenario(
+    "IN-1", "exact_identity",
+    "energy-to-incidence reduction: after shearing a maximizing "
+    "point to the origin, Lambda(A, B) is at most twice the "
+    "hyperplane count times the incidence count",
+    (3, 5, 7), (3,), 15)
+def _run_in1(ctx: RunContext):
+    surfaces = (paraboloid(ctx.field, 3), hyperbolic_paraboloid(ctx.field, 3))
+    for t, rng in ctx.trial_rngs():
+        S = surfaces[t % 2]
+        A = random_surface_subset(S, int(rng.integers(2, 9)), rng)
+        B = random_surface_subset(S, int(rng.integers(2, 9)), rng)
+        r = energy_to_incidence(A, B, S)
+        bound = 2 * len(r.lines) * r.incidences
+        yield _excess(r.energy, bound), dict(trial=t, energy=r.energy, bound=bound)
+
+
+@scenario(
+    "IN-2", "exact_identity",
+    "double counting: point-hyperplane incidences stay under "
+    "sqrt(c1 |P|) |L| + c2 |P| with the audited overlap and "
+    "multiplicity constants",
+    (3, 5, 7), (2, 3), 15)
+def _run_in2(ctx: RunContext):
+    p, m = ctx.prime, ctx.dim
+    full = all_affine_hyperplanes(ctx.field, m)
+    for t, rng in ctx.trial_rngs():
+        k = int(rng.integers(1, p**m))
+        P = PointSet(ctx.field, m, _random_support(rng, p**m, k))
+        if t % 2:
+            L = full
+        else:
+            take = _random_support(rng, len(full), int(rng.integers(1, len(full))))
+            L = HyperplaneFamily(ctx.field, m, full.normals[take], full.offsets[take])
+        audit = incidence_bound_audit(P, L)
+        yield _excess(audit.incidences, audit.bound), dict(
+            trial=t, incidences=audit.incidences, bound=audit.bound, c1=audit.c1,
+            c2=audit.c2)
+
+
+# ---------------------------------------------------------------------------
+# MT: slicing machine
+
+
+@scenario(
+    "MT-1", "exact_identity",
+    "pseudo-conformal transport: kernel convolution of a one-slice "
+    "function matches p times the extension of the transplanted "
+    "slice in pointwise modulus after inverting time",
+    (3, 5, 7), (3,), 25)
+def _run_mt1(ctx: RunContext):
+    # The comparison inverts time and swaps the base coordinates.
+    p = ctx.prime
+    S = hyperbolic_paraboloid(ctx.field, 3)
+    for stack in _stacks(ctx.trial_rngs(), p**3):
+        data = np.zeros((len(stack), p**3), dtype=complex)
+        for row, (_, rng) in zip(data, stack, strict=True):
+            row[: p * p] = rng.standard_normal(p * p)  # the slice t = 0
+        devs = pseudo_conformal_check(FFunction(ctx.field, 3, data), S)
+        for (t, _), dev in zip(stack, devs.tolist(), strict=True):
+            yield dev, dict(trial=t)
+
+
+@scenario(
+    "MT-2", "constant_tracked",
+    "slice transfer at the 4/3-4 duality pair: stacked slice "
+    "indicators with measured per-slice extension growth p^alpha "
+    "obey ||h-hat||_{L2(dsigma)} <= C (p^{3 gamma/8 + n/2 + "
+    "alpha/2 + s/2} + p^{gamma/2}); C is tracked",
+    (3, 5), (3, 5), 10,
+    direction="upper", provenance=(3, 3, 10, 0))
+def _run_mt2(ctx: RunContext):
+    # |Z| = p^s slices E_z, and p^alpha is the largest L4 norm of a
+    # slice's extension.
+    p, d = ctx.prime, ctx.dim
+    n = (d - 1) // 2
+    S = paraboloid(ctx.field, d)
+    base_n = p ** (d - 1)
+    for t, rng in ctx.trial_rngs():
+        zc = int(rng.integers(1, p + 1))
+        zs = sorted(int(z) for z in rng.choice(p, size=zc, replace=False))
+        h = FFunction.zeros(ctx.field, d)
+        alpha = 0.0
+        for z in zs:
+            size = int(rng.integers(2, max(3, base_n // 2 + 1)))
+            sel = _random_support(rng, base_n, min(size, base_n))
+            # the slice point (base point i, last coordinate z) has flat
+            # index i + z p^(d-1); the slice lifted to S is base indices sel
+            h.data[sel + z * base_n] = 1.0
+            fz = np.zeros(base_n, dtype=complex)
+            fz[sel] = 1.0
+            ext = extension(SurfaceFunction(S, fz))
+            alpha = max(alpha, _logp(p, lp_norm(ext.data, 4.0)))
+        gamma = _logp(p, np.count_nonzero(h.data))
+        s_exp = _logp(p, zc)
+        lhs = restriction(h, S).norm(2.0)
+        rhs = p ** (3 * gamma / 8 + n / 2 + alpha / 2 + s_exp / 2) + p ** (gamma / 2)
+        ratio = lhs / rhs
+        yield ratio, dict(trial=t, slices=zc, gamma=gamma, alpha=alpha, ratio=ratio)
+
+
+# ---------------------------------------------------------------------------
+# PL: plane-supported functions
+
+
+@scenario(
+    "PL-1", "exact_identity",
+    "plane embedding transform identity: embedding f on the plane "
+    "x2 = a x3 + b and transforming equals shearing the planar "
+    "transform and twisting by the offset character",
+    (3, 5, 7), (3,), 25)
+def _run_pl1(ctx: RunContext):
+    for stack in _stacks(ctx.trial_rngs(), ctx.prime**3):
+        draws = [(t, FFunction.random(ctx.field, 2, rng),
+                  int(rng.integers(0, ctx.prime)), int(rng.integers(0, ctx.prime)))
+                 for t, rng in stack]
+        want = fourier_transform(FFunction(ctx.field, 3, np.stack(
+            [plane_embed(f, a, b).data for _, f, a, b in draws]))).data
+        _, fs, slopes, offsets = zip(*draws, strict=True)
+        got = plane_embed_ft(FFunction(ctx.field, 2, np.stack([f.data for f in fs])),
+                             slopes, offsets).data
+        for (t, _, a, b), g, w in zip(draws, got, want, strict=True):
+            dev = float(np.abs(g - w).max()) / max(1.0, float(np.abs(w).max()))
+            yield dev, dict(trial=t, slope=a, offset=b)
+
+
+@scenario(
+    "PL-2", "constant_tracked",
+    "cover-controlled restriction: indicators coverable by p^e "
+    "vertical-horizontal planes obey the two-branch bound "
+    "p^{gamma-1/q} (or p^{2+(gamma-2)/q-1/q}) + p^{gamma/2+e/2}; "
+    "the tracked constant uses the greedy cover as the entropy "
+    "witness",
+    (3, 5, 7), (3,), 15,
+    direction="upper", provenance=(3, 3, 15, 0))
+def _run_pl2(ctx: RunContext):
+    p = ctx.prime
+    S = hyperbolic_paraboloid(ctx.field, 3)
+    planes = vh_plane_masks(coordinate_array(p, 3), p).reshape(2, p, p, p**3)
+    for t, rng in ctx.trial_rngs():
+        n_planes = int(rng.integers(1, 5))
+        support = np.zeros(p**3, dtype=bool)
+        for _ in range(n_planes):
+            ptype = int(rng.integers(1, 3))
+            a = int(rng.integers(0, p))
+            b = int(rng.integers(0, p))
+            rows = np.flatnonzero(planes[ptype - 1, a, b])
+            keep = rng.random(len(rows)) < 0.7
+            if not keep.any():
+                keep[int(rng.integers(0, len(rows)))] = True
+            support[rows[keep]] = True
+        E = PointSet(ctx.field, 3, np.flatnonzero(support))
+        e_exp = _logp(p, max(1, len(vh_plane_cover(E))))
+        gamma = _logp(p, len(E))
+        F = FFunction(ctx.field, 3, support.astype(complex))
+        q = 1.5 if t % 2 else 2.0
+        lhs = restriction(F, S).norm(q)
+        if gamma <= 2:
+            main = p ** (gamma - 1 / q)
+        else:
+            main = p ** (2 + (gamma - 2) / q - 1 / q)
+        rhs = main + p ** (gamma / 2 + e_exp / 2)
+        ratio = lhs / rhs
+        yield ratio, dict(trial=t, gamma=gamma, entropy=e_exp, q=q, ratio=ratio)
+
+
+@scenario(
+    "PL-3", "exact_identity",
+    "sharpness at the dual pair q = 2r/(2r-1): a point mass and a "
+    "normalized full plane attain the restricted estimate with "
+    "constant exactly 1, and the normalized full space lands at "
+    "p^{-1/(2r)}",
+    (3, 5, 7), (3,), 1)
+def _run_pl3(ctx: RunContext):
+    p = ctx.prime
+    field = ctx.field
+    S = hyperbolic_paraboloid(field, 3)
+    X = coordinate_array(p, 3)
+    rng = ctx.trial_rng(0)
+    for r_exp in (1.6, 1.75, 1.8):
+        q = 2 * r_exp / (2 * r_exp - 1)
+        x0 = rng.integers(0, p, size=3)
+        f1 = FFunction.delta(field, 3, x0)
+        dev1 = max(abs(restriction(f1, S).norm(r_exp) - 1.0),
+                   abs(lp_norm(f1.data, q) - 1.0))
+        b = int(rng.integers(0, p))
+        plane = np.where(X[:, 1] == b, p ** (-2.0 / q), 0.0).astype(complex)
+        f2 = FFunction(field, 3, plane)
+        dev2 = max(abs(restriction(f2, S).norm(r_exp) - 1.0),
+                   abs(lp_norm(f2.data, q) - 1.0))
+        f3 = FFunction.constant(field, 3, p ** (-3.0 / q))
+        dev3 = max(abs(restriction(f3, S).norm(r_exp) - p ** (-1 / (2 * r_exp))),
+                   abs(lp_norm(f3.data, q) - 1.0))
+        yield max(dev1, dev2, dev3), dict(r=r_exp, point_mass=dev1, plane=dev2,
+                                          full_space=dev3)
+
+
+# ---------------------------------------------------------------------------
+# QF: quadratic form classification
+
+
+@scenario(
+    "QF-1", "exact_identity",
+    "computed isotropy index matches exhaustive subspace search "
+    "for every diagonal nondegenerate form and random symmetric "
+    "forms",
+    (3, 5, 7), (2, 3, 4), 10)
+def _run_qf1(ctx: RunContext):
+    p, m = ctx.prime, ctx.dim
+    field = ctx.field
+    lines, planes = witt_monomials(p, m)
+    for diag in itertools.product(range(1, p), repeat=m):
+        A = np.diag(np.array(diag, dtype=np.int64))
+        got = QuadraticSpace(field, A).witt_index
+        want = brute_witt(A, p, lines, planes)
+        yield float(got != want), dict(diagonal=list(diag), computed=got, brute=want)
+    rng = ctx.trial_rng(0)
+    for t in range(ctx.trials):
+        A = _nondegenerate_symmetric(field, m, rng)
+        got = QuadraticSpace(field, A).witt_index
+        want = brute_witt(A, p, lines, planes)
+        yield float(got != want), dict(matrix=[int(x) for x in A.ravel()],
+                                       computed=got, brute=want)
+
+
+@scenario(
+    "QF-2", "exact_identity",
+    "complementary isotropic pairs admit a dual basis whose form "
+    "pairing against the chosen basis is exactly the identity "
+    "matrix",
+    (3, 5, 7), (2, 4), 25)
+def _run_qf2(ctx: RunContext):
+    # The rows of the pairing basis must also lie in the complement V.
+    p, m = ctx.prime, ctx.dim
+    field = ctx.field
+    n = m // 2
+    Q0 = hyperbolic_paraboloid(field, m + 1).Q
+    for t, rng in ctx.trial_rngs():
+        M = random_invertible(field, m, rng)
+        A = (M.T @ Q0.A @ M) % p
+        Q = QuadraticSpace(field, A)
+        iso = enumerate_max_isotropic(Q)
+        W = iso[int(rng.integers(0, len(iso)))]
+        V = complementary_isotropic(Q, W)
+        pair = dual_pairing_basis(Q, W, V)
+        gram = (W.basis @ Q.A @ pair.T) % p
+        dev = float(np.abs(gram - np.eye(n, dtype=np.int64)).max())
+        for row in pair:
+            if not V.contains(row):
+                dev = max(dev, 1.0)
+        yield dev, dict(trial=t)
+
+
+@scenario(
+    "QF-3", "exact_identity",
+    "averaging the pairing character over a subspace equals the "
+    "indicator of its orthogonal complement",
+    (3, 5, 7), (2, 3, 4), 20)
+def _run_qf3(ctx: RunContext):
+    p, m = ctx.prime, ctx.dim
+    field = ctx.field
+    for t, rng in ctx.trial_rngs():
+        Q = QuadraticSpace(field, _nondegenerate_symmetric(field, m, rng))
+        W = random_subspace(field, m, int(rng.integers(1, m)), rng)
+        comp = orthogonal_complement(Q, W)
+        for _ in range(4):
+            x = rng.integers(0, p, size=m)
+            got = complement_indicator_character_sum(Q, W, x)
+            want = 1.0 if comp.contains(x) else 0.0
+            yield abs(got - want), dict(trial=t, point=x.tolist())
+
+
+@scenario(
+    "QF-4", "exact_identity",
+    "every (d-3)-dimensional subspace restriction of a base form "
+    "lands in the allowed (rank, degenerate dim, isotropy) "
+    "classification table",
+    (3, 5, 7), (4, 5), 20)
+def _run_qf4(ctx: RunContext):
+    # Fully vanishing restrictions are excluded by the classifier and
+    # skipped here.  At odd d the dot and pairing forms are split at every
+    # p of the grid, so diag(1, ..., 1, g), g the least non-square, stands
+    # for the non-split class.
+    d = ctx.dim
+    field = ctx.field
+    forms = [dot_form(field, d - 1)]
+    if d % 2:
+        g = next(x for x in range(2, ctx.prime) if not field.is_square[x])
+        forms += [hyperbolic_pairing_form(field, (d - 1) // 2),
+                  diagonal_form(field, [1] * (d - 2) + [g])]
+    for Q in forms:
+        allowed = allowed_subsurface_triples(d, Q.witt_index)
+        for _, rng in ctx.trial_rngs():
+            V = random_subspace(field, d - 1, d - 3, rng)
+            try:
+                trip = classify_subsurface(Q, V)
+            except FullyDegenerate:
+                continue
+            yield float(trip not in allowed), dict(triple=list(trip),
+                                                   witt=Q.witt_index)
+
+
+# ---------------------------------------------------------------------------
+# KK: maximal operator and bridges
+
+
+@scenario(
+    "KK-1", "constant_tracked",
+    "directional maximal ratio over indicator inputs at the "
+    "m-norm pair; exhaustive over all indicators at the baseline "
+    "prime, structured plus random families elsewhere",
+    (3, 5, 7, 11, 13), (2, 3), 30,
+    direction="upper", provenance=(3, 2, 1, 0))
+def _run_kk1(ctx: RunContext):
+    # The ratio is ||F*||_m (normalized) / ||F||_m (counting).
+    p, m = ctx.prime, ctx.dim
+    field = ctx.field
+    total = p**m
+
+    def family():
+        masks = _exhaustive_masks(ctx, total)
+        if masks is not None:
+            for mask, row in enumerate(masks, 1):
+                yield row.astype(complex), {"mask": mask}
+            return
+        for t, rng in ctx.trial_rngs():
+            if t == 0:
+                # the line through the origin with direction (1, ..., m-1)
+                line = np.outer(np.arange(p), np.r_[np.arange(1, m), 1])
+                vals = FFunction.indicator(field, m, line).data
+            elif t == 1:
+                vals = FFunction.constant(field, m, 1.0).data
+            else:
+                density = rng.uniform(0.1, 0.9)
+                vals = (rng.random(total) < density).astype(complex)
+                if not vals.any():
+                    vals[0] = 1.0
+            yield vals, {"trial": t}
+
+    for stack in _stacks(family(), total):
+        F = FFunction(field, m, np.stack([vals for vals, _ in stack]))
+        for (_, fields), r in zip(stack, kk.maximal_ratio(F).tolist(), strict=True):
+            yield r, dict(fields, ratio=r)
+
+
+@scenario(
+    "KK-2", "exact_identity",
+    "duality consistency: the direct maximal-ratio lower bound "
+    "equals the paired bound built from the conjugate-power dual "
+    "superposition at the maximizing bases",
+    (3, 5, 7), (2, 3), 15)
+def _run_kk2(ctx: RunContext):
+    p, m = ctx.prime, ctx.dim
+    pairs = ((1.5, 1.5), (2.0, 2.0), (1.25, 3.0))
+    for stack in _stacks(ctx.trial_rngs(), p**m):
+        F = FFunction(ctx.field, m, np.stack(
+            [rng.uniform(0.1, 1.0, size=p**m).astype(complex) for _, rng in stack]))
+        found = [(r.direct_lower.tolist(), r.paired_lower.tolist())
+                 for r in kk.dual_consistency(F, pairs)]
+        for i, (t, _) in enumerate(stack):
+            for (q, pe), (direct, paired) in zip(pairs, found, strict=True):
+                yield _rel(direct[i], paired[i]), dict(trial=t, q=q, p_in=pe)
+
+
+@scenario(
+    "KK-3", "exact_identity",
+    "base-map embedding: the extension of the square-root-weight "
+    "embed equals its line-and-character closed form, the "
+    "x2-collapse equals the dual superposition, and the exponent "
+    "chain ties the endpoint pair (m-1)/(2m-1) to the dual pair",
+    (3, 5), (3, 5), 15)
+def _run_kk3(ctx: RunContext):
+    p, d = ctx.prime, ctx.dim
+    n = (d - 1) // 2
+    m = n + 1
+    field = ctx.field
+    rev = encode_point(-coordinate_array(p, n), p)
+    for stack in _stacks(ctx.trial_rngs(), p**d):
+        hs, bs = [], []
+        for _, rng in stack:
+            data = rng.uniform(0.0, 2.0, size=p**n)
+            data[rng.random(p**n) < 0.2] = 0.0
+            if not data.any():
+                data[0] = 1.0
+            hs.append(data.astype(complex))
+            bs.append(rng.integers(0, p, size=(p**n, n)))
+        h, b = FFunction(field, n, np.stack(hs)), np.stack(bs)
+        ext = extension(kk.restriction_to_kakeya_embed(h, b)).data
+        closed = np.abs(ext - kk.embed_closed_form(h, b).data).max(axis=-1).tolist()
+        profiles = kk.dual_kakeya_apply(h.data[..., rev], b, field, n + 1).data.real
+        for (t, _), e, c, profile in zip(stack, ext, closed, profiles, strict=True):
+            cube = np.abs(e.reshape(p**n, p**n, p, order="F")) ** 2
+            collapse = float(np.abs(
+                cube.sum(axis=1) - profile.reshape(p**n, p, order="F")).max())
+            yield max(c, collapse), dict(trial=t, closed_form=c, collapse=collapse)
+    ex = kk.restriction_to_kakeya_exponents(m)
+    target = Fraction(m - 1, 2 * m - 1)
+    chain_dev = 0.0
+    if not (ex.prefactor == ex.endpoint == target
+            and ex.restriction_q == 2 * ex.dual_q):
+        chain_dev = 1.0
+    yield chain_dev, dict(check="exponent_chain")
+
+
+@scenario(
+    "KK-4", "constant_tracked",
+    "direction-complete audit: the parabolic base-map set covers "
+    "every direction and its density p((p+1)/2)^{m-1}/p^m stays "
+    "at or above the tracked grid floor (and the 1/m! envelope)",
+    (3, 5, 7, 11, 13), (2, 3), 1,
+    direction="floor", provenance=(13, 3, 1, 0))
+def _run_kk4(ctx: RunContext):
+    m = ctx.dim
+    field = ctx.field
+    K = kk.standard_kakeya_set(field, m)
+    audit = kk.kakeya_set_audit(K)
+    density = audit.density
+    ok = audit.is_kakeya and density >= kk.dvir_envelope(m) - 1e-12
+    if ok:
+        yield density, dict(density=density)
+    else:
+        yield 0.0, dict(is_kakeya=audit.is_kakeya, density=density,
+                        missing=len(audit.missing))
+
+
+# ---------------------------------------------------------------------------
+# MX: mixed norms through isotropic pairs
+
+
+def _iso_pair(S: Surface):
+    W = enumerate_max_isotropic(S.Q)[0]
+    return W, complementary_isotropic(S.Q, W)
+
+
+def _mx1_surface(field: PrimeField, d: int) -> Surface:
+    """MX-1's surface: the dot form (p = 1 mod 4) or the hyperbolic
+    pairing form, seen through the fixed change of coordinates x -> M x, M
+    the identity with its first row set to ones; only the congruent
+    surface is built.  On the standard forms at p = 3 the first isotropic
+    pair is coordinate-aligned, so the coset route would read the
+    transform in the direct route's own layout; the congruent copy moves
+    the pair off the axes at every grid point."""
+    p = field.p
+    Q = dot_form(field, d - 1) if p % 4 == 1 else hyperbolic_pairing_form(field, (d - 1) // 2)
+    M = np.eye(d - 1, dtype=np.int64)
+    M[0] = 1
+    return Surface(QuadraticSpace(field, M.T @ Q.A @ M % p))
+
+
+@scenario(
+    "MX-1", "exact_identity",
+    "coset reparameterization: splitting frequencies over a "
+    "complementary isotropic pair with the cross-term phase "
+    "reproduces the extension exactly",
+    (3, 5, 13), (3, 5), 15)
+def _run_mx1(ctx: RunContext):
+    # The coset route evaluates the double sum over W x V as p transforms
+    # of p^{2n} points, one per height t (about 2n p^{2n+2} multiplies).
+    # The run checks one trial where p^{4n+1}, the number of (pair, output
+    # point) terms, passes 5e8 (only (13, 5) of the grid); the context
+    # carries the lowered count so the report row states it.  Both
+    # routes stream the extension one height slab at a time, p slabs each,
+    # and every point of each slab is compared in place (a -= b gives the
+    # bits of a - b); the pair is dropped before the next one is computed,
+    # so at most one slab pair is held.  np.max over the per-slab maxima
+    # keeps a NaN, where Python's max may drop it.
+    p, d = ctx.prime, ctx.dim
+    S = _mx1_surface(ctx.field, d)
+    W, V = _iso_pair(S)
+    if p ** (4 * ((d - 1) // 2) + 1) > 5e8:
+        ctx.trials = 1
+    for t, rng in ctx.trial_rngs():
+        f = SurfaceFunction.random(S, rng)
+        devs = []
+        for a, b in zip(extension_slabs(f), kk.coset_slabs(f, W, V), strict=True):
+            a -= b
+            devs.append(np.abs(a).max())
+            del a, b
+        yield float(np.max(devs)), dict(trial=t)
+
+
+@scenario(
+    "MX-2", "constant_tracked",
+    "mixed-norm extension constant at the endpoint pair "
+    "((2d+2)/(d-1) outer, 2 inner) over indicator inputs; "
+    "exhaustive at the baseline prime",
+    (3, 5, 7), (3, 5), 20,
+    direction="upper", provenance=(3, 3, 1, 0))
+def _run_mx2(ctx: RunContext):
+    # Every input reads one labelling of the base by W's cosets, which
+    # kakeya caches per W; V only places the structured inputs.
+    p, d = ctx.prime, ctx.dim
+    S = hyperbolic_paraboloid(ctx.field, d)
+    W, V = _iso_pair(S)
+    base_total = p ** (d - 1)
+
+    def family():
+        # indicators on the base, as bool masks
+        masks = _exhaustive_masks(ctx, base_total)
+        if masks is not None:
+            for mask, row in enumerate(masks, 1):
+                yield row, {"mask": mask}
+            return
+        # structured inputs: the cosets W+v and V+w, then the whole base
+        Wp, Vp = W.point_array(), V.point_array()
+        structured = [encode_point(Vp + w, p) for w in Wp]
+        structured += [encode_point(Wp + v, p) for v in Vp]
+        structured.append(np.arange(base_total))
+        for i, idx in enumerate(structured):
+            row = np.zeros(base_total, dtype=bool)
+            row[idx] = True
+            yield row, {"structured": i}
+        for t, rng in ctx.trial_rngs():
+            row = rng.random(base_total) < rng.uniform(0.2, 0.8)
+            if not row.any():
+                row[0] = True
+            yield row, {"trial": t}
+
+    for stack in _stacks(family(), p**d):
+        f = SurfaceFunction(S, np.stack([row for row, _ in stack]).astype(complex))
+        ratios = kk.mixed_extension_ratio(f, W).tolist()
+        for (_, fields), r in zip(stack, ratios, strict=True):
+            yield r, dict(fields, ratio=r)
+
+
+@scenario(
+    "MX-3", "constant_tracked",
+    "slice-regular indicators against the exponent "
+    "gamma/2 + (e+1)/(d+1) + (d-3)/(2d+2): tracked worst ratio "
+    "over seeded slice-isotropic decompositions",
+    (3, 5), (3, 5), 8,
+    direction="upper", provenance=(3, 3, 8, 0))
+def _run_mx3(ctx: RunContext):
+    S = hyperbolic_paraboloid(ctx.field, ctx.dim)
+    for t, rng in ctx.trial_rngs():
+        audit = kk.kakeya_regular_set_bound(S, kk.random_slice_decomposition(S, rng))
+        yield audit.ratio, dict(trial=t, gamma=audit.gamma, pieces=audit.e_exp,
+                                ratio=audit.ratio)
+
+
+# ---------------------------------------------------------------------------
+# EX: energy exponent curves
+
+
+@scenario(
+    "EX-1", "exponent_arith",
+    "energy exponent closed forms: 5/2 at 3/4 (three dimensions), "
+    "23/8 at 9/16 (five dimensions), 3 at the right endpoint, the "
+    "degenerate lift 3a + psi(a)(1-a), and validity-window guards",
+    (3,), (3, 5), 1, tolerance=1e-12)
+def _run_ex1(ctx: RunContext):
+    devs = {}
+    devs["dim3_spot"] = abs(energy_exponent_closed("dim3_witt1", 0.75) - 2.5)
+    devs["dim5_spot"] = abs(energy_exponent_closed("dim5_witt2", 0.5625) - 23 / 8)
+    devs["dim3_end"] = abs(energy_exponent_closed("dim3_witt1", 1.0) - 3.0)
+    devs["dim5_end"] = abs(energy_exponent_closed("dim5_witt2", 1.0) - 3.0)
+    curve = closed_form_curve("dim3_witt1")
+    for a in (0.75, 0.875, 1.0):
+        got = energy_exponent_recurse(curve, a, variant="degenerate_lift").value
+        want = 3 * a + curve(a) * (1 - a)
+        devs[f"lift_{a}"] = abs(got - want)
+    try:
+        energy_exponent_closed("dim3_witt1", 0.5)
+        devs["window_guard"] = 1.0
+    except OutOfValidityRange:
+        devs["window_guard"] = 0.0
+    yield max(devs.values()), devs
+
+
+@scenario(
+    "EX-2", "exponent_arith",
+    "the dimension recursion is nondecreasing, pinned to 3 at the "
+    "right endpoint, and balances 4.5 rho = 1.5 + psi exactly "
+    "against a constant inner curve",
+    (3,), (3, 5), 1, tolerance=1e-9)
+def _run_ex2(ctx: RunContext):
+    devs = {}
+    cur = recursion_curve(closed_form_curve("dim3_witt1"))
+    vals = cur.psi_values
+    devs["monotone"] = max(_pos(a - b) for a, b in itertools.pairwise(vals))
+    devs["endpoint"] = abs(cur(1.0) - 3.0)
+    r = energy_exponent_recurse(2.5, 0.8)
+    devs["constant_rho"] = abs(r.rho - 8 / 9)
+    devs["constant_value"] = abs(r.value - 53 / 18)
+    yield max(devs.values()), devs
+
+
+@scenario(
+    "EX-3", "constant_tracked",
+    "empirical energy scatter: worst multiplicative overshoot of "
+    "measured energy over size^psi(alpha) across structured and "
+    "random surface subsets; tracked",
+    (3, 5, 7), (3, 5), 20,
+    direction="upper", provenance=(3, 3, 20, 0))
+def _run_ex3(ctx: RunContext):
+    S = hyperbolic_paraboloid(ctx.field, ctx.dim)
+    for s in sample_energy_exponents(S, ctx.trials, ctx.trial_rng(0)):
+        yield s.size ** (s.exponent - (s.bound - ENERGY_SLACK)), dict(
+            label=s.label, size=s.size, alpha=s.alpha, exponent=s.exponent)
+
+
+@scenario(
+    "MAIN-1", "exponent_arith",
+    "the rendered exponent landscape pins the improved pair "
+    "(18/5, 9/4) with gain 4/10, the five-dimensional threshold "
+    "47/31, the Stein-Tomas rows, the conjectured endpoints, and "
+    "measured sharp two-norm constants labeled against their "
+    "asymptotics",
+    (3, 5), (3,), 1, tolerance=0.5)
+def _run_main1(ctx: RunContext):
+    table = exponent_table()
+    required = ["Stein-Tomas", "18/5", "9/4", "4/10", "47/31",
+                "(2d+2)/(d-1)", "2d/(d-1)", "measured", "asymptotic",
+                "conjectured"]
+    missing = [tok for tok in required if tok not in table]
+    for p in (3, 5):
+        v = exact_r22(paraboloid(PrimeField(p), 3))
+        if f"{v:.12g}" not in table:
+            missing.append(f"r22(p={p})")
+    yield float(len(missing)), dict(missing=", ".join(missing))
+
+
+def exponent_table() -> str:
+    """Rendered exponent landscape with measured sharp constants."""
+    lines = []
+    lines.append("restriction exponent landscape, paraboloid family, d = 2n+1")
+    lines.append("R*(q -> r) means: extension maps L^r(dsigma) into L^q(dx)")
+    lines.append("")
+    lines.append("d = 3")
+    lines.append("  Stein-Tomas            q = 4       r = 2")
+    lines.append("  tracked improvement    q = 18/5    r = 9/4   "
+                 "(gain delta_3 = 4/10 off the q = 4 row)")
+    lines.append("  conjectured            q = 3       r = 3")
+    lines.append("d = 5")
+    lines.append("  Stein-Tomas            q = 3       r = 2")
+    lines.append("  tracked improvement    q < 47/31   r = 2")
+    lines.append("  conjectured            q = 5/2     r = 5/2")
+    lines.append("general odd d")
+    lines.append("  Stein-Tomas            q = (2d+2)/(d-1)")
+    lines.append("  conjectured            q = 2d/(d-1)")
+    lines.append("")
+    lines.append("sharp R*(2 -> 2), measured at desk scale vs the "
+                 "asymptotic sqrt(p):")
+    for p in (3, 5):
+        v = exact_r22(paraboloid(PrimeField(p), 3))
+        lines.append(f"  p = {p}, d = 3:  measured = {v:.12g}   "
+                     f"asymptotic = {math.sqrt(p):.12g}")
+    return "\n".join(lines) + "\n"

@@ -42,7 +42,8 @@ from fflab.harness import (
     witness_values,
 )
 from fflab.harness.baselines import oracle_hash
-from fflab.harness.scenarios import RunContext, _iso_pair, _mx1_surface
+from fflab.harness.runners import _iso_pair, _mx1_surface
+from fflab.harness.scenarios import RunContext
 from fflab.harness.reporting import CSV_COLUMNS
 
 
@@ -82,6 +83,26 @@ def test_every_runner_is_a_generator_function():
     # isgeneratorfunction unwraps FT-1's and FT-2's functools.partial.
     assert [sid for sid, sc in REGISTRY.items()
             if not inspect.isgeneratorfunction(sc.runner)] == []
+
+
+def test_a_duplicate_scenario_id_raises():
+    from fflab.harness.scenarios import scenario
+    ft1 = REGISTRY["FT-1"]
+    with pytest.raises(ValueError, match="duplicate scenario id FT-1"):
+        scenario("FT-1", "exact_identity", "a second FT-1", (3,), (3,), 1)(_unit_runner)
+    assert REGISTRY["FT-1"] is ft1
+
+
+def test_every_runner_function_is_the_runner_of_a_scenario():
+    # The statement gate covers only the library, so a runner whose
+    # @scenario line went missing would run nowhere and go unseen.
+    import fflab.harness.runners as runners
+    defined = {fn for name, fn in vars(runners).items()
+               if name.startswith("_run_") and inspect.isfunction(fn)}
+    registered = {sc.runner.func if isinstance(sc.runner, functools.partial) else sc.runner
+                  for sc in REGISTRY.values()}
+    assert len(defined) == 38
+    assert defined == registered
 
 
 def test_every_tracked_scenario_has_fresh_baseline():
@@ -480,6 +501,12 @@ def test_one_value_allowlist_has_no_stale_entry(default_runs):
 
 def _imports_oracles(tree):
     """Whether a module's syntax tree imports fflab.oracles in any form."""
+    return _imports_any(tree, {"oracles"})
+
+
+def _imports_any(tree, modules):
+    """Whether a module's syntax tree imports any of the named fflab
+    modules in any form."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             parts = (node.module or "").split(".") + [a.name for a in node.names]
@@ -487,7 +514,7 @@ def _imports_oracles(tree):
             parts = [part for a in node.names for part in a.name.split(".")]
         else:
             continue
-        if "oracles" in parts:
+        if not modules.isdisjoint(parts):
             return True
     return False
 
@@ -500,6 +527,18 @@ def test_library_modules_never_import_the_oracles():
     found = [mod.__name__ for mod in LIBRARY
              if _imports_oracles(_parsed(Path(mod.__file__))[1])]
     assert found == []
+
+
+def test_the_engine_imports_no_library_layer():
+    # The engine judges runs and the runners alone reach the library:
+    # scenarios.py takes only PrimeField from core.
+    layers = {"fourier", "surfaces", "qforms", "combinatorics", "kakeya", "oracles"}
+    for planted in ("from .. import kakeya as kk\n", "from ..fourier import convolve\n",
+                    "import fflab.surfaces\n", "from ..oracles import brute_witt\n"):
+        assert _imports_any(ast.parse(planted), layers), planted
+    assert not _imports_any(ast.parse("from ..core import PrimeField\n"), layers)
+    import fflab.harness.scenarios as scenarios
+    assert not _imports_any(_parsed(Path(scenarios.__file__))[1], layers)
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +671,13 @@ def test_sweep_skips_combos_outside_validity():
 
 
 def test_sweep_empty_ids():
-    reports, failed = sweep([], [3], [3])
-    assert reports == [] and failed is False
+    with pytest.raises(ValueError, match="no scenario id selected"):
+        sweep([], [3], [3])
+
+
+def test_sweep_id_off_the_requested_grid_raises():
+    with pytest.raises(ValueError, match="EN-1 runs at primes"):
+        sweep(["FT-1", "EN-1"], [3], [5])
 
 
 def test_sweep_unknown_id_raises():
@@ -908,11 +952,11 @@ def test_sweep_verifies_each_tracked_runner_once(tmp_path, monkeypatch):
     ([0.0, float("nan"), 1.0], 1),  # a later finite value must not replace it
 ])
 def test_nan_deviation_fails_the_run_with_its_witness(monkeypatch, devs, first_nan):
-    import fflab.harness.scenarios as scenarios
+    import fflab.harness.runners as runners
     values = iter(devs)
     # MT-1 checks a stack of trials per call, so the stub returns one
     # deviation per row, in trial order
-    monkeypatch.setattr(scenarios, "pseudo_conformal_check",
+    monkeypatch.setattr(runners, "pseudo_conformal_check",
                         lambda h0, S: np.array([next(values) for _ in h0.data]))
     r = run_scenario("MT-1", prime=3, dim=3, trials=len(devs))
     assert r.status == "fail"
@@ -921,19 +965,19 @@ def test_nan_deviation_fails_the_run_with_its_witness(monkeypatch, devs, first_n
 
 
 # The runners that cut their trials, or their exhaustive and structured
-# inputs, into stacks, one operator call per stack (scenarios._stacks).
+# inputs, into stacks, one operator call per stack (runners._stacks).
 # KK-1 at (3, 2) and MX-2 at (3, 3) stack their exhaustive families.
 STACKED_RUNNERS = ("FT-3", "ST-1", "ST-2", "ST-5", "ST-6", "BR-1", "PL-1", "MT-1",
                    "EN-4", "KK-1", "KK-2", "KK-3", "MX-2")
 
 
 def test_stacks_cut_a_run_into_consecutive_bounded_lists():
-    import fflab.harness.scenarios as scenarios
-    assert scenarios.STACK_POINTS == 4096
+    import fflab.harness.runners as runners
+    assert runners.STACK_POINTS == 4096
     sizes = {27: [20], 343: [11, 11, 3], 2048: [2] * 12 + [1], 2049: [1] * 25,
              16807: [1] * 25}
     for points, want in sizes.items():
-        stacks = list(scenarios._stacks(range(25 if points != 27 else 20), points))
+        stacks = list(runners._stacks(range(25 if points != 27 else 20), points))
         assert [len(s) for s in stacks] == want
         assert [x for s in stacks for x in s] == list(range(sum(want)))
 
@@ -944,13 +988,13 @@ def test_stacked_runner_yields_the_cases_of_one_trial_stacks(monkeypatch, sid):
     # makes one operator call per trial; its cases must come out the same,
     # bit for bit and in order.  (7, 3) splits 25 trials, or BR-1's 343
     # triples, into stacks of 11 and a remainder.
-    import fflab.harness.scenarios as scenarios
+    import fflab.harness.runners as runners
     sc = REGISTRY[sid]
     for p, d in ((3, sc.dims[0]), (7, 3)):
-        assert scenarios.STACK_POINTS // p**d > 1
+        assert runners.STACK_POINTS // p**d > 1
         stacked = list(sc.runner(RunContext(sid, p, d, sc.default_trials, 11)))
         with monkeypatch.context() as patch:
-            patch.setattr(scenarios, "STACK_POINTS", 1)
+            patch.setattr(runners, "STACK_POINTS", 1)
             single = list(sc.runner(RunContext(sid, p, d, sc.default_trials, 11)))
         assert len(stacked) > 1
         assert repr(stacked) == repr(single)
@@ -958,14 +1002,14 @@ def test_stacked_runner_yields_the_cases_of_one_trial_stacks(monkeypatch, sid):
 
 def test_in2_witness_reports_the_audited_constants(monkeypatch):
     # a failing IN-2 row names the c1 and c2 its bound was built from
-    import fflab.harness.scenarios as scenarios
+    import fflab.harness.runners as runners
     audits = []
 
     def zero_bound(P, L):
         audits.append(combinatorics.incidence_bound_audit(P, L))
         return audits[-1]._replace(bound=0.0)
 
-    monkeypatch.setattr(scenarios, "incidence_bound_audit", zero_bound)
+    monkeypatch.setattr(runners, "incidence_bound_audit", zero_bound)
     r = run_scenario("IN-2", prime=3, dim=2, trials=2)
     assert r.status == "fail"
     values = r.witness["values"]
@@ -979,13 +1023,13 @@ def test_drift_check_catches_a_defect_in_an_exhaustive_constant(monkeypatch):
     # still under twice the baseline; the default sweep catches it only
     # because the exhaustive run states one trial and so meets its
     # provenance, where the drift check compares the constant itself.
-    import fflab.harness.scenarios as scenarios
+    import fflab.harness.runners as runners
     source = inspect.getsource(combinatorics.off_diagonal_energy)
     both = "\n            + _colliding_pairs(sums + b0 + p * b1, case, cases)"
     assert both in source
     planted = {}
     exec(source.replace(both, ""), vars(combinatorics), planted)
-    monkeypatch.setattr(scenarios, "off_diagonal_energy",
+    monkeypatch.setattr(runners, "off_diagonal_energy",
                         planted["off_diagonal_energy"])
     reports, failed = sweep(["EN-3"], [3], [3])
     assert failed
@@ -1000,7 +1044,7 @@ def test_the_exhaustive_point_is_the_registry_provenance(monkeypatch):
     # at the point its registry entry names as provenance and nowhere
     # else, so moving the provenance moves the enumeration and the drift
     # check still meets it.
-    import fflab.harness.scenarios as scenarios
+    import fflab.harness.runners as runners
     sc = REGISTRY["KK-1"]
     monkeypatch.setitem(REGISTRY, "KK-1", dataclasses.replace(sc, provenance=(5, 2, 1, 0)))
     ctx = RunContext("KK-1", 3, 2, sc.default_trials, 0)
@@ -1009,21 +1053,21 @@ def test_the_exhaustive_point_is_the_registry_provenance(monkeypatch):
     assert [fields["trial"] for _, fields in cases] == list(range(sc.default_trials))
     assert run_scenario("KK-1", prime=3, dim=2).trials == sc.default_trials
 
-    masks = scenarios._exhaustive_masks(RunContext("KK-1", 5, 2, 30, 0), 4)
+    masks = runners._exhaustive_masks(RunContext("KK-1", 5, 2, 30, 0), 4)
     assert masks.dtype == bool and masks.shape == (15, 4)
     assert [int(row @ (1 << np.arange(4))) for row in masks] == list(range(1, 16))
-    assert scenarios._exhaustive_masks(RunContext("KK-1", 3, 2, 30, 0), 4) is None
+    assert runners._exhaustive_masks(RunContext("KK-1", 3, 2, 30, 0), 4) is None
 
     # All 2^25 - 1 indicators of F_5^2 are too many to build here; the
     # family is cut to its first 7 rows, the subsets of the first three
     # points, and the decision stays the helper's own.
-    real = scenarios._exhaustive_masks
+    real = runners._exhaustive_masks
 
     def first_rows(ctx, n):
         rows = real(ctx, 3)
         return None if rows is None else np.pad(rows, ((0, 0), (0, n - 3)))
 
-    monkeypatch.setattr(scenarios, "_exhaustive_masks", first_rows)
+    monkeypatch.setattr(runners, "_exhaustive_masks", first_rows)
     ctx = RunContext("KK-1", 5, 2, sc.default_trials, 0)
     cases = list(sc.runner(ctx))
     assert ctx.trials == 1
@@ -1034,7 +1078,7 @@ def test_an_exhaustive_family_past_2_16_subsets_fails_before_it_is_built(monkeyp
     # At (5, 2) KK-1's family would be all 2^25 - 1 indicators of F_5^2,
     # about 6.7 GB of masks and rows; the run fails at once instead, with
     # a witness that names the family's size.
-    import fflab.harness.scenarios as scenarios
+    import fflab.harness.runners as runners
     sc = REGISTRY["KK-1"]
     monkeypatch.setitem(REGISTRY, "KK-1", dataclasses.replace(sc, provenance=(5, 2, 1, 0)))
     start = time.perf_counter()
@@ -1047,9 +1091,9 @@ def test_an_exhaustive_family_past_2_16_subsets_fails_before_it_is_built(monkeyp
     assert values["raised_in"].startswith("_exhaustive_masks")
     # 2^16 - 1 rows is the largest family built
     ctx = RunContext("KK-1", 5, 2, 30, 0)
-    assert scenarios._exhaustive_masks(ctx, 16).shape == (2**16 - 1, 16)
+    assert runners._exhaustive_masks(ctx, 16).shape == (2**16 - 1, 16)
     with pytest.raises(FFLabError, match="2\\^17 - 1"):
-        scenarios._exhaustive_masks(ctx, 17)
+        runners._exhaustive_masks(ctx, 17)
 
 
 def test_the_sweep_loads_numpy_lazy_modules_before_the_fork():
@@ -1256,16 +1300,16 @@ def test_eq1_fails_when_its_congruence_is_wrong(monkeypatch):
 # function broken, the run must fail in-process within a second, with
 # draw_until's FFLabError as its witness, where it used to hang.
 @pytest.mark.parametrize("targets,defect,scenario,prime,dim", [
-    ("qforms.det_mod scenarios.det_mod", lambda M, p: 0, "QF-3", 3, 2),
-    ("qforms.det_mod scenarios.det_mod", lambda M, p: 0, "EQ-1", 5, 3),
-    ("qforms.det_mod scenarios.det_mod", lambda M, p: 0, "QF-2", 3, 4),
+    ("qforms.det_mod runners.det_mod", lambda M, p: 0, "QF-3", 3, 2),
+    ("qforms.det_mod runners.det_mod", lambda M, p: 0, "EQ-1", 5, 3),
+    ("qforms.det_mod runners.det_mod", lambda M, p: 0, "QF-2", 3, 4),
     ("qforms.rank_mod", lambda M, p: 0, "QF-3", 3, 2),
     ("Subspace.contains", lambda self, x: True, "EX-3", 3, 3),
 ])
 def test_a_defect_under_a_rejection_draw_fails_the_run_fast(
         monkeypatch, targets, defect, scenario, prime, dim):
-    import fflab.harness.scenarios as scenarios
-    owners = {"qforms": qforms, "scenarios": scenarios, "Subspace": qforms.Subspace}
+    import fflab.harness.runners as runners
+    owners = {"qforms": qforms, "runners": runners, "Subspace": qforms.Subspace}
     for target in targets.split():
         owner, _, name = target.partition(".")
         monkeypatch.setattr(owners[owner], name, defect)
@@ -1611,7 +1655,31 @@ def test_cli_sweep_writes_reports(tmp_path):
 
 
 def test_cli_sweep_empty_ids(tmp_path):
-    assert cli_main(["sweep", "--ids", "", "--out", str(tmp_path)]) == 0
+    assert cli_main(["sweep", "--ids", "", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("args,out", [
+    (["--ids", ""], "reports"),
+    (["--ids", ","], "reports"),
+    (["--ids", "FT-1", "--primes", "2", "--dims", "3"], "reports"),
+    (["--ids", "FT-1,EN-1", "--dims", "5"], "reports"),
+    (["--ids", "FT-1"], "file"),
+    (["--ids", "FT-1"], "file/reports"),
+], ids=["empty", "commas", "no grid point", "one id off the grid", "out is a file",
+        "out under a file"])
+def test_cli_sweep_edges_exit_2_before_any_run(args, out, tmp_path, monkeypatch, capsys):
+    # These used to exit 0 having run nothing, exit 0 having dropped EN-1
+    # in silence, or compute every run and then lose it to a traceback.
+    import fflab.harness.scenarios as scenarios
+
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(scenarios, "_run_checked", no_run)
+    (tmp_path / "file").write_text("")
+    assert cli_main(["sweep", *args, "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "reports").exists()
 
 
 def test_cli_list_and_table(capsys):

@@ -35,7 +35,7 @@ from fflab.core import (
 )
 from fflab.errors import NotIsotropicPair, SizeOverflow
 from fflab.fourier import fourier_transform, inverse_transform
-from fflab.harness import run_scenario, scenarios
+from fflab.harness import run_scenario, runners
 from fflab.oracles import line_sum
 from fflab.qforms import Subspace, complementary_isotropic, enumerate_max_isotropic
 from fflab.surfaces import (
@@ -253,10 +253,10 @@ def test_br2_reads_the_largest_load_on_any_planar_line(monkeypatch, p):
     sels = [np.sort(rng.choice(p * p, size=int(rng.integers(1, p * p + 1)),
                                replace=False)) for _ in range(60)]
     fed = iter(sels)
-    monkeypatch.setattr(scenarios, "_random_support", lambda rng, total, k: next(fed))
-    ctx = scenarios.RunContext("BR-2", p, 3, 3 + len(sels), 0)
+    monkeypatch.setattr(runners, "_random_support", lambda rng, total, k: next(fed))
+    ctx = runners.RunContext("BR-2", p, 3, 3 + len(sels), 0)
     fixed = [np.arange(p * p), np.array([0]), np.arange(p)]
-    got = [case["u"] for _, case in scenarios._run_br2(ctx)]
+    got = [case["u"] for _, case in runners._run_br2(ctx)]
     assert got == [math.log(_literal_line_load(sel, p)) / math.log(p)
                    for sel in fixed + sels]
 

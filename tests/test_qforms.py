@@ -19,7 +19,7 @@ from fflab.errors import (
     NotMaximalIsotropic,
     SizeOverflow,
 )
-from fflab.harness.scenarios import _mx1_surface
+from fflab.harness.runners import _mx1_surface
 from fflab import oracles
 from fflab.qforms import (
     QuadraticSpace,
