@@ -16,9 +16,10 @@ scenario), 2 on configuration errors found before any runner starts,
 such as an unknown scenario id, parameters outside a scenario's
 validity set, a size-budget overflow, a baseline integrity problem, or
 a baseline store that is not one of constants and oracle hashes under
-the current schema.  In `sweep` these include an empty selection, an
-id none of whose grid points meets --primes and --dims, and an --out
-that cannot be created or written (probed with a temporary file).
+the current schema.  In `sweep` these include an empty selection, a
+repeated id, prime or dim, an id none of whose grid points meets --primes
+and --dims, and an --out that cannot be created or written (probed with
+a temporary file).
 A missing baseline is the one exception in `sweep`: it fails that id's
 row, with no metric, and the sweep goes on (`run` exits 2 on it).
 """

@@ -11,7 +11,8 @@ The stacked runners (FT-3, ST-1, ST-2, ST-5, ST-6, BR-1, PL-1, MT-1,
 EN-4, KK-1, KK-2, KK-3, MX-2) cut their trials, or their exhaustive or
 structured inputs, into consecutive stacks with _stacks, draw each
 stack's trials in trial order, make one call per operator and per norm
-on the stack, and yield one case per trial in trial order.
+on the stack, and yield one case per trial in trial order.  QF-1 cuts
+its forms into stacks the same way, one oracle call per stack.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from ..qforms import (
     diagonal_form,
     dot_form,
     dual_pairing_basis,
+    echelon_bases,
     enumerate_max_isotropic,
     hyperbolic_pairing_form,
     orthogonal_complement,
@@ -96,7 +98,7 @@ from ..combinatorics import (
     vh_plane_masks,
 )
 from .. import kakeya as kk
-from ..oracles import brute_energy, brute_witt, witt_monomials
+from ..oracles import brute_energy, brute_witt
 from .scenarios import REGISTRY, RunContext, scenario
 
 
@@ -879,21 +881,18 @@ def _run_pl3(ctx: RunContext):
     "forms",
     (3, 5, 7), (2, 3, 4), 10)
 def _run_qf1(ctx: RunContext):
-    p, m = ctx.prime, ctx.dim
-    field = ctx.field
-    lines, planes = witt_monomials(p, m)
-    for diag in itertools.product(range(1, p), repeat=m):
-        A = np.diag(np.array(diag, dtype=np.int64))
-        got = QuadraticSpace(field, A).witt_index
-        want = brute_witt(A, p, lines, planes)
-        yield float(got != want), dict(diagonal=list(diag), computed=got, brute=want)
+    p, m, field = ctx.prime, ctx.dim, ctx.field
+    cases = [(np.diag(np.array(diag, dtype=np.int64)), {"diagonal": list(diag)})
+             for diag in itertools.product(range(1, p), repeat=m)]
     rng = ctx.trial_rng(0)
-    for t in range(ctx.trials):
-        A = _nondegenerate_symmetric(field, m, rng)
-        got = QuadraticSpace(field, A).witt_index
-        want = brute_witt(A, p, lines, planes)
-        yield float(got != want), dict(matrix=[int(x) for x in A.ravel()],
-                                       computed=got, brute=want)
+    draws = [_nondegenerate_symmetric(field, m, rng) for _ in range(ctx.trials)]
+    cases += [(A, {"matrix": [int(x) for x in A.ravel()]}) for A in draws]
+    points = echelon_bases(p, m, 1)[:, 0]
+    for stack in _stacks(cases, len(points)):
+        brute = brute_witt(np.stack([A for A, _ in stack]), p, points).tolist()
+        for (A, fields), want in zip(stack, brute, strict=True):
+            got = QuadraticSpace(field, A).witt_index
+            yield float(got != want), dict(fields, computed=got, brute=want)
 
 
 @scenario(

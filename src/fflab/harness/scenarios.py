@@ -270,12 +270,15 @@ def sweep(ids, primes, dims, trials: Optional[int] = None, seed: int = 0,
     processes, where runtime_ms includes contention for the cores; a
     worker that dies fails every run it left unfinished.
 
-    An empty list of ids, or an id none of whose grid points has a prime
-    in primes and a dim in dims, raises before anything runs.
+    An empty list of ids, a repeat in ids, primes or dims, or an id none
+    of whose grid points meets primes and dims raises before anything runs.
     """
-    ids = list(ids)
+    ids, primes, dims = list(ids), list(primes), list(dims)
     if not ids:
         raise ValueError("no scenario id selected")
+    for what, values in (("scenario id", ids), ("prime", primes), ("dim", dims)):
+        if repeated := [v for i, v in enumerate(values) if v in values[:i]]:
+            raise ValueError(f"{what} {repeated[0]} is requested more than once")
     if trials is not None and trials < 1:
         raise ValueError("trials must be at least 1")
     store = BaselineStore.load()

@@ -1,10 +1,11 @@
-"""Test oracles: literal implementations kept only to be compared against.
+"""Test oracles: independent routes kept only to be compared against.
 
 Each function here computes a quantity the library also computes, by the
 defining formula or an exhaustive search instead of the fast route, so
-that a test or a scenario has an independent target.  They are slow by
-design and only sensible at small sizes.  The library modules never
-import this one; scenarios and tests do.
+that a test or a scenario has an independent target.  They are only
+sensible at small sizes; EN-1's and QF-1's exhaustive searches are array
+programs, judged in the tests by the literal loops they replaced.  The
+library modules never import this one; scenarios and tests do.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .core import FFunction, char_vector, coordinate_array, encode_point, grid_s
 from .errors import FFLabError, SizeOverflow
 from .combinatorics import PointSet, vh_plane_masks
 from .fourier import fourier_transform
-from .qforms import echelon_bases
 
 __all__ = [
     "naive_fourier_transform",
@@ -26,7 +26,6 @@ __all__ = [
     "minimum_vh_cover_size",
     "brute_energy",
     "spectral_energy",
-    "witt_monomials",
     "brute_witt",
 ]
 
@@ -95,20 +94,25 @@ def minimum_vh_cover_size(E: PointSet) -> int:
     raise FFLabError("VH planes failed to cover E")  # unreachable: planes cover F_p^3
 
 
+ENERGY_TRIPLES = 2 ** 18  # brute_energy's (n, n, n, d) block: 6 MB at n = 64, d = 3
+
+
 def brute_energy(pts: np.ndarray, p: int) -> int:
-    """EN-1's oracle: the literal count of a + b = c + d over the distinct
-    rows of pts, an (n, d) array.  For every (a, b, c) the fourth point
-    d = a + b - c is fixed, so count the triples whose d lies in the set."""
-    arr = [tuple(int(c) % p for c in row) for row in pts]
-    members = set(arr)
-    count = 0
-    for a in arr:
-        for b in arr:
-            for c in arr:
-                if tuple((ai + bi - ci) % p
-                         for ai, bi, ci in zip(a, b, c)) in members:
-                    count += 1
-    return count
+    """EN-1's oracle: the count of a + b = c + d over the rows of pts, an
+    (n, d) array of distinct points mod p.  Each (a, b, c) fixes d, so
+    every a + b - c is formed at once and looked up in a boolean cube
+    indexed by coordinates.  Raises ValueError on a repeated row and
+    SizeOverflow above ENERGY_TRIPLES triples."""
+    pts = np.asarray(pts, dtype=np.int64) % p
+    n, d = pts.shape
+    if n ** 3 > ENERGY_TRIPLES:
+        raise SizeOverflow(n ** 3, ENERGY_TRIPLES, "brute_energy's triple block")
+    members = np.zeros((p,) * d, dtype=bool)
+    members[tuple(pts.T)] = True
+    if int(members.sum()) != n:
+        raise ValueError("brute_energy counts distinct points; a row of pts repeats")
+    fourth = (pts[:, None, None] + pts[None, :, None] - pts[None, None, :]) % p
+    return int(members[tuple(np.moveaxis(fourth, -1, 0))].sum())
 
 
 def spectral_energy(A: PointSet, B: PointSet | None = None) -> int:
@@ -130,38 +134,31 @@ def spectral_energy(A: PointSet, B: PointSet | None = None) -> int:
     return count
 
 
-def witt_monomials(p: int, m: int):
-    """Degree-two monomial rows for brute_witt, built once per run.
-
-    Returns (lines, planes): x_i x_j for every projective vector x, as an
-    (N, m^2) array, and the (u_i u_j, v_i v_j, u_i v_j) arrays for every
-    echelon plane basis (u, v), or None below ambient dimension 4 (planes
-    are enough for ambient dimension at most 4).  A form's value on a row
-    is the row's dot product with A.ravel().
-    """
-    def outer(a, b):
-        return (a[:, :, None] * b[:, None, :]).reshape(len(a), m * m)
-
-    x = echelon_bases(p, m, 1)[:, 0]
-    if m < 4:
-        return outer(x, x), None
-    planes = echelon_bases(p, m, 2)
-    u, v = planes[:, 0, :], planes[:, 1, :]
-    return outer(x, x), (outer(u, u), outer(v, v), outer(u, v))
-
-
-def brute_witt(A: np.ndarray, p: int, lines: np.ndarray, planes) -> int:
-    """QF-1's oracle: the largest dimension of a totally isotropic
-    subspace, by direct search over every projective vector and every
-    echelon plane basis, given as the monomial rows of witt_monomials."""
-    a = np.asarray(A, dtype=np.int64).ravel()
-    w = 1 if bool((lines @ a % p == 0).any()) else 0
-    if w and planes is not None:
-        # u.u = 0, then v.v = 0, then u.v = 0, each tested only on the
-        # planes that passed the conditions before it
-        uu, vv, uv = planes
-        rows = np.flatnonzero(uu @ a % p == 0)
-        rows = rows[vv[rows] @ a % p == 0]
-        if bool((uv[rows] @ a % p == 0).any()):
-            w = 2
-    return w
+def brute_witt(forms: np.ndarray, p: int, points: np.ndarray) -> np.ndarray:
+    """QF-1's oracle: the Witt indices of a (k, m, m) stack of
+    nondegenerate symmetric forms mod p, m <= 4, by search over the (N, m)
+    projective points echelon_bases(p, m, 1)[:, 0].  Index 1: some point
+    is isotropic (one float64 product over all forms and points, exact
+    below 2^53).  Index 2: two distinct isotropic points are orthogonal,
+    so they span a totally isotropic plane; tested on a (k, c, c) Gram
+    block of each form's isotropic points, padded to the largest count c,
+    with the padding and the diagonal masked out."""
+    forms = np.asarray(forms, dtype=np.int64) % p
+    k, m, _ = forms.shape
+    if m > 4:
+        raise ValueError(f"brute_witt stops at planes, which settles m <= 4, not m = {m}")
+    if m * m * (p - 1) ** 3 >= 2 ** 53:
+        raise ValueError(f"form values at p = {p}, m = {m} can pass 2^53 in float64")
+    x = np.asarray(points, dtype=np.int64)
+    monomials = (x[:, :, None] * x[:, None, :]).reshape(len(x), m * m)
+    values = forms.reshape(k, m * m).astype(np.float64) @ monomials.T.astype(np.float64)
+    isotropic = values.astype(np.int64) % p == 0
+    counts = isotropic.sum(axis=1)
+    c = int(counts.max(initial=0))
+    # each form's isotropic points first, in point order, then padding
+    iso = x[np.argsort(~isotropic, axis=1, kind="stable")[:, :c]].astype(np.float64)
+    real = np.arange(c) < counts[:, None]
+    # B(u, v) = u.A.v, an integer below 2^53, is 0 mod p iff B = p floor(B / p)
+    gram = (iso @ forms % p) @ iso.transpose(0, 2, 1)
+    orthogonal = (gram == p * np.floor(gram / p)) & real[:, None, :] & ~np.eye(c, dtype=bool)
+    return np.where((orthogonal.any(axis=2) & real).any(axis=1), 2, np.minimum(counts, 1))

@@ -57,8 +57,9 @@ def test_criterion_02_operator_norm_matches_closed_form():
 
 def test_criterion_03_energy_counts_are_integer_exact():
     """The vectorized energy count agrees as an integer with EN-1's
-    literal loop (fflab.oracles.brute_energy) on 201 random subsets
-    across p in {3,5,7}, and with the spectral count
+    exhaustive count over every triple (fflab.oracles.brute_energy, which
+    test_combinatorics.py checks against the literal triple loop) on 201
+    random subsets across p in {3,5,7}, and with the spectral count
     (fflab.oracles.spectral_energy, Parseval over the transform) on every
     one of the 512 subsets of the nine-point saddle surface at p=3."""
     for p in (3, 5, 7):

@@ -9,6 +9,7 @@ conjectures, and any drift is a regression.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,13 +40,18 @@ from fflab.combinatorics import (
     vh_plane_cover,
     vh_plane_masks,
 )
-from fflab.core import PrimeField, decode_point, encode_point
+from fflab.core import PrimeField, coordinate_array, decode_point, encode_point
 from fflab.errors import (
     NotOnSurface,
     OutOfValidityRange,
     SizeOverflow,
 )
-from fflab.oracles import brute_energy, minimum_vh_cover_size, spectral_energy
+from fflab.oracles import (
+    ENERGY_TRIPLES,
+    brute_energy,
+    minimum_vh_cover_size,
+    spectral_energy,
+)
 from fflab.qforms import (
     QuadraticSpace,
     Subspace,
@@ -106,6 +112,22 @@ def slice_bound_loop(rows) -> float:
     bound += sum(sum(1 for r in rows if r[0] == j) ** 3 for j in {r[0] for r in rows})
     bound += sum(sum(1 for r in rows if r[1] == k) ** 3 for k in {r[1] for r in rows})
     return bound
+
+
+def triple_loop(pts, p) -> int:
+    """Oracle for oracles.brute_energy: EN-1's literal loop before it was
+    an array program.  For every (a, b, c) over the rows of pts, mod p,
+    is a + b - c a row?  Each copy of a repeated row counts."""
+    arr = [tuple(int(c) % p for c in row) for row in pts]
+    members = set(arr)
+    count = 0
+    for a in arr:
+        for b in arr:
+            for c in arr:
+                if tuple((ai + bi - ci) % p
+                         for ai, bi, ci in zip(a, b, c)) in members:
+                    count += 1
+    return count
 
 
 def surface_points(S: Surface) -> list:
@@ -218,7 +240,41 @@ def test_en1_triple_loop_oracle_matches_quadruple_loop(p):
     F = PrimeField(p)
     for k in (1, 2, 3, 5, 8, 12):
         E = PointSet(F, 3, np.sort(rng.choice(p**3, size=k, replace=False)))
-        assert brute_energy(E.matrix(), p) == quadruple_loop(E)
+        assert brute_energy(E.matrix(), p) == triple_loop(E.matrix(), p) == quadruple_loop(E)
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (5, 2), (3, 4), (7, 3)])
+def test_brute_energy_matches_triple_loop(p, d):
+    # rows in any order, with coordinates outside [0, p)
+    rng = np.random.default_rng(10 * p + d)
+    for k in sorted({min(k, p**d) for k in (0, 1, 2, 4, 7, 13)}):
+        rows = coordinate_array(p, d)[rng.choice(p**d, size=k, replace=False)]
+        rows = rows + p * rng.integers(-2, 3, size=rows.shape)
+        assert brute_energy(rows, p) == triple_loop(rows, p)
+
+
+def test_brute_energy_refuses_repeated_rows_and_oversized_sets():
+    # the triple loop counts each copy of a point: 2^3 triples where the
+    # one distinct point has energy 1
+    twice = np.array([[1, 2, 0], [1, 2, 0]])
+    assert triple_loop(twice, 5) == 8
+    with pytest.raises(ValueError, match="repeats"):
+        brute_energy(twice, 5)
+    with pytest.raises(ValueError, match="repeats"):
+        brute_energy(np.array([[1, 2], [6, 7]]), 5)
+    # 65^3 triples pass ENERGY_TRIPLES = 2^18; refused before the block
+    # of 65^3 rows of 3 int64 (6.6 MB) is made
+    assert ENERGY_TRIPLES == 2 ** 18
+    cube = coordinate_array(5, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOverflow, match="brute_energy's triple block"):
+            brute_energy(cube[:65], 5)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    E = PointSet(F5, 3, np.arange(64))
+    assert brute_energy(cube[:64], 5) == additive_energy(E)
 
 
 def test_energy_two_sets_matches_literal_loop():

@@ -967,8 +967,9 @@ def test_nan_deviation_fails_the_run_with_its_witness(monkeypatch, devs, first_n
 # The runners that cut their trials, or their exhaustive and structured
 # inputs, into stacks, one operator call per stack (runners._stacks).
 # KK-1 at (3, 2) and MX-2 at (3, 3) stack their exhaustive families.
+# QF-1 cuts its forms into stacks, one oracle call per stack.
 STACKED_RUNNERS = ("FT-3", "ST-1", "ST-2", "ST-5", "ST-6", "BR-1", "PL-1", "MT-1",
-                   "EN-4", "KK-1", "KK-2", "KK-3", "MX-2")
+                   "EN-4", "KK-1", "KK-2", "KK-3", "MX-2", "QF-1")
 
 
 def test_stacks_cut_a_run_into_consecutive_bounded_lists():
@@ -998,6 +999,24 @@ def test_stacked_runner_yields_the_cases_of_one_trial_stacks(monkeypatch, sid):
             single = list(sc.runner(RunContext(sid, p, d, sc.default_trials, 11)))
         assert len(stacked) > 1
         assert repr(stacked) == repr(single)
+
+
+@pytest.mark.parametrize("p,calls,cap", [(7, 131, 10), (5, 11, 26)])
+def test_qf1_searches_one_stack_of_forms_per_oracle_call(monkeypatch, p, calls, cap):
+    # (p - 1)^4 diagonal forms and 10 drawn ones, in stacks of at most
+    # STACK_POINTS // N forms, N = (p^4 - 1) / (p - 1) projective points
+    import fflab.harness.runners as runners
+    stacks, brute_witt = [], runners.brute_witt
+
+    def counted(forms, q, points):
+        assert runners.STACK_POINTS // len(points) == cap
+        stacks.append(len(forms))
+        return brute_witt(forms, q, points)
+
+    monkeypatch.setattr(runners, "brute_witt", counted)
+    assert run_scenario("QF-1", prime=p, dim=4).status == "pass"
+    assert len(stacks) == calls
+    assert max(stacks) == cap and sum(stacks) == (p - 1) ** 4 + 10
 
 
 def test_in2_witness_reports_the_audited_constants(monkeypatch):
@@ -1679,6 +1698,26 @@ def test_cli_sweep_edges_exit_2_before_any_run(args, out, tmp_path, monkeypatch,
     (tmp_path / "file").write_text("")
     assert cli_main(["sweep", *args, "--out", str(tmp_path / out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("args,repeat", [
+    (["--ids", "FT-1,ST-4,FT-1"], "scenario id FT-1"),
+    (["--ids", "FT-1", "--primes", "3,5,3"], "prime 3"),
+    (["--ids", "FT-1", "--dims", "3,3"], "dim 3"),
+], ids=["repeated id", "repeated prime", "repeated dim"])
+def test_cli_sweep_repeats_exit_2_before_any_run(args, repeat, tmp_path, monkeypatch,
+                                                 capsys):
+    # A repeat used to run its points once per copy and write each row
+    # that many times, exiting 0.
+    import fflab.harness.scenarios as scenarios
+
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(scenarios, "_run_checked", no_run)
+    assert cli_main(["sweep", *args, "--out", str(tmp_path / "reports")]) == 2
+    assert capsys.readouterr().err == f"error: {repeat} is requested more than once\n"
     assert not (tmp_path / "reports").exists()
 
 

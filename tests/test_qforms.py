@@ -4,6 +4,7 @@ The Witt index classification, isotropic enumeration and pairing
 construction all get checked against exhaustive searches at small p.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -19,7 +20,7 @@ from fflab.errors import (
     NotMaximalIsotropic,
     SizeOverflow,
 )
-from fflab.harness.runners import _mx1_surface
+from fflab.harness.runners import STACK_POINTS, _mx1_surface
 from fflab import oracles
 from fflab.qforms import (
     QuadraticSpace,
@@ -699,20 +700,46 @@ def test_classify_subsurface_d5_exhaustive(witt_target, entries):
         assert degenerate == 8  # the maximal isotropic planes of the split form
 
 
-def _witt_by_full_conjunction(A, p, lines, planes) -> int:
-    """QF-1's Witt oracle with all three plane conditions evaluated on
-    every plane."""
+@functools.lru_cache(maxsize=None)
+def _witt_monomials(p: int, m: int):
+    """Degree-two monomial rows for _plane_search_witt: x_i x_j for every
+    projective vector x, as an (N, m^2) array, and (u_i u_j, v_i v_j,
+    u_i v_j) for every echelon plane basis (u, v).  A form's value on a
+    row is the row's dot product with A.ravel()."""
+    def outer(a, b):
+        return (a[:, :, None] * b[:, None, :]).reshape(len(a), m * m)
+
+    x = echelon_bases(p, m, 1)[:, 0]
+    planes = echelon_bases(p, m, 2)
+    u, v = planes[:, 0, :], planes[:, 1, :]
+    return outer(x, x), (outer(u, u), outer(v, v), outer(u, v))
+
+
+def _plane_search_witt(A, p) -> int:
+    """Oracle for oracles.brute_witt: QF-1's per-form search before it was
+    stacked.  Index 1 when x.A.x = 0 at some projective vector x; index 2
+    when some echelon plane basis (u, v) has u.A.u = 0, then v.A.v = 0,
+    then u.A.v = 0, each tested only on the planes that passed before."""
+    lines, (uu, vv, uv) = _witt_monomials(p, len(A))
     a = np.asarray(A, dtype=np.int64).ravel()
     if not (lines @ a % p == 0).any():
         return 0
-    uu, vv, uv = planes
-    return 2 if ((uu @ a % p == 0) & (vv @ a % p == 0) & (uv @ a % p == 0)).any() else 1
+    rows = np.flatnonzero(uu @ a % p == 0)
+    rows = rows[vv[rows] @ a % p == 0]
+    return 2 if (uv[rows] @ a % p == 0).any() else 1
+
+
+def _witt_oracle_in_stacks(forms, p, points, size):
+    """oracles.brute_witt over consecutive stacks of at most size forms."""
+    return [int(w) for i in range(0, len(forms), size)
+            for w in oracles.brute_witt(forms[i:i + size], p, points)]
 
 
 @pytest.mark.parametrize("p", [5, 7])
-def test_staged_witt_oracle_matches_full_conjunction(p):
+def test_stacked_witt_oracle_matches_plane_search(p):
+    # every diagonal form and 100 random ones at m = 4, in the stacks QF-1
+    # makes and one form per stack
     F = PrimeField(p)
-    lines, planes = oracles.witt_monomials(p, 4)
     forms = [np.diag(np.array(diag, dtype=np.int64))
              for diag in itertools.product(range(1, p), repeat=4)]
     rng = np.random.default_rng(p)
@@ -720,12 +747,56 @@ def test_staged_witt_oracle_matches_full_conjunction(p):
         A = random_symmetric(F, 4, rng)
         if det_mod(A, p) != 0:
             forms.append(A)
-    seen = set()
-    for A in forms:
-        w = oracles.brute_witt(A, p, lines, planes)
-        assert w == _witt_by_full_conjunction(A, p, lines, planes)
-        seen.add(w)
-    assert seen == {1, 2}
+    forms = np.stack(forms)
+    points = echelon_bases(p, 4, 1)[:, 0]
+    want = [_plane_search_witt(A, p) for A in forms]
+    stacked = _witt_oracle_in_stacks(forms, p, points, STACK_POINTS // len(points))
+    assert stacked == want
+    assert _witt_oracle_in_stacks(forms, p, points, 1) == want
+    assert set(want) == {1, 2}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_stacked_witt_oracle_matches_subspace_enumeration(m):
+    F = PrimeField(3)
+    forms = [np.diag(np.array(diag, dtype=np.int64))
+             for diag in itertools.product((1, 2), repeat=m)]
+    rng = np.random.default_rng(30 + m)
+    while len(forms) < 2 ** m + 12:
+        A = random_symmetric(F, m, rng)
+        if det_mod(A, 3) != 0:
+            forms.append(A)
+    got = oracles.brute_witt(np.stack(forms), 3, echelon_bases(3, m, 1)[:, 0])
+    assert got.tolist() == [brute_witt(QuadraticSpace(F, A)) for A in forms]
+
+
+def test_stacked_witt_oracle_pads_forms_with_fewer_isotropic_points():
+    p = 5
+    # 2 is not a square mod 5, so x^2 - 2y^2 has no isotropic point
+    # while x^2 - y^2 has two
+    binary = np.array([np.diag([1, -2]), np.diag([1, -1])]) % p
+    assert oracles.brute_witt(binary, p, echelon_bases(p, 2, 1)[:, 0]).tolist() == [0, 1]
+    # the elliptic form has p^2 + 1 isotropic points and the split one
+    # (p + 1)^2, so the elliptic one's block is padded; a pad point or a
+    # point paired with itself would make its index 2
+    forms = np.array([np.diag([1, -1, 1, -2]), np.diag([1, -1, 1, -1])]) % p
+    points = echelon_bases(p, 4, 1)[:, 0]
+    counts = [int((np.einsum("ni,ij,nj->n", points, A, points) % p == 0).sum())
+              for A in forms]
+    assert counts == [p * p + 1, (p + 1) ** 2]
+    assert oracles.brute_witt(forms, p, points).tolist() == [1, 2]
+    assert [_plane_search_witt(A, p) for A in forms] == [1, 2]
+
+
+def test_stacked_witt_oracle_states_its_range():
+    eye = np.eye(5, dtype=np.int64)[None]
+    with pytest.raises(ValueError, match="m <= 4"):
+        oracles.brute_witt(eye, 3, echelon_bases(3, 5, 1)[:, 0])
+    # m^2 (p - 1)^3 first reaches 2^53 at m = 2, p = 2^17 + 1
+    eye, no_points = np.eye(2, dtype=np.int64)[None], np.zeros((0, 2), dtype=np.int64)
+    assert oracles.brute_witt(eye, 2 ** 17, no_points).tolist() == [0]
+    with pytest.raises(ValueError, match="2\\^53"):
+        oracles.brute_witt(eye, 2 ** 17 + 1, no_points)
 
 
 def test_classify_subsurface_d4():
